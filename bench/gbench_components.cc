@@ -40,16 +40,33 @@ BM_SimulateNativeMinibatch(benchmark::State& state)
 }
 BENCHMARK(BM_SimulateNativeMinibatch)->Unit(benchmark::kMillisecond);
 
-void
-BM_EnumerateSearchSpace(benchmark::State& state)
+/**
+ * GNMT at the repo benchmark's zoo shape (batch 16, seq 8, hidden =
+ * embed 128, vocab 1000): the largest paper model, 1,238 fusion groups.
+ */
+const BuiltModel&
+gnmt_model()
 {
-    const BuiltModel& m = model();
+    static BuiltModel m = build_model(
+        ModelKind::Gnmt, {.batch = 16, .seq_len = 8, .hidden = 128,
+                          .embed_dim = 128, .vocab = 1000});
+    return m;
+}
+
+void
+BM_EnumerateSearchSpace(benchmark::State& state,
+                        const BuiltModel& (*which)())
+{
+    const BuiltModel& m = which();
     for (auto _ : state) {
         const SearchSpace space = enumerate_search_space(m.graph());
         benchmark::DoNotOptimize(space.groups.size());
     }
 }
-BENCHMARK(BM_EnumerateSearchSpace)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, sublstm, &model)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, gnmt, &gnmt_model)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_BuildStreamedPlan(benchmark::State& state)

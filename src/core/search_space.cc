@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -319,16 +318,27 @@ enum class RunRelation
     Conflict,
 };
 
+/**
+ * How run b relates to run a. On a Conflict, `*sole_overlap` (when
+ * given) is the one tensor the runs share, or kInvalidNode when they
+ * share more than one.
+ */
 RunRelation
 run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
-             std::vector<NodeId>* overlap)
+             NodeId* sole_overlap = nullptr)
 {
-    std::set<NodeId> sa(a.members.begin(), a.members.end());
-    overlap->clear();
-    for (NodeId m : b.members)
-        if (sa.count(m))
-            overlap->push_back(m);
-    if (overlap->empty())
+    // Runs hold at most max_group_size members: a linear probe beats
+    // building a set per pair.
+    size_t shared = 0;
+    NodeId first_shared = kInvalidNode;
+    for (NodeId m : b.members) {
+        if (std::find(a.members.begin(), a.members.end(), m) ==
+            a.members.end())
+            continue;
+        if (shared++ == 0)
+            first_shared = m;
+    }
+    if (shared == 0)
         return RunRelation::Disjoint;
     if (a.members == b.members)
         return RunRelation::Identical;
@@ -350,12 +360,19 @@ run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
         return RunRelation::Contains;
     if (is_contig_subseq(b.members, a.members))
         return RunRelation::ContainedIn;
+    if (sole_overlap)
+        *sole_overlap = shared == 1 ? first_shared : kInvalidNode;
     return RunRelation::Conflict;
 }
 
-/** Remove one member (and its ladder Add, if any) from a group. */
+/**
+ * Remove one member (and its ladder Add, if any) from a group. The
+ * group's footprint (members and run tensors) only ever shrinks: the
+ * runs are rebuilt from a subset of the members.
+ */
 bool
-shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member)
+shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member,
+             const EnumeratorOptions& opts)
 {
     if (static_cast<int>(g->mms.size()) <= 2)
         return false;  // would fall below the fusion minimum
@@ -378,7 +395,7 @@ shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member)
                         : rebuild_ladder_runs(graph, g);
     if (!ok)
         return false;
-    finalize_group(graph, g, EnumeratorOptions{});
+    finalize_group(graph, g, opts);
     return true;
 }
 
@@ -394,6 +411,220 @@ member_owning(const Graph& graph, const FusionGroup& g, NodeId node)
             return m;
     }
     return kInvalidNode;
+}
+
+/**
+ * True when groups a and b cannot both be enabled (§4.5.2). They
+ * conflict when they share a member GEMM (2-D fusion sets along
+ * different axes, §4.4.1 / Fig. 1) or when two of their runs overlap
+ * in a way no single layout satisfies. An overlap on a single tensor
+ * is resolved instead, where possible, by dropping the member that
+ * owns it from the smaller group (a on ties) and looking again.
+ * Groups whose footprints share no node never conflict and are left
+ * untouched.
+ */
+bool
+groups_conflict(const Graph& graph, FusionGroup& a, FusionGroup& b,
+                const EnumeratorOptions& opts)
+{
+    for (NodeId m : b.mms)
+        if (std::find(a.mms.begin(), a.mms.end(), m) != a.mms.end())
+            return true;
+    for (const AdjacencyRun& ra : a.runs) {
+        for (const AdjacencyRun& rb : b.runs) {
+            NodeId sole = kInvalidNode;
+            if (run_relation(ra, rb, &sole) != RunRelation::Conflict)
+                continue;
+            if (sole != kInvalidNode) {
+                FusionGroup& victim = a.mms.size() <= b.mms.size() ? a : b;
+                const NodeId owner = member_owning(graph, victim, sole);
+                if (owner != kInvalidNode &&
+                    shrink_group(graph, &victim, owner, opts))
+                    return groups_conflict(graph, a, b, opts);
+            }
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * Calls f on every node of a group's footprint: its member GEMMs and
+ * the tensors of its runs (a node may come up more than once).
+ */
+template <typename F>
+void
+for_each_footprint_node(const FusionGroup& g, F&& f)
+{
+    for (NodeId m : g.mms)
+        f(m);
+    for (const AdjacencyRun& r : g.runs)
+        for (NodeId id : r.members)
+            f(id);
+}
+
+/**
+ * Conflict edges between groups, resolving single-tensor overlaps by
+ * shrinking groups on the way (groups_conflict). Pairs are tested in
+ * (i, j) order, as an all-pairs scan would, but only pairs whose
+ * footprints share a node: every other pair is conflict-free with no
+ * side effect. Because shrinking only removes footprint nodes, a
+ * node -> groups index built from the footprints before any shrink
+ * lists every pair that can overlap when it is tested.
+ */
+std::vector<std::vector<size_t>>
+analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups,
+                  const EnumeratorOptions& opts)
+{
+    const size_t n = groups.size();
+    std::vector<std::vector<size_t>> groups_at(
+        static_cast<size_t>(graph.size()));
+    for (size_t i = 0; i < n; ++i)
+        for_each_footprint_node(groups[i], [&](NodeId id) {
+            std::vector<size_t>& at = groups_at[static_cast<size_t>(id)];
+            if (at.empty() || at.back() != i)
+                at.push_back(i);
+        });
+
+    std::vector<std::vector<size_t>> conflicts(n);
+    std::vector<size_t> listed_for(n, n);  // row that last listed j
+    std::vector<size_t> partners;
+    int64_t pairs = 0, edges = 0;
+    for (size_t i = 0; i < n; ++i) {
+        partners.clear();
+        for_each_footprint_node(groups[i], [&](NodeId id) {
+            for (size_t j : groups_at[static_cast<size_t>(id)])
+                if (j > i && listed_for[j] != i) {
+                    listed_for[j] = i;
+                    partners.push_back(j);
+                }
+        });
+        std::sort(partners.begin(), partners.end());
+        pairs += static_cast<int64_t>(partners.size());
+        for (size_t j : partners) {
+            if (!groups_conflict(graph, groups[i], groups[j], opts))
+                continue;
+            conflicts[i].push_back(j);
+            conflicts[j].push_back(i);
+            ++edges;
+        }
+    }
+    obs::counter("enumerate.conflict_pairs").add(pairs);
+    obs::counter("enumerate.conflict_edges").add(edges);
+    return conflicts;
+}
+
+/**
+ * One allocation strategy: walk the groups in `order`, enabling each
+ * one that conflicts with no enabled group and whose runs merge into
+ * the layout accumulated so far. A new run merges with the first
+ * (lowest-index) accumulated run it overlaps: it is absorbed by a run
+ * that contains it, widens a run it contains, and otherwise clashes,
+ * which rejects the whole group. first_run[node] holds the lowest
+ * index of an accumulated run containing the node, so that run is
+ * found without scanning the layout; a group that clashes part-way is
+ * rolled back from an undo log.
+ */
+AllocStrategy
+build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
+               const std::vector<std::vector<size_t>>& conflicts,
+               const std::vector<size_t>& order)
+{
+    constexpr size_t kNoRun = static_cast<size_t>(-1);
+    AllocStrategy strat;
+    strat.group_enabled.assign(groups.size(), false);
+    std::vector<AdjacencyRun>& runs = strat.runs;
+    std::vector<size_t> first_run(static_cast<size_t>(graph.size()), kNoRun);
+    std::vector<std::pair<NodeId, size_t>> first_run_undo;
+    std::vector<std::pair<size_t, AdjacencyRun>> widened_undo;
+    const auto claim = [&](const AdjacencyRun& r, size_t idx) {
+        for (NodeId id : r.members) {
+            size_t& slot = first_run[static_cast<size_t>(id)];
+            first_run_undo.emplace_back(id, slot);
+            slot = idx;
+        }
+    };
+    for (size_t gi : order) {
+        if (std::any_of(conflicts[gi].begin(), conflicts[gi].end(),
+                        [&](size_t e) { return strat.group_enabled[e]; }))
+            continue;
+        const size_t runs_before = runs.size();
+        first_run_undo.clear();
+        widened_undo.clear();
+        bool clash = false;
+        for (const AdjacencyRun& r : groups[gi].runs) {
+            size_t k = kNoRun;
+            for (NodeId id : r.members)
+                k = std::min(k, first_run[static_cast<size_t>(id)]);
+            if (k == kNoRun) {
+                claim(r, runs.size());
+                runs.push_back(r);
+                continue;
+            }
+            const RunRelation rel = run_relation(runs[k], r);
+            ASTRA_ASSERT(rel != RunRelation::Disjoint);
+            if (rel == RunRelation::Conflict) {
+                clash = true;
+                break;
+            }
+            if (rel == RunRelation::ContainedIn) {
+                widened_undo.emplace_back(k, runs[k]);
+                runs[k] = r;  // widen to the superset
+                claim(r, k);
+            }
+        }
+        if (clash) {
+            for (auto it = widened_undo.rbegin(); it != widened_undo.rend();
+                 ++it)
+                runs[it->first] = std::move(it->second);
+            runs.resize(runs_before);
+            for (auto it = first_run_undo.rbegin();
+                 it != first_run_undo.rend(); ++it)
+                first_run[static_cast<size_t>(it->first)] = it->second;
+            continue;
+        }
+        strat.group_enabled[gi] = true;
+    }
+    return strat;
+}
+
+/** Greedy group orders expressing different static priorities. */
+std::vector<std::vector<size_t>>
+strategy_orders(const Graph& graph, const std::vector<FusionGroup>& groups)
+{
+    const auto pass = [&](size_t g) {
+        return graph.node(groups[g].mms[0]).pass;
+    };
+    const auto mstack = [&](size_t g) {
+        return groups[g].axis == FusionAxis::MStack;
+    };
+    std::vector<size_t> by_flops(groups.size());
+    for (size_t i = 0; i < by_flops.size(); ++i)
+        by_flops[i] = i;
+    std::stable_sort(by_flops.begin(), by_flops.end(),
+                     [&](size_t a, size_t b) {
+                         return groups[a].flops > groups[b].flops;
+                     });
+    const auto refine = [&](auto before) {
+        std::vector<size_t> order = by_flops;
+        std::stable_sort(order.begin(), order.end(), before);
+        return order;
+    };
+    return {
+        by_flops,
+        refine([&](size_t a, size_t b) { return pass(a) < pass(b); }),
+        refine([&](size_t a, size_t b) { return pass(a) > pass(b); }),
+        refine([&](size_t a, size_t b) {
+            return groups[a].kind < groups[b].kind;  // batch first
+        }),
+        refine([&](size_t a, size_t b) {
+            return groups[a].kind > groups[b].kind;  // ladders first
+        }),
+        // "One large GEMM" row-stacked groups amortize tile padding and
+        // are usually the most profitable; try a layout that favors
+        // them.
+        refine([&](size_t a, size_t b) { return mstack(a) > mstack(b); }),
+    };
 }
 
 }  // namespace
@@ -417,187 +648,41 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
     }
 
     // ---- conflict analysis (§4.5.2) -------------------------------------
-    // First pass: resolve single-tensor run overlaps statically by
-    // shrinking the smaller group; collect hard conflict edges for the
-    // rest and for shared-member pairs.
-    const size_t n = groups.size();
-    std::vector<std::set<size_t>> conflicts(n);
-    std::function<bool(size_t, size_t)> groups_conflict =
-        [&](size_t i, size_t j) -> bool {
-        // Shared member GEMMs: both cannot be enabled at once (2-D
-        // fusion sets along different axes, §4.4.1 / Fig. 1).
-        std::set<NodeId> mi(groups[i].mms.begin(), groups[i].mms.end());
-        for (NodeId m : groups[j].mms)
-            if (mi.count(m))
-                return true;
-        for (const AdjacencyRun& ra : groups[i].runs) {
-            for (const AdjacencyRun& rb : groups[j].runs) {
-                std::vector<NodeId> overlap;
-                switch (run_relation(ra, rb, &overlap)) {
-                  case RunRelation::Disjoint:
-                  case RunRelation::Identical:
-                  case RunRelation::Contains:
-                  case RunRelation::ContainedIn:
-                    break;
-                  case RunRelation::Conflict: {
-                    if (overlap.size() == 1) {
-                        // Single offending tensor: drop the member from
-                        // the smaller group so both can coexist.
-                        FusionGroup* victim =
-                            groups[i].mms.size() <= groups[j].mms.size()
-                                ? &groups[i]
-                                : &groups[j];
-                        const NodeId owner = member_owning(
-                            graph, *victim, overlap[0]);
-                        if (owner != kInvalidNode &&
-                            shrink_group(graph, victim, owner))
-                            return groups_conflict(i, j);  // re-examine
-                    }
-                    return true;
-                  }
-                }
-            }
-        }
-        return false;
-    };
+    // Resolve single-tensor run overlaps statically by shrinking the
+    // smaller group; collect hard conflict edges for the rest and for
+    // shared-member pairs.
+    std::vector<std::vector<size_t>> conflicts;
     {
         obs::ScopedSpan conflict_span(obs::Category::Enumerate,
                                       "conflict_analysis");
-        for (size_t i = 0; i < n; ++i)
-            for (size_t j = i + 1; j < n; ++j)
-                if (groups_conflict(i, j)) {
-                    conflicts[i].insert(j);
-                    conflicts[j].insert(i);
-                }
+        conflicts = analyze_conflicts(graph, groups, opts);
     }
 
     // Drop groups that degenerated below two members.
     // (shrink_group refuses to go below 2, so just collect.)
-    space.groups = groups;
+    space.groups = std::move(groups);
     for (size_t i = 0; i < space.groups.size(); ++i) {
         space.groups[i].id = static_cast<int>(i);
         space.groups[i].key = "g" + std::to_string(i);
     }
 
     // ---- allocation strategies: maximal conflict-free subsets -----------
-    auto build_strategy = [&](const std::vector<size_t>& order) {
-        AllocStrategy strat;
-        strat.group_enabled.assign(space.groups.size(), false);
-        std::vector<AdjacencyRun> runs;
-        std::set<size_t> enabled;
-        for (size_t gi : order) {
-            bool ok = true;
-            for (size_t e : enabled)
-                ok &= !conflicts[gi].count(e);
-            if (!ok)
+    {
+        obs::ScopedSpan fork_span(obs::Category::Enumerate,
+                                  "strategy_fork");
+        std::set<std::vector<bool>> seen;
+        for (const auto& order : strategy_orders(graph, space.groups)) {
+            if (static_cast<int>(space.strategies.size()) >=
+                opts.max_strategies)
+                break;
+            AllocStrategy s =
+                build_strategy(graph, space.groups, conflicts, order);
+            if (!seen.insert(s.group_enabled).second)
                 continue;
-            // Merge this group's runs into the accumulated layout.
-            std::vector<AdjacencyRun> merged = runs;
-            for (const AdjacencyRun& r : space.groups[gi].runs) {
-                bool absorbed = false;
-                bool clash = false;
-                for (auto& existing : merged) {
-                    std::vector<NodeId> overlap;
-                    switch (run_relation(existing, r, &overlap)) {
-                      case RunRelation::Disjoint:
-                        break;
-                      case RunRelation::Identical:
-                      case RunRelation::Contains:
-                        absorbed = true;
-                        break;
-                      case RunRelation::ContainedIn:
-                        existing = r;  // widen to the superset
-                        absorbed = true;
-                        break;
-                      case RunRelation::Conflict:
-                        clash = true;
-                        break;
-                    }
-                    if (absorbed || clash)
-                        break;
-                }
-                if (clash) {
-                    ok = false;
-                    break;
-                }
-                if (!absorbed)
-                    merged.push_back(r);
-            }
-            if (!ok)
-                continue;
-            runs = std::move(merged);
-            enabled.insert(gi);
+            s.id = static_cast<int>(space.strategies.size());
+            s.key = "s" + std::to_string(s.id);
+            space.strategies.push_back(std::move(s));
         }
-        for (size_t e : enabled)
-            strat.group_enabled[e] = true;
-        strat.runs = std::move(runs);
-        return strat;
-    };
-
-    // Greedy orders expressing different static priorities.
-    std::vector<std::vector<size_t>> orders;
-    std::vector<size_t> base(space.groups.size());
-    for (size_t i = 0; i < base.size(); ++i)
-        base[i] = i;
-    auto by_flops = base;
-    std::stable_sort(by_flops.begin(), by_flops.end(),
-                     [&](size_t a, size_t b) {
-                         return space.groups[a].flops >
-                                space.groups[b].flops;
-                     });
-    orders.push_back(by_flops);
-    auto fwd_first = by_flops;
-    std::stable_sort(fwd_first.begin(), fwd_first.end(),
-                     [&](size_t a, size_t b) {
-                         return graph.node(space.groups[a].mms[0]).pass <
-                                graph.node(space.groups[b].mms[0]).pass;
-                     });
-    orders.push_back(fwd_first);
-    auto bwd_first = by_flops;
-    std::stable_sort(bwd_first.begin(), bwd_first.end(),
-                     [&](size_t a, size_t b) {
-                         return graph.node(space.groups[a].mms[0]).pass >
-                                graph.node(space.groups[b].mms[0]).pass;
-                     });
-    orders.push_back(bwd_first);
-    auto batch_first = by_flops;
-    std::stable_sort(batch_first.begin(), batch_first.end(),
-                     [&](size_t a, size_t b) {
-                         return space.groups[a].kind <
-                                space.groups[b].kind;
-                     });
-    orders.push_back(batch_first);
-    auto ladder_first = by_flops;
-    std::stable_sort(ladder_first.begin(), ladder_first.end(),
-                     [&](size_t a, size_t b) {
-                         return space.groups[a].kind >
-                                space.groups[b].kind;
-                     });
-    orders.push_back(ladder_first);
-    // "One large GEMM" row-stacked groups amortize tile padding and
-    // are usually the most profitable; try a layout that favors them.
-    auto mstack_first = by_flops;
-    std::stable_sort(mstack_first.begin(), mstack_first.end(),
-                     [&](size_t a, size_t b) {
-                         return (space.groups[a].axis ==
-                                 FusionAxis::MStack) >
-                                (space.groups[b].axis ==
-                                 FusionAxis::MStack);
-                     });
-    orders.push_back(mstack_first);
-
-    std::set<std::vector<bool>> seen;
-    for (const auto& order : orders) {
-        if (static_cast<int>(space.strategies.size()) >=
-            opts.max_strategies)
-            break;
-        AllocStrategy s = build_strategy(order);
-        if (seen.count(s.group_enabled))
-            continue;
-        seen.insert(s.group_enabled);
-        s.id = static_cast<int>(space.strategies.size());
-        s.key = "s" + std::to_string(s.id);
-        space.strategies.push_back(std::move(s));
     }
     ASTRA_ASSERT(!space.strategies.empty());
 

@@ -34,7 +34,7 @@ Graph::node(NodeId id)
     return nodes_[static_cast<size_t>(id)];
 }
 
-std::vector<NodeId>
+const std::vector<NodeId>&
 Graph::users(NodeId id) const
 {
     ASTRA_ASSERT(id >= 0 && id < size());

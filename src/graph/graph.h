@@ -69,8 +69,11 @@ class Graph
 
     const std::vector<Node>& nodes() const { return nodes_; }
 
-    /** Ids of nodes that consume the given node's output. */
-    std::vector<NodeId> users(NodeId id) const;
+    /**
+     * Ids of nodes that consume the given node's output. The reference
+     * is valid until the next add().
+     */
+    const std::vector<NodeId>& users(NodeId id) const;
 
     /** Number of consumers of the given node's output. */
     int user_count(NodeId id) const;

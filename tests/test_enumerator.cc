@@ -11,9 +11,25 @@
 
 #include "core/search_space.h"
 #include "models/models.h"
+#include "obs/obs.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
+
+/** The five paper models, largest first. */
+constexpr ModelKind kPaperModels[] = {
+    ModelKind::Gnmt, ModelKind::StackedLstm, ModelKind::MiLstm,
+    ModelKind::Scrnn, ModelKind::SubLstm,
+};
+
+/** Batch 16, seq 8, hidden = embed 128, vocab 1000 (the perfbench zoo). */
+ModelConfig
+zoo_shape()
+{
+    return {.batch = 16, .seq_len = 8, .hidden = 128, .embed_dim = 128,
+            .vocab = 1000};
+}
 
 TEST(Enumerator, MinesCommonArgumentSiblings)
 {
@@ -226,19 +242,81 @@ TEST(Enumerator, TwoDimensionalConflictForksStrategies)
 
 TEST(Enumerator, StrategyRunsAreDisjoint)
 {
-    const BuiltModel m =
-        build_model(ModelKind::SubLstm,
-                    {.batch = 8, .seq_len = 4, .hidden = 64,
-                     .embed_dim = 64, .vocab = 100});
-    const SearchSpace space = enumerate_search_space(m.graph());
-    for (const AllocStrategy& s : space.strategies) {
-        std::set<NodeId> seen;
-        for (const AdjacencyRun& r : s.runs)
-            for (NodeId id : r.members) {
-                EXPECT_FALSE(seen.count(id)) << "node %" << id;
-                seen.insert(id);
-            }
+    std::vector<BuiltModel> models;
+    models.push_back(build_model(ModelKind::SubLstm,
+                                 {.batch = 8, .seq_len = 4, .hidden = 64,
+                                  .embed_dim = 64, .vocab = 100}));
+    for (ModelKind kind : kPaperModels)
+        models.push_back(build_model(kind, zoo_shape()));
+    for (const BuiltModel& m : models) {
+        const SearchSpace space = enumerate_search_space(m.graph());
+        for (const AllocStrategy& s : space.strategies) {
+            std::set<NodeId> seen;
+            for (const AdjacencyRun& r : s.runs)
+                for (NodeId id : r.members) {
+                    EXPECT_FALSE(seen.count(id))
+                        << m.name << " " << s.key << " node %" << id;
+                    seen.insert(id);
+                }
+        }
     }
+}
+
+TEST(Enumerator, PaperModelSearchSpacesArePinned)
+{
+    // FNV-1a of testutil::search_space_dump at the zoo shape: groups,
+    // strategies (bitmaps and runs) and standalone GEMMs, byte for
+    // byte. The wirer explores exactly this space, so a change here is
+    // a change in what gets measured; update a digest only on purpose.
+    const std::pair<ModelKind, const char*> pinned[] = {
+        {ModelKind::Gnmt, "9ce15993d6f3a9d2"},
+        {ModelKind::StackedLstm, "fa264e9d32439fca"},
+        {ModelKind::MiLstm, "2716f41e958ce61e"},
+        {ModelKind::Scrnn, "10f97fc61002bc9b"},
+        {ModelKind::SubLstm, "d9b88260cefe0cb5"},
+    };
+    for (const auto& [kind, digest] : pinned) {
+        const BuiltModel m = build_model(kind, zoo_shape());
+        EXPECT_EQ(testutil::search_space_digest(
+                      enumerate_search_space(m.graph())),
+                  digest)
+            << model_name(kind);
+    }
+}
+
+TEST(Enumerator, ShrunkGroupsKeepTheChunkOptionCap)
+{
+    // Single-tensor conflict resolution shrinks StackedLSTM batch
+    // groups at this shape; the re-finalized groups must still honor
+    // the caller's chunk-option cap.
+    const BuiltModel m = build_model(ModelKind::StackedLstm, zoo_shape());
+    EnumeratorOptions opts;
+    opts.max_chunk_options = 2;
+    const SearchSpace space = enumerate_search_space(m.graph(), opts);
+    ASSERT_FALSE(space.groups.empty());
+    for (const FusionGroup& g : space.groups)
+        EXPECT_LE(g.chunk_options.size(), 2u)
+            << g.key << " (" << g.mms.size() << " members)";
+}
+
+TEST(Enumerator, ConflictAnalysisTestsOnlyPairsSharingATensor)
+{
+    // Only group pairs whose footprints share a node are tested: about
+    // a fifth of all pairs here (about 5% on GNMT, where it matters).
+    const BuiltModel m = build_model(ModelKind::StackedLstm, zoo_shape());
+    obs::reset();
+    obs::set_enabled(true);
+    const SearchSpace space = enumerate_search_space(m.graph());
+    obs::set_enabled(false);
+    const std::map<std::string, int64_t> counters = obs::counter_values();
+    obs::reset();
+    const int64_t n = static_cast<int64_t>(space.groups.size());
+    const int64_t pairs = counters.at("enumerate.conflict_pairs");
+    const int64_t edges = counters.at("enumerate.conflict_edges");
+    EXPECT_GT(edges, 0);
+    EXPECT_LE(edges, pairs);
+    EXPECT_LT(pairs * 4, n * (n - 1) / 2)
+        << pairs << " of " << n * (n - 1) / 2 << " pairs tested";
 }
 
 TEST(Enumerator, LstmGateGroupsFound)

@@ -100,7 +100,7 @@ TEST(Graph, UsersAndCounts)
     const NodeId y = b.input({2, 2});
     const NodeId s = b.add(x, y);
     const NodeId t = b.mul(x, s);
-    const auto users = b.graph().users(x);
+    const auto& users = b.graph().users(x);
     EXPECT_EQ(users.size(), 2u);
     EXPECT_EQ(b.graph().user_count(s), 1);
     EXPECT_EQ(b.graph().user_count(t), 0);

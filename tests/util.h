@@ -5,9 +5,13 @@
  */
 #pragma once
 
+#include <locale>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/astra.h"
+#include "core/plan_store.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
 
@@ -75,6 +79,60 @@ max_abs_diff(const std::vector<float>& a, const std::vector<float>& b)
         worst = std::max(worst,
                          std::abs(static_cast<double>(a[i]) - b[i]));
     return worst;
+}
+
+/**
+ * Canonical text of a search space: every FusionGroup field (flops in
+ * hexfloat), each strategy's id, key, enabled bitmap and runs, and
+ * single_mms. Two spaces dump equal exactly when they are equal field
+ * for field.
+ */
+inline std::string
+search_space_dump(const SearchSpace& space)
+{
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    const auto ids = [&os](const char* tag, const auto& v) {
+        os << " " << tag << "[";
+        for (size_t i = 0; i < v.size(); ++i)
+            os << (i ? "," : "") << v[i];
+        os << "]";
+    };
+    const auto runs = [&](const std::vector<AdjacencyRun>& rs) {
+        os << " runs{";
+        for (const AdjacencyRun& r : rs)
+            ids("", r.members);
+        os << " }";
+    };
+    for (const FusionGroup& g : space.groups) {
+        os << "group " << g.id << " " << g.key << " kind "
+           << static_cast<int>(g.kind) << " axis "
+           << static_cast<int>(g.axis) << " shared " << g.shared_pos << ":"
+           << g.shared_node << " flops " << std::hexfloat << g.flops
+           << std::defaultfloat;
+        ids("mms", g.mms);
+        ids("adds", g.adds);
+        ids("chunks", g.chunk_options);
+        runs(g.runs);
+        os << "\n";
+    }
+    for (const AllocStrategy& s : space.strategies) {
+        os << "strategy " << s.id << " " << s.key << " enabled ";
+        for (bool on : s.group_enabled)
+            os << (on ? '1' : '0');
+        runs(s.runs);
+        os << "\n";
+    }
+    ids("single_mms", space.single_mms);
+    os << "\n";
+    return os.str();
+}
+
+/** FNV-1a digest of search_space_dump(), as 16 hex digits. */
+inline std::string
+search_space_digest(const SearchSpace& space)
+{
+    return hash_hex(fnv1a64(search_space_dump(space)));
 }
 
 }  // namespace astra::testutil
