@@ -104,8 +104,7 @@ steady_config(const AstraSession& session)
     }
     cfg.use_streams = true;
     cfg.num_streams = 2;
-    const StreamSpace ss = session.scheduler().stream_space(
-        session.scheduler().build_units(cfg), 2);
+    const StreamSpace ss = session.scheduler().stream_space(cfg);
     for (const EpochInfo& e : ss.epochs)
         cfg.epoch_keys[{e.super_epoch, e.level}] =
             "ep|" + std::to_string(e.super_epoch) + "." +

@@ -187,6 +187,9 @@ main(int argc, char** argv)
         if (!read_config(in, &best, &load_error))
             fatal("cannot load config from ", load_path, ": ",
                   load_error);
+        if (!session.config_fits(best, &load_error))
+            fatal("config from ", load_path, " does not fit ",
+                  model.name, ": ", load_error);
         std::cout << "loaded tuned configuration from " << load_path
                   << " (skipping exploration)\n";
     } else {

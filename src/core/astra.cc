@@ -125,35 +125,24 @@ AstraSession::make_wirer(WirerWarmStart warm) const
                                          maps, wopts);
 }
 
-namespace {
-
-/**
- * A stored configuration is only trusted after validating it against
- * the *current* search space: the store key covers the graph and the
- * device timing model but not the scheduler's coarse static knowledge
- * (SchedulerOptions), and a changed super-epoch target can reshape the
- * stream space until a stored epoch choice indexes out of range. An
- * unverifiable entry degrades to a warm start instead of crashing the
- * job.
- */
 bool
-config_fits(const SearchSpace& space, const Scheduler& sched,
-            const ScheduleConfig& config, std::string* why)
+AstraSession::config_fits(const ScheduleConfig& config,
+                          std::string* why) const
 {
     if (config.strategy < 0 ||
         config.strategy >=
-            static_cast<int>(space.strategies.size())) {
+            static_cast<int>(space_.strategies.size())) {
         *why = "strategy out of range";
         return false;
     }
-    if (config.group_chunk.size() != space.groups.size() ||
-        config.group_lib.size() != space.groups.size()) {
+    if (config.group_chunk.size() != space_.groups.size() ||
+        config.group_lib.size() != space_.groups.size()) {
         *why = "group count mismatch";
         return false;
     }
     const AllocStrategy& strat =
-        space.strategies[static_cast<size_t>(config.strategy)];
-    for (const FusionGroup& g : space.groups) {
+        space_.strategies[static_cast<size_t>(config.strategy)];
+    for (const FusionGroup& g : space_.groups) {
         const int chunk =
             config.group_chunk[static_cast<size_t>(g.id)];
         if (chunk == 1 ||
@@ -167,11 +156,12 @@ config_fits(const SearchSpace& space, const Scheduler& sched,
         }
     }
     if (config.use_streams) {
-        ScheduleConfig probe = config;
-        probe.use_streams = false;
-        probe.epoch_choice.clear();
-        const StreamSpace ss = sched.stream_space(
-            sched.build_units(probe), config.num_streams);
+        if (config.num_streams < 1) {
+            *why = "num_streams " + std::to_string(config.num_streams) +
+                   " below 1";
+            return false;
+        }
+        const StreamSpace ss = scheduler_->stream_space(config);
         std::map<std::pair<int, int>, size_t> options;
         for (const EpochInfo& e : ss.epochs)
             options[{e.super_epoch, e.level}] = e.options.size();
@@ -189,8 +179,6 @@ config_fits(const SearchSpace& space, const Scheduler& sched,
     return true;
 }
 
-}  // namespace
-
 WirerResult
 AstraSession::optimize(const BindFn& bind)
 {
@@ -204,10 +192,11 @@ AstraSession::optimize(const BindFn& bind)
 
     if (hit.tier == StoreTier::L1) {
         std::string why;
-        if (config_fits(space_, *scheduler_, hit.entry.config, &why)) {
+        if (config_fits(hit.entry.config, &why)) {
             // Exact knowledge: skip wiring. One measured mini-batch
-            // verifies the plan still dispatches and rehydrates it
-            // through the scheduler's cache for steady-state run().
+            // verifies the plan still dispatches and leaves it in its
+            // strategy's slot of the scheduler's plan memo for
+            // steady-state run().
             if (bind)
                 bind(tensor_map(hit.entry.config.strategy), 0);
             const std::shared_ptr<const ExecutionPlan> plan =

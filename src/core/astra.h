@@ -155,6 +155,19 @@ class AstraSession
      */
     WirerResult optimize(const BindFn& bind = {});
 
+    /**
+     * Whether a configuration read from outside this session (a config
+     * file, a plan-store entry) fits its *current* search space: the
+     * strategy, group count, every fused chunk, the stream count and
+     * every epoch choice must be valid here. The plan-store key covers
+     * the graph and the device timing model but not the scheduler's
+     * coarse static knowledge (SchedulerOptions), and a changed
+     * super-epoch target can reshape the stream space until a stored
+     * epoch choice indexes out of range. On a misfit returns false
+     * with the reason in `*why`; run() requires a fitting config.
+     */
+    bool config_fits(const ScheduleConfig& config, std::string* why) const;
+
     /** Dispatch one mini-batch with an explicit configuration. */
     DispatchResult run(const ScheduleConfig& config) const;
 

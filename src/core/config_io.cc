@@ -219,6 +219,9 @@ read_config(std::istream& is, ScheduleConfig* config, std::string* error)
         } else if (key == "num_streams") {
             if (!(ls >> out.num_streams))
                 return diag.fail("malformed num_streams value");
+            if (out.num_streams < 1)
+                return diag.fail("num_streams ", out.num_streams,
+                                 " below 1");
         } else if (key == "group_chunk") {
             int c;
             while (ls >> c)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "obs/obs.h"
 #include "runtime/executor.h"
@@ -12,8 +13,18 @@ namespace astra {
 
 Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
                      SchedulerOptions opts)
-    : graph_(graph), space_(space), opts_(opts)
+    : graph_(graph), space_(space), opts_(opts),
+      skeletons_(space.strategies.size()), plans_(space.strategies.size())
 {}
+
+size_t
+Scheduler::strategy_slot(const ScheduleConfig& config) const
+{
+    ASTRA_ASSERT(config.strategy >= 0 &&
+                 config.strategy <
+                     static_cast<int>(space_.strategies.size()));
+    return static_cast<size_t>(config.strategy);
+}
 
 namespace {
 
@@ -36,11 +47,7 @@ std::vector<PlanStep>
 Scheduler::assemble_units(const ScheduleConfig& config,
                           const std::map<int, int>& forced_chunk) const
 {
-    ASTRA_ASSERT(config.strategy >= 0 &&
-                 config.strategy <
-                     static_cast<int>(space_.strategies.size()));
-    const AllocStrategy& strat =
-        space_.strategies[static_cast<size_t>(config.strategy)];
+    const AllocStrategy& strat = space_.strategies[strategy_slot(config)];
 
     std::vector<PlanStep> steps;
     std::vector<int> covered(static_cast<size_t>(graph_.size()), -1);
@@ -492,20 +499,128 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
     return ss;
 }
 
+namespace {
+
+void
+append_num(std::string& sig, int64_t v)
+{
+    sig += std::to_string(v);
+    sig += ',';
+}
+
+/**
+ * Length-prefixed, so no string can alias another by embedding a
+ * separator.
+ */
+void
+append_str(std::string& sig, const std::string& s)
+{
+    append_num(sig, static_cast<int64_t>(s.size()));
+    sig += s;
+}
+
+/**
+ * Every ScheduleConfig field that build_units() or stream_space()
+ * reads: the key of a plan skeleton.
+ */
+std::string
+binding_signature(const ScheduleConfig& c)
+{
+    std::string sig;
+    sig.reserve(128);
+    append_num(sig, c.strategy);
+    append_num(sig, c.elementwise_fusion ? 1 : 0);
+    append_num(sig, c.num_streams);
+    sig += "ch;";
+    for (int v : c.group_chunk)
+        append_num(sig, v);
+    sig += "gl;";
+    for (GemmLib lib : c.group_lib)
+        append_num(sig, static_cast<int>(lib));
+    sig += "sl;";
+    for (const auto& [id, lib] : c.single_lib) {
+        append_num(sig, id);
+        append_num(sig, static_cast<int>(lib));
+    }
+    sig += "gk;";
+    for (const auto& [id, key] : c.group_keys) {
+        append_num(sig, id);
+        append_str(sig, key);
+    }
+    sig += "sk;";
+    for (const auto& [id, key] : c.single_keys) {
+        append_num(sig, id);
+        append_str(sig, key);
+    }
+    return sig;
+}
+
+/** Every plan-affecting field of a ScheduleConfig: a plan's key. */
+std::string
+plan_signature(const ScheduleConfig& c)
+{
+    std::string sig = binding_signature(c);
+    append_num(sig, c.use_streams ? 1 : 0);
+    sig += "ec;";
+    for (const auto& [se, opt] : c.epoch_choice) {
+        append_num(sig, se.first);
+        append_num(sig, se.second);
+        append_num(sig, opt);
+    }
+    sig += "ek;";
+    for (const auto& [se, key] : c.epoch_keys) {
+        append_num(sig, se.first);
+        append_num(sig, se.second);
+        append_str(sig, key);
+    }
+    return sig;
+}
+
+}  // namespace
+
+std::shared_ptr<const Scheduler::PlanSkeleton>
+Scheduler::skeleton(const ScheduleConfig& config) const
+{
+    std::string sig = binding_signature(config);
+    Slot<PlanSkeleton>& slot = skeletons_[strategy_slot(config)];
+    {
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        if (slot.value != nullptr && slot.sig == sig)
+            return slot.value;
+    }
+    auto built = std::make_shared<PlanSkeleton>();
+    built->units = build_units(config);
+    built->space = stream_space(built->units, config.num_streams);
+    std::shared_ptr<const PlanSkeleton> skel = std::move(built);
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    slot.value = skel;
+    slot.sig = std::move(sig);
+    return skel;
+}
+
+StreamSpace
+Scheduler::stream_space(const ScheduleConfig& config) const
+{
+    return skeleton(config)->space;
+}
+
 ExecutionPlan
 Scheduler::build(const ScheduleConfig& config) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
-    std::vector<PlanStep> units = build_units(config);
     ExecutionPlan plan;
     if (!config.use_streams) {
         plan.num_streams = 1;
-        plan.steps = std::move(units);
+        plan.steps = build_units(config);
         return plan;
     }
 
-    const StreamSpace ss = stream_space(units, config.num_streams);
+    const std::shared_ptr<const PlanSkeleton> skel = skeleton(config);
+    const std::vector<PlanStep>& units = skel->units;
+    const StreamSpace& ss = skel->space;
     plan.num_streams = config.num_streams;
+    plan.steps.reserve(units.size() +
+                       static_cast<size_t>(ss.num_super_epochs));
 
     int prev_se = 0;
     for (const EpochInfo& e : ss.epochs) {
@@ -560,98 +675,40 @@ Scheduler::build(const ScheduleConfig& config) const
     return plan;
 }
 
-namespace {
-
-/**
- * Serialize every plan-affecting field of a ScheduleConfig into a
- * cache key. Strings (profile keys) are length-prefixed so no key can
- * alias another by embedding a separator.
- */
-std::string
-plan_signature(const ScheduleConfig& c)
-{
-    std::string sig;
-    sig.reserve(128);
-    auto num = [&sig](int64_t v) {
-        sig += std::to_string(v);
-        sig += ',';
-    };
-    auto str = [&sig, &num](const std::string& s) {
-        num(static_cast<int64_t>(s.size()));
-        sig += s;
-    };
-    num(c.strategy);
-    num(c.elementwise_fusion ? 1 : 0);
-    num(c.use_streams ? 1 : 0);
-    num(c.num_streams);
-    sig += "ch;";
-    for (int v : c.group_chunk)
-        num(v);
-    sig += "gl;";
-    for (GemmLib lib : c.group_lib)
-        num(static_cast<int>(lib));
-    sig += "sl;";
-    for (const auto& [id, lib] : c.single_lib) {
-        num(id);
-        num(static_cast<int>(lib));
-    }
-    sig += "ec;";
-    for (const auto& [se, opt] : c.epoch_choice) {
-        num(se.first);
-        num(se.second);
-        num(opt);
-    }
-    sig += "gk;";
-    for (const auto& [id, key] : c.group_keys) {
-        num(id);
-        str(key);
-    }
-    sig += "sk;";
-    for (const auto& [id, key] : c.single_keys) {
-        num(id);
-        str(key);
-    }
-    sig += "ek;";
-    for (const auto& [se, key] : c.epoch_keys) {
-        num(se.first);
-        num(se.second);
-        str(key);
-    }
-    return sig;
-}
-
-}  // namespace
-
 std::shared_ptr<const ExecutionPlan>
 Scheduler::build_cached(const ScheduleConfig& config) const
 {
-    const std::string sig = plan_signature(config);
+    std::string sig = plan_signature(config);
+    Slot<ExecutionPlan>& slot = plans_[strategy_slot(config)];
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
-        const auto it = plan_cache_.find(sig);
-        if (it != plan_cache_.end()) {
+        if (slot.value != nullptr && slot.sig == sig) {
             cache_hits_.fetch_add(1, std::memory_order_relaxed);
             static obs::Counter& hits =
                 obs::counter("scheduler.plan_cache.hits");
             hits.add();
-            return it->second;
+            return slot.value;
         }
     }
-    // Lower outside the lock: concurrent misses on *different* keys
-    // must not serialize (lowering dominates). Concurrent misses on
-    // the same key are possible in principle; the first insert wins
-    // and both count as misses — callers on the wirer path fetch a
-    // config's plan once before fanning repeats out, so same-key races
-    // never occur there and the counters stay deterministic.
-    auto plan =
-        std::make_shared<const ExecutionPlan>(build(config));
+    // Lower outside the lock: concurrent misses on *different*
+    // strategies must not serialize (lowering dominates). Concurrent
+    // misses on one strategy are possible in principle; the last
+    // store wins and each caller keeps the plan it built — callers on
+    // the wirer path fetch a config's plan once before fanning repeats
+    // out, and each strategy shard owns its strategy's slot, so such
+    // races never occur there and the counters stay deterministic.
+    auto plan = std::make_shared<const ExecutionPlan>(build(config));
+    // Declared before the lock, so the replaced plan is freed after
+    // the lock is released.
+    std::shared_ptr<const ExecutionPlan> replaced;
     std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto [it, inserted] = plan_cache_.emplace(sig, std::move(plan));
+    replaced = std::exchange(slot.value, plan);
+    slot.sig = std::move(sig);
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& misses =
         obs::counter("scheduler.plan_cache.misses");
     misses.add();
-    return it->second;
+    return plan;
 }
 
 std::shared_ptr<const WiredBinary>

@@ -109,7 +109,16 @@ struct SchedulerOptions
     double est_launch_ns = 6000.0;
 };
 
-/** Builds plans for one (graph, search space) pair. */
+/**
+ * Builds plans for one (graph, search space) pair.
+ *
+ * A streamed plan is emitted from its binding's *plan skeleton*: the
+ * cycle-repaired units plus the StreamSpace. Both depend on every
+ * plan-affecting ScheduleConfig field except epoch_choice and
+ * epoch_keys, so stream exploration, which varies only those two,
+ * builds the skeleton once and then only walks its epochs. The last
+ * skeleton is kept per allocation strategy.
+ */
 class Scheduler
 {
   public:
@@ -123,34 +132,41 @@ class Scheduler
      */
     std::vector<PlanStep> build_units(const ScheduleConfig& config) const;
 
-    /** Stream-exploration structure for the given fusion binding. */
-    StreamSpace stream_space(const std::vector<PlanStep>& units,
-                             int num_streams = 2) const;
+    /**
+     * Stream-exploration structure of the config's binding, from its
+     * plan skeleton. The config's use_streams, epoch_choice and
+     * epoch_keys are ignored; num_streams must be at least 1.
+     */
+    StreamSpace stream_space(const ScheduleConfig& config) const;
 
     /** Full plan for the configuration. */
     ExecutionPlan build(const ScheduleConfig& config) const;
 
     /**
-     * build() through a signature-keyed cache: repeated dispatches of
-     * an already-lowered configuration (the wirer's k-repeat
-     * re-measurements, recurring sweep points) skip lowering entirely.
-     * The signature covers every plan-affecting field of the config —
+     * build() behind a one-plan-per-strategy memo: the last plan built
+     * for each allocation strategy is kept with its signature, so the
+     * wirer's k-repeat re-measurements of a trial (and steady-state
+     * run() of a converged config) skip lowering entirely. The
+     * signature covers every plan-affecting field of the config —
      * including the profiling-key attachments, which Scheduler::build
      * bakes into the plan's steps — so a hit is exact, never
-     * structural-only. Thread-safe; the returned plan is immutable and
-     * shared, so concurrent dispatches may hold it simultaneously.
+     * structural-only. Retained plans scale with strategies, not with
+     * trials; one slot per strategy keeps the hit/miss tally
+     * deterministic while strategy shards explore concurrently.
+     * Thread-safe; the returned plan is immutable and shared, so
+     * concurrent dispatches may hold it simultaneously.
      */
     std::shared_ptr<const ExecutionPlan>
     build_cached(const ScheduleConfig& config) const;
 
     /**
      * Lowered wired binary (runtime/wired.h) for the configuration,
-     * cached next to the plan cache under the same signature: the
-     * steady-state dispatch path compiles a converged config once and
-     * replays the blob for every later mini-batch. The binary captures
-     * buffer addresses from `tmap`, so the cache assumes one TensorMap
-     * per allocation strategy and one GpuConfig per Scheduler lifetime
-     * — the AstraSession contract. Thread-safe; the returned binary is
+     * cached by plan signature: the steady-state dispatch path
+     * compiles a converged config once and replays the blob for every
+     * later mini-batch. The binary captures buffer addresses from
+     * `tmap`, so the cache assumes one TensorMap per allocation
+     * strategy and one GpuConfig per Scheduler lifetime — the
+     * AstraSession contract. Thread-safe; the returned binary is
      * immutable and shared.
      */
     std::shared_ptr<const WiredBinary>
@@ -180,6 +196,21 @@ class Scheduler
     const SchedulerOptions& options() const { return opts_; }
 
   private:
+    /** A binding's units and the stream space over them. */
+    struct PlanSkeleton
+    {
+        std::vector<PlanStep> units;
+        StreamSpace space;
+    };
+
+    /** A signature and the value last built under it. */
+    template <typename T>
+    struct Slot
+    {
+        std::string sig;
+        std::shared_ptr<const T> value;
+    };
+
     /** One assembly pass (no cycle repair); forced_chunk caps groups. */
     std::vector<PlanStep>
     assemble_units(const ScheduleConfig& config,
@@ -188,14 +219,25 @@ class Scheduler
     /** Static per-unit cost estimate (flops + bytes + launch). */
     double estimate_unit_ns(const PlanStep& unit) const;
 
+    /** The config's plan skeleton, from its strategy's slot. */
+    std::shared_ptr<const PlanSkeleton>
+    skeleton(const ScheduleConfig& config) const;
+
+    /** Super-epochs, levels and split options over the units. */
+    StreamSpace stream_space(const std::vector<PlanStep>& units,
+                             int num_streams) const;
+
+    /** Index of the config's strategy slot (asserts it is in range). */
+    size_t strategy_slot(const ScheduleConfig& config) const;
+
     const Graph& graph_;
     const SearchSpace& space_;
     SchedulerOptions opts_;
 
+    /** Guards the per-strategy slots and the wired-binary cache. */
     mutable std::mutex cache_mu_;
-    mutable std::unordered_map<std::string,
-                               std::shared_ptr<const ExecutionPlan>>
-        plan_cache_;
+    mutable std::vector<Slot<PlanSkeleton>> skeletons_;
+    mutable std::vector<Slot<ExecutionPlan>> plans_;
     mutable std::atomic<int64_t> cache_hits_{0};
     mutable std::atomic<int64_t> cache_misses_{0};
 

@@ -119,9 +119,10 @@ WhatIfEngine::WhatIfEngine(const Graph& graph, const TensorMap& tmap,
 ReplayResult
 WhatIfEngine::evaluate(const ScheduleConfig& config) const
 {
-    // The plan cache includes the profiling-key attachments in its
-    // signature, so what-if sweeps that revisit a lowering (anchors,
-    // co-varied walks) skip the scheduler entirely.
+    // The scheduler keeps only its last plan per strategy, so a fetch
+    // hits only when this strategy's previous fetch was the same
+    // config. Anything else is built — for a stage-C trial that is
+    // just the epoch walk over the binding's cached plan skeleton.
     const std::shared_ptr<const ExecutionPlan> plan =
         scheduler_.build_cached(config);
     const WiredProgram prog =

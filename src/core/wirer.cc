@@ -1071,10 +1071,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                                    "wirer.stage.streams");
         const StageMark before = mark();
         int64_t stream_exhaustive = 1;
-        const std::vector<PlanStep> units =
-            scheduler_.build_units(current_config(false));
+        // The binding every stage-C trial shares: its skeleton is
+        // built here once and serves each trial's plan.
         const StreamSpace ss =
-            scheduler_.stream_space(units, opts_.num_streams);
+            scheduler_.stream_space(current_config(true));
 
         // Parallel over super-epochs; Prefix over epochs within.
         std::map<int, std::vector<const EpochInfo*>> by_se;

@@ -81,6 +81,61 @@ TEST(AstraSession, WorksOnRhn)
     EXPECT_GT(session.space().groups.size(), 0u);
 }
 
+TEST(AstraSession, ConfigFitsRejectsConfigsForeignToTheSession)
+{
+    // astra_cli checks every loaded config with config_fits before
+    // run(); a strategy index past the session's used to abort in
+    // tensor_map().
+    const BuiltModel m = tiny();
+    AstraOptions opts;
+    opts.gpu.execute_kernels = false;
+    opts.plan_store.clear();
+    AstraSession session(m.graph(), opts);
+    const SearchSpace& space = session.space();
+    std::string why;
+
+    const WirerResult r = session.optimize();
+    EXPECT_TRUE(session.config_fits(r.best_config, &why)) << why;
+
+    ScheduleConfig streamed;
+    streamed.group_chunk.assign(space.groups.size(), 1);
+    streamed.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+    streamed.use_streams = true;
+    EXPECT_TRUE(session.config_fits(streamed, &why)) << why;
+
+    const auto rejects = [&](const ScheduleConfig& cfg,
+                             const std::string& reason) {
+        std::string w;
+        EXPECT_FALSE(session.config_fits(cfg, &w)) << reason;
+        EXPECT_NE(w.find(reason), std::string::npos) << w;
+    };
+    ScheduleConfig bad = streamed;
+    bad.strategy = static_cast<int>(space.strategies.size()) + 4;
+    rejects(bad, "strategy out of range");
+    bad = streamed;
+    bad.strategy = -1;
+    rejects(bad, "strategy out of range");
+    bad = streamed;
+    bad.group_chunk.push_back(1);
+    rejects(bad, "group count mismatch");
+    bad = streamed;
+    bad.num_streams = 0;
+    rejects(bad, "num_streams");
+    bad = streamed;
+    bad.epoch_choice[{0, 0}] = 1000;
+    rejects(bad, "epoch choice");
+    bad = streamed;
+    bad.epoch_choice[{1000, 0}] = 0;
+    rejects(bad, "epoch choice");
+    for (const FusionGroup& g : space.groups)
+        if (space.strategies[0].group_enabled[static_cast<size_t>(g.id)]) {
+            bad = streamed;
+            bad.group_chunk[static_cast<size_t>(g.id)] = 1000;
+            rejects(bad, "chunk 1000 not offered");
+            break;
+        }
+}
+
 TEST(Scheduler, FourStreamPlansAreValidAndValuePreserving)
 {
     const BuiltModel m = tiny();

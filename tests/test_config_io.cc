@@ -113,6 +113,28 @@ TEST(ConfigIo, FailureDiagnosisNamesTheLine)
     EXPECT_NE(error.find("line 1"), std::string::npos) << error;
 }
 
+TEST(ConfigIo, RejectsStreamCountBelowOne)
+{
+    // A zero stream count used to load and then abort the scheduler's
+    // stream-space build. Config files, plan-store entries and what-if
+    // traces all parse through here.
+    for (const char* count : {"0", "-3"}) {
+        ScheduleConfig probe;
+        std::string error;
+        EXPECT_FALSE(config_from_string(
+            std::string("astra-config v1\nstrategy 0\nuse_streams 1\n"
+                        "num_streams ") +
+                count + "\n",
+            &probe, &error))
+            << count;
+        EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+        EXPECT_NE(error.find("num_streams"), std::string::npos) << error;
+    }
+    ScheduleConfig one;
+    EXPECT_TRUE(config_from_string("astra-config v1\nnum_streams 1\n", &one));
+    EXPECT_EQ(one.num_streams, 1);
+}
+
 TEST(ProfileIo, RoundTripBitExact)
 {
     MeasurementPolicy noisy = MeasurementPolicy::noise_robust();

@@ -23,13 +23,7 @@ constexpr ModelKind kPaperModels[] = {
     ModelKind::Scrnn, ModelKind::SubLstm,
 };
 
-/** Batch 16, seq 8, hidden = embed 128, vocab 1000 (the perfbench zoo). */
-ModelConfig
-zoo_shape()
-{
-    return {.batch = 16, .seq_len = 8, .hidden = 128, .embed_dim = 128,
-            .vocab = 1000};
-}
+using testutil::zoo_shape;
 
 TEST(Enumerator, MinesCommonArgumentSiblings)
 {

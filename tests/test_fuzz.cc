@@ -2,11 +2,13 @@
  * @file
  * Randomized structural testing: generate random dataflow graphs
  * (seeded, reproducible), push them through the full pipeline —
- * enumerate, schedule under random configurations, dispatch with
- * values — and check the global invariants: every plan covers every
- * node exactly once in topological order, and every configuration is
- * bit-identical to the native dispatch. This is where grouping edge
- * cases the hand-written models never produce get caught.
+ * enumerate, schedule under random configurations (epoch stream
+ * choices included), dispatch with values — and check the global
+ * invariants: every plan covers every node exactly once in topological
+ * order, a scheduler warmed on a sibling configuration emits the same
+ * plan as a fresh one, and every configuration is bit-identical to the
+ * native dispatch. This is where grouping edge cases the hand-written
+ * models never produce get caught.
  */
 #include <gtest/gtest.h>
 
@@ -130,6 +132,16 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
     const Scheduler sched(g, space, sopts);
 
     Rng cfg_rng(GetParam() * 31 + 7);
+    // Epoch choices draw from their own stream, so the bindings above
+    // stay the ones the space digests were taken with.
+    Rng choice_rng(GetParam() * 131 + 3);
+    const auto draw_choices = [&](ScheduleConfig cfg) {
+        const StreamSpace ss = sched.stream_space(cfg);
+        for (const EpochInfo& e : ss.epochs)
+            cfg.epoch_choice[{e.super_epoch, e.level}] =
+                static_cast<int>(choice_rng.next_below(e.options.size()));
+        return cfg;
+    };
     for (int trial = 0; trial < 6; ++trial) {
         ScheduleConfig cfg;
         cfg.strategy = static_cast<int>(
@@ -145,6 +157,17 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             cfg.group_lib[static_cast<size_t>(grp.id)] =
                 static_cast<GemmLib>(cfg_rng.next_below(kNumGemmLibs));
         }
+        if (cfg.use_streams) {
+            // Warm the shared scheduler on a sibling (same binding,
+            // other epoch choices): the plan it then emits from the
+            // cached skeleton must equal a fresh scheduler's.
+            sched.build_cached(draw_choices(cfg));
+            cfg = draw_choices(cfg);
+        }
+        const ExecutionPlan plan = sched.build(cfg);
+        EXPECT_EQ(testutil::plan_dump(plan),
+                  testutil::plan_dump(Scheduler(g, space, sopts).build(cfg)))
+            << "seed " << GetParam() << " trial " << trial;
 
         // Coverage + order invariant.
         const auto units = sched.build_units(cfg);
@@ -164,7 +187,7 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             g, space.strategies[static_cast<size_t>(cfg.strategy)].runs);
         Rng data_rng2(GetParam() ^ 0xabcdef);
         bind_all(g, cand.tmap(), data_rng2);
-        cand.run(sched.build(cfg));
+        cand.run(plan);
         ASSERT_EQ(cand.scalar(loss), expect)
             << "seed " << GetParam() << " trial " << trial;
     }

@@ -2,16 +2,21 @@
  * @file
  * Scheduler tests: unit building (chunked fusion, elementwise chains,
  * coverage exactly-once, topological validity), super-epoch/epoch
- * partitioning, equivalence-class stream options, and full streamed
- * plans that remain value-preserving.
+ * partitioning, equivalence-class stream options, full streamed plans
+ * that remain value-preserving, plan identity pinned on the paper
+ * models, and the plan-skeleton / one-plan-per-strategy memo
+ * (retention, span counts, concurrent strategies).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/scheduler.h"
 #include "models/data.h"
 #include "models/models.h"
+#include "obs/obs.h"
+#include "support/thread_pool.h"
 #include "tests/util.h"
 
 namespace astra {
@@ -169,6 +174,221 @@ TEST(Scheduler, PlanCacheDistinguishesConfigs)
     EXPECT_EQ(sched.plan_cache_misses() - misses0, 5);
 }
 
+/**
+ * Streamed siblings of one binding: `cfg` with use_streams on and each
+ * of `choices` applied to every epoch (raw, so each sibling has its
+ * own signature; build() clamps out-of-range choices).
+ */
+std::vector<ScheduleConfig>
+epoch_siblings(const Scheduler& sched, ScheduleConfig cfg,
+               const std::vector<int>& choices)
+{
+    cfg.use_streams = true;
+    const StreamSpace ss = sched.stream_space(cfg);
+    std::vector<ScheduleConfig> out;
+    for (int choice : choices) {
+        ScheduleConfig sib = cfg;
+        for (const EpochInfo& e : ss.epochs)
+            sib.epoch_choice[{e.super_epoch, e.level}] = choice;
+        out.push_back(std::move(sib));
+    }
+    return out;
+}
+
+/** Number of recorded host spans with the given name. */
+int64_t
+span_count(const std::vector<obs::Span>& spans, const std::string& name)
+{
+    return std::count_if(spans.begin(), spans.end(),
+                         [&](const obs::Span& s) { return s.name == name; });
+}
+
+TEST(Scheduler, PlanCacheKeepsOnlyTheLastPlanPerStrategy)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SchedulerOptions opts;
+    opts.super_epoch_ns = 150000.0;  // several epochs to choose in
+    const Scheduler sched(m.graph(), space, opts);
+
+    // k trials of stage-C shape: one binding, the epoch choice varied.
+    constexpr int k = 5;
+    obs::reset();
+    obs::set_enabled(true);
+    const std::vector<ScheduleConfig> trials =
+        epoch_siblings(sched, default_config(space, 2), {0, 1, 2, 3, 4});
+    std::vector<std::shared_ptr<const ExecutionPlan>> plans;
+    for (const ScheduleConfig& cfg : trials)
+        plans.push_back(sched.build_cached(cfg));
+    obs::set_enabled(false);
+    const std::vector<obs::Span> spans = obs::host_spans();
+    obs::reset();
+
+    EXPECT_EQ(sched.plan_cache_misses(), k);
+    EXPECT_EQ(sched.plan_cache_hits(), 0);
+    // The memo holds only the newest plan; the test holds the rest.
+    for (int i = 0; i + 1 < k; ++i)
+        EXPECT_EQ(plans[static_cast<size_t>(i)].use_count(), 1) << i;
+    EXPECT_EQ(plans.back().use_count(), 2);
+    EXPECT_EQ(sched.build_cached(trials.back()), plans.back());
+    // stream_space() and all k builds share one skeleton.
+    EXPECT_EQ(span_count(spans, "scheduler.build_units"), 1);
+    EXPECT_EQ(span_count(spans, "scheduler.stream_space"), 1);
+    EXPECT_EQ(span_count(spans, "scheduler.build"), k);
+}
+
+TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
+{
+    // One scheduler walks streamed configs that each change one more
+    // binding field. Every plan must equal a fresh scheduler's, so no
+    // field that shapes units or the stream space may be missing from
+    // the skeleton's key.
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    ASSERT_FALSE(space.single_mms.empty());
+    SchedulerOptions opts;
+    opts.super_epoch_ns = 150000.0;
+    const Scheduler sched(m.graph(), space, opts);
+
+    ScheduleConfig cfg = default_config(space, 3);
+    cfg.use_streams = true;
+    std::vector<ScheduleConfig> walk{cfg};
+    cfg.group_chunk = default_config(space, 1).group_chunk;
+    walk.push_back(cfg);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Oai1);
+    walk.push_back(cfg);
+    cfg.single_lib[space.single_mms[0]] = GemmLib::Oai2;
+    walk.push_back(cfg);
+    cfg.elementwise_fusion = false;
+    walk.push_back(cfg);
+    cfg.num_streams = 3;
+    walk.push_back(cfg);
+    for (const FusionGroup& g : space.groups)
+        cfg.group_keys[g.id] = "w|" + g.key;
+    walk.push_back(cfg);
+    cfg.single_keys[space.single_mms[0]] = "n|single";
+    walk.push_back(cfg);
+    for (size_t i = 0; i < walk.size(); ++i)
+        EXPECT_EQ(testutil::plan_dump(sched.build(walk[i])),
+                  testutil::plan_dump(
+                      Scheduler(m.graph(), space, opts).build(walk[i])))
+            << "step " << i;
+}
+
+TEST(Scheduler, PlanCacheSlotsAreIndependentPerStrategy)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    if (space.strategies.size() < 2)
+        GTEST_SKIP() << "one strategy in this space";
+    const Scheduler sched(m.graph(), space);
+    ScheduleConfig a = default_config(space, 1);
+    ScheduleConfig b = a;
+    b.strategy = 1;
+    const auto first = sched.build_cached(a);
+    sched.build_cached(b);
+    // Strategy 1's plan did not displace strategy 0's.
+    EXPECT_EQ(sched.build_cached(a), first);
+    EXPECT_EQ(sched.plan_cache_hits(), 1);
+    EXPECT_EQ(sched.plan_cache_misses(), 2);
+}
+
+TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SchedulerOptions opts;
+    opts.super_epoch_ns = 150000.0;
+    const Scheduler serial(m.graph(), space, opts);
+
+    // Per strategy: streamed siblings of two bindings plus the
+    // unstreamed binding, so skeleton and plan slots both turn over.
+    std::vector<ScheduleConfig> cfgs;
+    for (const AllocStrategy& s : space.strategies)
+        for (int chunk_opt : {1, 3}) {
+            ScheduleConfig base = default_config(space, chunk_opt);
+            base.strategy = s.id;
+            cfgs.push_back(base);
+            for (ScheduleConfig& sib :
+                 epoch_siblings(serial, base, {0, 1, 2}))
+                cfgs.push_back(std::move(sib));
+        }
+    std::vector<std::string> expect;
+    for (const ScheduleConfig& cfg : cfgs)
+        expect.push_back(testutil::plan_dump(serial.build(cfg)));
+
+    // Every config of every strategy at once, each fetched twice: the
+    // slots are shared mutable state, so concurrent fetches on one
+    // strategy may evict each other but must never return a wrong plan.
+    const Scheduler shared(m.graph(), space, opts);
+    std::vector<std::string> got(cfgs.size() * 2);
+    ThreadPool pool(4);
+    pool.parallel_for(static_cast<int64_t>(got.size()), [&](int64_t i) {
+        const ScheduleConfig& cfg = cfgs[static_cast<size_t>(i) / 2];
+        got[static_cast<size_t>(i)] =
+            i % 2 == 0 ? testutil::plan_dump(*shared.build_cached(cfg))
+                       : testutil::plan_dump(shared.build(cfg));
+    });
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], expect[i / 2]) << "config " << i / 2;
+    EXPECT_EQ(shared.plan_cache_hits() + shared.plan_cache_misses(),
+              static_cast<int64_t>(cfgs.size()));
+}
+
+/**
+ * The configs PaperModelPlansArePinned digests: the unstreamed
+ * default; max chunks, streamed, every epoch on choice 0; and three
+ * seeded random epoch choices with every epoch keyed (a stage-C trial).
+ */
+std::vector<ScheduleConfig>
+pinned_configs(const SearchSpace& space, const Scheduler& sched)
+{
+    std::vector<ScheduleConfig> cfgs{default_config(space)};
+    ScheduleConfig streamed = default_config(space, 1 << 20);
+    streamed.use_streams = true;
+    const StreamSpace ss = sched.stream_space(streamed);
+    for (const EpochInfo& e : ss.epochs)
+        streamed.epoch_choice[{e.super_epoch, e.level}] = 0;
+    cfgs.push_back(streamed);
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed);
+        ScheduleConfig drawn = streamed;
+        for (const EpochInfo& e : ss.epochs) {
+            const std::pair<int, int> key{e.super_epoch, e.level};
+            drawn.epoch_choice[key] =
+                static_cast<int>(rng.next_below(e.options.size()));
+            drawn.epoch_keys[key] = "ep|" + std::to_string(e.super_epoch) +
+                                    "." + std::to_string(e.level);
+        }
+        cfgs.push_back(std::move(drawn));
+    }
+    return cfgs;
+}
+
+TEST(Scheduler, PaperModelPlansArePinned)
+{
+    // FNV-1a of testutil::plan_dump over pinned_configs at the zoo
+    // shape, every PlanStep field byte for byte. What the wirer
+    // measures is exactly these plans, so a change here is a change in
+    // what gets dispatched; update a digest only on purpose.
+    const std::pair<ModelKind, const char*> pinned[] = {
+        {ModelKind::Gnmt, "4abd38e9e6269eba"},
+        {ModelKind::StackedLstm, "2f206f5d1924ce2b"},
+        {ModelKind::MiLstm, "766911ac4508eff9"},
+        {ModelKind::Scrnn, "8b05ea481ef210c0"},
+        {ModelKind::SubLstm, "9c3dfaa5a8dd7c22"},
+    };
+    for (const auto& [kind, digest] : pinned) {
+        const BuiltModel m = build_model(kind, testutil::zoo_shape());
+        const SearchSpace space = enumerate_search_space(m.graph());
+        const Scheduler sched(m.graph(), space);
+        std::string dumps;
+        for (const ScheduleConfig& cfg : pinned_configs(space, sched))
+            dumps += testutil::plan_dump(sched.build(cfg));
+        EXPECT_EQ(hash_hex(fnv1a64(dumps)), digest) << model_name(kind);
+    }
+}
+
 TEST(Scheduler, DisabledGroupsForcedUnfused)
 {
     const BuiltModel m = small_model();
@@ -231,8 +451,9 @@ TEST(Scheduler, StreamSpaceStructure)
     SchedulerOptions opts;
     opts.super_epoch_ns = 150000.0;  // force several super-epochs
     const Scheduler sched(m.graph(), space, opts);
-    const auto units = sched.build_units(default_config(space, 2));
-    const StreamSpace ss = sched.stream_space(units);
+    const ScheduleConfig cfg = default_config(space, 2);
+    const auto units = sched.build_units(cfg);
+    const StreamSpace ss = sched.stream_space(cfg);
     EXPECT_GT(ss.num_super_epochs, 1);
     std::set<size_t> seen;
     for (const EpochInfo& e : ss.epochs) {
@@ -258,8 +479,9 @@ TEST(Scheduler, EpochUnitsAreMutuallyIndependent)
     const BuiltModel m = small_model();
     const SearchSpace space = enumerate_search_space(m.graph());
     const Scheduler sched(m.graph(), space);
-    const auto units = sched.build_units(default_config(space, 2));
-    const StreamSpace ss = sched.stream_space(units);
+    const ScheduleConfig cfg = default_config(space, 2);
+    const auto units = sched.build_units(cfg);
+    const StreamSpace ss = sched.stream_space(cfg);
     // Producer map.
     std::vector<int> producer(static_cast<size_t>(m.graph().size()), -1);
     for (size_t i = 0; i < units.size(); ++i)

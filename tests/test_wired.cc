@@ -399,8 +399,7 @@ TEST(ReplayWired, BitIdenticalAcrossZooFusedStreamedProfiled)
         ScheduleConfig streamed = fused;
         streamed.use_streams = true;
         streamed.num_streams = 2;
-        const StreamSpace ss = session.scheduler().stream_space(
-            session.scheduler().build_units(streamed), 2);
+        const StreamSpace ss = session.scheduler().stream_space(streamed);
         for (const EpochInfo& e : ss.epochs)
             streamed.epoch_keys[{e.super_epoch, e.level}] =
                 "ep|" + std::to_string(e.super_epoch) + "." +

@@ -12,6 +12,7 @@
 
 #include "core/astra.h"
 #include "core/plan_store.h"
+#include "models/models.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
 
@@ -133,6 +134,47 @@ inline std::string
 search_space_digest(const SearchSpace& space)
 {
     return hash_hex(fnv1a64(search_space_dump(space)));
+}
+
+/**
+ * Canonical text of an execution plan: its stream count and every
+ * PlanStep field, one step per line (doubles in hexfloat, strings
+ * length-prefixed). Two plans dump equal exactly when they are equal
+ * field for field.
+ */
+inline std::string
+plan_dump(const ExecutionPlan& plan)
+{
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << std::hexfloat << "streams " << plan.num_streams << "\n";
+    const auto str = [&os](const std::string& s) {
+        os << s.size() << ":" << s;
+    };
+    for (const PlanStep& s : plan.steps) {
+        os << "kind " << static_cast<int>(s.kind) << " nodes[";
+        for (size_t i = 0; i < s.nodes.size(); ++i)
+            os << (i ? "," : "") << s.nodes[i];
+        os << "] lib " << static_cast<int>(s.lib) << " axis "
+           << static_cast<int>(s.fused_axis) << " stream " << s.stream
+           << " profile " << s.profile << " key ";
+        str(s.profile_key);
+        os << " epoch " << s.epoch_metric << " compound "
+           << s.compound_cost.blocks << "/" << s.compound_cost.block_ns
+           << "/" << s.compound_cost.setup_ns << "/"
+           << s.compound_cost.max_sms << " ";
+        str(s.compound_name);
+        os << " setup " << s.extra_setup_ns << "\n";
+    }
+    return os.str();
+}
+
+/** The repo benchmark's zoo shape: batch 16, seq 8, hidden 128. */
+inline ModelConfig
+zoo_shape()
+{
+    return {.batch = 16, .seq_len = 8, .hidden = 128, .embed_dim = 128,
+            .vocab = 1000};
 }
 
 }  // namespace astra::testutil
