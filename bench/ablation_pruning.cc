@@ -15,7 +15,6 @@
  * = 7776 mutation trials vs 6 with fine-grained profiling.
  */
 #include <cmath>
-#include <filesystem>
 
 #include "bench/common.h"
 
@@ -34,12 +33,9 @@ main(int argc, char** argv)
     Env env;
     TextTable table(
         "Ablation: exploration-space pruning (paper §4.5.1: additive, "
-        "not multiplicative, in the number of dimensions; "
-        "predictor-pruned = options masked by the what-if engine's "
-        "tier-1 nomination + tier-2 replay confirm)");
+        "not multiplicative, in the number of dimensions)");
     table.set_header({"Model", "log10(naive product)",
-                      "additive bound", "measured mini-batches",
-                      "predictor-pruned"});
+                      "additive bound", "measured mini-batches"});
     const std::vector<ModelKind> kinds =
         smoke ? std::vector<ModelKind>{ModelKind::Scrnn, ModelKind::Rhn}
               : std::vector<ModelKind>{ModelKind::Scrnn,
@@ -75,53 +71,9 @@ main(int argc, char** argv)
             astra_ns(model, features_fk(), env, wi);
         table.add_row({model.name, TextTable::fmt(log10_product, 1),
                        std::to_string(additive),
-                       std::to_string(run.configs),
-                       std::to_string(run.predictor_pruned)});
+                       std::to_string(run.configs)});
         std::cerr << "  [" << model.name << " done]\n";
     }
     table.print();
-
-    // ---- tier-1 in action: cold sighting vs plan-store warm start --------
-    // The predictor only nominates once it has a track record; a cold
-    // run has none before the first stage, so the column above is
-    // honest zeros. A plan-store neighbor (same shape class, different
-    // batch) trains it before the walk: the warm row shows options
-    // masked by nomination + replay confirmation.
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "astra_ablation_pruning_store";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    WhatIfOptions wi;
-    wi.enabled = true;
-    const ModelKind kind = ModelKind::Scrnn;
-    const BuiltModel cold_model =
-        build_model(kind, paper_config(kind, smoke ? 8 : 16));
-    const BuiltModel warm_model =
-        build_model(kind, paper_config(kind, smoke ? 12 : 24));
-    const AstraOutcome cold =
-        astra_ns(cold_model, features_fk(), env, wi, 1, dir.string());
-    const AstraOutcome warm =
-        astra_ns(warm_model, features_fk(), env, wi, 1, dir.string());
-    fs::remove_all(dir);
-
-    TextTable demo(
-        "Tier-1 nomination needs a trained predictor: cold sighting "
-        "vs warm start from a shape-class neighbor");
-    demo.set_header({"sighting", "mini-batches", "replays",
-                     "predictor-pruned"});
-    demo.add_row({"cold (empty store)", std::to_string(cold.configs),
-                  std::to_string(cold.whatif_evals),
-                  std::to_string(cold.predictor_pruned)});
-    demo.add_row({"warm (neighbor entry)", std::to_string(warm.configs),
-                  std::to_string(warm.whatif_evals),
-                  std::to_string(warm.predictor_pruned)});
-    demo.print();
-    if (warm.predictor_pruned <= cold.predictor_pruned) {
-        std::cerr << "FAIL: warm start masked no extra options "
-                     "(tier-1 never fired)\n";
-        return 1;
-    }
     return 0;
 }

@@ -63,8 +63,7 @@ native_ns(const BuiltModel& model, const Env& env)
 
 AstraOutcome
 astra_ns(const BuiltModel& model, const AstraFeatures& f, const Env& env,
-         const WhatIfOptions& whatif, int wirer_threads,
-         const std::string& plan_store)
+         const WhatIfOptions& whatif, int wirer_threads)
 {
     AstraOptions opts;
     opts.features = f;
@@ -72,14 +71,15 @@ astra_ns(const BuiltModel& model, const AstraFeatures& f, const Env& env,
     opts.sched = env.sched;
     opts.whatif = whatif;
     opts.wirer_threads = wirer_threads;
-    opts.plan_store = plan_store;
+    // Every sweep is a cold exploration: an ambient ASTRA_PLAN_STORE
+    // must not turn it into a warm start.
+    opts.plan_store.clear();
     AstraSession session(model.graph(), opts);
     const WirerResult r = session.optimize();
     AstraOutcome out;
     out.ns = r.best_ns;
     out.configs = r.minibatches;
     out.whatif_evals = r.convergence.whatif_evals;
-    out.predictor_pruned = r.convergence.predictor_pruned;
     out.measured_configs = r.convergence.measured_configs;
     out.config_text = config_to_string(r.best_config);
     return out;

@@ -21,7 +21,7 @@ main()
         "(paper FKS/all: SCRNN 303/1672, StackedLSTM 1219/1219, "
         "MI-LSTM 1191/1191, SubLSTM 3207/5439, GNMT 2280/9303; "
         "Astra_whatif = Astra_all mini-batches with the what-if "
-        "engine masking dominated options, same final config)");
+        "engine replaying exploration trials, same final config)");
     table.set_header({"Model", "Astra_FKS", "Astra_all", "Astra_whatif",
                       "groups", "strategies"});
     const ModelKind kinds[] = {ModelKind::Scrnn, ModelKind::StackedLstm,

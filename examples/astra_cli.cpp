@@ -24,11 +24,11 @@
  * bit-identical to the generic dispatcher at a fraction of the host
  * overhead.
  *
- * --whatif turns on the wirer's three-tier decision path
- * (core/whatif.h): a cost predictor nominates dominated options, exact
- * host replays confirm them, and only the survivors spend measured
- * mini-batches. The converged configuration is unchanged; a summary of
- * replays/prunes/measurements goes to stderr.
+ * --whatif turns on the wirer's what-if path (core/whatif.h): every
+ * exploration trial is an exact host replay instead of a measured
+ * mini-batch, and only each stage's bound winner is measured on the
+ * device. The converged configuration is unchanged; a summary of
+ * replays and measurements goes to stderr.
  *
  * --fault-spec injects deterministic faults (sim/faults.h grammar,
  * e.g. "seed=3;kernel:p=0.01;alloc:at=0;straggler:p=0.001,x=4") into
@@ -50,7 +50,6 @@
 #include "core/config_io.h"
 #include "models/models.h"
 #include "obs/export.h"
-#include "sim/trace.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -199,8 +198,6 @@ main(int argc, char** argv)
         if (r.convergence.whatif_evals > 0)
             std::cerr << "whatif: " << r.convergence.whatif_evals
                       << " host replays, "
-                      << r.convergence.predictor_pruned
-                      << " options predictor-pruned, "
                       << r.convergence.measured_configs
                       << " configs measured (" << r.minibatches
                       << " mini-batches)\n";

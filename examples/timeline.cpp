@@ -23,7 +23,6 @@
 #include "obs/export.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
-#include "sim/trace.h"
 
 using namespace astra;
 

@@ -72,33 +72,8 @@ class AdaptiveVariable
     void set(int option);
     int num_options() const { return num_options_; }
 
-    // ---- option masking (what-if planning, §5.13) ---------------------------
-
-    /**
-     * Exclude one option from the remaining walk. The caller must have
-     * decided the option is dominated *before* it was visited or
-     * measured: disallowing a visited option would corrupt the visit
-     * count, and a measured one could still win bind_best. The current
-     * choice and the walk anchor (default) can never be disallowed.
-     */
-    void disallow(int option);
-
-    /**
-     * Keep only `allowed` (which must contain the current choice) and
-     * re-anchor the walk at the current choice: the variable behaves as
-     * if it were constructed over the surviving options with the
-     * current one as default. Visit progress restarts.
-     */
-    void restrict_to(const std::vector<int>& allowed);
-
-    /** Number of options still allowed. */
-    int allowed_count() const;
-
-    /** True unless `option` has been masked off. */
-    bool is_allowed(int option) const;
-
-    /** True once iterate() has walked every allowed option. */
-    bool finished() const { return visited_ >= allowed_count(); }
+    /** True once iterate() has walked every option. */
+    bool finished() const { return visited_ >= num_options_; }
 
     /**
      * Bind to the best measured option under the current context.
@@ -121,8 +96,6 @@ class AdaptiveVariable
     int default_;
     int current_;
     int visited_ = 1;
-    /** Per-option mask; empty means everything is allowed. */
-    std::vector<char> disallowed_;
 };
 
 using VarPtr = std::shared_ptr<AdaptiveVariable>;

@@ -40,8 +40,8 @@ struct AstraOptions
     MeasurementPolicy measurement;
 
     /**
-     * Three-tier what-if decisions in the wirer (core/whatif.h):
-     * predictor-prune, replay-rank, measure survivors. Off by default.
+     * What-if decisions in the wirer (core/whatif.h): replay every
+     * exploration trial, measure each stage's winner. Off by default.
      */
     WhatIfOptions whatif;
 

@@ -11,8 +11,9 @@
  * event-ordering simulation on the host with timing-only kernels —
  * ranking a candidate in microseconds instead of spending a measured
  * mini-batch on it. At base clock with faults disarmed this replay is
- * bit-exact against a real dispatch, which is what lets the wirer mask
- * dominated options without giving up its exhaustive-identical answer.
+ * bit-exact against a real dispatch, which is what lets the wirer
+ * replay its exploration trials without giving up its
+ * exhaustive-identical answer.
  *
  * A RecordedTrace is the durable form: the compiled program, per-step
  * kernel cost shapes and profile keys, the collected spans, and the
@@ -35,31 +36,15 @@
 
 namespace astra {
 
-/** Knobs for the three-tier decision path (wirer `whatif` mode). */
+/** The wirer's what-if mode (WirerOptions::whatif, §5.13). */
 struct WhatIfOptions
 {
-    /** Master switch; off keeps the wirer bit-identical to PR 8. */
+    /**
+     * Master switch. On: every exploration trial is replayed on the
+     * host and only each stage's bound winner is measured. Off keeps
+     * the wirer on the measured exhaustive path.
+     */
     bool enabled = false;
-
-    /**
-     * Near-tie tolerance: an option within margin_rel of the predicted
-     * best survives to real measurement. Simulated replay is exact, but
-     * the margin keeps the decision honest where the model and the
-     * measured path could diverge (enqueue-bound corners, clock
-     * normalization rounding) — near-ties are decided by measurement,
-     * never by the model.
-     */
-    double margin_rel = 0.02;
-
-    /** Predictor observations required before tier-1 may nominate. */
-    int predictor_min_rows = 8;
-
-    /**
-     * Tier-1 conservatism: a predicted gap must exceed
-     * sigma * rel_residual (and margin_rel) before an option is even
-     * nominated for replay confirmation.
-     */
-    double predictor_sigma = 3.0;
 };
 
 /** One dependency-preserving record of a dispatched mini-batch. */

@@ -130,11 +130,13 @@ struct WirerOptions
     MeasurementPolicy measurement;
 
     /**
-     * Three-tier decision path (§5.13): predictor-prune, what-if-rank,
-     * measure survivors. Off (the default) keeps the wirer bit-identical
-     * to the exhaustive path. The engine only arms when its replay is
-     * provably exact against a dispatch: no fault injection, and either
-     * autoboost off or measurements normalized to base clock.
+     * What-if decision path (§5.13): replay every exploration trial on
+     * the host, then measure each stage's bound winner on the device.
+     * Off (the default) measures every trial; on converges to the same
+     * configuration with far fewer mini-batches. The engine only arms
+     * when its replay is provably exact against a dispatch: no fault
+     * injection, and either autoboost off or measurements normalized
+     * to base clock.
      */
     WhatIfOptions whatif;
 };
@@ -296,7 +298,7 @@ class CustomWirer
                        const BindFn& bind);
 
     /**
-     * One *replayed* exploration trial (§5.13, tier 2): evaluate the
+     * One *replayed* exploration trial (§5.13): evaluate the
      * exact co-varied configuration the walk is about to dispatch on
      * the host instead, and drop the replayed profile samples into the
      * shard as if they had been measured. Replay is bit-exact against

@@ -52,7 +52,6 @@ ConvergenceReport::write_json(std::ostream& os) const
        << minibatches << ",\"plan_cache_hits\":" << plan_cache_hits
        << ",\"plan_cache_misses\":" << plan_cache_misses
        << ",\"whatif_evals\":" << whatif_evals
-       << ",\"predictor_pruned\":" << predictor_pruned
        << ",\"measured_configs\":" << measured_configs
        << ",\"termination\":\"" << termination << "\"";
     if (!store_tier.empty()) {
@@ -109,7 +108,6 @@ ConvergenceReport::write_json(std::ostream& os) const
            << ",\"outliers_rejected\":" << e.outliers_rejected
            << ",\"max_cv\":" << e.max_cv
            << ",\"whatif_evals\":" << e.whatif_evals
-           << ",\"predictor_pruned\":" << e.predictor_pruned
            << ",\"measured_configs\":" << e.measured_configs << "}";
     }
     os << "]}";
@@ -120,16 +118,14 @@ ConvergenceReport::write_csv(std::ostream& os) const
 {
     os << "strategy,stage,mode,trials,exhaustive,pruned,best_ns,"
           "minibatches_total,remeasure_trials,samples,"
-          "outliers_rejected,max_cv,whatif_evals,predictor_pruned,"
-          "measured_configs\n";
+          "outliers_rejected,max_cv,whatif_evals,measured_configs\n";
     for (const ConvergenceEpoch& e : epochs)
         os << e.strategy << "," << e.stage << "," << e.mode << ","
            << e.trials << "," << e.exhaustive << "," << e.pruned << ","
            << e.best_ns << "," << e.minibatches_total << ","
            << e.remeasure_trials << "," << e.samples << ","
            << e.outliers_rejected << "," << e.max_cv << ","
-           << e.whatif_evals << "," << e.predictor_pruned << ","
-           << e.measured_configs << "\n";
+           << e.whatif_evals << "," << e.measured_configs << "\n";
 }
 
 }  // namespace astra

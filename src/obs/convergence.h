@@ -67,11 +67,8 @@ struct ConvergenceEpoch
 
     // ---- what-if accounting (core/whatif.h, §5.13) -----------------------
 
-    /** Host replays the stage spent (trace capture, ranking, confirms). */
+    /** Host replays the stage spent (trace capture, exploration trials). */
     int64_t whatif_evals = 0;
-
-    /** Options masked: predictor-nominated, replay-confirmed. */
-    int64_t predictor_pruned = 0;
 
     /** Dispatched configurations (>= 1 live mini-batch each). */
     int64_t measured_configs = 0;
@@ -183,7 +180,10 @@ struct ConvergenceReport
     /** Total host replays across the exploration (0 when off). */
     int64_t whatif_evals = 0;
 
-    /** Total options masked via the three-tier decision path. */
+    /**
+     * Always 0; read by perfbench/spans.cc; delete with the next
+     * benchmark change. Not written to JSON or CSV.
+     */
     int64_t predictor_pruned = 0;
 
     /** Total configurations that cost at least one live mini-batch. */

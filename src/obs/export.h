@@ -9,8 +9,8 @@
  * clock of the dispatch that produced them, so each mini-batch's
  * kernels appear under its dispatch span.
  *
- * The kernel-span-only overload is the original sim tracer's exporter
- * (pre-obs sim/trace.h) and is kept for single-run schedule dumps.
+ * The kernel-span-only overload renders device kernel spans alone and
+ * is kept for single-run schedule dumps.
  */
 #pragma once
 

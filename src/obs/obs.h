@@ -32,8 +32,8 @@ namespace astra {
 
 /**
  * One executed kernel on the simulated-device timeline. Lives in the
- * obs layer (historically sim/trace.h) so host-side spans and device
- * spans can be merged by one exporter; sim/trace.h re-exports it.
+ * obs layer so host-side spans and device spans can be merged by one
+ * exporter.
  */
 struct TraceSpan
 {

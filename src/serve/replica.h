@@ -83,6 +83,12 @@ class Replica
 
     int id() const { return opts_.id; }
 
+    /** This replica's injected drift schedule. */
+    const std::vector<ClockStep>& clock_schedule() const
+    {
+        return opts_.clock_schedule;
+    }
+
     /** Swap-safe snapshot of a bucket's installed plan. */
     BucketedServer::BucketPlan plan(int bucket) const;
 

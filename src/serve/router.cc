@@ -345,10 +345,21 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
     std::vector<RetryEntry> retries;
     std::unordered_map<int64_t, int> attempts;
 
+    // Drift onset is the earliest on any replica; the budget then
+    // counts fleet-wide completions up to the first detection.
+    double drift_onset = -1.0;
+    for (const auto& r : replicas_) {
+        const double t = drift_onset_ns(r->clock_schedule());
+        if (t >= 0.0 && (drift_onset < 0.0 || t < drift_onset))
+            drift_onset = t;
+    }
+
     double now_ns = 0.0;
     size_t next_arrival = 0;
     int64_t served_total = 0;
     int64_t served_at_down = -1;
+    int64_t served_at_drift = -1;
+    int64_t drift_detect_budget = -1;
     int64_t victims = 0;  ///< admitted-then-evicted (capacity losses)
     double last_completion_ns = 0.0;
 
@@ -528,6 +539,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         // generic dispatch while the re-wire runs
                         // off-path.
                         ++rep.total.drift_detections;
+                        if (drift_detect_budget < 0 && served_at_drift >= 0)
+                            drift_detect_budget =
+                                served_total - served_at_drift;
                         r.set_degraded(f.bucket, true);
                         if (r.health() == ReplicaHealth::Healthy)
                             r.set_health(ReplicaHealth::Degraded);
@@ -629,6 +643,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                     break;
                 }
 
+                // Batch boundary: the drift budget starts counting
+                // here, as in the single server.
+                if (drift_onset >= 0.0 && now_ns >= drift_onset &&
+                    served_at_drift < 0)
+                    served_at_drift = served_total;
                 const GpuConfig& gpu = r.gpu_at(now_ns);
                 const std::vector<ServeRequest> batch =
                     queue.pop_batch(b, opts_.base.max_batch);
@@ -729,7 +748,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
     rep.total.admitted = queue.admitted();
     rep.total.rejected = queue.rejected();
     rep.total.makespan_ns = last_completion_ns;
-    rep.total.detection_request_budget = rep.failover_detect_budget;
+    rep.total.detection_request_budget = drift_detect_budget;
     metrics.finalize(&rep.total);
     // Exactly-once audit: every admitted request ended exactly one
     // way — served, shed as hopeless, failed out, or evicted by the

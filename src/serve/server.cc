@@ -135,18 +135,23 @@ BucketedServer::rewire(int bucket, const GpuConfig& gpu) const
     return p;
 }
 
+double
+drift_onset_ns(const std::vector<ClockStep>& schedule)
+{
+    for (const ClockStep& s : schedule)
+        if (s.clock_multiplier > 0.0 && s.clock_multiplier != 1.0)
+            return s.at_ns;
+    return -1.0;
+}
+
 void
 BucketedServer::apply_clock_steps(double t_ns, GpuConfig* gpu,
-                                  size_t* next_step,
-                                  double* first_drift_ns)
+                                  size_t* next_step)
 {
     while (*next_step < opts_.clock_schedule.size() &&
            opts_.clock_schedule[*next_step].at_ns <= t_ns) {
-        const ClockStep& s = opts_.clock_schedule[*next_step];
-        gpu->forced_clock_multiplier = s.clock_multiplier;
-        if (*first_drift_ns < 0.0 && s.clock_multiplier > 0.0 &&
-            s.clock_multiplier != 1.0)
-            *first_drift_ns = t_ns;
+        gpu->forced_clock_multiplier =
+            opts_.clock_schedule[*next_step].clock_multiplier;
         ++*next_step;
     }
 }
@@ -186,7 +191,7 @@ BucketedServer::serve(const std::vector<ServeRequest>& traffic)
     double now_ns = 0.0;
     size_t next_arrival = 0;
     size_t next_step = 0;
-    double first_drift_ns = -1.0;
+    const double drift_onset = drift_onset_ns(opts_.clock_schedule);
     int64_t served_total = 0;
     int64_t served_at_drift = -1;
     int64_t detect_budget = -1;
@@ -229,8 +234,9 @@ BucketedServer::serve(const std::vector<ServeRequest>& traffic)
         }
 
         // ---- batch boundary: drift steps land, pending swaps apply.
-        apply_clock_steps(now_ns, &gpu, &next_step, &first_drift_ns);
-        if (first_drift_ns >= 0.0 && served_at_drift < 0)
+        apply_clock_steps(now_ns, &gpu, &next_step);
+        if (drift_onset >= 0.0 && now_ns >= drift_onset &&
+            served_at_drift < 0)
             served_at_drift = served_total;
         auto& infl = inflight[static_cast<size_t>(b)];
         if (infl.active && now_ns >= infl.ready_ns) {

@@ -84,6 +84,14 @@ struct ClockStep
     double clock_multiplier = 0.0;
 };
 
+/**
+ * Drift onset of an ascending clock schedule: the at_ns of its first
+ * step that changes the clock (multiplier > 0 and != 1), or -1 when
+ * none does. Both serve loops count ServeReport's drift-detection
+ * request budget from the first batch boundary at or past it.
+ */
+double drift_onset_ns(const std::vector<ClockStep>& schedule);
+
 /** All knobs of one serving run. */
 struct ServeOptions
 {
@@ -215,7 +223,7 @@ class BucketedServer
 
     /** Apply schedule steps due at sim time t to the live GpuConfig. */
     void apply_clock_steps(double t_ns, GpuConfig* gpu,
-                           size_t* next_step, double* first_drift_ns);
+                           size_t* next_step);
 
     ServeOptions opts_;
     std::unique_ptr<BucketedAstra> router_;

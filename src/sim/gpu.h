@@ -30,9 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "sim/faults.h"
 #include "sim/kernel.h"
-#include "sim/trace.h"
 #include "support/rng.h"
 
 namespace astra {

@@ -822,6 +822,54 @@ TEST(Fleet, DriftDegradesToGenericDispatchThenSwapsBack)
     EXPECT_GE(fleet.replica(1).plan(0).epoch, 1);
 }
 
+TEST(Fleet, SingleReplicaDriftBudgetMatchesSingleServer)
+{
+    // Serve.DriftTriggersRewireAndHotSwapWithoutDrops' drift scenario,
+    // served by a single server and by a fleet of one: both report the
+    // requests completed between drift onset and the first detection.
+    const auto options = [](const std::string& store) {
+        serve::ServeOptions so;
+        so.bucket_lengths = {4};
+        so.build = scrnn_builder();
+        so.astra = serve_astra_opts();
+        so.astra.plan_store = fresh_store_dir(store);
+        so.max_batch = 2;
+        so.watcher.min_window = 3;
+        return so;
+    };
+    serve::BucketedServer probe(options("drift_budget_probe"));
+    probe.optimize();
+    const double b = probe.plan(0).baseline_ns;
+    ASSERT_GT(b, 0.0);
+    const double gap = 1.5 * b;
+    const auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
+
+    serve::ServeOptions so = options("drift_budget_server");
+    so.rewire_latency_ns = 5.0 * b;
+    so.clock_schedule.push_back({20.0 * gap, 0.7});
+    serve::FleetOptions fo;
+    fo.base = so;
+    fo.base.astra.plan_store = fresh_store_dir("drift_budget_fleet");
+    fo.replicas = 1;
+
+    serve::BucketedServer server(std::move(so));
+    server.optimize();
+    const serve::ServeReport single = server.serve(traffic);
+    serve::ReplicaFleet fleet(std::move(fo));
+    fleet.optimize();
+    const serve::FleetReport rep = fleet.serve(traffic);
+
+    ASSERT_GE(single.drift_detections, 1);
+    ASSERT_GE(rep.total.drift_detections, 1);
+    EXPECT_GE(single.detection_request_budget, 1);
+    EXPECT_EQ(rep.total.detection_request_budget,
+              single.detection_request_budget);
+    EXPECT_EQ(rep.failover_detect_budget, -1);  // no replica died
+    EXPECT_EQ(rep.total.p50_ns, single.p50_ns);
+    EXPECT_EQ(rep.total.p99_ns, single.p99_ns);
+    EXPECT_EQ(rep.total.makespan_ns, single.makespan_ns);
+}
+
 TEST(Fleet, DeathBetweenRewireReadyAndSwapInstallLosesNothing)
 {
     // Satellite chaos scenario: replica 1 drifts, the off-path re-wire

@@ -10,9 +10,9 @@
 #include "sim/gpu.h"
 #include <sstream>
 
+#include "obs/export.h"
 #include "sim/memory.h"
 #include "sim/multi.h"
-#include "sim/trace.h"
 #include "support/stats.h"
 
 namespace astra {
