@@ -1,15 +1,16 @@
 /**
  * @file
- * Gates the compiled steady-state dispatch path (runtime/wired.h): for
- * every zoo model, replaying the wired binary must (a) reproduce the
- * generic dispatcher's simulated results bit-exactly — makespan,
- * clock multiplier, device counters and the full profile map — and
- * (b) cut the measured *wall-clock* host enqueue time
- * (DispatchResult::host_enqueue_ns) by at least 2x in aggregate. The
- * generic path re-resolves dependencies, hashes profile keys and
- * builds kernel descriptors on every mini-batch; the wired binary did
- * all of that once at lowering time, so steady state walks a
- * contiguous command array. Each model is exercised at its densest
+ * Gates steady-state replay (runtime/wired.h) against a cold dispatch
+ * of the same plan: for every zoo model, a warm AstraSession::run —
+ * a replay of the session's cached wired binary — must (a) reproduce
+ * dispatch_plan's simulated results bit-exactly — makespan, clock
+ * multiplier, device counters and the full profile map — and (b) cut
+ * the measured *wall-clock* host enqueue time
+ * (DispatchResult::host_enqueue_ns) by at least 2x in aggregate.
+ * dispatch_plan binds the cached plan on every call (dependency
+ * analysis, profile keys, kernel descriptors) before walking it, and
+ * counts the bind as enqueue time; the replay walks a binary that was
+ * bound once at lowering time. Each model is exercised at its densest
  * steady-state configuration (max fusion chunks, every group and
  * epoch profiled, two streams) plus a plain single-stream config, and
  * one recompute-rewritten graph rides along. Exits non-zero on any
@@ -28,7 +29,7 @@ using namespace astra::bench;
 
 namespace {
 
-/** Steps timed per row (after one untimed warm-up of each path). */
+/** Steps timed per row (after one untimed warm-up run that lowers). */
 int g_steps = 20;
 
 bool
@@ -44,15 +45,15 @@ identical(const DispatchResult& a, const DispatchResult& b)
 
 struct RowTotals
 {
-    double generic_ns = 0.0;
+    double dispatch_ns = 0.0;
     double replay_ns = 0.0;
     bool ok = true;
 };
 
 /**
- * Time g_steps mini-batches through the generic dispatcher and the
- * wired replay over the same graph/config, checking bit-identity of
- * every step pair.
+ * Time g_steps mini-batches through a cold dispatch_plan of the cached
+ * plan and a warm session.run over the same graph/config, checking
+ * bit-identity of every step pair.
  */
 RowTotals
 measure(const Graph& graph, const Env& env, const ScheduleConfig& cfg)
@@ -60,28 +61,25 @@ measure(const Graph& graph, const Env& env, const ScheduleConfig& cfg)
     AstraOptions opts;
     opts.gpu = env.gpu;
     opts.sched = env.sched;
-    // Bit-identity is a base-clock, fault-free property: the generic
-    // and replay transactions draw independent process-wide
-    // autoboost/fault salts, which is exactly the nondeterminism this
-    // comparison must exclude.
+    // Bit-identity is a base-clock, fault-free property: the two
+    // transactions draw independent process-wide autoboost/fault
+    // salts, which is exactly the nondeterminism this comparison must
+    // exclude.
     opts.gpu.autoboost = false;
     opts.gpu.faults = FaultPlan();
-    AstraSession generic(graph, opts);
-    AstraOptions copts = opts;
-    copts.compiled_dispatch = true;
-    AstraSession compiled(graph, copts);
+    AstraSession session(graph, opts);
 
-    // Warm both caches: the generic path builds its plan, the
-    // compiled path lowers and verifies the wired binary. Steady
-    // state is what the bench times.
-    (void)generic.run(cfg);
-    (void)compiled.run(cfg);
+    // Warm the session: the first run builds the plan and lowers and
+    // verifies the wired binary. Steady state is what the bench times.
+    (void)session.run(cfg);
+    const auto plan = session.scheduler().build_cached(cfg);
+    const TensorMap& tmap = session.tensor_map(cfg.strategy);
 
     RowTotals t;
     for (int i = 0; i < g_steps; ++i) {
-        const DispatchResult a = generic.run(cfg);
-        const DispatchResult b = compiled.run(cfg);
-        t.generic_ns += a.host_enqueue_ns;
+        const DispatchResult a = dispatch_plan(*plan, graph, tmap, opts.gpu);
+        const DispatchResult b = session.run(cfg);
+        t.dispatch_ns += a.host_enqueue_ns;
         t.replay_ns += b.host_enqueue_ns;
         if (!identical(a, b))
             t.ok = false;
@@ -134,24 +132,24 @@ main(int argc, char** argv)
 
     Env env;
     TextTable table(
-        "Micro: compiled steady-state dispatch (wired binary) vs "
-        "generic per-step dispatch — host enqueue wall time "
+        "Micro: cold dispatch (bind + walk) vs warm replay of the "
+        "cached wired binary — host enqueue wall time "
         "(gate: bit-identical metrics, aggregate >= 2x)");
-    table.set_header({"Model / config", "generic us/step",
+    table.set_header({"Model / config", "dispatch us/step",
                       "replay us/step", "speedup", "identical"});
 
-    double generic_total = 0.0;
+    double dispatch_total = 0.0;
     double replay_total = 0.0;
     bool all_identical = true;
     const auto add_row = [&](const std::string& name,
                              const RowTotals& t) {
-        generic_total += t.generic_ns;
+        dispatch_total += t.dispatch_ns;
         replay_total += t.replay_ns;
         all_identical = all_identical && t.ok;
         table.add_row(name + (t.ok ? "" : "  [MISMATCH]"),
-                      {t.generic_ns / g_steps / 1e3,
+                      {t.dispatch_ns / g_steps / 1e3,
                        t.replay_ns / g_steps / 1e3,
-                       t.generic_ns / t.replay_ns, t.ok ? 1.0 : 0.0});
+                       t.dispatch_ns / t.replay_ns, t.ok ? 1.0 : 0.0});
     };
 
     const ModelKind kinds[] = {ModelKind::Scrnn, ModelKind::MiLstm,
@@ -186,13 +184,13 @@ main(int argc, char** argv)
     }
 
     table.print();
-    const double speedup = generic_total / replay_total;
+    const double speedup = dispatch_total / replay_total;
     std::printf("aggregate host-enqueue speedup: %.2fx "
-                "(generic %.1f us/step, replay %.1f us/step)\n",
-                speedup, generic_total / g_steps / 1e3,
+                "(dispatch %.1f us/step, replay %.1f us/step)\n",
+                speedup, dispatch_total / g_steps / 1e3,
                 replay_total / g_steps / 1e3);
     if (!all_identical) {
-        std::printf("FAIL: replay diverged from generic dispatch\n");
+        std::printf("FAIL: replay diverged from dispatch_plan\n");
         return 1;
     }
     if (speedup < 2.0) {

@@ -9,7 +9,7 @@
  *             [--features f|fk|fks|all] [--streams N]
  *             [--wirer-threads N] [--fault-spec SPEC]
  *             [--save-config FILE | --load-config FILE]
- *             [--plan-store DIR] [--compiled-dispatch] [--whatif]
+ *             [--plan-store DIR] [--whatif]
  *             [--trace FILE.json] [--trace-out FILE.json]
  *             [--no-embedding]
  *
@@ -17,12 +17,6 @@
  * (core/plan_store.h; defaults to $ASTRA_PLAN_STORE): a previously
  * wired workload is reused instead of re-explored, and this run's
  * winner is written back for the next process.
- *
- * --compiled-dispatch runs the steady-state mini-batch through the
- * wired-binary path (runtime/wired.h): the tuned configuration is
- * lowered once into a preresolved command array and replayed,
- * bit-identical to the generic dispatcher at a fraction of the host
- * overhead.
  *
  * --whatif turns on the wirer's what-if path (core/whatif.h): every
  * exploration trial is an exact host replay instead of a measured
@@ -142,8 +136,6 @@ main(int argc, char** argv)
             load_path = next();
         else if (arg == "--plan-store")
             opts.plan_store = next();
-        else if (arg == "--compiled-dispatch")
-            opts.compiled_dispatch = true;
         else if (arg == "--whatif")
             opts.whatif.enabled = true;
         else if (arg == "--trace")

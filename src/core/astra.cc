@@ -300,18 +300,11 @@ AstraSession::optimize(const BindFn& bind)
 DispatchResult
 AstraSession::run(const ScheduleConfig& config) const
 {
-    if (opts_.compiled_dispatch) {
-        // Steady state: lower once (cached by config signature), then
-        // replay the preresolved command array — bit-identical timing
-        // and values, a fraction of the host dispatch overhead.
-        const std::shared_ptr<const WiredBinary> bin =
-            scheduler_->wire_cached(config,
-                                    tensor_map(config.strategy),
-                                    opts_.gpu);
-        return replay_wired(*bin, opts_.gpu);
-    }
-    return dispatch_plan(*scheduler_->build_cached(config), *graph_,
-                         tensor_map(config.strategy), opts_.gpu);
+    // Steady state: lower once (cached by config signature), then
+    // replay the preresolved command array.
+    return replay_wired(*scheduler_->wire_cached(
+                            config, tensor_map(config.strategy), opts_.gpu),
+                        opts_.gpu);
 }
 
 DispatchResult

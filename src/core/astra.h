@@ -73,19 +73,6 @@ struct AstraOptions
     std::string plan_store = plan_store_dir_from_env();
 
     /**
-     * Steady-state dispatch through the compiled path (runtime/wired.h):
-     * run() lowers a configuration into a wired binary once (cached in
-     * the scheduler next to its plan cache) and replays the blob for
-     * every subsequent mini-batch — no per-step dependency analysis,
-     * no kernel-descriptor construction, no hash lookups. Results are
-     * bit-identical to the generic dispatcher; only host-side dispatch
-     * overhead changes (bench/micro_dispatch_replay gates the ≥2×
-     * reduction). Off by default while exploration dominates: lowering
-     * pays off only once a configuration repeats.
-     */
-    bool compiled_dispatch = false;
-
-    /**
      * Backward-pass structure of the graph, enabling the last rung of
      * the OOM degradation ladder: when even liveness-based buffer
      * reuse cannot fit the device, the session rewrites the graph with
@@ -168,7 +155,12 @@ class AstraSession
      */
     bool config_fits(const ScheduleConfig& config, std::string* why) const;
 
-    /** Dispatch one mini-batch with an explicit configuration. */
+    /**
+     * Dispatch one mini-batch with an explicit configuration: the
+     * first run of a configuration lowers it into a wired binary
+     * (cached in the scheduler, Scheduler::wire_cached), and every run
+     * replays that binary (runtime/wired.h).
+     */
     DispatchResult run(const ScheduleConfig& config) const;
 
     /**

@@ -183,7 +183,7 @@ class Scheduler
         return cache_misses_.load(std::memory_order_relaxed);
     }
 
-    /** Wired-binary cache tallies (compiled-dispatch reporting). */
+    /** Wired-binary cache tallies (AstraSession::run reporting). */
     int64_t wired_cache_hits() const
     {
         return wired_hits_.load(std::memory_order_relaxed);

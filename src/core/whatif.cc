@@ -1,5 +1,6 @@
 #include "core/whatif.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -8,7 +9,6 @@
 
 #include "core/config_io.h"
 #include "runtime/dispatcher.h"
-#include "runtime/executor.h"
 #include "support/logging.h"
 
 namespace astra {
@@ -38,7 +38,6 @@ sanitize_device(const GpuConfig& gpu)
 ReplayResult
 run_program(const WiredProgram& prog,
             const std::vector<KernelDesc>& kernels, const GpuConfig& cfg,
-            const std::map<std::string, double>* override_ns,
             std::vector<TraceSpan>* spans_out)
 {
     GpuConfig gpu_cfg = cfg;
@@ -46,45 +45,10 @@ run_program(const WiredProgram& prog,
     SimGpu gpu(gpu_cfg);
     for (int s = 1; s < prog.num_streams; ++s)
         gpu.create_stream();
-    std::vector<EventId> events(static_cast<size_t>(prog.num_events));
-    for (int32_t e = 0; e < prog.num_events; ++e)
-        events[static_cast<size_t>(e)] = gpu.create_event();
-    // The exact command walk of replay_wired (PR 7), which is gated
-    // bit-identical to the generic dispatcher in CI — the replay and a
-    // real dispatch diverge by construction nowhere.
-    for (const WiredCmd& cmd : prog.cmds) {
-        switch (cmd.op) {
-          case WiredOp::Launch: {
-            const KernelDesc& k = kernels[static_cast<size_t>(cmd.arg)];
-            if (override_ns != nullptr && !k.key.empty()) {
-                if (const auto it = override_ns->find(k.key);
-                    it != override_ns->end()) {
-                    // A substituted cost is a pure-serial kernel of
-                    // exactly that duration: zero blocks hold no SMs,
-                    // so on a serial schedule the total shifts by
-                    // exactly the substituted delta.
-                    KernelDesc sub;
-                    sub.name = k.name;
-                    sub.key = k.key;
-                    sub.blocks = 0;
-                    sub.setup_ns = it->second;
-                    gpu.launch(cmd.stream, std::move(sub));
-                    break;
-                }
-            }
-            gpu.launch(cmd.stream, k);
-            break;
-          }
-          case WiredOp::Record:
-            gpu.record_event(cmd.stream,
-                             events[static_cast<size_t>(cmd.arg)]);
-            break;
-          case WiredOp::Wait:
-            gpu.wait_event(cmd.stream,
-                           events[static_cast<size_t>(cmd.arg)]);
-            break;
-        }
-    }
+    // The walk a real dispatch runs: replay and dispatch diverge by
+    // construction nowhere.
+    std::vector<EventId> events;
+    enqueue_wired(prog, kernels, gpu, events);
     gpu.synchronize();
 
     DispatchResult dres;
@@ -103,9 +67,24 @@ ReplayResult
 replay_trace(const RecordedTrace& trace,
              const std::map<std::string, double>& override_ns)
 {
-    return run_program(trace.program, trace.kernels, trace.gpu,
-                       override_ns.empty() ? nullptr : &override_ns,
-                       nullptr);
+    std::vector<KernelDesc> kernels = trace.kernels;
+    for (KernelDesc& k : kernels) {
+        if (k.key.empty())
+            continue;
+        const auto it = override_ns.find(k.key);
+        if (it == override_ns.end())
+            continue;
+        // A substituted cost is a pure-serial kernel of exactly that
+        // duration: zero blocks hold no SMs, so on a serial schedule
+        // the total shifts by exactly the substituted delta.
+        KernelDesc sub;
+        sub.name = k.name;
+        sub.key = k.key;
+        sub.blocks = 0;
+        sub.setup_ns = it->second;
+        k = std::move(sub);
+    }
+    return run_program(trace.program, kernels, trace.gpu, nullptr);
 }
 
 WhatIfEngine::WhatIfEngine(const Graph& graph, const TensorMap& tmap,
@@ -125,14 +104,9 @@ WhatIfEngine::evaluate(const ScheduleConfig& config) const
     // just the epoch walk over the binding's cached plan skeleton.
     const std::shared_ptr<const ExecutionPlan> plan =
         scheduler_.build_cached(config);
-    const WiredProgram prog =
-        compile_plan(*plan, graph_, /*profiling=*/true);
-    std::vector<KernelDesc> kernels(plan->steps.size());
-    for (size_t i = 0; i < plan->steps.size(); ++i)
-        if (plan->steps[i].kind != StepKind::Barrier)
-            kernels[i] = build_step_kernel(plan->steps[i], graph_,
-                                           tmap_, gpu_);
-    return run_program(prog, kernels, gpu_, nullptr, nullptr);
+    const WiredBinary bound =
+        bind_plan(*plan, graph_, tmap_, gpu_, /*profiling=*/true);
+    return run_program(bound.program, bound.kernels, gpu_, nullptr);
 }
 
 RecordedTrace
@@ -145,17 +119,14 @@ WhatIfEngine::capture(const ScheduleConfig& config) const
     const std::shared_ptr<const ExecutionPlan> plan =
         scheduler_.build_cached(config);
     trace.num_streams = plan->num_streams;
-    trace.program = compile_plan(*plan, graph_, /*profiling=*/true);
-    trace.kernels.resize(plan->steps.size());
-    trace.step_keys.resize(plan->steps.size());
-    for (size_t i = 0; i < plan->steps.size(); ++i) {
-        if (plan->steps[i].kind != StepKind::Barrier)
-            trace.kernels[i] =
-                build_step_kernel(plan->steps[i], graph_, tmap_, gpu_);
-        trace.step_keys[i] = plan->steps[i].profile_key;
-    }
+    WiredBinary bound =
+        bind_plan(*plan, graph_, tmap_, gpu_, /*profiling=*/true);
+    trace.program = std::move(bound.program);
+    trace.kernels = std::move(bound.kernels);
+    for (const PlanStep& step : plan->steps)
+        trace.step_keys.push_back(step.profile_key);
     const ReplayResult r = run_program(trace.program, trace.kernels,
-                                       gpu_, nullptr, &trace.spans);
+                                       gpu_, &trace.spans);
     trace.total_ns = r.total_ns;
     trace.profile_ns = r.profile_ns;
     return trace;
@@ -470,6 +441,14 @@ read_trace(std::istream& is, RecordedTrace* trace, std::string* error)
             return diag.fail("bad step_begin entry");
         tr.program.step_begin.push_back(static_cast<int32_t>(n));
     }
+    // The walk issues each step's span in turn, so the spans must
+    // tile the command array exactly once.
+    if (tr.program.step_begin.front() != 0 ||
+        tr.program.step_begin.back() != num_cmds ||
+        !std::is_sorted(tr.program.step_begin.begin(),
+                        tr.program.step_begin.end()))
+        return diag.fail("step_begin must rise from 0 to the command "
+                         "count");
 
     if (!next(&t) || t.empty() || t[0] != "barrier_slots")
         return diag.fail("bad barrier_slots line");

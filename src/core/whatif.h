@@ -6,14 +6,13 @@
  * measurements are reusable. This module takes the next step (after
  * Daydream, arXiv 2006.03318): the *schedule simulation itself* is
  * reusable. Given a candidate ScheduleConfig, the engine builds its
- * plan, compiles it to the same command stream the dispatcher would
- * issue (PR 7's compile_plan, gated bit-identical in CI), and runs the
- * event-ordering simulation on the host with timing-only kernels —
- * ranking a candidate in microseconds instead of spending a measured
- * mini-batch on it. At base clock with faults disarmed this replay is
- * bit-exact against a real dispatch, which is what lets the wirer
- * replay its exploration trials without giving up its
- * exhaustive-identical answer.
+ * plan, binds it with timing-only kernels (runtime/wired.h bind_plan)
+ * and walks it with enqueue_wired — the bind and the walk every real
+ * dispatch runs — on a host-side device model, ranking a candidate in
+ * microseconds instead of spending a measured mini-batch on it. At
+ * base clock with faults disarmed this replay is bit-exact against a
+ * real dispatch, which is what lets the wirer replay its exploration
+ * trials without giving up its exhaustive-identical answer.
  *
  * A RecordedTrace is the durable form: the compiled program, per-step
  * kernel cost shapes and profile keys, the collected spans, and the

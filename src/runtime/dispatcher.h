@@ -6,13 +6,13 @@
  * creation, cross-stream event synchronization, barrier realization and
  * the cudaEvent-style profiling instrumentation. All backends (native,
  * XLA-like, cuDNN-path, Astra) dispatch through this one function, so
- * measured times are comparable across them.
+ * measured times are comparable across them. dispatch_plan binds the
+ * plan and runs it through the dispatch engine in runtime/wired.h, the
+ * same one that replays lowered binaries.
  */
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,8 +21,6 @@
 #include "sim/gpu.h"
 
 namespace astra {
-
-struct WiredProgram;  // runtime/wired.h
 
 /** Timing results of one dispatched mini-batch. */
 struct DispatchResult
@@ -70,11 +68,12 @@ struct DispatchResult
 
     /**
      * Measured *wall-clock* host time spent enqueueing the mini-batch's
-     * commands (dependency resolution, kernel construction and launch
-     * calls; device simulation excluded) summed over retry attempts.
-     * The one real-time field in this struct — it is what the compiled
-     * dispatch path (runtime/wired.h) cuts, and what
-     * bench/micro_dispatch_replay gates on.
+     * commands (launch calls summed over retry attempts, plus
+     * dispatch_plan's one bind: dependency resolution and kernel
+     * construction; device simulation excluded). The one real-time
+     * field in this struct — replaying a lowered binary
+     * (runtime/wired.h) skips the bind, and
+     * bench/micro_dispatch_replay gates on the difference.
      */
     double host_enqueue_ns = 0.0;
 };
@@ -97,96 +96,13 @@ struct DispatchResult
  * attempt re-draws faults under a salt derived from cfg.fault_salt via
  * fault_mix(salt, attempt), so retries are reproducible too.
  *
+ * The plan is bound once per call (bind_plan: command stream plus
+ * kernel descriptors), then each attempt walks the bound program —
+ * the engine replay_wired runs on a lowered binary.
+ *
  * @param cfg device configuration (also selects timing-only mode).
  */
 DispatchResult dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
                              const TensorMap& tmap, const GpuConfig& cfg);
-
-/**
- * Shared mini-batch transaction driver: autoboost/fault-salt
- * assignment (process-wide counters so successive dispatches of any
- * kind keep drifting clocks and unique fault draws), the
- * abort-and-replay retry loop with simulated exponential backoff, and
- * the final stats/clock readout. `enqueue` is called once per attempt
- * on a fresh device with `num_streams` streams created; its measured
- * wall time lands in DispatchResult::host_enqueue_ns. Both the generic
- * dispatch_plan() and the compiled replay_wired() run through here so
- * their transaction semantics cannot drift apart. The synchronized
- * final-attempt device is returned through `gpu_out` for profile
- * collection and tracing.
- */
-DispatchResult run_dispatch_transaction(
-    const GpuConfig& cfg, int num_streams,
-    const std::function<void(SimGpu&)>& enqueue,
-    std::unique_ptr<SimGpu>* gpu_out);
-
-/**
- * Shared plan-to-device enqueue core.
- *
- * Owns the dependency analysis (producer steps, cross-stream waits,
- * barrier rendezvous) and the profiling event instrumentation, but not
- * the device itself: callers bring a SimGpu, so the same enqueue logic
- * drives both the single-device dispatch_plan() and the multi-device
- * data-parallel dispatcher (dispatcher_dp.h), which replays one plan
- * onto every device of a MultiSim.
- *
- * The after-step hook runs right after a (non-barrier) step's commands
- * are enqueued — the injection point for gradient-bucket flush events
- * and ring-allreduce chunk transfers. Commands the hook enqueues share
- * the host enqueue pipeline, so comm launch overhead delays later
- * compute launches exactly as a DDP hook does on real hardware.
- */
-class PlanEnqueuer
-{
-  public:
-    /** Called with the step index after that step's commands enqueue. */
-    using StepHook = std::function<void(int)>;
-
-    /**
-     * Compile the plan's command stream and bind to a device. The
-     * dependency analysis runs in compile_plan (runtime/wired.h); this
-     * overload pays it per construction, exactly like the historical
-     * enqueuer.
-     *
-     * @param profiling honor the steps' profile/epoch_metric flags
-     *        (false skips all instrumentation events — the dp path
-     *        measures whole devices, not steps).
-     */
-    PlanEnqueuer(const ExecutionPlan& plan, const Graph& graph,
-                 const TensorMap& tmap, const GpuConfig& cfg, SimGpu& gpu,
-                 bool profiling);
-
-    /**
-     * Bind an already-compiled program to a device, skipping the
-     * dependency analysis — the dp path compiles once and replays the
-     * same program onto every device of a MultiSim.
-     */
-    PlanEnqueuer(std::shared_ptr<const WiredProgram> program,
-                 const ExecutionPlan& plan, const Graph& graph,
-                 const TensorMap& tmap, const GpuConfig& cfg, SimGpu& gpu);
-
-    ~PlanEnqueuer();
-
-    /** Enqueue every plan step onto the device. */
-    void enqueue(const StepHook& after_step = {});
-
-    /**
-     * Fill result.profile_ns from the instrumentation events; call
-     * after the device has synchronized. No-op when !profiling.
-     */
-    void collect_profiles(DispatchResult& result) const;
-
-    const WiredProgram& program() const { return *program_; }
-
-  private:
-    const ExecutionPlan& plan_;
-    const Graph& graph_;
-    const TensorMap& tmap_;
-    const GpuConfig& cfg_;
-    SimGpu& gpu_;
-
-    std::shared_ptr<const WiredProgram> program_;
-    std::vector<EventId> events_;  ///< program slot -> device event
-};
 
 }  // namespace astra

@@ -1,8 +1,8 @@
 #include "runtime/dispatcher_dp.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
-#include <memory>
 #include <set>
 
 #include "kernels/cost.h"
@@ -182,15 +182,14 @@ dispatch_plan_dp(const ExecutionPlan& plan, const Graph& graph,
         }
     };
 
-    // One dependency analysis for all G devices: compile the plan's
-    // command stream once and replay it onto every device.
-    const auto program = std::make_shared<const WiredProgram>(
-        compile_plan(plan, graph, /*profiling=*/false));
+    // One bind for all G devices: the dependency analysis and kernel
+    // descriptors are shared, and every device walks the same program.
+    const WiredBinary bound =
+        bind_plan(plan, graph, tmap, gpu_cfg, /*profiling=*/false);
 
     for (int d = 0; d < G; ++d) {
         SimGpu& gpu = multi.device(d);
-        PlanEnqueuer enq(program, plan, graph, tmap, gpu_cfg, gpu);
-        PlanEnqueuer::StepHook hook;
+        std::function<void(int)> hook;
         if (!flush_at.empty()) {
             // The comm commands enqueue through the same host pipeline
             // as compute launches, so per-bucket flush cost (2(G-1)
@@ -208,7 +207,8 @@ dispatch_plan_dp(const ExecutionPlan& plan, const Graph& graph,
                     enqueue_ring(d, b, gate);
             };
         }
-        enq.enqueue(hook);
+        std::vector<EventId> events;
+        enqueue_wired(bound.program, bound.kernels, gpu, events, hook);
 
         if (G > 1 && opts.flush == FlushSchedule::EndOfStep) {
             // Serial baseline: the comm stream waits for every compute

@@ -1,6 +1,8 @@
 #include "runtime/wired.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -359,29 +361,24 @@ simulate_program(const WiredProgram& prog, int num_kernels)
                 ++position[static_cast<size_t>(s)];
                 my_clock[static_cast<size_t>(s)] =
                     position[static_cast<size_t>(s)];
-                switch (cmd.op) {
-                case WiredOp::Launch:
+                if (cmd.op == WiredOp::Launch) {
                     order.pos[static_cast<size_t>(cmd.arg)] =
                         position[static_cast<size_t>(s)];
                     order.vc[static_cast<size_t>(cmd.arg)] = my_clock;
-                    break;
-                case WiredOp::Record:
+                } else if (cmd.op == WiredOp::Record) {
                     if (recorded[static_cast<size_t>(cmd.arg)])
                         return fail("event slot " +
                                     std::to_string(cmd.arg) +
                                     " recorded twice");
                     recorded[static_cast<size_t>(cmd.arg)] = 1;
                     event_clock[static_cast<size_t>(cmd.arg)] = my_clock;
-                    break;
-                case WiredOp::Wait: {
+                } else {
                     const auto& ec =
                         event_clock[static_cast<size_t>(cmd.arg)];
                     for (int t = 0; t < num_streams; ++t)
                         my_clock[static_cast<size_t>(t)] =
                             std::max(my_clock[static_cast<size_t>(t)],
                                      ec[static_cast<size_t>(t)]);
-                    break;
-                }
                 }
                 ++cur;
                 progress = true;
@@ -512,7 +509,11 @@ verify_wired(const WiredBinary& bin)
     const std::vector<std::vector<int>> users = interval_users(bin);
     const auto accesses_before = [&](int x, int to_def) {
         const ArenaInterval& iv = bin.intervals[static_cast<size_t>(x)];
-        if (!order.completes_before(iv.def_step, to_def))
+        // One step defining both: its kernel computes its nodes in
+        // order, so x may give up its bytes only if it dies there.
+        if (iv.def_step == to_def ? iv.last_use_step != to_def
+                                  : !order.completes_before(iv.def_step,
+                                                            to_def))
             return false;
         for (int u : users[static_cast<size_t>(x)])
             if (u != to_def && !order.completes_before(u, to_def))
@@ -541,25 +542,67 @@ verify_wired(const WiredBinary& bin)
 }
 
 WiredBinary
+bind_plan(const ExecutionPlan& plan, const Graph& graph,
+          const TensorMap& tmap, const GpuConfig& cfg, bool profiling)
+{
+    WiredBinary bin;
+    bin.program = compile_plan(plan, graph, profiling);
+    // Descriptor names, fused shapes and compute closures (bound to
+    // arena offsets through the TensorMap) are frozen here, off the
+    // walk.
+    bin.kernels.resize(plan.steps.size());
+    for (size_t i = 0; i < plan.steps.size(); ++i)
+        if (plan.steps[i].kind != StepKind::Barrier)
+            bin.kernels[i] = build_step_kernel(plan.steps[i], graph, tmap,
+                                               cfg);
+    return bin;
+}
+
+void
+enqueue_wired(const WiredProgram& program,
+              const std::vector<KernelDesc>& kernels, SimGpu& gpu,
+              std::vector<EventId>& events,
+              const std::function<void(int)>& after_step)
+{
+    // Event creation carries no device time, so every slot is created
+    // up front.
+    events.resize(static_cast<size_t>(program.num_events));
+    for (int32_t e = 0; e < program.num_events; ++e)
+        events[static_cast<size_t>(e)] = gpu.create_event();
+    const int num_steps = static_cast<int>(program.is_barrier.size());
+    for (int i = 0; i < num_steps; ++i) {
+        const int32_t end = program.step_begin[static_cast<size_t>(i) + 1];
+        for (int32_t c = program.step_begin[static_cast<size_t>(i)];
+             c < end; ++c) {
+            const WiredCmd& cmd = program.cmds[static_cast<size_t>(c)];
+            switch (cmd.op) {
+            case WiredOp::Launch:
+                gpu.launch(cmd.stream,
+                           kernels[static_cast<size_t>(cmd.arg)]);
+                break;
+            case WiredOp::Record:
+                gpu.record_event(cmd.stream,
+                                 events[static_cast<size_t>(cmd.arg)]);
+                break;
+            case WiredOp::Wait:
+                gpu.wait_event(cmd.stream,
+                               events[static_cast<size_t>(cmd.arg)]);
+                break;
+            }
+        }
+        if (after_step && !program.is_barrier[static_cast<size_t>(i)])
+            after_step(i);
+    }
+}
+
+WiredBinary
 lower_plan(const ExecutionPlan& plan, const Graph& graph,
            const TensorMap& tmap, const GpuConfig& cfg)
 {
     obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
     const int num_steps = static_cast<int>(plan.steps.size());
-    WiredBinary bin;
-    bin.program = compile_plan(plan, graph, /*profiling=*/true);
+    WiredBinary bin = bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
     bin.arena_bytes = tmap.peak_bytes();
-
-    // Prebuild every kernel once: descriptor names, fused shapes and
-    // compute closures (bound to arena offsets through the TensorMap)
-    // are frozen here, off the replay hot path.
-    bin.kernels.resize(static_cast<size_t>(num_steps));
-    for (int i = 0; i < num_steps; ++i) {
-        const PlanStep& step = plan.steps[static_cast<size_t>(i)];
-        if (step.kind != StepKind::Barrier)
-            bin.kernels[static_cast<size_t>(i)] =
-                build_step_kernel(step, graph, tmap, cfg);
-    }
 
     // Arena interval per touched tensor: covered nodes get their
     // producing step; uncovered inputs (graph sources) are live at
@@ -658,12 +701,17 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
         ASTRA_ASSERT(a.def_step >= 0 || b.def_step >= 0,
                      "entry-live tensors %", a.node, " and %", b.node,
                      " overlap in the arena");
-        ASTRA_ASSERT(a.def_step != b.def_step,
+        ASTRA_ASSERT(a.def_step != b.def_step ||
+                         a.last_use_step == a.def_step ||
+                         b.last_use_step == b.def_step,
                      "step ", a.def_step, " defines overlapping tensors %",
-                     a.node, " and %", b.node);
+                     a.node, " and %", b.node, " that both outlive it");
         // The later definition inherits the bytes; every access of the
-        // earlier occupant must be ordered before it.
-        if (a.def_step < b.def_step)
+        // earlier occupant must be ordered before it. When one step
+        // defines both, the earlier occupant is the one that dies in
+        // that step (the step's kernel computes its nodes in order).
+        if (a.def_step < b.def_step ||
+            (a.def_step == b.def_step && a.last_use_step == a.def_step))
             order_accesses(x, b.def_step);
         else
             order_accesses(y, a.def_step);
@@ -704,56 +752,130 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
     return bin;
 }
 
-DispatchResult
-replay_wired(const WiredBinary& bin, const GpuConfig& cfg)
+namespace {
+
+/** Wall-clock ns elapsed since `start`. */
+double
+elapsed_ns(std::chrono::steady_clock::time_point start)
 {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
+/**
+ * The mini-batch transaction: autoboost/fault-salt assignment
+ * (process-wide counters so successive dispatches keep drifting clocks
+ * and unique fault draws), the abort-and-replay retry loop with
+ * simulated exponential backoff, and the final stats/clock readout.
+ * Each attempt walks the bound program on a fresh device; the walk's
+ * measured wall time lands in DispatchResult::host_enqueue_ns. The
+ * synchronized final-attempt device and its event slots are returned
+ * for profile collection and tracing.
+ */
+DispatchResult
+run_dispatch_transaction(const WiredProgram& program,
+                         const std::vector<KernelDesc>& kernels,
+                         const GpuConfig& cfg,
+                         std::unique_ptr<SimGpu>* gpu_out,
+                         std::vector<EventId>* events)
+{
+    GpuConfig gpu_cfg = cfg;
+
+    // Autoboost is physical-device state: it does not reset between
+    // mini-batches, so successive dispatches must measure at different
+    // clocks (the §7 repeatability violation). Each dispatch gets a
+    // fresh device here, so the cross-dispatch drift is modeled by
+    // salting the jitter seed with a process-wide dispatch counter —
+    // unless the caller forces the multiplier, in which case it owns
+    // the draw sequence (ClockDomain) and ordering must not leak in.
+    if (gpu_cfg.autoboost && gpu_cfg.forced_clock_multiplier <= 0.0) {
+        static std::atomic<uint64_t> dispatch_counter{0};
+        gpu_cfg.autoboost_seed +=
+            ClockDomain::kSeedMix *
+            dispatch_counter.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    // A dispatch's faults must be a pure function of its salt so the
+    // parallel wirer stays bit-identical: callers that care (the wirer)
+    // pre-assign salts; everyone else gets a process-wide counter.
+    const bool fault_armed = !gpu_cfg.faults.empty();
+    if (fault_armed && gpu_cfg.fault_salt == 0) {
+        static std::atomic<uint64_t> fault_counter{1};
+        gpu_cfg.fault_salt =
+            fault_counter.fetch_add(1, std::memory_order_relaxed);
+    }
+    const uint64_t base_salt = gpu_cfg.fault_salt;
+    const int max_attempts =
+        fault_armed ? gpu_cfg.faults.max_retries + 1 : 1;
+
+    DispatchResult result;
+    std::unique_ptr<SimGpu> gpu;
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
+        gpu_cfg.fault_salt =
+            attempt == 0
+                ? base_salt
+                : fault_mix(base_salt, static_cast<uint64_t>(attempt));
+        gpu = std::make_unique<SimGpu>(gpu_cfg);
+        for (int s = 1; s < program.num_streams; ++s)
+            gpu->create_stream();
+        const auto host_start = std::chrono::steady_clock::now();
+        enqueue_wired(program, kernels, *gpu, *events);
+        result.host_enqueue_ns += elapsed_ns(host_start);
+        gpu->synchronize();
+        result.faults_seen += gpu->stats().faults_injected;
+        result.straggler_events += gpu->stats().straggler_events;
+        if (gpu->stats().faults_injected == 0)
+            break;
+        // Abort-and-replay: the replay re-executes the full plan over
+        // the same TensorMap, so a clean attempt restores every tensor.
+        // The backoff is simulated (reported, not slept) so tests and
+        // benchmarks measure the policy, not the wall clock.
+        ++result.fault_attempts;
+        result.backoff_ns +=
+            gpu_cfg.faults.backoff_us * 1e3 *
+            static_cast<double>(1ull << std::min(attempt, 30));
+    }
+    result.faulted = gpu->stats().faults_injected > 0;
+
+    result.total_ns = gpu->now_ns();
+    result.stats = gpu->stats();
+    result.clock_multiplier = gpu->clock_multiplier();
+    *gpu_out = std::move(gpu);
+    return result;
+}
+
+/**
+ * The dispatch engine behind dispatch_plan and replay_wired: run the
+ * transaction over a bound program, then read out the trace, the obs
+ * kernel spans and counters, and the profile metrics. `obs_anchor` is
+ * the caller's host time the device timeline is placed at.
+ */
+DispatchResult
+dispatch_bound(const WiredProgram& program,
+               const std::vector<KernelDesc>& kernels,
+               const GpuConfig& cfg, double obs_anchor)
+{
+    // When observability is on, collect the device timeline regardless
+    // of the caller's setting so kernel spans land on the merged trace.
     const bool obs_on = obs::enabled();
-    obs::ScopedSpan replay_span(obs::Category::Dispatch, "wired.replay");
-    const double obs_anchor = obs_on ? obs::now_ns() : 0.0;
     GpuConfig gpu_cfg = cfg;
     gpu_cfg.collect_trace = cfg.collect_trace || obs_on;
 
     std::unique_ptr<SimGpu> gpu;
     std::vector<EventId> events;
     DispatchResult result = run_dispatch_transaction(
-        gpu_cfg, bin.program.num_streams,
-        [&](SimGpu& g) {
-            // The steady-state hot loop: no dependency analysis, no
-            // descriptor construction, no hashing — one pass over the
-            // preresolved command array.
-            events.resize(static_cast<size_t>(bin.program.num_events));
-            for (int32_t e = 0; e < bin.program.num_events; ++e)
-                events[static_cast<size_t>(e)] = g.create_event();
-            for (const WiredCmd& cmd : bin.program.cmds) {
-                switch (cmd.op) {
-                case WiredOp::Launch:
-                    g.launch(cmd.stream,
-                             bin.kernels[static_cast<size_t>(cmd.arg)]);
-                    break;
-                case WiredOp::Record:
-                    g.record_event(cmd.stream,
-                                   events[static_cast<size_t>(cmd.arg)]);
-                    break;
-                case WiredOp::Wait:
-                    g.wait_event(cmd.stream,
-                                 events[static_cast<size_t>(cmd.arg)]);
-                    break;
-                }
-            }
-        },
-        &gpu);
+        program, kernels, gpu_cfg, &gpu, &events);
 
     if (cfg.collect_trace)
         result.trace = gpu->trace();
     if (obs_on) {
         obs::add_kernel_spans(gpu->trace(), obs_anchor);
-        static obs::Counter& replays = obs::counter("wired.replays");
-        replays.add();
-        static obs::Counter& kernels =
+        static obs::Counter& launched =
             obs::counter("dispatch.kernels_launched");
-        kernels.add(gpu->stats().kernels_launched);
+        launched.add(gpu->stats().kernels_launched);
         obs::observe("dispatch.total_ns", result.total_ns);
-        obs::observe("wired.replay_host_ns", result.host_enqueue_ns);
         if (result.fault_attempts > 0) {
             static obs::Counter& retries =
                 obs::counter("dispatch.fault_retries");
@@ -766,7 +888,48 @@ replay_wired(const WiredBinary& bin, const GpuConfig& cfg)
         }
     }
 
-    collect_wired_profiles(bin.program, events, *gpu, result);
+    collect_wired_profiles(program, events, *gpu, result);
+    return result;
+}
+
+}  // namespace
+
+DispatchResult
+dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
+              const TensorMap& tmap, const GpuConfig& cfg)
+{
+    obs::ScopedSpan dispatch_span(obs::Category::Dispatch,
+                                  "dispatch_plan");
+    const double obs_anchor = obs::enabled() ? obs::now_ns() : 0.0;
+    // The bind is the host work a replay of a lowered binary skips, so
+    // it counts as enqueue time.
+    const auto bind_start = std::chrono::steady_clock::now();
+    const WiredBinary bound =
+        bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
+    const double bind_ns = elapsed_ns(bind_start);
+
+    DispatchResult result =
+        dispatch_bound(bound.program, bound.kernels, cfg, obs_anchor);
+    result.host_enqueue_ns += bind_ns;
+    if (obs::enabled()) {
+        static obs::Counter& dispatches = obs::counter("dispatch.plans");
+        dispatches.add();
+    }
+    return result;
+}
+
+DispatchResult
+replay_wired(const WiredBinary& bin, const GpuConfig& cfg)
+{
+    obs::ScopedSpan replay_span(obs::Category::Dispatch, "wired.replay");
+    const double obs_anchor = obs::enabled() ? obs::now_ns() : 0.0;
+    DispatchResult result =
+        dispatch_bound(bin.program, bin.kernels, cfg, obs_anchor);
+    if (obs::enabled()) {
+        static obs::Counter& replays = obs::counter("wired.replays");
+        replays.add();
+        obs::observe("wired.replay_host_ns", result.host_enqueue_ns);
+    }
     return result;
 }
 

@@ -1,28 +1,31 @@
 /**
  * @file
- * Compiled steady-state dispatch: lowering a converged ExecutionPlan +
- * TensorMap into a "wired binary" that replays a mini-batch with zero
- * per-step dependency analysis, zero hash lookups and no per-step plan
- * allocation.
+ * The dispatch engine: every mini-batch, generic or compiled, is a
+ * bound plan (a preresolved command array plus one prebuilt kernel per
+ * step) walked on a simulated device.
  *
  * Astra's premise (paper §2.1) is that mini-batch iterations are
  * predictable: once wiring converges, millions of identical steps
- * follow. The generic dispatcher still walks the DFG every step —
- * per-node producer chasing, cross-stream wait resolution, kernel
- * descriptor construction. This module does that work once, at
- * lowering time, and freezes the result:
+ * follow. So the per-step work — producer chasing, cross-stream wait
+ * resolution, kernel descriptor construction — is done once, when a
+ * plan is bound, and frozen:
  *
  *  - WiredProgram: one contiguous array of launch records — every
- *    kernel launch, event record and event wait the dispatcher would
- *    have issued, with streams and event slots preresolved. Replay is
- *    a branch-light loop over this array.
- *  - WiredBinary: the program plus prebuilt kernel descriptors (fn
- *    pointers bound to arena byte offsets through the TensorMap) and
- *    the arena interval table (offset/size/lifetime per tensor).
- *  - Lowering audits every arena-byte reuse against the program's own
- *    happens-before order and inserts explicit control edges where
- *    reuse would otherwise rely on dynamic liveness (the npu_compiler
- *    feasible-memory-scheduler discipline; see memory_static.h).
+ *    kernel launch, event record and event wait of the mini-batch,
+ *    with streams and event slots preresolved. Walking it
+ *    (enqueue_wired) is a branch-light loop.
+ *  - bind_plan: compile_plan plus one prebuilt kernel descriptor per
+ *    step (fn pointers bound to arena byte offsets through the
+ *    TensorMap). dispatch_plan binds on every call and then walks;
+ *    the data-parallel dispatcher and the what-if engine walk the
+ *    same bound form.
+ *  - WiredBinary: a bound plan plus the arena interval table
+ *    (offset/size/lifetime per tensor). lower_plan audits every
+ *    arena-byte reuse against the program's own happens-before order
+ *    and inserts explicit control edges where reuse would otherwise
+ *    rely on dynamic liveness (the npu_compiler feasible-memory-
+ *    scheduler discipline; see memory_static.h). replay_wired walks
+ *    a lowered binary with no per-call bind at all.
  *  - verify_wired() is the compile-time barrier/ordering simulator: it
  *    replays the command stream abstractly (stream FIFO + event
  *    vector clocks) and rejects stale event slots, use-before-def and
@@ -32,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -75,11 +79,11 @@ struct WiredProfile
 };
 
 /**
- * The preresolved command stream of one mini-batch: what PlanEnqueuer
- * used to derive per dispatch, computed once. Commands of plan step i
- * occupy cmds[step_begin[i], step_begin[i+1]) — the span boundary is
- * where the dp path's after-step hook fires, so hook semantics are
- * identical to the generic dispatcher's.
+ * The preresolved command stream of one mini-batch: the dependency
+ * analysis of a plan, done once. Commands of plan step i occupy
+ * cmds[step_begin[i], step_begin[i+1]) — the span boundary is where
+ * enqueue_wired's after-step hook fires (the dp path's gradient
+ * flushes).
  */
 struct WiredProgram
 {
@@ -107,11 +111,9 @@ struct WiredProgram
 };
 
 /**
- * Compile a plan's dispatch into a WiredProgram. Performs the same
- * dependency analysis as the generic dispatcher (producer steps,
- * cross-stream waits, barrier rendezvous, profiling events) and emits
- * the identical command sequence — replaying the program is
- * bit-identical to enqueueing the plan.
+ * Compile a plan's dispatch into a WiredProgram: producer steps,
+ * cross-stream waits, barrier rendezvous and profiling events, in
+ * plan-step order.
  *
  * @param profiling honor the steps' profile/epoch_metric flags (false
  *        skips instrumentation events — the dp path measures whole
@@ -123,8 +125,7 @@ WiredProgram compile_plan(const ExecutionPlan& plan, const Graph& graph,
 /**
  * Fill result.profile_ns from a synchronized device's event times,
  * following the program's readout recipes. `events` maps slot ->
- * EventId as created by the replayer. Shared by PlanEnqueuer and
- * replay_wired so both paths compute profiles with the same code.
+ * EventId as created by enqueue_wired.
  */
 void collect_wired_profiles(const WiredProgram& program,
                             const std::vector<EventId>& events,
@@ -158,10 +159,12 @@ struct WiredStepAccess
 };
 
 /**
- * A fully lowered mini-batch: program + prebuilt kernels + arena map.
- * Valid as long as the TensorMap (and its SimMemory) it was lowered
- * against outlive it — kernel compute closures capture raw buffer
- * pointers, exactly like recorded CUDA graphs capture device pointers.
+ * A bound mini-batch (program + prebuilt kernels), plus the arena map
+ * once lowered. bind_plan fills only `program` and `kernels`;
+ * lower_plan adds the rest. Valid as long as the TensorMap (and its
+ * SimMemory) it was bound against outlive it — kernel compute closures
+ * capture raw buffer pointers, exactly like recorded CUDA graphs
+ * capture device pointers.
  */
 struct WiredBinary
 {
@@ -196,25 +199,51 @@ struct WiredBinary
 };
 
 /**
- * Lower a converged plan into a wired binary: compile the command
- * stream (with profiling instrumentation), prebuild every kernel
- * descriptor against the TensorMap, tabulate arena intervals, and
- * audit every byte-overlapping interval pair against the program's
- * happens-before order — inserting control edges where the schedule
- * alone does not order a reuse. Panics if the plan/TensorMap pair is
- * statically unschedulable (e.g. two live tensors share bytes).
+ * Bind a plan for dispatch: compile_plan, then build one kernel
+ * descriptor per non-barrier step against the TensorMap (names, fused
+ * shapes, compute closures and costs under `cfg`). No arena audit.
+ *
+ * @param profiling compile the steps' profile/epoch_metric
+ *        instrumentation (see compile_plan).
+ */
+WiredBinary bind_plan(const ExecutionPlan& plan, const Graph& graph,
+                      const TensorMap& tmap, const GpuConfig& cfg,
+                      bool profiling);
+
+/**
+ * Walk a bound program onto a device whose streams already exist:
+ * create the program's event slots in `events`, then issue every
+ * command in order. `after_step(i)` runs right after non-barrier step
+ * i's commands — the injection point for the dp path's gradient-bucket
+ * flushes. Commands the hook enqueues share the host enqueue pipeline,
+ * so comm launch overhead delays later compute launches exactly as a
+ * DDP hook does on real hardware.
+ */
+void enqueue_wired(const WiredProgram& program,
+                   const std::vector<KernelDesc>& kernels, SimGpu& gpu,
+                   std::vector<EventId>& events,
+                   const std::function<void(int)>& after_step = {});
+
+/**
+ * Lower a converged plan into a wired binary: bind it (with profiling
+ * instrumentation), tabulate arena intervals, and audit every
+ * byte-overlapping interval pair against the program's happens-before
+ * order — inserting control edges where the schedule alone does not
+ * order a reuse. Panics if the plan/TensorMap pair is statically
+ * unschedulable (e.g. two live tensors share bytes).
  */
 WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg);
 
 /**
- * Replay a wired binary on a fresh simulated device: a tight loop over
- * the command array — no dependency analysis, no name formatting, no
- * per-step allocation, no hash lookups. Shares dispatch_plan's
- * mini-batch transaction semantics (fault retry, autoboost salting),
- * so results are bit-identical to the generic dispatcher for the same
- * plan. DispatchResult::host_enqueue_ns reports the measured wall-time
- * cost of the enqueue loop, comparable against dispatch_plan's.
+ * Replay a lowered binary on a fresh simulated device: the engine
+ * dispatch_plan runs, minus the bind — a tight loop over the command
+ * array with no dependency analysis, descriptor construction or hash
+ * lookups. The same transaction (fault retry, autoboost salting) runs
+ * both, so results are bit-identical to dispatch_plan of the same plan
+ * unless lowering had to insert control edges.
+ * DispatchResult::host_enqueue_ns reports the measured wall-time cost
+ * of the walk, comparable against dispatch_plan's bind + walk.
  */
 DispatchResult replay_wired(const WiredBinary& bin, const GpuConfig& cfg);
 

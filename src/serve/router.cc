@@ -663,10 +663,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                             std::to_string(bucket_len),
                         /*lane=*/i);
                     if (generic) {
-                        // Invalidated blob: never replay it. The
-                        // generic dispatcher runs the same plan from
-                        // its uncompiled form — identical simulated
-                        // semantics, no stale compiled stream.
+                        // Invalidated blob: never replay it.
+                        // dispatch_plan binds the plan afresh and runs
+                        // it through the same engine — identical
+                        // simulated semantics, no stale compiled
+                        // stream.
                         const AstraSession& s =
                             proto_->router().session(b);
                         dr = dispatch_plan(

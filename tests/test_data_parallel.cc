@@ -307,6 +307,94 @@ TEST(DataParallel, PersistentStragglersTriggerSerialFallback)
     EXPECT_FALSE(d.fell_back_serial);
 }
 
+TEST(DataParallel, DispatchTimingsArePinned)
+{
+    // Exact measured outcomes of one fixed fused, two-stream plan over
+    // the dp dispatcher's grid (degree x flush schedule x bucket
+    // extremes). The other tests here check relations between
+    // results; this one pins the numbers, so a change to how the plan
+    // is bound or walked cannot move simulated time unnoticed.
+    ModelConfig mc;
+    mc.batch = 8;
+    mc.seq_len = 3;
+    mc.hidden = 32;
+    mc.embed_dim = 32;
+    mc.vocab = 50;
+    mc.layers = 2;
+    const BuiltModel m = build_model(ModelKind::StackedLstm, mc);
+    AstraOptions opts;
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = false;
+    opts.gpu.faults = FaultPlan();
+    const AstraSession session(m.graph(), opts);
+    const SearchSpace& space = session.space();
+    ScheduleConfig cfg;
+    cfg.group_chunk.assign(space.groups.size(), 1);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+    for (const FusionGroup& g : space.groups)
+        cfg.group_chunk[static_cast<size_t>(g.id)] =
+            g.chunk_options.back();
+    cfg.use_streams = true;
+    cfg.num_streams = 2;
+    const ExecutionPlan plan = session.scheduler().build(cfg);
+    const DataParallelSpace dp = enumerate_dp_space(m.graph());
+
+    struct Pin
+    {
+        int degree;
+        FlushSchedule flush;
+        bool one_bucket;  ///< bucket_bytes = grad_bytes, else 0
+        double step_ns, compute_ns, comm_ns, overlap_ns;
+        int num_buckets;
+    };
+    // Values as measured when the dispatcher still built its kernels
+    // at enqueue time.
+    const Pin pins[] = {
+        {1, FlushSchedule::Eager, false, 1319910.7243123013,
+         1319910.7243123013, 0, 0, 0},
+        {1, FlushSchedule::Eager, true, 1319910.7243123013,
+         1319910.7243123013, 0, 0, 0},
+        {1, FlushSchedule::EndOfStep, false, 1319910.7243123013,
+         1319910.7243123013, 0, 0, 0},
+        {1, FlushSchedule::EndOfStep, true, 1319910.7243123013,
+         1319910.7243123013, 0, 0, 0},
+        {2, FlushSchedule::Eager, false, 1652529.14193823,
+         1557458.6584615384, 593039.9999999986, 497969.51652330719, 27},
+        {2, FlushSchedule::Eager, true, 1393010.7243123013,
+         1319910.7243123013, 73040, 0, 1},
+        {2, FlushSchedule::EndOfStep, false, 1914050.7243122999,
+         1319910.7243123013, 593039.9999999986, 0, 27},
+        {2, FlushSchedule::EndOfStep, true, 1393010.7243123013,
+         1319910.7243123013, 73040, 0, 1},
+        {4, FlushSchedule::Eager, false, 2594919.9004603806,
+         2264658.6584615386, 1699559.9999999937, 1369298.758001152, 27},
+        {4, FlushSchedule::Eager, true, 1459610.7243123013,
+         1319910.7243123013, 139560, 0, 1},
+        {4, FlushSchedule::EndOfStep, false, 3022730.7243122961,
+         1319910.7243123013, 1699559.9999999949, 0, 27},
+        {4, FlushSchedule::EndOfStep, true, 1459610.7243123013,
+         1319910.7243123013, 139560, 0, 1},
+    };
+    for (const Pin& pin : pins) {
+        DpOptions dopts;
+        dopts.degree = pin.degree;
+        dopts.flush = pin.flush;
+        dopts.bucket_bytes = pin.one_bucket ? dp.grad_bytes : 0;
+        const DpResult r =
+            dispatch_plan_dp(plan, m.graph(), session.tensor_map(0),
+                             opts.gpu, dp.grad_nodes, dopts);
+        const std::string at =
+            "G=" + std::to_string(pin.degree) + " " +
+            flush_schedule_name(pin.flush) +
+            (pin.one_bucket ? " one-bucket" : " per-tensor");
+        EXPECT_EQ(r.step_ns, pin.step_ns) << at;
+        EXPECT_EQ(r.compute_ns, pin.compute_ns) << at;
+        EXPECT_EQ(r.comm_ns, pin.comm_ns) << at;
+        EXPECT_EQ(r.overlap_ns, pin.overlap_ns) << at;
+        EXPECT_EQ(r.num_buckets, pin.num_buckets) << at;
+    }
+}
+
 TEST(DataParallel, BestDegreeAssertsOnEmptyInput)
 {
     EXPECT_DEATH(best_degree({}, 32), "no scaling points");

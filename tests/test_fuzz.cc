@@ -6,9 +6,11 @@
  * choices included), dispatch with values — and check the global
  * invariants: every plan covers every node exactly once in topological
  * order, a scheduler warmed on a sibling configuration emits the same
- * plan as a fresh one, and every configuration is bit-identical to the
- * native dispatch. This is where grouping edge cases the hand-written
- * models never produce get caught.
+ * plan as a fresh one, every configuration is bit-identical to the
+ * native dispatch, and its lowered binary verifies and replays to the
+ * same values and timings as dispatching the plan. This is where
+ * grouping edge cases the hand-written models never produce get
+ * caught.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "core/astra.h"
 #include "graph/builder.h"
 #include "models/data.h"
+#include "runtime/wired.h"
 #include "tests/util.h"
 
 namespace astra {
@@ -156,6 +159,9 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
                     grp.chunk_options.size())];
             cfg.group_lib[static_cast<size_t>(grp.id)] =
                 static_cast<GemmLib>(cfg_rng.next_below(kNumGemmLibs));
+            // Keyed groups (and epochs below) give the replay check a
+            // profile map to compare.
+            cfg.group_keys[grp.id] = "fz|g" + std::to_string(grp.id);
         }
         if (cfg.use_streams) {
             // Warm the shared scheduler on a sibling (same binding,
@@ -163,6 +169,10 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             // cached skeleton must equal a fresh scheduler's.
             sched.build_cached(draw_choices(cfg));
             cfg = draw_choices(cfg);
+            for (const EpochInfo& e : sched.stream_space(cfg).epochs)
+                cfg.epoch_keys[{e.super_epoch, e.level}] =
+                    "fz|e" + std::to_string(e.super_epoch) + "." +
+                    std::to_string(e.level);
         }
         const ExecutionPlan plan = sched.build(cfg);
         EXPECT_EQ(testutil::plan_dump(plan),
@@ -182,13 +192,37 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
                 ASSERT_TRUE(covered.count(n.id)) << "node %" << n.id;
             }
 
-        // Value invariant, on the strategy's own layout.
+        // Value invariant, on the strategy's own layout. The device is
+        // pinned to base clock and no faults: the timing identity below
+        // holds only there.
         testutil::Runner cand(
             g, space.strategies[static_cast<size_t>(cfg.strategy)].runs);
+        cand.config().autoboost = false;
+        cand.config().faults = FaultPlan();
         Rng data_rng2(GetParam() ^ 0xabcdef);
         bind_all(g, cand.tmap(), data_rng2);
-        cand.run(plan);
+        const DispatchResult dispatched = cand.run(plan);
         ASSERT_EQ(cand.scalar(loss), expect)
+            << "seed " << GetParam() << " trial " << trial;
+
+        // Steady state: the lowered binary verifies without control
+        // edges and replays to the same loss (recomputed, not left
+        // over) and the same timings.
+        const WiredBinary bin =
+            lower_plan(plan, g, cand.tmap(), cand.config());
+        const WiredVerdict verdict = verify_wired(bin);
+        ASSERT_TRUE(verdict.ok)
+            << verdict.why << " (seed " << GetParam() << " trial " << trial
+            << ")";
+        EXPECT_EQ(bin.control_edges, 0)
+            << "seed " << GetParam() << " trial " << trial;
+        cand.tmap().f32(loss)[0] = std::nanf("");
+        const DispatchResult replayed = replay_wired(bin, cand.config());
+        EXPECT_EQ(cand.scalar(loss), expect)
+            << "seed " << GetParam() << " trial " << trial;
+        EXPECT_EQ(replayed.total_ns, dispatched.total_ns)
+            << "seed " << GetParam() << " trial " << trial;
+        EXPECT_EQ(replayed.profile_ns, dispatched.profile_ns)
             << "seed " << GetParam() << " trial " << trial;
     }
 }

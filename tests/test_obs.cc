@@ -246,7 +246,7 @@ TEST(ObsSpans, DisabledEmitsNothing)
         obs::ScopedSpan span(obs::Category::Wire, "ghost");
         obs::counter("ghost.counter").add(42);
         obs::observe("ghost.hist", 1.0);
-        obs::add_kernel_spans({TraceSpan{"k", 0, 0.0, 1.0}}, 0.0);
+        obs::add_kernel_spans({TraceSpan{"k", 0, 0.0, 1.0, ""}}, 0.0);
     }
     EXPECT_TRUE(obs::host_spans().empty());
     EXPECT_TRUE(obs::kernel_spans().empty());
@@ -357,8 +357,8 @@ TEST(ObsCounters, ConcurrentRegistrationAndLookup)
 TEST(ObsExport, KernelOnlyTraceIsValidJson)
 {
     std::vector<TraceSpan> spans;
-    spans.push_back({"gemm \"odd\\name\"", 0, 1000.0, 5000.0});
-    spans.push_back({"ew", 1, 2000.0, 3000.0});
+    spans.push_back({"gemm \"odd\\name\"", 0, 1000.0, 5000.0, ""});
+    spans.push_back({"ew", 1, 2000.0, 3000.0, ""});
     std::ostringstream os;
     write_chrome_trace(os, spans);
     const JsonPtr doc = parse_json(os.str());
@@ -380,7 +380,7 @@ TEST(ObsExport, MergedTraceHasHostAndKernelSpans)
     { obs::ScopedSpan s1(obs::Category::Enumerate, "enumerate_x"); }
     { obs::ScopedSpan s2(obs::Category::Wire, "wire_x"); }
     { obs::ScopedSpan s3(obs::Category::Dispatch, "dispatch_x"); }
-    obs::add_kernel_spans({TraceSpan{"kern_x", 2, 100.0, 200.0}}, 50.0);
+    obs::add_kernel_spans({TraceSpan{"kern_x", 2, 100.0, 200.0, ""}}, 50.0);
 
     std::ostringstream os;
     obs::write_chrome_trace(os);

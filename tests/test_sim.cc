@@ -415,8 +415,8 @@ TEST(SimGpu, TraceOffByDefault)
 TEST(Trace, ChromeJsonFormat)
 {
     std::vector<TraceSpan> spans = {
-        {"mm.\"x\"", 0, 1000.0, 3000.0},
-        {"few", 1, 2000.0, 2500.0},
+        {"mm.\"x\"", 0, 1000.0, 3000.0, ""},
+        {"few", 1, 2000.0, 2500.0, ""},
     };
     std::ostringstream os;
     write_chrome_trace(os, spans);

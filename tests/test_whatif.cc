@@ -16,6 +16,8 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/astra.h"
 #include "core/plan_store.h"
@@ -236,6 +238,28 @@ TEST(WhatIf, MalformedTracesRejectedWithLineDiagnostics)
         bad.replace(pos, bad.find('\n', pos) - pos,
                     "steps 999999999999");
         expect_rejected(bad, "hostile step count");
+    }
+    {
+        // Step spans must tile the command array exactly once: the
+        // replay walks it span by span. Swapping two rising entries
+        // keeps both ends and makes one span run backwards.
+        const size_t pos = text.find("\nstep_begin ") + 1;
+        const size_t end = text.find('\n', pos);
+        std::vector<std::string> tok;
+        std::istringstream line(text.substr(pos, end - pos));
+        for (std::string t; line >> t;)
+            tok.push_back(t);
+        size_t rise = 2;
+        while (rise + 2 < tok.size() && tok[rise] == tok[rise + 1])
+            ++rise;
+        ASSERT_LT(rise + 2, tok.size()) << "no interior rise to swap";
+        std::swap(tok[rise], tok[rise + 1]);
+        std::string swapped;
+        for (const std::string& t : tok)
+            swapped += (swapped.empty() ? "" : " ") + t;
+        std::string bad = text;
+        bad.replace(pos, end - pos, swapped);
+        expect_rejected(bad, "step spans out of order");
     }
     {
         RecordedTrace out;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Compiled-dispatch tests: WiredProgram compilation structure, static
- * arena planning, replay-vs-generic bit-identity across the model zoo
+ * arena planning, replay-vs-dispatch bit-identity across the model zoo
  * (fused, streamed, profiled and recompute variants), value
  * preservation with executing kernels, the scheduler's wired-binary
- * cache, and — critically — *non-vacuous* adversarial checks that the
- * verifier rejects each class of illegal lowering it claims to catch
- * (cross-stream reuse without a control edge, stale event slots,
- * use-before-def, arena overlap while live).
+ * cache behind AstraSession::run, and — critically — *non-vacuous*
+ * adversarial checks that the verifier rejects each class of illegal
+ * lowering it claims to catch (cross-stream reuse without a control
+ * edge, stale event slots, use-before-def, arena overlap while live).
  */
 #include <gtest/gtest.h>
 
@@ -21,15 +21,16 @@
 #include "models/models.h"
 #include "runtime/memory_static.h"
 #include "runtime/wired.h"
+#include "sim/memory.h"
 #include "tests/util.h"
 
 namespace astra {
 namespace {
 
 /**
- * Identity tests pin autoboost and fault injection: the generic and
- * compiled paths draw independent process-wide salts, so bit-identity
- * is a base-clock, fault-free property (the CI fault/autoboost matrix
+ * Identity tests pin autoboost and fault injection: a dispatch and a
+ * replay draw independent process-wide salts, so bit-identity is a
+ * base-clock, fault-free property (the CI fault/autoboost matrix
  * re-runs everything else under jitter).
  */
 GpuConfig
@@ -331,6 +332,45 @@ TEST(VerifyWired, CatchesArenaOverlapWhileLive)
         << v.why;
 }
 
+TEST(VerifyWired, SameStepOverlapNeedsATensorThatDiesInTheStep)
+{
+    // Step 0 defines two intervals on the same bytes. Its kernel
+    // computes its nodes in order, so that is legal while interval 0
+    // dies inside step 0 — and an overlap while live once step 1 reads
+    // it too.
+    WiredBinary bin;
+    WiredProgram& p = bin.program;
+    p.num_streams = 1;
+    p.cmds = {{WiredOp::Launch, 0, 0}, {WiredOp::Launch, 0, 1}};
+    p.step_begin = {0, 1, 2};
+    p.is_barrier = {0, 0};
+    bin.kernels.resize(2);
+    ArenaInterval i0;
+    i0.node = 0;
+    i0.offset = 0;
+    i0.bytes = 512;
+    i0.def_step = 0;
+    i0.last_use_step = 0;
+    ArenaInterval i1 = i0;
+    i1.node = 1;
+    i1.last_use_step = 1;
+    bin.intervals = {i0, i1};
+    bin.defs = {0, 1};
+    bin.uses = {1};
+    bin.access = {{0, 0, 0, 2}, {0, 1, 2, 2}};
+    bin.arena_bytes = 512;
+    const WiredVerdict good = verify_wired(bin);
+    EXPECT_TRUE(good.ok) << good.why;
+
+    bin.intervals[0].last_use_step = 1;
+    bin.uses = {0, 1};
+    bin.access = {{0, 0, 0, 2}, {0, 2, 2, 2}};
+    const WiredVerdict bad = verify_wired(bin);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.why.find("overlap-while-live"), std::string::npos)
+        << bad.why;
+}
+
 // ---- replay bit-identity across the zoo ----------------------------------
 
 ModelConfig
@@ -422,19 +462,53 @@ TEST(ReplayWired, BitIdenticalOnRecomputeRewrite)
     check_identity(session, cfg);
 }
 
+TEST(ReplayWired, ReuseArenaRecyclesBytesInsideAFusedStep)
+{
+    // The Reuse planner may hand a fused step's output the bytes of a
+    // tensor that dies inside the same step (its last readers are the
+    // output's ancestors). The step's kernel computes its nodes in
+    // order, so lowering must accept the overlap without a control
+    // edge and replay exactly like a dispatch.
+    const BuiltModel m = build_model(ModelKind::SubLstm, tiny_config());
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SimMemory mem(graph_tensor_bytes(m.graph()) + (1 << 20), false);
+    const TensorMap tmap(m.graph(), mem, space.strategies[0].runs,
+                         MemoryPlanMode::Reuse);
+    const Scheduler sched(m.graph(), space);
+    ScheduleConfig cfg;
+    cfg.group_chunk.assign(space.groups.size(), 1);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+    const ExecutionPlan plan = sched.build(cfg);
+    const GpuConfig gpu = pinned_gpu();
+
+    const WiredBinary bin = lower_plan(plan, m.graph(), tmap, gpu);
+    int same_step_overlaps = 0;
+    for (const ArenaInterval& a : bin.intervals)
+        for (const ArenaInterval& b : bin.intervals)
+            same_step_overlaps +=
+                &a < &b && a.def_step >= 0 && a.def_step == b.def_step &&
+                a.offset < b.offset + b.bytes &&
+                b.offset < a.offset + a.bytes;
+    ASSERT_GT(same_step_overlaps, 0) << "no intra-step reuse to check";
+    const WiredVerdict v = verify_wired(bin);
+    ASSERT_TRUE(v.ok) << v.why;
+    EXPECT_EQ(bin.control_edges, 0);
+    expect_bit_identical(dispatch_plan(plan, m.graph(), tmap, gpu),
+                         replay_wired(bin, gpu));
+}
+
 TEST(ReplayWired, ValuesMatchGenericDispatchExactly)
 {
     // Two independent sessions over the same graph, identically
-    // seeded; one dispatches generically, one replays the wired
-    // binary with kernels executing. Outputs must agree bit-exactly.
+    // seeded; one dispatches the plan (bind + walk), one replays the
+    // session's cached wired binary, with kernels executing. Outputs
+    // must agree bit-exactly.
     const BuiltModel m = build_model(ModelKind::Scrnn, tiny_config());
-    AstraOptions gopts;
-    gopts.gpu = pinned_gpu();
-    gopts.gpu.execute_kernels = true;
-    AstraSession generic(m.graph(), gopts);
-    AstraOptions copts = gopts;
-    copts.compiled_dispatch = true;
-    AstraSession compiled(m.graph(), copts);
+    AstraOptions opts;
+    opts.gpu = pinned_gpu();
+    opts.gpu.execute_kernels = true;
+    AstraSession generic(m.graph(), opts);
+    AstraSession compiled(m.graph(), opts);
 
     Rng r1(33), r2(33);
     bind_all(m.graph(), generic.tensor_map(0), r1);
@@ -444,7 +518,9 @@ TEST(ReplayWired, ValuesMatchGenericDispatchExactly)
     cfg.group_chunk.assign(generic.space().groups.size(), 1);
     cfg.group_lib.assign(generic.space().groups.size(),
                          GemmLib::Cublas);
-    const DispatchResult a = generic.run(cfg);
+    const DispatchResult a =
+        dispatch_plan(*generic.scheduler().build_cached(cfg), m.graph(),
+                      generic.tensor_map(0), opts.gpu);
     const DispatchResult b = compiled.run(cfg);
     EXPECT_EQ(a.total_ns, b.total_ns);
 
@@ -466,7 +542,6 @@ TEST(CompiledDispatch, SessionCachesLoweredBinary)
     const BuiltModel m = build_model(ModelKind::Scrnn, tiny_config());
     AstraOptions opts;
     opts.gpu = pinned_gpu();
-    opts.compiled_dispatch = true;
     AstraSession session(m.graph(), opts);
     ScheduleConfig cfg;
     cfg.group_chunk.assign(session.space().groups.size(), 1);
@@ -491,18 +566,18 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
     const BuiltModel m = build_model(ModelKind::MiLstm, tiny_config());
     AstraOptions opts;
     opts.gpu = pinned_gpu();
-    AstraSession generic(m.graph(), opts);
-    AstraOptions copts = opts;
-    copts.compiled_dispatch = true;
-    AstraSession compiled(m.graph(), copts);
+    AstraSession session(m.graph(), opts);
 
     ScheduleConfig cfg;
-    cfg.group_chunk.assign(generic.space().groups.size(), 1);
-    cfg.group_lib.assign(generic.space().groups.size(),
+    cfg.group_chunk.assign(session.space().groups.size(), 1);
+    cfg.group_lib.assign(session.space().groups.size(),
                          GemmLib::Cublas);
-    for (const FusionGroup& g : generic.space().groups)
+    for (const FusionGroup& g : session.space().groups)
         cfg.group_keys[g.id] = "w|" + g.key;
-    expect_bit_identical(generic.run(cfg), compiled.run(cfg));
+    expect_bit_identical(
+        dispatch_plan(*session.scheduler().build_cached(cfg), m.graph(),
+                      session.tensor_map(cfg.strategy), opts.gpu),
+        session.run(cfg));
 }
 
 }  // namespace
