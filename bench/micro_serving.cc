@@ -1,6 +1,8 @@
 /**
  * @file
- * Gates the online serving loop (src/serve) end to end:
+ * Gates the online serving loop (src/serve) end to end, each scenario
+ * served by a one-replica ReplicaFleet (the single-server
+ * configuration):
  *
  *  1. Calm traffic: p99 latency under the SLO, zero requests dropped
  *     or missed, on Poisson arrivals with a diurnal burst.
@@ -10,7 +12,8 @@
  *  3. Forced drift: a mid-trace thermal-throttle step (0.7x clocks)
  *     must be detected from window statistics within a bounded
  *     request budget, trigger an off-path re-wire warm-started from
- *     the plan store, and hot-swap the new wired blob with ZERO
+ *     the plan store (the bucket serves through generic dispatch
+ *     meanwhile), and hot-swap the new wired blob with ZERO
  *     dropped requests — and the installed configuration must be
  *     FNV-bit-identical to an offline re-wire on the same throttled
  *     device (the refreshed store entry answers both).
@@ -25,7 +28,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "serve/server.h"
+#include "serve/router.h"
 
 using namespace astra;
 using namespace astra::bench;
@@ -53,10 +56,12 @@ scrnn_builder()
     };
 }
 
-serve::ServeOptions
+serve::FleetOptions
 base_options(const Env& env, const std::string& store)
 {
-    serve::ServeOptions so;
+    serve::FleetOptions fo;
+    fo.replicas = 1;
+    serve::ServeOptions& so = fo.base;
     so.bucket_lengths = {4, 6, 8};
     so.build = scrnn_builder();
     so.astra.gpu = env.gpu;
@@ -69,7 +74,7 @@ base_options(const Env& env, const std::string& store)
     so.astra.gpu.faults = FaultPlan();
     so.astra.plan_store = store;
     so.max_batch = 4;
-    return so;
+    return fo;
 }
 
 std::string
@@ -83,15 +88,14 @@ fresh_store(const char* name)
 }
 
 serve::TrafficConfig
-calibrated_traffic(const serve::BucketedServer& server, uint64_t seed)
+calibrated_traffic(serve::ReplicaFleet& fleet, uint64_t seed)
 {
     // Self-calibrate to the measured plans so the gates track the
     // timing model instead of hard-coding nanoseconds: a base load of
     // ~35% of the largest bucket's batch capacity (the 2x burst then
     // peaks at ~70%, loaded but stable), SLO at 30 batches.
-    const int last =
-        static_cast<int>(server.router().bucket_lengths().size()) - 1;
-    const double batch_ns = server.plan(last).baseline_ns;
+    const int last = fleet.prototype().router().num_buckets() - 1;
+    const double batch_ns = fleet.replica(0).plan(last).baseline_ns;
     serve::TrafficConfig cfg;
     cfg.duration_ns = g_duration_batches * batch_ns;
     cfg.base_rps = 0.35 * 4.0 * 1e9 / batch_ns;
@@ -127,23 +131,22 @@ main(int argc, char** argv)
     bool ok = true;
 
     // ---- calm traffic, watcher armed ---------------------------------
-    serve::ServeOptions armed_opts =
-        base_options(env, fresh_store("astra_bench_serve_calm"));
-    serve::BucketedServer armed(armed_opts);
+    serve::ReplicaFleet armed(
+        base_options(env, fresh_store("astra_bench_serve_calm")));
     const int64_t explored = armed.optimize();
     const serve::TrafficConfig tcfg = calibrated_traffic(armed, 23);
     const auto traffic = serve::generate_traffic(tcfg);
-    const serve::ServeReport calm = armed.serve(traffic);
+    const serve::ServeReport calm = armed.serve(traffic).total;
     std::printf("%s\n",
                 calm.to_text("calm traffic (watcher armed)").c_str());
 
     // ---- same trace, watcher disarmed --------------------------------
-    serve::ServeOptions disarmed_opts =
+    serve::FleetOptions disarmed_opts =
         base_options(env, fresh_store("astra_bench_serve_off"));
-    disarmed_opts.watcher.enabled = false;
-    serve::BucketedServer disarmed(disarmed_opts);
+    disarmed_opts.base.watcher.enabled = false;
+    serve::ReplicaFleet disarmed(disarmed_opts);
     disarmed.optimize();
-    const serve::ServeReport baseline = disarmed.serve(traffic);
+    const serve::ServeReport baseline = disarmed.serve(traffic).total;
 
     // ---- forced drift mid-trace --------------------------------------
     // Give the drifting run headroom: 0.7x clocks stretch service by
@@ -151,15 +154,15 @@ main(int argc, char** argv)
     serve::TrafficConfig dcfg = calibrated_traffic(armed, 23);
     dcfg.slo_ns *= 2.0;
     const double drift_at = 0.5 * dcfg.duration_ns;
-    serve::ServeOptions drift_opts =
+    serve::FleetOptions drift_opts =
         base_options(env, fresh_store("astra_bench_serve_drift"));
-    drift_opts.record_batches = true;
-    drift_opts.watcher.min_window = 4;
-    drift_opts.clock_schedule.push_back({drift_at, 0.7});
-    serve::BucketedServer drifting(drift_opts);
+    drift_opts.base.record_batches = true;
+    drift_opts.base.watcher.min_window = 4;
+    drift_opts.base.clock_schedule.push_back({drift_at, 0.7});
+    serve::ReplicaFleet drifting(drift_opts);
     drifting.optimize();
     const auto dtraffic = serve::generate_traffic(dcfg);
-    const serve::ServeReport drift = drifting.serve(dtraffic);
+    const serve::ServeReport drift = drifting.serve(dtraffic).total;
     std::printf("%s\n", drift.to_text("forced drift (0.7x clocks)")
                             .c_str());
 
@@ -182,7 +185,7 @@ main(int argc, char** argv)
     row("calm / watcher off", baseline);
     row("drift 0.7x / live re-wire", drift);
     table.print();
-    std::printf("exploration mini-batches (calm server): %lld\n",
+    std::printf("exploration mini-batches (calm fleet): %lld\n",
                 static_cast<long long>(explored));
 
     // ---- gates -------------------------------------------------------
@@ -209,15 +212,16 @@ main(int argc, char** argv)
 
     // FNV bit-identity: the installed plan of every swapped bucket
     // must match an offline re-wire on the same throttled device.
-    GpuConfig throttled = drift_opts.astra.gpu;
+    GpuConfig throttled = drift_opts.base.astra.gpu;
     throttled.forced_clock_multiplier = 0.7;
     bool any_swapped = false;
-    for (int b = 0; b < drifting.router().num_buckets(); ++b) {
-        const auto installed = drifting.plan(b);
+    const BucketedAstra& router = drifting.prototype().router();
+    for (int b = 0; b < router.num_buckets(); ++b) {
+        const auto installed = drifting.replica(0).plan(b);
         if (installed.epoch == 0)
             continue;
         any_swapped = true;
-        const auto offline = drifting.rewire(b, throttled);
+        const auto offline = drifting.prototype().rewire(b, throttled);
         ok &= gate(offline.config_fnv == installed.config_fnv,
                    "live re-wire config differs from offline re-wire");
     }

@@ -5,9 +5,9 @@
  * every count below is pinned, not approximate:
  *
  *  1. Armed-but-silent fleet: a 1-replica fleet whose replica-death
- *     spec never fires inside the trace must match the single-server
- *     PR-8 path within 1% p99 (the routing layer is free when nothing
- *     fails).
+ *     spec never fires inside the trace must match an unarmed
+ *     1-replica fleet within 1% p99 (failure detection is free when
+ *     nothing fails).
  *  2. Replica death: a 3-replica fleet loses one replica mid-burst.
  *     Zero requests lost, zero double-served, the death detected
  *     within a pinned completion budget of the heartbeat deadline.
@@ -120,22 +120,24 @@ main(int argc, char** argv)
     Env env;
     bool ok = true;
 
-    // ---- scenario 1: armed-but-silent fleet vs single server ---------
-    serve::ServeOptions single_opts =
-        base_options(env, fresh_store("astra_chaos_single"));
-    serve::BucketedServer single(single_opts);
-    const int64_t explored = single.optimize();
+    // ---- scenario 1: armed-but-silent fleet vs unarmed fleet ---------
+    serve::FleetOptions unarmed_opts;
+    unarmed_opts.base =
+        base_options(env, fresh_store("astra_chaos_unarmed"));
+    unarmed_opts.replicas = 1;
+    serve::ReplicaFleet unarmed(unarmed_opts);
+    const int64_t explored = unarmed.optimize();
     const double batch_ns =
-        single
+        unarmed.replica(0)
             .plan(static_cast<int>(
-                      single_opts.bucket_lengths.size()) -
+                      unarmed_opts.base.bucket_lengths.size()) -
                   1)
             .baseline_ns;
 
     const serve::TrafficConfig calm_cfg =
         calibrated_traffic(batch_ns, 0.35, 23);
     const auto calm_traffic = serve::generate_traffic(calm_cfg);
-    const serve::ServeReport single_rep = single.serve(calm_traffic);
+    const serve::FleetReport unarmed_rep = unarmed.serve(calm_traffic);
 
     serve::FleetOptions silent_opts;
     silent_opts.base =
@@ -218,7 +220,7 @@ main(int argc, char** argv)
     // ---- summary table -----------------------------------------------
     TextTable table(
         "Micro: multi-replica serving chaos (gates: silent fleet "
-        "<= 1% p99 vs single server; death -> zero lost / zero "
+        "<= 1% p99 vs unarmed fleet; death -> zero lost / zero "
         "double-served / bounded detection; EDF goodput > FIFO; "
         "bit-identical repeat)");
     table.set_header({"Scenario", "p99 ms", "goodput rps", "lost",
@@ -232,31 +234,28 @@ main(int argc, char** argv)
              static_cast<double>(r.failed),
              static_cast<double>(r.failover_detect_budget)});
     };
-    table.add_row("single server (PR-8 path)",
-                  {single_rep.p99_ns / 1e6, single_rep.goodput_rps,
-                   static_cast<double>(single_rep.dropped), 0.0,
-                   -1.0});
+    row("unarmed fleet (1 replica)", unarmed_rep);
     row("armed-but-silent fleet", silent_rep);
     row("replica death (3 replicas)", death_rep);
     row("overload EDF shed", edf_rep);
     row("overload FIFO overflow", fifo_rep);
     table.print();
-    std::printf("exploration mini-batches (single server): %lld\n",
+    std::printf("exploration mini-batches (unarmed fleet): %lld\n",
                 static_cast<long long>(explored));
 
     // ---- gates: silent fleet parity -----------------------------------
-    ok &= gate(silent_rep.total.served == single_rep.served &&
+    ok &= gate(silent_rep.total.served == unarmed_rep.total.served &&
                    silent_rep.total.dropped == 0,
                "silent fleet served a different request count");
     ok &= gate(silent_rep.deaths_detected == 0 &&
                    silent_rep.retries == 0,
                "silent fleet saw phantom failures");
-    ok &= gate(single_rep.p99_ns > 0.0 &&
+    ok &= gate(unarmed_rep.total.p99_ns > 0.0 &&
                    silent_rep.total.p99_ns <=
-                       1.01 * single_rep.p99_ns &&
+                       1.01 * unarmed_rep.total.p99_ns &&
                    silent_rep.total.p99_ns >=
-                       0.99 * single_rep.p99_ns,
-               "silent fleet p99 drifted >1% from the single server");
+                       0.99 * unarmed_rep.total.p99_ns,
+               "silent fleet p99 drifted >1% from the unarmed fleet");
 
     // ---- gates: replica death -----------------------------------------
     ok &= gate(death_rep.total.dropped == 0,

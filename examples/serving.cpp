@@ -8,9 +8,11 @@
  * takes the next step and *serves*: Poisson traffic with a diurnal
  * burst arrives on its own clock, a deadline-aware queue batches
  * requests per bucket, and every mini-batch replays the bucket's
- * wired binary. Mid-trace, the device thermally throttles to 70%
- * clocks; the drift watcher notices from window statistics, a re-wire
- * runs off-path (warm-started from the plan store when one is
+ * wired binary. The server is a one-replica ReplicaFleet, the same
+ * serving loop a multi-replica fleet runs. Mid-trace, the device
+ * thermally throttles to 70% clocks; the drift watcher notices from
+ * window statistics, the bucket falls back to generic dispatch while a
+ * re-wire runs off-path (warm-started from the plan store when one is
  * configured), and the refreshed blob is hot-swapped between
  * mini-batches — no queued request is dropped.
  *
@@ -24,7 +26,7 @@
 #include "models/models.h"
 #include "obs/export.h"
 #include "obs/obs.h"
-#include "serve/server.h"
+#include "serve/router.h"
 
 using namespace astra;
 
@@ -42,7 +44,9 @@ main(int argc, char** argv)
     else
         obs::init_from_env();
 
-    serve::ServeOptions so;
+    serve::FleetOptions fo;
+    fo.replicas = 1;
+    serve::ServeOptions& so = fo.base;
     so.bucket_lengths = {4, 6, 8};
     so.build = [](GraphBuilder& b, int length) {
         ModelConfig cfg;
@@ -62,14 +66,14 @@ main(int argc, char** argv)
 
     std::printf("exploring %zu buckets offline...\n",
                 so.bucket_lengths.size());
-    serve::BucketedServer server(so);
+    serve::ReplicaFleet server(fo);
     const int64_t explored = server.optimize();
     std::printf("exploration mini-batches: %lld\n\n",
                 static_cast<long long>(explored));
 
     // Self-calibrated open-loop traffic: ~40% of the largest bucket's
     // batch capacity, one 2x burst, SLO at 30 batch times.
-    const double batch_ns = server.plan(2).baseline_ns;
+    const double batch_ns = server.replica(0).plan(2).baseline_ns;
     serve::TrafficConfig tcfg;
     tcfg.duration_ns = 600.0 * batch_ns;
     tcfg.base_rps = 0.4 * so.max_batch * 1e9 / batch_ns;
@@ -79,18 +83,18 @@ main(int argc, char** argv)
         {0.2 * tcfg.duration_ns, 0.4 * tcfg.duration_ns, 2.0});
     const auto traffic = serve::generate_traffic(tcfg);
 
-    const serve::ServeReport calm = server.serve(traffic);
+    const serve::ServeReport calm = server.serve(traffic).total;
     std::printf("%s\n", calm.to_text("calm device").c_str());
 
     // Same workload, but the device throttles to 70% clocks at the
     // halfway mark. Watch the report: drift detected, one off-path
     // re-wire, one hot swap, still zero drops.
-    serve::ServeOptions drift_opts = so;
-    drift_opts.clock_schedule.push_back(
+    serve::FleetOptions drift_opts = fo;
+    drift_opts.base.clock_schedule.push_back(
         {0.5 * tcfg.duration_ns, 0.7});
-    serve::BucketedServer drifting(drift_opts);
+    serve::ReplicaFleet drifting(drift_opts);
     drifting.optimize();
-    const serve::ServeReport drift = drifting.serve(traffic);
+    const serve::ServeReport drift = drifting.serve(traffic).total;
     std::printf("%s\n",
                 drift.to_text("thermal throttle at t/2 (0.7x clocks)")
                     .c_str());

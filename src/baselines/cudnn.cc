@@ -13,8 +13,14 @@ cudnn_plan(const Graph& graph, const std::vector<RnnLayerSpec>& layers,
     std::vector<bool> covered(static_cast<size_t>(graph.size()), false);
     std::vector<PlanStep> steps;
 
-    auto starts_with = [](const std::string& s, const std::string& p) {
-        return s.size() >= p.size() && s.compare(0, p.size(), p) == 0;
+    // A scope belongs to a prefix only up to a '/' separator: per-step
+    // prefix "dec0/t1" must not claim "dec0/t10" (merged timesteps form
+    // a cycle between compound steps).
+    auto in_scope = [](const std::string& s, const std::string& p) {
+        if (s.size() < p.size() || s.compare(0, p.size(), p) != 0)
+            return false;
+        return p.empty() || p.back() == '/' || s.size() == p.size() ||
+               s[p.size()] == '/';
     };
 
     for (const RnnLayerSpec& layer : layers) {
@@ -37,7 +43,7 @@ cudnn_plan(const Graph& graph, const std::vector<RnnLayerSpec>& layers,
                 for (const Node& n : graph.nodes()) {
                     if (n.pass != pass || op_is_source(n.kind))
                         continue;
-                    if (!starts_with(n.scope, prefix))
+                    if (!in_scope(n.scope, prefix))
                         continue;
                     if (covered[static_cast<size_t>(n.id)])
                         continue;

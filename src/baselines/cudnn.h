@@ -22,7 +22,10 @@ namespace astra {
 /** One recurrent layer that a compound kernel can absorb. */
 struct RnnLayerSpec
 {
-    /** All nodes whose scope starts with this prefix belong here. */
+    /**
+     * All nodes whose scope starts with this prefix belong here (a
+     * per-step layer appends "t<step>", matched only up to a '/').
+     */
     std::string scope_prefix;
 
     /** GEMM flops of one forward timestep of the layer. */

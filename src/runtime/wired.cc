@@ -721,25 +721,6 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
         bin.control_edges = static_cast<int64_t>(edges.size());
     }
 
-    // Feasible-memory static re-packing of the same lifetimes, for
-    // observability: how tight a from-scratch static arena would be,
-    // and whether it would need edges the schedule lacks.
-    std::vector<StaticBuffer> bufs;
-    bufs.reserve(bin.intervals.size());
-    for (size_t i = 0; i < bin.intervals.size(); ++i) {
-        const ArenaInterval& iv = bin.intervals[i];
-        StaticBuffer sb;
-        sb.bytes = iv.bytes;
-        sb.def_step = iv.def_step;
-        sb.last_use_step = iv.last_use_step;
-        sb.use_steps = users[i];
-        bufs.push_back(std::move(sb));
-    }
-    const StaticArenaResult packed = plan_static_arena(
-        bufs,
-        [&](int from, int to) { return order.completes_before(from, to); });
-    bin.packed_bytes = packed.high_water;
-
     if (obs::enabled()) {
         static obs::Counter& lowered = obs::counter("wired.lowered");
         lowered.add();

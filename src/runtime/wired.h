@@ -20,12 +20,12 @@
  *    the data-parallel dispatcher and the what-if engine walk the
  *    same bound form.
  *  - WiredBinary: a bound plan plus the arena interval table
- *    (offset/size/lifetime per tensor). lower_plan audits every
- *    arena-byte reuse against the program's own happens-before order
- *    and inserts explicit control edges where reuse would otherwise
- *    rely on dynamic liveness (the npu_compiler feasible-memory-
- *    scheduler discipline; see memory_static.h). replay_wired walks
- *    a lowered binary with no per-call bind at all.
+ *    (offset/size/lifetime per tensor in the TensorMap's arena).
+ *    lower_plan audits every arena-byte reuse against the program's
+ *    own happens-before order and inserts explicit control edges
+ *    where reuse would otherwise rely on dynamic liveness (the
+ *    npu_compiler feasible-memory-scheduler discipline). replay_wired
+ *    walks a lowered binary with no per-call bind at all.
  *  - verify_wired() is the compile-time barrier/ordering simulator: it
  *    replays the command stream abstractly (stream FIFO + event
  *    vector clocks) and rejects stale event slots, use-before-def and
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "runtime/dispatcher.h"
-#include "runtime/memory_static.h"
 #include "runtime/plan.h"
 #include "runtime/tensor_map.h"
 #include "sim/gpu.h"
@@ -132,6 +131,17 @@ void collect_wired_profiles(const WiredProgram& program,
                             const SimGpu& gpu, DispatchResult& result);
 
 /**
+ * A synchronization edge lowering had to add to make an arena reuse
+ * legal: `from_step`'s completion must be ordered before `to_step`'s
+ * launch.
+ */
+struct ControlEdge
+{
+    int from_step = -1;  ///< an access of the bytes' previous occupant
+    int to_step = -1;    ///< definition of the new occupant
+};
+
+/**
  * Realize control edges in a compiled program: for each edge, a new
  * event slot is recorded right after `from_step`'s launch and waited
  * on right before `to_step`'s launch. Spans and slot counts are
@@ -182,15 +192,6 @@ struct WiredBinary
 
     /** Executed arena extent in bytes (the TensorMap's peak). */
     int64_t arena_bytes = 0;
-
-    /**
-     * Extent of the feasible-memory static re-packing of the same
-     * lifetimes (memory_static.h) — the arena a from-scratch static
-     * planner would need. Reported for observability; the executed
-     * offsets stay the TensorMap's so values live where kernels were
-     * bound.
-     */
-    int64_t packed_bytes = 0;
 
     /** Control edges lowering had to insert to make reuse legal. */
     int64_t control_edges = 0;

@@ -42,9 +42,6 @@ Replica::install(int bucket, BucketedServer::BucketPlan plan)
                  bucket < static_cast<int>(slots_.size()));
     ASTRA_ASSERT(plan.binary != nullptr);
     std::lock_guard<std::mutex> lock(slots_mu_);
-    // First install into an empty slot is epoch 0 (the initial
-    // wiring), mirroring the single-server convention; every later
-    // install is a hot-swap and stamps the next epoch.
     auto& slot = slots_[static_cast<size_t>(bucket)];
     plan.epoch = slot.binary == nullptr ? 0 : slot.epoch + 1;
     slot = std::move(plan);
@@ -60,6 +57,13 @@ Replica::gpu_at(double t_ns)
         ++next_step_;
     }
     return gpu_;
+}
+
+void
+Replica::reset_clock()
+{
+    gpu_ = opts_.gpu;
+    next_step_ = 0;
 }
 
 bool

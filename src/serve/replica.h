@@ -5,8 +5,8 @@
  * A Replica is the unit the router (serve/router.h) routes around: it
  * owns its own simulated device configuration (its clock domain — an
  * independently-applied ClockStep schedule), its own installed wired
- * plans (one BucketPlan slot per length bucket, behind a swap mutex,
- * exactly the single-server install/snapshot discipline), its own
+ * plans (one BucketPlan slot per length bucket, behind a swap mutex:
+ * the serving layer's only install/snapshot/epoch rule), its own
  * drift/degradation state, and its own counters. It deliberately does
  * NOT own exploration sessions: all replicas serve plans lowered by the
  * fleet's prototype BucketedServer, so a fleet of G replicas costs one
@@ -69,9 +69,9 @@ struct ReplicaOptions
 };
 
 /**
- * Plan slots + health + clock domain of one replica. Thread-safe where
- * the single-server slots are (install/plan snapshot under a mutex);
- * everything else is owned by the router's single-threaded DES loop.
+ * Plan slots + health + clock domain of one replica. Install and plan
+ * snapshot are thread-safe (under a mutex); everything else is owned
+ * by the router's single-threaded DES loop.
  */
 class Replica
 {
@@ -92,15 +92,24 @@ class Replica
     /** Swap-safe snapshot of a bucket's installed plan. */
     BucketedServer::BucketPlan plan(int bucket) const;
 
-    /** Install a plan revision (stamps the next epoch). */
+    /**
+     * Install a plan revision. The first install into an empty slot is
+     * epoch 0 (the initial wiring); every later one is a hot-swap and
+     * stamps the next epoch, which resets the bucket's drift window by
+     * construction (watcher keys embed the epoch).
+     */
     void install(int bucket, BucketedServer::BucketPlan plan);
 
     /**
      * The device configuration at simulated time t_ns: base config
      * with every clock step at_ns <= t_ns applied, in order. Steps are
-     * consumed monotonically — callers advance time forward only.
+     * consumed monotonically — callers advance time forward only,
+     * until reset_clock().
      */
     const GpuConfig& gpu_at(double t_ns);
+
+    /** Rewind the clock schedule to t = 0 (base config, no step applied). */
+    void reset_clock();
 
     /** Ground-truth liveness under the fault plan (oracle, not belief). */
     bool alive_at(const FaultPlan& faults, double t_ns) const;

@@ -17,6 +17,21 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/**
+ * Drift onset of an ascending clock schedule: the at_ns of its first
+ * step that changes the clock (multiplier > 0 and != 1), or -1 when
+ * none does. ServeReport's drift-detection request budget counts from
+ * the first batch boundary at or past it.
+ */
+double
+drift_onset_ns(const std::vector<ClockStep>& schedule)
+{
+    for (const ClockStep& s : schedule)
+        if (s.clock_multiplier > 0.0 && s.clock_multiplier != 1.0)
+            return s.at_ns;
+    return -1.0;
+}
+
 double
 median_of_tail(const std::vector<double>& window, int n)
 {
@@ -87,6 +102,14 @@ struct Flight
     int plan_epoch = 0;
     uint64_t config_fnv = 0;
     bool generic = false;
+};
+
+/** A re-wired plan waiting for its install time on one replica. */
+struct PendingSwap
+{
+    bool active = false;
+    double ready_ns = 0.0;  ///< earliest install time
+    BucketedServer::BucketPlan plan;
 };
 
 /** How one request's story ended (exactly-once audit). */
@@ -192,12 +215,12 @@ ReplicaFleet::optimize()
     // One wiring run for the whole fleet: identical DFG, identical
     // plan (the paper's predictability argument). Each replica gets
     // its own epoch-0 install of the shared blobs.
-    const int64_t total = proto_->optimize();
-    const int buckets =
-        static_cast<int>(opts_.base.bucket_lengths.size());
+    std::vector<BucketedServer::BucketPlan> plans;
+    const int64_t total = proto_->optimize(&plans);
     double max_baseline = 0.0;
-    for (int b = 0; b < buckets; ++b) {
-        const BucketedServer::BucketPlan p = proto_->plan(b);
+    for (int b = 0; b < static_cast<int>(plans.size()); ++b) {
+        const BucketedServer::BucketPlan& p =
+            plans[static_cast<size_t>(b)];
         max_baseline = std::max(max_baseline, p.baseline_ns);
         for (auto& r : replicas_)
             r->install(b, p);
@@ -227,6 +250,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
         obs::counter("serve.failover.generic_batches");
     static obs::Counter& c_swap_back =
         obs::counter("serve.failover.swap_backs");
+    static obs::Counter& c_swaps = obs::counter("serve.swaps");
+    static obs::Counter& c_rewires = obs::counter("serve.rewires");
+    static obs::Counter& c_detect =
+        obs::counter("serve.drift_detections");
+    static obs::Counter& c_reject = obs::counter("serve.rejected");
 
     ASTRA_ASSERT(optimized_, "call optimize() first");
     obs::ScopedSpan span(obs::Category::Serve, "serve.fleet.loop");
@@ -238,11 +266,12 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
     rep.replicas.resize(static_cast<size_t>(G));
     rep.total.offered = static_cast<int64_t>(traffic.size());
     // Per-call state: every serve() starts at t=0 with fresh beliefs
-    // (the fault schedule is absolute simulated time), while installed
-    // plans persist across calls like the single server's.
+    // and clocks (fault and clock schedules are absolute simulated
+    // time), while installed plans persist across calls.
     for (auto& r : replicas_) {
         r->stats() = ReplicaStats{};
         r->set_health(ReplicaHealth::Healthy);
+        r->reset_clock();
         for (int b = 0; b < buckets; ++b)
             r->set_degraded(b, false);
     }
@@ -251,9 +280,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                          opts_.queue_policy);
     MetricsRecorder metrics;
 
-    // Same watcher discipline as the single server, with the replica
-    // id folded into the epoch-mangled key so one replica's drift
-    // never pollutes a peer's window.
+    // The drift watcher's measurement discipline: same policy family
+    // as exploration, but with the MAD outlier gate disarmed — a
+    // sustained regression is exactly the signal the watcher exists to
+    // see, not noise to reject. Keys fold in the replica id, so one
+    // replica's drift never pollutes a peer's window.
     MeasurementPolicy watch_policy = opts_.base.astra.measurement;
     watch_policy.outlier_mad_k = 0.0;
     ProfileIndex watch(watch_policy);
@@ -328,20 +359,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
 
     // ---- DES state ----------------------------------------------------
     std::vector<Flight> flights(static_cast<size_t>(G));
-    std::vector<std::vector<BucketedServer::BucketPlan>> pending(
-        static_cast<size_t>(G));
-    std::vector<std::vector<double>> pending_ready(
-        static_cast<size_t>(G));
-    std::vector<std::vector<char>> pending_active(
-        static_cast<size_t>(G));
-    for (int i = 0; i < G; ++i) {
-        pending[static_cast<size_t>(i)].resize(
-            static_cast<size_t>(buckets));
-        pending_ready[static_cast<size_t>(i)].assign(
-            static_cast<size_t>(buckets), 0.0);
-        pending_active[static_cast<size_t>(i)].assign(
-            static_cast<size_t>(buckets), 0);
-    }
+    std::vector<std::vector<PendingSwap>> pending(
+        static_cast<size_t>(G),
+        std::vector<PendingSwap>(static_cast<size_t>(buckets)));
     std::vector<RetryEntry> retries;
     std::unordered_map<int64_t, int> attempts;
 
@@ -519,9 +539,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
 
             // Drift watcher (wired path only: a degraded bucket is
             // already invalidated and re-wiring).
-            if (opts_.base.watcher.enabled && !f.generic &&
-                !pending_active[static_cast<size_t>(i)]
-                               [static_cast<size_t>(f.bucket)]) {
+            PendingSwap& swap = pending[static_cast<size_t>(i)]
+                                       [static_cast<size_t>(f.bucket)];
+            if (opts_.base.watcher.enabled && !f.generic && !swap.active) {
                 const std::string key =
                     "serve|r" + std::to_string(i) + "|b" +
                     std::to_string(bucket_len) + "|e" +
@@ -539,24 +559,21 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         // generic dispatch while the re-wire runs
                         // off-path.
                         ++rep.total.drift_detections;
+                        c_detect.add();
                         if (drift_detect_budget < 0 && served_at_drift >= 0)
                             drift_detect_budget =
                                 served_total - served_at_drift;
                         r.set_degraded(f.bucket, true);
                         if (r.health() == ReplicaHealth::Healthy)
                             r.set_health(ReplicaHealth::Degraded);
-                        GpuConfig gpu = r.gpu_at(f.end_ns);
-                        pending[static_cast<size_t>(i)]
-                               [static_cast<size_t>(f.bucket)] =
-                                   proto_->rewire(f.bucket, gpu);
-                        pending_ready[static_cast<size_t>(i)]
-                                     [static_cast<size_t>(f.bucket)] =
+                        swap.plan =
+                            proto_->rewire(f.bucket, r.gpu_at(f.end_ns));
+                        swap.ready_ns =
                             f.end_ns + opts_.base.rewire_latency_ns;
-                        pending_active[static_cast<size_t>(i)]
-                                      [static_cast<size_t>(
-                                          f.bucket)] = 1;
+                        swap.active = true;
                         ++rs.rewires;
                         ++rep.total.rewires;
+                        c_rewires.add();
                     }
                 }
             }
@@ -588,19 +605,15 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
 
                 // Pending hot-swap lands at the batch boundary: the
                 // swap-back is what ends a bucket's degradation.
-                if (pending_active[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(b)] &&
-                    now_ns >= pending_ready[static_cast<size_t>(i)]
-                                           [static_cast<size_t>(b)]) {
+                PendingSwap& swap = pending[static_cast<size_t>(i)]
+                                           [static_cast<size_t>(b)];
+                if (swap.active && now_ns >= swap.ready_ns) {
                     const bool was_degraded = r.degraded(b);
-                    r.install(b,
-                              std::move(pending[static_cast<size_t>(i)]
-                                               [static_cast<size_t>(
-                                                   b)]));
-                    pending_active[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(b)] = 0;
+                    r.install(b, std::move(swap.plan));
+                    swap.active = false;
                     ++r.stats().swaps;
                     ++rep.total.swaps;
+                    c_swaps.add();
                     if (was_degraded) {
                         r.set_degraded(b, false);
                         ++r.stats().swap_backs;
@@ -630,7 +643,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         continue;  // bucket emptied; re-pick
                 }
 
-                // Dynamic batching patience (single-server rule).
+                // Dynamic batching: a partial batch waits for more
+                // arrivals while the head request's slack still covers
+                // the expected service time plus the patience margin.
                 const double launch_by =
                     queue.head(b).deadline_ns -
                     (1.0 + opts_.base.batch_wait_frac) * p.baseline_ns;
@@ -643,8 +658,8 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                     break;
                 }
 
-                // Batch boundary: the drift budget starts counting
-                // here, as in the single server.
+                // Batch boundary: clock steps land, and the drift
+                // budget starts counting here.
                 if (drift_onset >= 0.0 && now_ns >= drift_onset &&
                     served_at_drift < 0)
                     served_at_drift = served_total;
@@ -748,6 +763,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
 
     rep.total.admitted = queue.admitted();
     rep.total.rejected = queue.rejected();
+    c_reject.add(rep.total.rejected);
     rep.total.makespan_ns = last_completion_ns;
     rep.total.detection_request_budget = drift_detect_budget;
     metrics.finalize(&rep.total);

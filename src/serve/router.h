@@ -1,12 +1,17 @@
 /**
  * @file
- * Health-checked failover routing across a multi-replica serving fleet.
+ * The serving loop: health-checked failover routing across a fleet of
+ * replicas. A single server is a fleet of one replica.
  *
- * The single-server loop (serve/server.h) assumes its device survives
- * the run. A fleet does not get that luxury: replicas die mid-batch,
- * flap, and drift — and traffic can exceed what the survivors can
- * carry. ReplicaFleet runs G Replica failure domains behind one
- * admission queue and one discrete-event loop, with four duties:
+ * BucketedServer (serve/server.h) wires one plan per length bucket
+ * offline. ReplicaFleet installs those plans on G Replica failure
+ * domains and drains an open-loop request stream (serve/traffic.h)
+ * through one deadline-aware admission queue and one discrete-event
+ * loop on the simulated clock. Every mini-batch replays its bucket's
+ * wired binary on the replica's *current* device configuration, and
+ * latency/goodput are accounted first-class (serve/metrics.h).
+ * Replicas die mid-batch, flap, and drift, and traffic can exceed what
+ * the survivors can carry, so the loop has four duties:
  *
  *  1. *Detection.* Replica liveness is a pure function of simulated
  *     time (sim/faults.h replica_death / replica_flap specs). Replicas
@@ -32,13 +37,20 @@
  *     launched immediately — capacity goes to requests that still can
  *     win, so goodput strictly beats FIFO strict-overflow.
  *
- *  4. *Graceful degradation.* When a replica's drift watcher fires,
- *     its wired blob is *invalidated* — the bucket falls back to
- *     generic dispatch (same simulated semantics, no stale compiled
- *     stream) while a re-wire runs off-path, then hot-swaps back to
- *     the wired path. The swap-back is a counted recovery, and a
- *     replica killed between "re-wire ready" and "swap installed"
- *     simply never installs: its traffic fails over like any other.
+ *  4. *Graceful degradation.* A per-(replica, bucket) drift watcher
+ *     folds every served batch time into a ProfileIndex under an
+ *     install-epoch-mangled key (a hot swap starts a fresh window) and
+ *     compares the window median against the plan's install-time
+ *     baseline with the MeasurementPolicy::store_drift_rel tolerance.
+ *     When it fires, the replica's wired blob is *invalidated* — the
+ *     bucket falls back to generic dispatch (same simulated semantics,
+ *     no stale compiled stream) while the prototype re-wires it
+ *     off-path on the replica's current device, then hot-swaps back to
+ *     the wired path between mini-batches: an in-flight batch always
+ *     finishes on the plan it started with, and no queued request is
+ *     dropped. The swap-back is a counted recovery, and a replica
+ *     killed between "re-wire ready" and "swap installed" simply never
+ *     installs: its traffic fails over like any other.
  */
 #pragma once
 
@@ -47,9 +59,11 @@
 #include <string>
 #include <vector>
 
+#include "serve/metrics.h"
 #include "serve/queue.h"
 #include "serve/replica.h"
 #include "serve/server.h"
+#include "serve/traffic.h"
 #include "sim/faults.h"
 
 namespace astra::serve {
@@ -58,7 +72,7 @@ namespace astra::serve {
 struct FleetOptions
 {
     /**
-     * The single-server knobs every replica inherits: buckets, model
+     * The serving knobs every replica inherits: buckets, model
      * builder, session options (device, measurement, plan store),
      * batching, watcher, re-wire latency. base.clock_schedule applies
      * to replica 0 only (per-replica schedules via replica_clocks).
@@ -150,7 +164,11 @@ class ReplicaFleet
      */
     int64_t optimize();
 
-    /** Drain one generated trace through the fleet (DES). */
+    /**
+     * Drain one generated trace through the fleet (DES). Callable
+     * repeatedly: every call starts at t = 0 with fresh metrics,
+     * health, degradation and clock schedules; installed plans persist.
+     */
     FleetReport serve(const std::vector<ServeRequest>& traffic);
 
     int num_replicas() const
@@ -161,7 +179,7 @@ class ReplicaFleet
     Replica& replica(int i);
     const Replica& replica(int i) const;
 
-    /** The prototype server (tests: rewire, plan snapshots). */
+    /** The prototype server (tests: rewire, router). */
     BucketedServer& prototype() { return *proto_; }
 
     /** The effective fault plan (explicit or device-inherited). */

@@ -1,44 +1,32 @@
 /**
  * @file
- * Online serving loop over bucketed wired plans, with live re-wiring.
+ * Serving options and the offline half of serving: bucketed wired plans.
  *
  * The offline story (core/bucketed.h) ends with one converged, wired
- * plan per length bucket. This module runs those plans against an
- * open-loop request stream (serve/traffic.h): a deadline-aware
- * admission queue batches requests per bucket, every mini-batch is a
- * replay of the bucket's wired binary (runtime/wired.h) on the
- * *current* device configuration, and latency/goodput are accounted
- * first-class (serve/metrics.h).
+ * plan per length bucket. BucketedServer owns that story for serving:
+ * it explores every bucket once (BucketedAstra::optimize), lowers each
+ * winner into a wired binary (runtime/wired.h), and re-wires one bucket
+ * against an explicit device configuration when the serving loop's
+ * drift watcher asks for it. It does not serve: the one serving loop
+ * is ReplicaFleet::serve (serve/router.h), which installs these plans
+ * on its replicas, replays them against an open-loop request stream
+ * (serve/traffic.h), and hot-swaps re-wired plans between mini-batches.
+ * A single server is a fleet of one replica.
  *
- * The interesting part is what happens when the device stops matching
- * the plan. A clock-step schedule injects slow drift (thermal
- * throttling via GpuConfig::forced_clock_multiplier); a per-bucket
- * drift watcher folds every served batch time into a ProfileIndex
- * under an *install-epoch-mangled* key — the same
- * key-mangling-as-invalidation discipline the profile index applies to
- * context changes — and compares the window median against the plan's
- * install-time baseline with the MeasurementPolicy::store_drift_rel
- * tolerance. On detection the server re-wires the bucket off-path
- * (warm-started from the plan store when configured: the store's
- * gpu_sig ignores the forced multiplier, so the stale entry L1-hits,
- * fails drift verification, and demotes into a warm-started
- * re-exploration whose winner is written back), then hot-swaps the new
- * wired blob between mini-batches: an in-flight batch always finishes
- * on the blob it started with, the next batch picks up the new one,
- * and no queued request is dropped.
+ * The re-wire is where the plan store pays off live: the store's
+ * gpu_sig ignores the forced clock multiplier, so a re-wire on a
+ * throttled device L1-hits the stale entry, fails drift verification,
+ * and demotes into a warm-started re-exploration whose winner is
+ * written back.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/bucketed.h"
 #include "runtime/wired.h"
-#include "serve/metrics.h"
-#include "serve/queue.h"
-#include "serve/traffic.h"
 
 namespace astra::serve {
 
@@ -84,14 +72,6 @@ struct ClockStep
     double clock_multiplier = 0.0;
 };
 
-/**
- * Drift onset of an ascending clock schedule: the at_ns of its first
- * step that changes the clock (multiplier > 0 and != 1), or -1 when
- * none does. Both serve loops count ServeReport's drift-detection
- * request budget from the first batch boundary at or past it.
- */
-double drift_onset_ns(const std::vector<ClockStep>& schedule);
-
 /** All knobs of one serving run. */
 struct ServeOptions
 {
@@ -129,8 +109,9 @@ struct ServeOptions
     /**
      * Simulated cost of one off-path re-wire (ns): the new blob
      * installs at the first batch boundary at least this long after
-     * detection. Serving continues on the old blob meanwhile — that
-     * interval is what the hot-swap tests pin.
+     * detection. Meanwhile the bucket keeps serving its old plan
+     * through generic dispatch — that interval is what the hot-swap
+     * tests pin.
      */
     double rewire_latency_ns = 10e6;
 
@@ -139,8 +120,9 @@ struct ServeOptions
 };
 
 /**
- * The serving runtime: per-bucket wired plans behind a swap mutex, an
- * admission queue in front, a drift watcher behind.
+ * Wiring and re-wiring for the serving loop: one exploration session
+ * per bucket, each winner lowered into a wired plan. Installed plans
+ * live on the replicas (serve/replica.h), not here.
  */
 class BucketedServer
 {
@@ -172,35 +154,14 @@ class BucketedServer
 
     /**
      * Offline phase: explore every bucket (BucketedAstra::optimize) and
-     * lower each winner into a wired binary. Must run before serve().
-     * Returns total exploration mini-batches.
+     * lower each winner into a wired binary. Fills *plans with one
+     * epoch-0 plan per bucket and returns total exploration
+     * mini-batches.
      */
-    int64_t optimize();
+    int64_t optimize(std::vector<BucketPlan>* plans);
 
-    /**
-     * Drain one generated trace through the serving loop
-     * (discrete-event simulation on the device clock). Callable
-     * repeatedly; metrics are per call, installed plans persist.
-     */
-    ServeReport serve(const std::vector<ServeRequest>& traffic);
-
-    /** The routing/exploration sessions (tests). */
+    /** The routing/exploration sessions, one per bucket. */
     const BucketedAstra& router() const { return *router_; }
-
-    /**
-     * Swap-safe snapshot of a bucket's installed plan: replay always
-     * runs on a snapshot, so an install between batches never mutates
-     * a blob mid-replay.
-     */
-    BucketPlan plan(int bucket) const;
-
-    /**
-     * Install a new plan revision for a bucket (thread-safe; the
-     * serving loop picks it up at the next batch boundary). Stamps the
-     * next epoch; resets the bucket's drift window by construction
-     * (watcher keys embed the epoch).
-     */
-    void install(int bucket, BucketPlan plan);
 
     /**
      * Re-wire one bucket against an explicit device configuration:
@@ -214,27 +175,8 @@ class BucketedServer
     BucketPlan rewire(int bucket, const GpuConfig& gpu) const;
 
   private:
-    struct RewireInflight
-    {
-        bool active = false;
-        double ready_ns = 0.0;  ///< earliest install time
-        BucketPlan plan;
-    };
-
-    /** Apply schedule steps due at sim time t to the live GpuConfig. */
-    void apply_clock_steps(double t_ns, GpuConfig* gpu,
-                           size_t* next_step);
-
     ServeOptions opts_;
     std::unique_ptr<BucketedAstra> router_;
-
-    mutable std::mutex slots_mu_;
-    std::vector<BucketPlan> slots_;
-
-    bool optimized_ = false;
 };
-
-/** FNV-1a fingerprint of a schedule configuration's canonical text. */
-uint64_t config_fingerprint(const ScheduleConfig& config);
 
 }  // namespace astra::serve

@@ -106,6 +106,40 @@ TEST(Cudnn, OddHiddenSizeHurts)
     EXPECT_GT(to, ta);
 }
 
+TEST(Cudnn, PerStepScopesDoNotClaimLaterTimesteps)
+{
+    // GNMT's decoder runs per step: scope "dec0/t1" must not claim the
+    // nodes of "dec0/t10". At seq 11 such a merge tied t1 and t10 into
+    // one compound step and the steps formed a cycle.
+    ModelConfig cfg;
+    cfg.batch = 4;
+    cfg.seq_len = 11;
+    cfg.hidden = 16;
+    cfg.embed_dim = 16;
+    cfg.vocab = 60;
+    const BuiltModel m = build_model(ModelKind::Gnmt, cfg);
+    GpuConfig gpu;
+    const ExecutionPlan plan = cudnn_plan(m.graph(), m.cudnn_layers, gpu);
+
+    int per_step = 0;
+    for (const PlanStep& s : plan.steps) {
+        if (s.kind != StepKind::CompoundRnn ||
+            s.compound_name.rfind("cudnn_rnn.dec", 0) != 0)
+            continue;
+        ++per_step;
+        // "cudnn_rnn.<scope>.fwd|.bwd": every node sits in that scope.
+        const std::string scope = s.compound_name.substr(
+            10, s.compound_name.rfind('.') - 10);
+        for (NodeId id : s.nodes) {
+            const std::string& ns = m.graph().node(id).scope;
+            EXPECT_TRUE(ns == scope || ns.rfind(scope + "/", 0) == 0)
+                << ns << " claimed by " << s.compound_name;
+        }
+    }
+    // Four decoder layers x 11 steps x forward and backward.
+    EXPECT_EQ(per_step, 4 * 11 * 2);
+}
+
 TEST(Xla, StaticPlanFusesWithoutMeasurement)
 {
     const BuiltModel m = lstm_model(8, 32, /*embedding=*/false);

@@ -1,30 +1,32 @@
 /**
  * @file
- * Tests for the online serving loop (src/serve) and the concurrency
- * contract of the bucketed routing path it leans on: race-free
- * concurrent bucket_for/step_ns, single-count overflow accounting,
+ * Tests for the online serving loop (src/serve; a single server is a
+ * one-replica ReplicaFleet) and the concurrency contract of the
+ * bucketed routing path it leans on: race-free concurrent
+ * bucket_for/step_ns, single-count overflow accounting,
  * strict-overflow rejection at admission, deterministic open-loop
- * traffic, and the live re-wiring story — drift detection from window
- * statistics, an off-path re-wire, and a hot swap that lets the
- * in-flight mini-batch finish on the old wired blob while the next
- * one runs the new configuration, bit-identical (by FNV fingerprint)
- * to an offline re-wire on the same throttled device.
+ * traffic, the live re-wiring story — drift detection from window
+ * statistics, an off-path re-wire, and a hot swap between mini-batches
+ * whose installed configuration is bit-identical (by FNV fingerprint)
+ * to an offline re-wire on the same throttled device — and the
+ * multi-replica failover, shedding and degradation paths.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/bucketed.h"
 #include "models/models.h"
+#include "obs/obs.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
 #include "serve/replica.h"
 #include "serve/router.h"
-#include "serve/server.h"
 #include "serve/traffic.h"
 #include "sim/faults.h"
 
@@ -304,7 +306,17 @@ TEST(Traffic, RejectsDegenerateLengthConfig)
                  "min_length");
 }
 
-// ---- serving loop ----------------------------------------------------
+// ---- serving loop (a fleet of one replica) ---------------------------
+
+/** A one-replica fleet: the single-server configuration. */
+serve::FleetOptions
+one_replica(serve::ServeOptions so)
+{
+    serve::FleetOptions fo;
+    fo.base = std::move(so);
+    fo.replicas = 1;
+    return fo;
+}
 
 TEST(Serve, CalmTrafficMeetsSloAndDropsNothing)
 {
@@ -314,12 +326,12 @@ TEST(Serve, CalmTrafficMeetsSloAndDropsNothing)
     so.astra = serve_astra_opts();
     so.max_batch = 4;
     so.strict_overflow = false;
-    serve::BucketedServer server(std::move(so));
+    serve::ReplicaFleet server(one_replica(std::move(so)));
     ASSERT_GT(server.optimize(), 0);
 
     // Self-calibrate against the measured plan: arrivals at half the
     // per-request service capacity, SLO at 20 batch times.
-    const double batch_ns = server.plan(1).baseline_ns;
+    const double batch_ns = server.replica(0).plan(1).baseline_ns;
     serve::TrafficConfig cfg;
     cfg.duration_ns = 400.0 * batch_ns;
     cfg.base_rps = 0.5 * 4.0 * 1e9 / batch_ns;
@@ -329,7 +341,7 @@ TEST(Serve, CalmTrafficMeetsSloAndDropsNothing)
     const auto traffic = serve::generate_traffic(cfg);
     ASSERT_GT(traffic.size(), 50u);
 
-    const serve::ServeReport rep = server.serve(traffic);
+    const serve::ServeReport rep = server.serve(traffic).total;
     EXPECT_EQ(rep.offered, static_cast<int64_t>(traffic.size()));
     EXPECT_EQ(rep.served, rep.offered);
     EXPECT_EQ(rep.dropped, 0);
@@ -359,11 +371,11 @@ TEST(Serve, ArmedWatcherIsFreeInSimulatedTime)
         so.astra = serve_astra_opts();
         so.max_batch = 2;
         so.watcher.enabled = watcher_on;
-        serve::BucketedServer server(std::move(so));
+        serve::ReplicaFleet server(one_replica(std::move(so)));
         server.optimize();
-        const double b = server.plan(0).baseline_ns;
-        return server.serve(
-            steady_traffic(40, 4, 1.5 * b, 30.0 * b));
+        const double b = server.replica(0).plan(0).baseline_ns;
+        return server.serve(steady_traffic(40, 4, 1.5 * b, 30.0 * b))
+            .total;
     };
 
     const serve::ServeReport armed = run(true);
@@ -389,17 +401,17 @@ TEST(Serve, DriftTriggersRewireAndHotSwapWithoutDrops)
     so.max_batch = 2;
     so.watcher.min_window = 3;
     so.record_batches = true;
-    serve::BucketedServer server(std::move(so));
+    serve::ReplicaFleet server(one_replica(std::move(so)));
     server.optimize();
 
-    const double b = server.plan(0).baseline_ns;
+    const double b = server.replica(0).plan(0).baseline_ns;
     ASSERT_GT(b, 0.0);
     const double gap = 1.5 * b;
     const double drift_at = 20.0 * gap;
 
     // The drifting run: same workload, but with a thermal-throttle
     // step injected mid-trace (the schedule is fixed at construction,
-    // so this is a second server).
+    // so this is a second fleet).
     serve::ServeOptions so2;
     so2.bucket_lengths = {4};
     so2.build = scrnn_builder();
@@ -412,11 +424,12 @@ TEST(Serve, DriftTriggersRewireAndHotSwapWithoutDrops)
     // 0.7x clocks stretch every batch by ~1.43x — beyond the default
     // 0.25 drift margin, so the watcher must fire.
     so2.clock_schedule.push_back({drift_at, 0.7});
-    serve::BucketedServer drifting(std::move(so2));
+    serve::ReplicaFleet drifting(one_replica(std::move(so2)));
     drifting.optimize();
 
     const auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
-    const serve::ServeReport rep = drifting.serve(traffic);
+    const serve::FleetReport frep = drifting.serve(traffic);
+    const serve::ServeReport& rep = frep.total;
 
     EXPECT_EQ(rep.offered, 60);
     EXPECT_EQ(rep.served, 60);
@@ -430,38 +443,113 @@ TEST(Serve, DriftTriggersRewireAndHotSwapWithoutDrops)
 
     // Hot-swap contract over the batch log: epochs only move forward,
     // the swap lands between batches (never inside one), and at least
-    // one batch still ran on the old blob *after* drift onset — the
-    // off-path re-wire did not stall serving.
+    // one batch still ran on the old plan *after* drift onset — the
+    // off-path re-wire did not stall serving. Those batches bypass the
+    // invalidated blob through generic dispatch until the swap-back.
     ASSERT_FALSE(rep.batch_log.empty());
     EXPECT_EQ(rep.batch_log.front().plan_epoch, 0);
     EXPECT_GE(rep.batch_log.back().plan_epoch, 1);
-    bool old_blob_served_during_rewire = false;
+    bool old_plan_served_during_rewire = false;
     for (size_t i = 1; i < rep.batch_log.size(); ++i) {
         const auto& prev = rep.batch_log[i - 1];
         const auto& cur = rep.batch_log[i];
         EXPECT_GE(cur.plan_epoch, prev.plan_epoch);
         EXPECT_GE(cur.start_ns, prev.end_ns);  // batches serialize
         if (cur.plan_epoch == 0 && cur.start_ns > drift_at)
-            old_blob_served_during_rewire = true;
+            old_plan_served_during_rewire = true;
     }
-    EXPECT_TRUE(old_blob_served_during_rewire);
-    EXPECT_EQ(drifting.plan(0).epoch, 1);
+    EXPECT_TRUE(old_plan_served_during_rewire);
+    EXPECT_GE(frep.generic_batches, 1);
+    EXPECT_GE(frep.swap_backs, 1);
+    EXPECT_EQ(drifting.replica(0).plan(0).epoch, 1);
 
     // Bit-identity: an offline re-wire on the same throttled device
     // resolves to the exact configuration the live swap installed
     // (the refreshed store entry answers it at L1).
     GpuConfig throttled = serve_astra_opts().gpu;
     throttled.forced_clock_multiplier = 0.7;
-    const auto offline = drifting.rewire(0, throttled);
-    EXPECT_EQ(offline.config_fnv, drifting.plan(0).config_fnv);
+    const auto offline = drifting.prototype().rewire(0, throttled);
+    EXPECT_EQ(offline.config_fnv, drifting.replica(0).plan(0).config_fnv);
     EXPECT_NE(offline.config_fnv, 0u);
 
-    // The unused calm server pins the no-schedule default: no drift
+    // The unused calm fleet pins the no-schedule default: no drift
     // ever detected on a base-clock device.
-    const serve::ServeReport calm = server.serve(traffic);
+    const serve::ServeReport calm = server.serve(traffic).total;
     EXPECT_EQ(calm.drift_detections, 0);
     EXPECT_EQ(calm.swaps, 0);
-    EXPECT_EQ(server.plan(0).epoch, 0);
+    EXPECT_EQ(server.replica(0).plan(0).epoch, 0);
+}
+
+TEST(Serve, RepeatedServeRestartsTheClockSchedule)
+{
+    // Every serve() call starts at t = 0, clock schedule included: a
+    // second call must not begin already throttled by the first one's
+    // clock step. The watcher is off, so the plan never changes and
+    // only the clock could tell the two calls apart.
+    serve::ServeOptions so;
+    so.bucket_lengths = {4};
+    so.build = scrnn_builder();
+    so.astra = serve_astra_opts();
+    so.max_batch = 2;
+    so.watcher.enabled = false;
+    serve::ReplicaFleet probe(one_replica(so));
+    probe.optimize();
+    const double b = probe.replica(0).plan(0).baseline_ns;
+    ASSERT_GT(b, 0.0);
+    const double gap = 1.5 * b;
+
+    so.clock_schedule.push_back({20.0 * gap, 0.7});
+    serve::ReplicaFleet fleet(one_replica(std::move(so)));
+    fleet.optimize();
+    const auto traffic = steady_traffic(40, 4, gap, 40.0 * b);
+    const serve::ServeReport first = fleet.serve(traffic).total;
+    const serve::ServeReport second = fleet.serve(traffic).total;
+
+    // The step bit the first call: its tail runs throttled...
+    EXPECT_GT(first.p99_ns, first.p50_ns);
+    // ...and the second call replays the same schedule from t = 0.
+    EXPECT_EQ(second.p50_ns, first.p50_ns);
+    EXPECT_EQ(second.p99_ns, first.p99_ns);
+    EXPECT_EQ(second.makespan_ns, first.makespan_ns);
+    EXPECT_EQ(second.batches, first.batches);
+}
+
+TEST(Serve, ObsCountersMirrorTheReport)
+{
+    // The serve.* counters count the same events as the report fields
+    // they mirror: drift detections, re-wires, swaps and rejections.
+    serve::ServeOptions so;
+    so.bucket_lengths = {4};
+    so.build = scrnn_builder();
+    so.astra = serve_astra_opts();
+    so.max_batch = 2;
+    so.watcher.min_window = 3;
+    serve::ReplicaFleet probe(one_replica(so));
+    probe.optimize();
+    const double b = probe.replica(0).plan(0).baseline_ns;
+    ASSERT_GT(b, 0.0);
+    const double gap = 1.5 * b;
+
+    so.rewire_latency_ns = 5.0 * b;
+    so.clock_schedule.push_back({20.0 * gap, 0.7});
+    serve::ReplicaFleet fleet(one_replica(std::move(so)));
+    fleet.optimize();
+    auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
+    traffic[5].length = 50;  // strict overflow: rejected at admission
+
+    obs::reset();
+    obs::set_enabled(true);
+    const serve::ServeReport rep = fleet.serve(traffic).total;
+    obs::set_enabled(false);
+    const std::map<std::string, int64_t> c = obs::counter_values();
+    obs::reset();
+
+    ASSERT_GE(rep.swaps, 1);
+    EXPECT_EQ(rep.rejected, 1);
+    EXPECT_EQ(c.at("serve.drift_detections"), rep.drift_detections);
+    EXPECT_EQ(c.at("serve.rewires"), rep.rewires);
+    EXPECT_EQ(c.at("serve.swaps"), rep.swaps);
+    EXPECT_EQ(c.at("serve.rejected"), rep.rejected);
 }
 
 TEST(Serve, StrictOverflowSurfacesRejectionsInReport)
@@ -471,15 +559,15 @@ TEST(Serve, StrictOverflowSurfacesRejectionsInReport)
     so.build = scrnn_builder();
     so.astra = serve_astra_opts();
     so.strict_overflow = true;
-    serve::BucketedServer server(std::move(so));
+    serve::ReplicaFleet server(one_replica(std::move(so)));
     server.optimize();
 
-    const double b = server.plan(1).baseline_ns;
+    const double b = server.replica(0).plan(1).baseline_ns;
     auto traffic = steady_traffic(10, 4, 2.0 * b, 30.0 * b);
     traffic[3].length = 50;  // beyond the largest bucket
     traffic[7].length = 50;
 
-    const serve::ServeReport rep = server.serve(traffic);
+    const serve::ServeReport rep = server.serve(traffic).total;
     EXPECT_EQ(rep.offered, 10);
     EXPECT_EQ(rep.rejected, 2);
     EXPECT_EQ(rep.admitted, 8);
@@ -487,44 +575,50 @@ TEST(Serve, StrictOverflowSurfacesRejectionsInReport)
     EXPECT_EQ(rep.dropped, 0);
     // Rejections are refusals, not clamps: the router's truncation
     // tally stays clean.
-    EXPECT_EQ(server.router().overflow_count(), 0);
+    EXPECT_EQ(server.prototype().router().overflow_count(), 0);
 }
 
 TEST(Serve, StrictOverflowRejectedTrailingRequestsEndLoopCleanly)
 {
     // Regression: when the *final* arrivals are all strict-overflow
-    // rejected while the queue is drained, the loop used to advance
-    // past the trace and read traffic[traffic.size()] in the idle
-    // branch. It must terminate cleanly instead.
+    // rejected while the queue is drained, the loop must terminate
+    // cleanly instead of reading past the end of the trace.
     serve::ServeOptions so;
     so.bucket_lengths = {3, 4};
     so.build = scrnn_builder();
     so.astra = serve_astra_opts();
     so.strict_overflow = true;
-    serve::BucketedServer server(std::move(so));
+    so.record_batches = true;
+    serve::ReplicaFleet server(one_replica(std::move(so)));
     server.optimize();
 
-    const double b = server.plan(1).baseline_ns;
+    const double b = server.replica(0).plan(1).baseline_ns;
     auto traffic = steady_traffic(10, 4, 2.0 * b, 30.0 * b);
     traffic[8].length = 50;  // beyond the largest bucket
     traffic[9].length = 50;
 
-    const serve::ServeReport rep = server.serve(traffic);
+    const serve::ServeReport rep = server.serve(traffic).total;
     EXPECT_EQ(rep.offered, 10);
     EXPECT_EQ(rep.rejected, 2);
     EXPECT_EQ(rep.admitted, 8);
     EXPECT_EQ(rep.served, 8);
     EXPECT_EQ(rep.dropped, 0);
+    // The makespan is the completion of the last batch, not the time
+    // of the last (rejected) arrival.
+    ASSERT_FALSE(rep.batch_log.empty());
+    EXPECT_EQ(rep.makespan_ns, rep.batch_log.back().end_ns);
+    EXPECT_LT(rep.makespan_ns, traffic[9].arrival_ns);
 
     // Degenerate variant from the review: a trace whose *only*
     // request exceeds the largest bucket.
     auto lone = steady_traffic(1, 4, 2.0 * b, 30.0 * b);
     lone[0].length = 50;
-    const serve::ServeReport none = server.serve(lone);
+    const serve::ServeReport none = server.serve(lone).total;
     EXPECT_EQ(none.offered, 1);
     EXPECT_EQ(none.rejected, 1);
     EXPECT_EQ(none.served, 0);
     EXPECT_EQ(none.dropped, 0);
+    EXPECT_EQ(none.makespan_ns, 0.0);  // no batch ever completed
 }
 
 // ---- bounded queue policies (fleet shedding building blocks) ---------
@@ -617,24 +711,19 @@ fleet_options(std::vector<int> lengths, const std::string& store,
 
 TEST(Fleet, ArmedButSilentSingleReplicaMatchesSingleServer)
 {
-    const std::string store = fresh_store_dir("fleet_silent_store");
-    serve::ServeOptions so;
-    so.bucket_lengths = {4};
-    so.build = scrnn_builder();
-    so.astra = serve_astra_opts();
-    so.astra.plan_store = store;
-    so.max_batch = 2;
-    serve::BucketedServer server(std::move(so));
-    server.optimize();
-
-    const double b = server.plan(0).baseline_ns;
-    ASSERT_GT(b, 0.0);
-    const auto traffic = steady_traffic(40, 4, 1.5 * b, 40.0 * b);
-    const serve::ServeReport single = server.serve(traffic);
-
     // The fleet carries a death spec that never fires inside the
-    // trace: detection machinery armed, failure path silent. The DES
-    // must reproduce the single-server loop bit-for-bit.
+    // trace: detection machinery armed, failure path silent. It must
+    // reproduce an unarmed fleet of one bit for bit, and both must
+    // reproduce the retired single-server loop: the pinned values are
+    // that loop's outputs on this trace.
+    const std::string store = fresh_store_dir("fleet_silent_store");
+    serve::ReplicaFleet unarmed(fleet_options({4}, store, 1));
+    unarmed.optimize();
+    const double b = unarmed.replica(0).plan(0).baseline_ns;
+    EXPECT_DOUBLE_EQ(b, 992549.67021495337);
+    const auto traffic = steady_traffic(40, 4, 1.5 * b, 40.0 * b);
+    const serve::FleetReport plain = unarmed.serve(traffic);
+
     serve::FleetOptions fo = fleet_options({4}, store, 1);
     ASSERT_TRUE(FaultPlan::parse("replica_death:r=0,at_ns=1e17",
                                  &fo.faults));
@@ -642,12 +731,19 @@ TEST(Fleet, ArmedButSilentSingleReplicaMatchesSingleServer)
     fleet.optimize();
     const serve::FleetReport rep = fleet.serve(traffic);
 
-    EXPECT_EQ(rep.total.offered, single.offered);
-    EXPECT_EQ(rep.total.served, single.served);
+    EXPECT_EQ(rep.total.offered, plain.total.offered);
+    EXPECT_EQ(rep.total.served, plain.total.served);
+    EXPECT_EQ(rep.total.batches, plain.total.batches);
+    EXPECT_EQ(rep.total.p50_ns, plain.total.p50_ns);
+    EXPECT_EQ(rep.total.p99_ns, plain.total.p99_ns);
+    EXPECT_EQ(rep.total.makespan_ns, plain.total.makespan_ns);
+
+    EXPECT_EQ(rep.total.served, 40);
     EXPECT_EQ(rep.total.dropped, 0);
-    EXPECT_EQ(rep.total.batches, single.batches);
-    EXPECT_EQ(rep.total.p99_ns, single.p99_ns);
-    EXPECT_EQ(rep.total.makespan_ns, single.makespan_ns);
+    EXPECT_EQ(rep.total.batches, 20);
+    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2481374.1755373776);
+    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2481374.175537385);
+    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 60545529.883112155);
     EXPECT_EQ(rep.deaths_detected, 0);
     EXPECT_EQ(rep.failed_batches, 0);
     EXPECT_EQ(rep.retries, 0);
@@ -824,50 +920,39 @@ TEST(Fleet, DriftDegradesToGenericDispatchThenSwapsBack)
 
 TEST(Fleet, SingleReplicaDriftBudgetMatchesSingleServer)
 {
-    // Serve.DriftTriggersRewireAndHotSwapWithoutDrops' drift scenario,
-    // served by a single server and by a fleet of one: both report the
-    // requests completed between drift onset and the first detection.
+    // Serve.DriftTriggersRewireAndHotSwapWithoutDrops' drift scenario
+    // on a fleet of one: it reports the requests completed between
+    // drift onset and the first detection, and reproduces the retired
+    // single-server loop, whose outputs on this trace are pinned.
     const auto options = [](const std::string& store) {
-        serve::ServeOptions so;
-        so.bucket_lengths = {4};
-        so.build = scrnn_builder();
-        so.astra = serve_astra_opts();
-        so.astra.plan_store = fresh_store_dir(store);
-        so.max_batch = 2;
-        so.watcher.min_window = 3;
-        return so;
+        serve::FleetOptions fo =
+            fleet_options({4}, fresh_store_dir(store), 1);
+        fo.base.watcher.min_window = 3;
+        return fo;
     };
-    serve::BucketedServer probe(options("drift_budget_probe"));
+    serve::ReplicaFleet probe(options("drift_budget_probe"));
     probe.optimize();
-    const double b = probe.plan(0).baseline_ns;
-    ASSERT_GT(b, 0.0);
+    const double b = probe.replica(0).plan(0).baseline_ns;
+    EXPECT_DOUBLE_EQ(b, 992549.67021495337);
     const double gap = 1.5 * b;
     const auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
 
-    serve::ServeOptions so = options("drift_budget_server");
-    so.rewire_latency_ns = 5.0 * b;
-    so.clock_schedule.push_back({20.0 * gap, 0.7});
-    serve::FleetOptions fo;
-    fo.base = so;
-    fo.base.astra.plan_store = fresh_store_dir("drift_budget_fleet");
-    fo.replicas = 1;
-
-    serve::BucketedServer server(std::move(so));
-    server.optimize();
-    const serve::ServeReport single = server.serve(traffic);
+    serve::FleetOptions fo = options("drift_budget_fleet");
+    fo.base.rewire_latency_ns = 5.0 * b;
+    fo.base.clock_schedule.push_back({20.0 * gap, 0.7});
     serve::ReplicaFleet fleet(std::move(fo));
     fleet.optimize();
     const serve::FleetReport rep = fleet.serve(traffic);
 
-    ASSERT_GE(single.drift_detections, 1);
-    ASSERT_GE(rep.total.drift_detections, 1);
-    EXPECT_GE(single.detection_request_budget, 1);
-    EXPECT_EQ(rep.total.detection_request_budget,
-              single.detection_request_budget);
+    EXPECT_EQ(rep.total.served, 60);
+    EXPECT_EQ(rep.total.batches, 30);
+    EXPECT_EQ(rep.total.drift_detections, 1);
+    EXPECT_EQ(rep.total.swaps, 1);
+    EXPECT_EQ(rep.total.detection_request_budget, 4);
     EXPECT_EQ(rep.failover_detect_budget, -1);  // no replica died
-    EXPECT_EQ(rep.total.p50_ns, single.p50_ns);
-    EXPECT_EQ(rep.total.p99_ns, single.p99_ns);
-    EXPECT_EQ(rep.total.makespan_ns, single.makespan_ns);
+    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2481374.1755373823);
+    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2906752.6056295186);
+    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 90747398.419652879);
 }
 
 TEST(Fleet, DeathBetweenRewireReadyAndSwapInstallLosesNothing)

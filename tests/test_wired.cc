@@ -1,7 +1,7 @@
 /**
  * @file
- * Compiled-dispatch tests: WiredProgram compilation structure, static
- * arena planning, replay-vs-dispatch bit-identity across the model zoo
+ * Compiled-dispatch tests: WiredProgram compilation structure,
+ * replay-vs-dispatch bit-identity across the model zoo
  * (fused, streamed, profiled and recompute variants), value
  * preservation with executing kernels, the scheduler's wired-binary
  * cache behind AstraSession::run, and — critically — *non-vacuous*
@@ -11,7 +11,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "core/astra.h"
 #include "models/data.h"
 #include "models/models.h"
-#include "runtime/memory_static.h"
 #include "runtime/wired.h"
 #include "sim/memory.h"
 #include "tests/util.h"
@@ -132,81 +130,6 @@ TEST(CompilePlan, BarrierRendezvousesEveryStreamPair)
     }
     EXPECT_EQ(records, 2);
     EXPECT_EQ(waits, 2);
-}
-
-// ---- static arena planner ------------------------------------------------
-
-TEST(StaticArena, DisjointLifetimesShareBytes)
-{
-    StaticBuffer a;
-    a.bytes = 1000;
-    a.def_step = 0;
-    a.last_use_step = 1;
-    a.use_steps = {1};
-    StaticBuffer b;
-    b.bytes = 1000;
-    b.def_step = 2;
-    b.last_use_step = 3;
-    b.use_steps = {3};
-    // Single-stream program order: everything is ordered.
-    const auto ordered = [](int from, int to) { return from < to; };
-    const StaticArenaResult r = plan_static_arena({a, b}, ordered);
-    EXPECT_EQ(r.offsets[0], r.offsets[1]);
-    EXPECT_EQ(r.high_water, 1024);  // one aligned slot, not two
-    EXPECT_TRUE(r.control_edges.empty());
-}
-
-TEST(StaticArena, UnprovenReuseEmitsControlEdge)
-{
-    StaticBuffer a;
-    a.bytes = 512;
-    a.def_step = 0;
-    a.last_use_step = 1;
-    a.use_steps = {1};
-    StaticBuffer b;
-    b.bytes = 512;
-    b.def_step = 2;
-    b.last_use_step = 3;
-    b.use_steps = {3};
-    // Oracle that can prove nothing: the reuse still happens (that is
-    // what keeps the packing tight) but must be fenced explicitly.
-    const auto unordered = [](int, int) { return false; };
-    const StaticArenaResult r = plan_static_arena({a, b}, unordered);
-    EXPECT_EQ(r.offsets[0], r.offsets[1]);
-    ASSERT_FALSE(r.control_edges.empty());
-    bool guards_last_use = false;
-    for (const ControlEdge& e : r.control_edges) {
-        EXPECT_EQ(e.to_step, 2);
-        guards_last_use |= e.from_step == 1;
-    }
-    EXPECT_TRUE(guards_last_use)
-        << "previous occupant's last access must gate the reuse";
-}
-
-TEST(StaticArena, LiveBuffersNeverShareBytes)
-{
-    // Entry-live parameter (never recycled) plus two overlapping-
-    // lifetime activations: three distinct extents.
-    StaticBuffer p;
-    p.bytes = 256;
-    p.def_step = -1;
-    p.last_use_step = 4;  // one-past-last step: survives the batch
-    StaticBuffer a;
-    a.bytes = 256;
-    a.def_step = 0;
-    a.last_use_step = 2;
-    a.use_steps = {1, 2};
-    StaticBuffer b;
-    b.bytes = 256;
-    b.def_step = 1;
-    b.last_use_step = 3;
-    b.use_steps = {3};
-    const auto ordered = [](int from, int to) { return from < to; };
-    const StaticArenaResult r = plan_static_arena({p, a, b}, ordered);
-    const std::set<int64_t> offsets(r.offsets.begin(), r.offsets.end());
-    EXPECT_EQ(offsets.size(), 3u);
-    EXPECT_EQ(r.high_water, 3 * 256);
-    EXPECT_TRUE(r.control_edges.empty());
 }
 
 // ---- adversarial verifier checks (must be non-vacuous) -------------------
