@@ -34,8 +34,6 @@
  * observability layer -- enumeration, exploration, dispatch and device
  * kernels on one merged Chrome-trace timeline.
  */
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -44,6 +42,7 @@
 #include "core/config_io.h"
 #include "models/models.h"
 #include "obs/export.h"
+#include "support/record.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -108,27 +107,31 @@ main(int argc, char** argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
+        const auto next_int = [&](int64_t lo, int64_t hi) {
+            return record::int_arg(arg, next(), lo, hi);
+        };
         if (arg == "--model")
             kind = parse_model(next());
         else if (arg == "--batch")
-            cfg.batch = std::atoll(next().c_str());
+            cfg.batch = next_int(1, 1 << 16);
         else if (arg == "--seq")
-            cfg.seq_len = std::atoll(next().c_str());
+            cfg.seq_len = next_int(1, 1 << 12);
         else if (arg == "--hidden")
-            cfg.hidden = cfg.embed_dim = std::atoll(next().c_str());
+            cfg.hidden = cfg.embed_dim = next_int(1, 1 << 16);
         else if (arg == "--vocab")
-            cfg.vocab = std::atoll(next().c_str());
+            cfg.vocab = next_int(1, 1 << 24);
         else if (arg == "--features")
             opts.features = parse_features(next());
         else if (arg == "--streams")
-            opts.num_streams = std::atoi(next().c_str());
+            opts.num_streams = static_cast<int>(next_int(1, 64));
         else if (arg == "--wirer-threads")
-            opts.wirer_threads = std::atoi(next().c_str());
+            opts.wirer_threads = static_cast<int>(next_int(1, 256));
         else if (arg == "--fault-spec") {
             const std::string spec = next();
-            if (!FaultPlan::parse(spec, &opts.gpu.faults))
-                fatal("malformed --fault-spec '", spec,
-                      "' (see sim/faults.h for the grammar)");
+            std::string why;
+            if (!FaultPlan::parse(spec, &opts.gpu.faults, &why))
+                fatal("malformed --fault-spec '", spec, "': ", why,
+                      " (see sim/faults.h for the grammar)");
         }
         else if (arg == "--save-config")
             save_path = next();

@@ -8,7 +8,6 @@
  * Usage: compare_backends [model] [batch]
  *   model in {scrnn, milstm, sublstm, stacked, gnmt}
  */
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "core/astra.h"
 #include "models/models.h"
 #include "runtime/dispatcher.h"
+#include "support/record.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -39,7 +39,7 @@ main(int argc, char** argv)
               "' (use scrnn|milstm|sublstm|stacked|gnmt)");
 
     ModelConfig cfg;
-    cfg.batch = argc > 2 ? std::atoll(argv[2]) : 16;
+    cfg.batch = argc > 2 ? record::int_arg("batch", argv[2], 1, 1 << 16) : 16;
     cfg.seq_len = 8;
     cfg.hidden = 512;
     cfg.embed_dim = 512;

@@ -8,12 +8,12 @@
  *
  * Usage: dynamic_buckets [minibatches]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "core/bucketed.h"
 #include "models/data.h"
 #include "models/models.h"
+#include "support/record.h"
 #include "support/stats.h"
 #include "support/table.h"
 
@@ -22,7 +22,10 @@ using namespace astra;
 int
 main(int argc, char** argv)
 {
-    const int minibatches = argc > 1 ? std::atoi(argv[1]) : 50;
+    const int minibatches =
+        argc > 1 ? static_cast<int>(
+                       record::int_arg("minibatches", argv[1], 1, 1000000))
+                 : 50;
 
     AstraOptions opts;
     opts.gpu.execute_kernels = false;

@@ -23,7 +23,6 @@
  * which the CI gate parses to check the reduction ratio and that the
  * warm final configuration is bit-identical to the cold one.
  */
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -33,6 +32,7 @@
 #include "core/config_io.h"
 #include "core/plan_store.h"
 #include "models/models.h"
+#include "support/record.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -95,11 +95,12 @@ main(int argc, char** argv)
         if (arg == "--store")
             store_dir = next();
         else if (arg == "--rounds")
-            rounds = std::atoi(next().c_str());
+            rounds = static_cast<int>(record::int_arg(arg, next(), 1, 1000));
         else if (arg == "--report")
             report_path = next();
         else if (arg == "--wirer-threads")
-            wirer_threads = std::atoi(next().c_str());
+            wirer_threads =
+                static_cast<int>(record::int_arg(arg, next(), 1, 256));
         else if (arg == "--smoke")
             smoke = true;
         else
@@ -108,8 +109,6 @@ main(int argc, char** argv)
     if (store_dir.empty())
         fatal("no store directory (pass --store DIR or set "
               "ASTRA_PLAN_STORE)");
-    if (rounds < 1)
-        fatal("--rounds must be >= 1");
 
     std::ofstream report;
     if (!report_path.empty()) {

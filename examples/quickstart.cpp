@@ -6,12 +6,12 @@
  *
  * Usage: quickstart [batch]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "core/astra.h"
 #include "models/data.h"
 #include "models/models.h"
+#include "support/record.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -20,7 +20,7 @@ int
 main(int argc, char** argv)
 {
     ModelConfig cfg;
-    cfg.batch = argc > 1 ? std::atoll(argv[1]) : 16;
+    cfg.batch = argc > 1 ? record::int_arg("batch", argv[1], 1, 1 << 16) : 16;
     cfg.seq_len = 6;
     cfg.hidden = 128;
     cfg.embed_dim = 128;

@@ -10,12 +10,12 @@
  *
  * Usage: train_scrnn [steps]
  */
-#include <cstdlib>
 #include <iostream>
 
 #include "core/astra.h"
 #include "models/data.h"
 #include "models/models.h"
+#include "support/record.h"
 #include "support/table.h"
 
 using namespace astra;
@@ -23,7 +23,8 @@ using namespace astra;
 int
 main(int argc, char** argv)
 {
-    const int64_t extra_steps = argc > 1 ? std::atoll(argv[1]) : 40;
+    const int64_t extra_steps =
+        argc > 1 ? record::int_arg("steps", argv[1], 0, 1000000) : 40;
 
     ModelConfig cfg;
     cfg.batch = 8;

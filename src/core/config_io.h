@@ -25,17 +25,18 @@
  * bit-exactly, so a rehydrated index ranks choices identically to the
  * live one that was saved.
  *
- * Every reader has an error-reporting overload: on malformed input it
+ * Every reader takes an optional error slot: on malformed input it
  * fills *error with "line N: reason" so a corrupt on-disk entry is
  * diagnosable (which file, where, why) instead of silently falling
- * back to a cold start. The bool-only overloads remain for callers
- * that only need the verdict.
+ * back to a cold start. Tokens, diagnostics and number formatting are
+ * the record layer's (support/record.h).
  */
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -52,16 +53,13 @@ void write_config(std::ostream& os, const ScheduleConfig& config);
  * @return false (leaving *config untouched) on malformed input; when
  *         `error` is non-null it receives "line N: reason".
  */
-bool read_config(std::istream& is, ScheduleConfig* config);
 bool read_config(std::istream& is, ScheduleConfig* config,
-                 std::string* error);
+                 std::string* error = nullptr);
 
 /** Convenience: round-trip through a string. */
 std::string config_to_string(const ScheduleConfig& config);
-bool config_from_string(const std::string& text,
-                        ScheduleConfig* config);
-bool config_from_string(const std::string& text, ScheduleConfig* config,
-                        std::string* error);
+bool config_from_string(std::string_view text, ScheduleConfig* config,
+                        std::string* error = nullptr);
 
 /**
  * Serialize a profile index's accumulated statistics (hexfloat doubles:
@@ -72,17 +70,15 @@ bool config_from_string(const std::string& text, ScheduleConfig* config,
  */
 void write_profile_index(std::ostream& os, const ProfileIndex& index);
 
+/** Convenience: write_profile_index into a string. */
+std::string profile_index_to_string(const ProfileIndex& index);
+
 /**
  * Parse statistics written by write_profile_index into *index (whose
  * policy is preserved). @return false (leaving *index untouched) on
  * malformed input; `error` receives "line N: reason" when non-null.
  */
-bool read_profile_index(std::istream& is, ProfileIndex* index,
-                        std::string* error = nullptr);
-
-/** Convenience: round-trip through a string. */
-std::string profile_index_to_string(const ProfileIndex& index);
-bool profile_index_from_string(const std::string& text,
+bool profile_index_from_string(std::string_view text,
                                ProfileIndex* index,
                                std::string* error = nullptr);
 
@@ -124,20 +120,15 @@ struct WirerCheckpoint
 /** Serialize a checkpoint (hexfloat doubles: bit-exact round-trip). */
 void write_checkpoint(std::ostream& os, const WirerCheckpoint& cp);
 
+/** Convenience: write_checkpoint into a string. */
+std::string checkpoint_to_string(const WirerCheckpoint& cp);
+
 /**
  * Parse a checkpoint written by write_checkpoint.
  * @return false (leaving *cp untouched) on malformed input; `error`
  *         receives "line N: reason" when non-null.
  */
-bool read_checkpoint(std::istream& is, WirerCheckpoint* cp);
-bool read_checkpoint(std::istream& is, WirerCheckpoint* cp,
-                     std::string* error);
-
-/** Convenience: round-trip through a string. */
-std::string checkpoint_to_string(const WirerCheckpoint& cp);
-bool checkpoint_from_string(const std::string& text,
-                            WirerCheckpoint* cp);
-bool checkpoint_from_string(const std::string& text, WirerCheckpoint* cp,
-                            std::string* error);
+bool checkpoint_from_string(std::string_view text, WirerCheckpoint* cp,
+                            std::string* error = nullptr);
 
 }  // namespace astra

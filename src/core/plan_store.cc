@@ -7,9 +7,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "kernels/cost.h"
+#include "support/record.h"
 
 namespace astra {
 
@@ -28,7 +30,7 @@ fnv1a64(const void* data, size_t len, uint64_t seed)
 }
 
 uint64_t
-fnv1a64(const std::string& bytes)
+fnv1a64(std::string_view bytes)
 {
     return fnv1a64(bytes.data(), bytes.size(), 14695981039346656037ull);
 }
@@ -202,14 +204,13 @@ std::string
 PlanStore::entry_to_string(const PlanStoreEntry& entry)
 {
     std::ostringstream payload;
+    const record::WriteGuard pin_payload(payload);
     payload << "key " << hash_hex(entry.key.graph_sig) << " "
             << hash_hex(entry.key.shape_class) << " "
             << hash_hex(entry.key.gpu_sig) << " "
             << hash_hex(entry.key.lib_sig) << "\n";
-    payload << std::hexfloat;
     payload << "flops " << entry.key.total_flops << "\n";
     payload << "best_ns " << entry.best_ns << "\n";
-    payload << std::defaultfloat;
     payload << "minibatches " << entry.minibatches << "\n";
     payload << "termination " << entry.termination << "\n";
     payload << config_to_string(entry.config);
@@ -217,156 +218,109 @@ PlanStore::entry_to_string(const PlanStoreEntry& entry)
     const std::string body = payload.str();
 
     std::ostringstream out;
+    const record::WriteGuard pin_out(out);
     out << kEntryMagic << " " << kEntryVersion << " " << body.size()
         << " " << hash_hex(fnv1a64(body)) << "\n"
         << body;
     return out.str();
 }
 
+namespace {
+
 bool
-PlanStore::entry_from_string(const std::string& text,
-                             PlanStoreEntry* entry, std::string* error)
+parse_hash(std::string_view s, uint64_t* out)
 {
-    auto fail = [error](int line, const std::string& reason) {
-        if (error != nullptr) {
-            std::ostringstream os;
-            os << "line " << line << ": " << reason;
-            *error = os.str();
-        }
+    if (s.size() != 16)
         return false;
-    };
-
-    const size_t nl = text.find('\n');
-    if (nl == std::string::npos)
-        return fail(1, "missing frame header");
-    {
-        std::istringstream hs(text.substr(0, nl));
-        std::string magic;
-        std::string version;
-        unsigned long long declared_len = 0;
-        std::string checksum;
-        if (!(hs >> magic >> version >> declared_len >> checksum) ||
-            magic != kEntryMagic)
-            return fail(1, "bad frame header (expected '" +
-                               std::string(kEntryMagic) + " " +
-                               kEntryVersion + " <len> <fnv64>')");
-        if (version != kEntryVersion)
-            return fail(1, "unsupported version '" + version + "'");
-        const std::string body = text.substr(nl + 1);
-        if (body.size() < declared_len)
-            return fail(1, "truncated payload (declared " +
-                               std::to_string(declared_len) +
-                               " bytes, got " +
-                               std::to_string(body.size()) + ")");
-        if (body.size() > declared_len)
-            return fail(1, "trailing bytes after declared payload");
-        if (hash_hex(fnv1a64(body)) != checksum)
-            return fail(1, "checksum mismatch (entry is corrupt)");
-    }
-
-    // Frame verified; parse the payload. Line numbers below are
-    // payload-relative plus the one frame line.
-    std::istringstream is(text.substr(nl + 1));
-    int line_no = 1;
-    std::string line;
-    auto next = [&](std::istringstream* ls) {
-        if (!std::getline(is, line))
+    uint64_t h = 0;
+    for (char c : s) {
+        int d;
+        if (c >= '0' && c <= '9')
+            d = c - '0';
+        else if (c >= 'a' && c <= 'f')
+            d = c - 'a' + 10;
+        else
             return false;
-        ++line_no;
-        ls->clear();
-        ls->str(line);
-        return true;
-    };
+        h = h << 4 | static_cast<uint64_t>(d);
+    }
+    *out = h;
+    return true;
+}
+
+}  // namespace
+
+bool
+PlanStore::entry_from_string(std::string_view text, PlanStoreEntry* entry,
+                             std::string* error)
+{
+    // Line 1 is the frame; payload lines follow it in the numbering.
+    record::LineReader in(text, error);
+    const std::vector<std::string_view>& t = in.tokens();
+    if (!in.next() || text.find('\n') == std::string_view::npos)
+        return in.fail("missing frame header");
+    int64_t declared_len = 0;
+    if (t.size() != 4 || t[0] != kEntryMagic ||
+        !record::parse_int(t[2], &declared_len, 0))
+        return in.fail("bad frame header (expected '", kEntryMagic, " ",
+                       kEntryVersion, " <len> <fnv64>')");
+    if (t[1] != kEntryVersion)
+        return in.fail("unsupported version '", t[1], "'");
+    const std::string_view checksum = t[3];
+    const std::string_view body = in.rest();
+    if (body.size() < static_cast<uint64_t>(declared_len))
+        return in.fail("truncated payload (declared ", declared_len,
+                       " bytes, got ", body.size(), ")");
+    if (body.size() > static_cast<uint64_t>(declared_len))
+        return in.fail("trailing bytes after declared payload");
+    if (hash_hex(fnv1a64(body)) != checksum)
+        return in.fail("checksum mismatch (entry is corrupt)");
 
     PlanStoreEntry out;
-    std::istringstream ls;
-    std::string tag;
-    std::string g;
-    std::string sc;
-    std::string gpu;
-    std::string lib;
-    if (!next(&ls) ||
-        !(ls >> tag >> g >> sc >> gpu >> lib) || tag != "key")
-        return fail(line_no, "malformed key line");
-    auto parse_hash = [](const std::string& s, uint64_t* out_h) {
-        if (s.size() != 16)
-            return false;
-        uint64_t h = 0;
-        for (char c : s) {
-            int d;
-            if (c >= '0' && c <= '9')
-                d = c - '0';
-            else if (c >= 'a' && c <= 'f')
-                d = c - 'a' + 10;
-            else
-                return false;
-            h = h << 4 | static_cast<uint64_t>(d);
-        }
-        *out_h = h;
-        return true;
-    };
-    if (!parse_hash(g, &out.key.graph_sig) ||
-        !parse_hash(sc, &out.key.shape_class) ||
-        !parse_hash(gpu, &out.key.gpu_sig) ||
-        !parse_hash(lib, &out.key.lib_sig))
-        return fail(line_no, "malformed key hash");
+    if (!in.next() || t.size() != 5 || t[0] != "key")
+        return in.fail("malformed key line");
+    if (!parse_hash(t[1], &out.key.graph_sig) ||
+        !parse_hash(t[2], &out.key.shape_class) ||
+        !parse_hash(t[3], &out.key.gpu_sig) ||
+        !parse_hash(t[4], &out.key.lib_sig))
+        return in.fail("malformed key hash");
 
-    auto read_f64 = [&](const char* want, double* v) {
-        if (!next(&ls))
-            return fail(line_no + 1, std::string("missing ") + want +
-                                         " line");
-        std::string tok;
-        if (!(ls >> tag >> tok) || tag != want)
-            return fail(line_no, std::string("malformed ") + want +
-                                     " line");
-        errno = 0;
-        char* end = nullptr;
-        *v = std::strtod(tok.c_str(), &end);
-        if (errno != 0 || end != tok.c_str() + tok.size())
-            return fail(line_no, std::string("malformed ") + want +
-                                     " value '" + tok + "'");
-        return true;
-    };
-    if (!read_f64("flops", &out.key.total_flops))
-        return false;
-    if (!read_f64("best_ns", &out.best_ns))
-        return false;
-
-    if (!next(&ls) || !(ls >> tag >> out.minibatches) ||
-        tag != "minibatches" || out.minibatches < 0)
-        return fail(line_no, "malformed minibatches line");
-    if (!next(&ls) || !(ls >> tag >> out.termination) ||
-        tag != "termination")
-        return fail(line_no, "malformed termination line");
+    for (const auto& [tag, v] : {std::pair{"flops", &out.key.total_flops},
+                                 std::pair{"best_ns", &out.best_ns}}) {
+        if (!in.next())
+            return in.fail("missing ", tag, " line");
+        if (t.size() != 2 || t[0] != tag)
+            return in.fail("malformed ", tag, " line");
+        if (!record::parse_finite(t[1], v))
+            return in.fail("malformed ", tag, " value '", t[1], "'");
+    }
+    if (!in.next() || t.size() != 2 || t[0] != "minibatches" ||
+        !record::parse_int(t[1], &out.minibatches, 0))
+        return in.fail("malformed minibatches line");
+    if (!in.next() || t.size() != 2 || t[0] != "termination")
+        return in.fail("malformed termination line");
+    out.termination = t[1];
 
     // The rest of the payload is the config section followed by the
     // profile section; both readers know their own headers, so split
     // at the profile header line.
-    std::string rest;
-    {
-        std::ostringstream os;
-        os << is.rdbuf();
-        rest = os.str();
-    }
-    const std::string profile_header = "astra-profile v1\n";
-    size_t split = std::string::npos;
-    if (rest.rfind(profile_header, 0) == 0)
+    const std::string_view rest = in.rest();
+    size_t split = std::string_view::npos;
+    if (rest.starts_with("astra-profile v1\n"))
         split = 0;
-    else {
-        const std::string marker = "\n" + profile_header;
-        const size_t at = rest.find(marker);
-        if (at != std::string::npos)
-            split = at + 1;
+    else if (const size_t at = rest.find("\nastra-profile v1\n");
+             at != std::string_view::npos)
+        split = at + 1;
+    if (split == std::string_view::npos) {
+        in.next();  // the section was due on the next line
+        return in.fail("missing profile section");
     }
-    if (split == std::string::npos)
-        return fail(line_no + 1, "missing profile section");
     std::string sub_error;
     if (!config_from_string(rest.substr(0, split), &out.config,
                             &sub_error))
-        return fail(line_no, "config section: " + sub_error);
+        return in.fail("config section: ", sub_error);
     if (!profile_index_from_string(rest.substr(split), &out.profile,
                                    &sub_error))
-        return fail(line_no, "profile section: " + sub_error);
+        return in.fail("profile section: ", sub_error);
 
     *entry = std::move(out);
     return true;
@@ -439,13 +393,21 @@ PlanStore::read_priors(uint64_t gpu_sig, uint64_t lib_sig) const
     std::ifstream is(path, std::ios::binary);
     if (!is)
         return {};
-    std::string header;
-    if (!std::getline(is, header) || header != kPriorsHeader)
-        return {};  // corrupt priors only lose advice, never fail a job
+    const std::string text(std::istreambuf_iterator<char>(is), {});
+    // Corrupt priors only lose advice, never fail a job.
+    record::LineReader in(text, nullptr);
+    if (!in.next() || in.line() != kPriorsHeader)
+        return {};
     std::vector<int64_t> wins;
-    int64_t w = 0;
-    while (is >> w)
-        wins.push_back(w);
+    while (in.next()) {
+        for (const std::string_view tok : in.tokens()) {
+            int64_t w = 0;
+            if (wins.size() == static_cast<size_t>(kNumGemmLibs) ||
+                !record::parse_int(tok, &w))
+                return {};
+            wins.push_back(w);
+        }
+    }
     if (wins.size() != static_cast<size_t>(kNumGemmLibs))
         return {};
     return wins;
@@ -472,6 +434,7 @@ PlanStore::put(const PlanStoreEntry& entry, std::string* error)
     for (const auto& [node, lib] : entry.config.single_lib)
         ++wins[static_cast<size_t>(lib)];
     std::ostringstream os;
+    const record::WriteGuard pin(os);
     os << kPriorsHeader << "\n";
     for (int64_t w : wins)
         os << w << "\n";

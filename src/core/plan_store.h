@@ -57,6 +57,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config_io.h"
@@ -68,7 +69,7 @@
 namespace astra {
 
 /** FNV-1a 64-bit over a byte string (store keys and checksums). */
-uint64_t fnv1a64(const std::string& bytes);
+uint64_t fnv1a64(std::string_view bytes);
 uint64_t fnv1a64(const void* data, size_t len, uint64_t seed);
 
 /** Fixed-width lowercase hex of a 64-bit hash (filenames, headers). */
@@ -195,7 +196,7 @@ class PlanStore
      * @return false (leaving *entry untouched) on malformed input;
      *         *error receives "line N: reason" when non-null.
      */
-    static bool entry_from_string(const std::string& text,
+    static bool entry_from_string(std::string_view text,
                                   PlanStoreEntry* entry,
                                   std::string* error = nullptr);
 

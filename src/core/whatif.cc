@@ -1,8 +1,6 @@
 #include "core/whatif.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -10,6 +8,7 @@
 #include "core/config_io.h"
 #include "runtime/dispatcher.h"
 #include "support/logging.h"
+#include "support/record.h"
 
 namespace astra {
 
@@ -136,81 +135,6 @@ WhatIfEngine::capture(const ScheduleConfig& config) const
 
 namespace {
 
-// Local copies of config_io's locale-proof token parsers (they are
-// file-private there by design; the formats stay independently
-// evolvable).
-
-bool
-wi_parse_int(const std::string& s, long lo, long hi, long* out)
-{
-    if (s.empty())
-        return false;
-    long v = 0;
-    const char* last = s.data() + s.size();
-    const auto [ptr, ec] = std::from_chars(s.data(), last, v, 10);
-    if (ec != std::errc() || ptr != last || v < lo || v > hi)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-wi_parse_f64(const std::string& s, double* out)
-{
-    const char* first = s.data();
-    const char* last = s.data() + s.size();
-    bool neg = false;
-    if (first != last && (*first == '+' || *first == '-')) {
-        neg = *first == '-';
-        ++first;
-    }
-    std::chars_format fmt = std::chars_format::general;
-    if (last - first > 2 && first[0] == '0' &&
-        (first[1] == 'x' || first[1] == 'X')) {
-        fmt = std::chars_format::hex;
-        first += 2;
-    }
-    if (first == last)
-        return false;
-    double v = 0.0;
-    std::from_chars_result r = std::from_chars(first, last, v, fmt);
-    if (fmt == std::chars_format::general &&
-        (r.ec != std::errc() || r.ptr != last))
-        r = std::from_chars(first, last, v, std::chars_format::hex);
-    if (r.ec != std::errc() || r.ptr != last)
-        return false;
-    *out = neg ? -v : v;
-    return true;
-}
-
-/** "line N: reason" accumulator, mirroring config_io's reader style. */
-class Diag
-{
-  public:
-    explicit Diag(std::string* error)
-        : error_(error)
-    {
-    }
-
-    void
-    advance()
-    {
-        ++line_;
-    }
-
-    bool
-    fail(const std::string& reason)
-    {
-        if (error_ != nullptr)
-            *error_ = "line " + std::to_string(line_) + ": " + reason;
-        return false;
-    }
-
-  private:
-    std::string* error_;
-    int line_ = 0;
-};
-
 /** Empty strings travel as "-" (keys/names never contain spaces). */
 std::string
 enc_str(const std::string& s)
@@ -219,31 +143,18 @@ enc_str(const std::string& s)
 }
 
 std::string
-dec_str(const std::string& s)
+dec_str(std::string_view s)
 {
-    return s == "-" ? "" : s;
+    return s == "-" ? "" : std::string(s);
 }
-
-std::vector<std::string>
-split_ws(const std::string& line)
-{
-    std::vector<std::string> out;
-    std::istringstream is(line);
-    std::string tok;
-    while (is >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-constexpr long kMaxCount = 10000000;  // counts are untrusted input
 
 }  // namespace
 
 void
 write_trace(std::ostream& os, const RecordedTrace& trace)
 {
+    const record::WriteGuard pin(os);
     os << "astra-whatif-trace v1\n";
-    os << std::hexfloat;
     os << "gpu " << trace.gpu.num_sms << " " << trace.gpu.flops_per_sm_ns
        << " " << trace.gpu.hbm_gbps << " "
        << trace.gpu.launch_overhead_ns << " "
@@ -302,143 +213,130 @@ write_trace(std::ostream& os, const RecordedTrace& trace)
         os << "span " << s.stream << " " << s.start_ns << " " << s.end_ns
            << " " << enc_str(s.key) << " " << enc_str(s.name) << "\n";
     os << "end\n";
-    os << std::defaultfloat;
+}
+
+std::string
+trace_to_string(const RecordedTrace& trace)
+{
+    std::ostringstream os;
+    write_trace(os, trace);
+    return os.str();
 }
 
 bool
-read_trace(std::istream& is, RecordedTrace* trace, std::string* error)
+trace_from_string(std::string_view text, RecordedTrace* trace,
+                  std::string* error)
 {
-    Diag diag(error);
-    std::string line;
-    const auto next = [&](std::vector<std::string>* toks) {
-        if (!std::getline(is, line))
-            return false;
-        diag.advance();
-        *toks = split_ws(line);
-        return true;
+    record::LineReader in(text, error);
+    const std::vector<std::string_view>& t = in.tokens();
+    // Every count and index is range-checked as it is read; no
+    // container is sized from a count.
+    long n = 0;
+    const auto count = [&](std::string_view tag, long lo, long hi) {
+        return in.next() && t.size() == 2 && t[0] == tag &&
+               record::parse_int(t[1], &n, lo, hi);
     };
 
-    std::vector<std::string> t;
-    if (!next(&t))
-        return diag.fail("unexpected end of input (missing header)");
+    if (!in.next())
+        return in.fail("unexpected end of input (missing header)");
     if (t.size() != 2 || t[0] != "astra-whatif-trace" || t[1] != "v1")
-        return diag.fail("bad header (want \"astra-whatif-trace v1\")");
+        return in.fail("bad header (want \"astra-whatif-trace v1\")");
 
     RecordedTrace tr;
-    double f = 0.0;
-    long n = 0;
-
-    if (!next(&t) || t.size() != 7 || t[0] != "gpu")
-        return diag.fail("bad gpu line");
-    if (!wi_parse_int(t[1], 1, 1000000, &n))
-        return diag.fail("bad gpu num_sms");
-    tr.gpu.num_sms = static_cast<int>(n);
+    if (!in.next() || t.size() != 7 || t[0] != "gpu")
+        return in.fail("bad gpu line");
+    if (!record::parse_int(t[1], &tr.gpu.num_sms, 1, 1000000))
+        return in.fail("bad gpu num_sms");
     double* gpu_f[5] = {&tr.gpu.flops_per_sm_ns, &tr.gpu.hbm_gbps,
                         &tr.gpu.launch_overhead_ns,
                         &tr.gpu.event_record_ns,
                         &tr.gpu.event_enqueue_ns};
-    for (int i = 0; i < 5; ++i) {
-        if (!wi_parse_f64(t[static_cast<size_t>(i) + 2], gpu_f[i]) ||
-            !std::isfinite(*gpu_f[i]) || *gpu_f[i] < 0.0)
-            return diag.fail("bad gpu timing constant");
-    }
+    for (size_t i = 0; i < 5; ++i)
+        if (!record::parse_finite(t[i + 2], gpu_f[i], 0.0))
+            return in.fail("bad gpu timing constant");
     tr.gpu = sanitize_device(tr.gpu);
 
-    if (!next(&t) || t.size() != 2 || t[0] != "total_ns" ||
-        !wi_parse_f64(t[1], &f) || !std::isfinite(f) || f < 0.0)
-        return diag.fail("bad total_ns line");
-    tr.total_ns = f;
+    if (!in.next() || t.size() != 2 || t[0] != "total_ns" ||
+        !record::parse_finite(t[1], &tr.total_ns, 0.0))
+        return in.fail("bad total_ns line");
 
-    if (!next(&t) || t.size() != 2 || t[0] != "num_streams" ||
-        !wi_parse_int(t[1], 1, 1024, &n))
-        return diag.fail("bad num_streams line");
+    if (!count("num_streams", 1, 1024))
+        return in.fail("bad num_streams line");
     tr.num_streams = static_cast<int>(n);
     tr.program.num_streams = tr.num_streams;
 
-    if (!next(&t) || t.size() != 2 || t[0] != "config" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad config line");
+    if (!count("config", 0, record::kMaxCount))
+        return in.fail("bad config line");
     std::string cfg_text;
     for (long i = 0; i < n; ++i) {
-        if (!std::getline(is, line))
-            return diag.fail("unexpected end of input (config block)");
-        diag.advance();
-        cfg_text += line;
+        if (!in.next())
+            return in.fail("unexpected end of input (config block)");
+        cfg_text += in.line();
         cfg_text += '\n';
     }
     std::string cfg_err;
     if (!config_from_string(cfg_text, &tr.config, &cfg_err))
-        return diag.fail("bad config block (" + cfg_err + ")");
+        return in.fail("bad config block (", cfg_err, ")");
 
-    if (!next(&t) || t.size() != 2 || t[0] != "steps" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad steps line");
+    if (!count("steps", 0, record::kMaxCount))
+        return in.fail("bad steps line");
     const long num_steps = n;
     for (long i = 0; i < num_steps; ++i) {
-        if (!next(&t))
-            return diag.fail("unexpected end of input (steps)");
+        if (!in.next())
+            return in.fail("unexpected end of input (steps)");
         if (t.size() != 8 || t[0] != "step")
-            return diag.fail("bad step line");
-        long barrier = 0, blocks = 0, max_sms = 0;
+            return in.fail("bad step line");
+        int barrier = 0;
         KernelDesc k;
-        if (!wi_parse_int(t[1], 0, 1, &barrier))
-            return diag.fail("bad step barrier flag");
-        if (!wi_parse_int(t[3], 0, std::numeric_limits<long>::max() / 2,
-                          &blocks))
-            return diag.fail("bad step blocks");
-        if (!wi_parse_f64(t[4], &k.block_ns) ||
-            !std::isfinite(k.block_ns) || k.block_ns < 0.0)
-            return diag.fail("bad step block_ns");
-        if (!wi_parse_f64(t[5], &k.setup_ns) ||
-            !std::isfinite(k.setup_ns) || k.setup_ns < 0.0)
-            return diag.fail("bad step setup_ns");
-        if (!wi_parse_int(t[6], 0, 1000000, &max_sms))
-            return diag.fail("bad step max_sms");
+        if (!record::parse_int(t[1], &barrier, 0, 1))
+            return in.fail("bad step barrier flag");
+        if (!record::parse_int(t[3], &k.blocks, 0,
+                               std::numeric_limits<long>::max() / 2))
+            return in.fail("bad step blocks");
+        if (!record::parse_finite(t[4], &k.block_ns, 0.0))
+            return in.fail("bad step block_ns");
+        if (!record::parse_finite(t[5], &k.setup_ns, 0.0))
+            return in.fail("bad step setup_ns");
+        if (!record::parse_int(t[6], &k.max_sms, 0, 1000000))
+            return in.fail("bad step max_sms");
         tr.program.is_barrier.push_back(static_cast<uint8_t>(barrier));
         tr.step_keys.push_back(dec_str(t[2]));
         k.key = tr.step_keys.back();
-        k.blocks = blocks;
-        k.max_sms = static_cast<int>(max_sms);
         k.name = dec_str(t[7]);
         tr.kernels.push_back(std::move(k));
     }
 
-    if (!next(&t) || t.size() != 2 || t[0] != "cmds" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad cmds line");
+    if (!count("cmds", 0, record::kMaxCount))
+        return in.fail("bad cmds line");
     const long num_cmds = n;
     for (long i = 0; i < num_cmds; ++i) {
-        if (!next(&t))
-            return diag.fail("unexpected end of input (cmds)");
+        if (!in.next())
+            return in.fail("unexpected end of input (cmds)");
         if (t.size() != 4 || t[0] != "cmd" || t[1].size() != 1)
-            return diag.fail("bad cmd line");
+            return in.fail("bad cmd line");
         WiredCmd c;
         switch (t[1][0]) {
           case 'L': c.op = WiredOp::Launch; break;
           case 'R': c.op = WiredOp::Record; break;
           case 'W': c.op = WiredOp::Wait; break;
-          default: return diag.fail("bad cmd op (want L, R or W)");
+          default: return in.fail("bad cmd op (want L, R or W)");
         }
-        long stream = 0, arg = 0;
-        if (!wi_parse_int(t[2], 0, tr.num_streams - 1, &stream))
-            return diag.fail("cmd stream out of range");
-        if (!wi_parse_int(t[3], 0, kMaxCount, &arg))
-            return diag.fail("bad cmd arg");
-        if (c.op == WiredOp::Launch && arg >= num_steps)
-            return diag.fail("cmd launches a step out of range");
-        c.stream = static_cast<int32_t>(stream);
-        c.arg = static_cast<int32_t>(arg);
+        if (!record::parse_int(t[2], &c.stream, 0, tr.num_streams - 1))
+            return in.fail("cmd stream out of range");
+        if (!record::parse_int(t[3], &c.arg, 0, record::kMaxCount))
+            return in.fail("bad cmd arg");
+        if (c.op == WiredOp::Launch && c.arg >= num_steps)
+            return in.fail("cmd launches a step out of range");
         tr.program.cmds.push_back(c);
     }
 
-    if (!next(&t) || t.empty() || t[0] != "step_begin")
-        return diag.fail("bad step_begin line");
+    if (!in.next() || t.empty() || t[0] != "step_begin")
+        return in.fail("bad step_begin line");
     if (static_cast<long>(t.size()) != num_steps + 2)
-        return diag.fail("step_begin wants " +
-                         std::to_string(num_steps + 1) + " entries");
+        return in.fail("step_begin wants ", num_steps + 1, " entries");
     for (size_t i = 1; i < t.size(); ++i) {
-        if (!wi_parse_int(t[i], 0, num_cmds, &n))
-            return diag.fail("bad step_begin entry");
+        if (!record::parse_int(t[i], &n, 0, num_cmds))
+            return in.fail("bad step_begin entry");
         tr.program.step_begin.push_back(static_cast<int32_t>(n));
     }
     // The walk issues each step's span in turn, so the spans must
@@ -447,129 +345,97 @@ read_trace(std::istream& is, RecordedTrace* trace, std::string* error)
         tr.program.step_begin.back() != num_cmds ||
         !std::is_sorted(tr.program.step_begin.begin(),
                         tr.program.step_begin.end()))
-        return diag.fail("step_begin must rise from 0 to the command "
-                         "count");
+        return in.fail("step_begin must rise from 0 to the command "
+                       "count");
 
-    if (!next(&t) || t.empty() || t[0] != "barrier_slots")
-        return diag.fail("bad barrier_slots line");
+    if (!in.next() || t.empty() || t[0] != "barrier_slots")
+        return in.fail("bad barrier_slots line");
     for (size_t i = 1; i < t.size(); ++i) {
-        if (!wi_parse_int(t[i], 0, kMaxCount, &n))
-            return diag.fail("bad barrier_slots entry");
+        if (!record::parse_int(t[i], &n, 0, record::kMaxCount))
+            return in.fail("bad barrier_slots entry");
         tr.program.barrier_slots.push_back(static_cast<int32_t>(n));
     }
 
-    if (!next(&t) || t.size() != 2 || t[0] != "num_events" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad num_events line");
+    if (!count("num_events", 0, record::kMaxCount))
+        return in.fail("bad num_events line");
     tr.program.num_events = static_cast<int32_t>(n);
     for (const WiredCmd& c : tr.program.cmds)
         if (c.op != WiredOp::Launch && c.arg >= tr.program.num_events)
-            return diag.fail("cmd references an event out of range");
+            return in.fail("cmd references an event out of range");
     for (int32_t s : tr.program.barrier_slots)
         if (s >= tr.program.num_events)
-            return diag.fail("barrier slot out of range");
+            return in.fail("barrier slot out of range");
 
-    if (!next(&t) || t.size() != 2 || t[0] != "profiling" ||
-        !wi_parse_int(t[1], 0, 1, &n))
-        return diag.fail("bad profiling line");
+    if (!count("profiling", 0, 1))
+        return in.fail("bad profiling line");
     tr.program.profiling = n != 0;
 
-    if (!next(&t) || t.size() != 2 || t[0] != "profiles" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad profiles line");
+    if (!count("profiles", 0, record::kMaxCount))
+        return in.fail("bad profiles line");
     const long num_profiles = n;
+    const int32_t num_slots =
+        static_cast<int32_t>(tr.program.barrier_slots.size());
     for (long i = 0; i < num_profiles; ++i) {
-        if (!next(&t))
-            return diag.fail("unexpected end of input (profiles)");
+        if (!in.next())
+            return in.fail("unexpected end of input (profiles)");
         if (t.size() != 8 || t[0] != "profile")
-            return diag.fail("bad profile line");
+            return in.fail("bad profile line");
         WiredProfile p;
-        long epoch = 0, step = 0, start = 0, end = 0, bb = 0, be = 0;
-        if (!wi_parse_int(t[1], 0, 1, &epoch) ||
-            !wi_parse_int(t[2], 0, num_steps - 1, &step) ||
-            !wi_parse_int(t[3], -1, tr.program.num_events - 1, &start) ||
-            !wi_parse_int(t[4], 0, tr.program.num_events - 1, &end) ||
-            !wi_parse_int(t[5], 0,
-                          static_cast<long>(
-                              tr.program.barrier_slots.size()),
-                          &bb) ||
-            !wi_parse_int(t[6], 0,
-                          static_cast<long>(
-                              tr.program.barrier_slots.size()),
-                          &be) ||
-            bb > be)
-            return diag.fail("bad profile entry");
-        if (epoch == 0 && start < 0)
-            return diag.fail("non-epoch profile wants a start slot");
+        int epoch = 0;
+        if (!record::parse_int(t[1], &epoch, 0, 1) ||
+            !record::parse_int(t[2], &p.step, 0,
+                               static_cast<int32_t>(num_steps - 1)) ||
+            !record::parse_int(t[3], &p.start_slot, -1,
+                               tr.program.num_events - 1) ||
+            !record::parse_int(t[4], &p.end_slot, 0,
+                               tr.program.num_events - 1) ||
+            !record::parse_int(t[5], &p.barrier_begin, 0, num_slots) ||
+            !record::parse_int(t[6], &p.barrier_end, 0, num_slots) ||
+            p.barrier_begin > p.barrier_end)
+            return in.fail("bad profile entry");
+        if (epoch == 0 && p.start_slot < 0)
+            return in.fail("non-epoch profile wants a start slot");
         p.epoch_metric = epoch != 0;
-        p.step = static_cast<int32_t>(step);
-        p.start_slot = static_cast<int32_t>(start);
-        p.end_slot = static_cast<int32_t>(end);
-        p.barrier_begin = static_cast<int32_t>(bb);
-        p.barrier_end = static_cast<int32_t>(be);
         p.key = dec_str(t[7]);
         tr.program.profiles.push_back(std::move(p));
     }
 
-    if (!next(&t) || t.size() != 2 || t[0] != "profile_ns" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad profile_ns line");
+    if (!count("profile_ns", 0, record::kMaxCount))
+        return in.fail("bad profile_ns line");
     const long num_pns = n;
     for (long i = 0; i < num_pns; ++i) {
-        if (!next(&t))
-            return diag.fail("unexpected end of input (profile_ns)");
-        if (t.size() != 3 || t[0] != "pns" || !wi_parse_f64(t[1], &f) ||
-            !std::isfinite(f))
-            return diag.fail("bad pns line");
+        double f = 0.0;
+        if (!in.next())
+            return in.fail("unexpected end of input (profile_ns)");
+        if (t.size() != 3 || t[0] != "pns" ||
+            !record::parse_finite(t[1], &f))
+            return in.fail("bad pns line");
         tr.profile_ns[dec_str(t[2])] = f;
     }
 
-    if (!next(&t) || t.size() != 2 || t[0] != "spans" ||
-        !wi_parse_int(t[1], 0, kMaxCount, &n))
-        return diag.fail("bad spans line");
+    if (!count("spans", 0, record::kMaxCount))
+        return in.fail("bad spans line");
     const long num_spans = n;
     for (long i = 0; i < num_spans; ++i) {
-        if (!next(&t))
-            return diag.fail("unexpected end of input (spans)");
+        if (!in.next())
+            return in.fail("unexpected end of input (spans)");
         if (t.size() != 6 || t[0] != "span")
-            return diag.fail("bad span line");
+            return in.fail("bad span line");
         TraceSpan s;
-        long stream = 0;
-        if (!wi_parse_int(t[1], 0, tr.num_streams - 1, &stream) ||
-            !wi_parse_f64(t[2], &s.start_ns) ||
-            !wi_parse_f64(t[3], &s.end_ns) ||
-            !std::isfinite(s.start_ns) || !std::isfinite(s.end_ns) ||
-            s.end_ns < s.start_ns)
-            return diag.fail("bad span entry");
-        s.stream = static_cast<int>(stream);
+        if (!record::parse_int(t[1], &s.stream, 0, tr.num_streams - 1) ||
+            !record::parse_finite(t[2], &s.start_ns) ||
+            !record::parse_finite(t[3], &s.end_ns, s.start_ns))
+            return in.fail("bad span entry");
         s.key = dec_str(t[4]);
         s.name = dec_str(t[5]);
         tr.spans.push_back(std::move(s));
     }
 
-    if (!next(&t) || t.size() != 1 || t[0] != "end")
-        return diag.fail("missing end marker");
+    if (!in.next() || t.size() != 1 || t[0] != "end")
+        return in.fail("missing end marker");
 
     *trace = std::move(tr);
     return true;
-}
-
-std::string
-trace_to_string(const RecordedTrace& trace)
-{
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    write_trace(os, trace);
-    return os.str();
-}
-
-bool
-trace_from_string(const std::string& text, RecordedTrace* trace,
-                  std::string* error)
-{
-    std::istringstream is(text);
-    is.imbue(std::locale::classic());
-    return read_trace(is, trace, error);
 }
 
 }  // namespace astra

@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scheduler.h"
@@ -120,22 +121,20 @@ class WhatIfEngine
     GpuConfig gpu_;
 };
 
-// ---- serialization (line-oriented, config_io conventions) ----------------
+// ---- serialization (line-oriented, support/record.h conventions) ---------
 
 /** Write a trace in the "astra-whatif-trace v1" text format. */
 void write_trace(std::ostream& os, const RecordedTrace& trace);
+
+/** Convenience: write_trace into a string. */
+std::string trace_to_string(const RecordedTrace& trace);
 
 /**
  * Parse a trace written by write_trace.
  * @return false (leaving *trace untouched) on malformed input; when
  *         `error` is non-null it receives "line N: reason".
  */
-bool read_trace(std::istream& is, RecordedTrace* trace,
-                std::string* error = nullptr);
-
-/** Convenience: round-trip through a string. */
-std::string trace_to_string(const RecordedTrace& trace);
-bool trace_from_string(const std::string& text, RecordedTrace* trace,
+bool trace_from_string(std::string_view text, RecordedTrace* trace,
                        std::string* error = nullptr);
 
 }  // namespace astra

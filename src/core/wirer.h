@@ -207,7 +207,7 @@ struct WirerResult
     /**
      * Dependency-preserving traces captured while the what-if engine
      * was armed (one per strategy, in strategy order; empty when the
-     * engine was off). Durable via write_trace / read_trace.
+     * engine was off). Durable via trace_to_string / trace_from_string.
      */
     std::vector<RecordedTrace> whatif_traces;
 

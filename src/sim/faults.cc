@@ -1,65 +1,20 @@
 #include "sim/faults.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <set>
 #include <sstream>
+
+#include "support/record.h"
 
 namespace astra {
 
 namespace {
 
-/** Whole-string double parse; false on empty/junk/negative. */
 bool
-parse_num(const std::string& s, double* out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (errno != 0 || end != s.c_str() + s.size() || v < 0.0)
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parse_i64(const std::string& s, int64_t* out)
-{
-    if (s.empty())
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size() || v < 0)
-        return false;
-    *out = v;
-    return true;
-}
-
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == sep) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    out.push_back(cur);
-    return out;
-}
-
-bool
-kind_from_name(const std::string& name, FaultKind* out)
+kind_from_name(std::string_view name, FaultKind* out)
 {
     if (name == "kernel")
         *out = FaultKind::Kernel;
@@ -104,49 +59,22 @@ FaultPlan::has(FaultKind kind) const
 namespace {
 
 /**
- * Per-clause parse context: stamps every diagnostic with "token N"
- * (the 1-based ';'-separated clause index, matching the config_io
- * "line N: reason" convention) and tracks which keys the clause has
- * already consumed so duplicates are a named error, not a silent
- * last-one-wins.
+ * Split "key=value" and record the key in `seen`; false (with a
+ * diagnosis) when '=' is missing or the key was already given, so a
+ * duplicate is a named error, not a silent last-one-wins.
  */
-struct ClauseCtx
-{
-    int token = 0;
-    std::string* error = nullptr;
-    std::vector<std::string> seen;
-
-    bool
-    fail(const std::string& reason)
-    {
-        if (error != nullptr)
-            *error = "token " + std::to_string(token) + ": " + reason;
-        return false;
-    }
-
-    /** Records the key; false (with a diagnosis) on a duplicate. */
-    bool
-    once(const std::string& key)
-    {
-        for (const std::string& s : seen)
-            if (s == key)
-                return fail("duplicate key '" + key + "'");
-        seen.push_back(key);
-        return true;
-    }
-};
-
-/** Split "key=value"; false (with diagnosis) when '=' is missing. */
 bool
-split_kv(ClauseCtx& ctx, const std::string& field, std::string* key,
-         std::string* val)
+split_kv(const record::Diag& diag, std::set<std::string>& seen,
+         std::string_view field, std::string* key, std::string* val)
 {
     const size_t eq = field.find('=');
-    if (eq == std::string::npos)
-        return ctx.fail("malformed field '" + field +
-                        "' (expected key=value)");
+    if (eq == std::string_view::npos)
+        return diag.fail("malformed field '", field,
+                         "' (expected key=value)");
     *key = field.substr(0, eq);
     *val = field.substr(eq + 1);
+    if (!seen.insert(*key).second)
+        return diag.fail("duplicate key '", *key, "'");
     return true;
 }
 
@@ -157,135 +85,120 @@ FaultPlan::parse(const std::string& spec, FaultPlan* out,
                  std::string* error)
 {
     FaultPlan plan;
-    ClauseCtx globals;  // duplicate tracking across global clauses
-    globals.error = error;
-    const std::vector<std::string> clauses = split(spec, ';');
-    for (size_t ci = 0; ci < clauses.size(); ++ci) {
-        const std::string& clause = clauses[ci];
-        ClauseCtx ctx;
-        ctx.token = static_cast<int>(ci) + 1;
-        ctx.error = error;
-        globals.token = ctx.token;
+    // Diagnostics name the 1-based ';'-separated clause.
+    record::Diag diag(error, "token");
+    std::set<std::string> globals;  // duplicates across global clauses
+    for (const std::string_view clause : record::split(spec, ';')) {
+        ++diag.at;
         if (clause.empty())
             continue;
+        std::set<std::string> seen;
+        std::string key, val;
         const size_t colon = clause.find(':');
-        if (colon == std::string::npos) {
+        if (colon == std::string_view::npos) {
             // Global clause: key=value.
-            std::string key, val;
-            if (!split_kv(ctx, clause, &key, &val))
+            if (!split_kv(diag, globals, clause, &key, &val))
                 return false;
-            if (!globals.once(key))
-                return false;
+            int64_t v = 0;
             if (key == "seed") {
-                int64_t v = 0;
-                if (!parse_i64(val, &v))
-                    return ctx.fail("seed must be a non-negative "
-                                    "integer, got '" + val + "'");
+                if (!record::parse_int(val, &v, 0))
+                    return diag.fail("seed must be a non-negative "
+                                     "integer, got '", val, "'");
                 plan.seed = static_cast<uint64_t>(v);
             } else if (key == "retries") {
-                int64_t v = 0;
-                if (!parse_i64(val, &v) || v > 1000)
-                    return ctx.fail("retries out of range [0, 1000], "
-                                    "got '" + val + "'");
+                if (!record::parse_int(val, &v, 0, 1000))
+                    return diag.fail("retries out of range [0, 1000], "
+                                     "got '", val, "'");
                 plan.max_retries = static_cast<int>(v);
             } else if (key == "backoff_us") {
-                if (!parse_num(val, &plan.backoff_us))
-                    return ctx.fail("backoff_us must be a non-negative "
-                                    "number, got '" + val + "'");
+                if (!record::parse_finite(val, &plan.backoff_us, 0.0))
+                    return diag.fail("backoff_us must be a non-negative "
+                                     "number, got '", val, "'");
             } else {
-                return ctx.fail("unknown key '" + key + "'");
+                return diag.fail("unknown key '", key, "'");
             }
             continue;
         }
-        const std::string kind_name = clause.substr(0, colon);
+        const std::string kind_name(clause.substr(0, colon));
+        const std::vector<std::string_view> fields =
+            record::split(clause.substr(colon + 1), ',');
         if (kind_name == "replica_death" || kind_name == "replica_flap") {
             ReplicaFaultSpec rs;
             rs.flap = kind_name == "replica_flap";
             bool have_r = false, have_at = false, have_down = false;
-            for (const std::string& field :
-                 split(clause.substr(colon + 1), ',')) {
-                std::string key, val;
-                if (!split_kv(ctx, field, &key, &val))
+            for (const std::string_view field : fields) {
+                if (!split_kv(diag, seen, field, &key, &val))
                     return false;
-                if (!ctx.once(key))
-                    return false;
-                int64_t iv = 0;
                 if (key == "r") {
-                    if (!parse_i64(val, &iv) || iv > 4096)
-                        return ctx.fail("r out of range [0, 4096], "
-                                        "got '" + val + "'");
-                    rs.replica = static_cast<int>(iv);
+                    if (!record::parse_int(val, &rs.replica, 0, 4096))
+                        return diag.fail("r out of range [0, 4096], "
+                                         "got '", val, "'");
                     have_r = true;
                 } else if (key == "at_ns") {
-                    if (!parse_num(val, &rs.at_ns))
-                        return ctx.fail("at_ns must be a non-negative "
-                                        "number, got '" + val + "'");
+                    if (!record::parse_finite(val, &rs.at_ns, 0.0))
+                        return diag.fail("at_ns must be a non-negative "
+                                         "number, got '", val, "'");
                     have_at = true;
                 } else if (key == "down_ns" && rs.flap) {
-                    if (!parse_num(val, &rs.down_ns) || rs.down_ns <= 0.0)
-                        return ctx.fail("down_ns must be > 0, got '" +
-                                        val + "'");
+                    if (!record::parse_finite(val, &rs.down_ns, 0.0) ||
+                        rs.down_ns <= 0.0)
+                        return diag.fail("down_ns must be > 0, got '", val,
+                                         "'");
                     have_down = true;
                 } else if (key == "up_ns" && rs.flap) {
-                    if (!parse_num(val, &rs.up_ns))
-                        return ctx.fail("up_ns must be a non-negative "
-                                        "number, got '" + val + "'");
+                    if (!record::parse_finite(val, &rs.up_ns, 0.0))
+                        return diag.fail("up_ns must be a non-negative "
+                                         "number, got '", val, "'");
                 } else if (key == "count" && rs.flap) {
-                    if (!parse_i64(val, &iv) || iv < 1)
-                        return ctx.fail("count must be >= 1, got '" +
-                                        val + "'");
-                    rs.count = iv;
+                    if (!record::parse_int(val, &rs.count, 1))
+                        return diag.fail("count must be >= 1, got '", val,
+                                         "'");
                 } else {
-                    return ctx.fail("unknown key '" + key + "' for " +
-                                    kind_name);
+                    return diag.fail("unknown key '", key, "' for ",
+                                     kind_name);
                 }
             }
             if (!have_r || !have_at)
-                return ctx.fail(kind_name + " needs r= and at_ns=");
+                return diag.fail(kind_name, " needs r= and at_ns=");
             if (rs.flap && !have_down)
-                return ctx.fail("replica_flap needs down_ns=");
+                return diag.fail("replica_flap needs down_ns=");
             if (rs.flap && rs.up_ns <= 0.0 &&
                 (rs.count < 0 || rs.count > 1))
-                return ctx.fail("replica_flap with up_ns=0 never "
-                                "revives; use replica_death");
+                return diag.fail("replica_flap with up_ns=0 never "
+                                 "revives; use replica_death");
             plan.replica_faults.push_back(rs);
             continue;
         }
         FaultSpec fs;
         if (!kind_from_name(kind_name, &fs.kind))
-            return ctx.fail("unknown fault kind '" + kind_name + "'");
+            return diag.fail("unknown fault kind '", kind_name, "'");
         bool fires_ever = false;
-        for (const std::string& field :
-             split(clause.substr(colon + 1), ',')) {
-            std::string key, val;
-            if (!split_kv(ctx, field, &key, &val))
-                return false;
-            if (!ctx.once(key))
+        for (const std::string_view field : fields) {
+            if (!split_kv(diag, seen, field, &key, &val))
                 return false;
             if (key == "p") {
-                if (!parse_num(val, &fs.p) || fs.p > 1.0)
-                    return ctx.fail("p out of range [0, 1], got '" +
-                                    val + "'");
+                if (!record::parse_finite(val, &fs.p, 0.0, 1.0))
+                    return diag.fail("p out of range [0, 1], got '", val,
+                                     "'");
                 fires_ever = true;
             } else if (key == "x") {
-                if (!parse_num(val, &fs.factor) || fs.factor < 1.0)
-                    return ctx.fail("x must be >= 1, got '" + val +
-                                    "'");
+                if (!record::parse_finite(val, &fs.factor, 1.0))
+                    return diag.fail("x must be >= 1, got '", val, "'");
             } else if (key == "at") {
-                if (!parse_i64(val, &fs.at))
-                    return ctx.fail("at must be a non-negative "
-                                    "integer, got '" + val + "'");
+                if (!record::parse_int(val, &fs.at, 0))
+                    return diag.fail("at must be a non-negative "
+                                     "integer, got '", val, "'");
                 fires_ever = true;
             } else if (key == "name") {
                 if (val.empty())
-                    return ctx.fail("name must be non-empty");
+                    return diag.fail("name must be non-empty");
                 fs.name = val;
             } else {
-                return ctx.fail("unknown key '" + key + "'");
+                return diag.fail("unknown key '", key, "'");
             }
         }
         if (!fires_ever)
-            return ctx.fail("spec never fires (needs p= or at=)");
+            return diag.fail("spec never fires (needs p= or at=)");
         plan.specs.push_back(std::move(fs));
     }
     *out = std::move(plan);
@@ -317,6 +230,10 @@ std::string
 FaultPlan::to_string() const
 {
     std::ostringstream os;
+    // Pinned like every record writer, so the spec reparses on any
+    // host; decimal because people read it too.
+    const record::WriteGuard pin(os);
+    os << std::defaultfloat;
     os << "seed=" << seed << ";retries=" << max_retries
        << ";backoff_us=" << backoff_us;
     for (const FaultSpec& s : specs) {

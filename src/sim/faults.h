@@ -48,9 +48,11 @@
  *
  * `p` fires a fault with that probability per draw; `at` fires exactly
  * once, at the given per-kind sequence number (deterministic one-shot).
- * Malformed specs are rejected with a "token N: reason" diagnostic
- * (tokens are the 1-based ';'-separated clauses), matching the
- * config_io error convention: unknown keys, duplicate keys and
+ * N is a plain decimal integer and F a finite decimal or "0x" hex
+ * number, each a whole token (support/record.h): "x=inf", "p=nan",
+ * "seed=+5" and "seed= 5" are errors. Malformed specs are rejected with
+ * the record layer's "token N: reason" diagnostic (tokens are the
+ * 1-based ';'-separated clauses): unknown keys, duplicate keys and
  * out-of-range values all name the offending token instead of being
  * silently ignored.
  */

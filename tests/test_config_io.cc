@@ -6,15 +6,18 @@
  */
 #include <gtest/gtest.h>
 
-#include <locale>
 #include <string>
 
 #include "core/astra.h"
 #include "core/config_io.h"
 #include "models/models.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
+
+using testutil::CommaDecimal;
+using testutil::ScopedGlobalLocale;
 
 TEST(ConfigIo, RoundTripAllFields)
 {
@@ -89,6 +92,12 @@ TEST(ConfigIo, MalformedNumbersReturnFalseNeverThrow)
         "astra-config v1\nepoch_choice 1:2,3\n", // colon before comma
         "astra-config v1\nepoch_choice a,b:c\n",
         "astra-config v1\nepoch_choice 1,99999999999999999999:2\n",
+        // Trailing junk and extra values are corrupt, not ignored.
+        "astra-config v1\nstrategy 1x\n",
+        "astra-config v1\ngroup_chunk 4 x 8\n",
+        "astra-config v1\ngroup_lib 1 junk 2\n",
+        "astra-config v1\nnum_streams 2 3\n",
+        "astra-config v1\nuse_streams 7abc\n",
     };
     for (const char* text : cases) {
         ScheduleConfig probe;
@@ -262,6 +271,9 @@ TEST(ProfileIo, RejectsMalformedWithLineDiagnosis)
         {"astra-profile v1\nentries 2\n"
          "stat 1 0 0 0x1p+0 0x1p+0 0x1p+0 0x0p+0 1 0x1p+0 k\n",
          "line 4"},  // fewer entries than declared
+        {"astra-profile v1\nentries 1\n"
+         "stat 1 0 0 0 0 0 0 999999999999999 k\n",
+         "line 3"},  // a window count must not size an allocation
     };
     for (const auto& c : cases) {
         ProfileIndex probe;
@@ -346,6 +358,11 @@ TEST(CheckpointIo, RejectsMalformedInput)
         "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 1\n",  // missing prof
         "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
         "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 1\nprof nope key\n",
+        // Declared counts must not size an allocation.
+        "astra-checkpoint v1\nstrategies 999999999999999\n",
+        "astra-checkpoint v1\nstrategies 1\nstrategy 0 999999999999999\n",
+        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
+        "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 999999999999999\n",
     };
     for (const char* text : cases) {
         WirerCheckpoint copy = probe;
@@ -375,29 +392,6 @@ TEST(ConfigIo, RestartReproducesTunedTime)
     ASSERT_TRUE(config_from_string(saved, &loaded));
     EXPECT_DOUBLE_EQ(restarted.run(loaded).total_ns, r.best_ns);
 }
-
-/** numpunct facet of a de_DE-style locale: ',' decimal, '.' grouping. */
-class CommaDecimal : public std::numpunct<char>
-{
-  protected:
-    char do_decimal_point() const override { return ','; }
-    char do_thousands_sep() const override { return '.'; }
-    std::string do_grouping() const override { return "\3"; }
-};
-
-/** RAII global-locale override (restored even on ASSERT failure). */
-class ScopedGlobalLocale
-{
-  public:
-    explicit ScopedGlobalLocale(const std::locale& loc)
-        : prev_(std::locale::global(loc))
-    {
-    }
-    ~ScopedGlobalLocale() { std::locale::global(prev_); }
-
-  private:
-    std::locale prev_;
-};
 
 TEST(ConfigIo, RoundTripsUnderCommaDecimalGlobalLocale)
 {

@@ -11,17 +11,29 @@
  * same values and timings as dispatching the plan. This is where
  * grouping edge cases the hand-written models never produce get
  * caught.
+ *
+ * RecordFuzz mutates a valid sample of every text format read from
+ * outside the program (config, profile index, checkpoint, what-if
+ * trace, plan-store entry, fault spec): it truncates, swaps tokens for
+ * hostile numbers and flips bits. Each mutant must read back or be
+ * rejected with a "<unit> N: reason" diagnostic, and never abort.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <iterator>
+#include <regex>
 #include <set>
 
 #include "autodiff/autodiff.h"
 #include "core/astra.h"
+#include "core/config_io.h"
+#include "core/plan_store.h"
+#include "core/whatif.h"
 #include "graph/builder.h"
 #include "models/data.h"
+#include "models/models.h"
 #include "runtime/wired.h"
 #include "tests/util.h"
 
@@ -229,6 +241,228 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<uint64_t>(1, 25));
+
+// ---- record readers under mutation ----------------------------------------
+
+/**
+ * One text format: a valid sample, and a reader that either rejects a
+ * text (filling the diagnostic) or accepts it and writes it back out.
+ */
+struct RecordFormat
+{
+    std::string name;
+    std::string sample;
+    std::function<bool(const std::string& text, std::string* error,
+                       std::string* rewritten)>
+        read;
+};
+
+ScheduleConfig
+sample_config(const SearchSpace& space)
+{
+    ScheduleConfig cfg;
+    cfg.group_chunk.assign(space.groups.size(), 1);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Oai1);
+    for (NodeId id : space.single_mms)
+        cfg.single_lib[id] = GemmLib::Cublas;
+    cfg.epoch_choice[{0, 1}] = 2;
+    cfg.use_streams = true;
+    return cfg;
+}
+
+ProfileIndex
+sample_profile()
+{
+    ProfileIndex index;
+    for (int i = 0; i < 6; ++i)
+        index.record("s0|fmm.x2|1", 100.0 + 0.25 * i);
+    index.record("s0|lib g7|2", 1.0 / 3.0);
+    index.record_fault("s0|bad|0");
+    return index;
+}
+
+/** The plan-store frame around a payload, recomputed for each mutant. */
+std::string
+frame(const std::string& payload)
+{
+    return "astra-plan-store v1 " + std::to_string(payload.size()) + " " +
+           hash_hex(fnv1a64(payload)) + "\n" + payload;
+}
+
+std::vector<RecordFormat>
+record_formats()
+{
+    const BuiltModel model = build_model(
+        ModelKind::Scrnn, {.batch = 4, .seq_len = 2, .hidden = 8,
+                           .embed_dim = 8, .vocab = 16});
+    const SearchSpace space = enumerate_search_space(model.graph());
+    const Scheduler sched(model.graph(), space);
+    SimMemory mem(graph_tensor_bytes(model.graph()) + (1 << 20), false);
+    const TensorMap tmap(model.graph(), mem, space.strategies[0].runs);
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    const ScheduleConfig cfg = sample_config(space);
+    const RecordedTrace trace =
+        WhatIfEngine(model.graph(), tmap, sched, gpu).capture(cfg);
+
+    WirerCheckpoint cp;
+    cp.strategies.resize(2);
+    DispatchRecord r;
+    r.total_ns = 1.0 / 3.0;
+    r.profile = {{"g0", 12345.5}, {"fmm.x2.%5.oai_1", 0.1}};
+    cp.strategies[0] = {r, r};
+    r.faulted = true;
+    r.fault_attempts = 2;
+    cp.strategies[1] = {r};
+
+    PlanStoreEntry entry;
+    entry.key = {0x1111, 0x2222, 0x3333, 0x4444, 1.5e9};
+    entry.config = cfg;
+    entry.best_ns = 1.0 / 3.0;
+    entry.minibatches = 1234;
+    entry.termination = "complete";
+    entry.profile = sample_profile();
+    const std::string framed = PlanStore::entry_to_string(entry);
+
+    std::vector<RecordFormat> formats;
+    formats.push_back(
+        {"config", config_to_string(cfg),
+         [](const std::string& text, std::string* error, std::string* out) {
+             ScheduleConfig c;
+             if (!config_from_string(text, &c, error))
+                 return false;
+             *out = config_to_string(c);
+             return true;
+         }});
+    formats.push_back(
+        {"profile", profile_index_to_string(sample_profile()),
+         [](const std::string& text, std::string* error, std::string* out) {
+             ProfileIndex index;
+             if (!profile_index_from_string(text, &index, error))
+                 return false;
+             *out = profile_index_to_string(index);
+             return true;
+         }});
+    formats.push_back(
+        {"checkpoint", checkpoint_to_string(cp),
+         [](const std::string& text, std::string* error, std::string* out) {
+             WirerCheckpoint c;
+             if (!checkpoint_from_string(text, &c, error))
+                 return false;
+             *out = checkpoint_to_string(c);
+             return true;
+         }});
+    formats.push_back(
+        {"trace", trace_to_string(trace),
+         [](const std::string& text, std::string* error, std::string* out) {
+             RecordedTrace t;
+             if (!trace_from_string(text, &t, error))
+                 return false;
+             *out = trace_to_string(t);
+             return true;
+         }});
+    // Mutations apply to the payload; the frame is rebuilt so each one
+    // reaches the payload parser instead of failing the checksum.
+    formats.push_back(
+        {"plan-store payload", framed.substr(framed.find('\n') + 1),
+         [](const std::string& text, std::string* error, std::string* out) {
+             PlanStoreEntry e;
+             if (!PlanStore::entry_from_string(frame(text), &e, error))
+                 return false;
+             const std::string again = PlanStore::entry_to_string(e);
+             *out = again.substr(again.find('\n') + 1);
+             return true;
+         }});
+    formats.push_back(
+        {"fault spec",
+         "seed=3;retries=4;backoff_us=25;kernel:p=0.01,name=gemm;"
+         "straggler:p=0.5,x=4;alloc:p=0,x=1.5,at=2;comm:p=0.25,x=3;"
+         "replica_death:r=1,at_ns=5e+06;replica_flap:r=0,at_ns=1e+06,"
+         "down_ns=200000,up_ns=800000,count=3",
+         [](const std::string& text, std::string* error, std::string* out) {
+             FaultPlan plan;
+             if (!FaultPlan::parse(text, &plan, error))
+                 return false;
+             *out = plan.to_string();
+             return true;
+         }});
+    return formats;
+}
+
+bool
+is_separator(char c)
+{
+    return std::string_view(" \t\n;,=:").find(c) != std::string_view::npos;
+}
+
+/** Truncations at every line (or clause), token swaps and bit flips. */
+std::vector<std::string>
+mutants(const std::string& sample, uint64_t seed)
+{
+    std::vector<std::string> out;
+    for (size_t i = 0; i < sample.size(); ++i)
+        if (sample[i] == '\n' || sample[i] == ';') {
+            out.push_back(sample.substr(0, i));
+            out.push_back(sample.substr(0, i + 1));
+        }
+    const char* hostile[] = {"999999999999999", "-1", "nan", "inf",
+                             "1x",              "+1", "0x"};
+    for (size_t i = 0; i < sample.size();) {
+        if (is_separator(sample[i])) {
+            ++i;
+            continue;
+        }
+        size_t j = i;
+        while (j < sample.size() && !is_separator(sample[j]))
+            ++j;
+        for (const char* h : hostile)
+            out.push_back(sample.substr(0, i) + h + sample.substr(j));
+        i = j;
+    }
+    Rng rng(seed);
+    for (int flip = 0; flip < 300; ++flip) {
+        std::string m = sample;
+        m[rng.next_below(m.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+        out.push_back(std::move(m));
+    }
+    return out;
+}
+
+TEST(RecordFuzz, MutatedInputsAreRejectedOrRead)
+{
+    const std::regex diagnostic("(line|token) [0-9]+: [\\s\\S]+");
+    for (const RecordFormat& f : record_formats()) {
+        std::string error;
+        std::string written;
+        ASSERT_TRUE(f.read(f.sample, &error, &written))
+            << f.name << ": " << error;
+        EXPECT_EQ(written, f.sample) << f.name;
+
+        int accepted = 0;
+        int rejected = 0;
+        for (const std::string& m : mutants(f.sample, 17)) {
+            error.clear();
+            if (!f.read(m, &error, &written)) {
+                ++rejected;
+                EXPECT_TRUE(std::regex_match(error, diagnostic))
+                    << f.name << " rejected without a diagnostic ('"
+                    << error << "'):\n"
+                    << m;
+                continue;
+            }
+            // What a reader accepts, it must write back readably, and
+            // the rewrite is a fixed point.
+            ++accepted;
+            std::string again;
+            ASSERT_TRUE(f.read(written, &error, &again))
+                << f.name << ": " << error << "\n" << written;
+            EXPECT_EQ(again, written) << f.name;
+        }
+        EXPECT_GT(rejected, 0) << f.name;
+        EXPECT_GT(accepted, 0) << f.name;
+    }
+}
 
 }  // namespace
 }  // namespace astra

@@ -20,6 +20,7 @@
 #include "core/config_io.h"
 #include "core/plan_store.h"
 #include "models/models.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
@@ -363,7 +364,42 @@ TEST(PlanStoreCompat, GoldenCorruptAndTruncatedFixturesRejected)
         EXPECT_FALSE(error.empty()) << name;
     }
 }
+
+TEST(PlanStoreCompat, WriterIsByteIdenticalUnderCommaDecimalLocale)
+{
+    // The writer pins the classic locale: a host whose global locale
+    // writes "1,5" and groups "1.234" must write the fixture's bytes,
+    // or the entry fails to load there and everywhere else.
+    std::ifstream in(fs::path(ASTRA_TEST_DATA_DIR) / "plan_store_v1" /
+                         "entry.plan",
+                     std::ios::binary);
+    ASSERT_TRUE(in);
+    const std::string golden(std::istreambuf_iterator<char>(in), {});
+    EXPECT_EQ(PlanStore::entry_to_string(sample_entry()), golden);
+    const testutil::ScopedGlobalLocale guard(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
+    EXPECT_EQ(PlanStore::entry_to_string(sample_entry()), golden);
+}
 #endif
+
+TEST(PlanStore, EntryAndPriorsWrittenUnderCommaDecimalLocaleLoad)
+{
+    // A win count of 1200 written as "1.200" would be dropped by a
+    // classic-locale reader, losing the L3 advice.
+    const fs::path dir = fresh_store_dir("plan_store_comma_locale");
+    PlanStoreEntry e = sample_entry();
+    e.config.group_lib.assign(1200, GemmLib::Cublas);
+    {
+        const testutil::ScopedGlobalLocale guard(std::locale(
+            std::locale::classic(), new testutil::CommaDecimal));
+        std::string error;
+        ASSERT_TRUE(PlanStore(dir).put(e, &error)) << error;
+    }
+    const StoreLookup hit = PlanStore(dir).lookup(e.key);
+    EXPECT_EQ(hit.tier, StoreTier::L1);
+    EXPECT_TRUE(hit.errors.empty());
+    EXPECT_EQ(hit.preferred_lib, static_cast<int>(GemmLib::Cublas));
+}
 
 TEST(PlanStoreWarmStart, SecondSessionHitsL1BitIdentical)
 {

@@ -14,6 +14,7 @@
 #include "sim/memory.h"
 #include "sim/multi.h"
 #include "support/stats.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
@@ -639,6 +640,13 @@ TEST(FaultPlan, ParseAndRoundTrip)
     FaultPlan again;
     ASSERT_TRUE(FaultPlan::parse(plan.to_string(), &again));
     EXPECT_EQ(again.to_string(), plan.to_string());
+
+    // ... on a host whose locale writes 0.5 as "0,5", too.
+    const testutil::ScopedGlobalLocale guard(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
+    FaultPlan local;
+    ASSERT_TRUE(FaultPlan::parse(plan.to_string(), &local));
+    EXPECT_EQ(local.to_string(), again.to_string());
 }
 
 TEST(FaultPlan, ParseRejectsMalformed)
@@ -652,6 +660,14 @@ TEST(FaultPlan, ParseRejectsMalformed)
     EXPECT_FALSE(FaultPlan::parse("straggler:p=0.1,x=0.5", &plan));
     EXPECT_FALSE(FaultPlan::parse("retries=2000", &plan));  // over cap
     EXPECT_FALSE(FaultPlan::parse("comm:p=nope", &plan));
+    // Numbers are finite, whole-token decimal or "0x" hex.
+    EXPECT_FALSE(FaultPlan::parse("straggler:p=0.5,x=inf", &plan));
+    EXPECT_FALSE(FaultPlan::parse("kernel:p=nan", &plan));
+    EXPECT_FALSE(FaultPlan::parse("comm:p=0.5,x=1f", &plan));
+    EXPECT_FALSE(FaultPlan::parse("comm:p=0.5,x=1.8p+3", &plan));
+    EXPECT_FALSE(FaultPlan::parse("replica_death:r=0,at_ns=inf", &plan));
+    EXPECT_FALSE(FaultPlan::parse("seed=+5", &plan));
+    EXPECT_FALSE(FaultPlan::parse("seed= 5", &plan));
     EXPECT_EQ(plan.seed, 99u);
 }
 
@@ -690,6 +706,15 @@ TEST(FaultPlan, DiagnosticsNameTheOffendingToken)
     EXPECT_EQ(err.rfind("token 1:", 0), 0u) << err;
     EXPECT_NE(err.find("retries out of range"), std::string::npos)
         << err;
+
+    // An infinite slowdown would stall the simulator: reject it here.
+    EXPECT_FALSE(
+        FaultPlan::parse("seed=3;straggler:p=0.5,x=inf", &plan, &err));
+    EXPECT_EQ(err.rfind("token 2:", 0), 0u) << err;
+    EXPECT_NE(err.find("x must be >= 1, got 'inf'"), std::string::npos)
+        << err;
+    EXPECT_FALSE(FaultPlan::parse("kernel:p=nan", &plan, &err));
+    EXPECT_NE(err.find("p out of range"), std::string::npos) << err;
 
     EXPECT_EQ(plan.seed, 1u);  // default-constructed plan untouched
 }

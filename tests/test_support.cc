@@ -1,21 +1,25 @@
 /**
  * @file
  * Unit tests for the support library: RNG determinism, statistics,
- * table rendering, thread pool.
+ * table rendering, thread pool, and the record layer's token grammar,
+ * line numbering and writer guard.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "support/record.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
@@ -225,6 +229,113 @@ TEST(ThreadPool, EmptyAndSingleBatches)
     EXPECT_EQ(calls, 0);
     pool.parallel_for(1, [&](int64_t) { ++calls; });
     EXPECT_EQ(calls, 1);
+}
+
+TEST(Record, IntegersAreWholeDecimalTokensInRange)
+{
+    int v = 7;
+    EXPECT_TRUE(record::parse_int("-12", &v));
+    EXPECT_EQ(v, -12);
+    EXPECT_TRUE(record::parse_int("3", &v, 1, 3));
+    EXPECT_EQ(v, 3);
+    for (const char* bad : {"", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                            "4", "0", "99999999999"}) {
+        v = 7;
+        EXPECT_FALSE(record::parse_int(bad, &v, 1, 3)) << bad;
+        EXPECT_EQ(v, 7) << bad;  // untouched on failure
+    }
+    int64_t big = 0;
+    EXPECT_TRUE(record::parse_int("9223372036854775807", &big));
+    EXPECT_FALSE(record::parse_int("9223372036854775808", &big));
+}
+
+TEST(Record, DoublesKeepHexfloatAndRejectJunk)
+{
+    // parse_f64 reads every form a writer emits; parse_finite is the
+    // strict grammar: finite, decimal or "0x" hex only.
+    const struct
+    {
+        const char* tok;
+        bool f64;
+        bool finite;
+    } cases[] = {
+        {"1.5", true, true},       {"-2.5e3", true, true},
+        {"+0.5", true, true},      {"0x1.8p+3", true, true},
+        {"-0X1.8P+3", true, true}, {"0x1", true, true},
+        {"1.8p+3", true, false},   {"inf", true, false},
+        {"nan", true, false},      {"1f", false, false},
+        {"0b1", false, false},     {"0x", false, false},
+        {"+-1", false, false},     {"0x-1", false, false},
+        {"1e999", false, false},   {"1,5", false, false},
+        {" 1", false, false},      {"", false, false},
+    };
+    for (const auto& c : cases) {
+        double v = 0.0;
+        EXPECT_EQ(record::parse_f64(c.tok, &v), c.f64) << c.tok;
+        EXPECT_EQ(record::parse_finite(c.tok, &v), c.finite) << c.tok;
+    }
+    double v = 0.0;
+    ASSERT_TRUE(record::parse_f64("1.8p+3", &v));
+    EXPECT_EQ(v, 12.0);
+    EXPECT_FALSE(record::parse_finite("0.5", &v, 1.0));
+    EXPECT_TRUE(record::parse_finite("0x1p+0", &v, 1.0, 1.0));
+    EXPECT_EQ(v, 1.0);
+}
+
+TEST(Record, LineReaderNumbersLinesAndTokens)
+{
+    std::string error;
+    record::LineReader in("a  b\tc\n\nkey 1 with spaces\nlast", &error);
+    const std::vector<std::string_view>& t = in.tokens();
+    ASSERT_TRUE(in.next());
+    EXPECT_EQ(t, (std::vector<std::string_view>{"a", "b", "c"}));
+    ASSERT_TRUE(in.next());
+    EXPECT_TRUE(t.empty());
+    ASSERT_TRUE(in.next());
+    std::string_view key;
+    ASSERT_TRUE(in.after(1, &key));
+    EXPECT_EQ(key, "with spaces");
+    EXPECT_FALSE(in.after(3, &key));  // nothing follows the last token
+    EXPECT_EQ(in.rest(), "last");
+    ASSERT_TRUE(in.next());
+    EXPECT_EQ(in.line(), "last");
+    EXPECT_FALSE(in.next());
+    EXPECT_FALSE(in.fail("missing ", 2, " lines"));
+    EXPECT_EQ(error, "line 5: missing 2 lines");  // one past the last
+
+    record::Diag diag(&error, "token");
+    diag.at = 3;
+    EXPECT_FALSE(diag.fail("bad"));
+    EXPECT_EQ(error, "token 3: bad");
+}
+
+TEST(Record, WriteGuardPinsClassicHexfloatAndRestores)
+{
+    std::ostringstream os;
+    os.imbue(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
+    os << std::fixed;
+    {
+        const record::WriteGuard pin(os);
+        os << 1234 << " " << 1.5 << "|";
+    }
+    os << 1234 << " " << 1.5;
+    EXPECT_EQ(os.str(), "1234 0x1.8p+0|1.234 1,500000");
+}
+
+TEST(Record, SplitKeepsEmptyFields)
+{
+    EXPECT_EQ(record::split("a;;b", ';'),
+              (std::vector<std::string_view>{"a", "", "b"}));
+    EXPECT_EQ(record::split("", ';'), (std::vector<std::string_view>{""}));
+}
+
+TEST(RecordDeathTest, IntArgNamesTheFlagAndExitsOne)
+{
+    EXPECT_EQ(record::int_arg("--streams", "4", 1, 64), 4);
+    EXPECT_EXIT(record::int_arg("--streams", "x", 1, 64),
+                ::testing::ExitedWithCode(1),
+                "--streams wants an integer in \\[1, 64\\], got 'x'");
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "models/models.h"
 #include "runtime/dispatcher.h"
 #include "sim/memory.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
@@ -208,6 +209,24 @@ TEST(WhatIf, TraceRoundTripsThroughText)
     EXPECT_EQ(a.total_ns, b.total_ns);
     EXPECT_EQ(a.profile_ns, b.profile_ns);
     EXPECT_EQ(back.total_ns, t.total_ns);
+}
+
+TEST(WhatIf, TraceWrittenUnderCommaDecimalLocaleRoundTrips)
+{
+    // write_trace pins the classic locale on the caller's stream too,
+    // not only inside trace_to_string.
+    EngineRig rig;
+    const RecordedTrace t = rig.engine.capture(rig.config(false));
+    const std::string classic = trace_to_string(t);
+    const testutil::ScopedGlobalLocale guard(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
+    std::ostringstream os;
+    write_trace(os, t);
+    EXPECT_EQ(os.str(), classic);
+    RecordedTrace back;
+    std::string error;
+    ASSERT_TRUE(trace_from_string(os.str(), &back, &error)) << error;
+    EXPECT_EQ(trace_to_string(back), classic);
 }
 
 TEST(WhatIf, MalformedTracesRejectedWithLineDiagnostics)

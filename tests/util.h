@@ -169,6 +169,32 @@ plan_dump(const ExecutionPlan& plan)
     return os.str();
 }
 
+/** numpunct facet of a de_DE-style locale: ',' decimal, '.' grouping. */
+class CommaDecimal : public std::numpunct<char>
+{
+  protected:
+    char do_decimal_point() const override { return ','; }
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+};
+
+/** RAII global-locale override (restored even on ASSERT failure). */
+class ScopedGlobalLocale
+{
+  public:
+    explicit ScopedGlobalLocale(const std::locale& loc)
+        : prev_(std::locale::global(loc))
+    {
+    }
+    ~ScopedGlobalLocale() { std::locale::global(prev_); }
+
+    ScopedGlobalLocale(const ScopedGlobalLocale&) = delete;
+    ScopedGlobalLocale& operator=(const ScopedGlobalLocale&) = delete;
+
+  private:
+    std::locale prev_;
+};
+
 /** The repo benchmark's zoo shape: batch 16, seq 8, hidden 128. */
 inline ModelConfig
 zoo_shape()
