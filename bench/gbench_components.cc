@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the infrastructure itself: how
- * fast the simulator, enumerator and scheduler run on the host. These
+ * fast the simulator, enumerator, scheduler and wired bind/replay run
+ * on the host. These
  * bound the real-world cost of Astra's online exploration machinery
  * (the compiler/runtime overhead, not the simulated GPU time).
  */
@@ -11,6 +12,7 @@
 #include "core/scheduler.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
+#include "runtime/wired.h"
 
 using namespace astra;
 using namespace astra::bench;
@@ -68,6 +70,19 @@ BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, sublstm, &model)
 BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, gnmt, &gnmt_model)
     ->Unit(benchmark::kMillisecond);
 
+/** Every group at its largest chunk, cuBLAS everywhere, one stream. */
+ScheduleConfig
+max_chunk_config(const SearchSpace& space)
+{
+    ScheduleConfig cfg;
+    cfg.group_chunk.assign(space.groups.size(), 1);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+    for (const FusionGroup& g : space.groups)
+        cfg.group_chunk[static_cast<size_t>(g.id)] =
+            g.chunk_options.back();
+    return cfg;
+}
+
 /**
  * A max-chunk, two-stream plan of subLSTM. `cold` builds it on a fresh
  * Scheduler each iteration: units, stream space and the epoch walk.
@@ -80,12 +95,7 @@ BM_BuildStreamedPlan(benchmark::State& state, bool warm)
 {
     const BuiltModel& m = model();
     static const SearchSpace space = enumerate_search_space(m.graph());
-    ScheduleConfig cfg;
-    cfg.group_chunk.assign(space.groups.size(), 1);
-    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
-    for (const FusionGroup& g : space.groups)
-        cfg.group_chunk[static_cast<size_t>(g.id)] =
-            g.chunk_options.back();
+    ScheduleConfig cfg = max_chunk_config(space);
     cfg.use_streams = true;
     if (!warm) {
         for (auto _ : state) {
@@ -111,6 +121,80 @@ BENCHMARK_CAPTURE(BM_BuildStreamedPlan, cold, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_BuildStreamedPlan, warm, true)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Cycle-repaired units of the repo benchmark's largest serving bucket
+ * (subLSTM, batch 8, seq 32, hidden = embed 64, vocab 1000) at max
+ * chunks: the Scheduler::build_units call a fleet set-up pays once
+ * per bucket binding.
+ */
+void
+BM_BuildUnits(benchmark::State& state)
+{
+    static const BuiltModel m = build_model(
+        ModelKind::SubLstm, {.batch = 8, .seq_len = 32, .hidden = 64,
+                             .embed_dim = 64, .vocab = 1000});
+    static const SearchSpace space = enumerate_search_space(m.graph());
+    const Scheduler scheduler(m.graph(), space);
+    const ScheduleConfig cfg = max_chunk_config(space);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(scheduler.build_units(cfg).size());
+}
+BENCHMARK(BM_BuildUnits)->Unit(benchmark::kMicrosecond);
+
+/**
+ * GNMT's max-chunk, two-stream plan (BM_BuildStreamedPlan's recipe) at
+ * the zoo shape, with a timing-only device and strategy 0's tensor map.
+ */
+struct GnmtStreamedRig
+{
+    const BuiltModel& m = gnmt_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SimMemory mem{graph_tensor_bytes(m.graph()) + (1 << 20), false};
+    TensorMap tmap{m.graph(), mem, space.strategies[0].runs};
+    GpuConfig gpu = [] {
+        GpuConfig g;
+        g.execute_kernels = false;
+        return g;
+    }();
+    ExecutionPlan plan = [this] {
+        ScheduleConfig cfg = max_chunk_config(space);
+        cfg.use_streams = true;
+        return Scheduler(m.graph(), space).build(cfg);
+    }();
+};
+
+const GnmtStreamedRig&
+gnmt_streamed()
+{
+    static const GnmtStreamedRig rig;
+    return rig;
+}
+
+/** One bind of the GNMT plan: compile_plan plus every descriptor. */
+void
+BM_BindPlan(benchmark::State& state)
+{
+    const GnmtStreamedRig& rig = gnmt_streamed();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            bind_plan(rig.plan, rig.m.graph(), rig.tmap, rig.gpu,
+                      /*profiling=*/true)
+                .kernels.size());
+}
+BENCHMARK(BM_BindPlan)->Unit(benchmark::kMicrosecond);
+
+/** One replay of the lowered GNMT plan: the walk plus the simulation. */
+void
+BM_ReplayWired(benchmark::State& state)
+{
+    const GnmtStreamedRig& rig = gnmt_streamed();
+    static const WiredBinary bin =
+        lower_plan(rig.plan, rig.m.graph(), rig.tmap, rig.gpu);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(replay_wired(bin, rig.gpu).total_ns);
+}
+BENCHMARK(BM_ReplayWired)->Unit(benchmark::kMicrosecond);
 
 void
 BM_DependencyOracle(benchmark::State& state)

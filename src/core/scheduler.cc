@@ -1,6 +1,9 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -14,8 +17,12 @@ namespace astra {
 Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
                      SchedulerOptions opts)
     : graph_(graph), space_(space), opts_(opts),
+      elementwise_(static_cast<size_t>(graph.size())),
       skeletons_(space.strategies.size()), plans_(space.strategies.size())
-{}
+{
+    for (const Node& n : graph_.nodes())
+        elementwise_[static_cast<size_t>(n.id)] = op_is_elementwise(n.kind);
+}
 
 size_t
 Scheduler::strategy_slot(const ScheduleConfig& config) const
@@ -144,13 +151,12 @@ Scheduler::assemble_units(const ScheduleConfig& config,
 
     // ---- fused elementwise chains (§5.3) -----------------------------------
     if (config.elementwise_fusion) {
+        std::vector<NodeId> chain;  // ascending, so binary-searchable
         for (NodeId i = 0; i < graph_.size(); ++i) {
-            const Node& n = graph_.node(i);
             if (covered[static_cast<size_t>(i)] >= 0 ||
-                !op_is_elementwise(n.kind))
+                !elementwise_[static_cast<size_t>(i)])
                 continue;
-            std::vector<NodeId> chain{i};
-            std::set<NodeId> in_chain{i};
+            chain.assign(1, i);
             // Scan ahead, skipping interleaved non-elementwise nodes,
             // within a bounded window past the last member. Joining is
             // safe exactly when every input predates the chain or is a
@@ -161,17 +167,16 @@ Scheduler::assemble_units(const ScheduleConfig& config,
                  static_cast<int>(chain.size()) < opts_.max_ew_chain &&
                  j - chain.back() <= opts_.ew_chain_window;
                  ++j) {
-                const Node& cand = graph_.node(j);
                 if (covered[static_cast<size_t>(j)] >= 0 ||
-                    !op_is_elementwise(cand.kind))
+                    !elementwise_[static_cast<size_t>(j)])
                     continue;
                 bool ok = true;
-                for (NodeId in : cand.inputs)
-                    ok &= in < i || in_chain.count(in) > 0;
+                for (NodeId in : graph_.node(j).inputs)
+                    ok &= in < i || std::binary_search(chain.begin(),
+                                                       chain.end(), in);
                 if (!ok)
                     continue;
                 chain.push_back(j);
-                in_chain.insert(j);
             }
             if (chain.size() < 2)
                 continue;
@@ -251,45 +256,65 @@ Scheduler::build_units(const ScheduleConfig& config) const
             for (NodeId id : steps[si].nodes)
                 covered[static_cast<size_t>(id)] = static_cast<int>(si);
 
+        // Each step's distinct producer steps, sorted: step si reads
+        // deps[dep_begin[si], dep_begin[si + 1]).
         const size_t num_steps = steps.size();
-        std::vector<std::vector<size_t>> consumers(num_steps);
-        std::vector<int> indegree(num_steps, 0);
+        std::vector<size_t> deps, dep_begin{0};
         for (size_t si = 0; si < num_steps; ++si) {
-            std::set<size_t> deps;
+            const auto first = static_cast<std::ptrdiff_t>(deps.size());
             for (NodeId id : steps[si].nodes)
                 for (NodeId in : graph_.node(id).inputs) {
                     const int p = covered[static_cast<size_t>(in)];
                     if (p >= 0 && static_cast<size_t>(p) != si)
-                        deps.insert(static_cast<size_t>(p));
+                        deps.push_back(static_cast<size_t>(p));
                 }
-            for (size_t d : deps) {
-                consumers[d].push_back(si);
-                ++indegree[si];
-            }
+            std::sort(deps.begin() + first, deps.end());
+            deps.erase(std::unique(deps.begin() + first, deps.end()),
+                       deps.end());
+            dep_begin.push_back(deps.size());
         }
-        // Kahn's algorithm, smallest anchor (max covered node id)
-        // first so the order tracks program order.
-        auto anchor = [&](size_t si) {
-            NodeId a = -1;
+        // The reverse edges as one CSR array: step d feeds
+        // consumers[consumer_begin[d], consumer_begin[d + 1]), ascending.
+        std::vector<size_t> consumer_begin(num_steps + 1, 0);
+        for (size_t d : deps)
+            ++consumer_begin[d + 1];
+        std::partial_sum(consumer_begin.begin(), consumer_begin.end(),
+                         consumer_begin.begin());
+        std::vector<size_t> consumers(deps.size());
+        std::vector<size_t> next = consumer_begin;
+        std::vector<size_t> indegree(num_steps);
+        for (size_t si = 0; si < num_steps; ++si) {
+            indegree[si] = dep_begin[si + 1] - dep_begin[si];
+            for (size_t k = dep_begin[si]; k < dep_begin[si + 1]; ++k)
+                consumers[next[deps[k]]++] = si;
+        }
+        // Kahn's algorithm, smallest (anchor, step) first, where the
+        // anchor is the max covered node id, so the order tracks
+        // program order.
+        std::vector<std::pair<NodeId, size_t>> ready;  // a min-heap
+        const auto push_ready = [&](size_t si) {
+            NodeId anchor = -1;
             for (NodeId id : steps[si].nodes)
-                a = std::max(a, id);
-            return a;
+                anchor = std::max(anchor, id);
+            ready.emplace_back(anchor, si);
+            std::push_heap(ready.begin(), ready.end(), std::greater<>());
         };
-        std::set<std::pair<NodeId, size_t>> ready;
         for (size_t si = 0; si < num_steps; ++si)
             if (indegree[si] == 0)
-                ready.insert({anchor(si), si});
+                push_ready(si);
         std::vector<bool> placed(num_steps, false);
         std::vector<PlanStep> ordered;
         ordered.reserve(num_steps);
         while (!ready.empty()) {
-            const size_t si = ready.begin()->second;
-            ready.erase(ready.begin());
+            std::pop_heap(ready.begin(), ready.end(), std::greater<>());
+            const size_t si = ready.back().second;
+            ready.pop_back();
             placed[si] = true;
             ordered.push_back(std::move(steps[si]));
-            for (size_t c : consumers[si])
-                if (--indegree[c] == 0)
-                    ready.insert({anchor(c), c});
+            for (size_t k = consumer_begin[si]; k < consumer_begin[si + 1];
+                 ++k)
+                if (--indegree[consumers[k]] == 0)
+                    push_ready(consumers[k]);
         }
         if (ordered.size() == num_steps)
             return ordered;

@@ -234,6 +234,9 @@ class Scheduler
     const SearchSpace& space_;
     SchedulerOptions opts_;
 
+    /** Per node, 1 when its op is elementwise (the chain scan's test). */
+    std::vector<char> elementwise_;
+
     /** Guards the per-strategy slots and the wired-binary cache. */
     mutable std::mutex cache_mu_;
     mutable std::vector<Slot<PlanSkeleton>> skeletons_;

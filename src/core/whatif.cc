@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/config_io.h"
+#include "obs/obs.h"
 #include "runtime/dispatcher.h"
 #include "support/logging.h"
 #include "support/record.h"
@@ -97,6 +98,7 @@ WhatIfEngine::WhatIfEngine(const Graph& graph, const TensorMap& tmap,
 ReplayResult
 WhatIfEngine::evaluate(const ScheduleConfig& config) const
 {
+    obs::ScopedSpan span(obs::Category::Wire, "whatif.evaluate");
     // The scheduler keeps only its last plan per strategy, so a fetch
     // hits only when this strategy's previous fetch was the same
     // config. Anything else is built — for a stage-C trial that is

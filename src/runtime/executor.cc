@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <set>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/logging.h"
@@ -372,23 +371,30 @@ make_node_compute(const Graph& graph, NodeId id, const TensorMap& tmap)
 int
 fused_elementwise_passes(const PlanStep& step, const Graph& graph)
 {
-    std::set<NodeId> covered(step.nodes.begin(), step.nodes.end());
-    std::set<NodeId> external_inputs;
+    std::vector<NodeId> covered = step.nodes;
+    std::sort(covered.begin(), covered.end());
+    const auto is_covered = [&covered](NodeId id) {
+        return std::binary_search(covered.begin(), covered.end(), id);
+    };
+    std::vector<NodeId> external_inputs;
     int external_outputs = 0;
     for (NodeId id : step.nodes) {
         const Node& n = graph.node(id);
         for (NodeId in : n.inputs)
-            if (!covered.count(in))
-                external_inputs.insert(in);
+            if (!is_covered(in))
+                external_inputs.push_back(in);
         bool escapes = false;
         for (NodeId user : graph.users(id))
-            if (!covered.count(user))
+            if (!is_covered(user))
                 escapes = true;
         if (escapes || graph.user_count(id) == 0)
             ++external_outputs;
     }
-    return static_cast<int>(external_inputs.size()) +
-           std::max(external_outputs, 1);
+    std::sort(external_inputs.begin(), external_inputs.end());
+    const auto distinct_inputs = std::unique(external_inputs.begin(),
+                                             external_inputs.end()) -
+                                 external_inputs.begin();
+    return static_cast<int>(distinct_inputs) + std::max(external_outputs, 1);
 }
 
 namespace {
@@ -402,8 +408,7 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
     switch (step.kind) {
       case StepKind::Single: {
         const Node& n = graph.node(step.nodes[0]);
-        std::ostringstream name;
-        name << op_name(n.kind) << ".%" << n.id;
+        k.name = op_name(n.kind) + ".%" + std::to_string(n.id);
         if (n.is_matmul()) {
             const KernelCost cost =
                 gemm_cost(step.lib, matmul_shape(graph, n), cfg);
@@ -411,7 +416,7 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
             k.block_ns = cost.block_ns;
             k.setup_ns = cost.setup_ns;
             k.max_sms = cost.max_sms;
-            name << "." << gemm_lib_name(step.lib);
+            k.name += "." + gemm_lib_name(step.lib);
         } else {
             const KernelCost cost = node_cost(graph, n, cfg);
             k.blocks = cost.blocks;
@@ -419,7 +424,6 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
             k.setup_ns = cost.setup_ns;
             k.max_sms = cost.max_sms;
         }
-        k.name = name.str();
         if (cfg.execute_kernels)
             k.compute = make_node_compute(graph, n.id, tmap);
         return k;
@@ -434,10 +438,8 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        std::ostringstream name;
-        name << "fmm.x" << step.nodes.size() << ".%" << first.id << "."
-             << gemm_lib_name(step.lib);
-        k.name = name.str();
+        k.name = "fmm.x" + std::to_string(step.nodes.size()) + ".%" +
+                 std::to_string(first.id) + "." + gemm_lib_name(step.lib);
         for (NodeId id : step.nodes)
             ASTRA_ASSERT(graph.node(id).is_matmul());
         if (cfg.execute_kernels) {
@@ -470,10 +472,8 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        std::ostringstream name;
-        name << "lmm.x" << mms.size() << ".%" << first.id << "."
-             << gemm_lib_name(step.lib);
-        k.name = name.str();
+        k.name = "lmm.x" + std::to_string(mms.size()) + ".%" +
+                 std::to_string(first.id) + "." + gemm_lib_name(step.lib);
         if (!cfg.execute_kernels)
             return k;
 
@@ -483,11 +483,11 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         // chunk's partial sum: the first covered Add's left input is
         // outside this step.
         const float* base = nullptr;
-        std::set<NodeId> covered(step.nodes.begin(), step.nodes.end());
         for (NodeId id : step.nodes) {
             const Node& n = graph.node(id);
             if (n.kind == OpKind::Add) {
-                if (!covered.count(n.inputs[0]))
+                if (std::find(step.nodes.begin(), step.nodes.end(),
+                              n.inputs[0]) == step.nodes.end())
                     base = tmap.f32(n.inputs[0]);
                 break;
             }
@@ -534,9 +534,8 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        std::ostringstream name;
-        name << "few.x" << step.nodes.size() << ".%" << step.nodes[0];
-        k.name = name.str();
+        k.name = "few.x" + std::to_string(step.nodes.size()) + ".%" +
+                 std::to_string(step.nodes[0]);
         if (cfg.execute_kernels) {
             std::vector<std::function<void()>> subs;
             for (NodeId id : step.nodes)

@@ -61,6 +61,7 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
     std::vector<std::pair<int32_t, int32_t>> barrier_range(
         static_cast<size_t>(num_steps), {0, 0});
     int current_barrier = -1;
+    std::vector<int> waited;
     for (int i = 0; i < num_steps; ++i) {
         const PlanStep& step = plan.steps[static_cast<size_t>(i)];
         prog.step_begin[static_cast<size_t>(i)] =
@@ -93,20 +94,23 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
                      "step ", i, " uses stream ", step.stream,
                      " but plan has ", plan.num_streams);
 
-        // Cross-stream waits for this step's external inputs.
-        std::set<int> waited;
+        // Cross-stream waits for this step's external inputs, one per
+        // producer step in first-read order.
+        waited.clear();
         for (NodeId id : step.nodes) {
             for (NodeId in : graph.node(id).inputs) {
                 const int p = producer[static_cast<size_t>(in)];
                 if (p < 0 || p == i)
                     continue;
                 const PlanStep& prod = plan.steps[static_cast<size_t>(p)];
-                if (prod.stream != step.stream && !waited.count(p)) {
+                if (prod.stream != step.stream &&
+                    std::find(waited.begin(), waited.end(), p) ==
+                        waited.end()) {
                     ASTRA_ASSERT(done_slot[static_cast<size_t>(p)] >= 0);
                     prog.cmds.push_back(
                         {WiredOp::Wait, step.stream,
                          done_slot[static_cast<size_t>(p)]});
-                    waited.insert(p);
+                    waited.push_back(p);
                 }
             }
         }
@@ -577,8 +581,8 @@ enqueue_wired(const WiredProgram& program,
             const WiredCmd& cmd = program.cmds[static_cast<size_t>(c)];
             switch (cmd.op) {
             case WiredOp::Launch:
-                gpu.launch(cmd.stream,
-                           kernels[static_cast<size_t>(cmd.arg)]);
+                gpu.launch_ref(cmd.stream,
+                               kernels[static_cast<size_t>(cmd.arg)]);
                 break;
             case WiredOp::Record:
                 gpu.record_event(cmd.stream,

@@ -218,7 +218,8 @@ WiredBinary bind_plan(const ExecutionPlan& plan, const Graph& graph,
  * i's commands — the injection point for the dp path's gradient-bucket
  * flushes. Commands the hook enqueues share the host enqueue pipeline,
  * so comm launch overhead delays later compute launches exactly as a
- * DDP hook does on real hardware.
+ * DDP hook does on real hardware. Kernels are launched by reference
+ * (SimGpu::launch_ref): `kernels` must outlive the device's drain.
  */
 void enqueue_wired(const WiredProgram& program,
                    const std::vector<KernelDesc>& kernels, SimGpu& gpu,

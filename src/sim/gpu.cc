@@ -50,14 +50,21 @@ SimGpu::create_event()
 void
 SimGpu::launch(StreamId stream, KernelDesc kernel)
 {
+    owned_.push_back(std::move(kernel));
+    launch_ref(stream, owned_.back());
+}
+
+void
+SimGpu::launch_ref(StreamId stream, const KernelDesc& kernel)
+{
     ASTRA_ASSERT(stream >= 0 && stream < num_streams(), "bad stream");
     ASTRA_ASSERT(kernel.blocks >= 0 && kernel.block_ns >= 0.0,
                  "bad kernel cost for ", kernel.name);
     Command cmd;
     cmd.type = CmdType::Launch;
-    cmd.kernel = std::move(kernel);
+    cmd.kernel = &kernel;
     if (injector_.armed()) {
-        const KernelFault fault = injector_.on_kernel(cmd.kernel.name);
+        const KernelFault fault = injector_.on_kernel(kernel.name);
         if (fault.fail) {
             cmd.faulted = true;
             ++stats_.faults_injected;
@@ -65,8 +72,7 @@ SimGpu::launch(StreamId stream, KernelDesc kernel)
         if (fault.slowdown > 1.0) {
             // A straggler spike stretches the kernel's own execution;
             // the launch front-end is unaffected.
-            cmd.kernel.setup_ns *= fault.slowdown;
-            cmd.kernel.block_ns *= fault.slowdown;
+            cmd.slowdown = fault.slowdown;
             ++stats_.straggler_events;
         }
     }
@@ -209,27 +215,24 @@ SimGpu::activate_ready()
             // The kernel's host-visible effects (its compute) happen
             // as it begins executing; a consumer scheduled without the
             // proper event dependency therefore reads stale data.
+            const KernelDesc& k = *head.kernel;
             const double boost = boost_factor();
             Running r;
             r.stream = static_cast<int>(s);
-            r.serial_left = head.kernel.setup_ns * boost;
-            r.blocks_left = static_cast<double>(head.kernel.blocks);
+            r.serial_left = (k.setup_ns * head.slowdown) * boost;
+            r.blocks_left = static_cast<double>(k.blocks);
             r.blocks_total = r.blocks_left;
-            r.block_ns = std::max(head.kernel.block_ns * boost, 1e-9);
-            r.max_sms = head.kernel.max_sms > 0
-                            ? std::min(head.kernel.max_sms, config_.num_sms)
-                            : config_.num_sms;
-            if (config_.execute_kernels && head.kernel.compute &&
-                !head.faulted)
-                head.kernel.compute();
-            if (config_.collect_trace) {
-                r.started_at = now_;
-                r.name = head.kernel.name;
-                r.key = head.kernel.key;
-            }
+            r.block_ns = std::max((k.block_ns * head.slowdown) * boost,
+                                  1e-9);
+            r.max_sms = k.max_sms > 0 ? std::min(k.max_sms, config_.num_sms)
+                                      : config_.num_sms;
+            if (config_.execute_kernels && k.compute && !head.faulted)
+                k.compute();
+            r.started_at = now_;
+            r.kernel = &k;
             ++stats_.kernels_launched;
             stream.active = static_cast<int>(running_.size());
-            running_.push_back(std::move(r));
+            running_.push_back(r);
             stream.queue.pop_front();
             any = true;
             break;
@@ -244,41 +247,39 @@ SimGpu::waterfill()
     // Kernels still in their serial phase hold no SMs. The rest share
     // the pool: repeatedly grant each unsatisfied kernel an equal share,
     // capped by its own demand, until the pool or the demand runs out.
-    std::vector<Running*> parallel;
+    size_t remaining = 0;
     for (Running& r : running_) {
         r.alloc = 0.0;
-        if (r.serial_left <= 0.0 && r.blocks_left > 0.0)
-            parallel.push_back(&r);
+        r.filling = r.serial_left <= 0.0 && r.blocks_left > 0.0;
+        if (r.filling) {
+            // A kernel's resident footprint is its total block count
+            // (its final wave holds the SMs until the blocks drain),
+            // capped by its occupancy limit.
+            r.demand = std::min(static_cast<double>(r.max_sms),
+                                std::ceil(r.blocks_total));
+            ++remaining;
+        }
     }
     double free = static_cast<double>(config_.num_sms);
-    std::vector<double> demand(parallel.size());
-    for (size_t i = 0; i < parallel.size(); ++i)
-        // A kernel's resident footprint is its total block count (its
-        // final wave holds the SMs until the blocks drain), capped by
-        // its occupancy limit.
-        demand[i] = std::min(static_cast<double>(parallel[i]->max_sms),
-                             std::ceil(parallel[i]->blocks_total));
-    std::vector<bool> done(parallel.size(), false);
-    size_t remaining = parallel.size();
     while (remaining > 0 && free > 1e-12) {
         const double share = free / static_cast<double>(remaining);
         bool capped_any = false;
-        for (size_t i = 0; i < parallel.size(); ++i) {
-            if (done[i])
+        for (Running& r : running_) {
+            if (!r.filling)
                 continue;
-            const double want = demand[i] - parallel[i]->alloc;
+            const double want = r.demand - r.alloc;
             if (want <= share + 1e-12) {
-                parallel[i]->alloc += want;
+                r.alloc += want;
                 free -= want;
-                done[i] = true;
+                r.filling = false;
                 --remaining;
                 capped_any = true;
             }
         }
         if (!capped_any) {
-            for (size_t i = 0; i < parallel.size(); ++i) {
-                if (!done[i]) {
-                    parallel[i]->alloc += share;
+            for (Running& r : running_) {
+                if (r.filling) {
+                    r.alloc += share;
                     free -= share;
                 }
             }
@@ -335,6 +336,9 @@ SimGpu::run_until(double t_stop)
                 // measuring differently is the §7 repeatability
                 // violation).
                 clock_sampled_ = false;
+                // No command or running kernel points at a by-value
+                // descriptor any more.
+                owned_.clear();
                 return RunState::Drained;
             }
             if (next_ready < kInf) {
@@ -394,27 +398,23 @@ SimGpu::run_until(double t_stop)
             return RunState::Paused;
         }
 
-        // Retire finished kernels.
-        std::vector<Running> still;
-        still.reserve(running_.size());
-        for (Running& r : running_) {
+        // Retire finished kernels, compacting the rest in place.
+        size_t kept = 0;
+        for (const Running& r : running_) {
             const bool finished = r.serial_left <= 1e-12 &&
                                   r.blocks_left <= 1e-9;
-            if (finished) {
-                if (r.is_event) {
-                    event_times_[static_cast<size_t>(r.event)] = now_;
-                    ++stats_.events_recorded;
-                } else if (config_.collect_trace) {
-                    trace_.push_back({r.name, r.stream, r.started_at,
-                                      now_, r.key});
-                }
-                streams_[static_cast<size_t>(r.stream)].active = -1;
-            } else {
-                still.push_back(std::move(r));
+            if (!finished) {
+                running_[kept++] = r;
+            } else if (r.is_event) {
+                event_times_[static_cast<size_t>(r.event)] = now_;
+                ++stats_.events_recorded;
+            } else if (config_.collect_trace) {
+                trace_.push_back({r.kernel->name, r.stream, r.started_at,
+                                  now_, r.kernel->key});
             }
         }
+        running_.resize(kept);
         // Re-link stream -> running index after compaction.
-        running_ = std::move(still);
         for (Stream& s : streams_)
             s.active = -1;
         for (size_t i = 0; i < running_.size(); ++i)

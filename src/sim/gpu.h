@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "obs/export.h"
@@ -213,6 +212,10 @@ class SimGpu
 
     explicit SimGpu(GpuConfig config = {});
 
+    /** A copy's queued launches would point at this device's storage. */
+    SimGpu(const SimGpu&) = delete;
+    SimGpu& operator=(const SimGpu&) = delete;
+
     const GpuConfig& config() const { return config_; }
 
     /** Create a new stream; stream 0 exists by default. */
@@ -223,8 +226,19 @@ class SimGpu
     /** Create an event (initially unrecorded). */
     EventId create_event();
 
-    /** Enqueue a kernel launch on a stream (asynchronous). */
+    /**
+     * Enqueue a kernel launch on a stream (asynchronous). The device
+     * keeps the descriptor until it next drains.
+     */
     void launch(StreamId stream, KernelDesc kernel);
+
+    /**
+     * Enqueue a launch of a descriptor the caller owns, without
+     * copying it: `kernel` must stay alive and unchanged until the
+     * device has drained (synchronize, or run_until returning
+     * Drained). The wired walk launches bound plans this way.
+     */
+    void launch_ref(StreamId stream, const KernelDesc& kernel);
 
     /** Enqueue an event record on a stream. */
     void record_event(StreamId stream, EventId event);
@@ -301,9 +315,10 @@ class SimGpu
     struct Command
     {
         CmdType type;
-        KernelDesc kernel;   // Launch
+        const KernelDesc* kernel = nullptr;  // Launch
         EventId event = -1;  // Record / Wait
         double ready_at = 0.0;  ///< host enqueue completion time
+        double slowdown = 1.0;  ///< injected straggler stretch (1 = none)
 
         /**
          * Injected transient failure: the kernel occupies the device
@@ -331,11 +346,12 @@ class SimGpu
         double block_ns = 1.0;
         int max_sms = 0;
         double alloc = 0.0;         ///< SMs currently assigned
+        double demand = 0.0;        ///< waterfill: SMs it can hold
+        bool filling = false;       ///< waterfill: still below demand
         bool is_event = false;      ///< event-record pseudo-kernel
         EventId event = -1;
         double started_at = 0.0;    ///< activation time (for tracing)
-        std::string name;           ///< kernel label (for tracing)
-        std::string key;            ///< profile key (for tracing)
+        const KernelDesc* kernel = nullptr;  ///< null for events
     };
 
     /** Start every startable command; returns true if anything started. */
@@ -359,6 +375,8 @@ class SimGpu
     std::vector<Stream> streams_;
     std::vector<double> event_times_;   // -1 = unrecorded
     std::vector<Running> running_;
+    /** Descriptors launched by value; deque growth keeps addresses. */
+    std::deque<KernelDesc> owned_;
     double now_ = 0.0;
     double next_event_ = 0.0;  ///< set by run_until on Paused
     double host_time_ = 0.0;  ///< host enqueue pipeline position

@@ -22,6 +22,8 @@
 namespace astra {
 namespace {
 
+using testutil::default_config;
+using testutil::pinned_configs;
 using testutil::Runner;
 
 /** Small LSTM-ish workload with real fusion opportunities. */
@@ -31,22 +33,6 @@ small_model()
     return build_model(ModelKind::SubLstm,
                        {.batch = 8, .seq_len = 4, .hidden = 32,
                         .embed_dim = 32, .vocab = 50});
-}
-
-ScheduleConfig
-default_config(const SearchSpace& space, int chunk_option = 0)
-{
-    ScheduleConfig cfg;
-    cfg.group_chunk.assign(space.groups.size(), 1);
-    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
-    for (const FusionGroup& g : space.groups) {
-        const size_t pick = std::min<size_t>(
-            static_cast<size_t>(chunk_option),
-            g.chunk_options.size() - 1);
-        cfg.group_chunk[static_cast<size_t>(g.id)] =
-            g.chunk_options[pick];
-    }
-    return cfg;
 }
 
 void
@@ -333,36 +319,6 @@ TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
         EXPECT_EQ(got[i], expect[i / 2]) << "config " << i / 2;
     EXPECT_EQ(shared.plan_cache_hits() + shared.plan_cache_misses(),
               static_cast<int64_t>(cfgs.size()));
-}
-
-/**
- * The configs PaperModelPlansArePinned digests: the unstreamed
- * default; max chunks, streamed, every epoch on choice 0; and three
- * seeded random epoch choices with every epoch keyed (a stage-C trial).
- */
-std::vector<ScheduleConfig>
-pinned_configs(const SearchSpace& space, const Scheduler& sched)
-{
-    std::vector<ScheduleConfig> cfgs{default_config(space)};
-    ScheduleConfig streamed = default_config(space, 1 << 20);
-    streamed.use_streams = true;
-    const StreamSpace ss = sched.stream_space(streamed);
-    for (const EpochInfo& e : ss.epochs)
-        streamed.epoch_choice[{e.super_epoch, e.level}] = 0;
-    cfgs.push_back(streamed);
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-        Rng rng(seed);
-        ScheduleConfig drawn = streamed;
-        for (const EpochInfo& e : ss.epochs) {
-            const std::pair<int, int> key{e.super_epoch, e.level};
-            drawn.epoch_choice[key] =
-                static_cast<int>(rng.next_below(e.options.size()));
-            drawn.epoch_keys[key] = "ep|" + std::to_string(e.super_epoch) +
-                                    "." + std::to_string(e.level);
-        }
-        cfgs.push_back(std::move(drawn));
-    }
-    return cfgs;
 }
 
 TEST(Scheduler, PaperModelPlansArePinned)

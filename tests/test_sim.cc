@@ -2,13 +2,18 @@
  * @file
  * Tests for the discrete-event GPU simulator: stream FIFO semantics,
  * event record/wait, launch overhead, SM-pool sharing across streams,
- * occupancy caps, determinism, autoboost-induced variance (§7), and
- * profiling-event cost.
+ * occupancy caps, determinism, autoboost-induced variance (§7),
+ * profiling-event cost, and by-reference launches matching by-value
+ * ones.
  */
 #include <gtest/gtest.h>
 
 #include "sim/gpu.h"
+
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "obs/export.h"
 #include "sim/memory.h"
@@ -901,6 +906,152 @@ TEST(SimGpu, StragglerSpikeScalesKernelTime)
     // setup + block time tripled; launch overhead is host-side.
     EXPECT_DOUBLE_EQ(slow.now_ns() - cfg.launch_overhead_ns,
                      3.0 * (clean.now_ns() - cfg.launch_overhead_ns));
+}
+
+/** One command of a random program: launch, record or wait. */
+struct SimOp
+{
+    enum Kind { Launch, Record, Wait } kind;
+    StreamId stream;
+    int arg;  ///< kernel index (Launch) or event index (Record / Wait)
+};
+
+/**
+ * A seeded random program over 1-4 streams: launches of 8 kernels with
+ * zero and nonzero blocks, records of fresh events, and waits on
+ * events already recorded (so no program deadlocks).
+ */
+std::vector<SimOp>
+random_program(Rng& rng, int num_streams, int* num_events)
+{
+    std::vector<SimOp> ops;
+    *num_events = 0;
+    for (int i = 0; i < 60; ++i) {
+        const auto stream = static_cast<StreamId>(
+            rng.next_below(static_cast<uint64_t>(num_streams)));
+        const uint64_t r = rng.next_below(10);
+        if (r < 6)
+            ops.push_back({SimOp::Launch, stream,
+                           static_cast<int>(rng.next_below(8))});
+        else if (r < 8 || *num_events == 0)
+            ops.push_back({SimOp::Record, stream, (*num_events)++});
+        else
+            ops.push_back({SimOp::Wait, stream,
+                           static_cast<int>(rng.next_below(
+                               static_cast<uint64_t>(*num_events)))});
+    }
+    return ops;
+}
+
+// Queued launches point at descriptors the device or its caller owns,
+// so a copied device would share them.
+static_assert(!std::is_copy_constructible_v<SimGpu> &&
+              !std::is_copy_assignable_v<SimGpu>);
+
+TEST(SimGpu, LaunchByReferenceMatchesByValue)
+{
+    // launch_ref skips the descriptor copy and nothing else: timing,
+    // events, stats, compute order and trace match a by-value launch,
+    // with straggler stretches and name-filtered kernel faults drawn.
+    // Each device runs two programs, so the second one launches after
+    // the by-value device freed its first batch of descriptors.
+    GpuConfig cfg = quiet_config();
+    cfg.execute_kernels = true;
+    cfg.collect_trace = true;
+    ASSERT_TRUE(FaultPlan::parse("straggler:p=0.3,x=2.5;kernel:p=0.05,name=k1",
+                                 &cfg.faults));
+    int64_t stragglers = 0, faults = 0;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        const int num_streams = 1 + static_cast<int>(rng.next_below(4));
+        cfg.fault_salt = seed;
+        std::vector<int> value_log, ref_log;
+        std::vector<KernelDesc> value_kernels, ref_kernels;
+        for (int k = 0; k < 8; ++k) {
+            KernelDesc d = kernel(
+                "k" + std::to_string(k),
+                static_cast<int64_t>(rng.next_below(3)) * 20,
+                100.0 + 5000.0 * rng.next_double(),
+                2000.0 * rng.next_double(),
+                static_cast<int>(rng.next_below(40)));
+            d.key = k % 2 ? "key" + std::to_string(k) : "";
+            value_kernels.push_back(d);
+            value_kernels.back().compute = [&value_log, k] {
+                value_log.push_back(k);
+            };
+            ref_kernels.push_back(d);
+            ref_kernels.back().compute = [&ref_log, k] {
+                ref_log.push_back(k);
+            };
+        }
+        SimGpu by_value(cfg), by_ref(cfg);
+        for (int s = 1; s < num_streams; ++s) {
+            by_value.create_stream();
+            by_ref.create_stream();
+        }
+        for (int round = 0; round < 2; ++round) {
+            int num_events = 0;
+            const std::vector<SimOp> ops =
+                random_program(rng, num_streams, &num_events);
+            std::vector<EventId> value_events, ref_events;
+            for (int e = 0; e < num_events; ++e) {
+                value_events.push_back(by_value.create_event());
+                ref_events.push_back(by_ref.create_event());
+            }
+            for (const SimOp& op : ops) {
+                const auto i = static_cast<size_t>(op.arg);
+                switch (op.kind) {
+                  case SimOp::Launch:
+                    // A temporary copy that dies at the end of this
+                    // statement, long before the device runs it.
+                    by_value.launch(op.stream, KernelDesc(value_kernels[i]));
+                    by_ref.launch_ref(op.stream, ref_kernels[i]);
+                    break;
+                  case SimOp::Record:
+                    by_value.record_event(op.stream, value_events[i]);
+                    by_ref.record_event(op.stream, ref_events[i]);
+                    break;
+                  case SimOp::Wait:
+                    by_value.wait_event(op.stream, value_events[i]);
+                    by_ref.wait_event(op.stream, ref_events[i]);
+                    break;
+                }
+            }
+            by_value.synchronize();
+            by_ref.synchronize();
+            EXPECT_EQ(by_value.now_ns(), by_ref.now_ns());
+            for (int e = 0; e < num_events; ++e)
+                EXPECT_EQ(by_value.event_time_ns(
+                              value_events[static_cast<size_t>(e)]),
+                          by_ref.event_time_ns(
+                              ref_events[static_cast<size_t>(e)]));
+        }
+        const GpuStats& a = by_value.stats();
+        const GpuStats& b = by_ref.stats();
+        EXPECT_EQ(a.kernels_launched, b.kernels_launched);
+        EXPECT_EQ(a.events_recorded, b.events_recorded);
+        EXPECT_EQ(a.busy_sm_ns, b.busy_sm_ns);
+        EXPECT_EQ(a.elapsed_ns, b.elapsed_ns);
+        EXPECT_EQ(a.faults_injected, b.faults_injected);
+        EXPECT_EQ(a.straggler_events, b.straggler_events);
+        stragglers += a.straggler_events;
+        faults += a.faults_injected;
+        EXPECT_EQ(value_log, ref_log);
+        ASSERT_EQ(by_value.trace().size(), by_ref.trace().size());
+        for (size_t i = 0; i < by_value.trace().size(); ++i) {
+            const TraceSpan& x = by_value.trace()[i];
+            const TraceSpan& y = by_ref.trace()[i];
+            EXPECT_EQ(x.name, y.name);
+            EXPECT_EQ(x.key, y.key);
+            EXPECT_EQ(x.stream, y.stream);
+            EXPECT_EQ(x.start_ns, y.start_ns);
+            EXPECT_EQ(x.end_ns, y.end_ns);
+        }
+    }
+    // Non-vacuous: both fault kinds fired somewhere.
+    EXPECT_GT(stragglers, 0);
+    EXPECT_GT(faults, 0);
 }
 
 TEST(MultiSim, StragglerWatchdogCountsLateMirrors)

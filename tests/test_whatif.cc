@@ -13,6 +13,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "core/plan_store.h"
 #include "core/whatif.h"
 #include "models/models.h"
+#include "obs/obs.h"
 #include "runtime/dispatcher.h"
 #include "sim/memory.h"
 #include "tests/util.h"
@@ -122,6 +124,26 @@ TEST(WhatIf, StreamedReplayBitExactAgainstDispatch)
 {
     EngineRig rig;
     expect_replay_matches_dispatch(rig, rig.config(true));
+}
+
+TEST(WhatIf, EvaluateOpensOneSpanPerCall)
+{
+    // evaluate's host time is attributed to its own span, not to the
+    // wirer stage that calls it.
+    EngineRig rig;
+    constexpr int n = 3;
+    obs::reset();
+    obs::set_enabled(true);
+    for (int i = 0; i < n; ++i)
+        rig.engine.evaluate(rig.config(i % 2 == 1));
+    obs::set_enabled(false);
+    const std::vector<obs::Span> spans = obs::host_spans();
+    obs::reset();
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const obs::Span& s) {
+                                return s.name == "whatif.evaluate";
+                            }),
+              n);
 }
 
 TEST(WhatIf, CaptureAgreesWithEvaluateAndKeepsSpans)

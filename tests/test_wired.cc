@@ -1,6 +1,7 @@
 /**
  * @file
- * Compiled-dispatch tests: WiredProgram compilation structure,
+ * Compiled-dispatch tests: WiredProgram compilation structure, bound
+ * kernel descriptors pinned on the paper models,
  * replay-vs-dispatch bit-identity across the model zoo
  * (fused, streamed, profiled and recompute variants), value
  * preservation with executing kernels, the scheduler's wired-binary
@@ -11,7 +12,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <locale>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autodiff/recompute.h"
@@ -501,6 +506,79 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
         dispatch_plan(*session.scheduler().build_cached(cfg), m.graph(),
                       session.tensor_map(cfg.strategy), opts.gpu),
         session.run(cfg));
+}
+
+// ---- bound kernel descriptors ---------------------------------------------
+
+/**
+ * Canonical text of a bound plan: per step the descriptor's name, key
+ * (both length-prefixed), blocks, max_sms, block_ns and setup_ns
+ * (hexfloat), "-" for a barrier; then the command array.
+ */
+std::string
+bound_dump(const WiredBinary& bin)
+{
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << std::hexfloat;
+    for (size_t i = 0; i < bin.kernels.size(); ++i) {
+        if (bin.program.is_barrier[i]) {
+            os << "-\n";
+            continue;
+        }
+        const KernelDesc& k = bin.kernels[i];
+        os << k.name.size() << ":" << k.name << " " << k.key.size() << ":"
+           << k.key << " " << k.blocks << " " << k.max_sms << " "
+           << k.block_ns << " " << k.setup_ns << "\n";
+    }
+    for (const WiredCmd& c : bin.program.cmds)
+        os << static_cast<int>(c.op) << "," << c.stream << "," << c.arg
+           << ";";
+    os << "\n";
+    return os.str();
+}
+
+TEST(Wired, BoundKernelsArePinned)
+{
+    // FNV-1a of bound_dump over testutil::pinned_configs at the zoo
+    // shape. Scheduler.PaperModelPlansArePinned pins the same plans, so
+    // a change here is a change in how a plan binds — descriptor names
+    // (read by the fault plan's name= filter and by traces), costs or
+    // commands. Update a digest only on purpose.
+    const std::pair<ModelKind, const char*> pinned[] = {
+        {ModelKind::Gnmt, "003202a1cd83162e"},
+        {ModelKind::StackedLstm, "fe45d2fa1f72c24f"},
+        {ModelKind::MiLstm, "3cb49b0d2d6d9921"},
+        {ModelKind::Scrnn, "895c9d915fad3bd7"},
+        {ModelKind::SubLstm, "9bb55f08226a58b9"},
+    };
+    const GpuConfig gpu = pinned_gpu();
+    std::set<std::string> gnmt_names;
+    for (const auto& [kind, digest] : pinned) {
+        const BuiltModel m = build_model(kind, testutil::zoo_shape());
+        const SearchSpace space = enumerate_search_space(m.graph());
+        const Scheduler sched(m.graph(), space);
+        const testutil::Runner runner(m.graph());
+        std::string dumps;
+        for (const ScheduleConfig& cfg :
+             testutil::pinned_configs(space, sched)) {
+            const WiredBinary bin =
+                bind_plan(sched.build(cfg), m.graph(), runner.tmap(), gpu,
+                          /*profiling=*/true);
+            dumps += bound_dump(bin);
+            if (kind == ModelKind::Gnmt)
+                for (const KernelDesc& k : bin.kernels)
+                    gnmt_names.insert(k.name);
+        }
+        EXPECT_EQ(hash_hex(fnv1a64(dumps)), digest) << model_name(kind);
+    }
+    // One literal per step kind, so a name-format slip names itself:
+    // Single (elementwise and GEMM), FusedGemm, LadderGemm and
+    // FusedElementwise.
+    for (const char* name :
+         {"embedding.%2", "mm.%73.cublas", "fmm.x4.%73.cublas",
+          "lmm.x3.%1863.cublas", "few.x3.%75"})
+        EXPECT_EQ(gnmt_names.count(name), 1u) << name;
 }
 
 }  // namespace

@@ -5,16 +5,20 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <locale>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/astra.h"
 #include "core/plan_store.h"
 #include "models/models.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
+#include "support/rng.h"
 
 namespace astra::testutil {
 
@@ -201,6 +205,56 @@ zoo_shape()
 {
     return {.batch = 16, .seq_len = 8, .hidden = 128, .embed_dim = 128,
             .vocab = 1000};
+}
+
+/**
+ * Every group at its `chunk_option`-th chunk choice (clamped to the
+ * largest), cuBLAS everywhere, one stream.
+ */
+inline ScheduleConfig
+default_config(const SearchSpace& space, int chunk_option = 0)
+{
+    ScheduleConfig cfg;
+    cfg.group_chunk.assign(space.groups.size(), 1);
+    cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+    for (const FusionGroup& g : space.groups) {
+        const size_t pick = std::min<size_t>(
+            static_cast<size_t>(chunk_option),
+            g.chunk_options.size() - 1);
+        cfg.group_chunk[static_cast<size_t>(g.id)] =
+            g.chunk_options[pick];
+    }
+    return cfg;
+}
+
+/**
+ * The configs the paper-model pins digest: the unstreamed default;
+ * max chunks, streamed, every epoch on choice 0; and three seeded
+ * random epoch choices with every epoch keyed (a stage-C trial).
+ */
+inline std::vector<ScheduleConfig>
+pinned_configs(const SearchSpace& space, const Scheduler& sched)
+{
+    std::vector<ScheduleConfig> cfgs{default_config(space)};
+    ScheduleConfig streamed = default_config(space, 1 << 20);
+    streamed.use_streams = true;
+    const StreamSpace ss = sched.stream_space(streamed);
+    for (const EpochInfo& e : ss.epochs)
+        streamed.epoch_choice[{e.super_epoch, e.level}] = 0;
+    cfgs.push_back(streamed);
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed);
+        ScheduleConfig drawn = streamed;
+        for (const EpochInfo& e : ss.epochs) {
+            const std::pair<int, int> key{e.super_epoch, e.level};
+            drawn.epoch_choice[key] =
+                static_cast<int>(rng.next_below(e.options.size()));
+            drawn.epoch_keys[key] = "ep|" + std::to_string(e.super_epoch) +
+                                    "." + std::to_string(e.level);
+        }
+        cfgs.push_back(std::move(drawn));
+    }
+    return cfgs;
 }
 
 }  // namespace astra::testutil
