@@ -107,7 +107,6 @@ AstraSession::make_wirer(WirerWarmStart warm) const
     WirerOptions wopts;
     wopts.features = opts_.features;
     wopts.gpu = opts_.gpu;
-    wopts.sched = opts_.sched;
     wopts.num_streams = opts_.num_streams;
     wopts.context_prefix = opts_.context_prefix;
     wopts.measurement = opts_.measurement;
@@ -267,7 +266,6 @@ AstraSession::optimize(const BindFn& bind)
         ws.config = std::move(hit.entry.config);
         ws.stats = std::move(hit.entry.profile);
     }
-    ws.preferred_lib = hit.preferred_lib;
     WirerResult out = make_wirer(std::move(ws))->explore(bind);
     out.convergence.store_tier = store_tier_name(hit.tier);
     out.convergence.store_errors = std::move(hit.errors);

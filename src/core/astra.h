@@ -64,11 +64,11 @@ struct AstraOptions
     /**
      * Directory of the persistent plan/profile knowledge base
      * (core/plan_store.h). When non-empty, optimize() walks the store's
-     * L1/L2/L3 ladder before exploring — an exact hit skips wiring
+     * L1/L2 ladder before exploring — an exact hit skips wiring
      * entirely (one measured mini-batch verifies the plan), a shape
-     * neighbor warm-starts the wirer, library priors bias the ordering
-     * — and writes the winner back for the next process. Defaults to
-     * the ASTRA_PLAN_STORE environment variable; "" disables.
+     * neighbor warm-starts the wirer — and writes the winner back for
+     * the next process. Defaults to the ASTRA_PLAN_STORE environment
+     * variable; "" disables.
      */
     std::string plan_store = plan_store_dir_from_env();
 
@@ -137,8 +137,8 @@ class AstraSession
      * With AstraOptions::plan_store set, first walks the knowledge
      * base's ladder: an L1 exact hit returns the stored configuration
      * after a single measured verification mini-batch; an L2 neighbor
-     * or L3 priors warm-start the wirer; and the winner is written
-     * back. The report's store_tier records which rung answered.
+     * warm-starts the wirer; and the winner is written back. The
+     * report's store_tier records which rung answered.
      */
     WirerResult optimize(const BindFn& bind = {});
 

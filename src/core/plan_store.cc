@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "kernels/cost.h"
@@ -154,7 +153,6 @@ lib_signature()
 
 constexpr const char* kEntryMagic = "astra-plan-store";
 constexpr const char* kEntryVersion = "v1";
-constexpr const char* kPriorsHeader = "astra-priors v1";
 
 }  // namespace
 
@@ -176,8 +174,6 @@ store_tier_name(StoreTier t)
     switch (t) {
       case StoreTier::Miss:
         return "miss";
-      case StoreTier::L3:
-        return "l3";
       case StoreTier::L2:
         return "l2";
       case StoreTier::L1:
@@ -385,85 +381,17 @@ PlanStore::read_entry_file(const fs::path& path, PlanStoreEntry* entry,
     return true;
 }
 
-std::vector<int64_t>
-PlanStore::read_priors(uint64_t gpu_sig, uint64_t lib_sig) const
-{
-    const fs::path path = dir_ / ("priors." + hash_hex(gpu_sig) + "." +
-                                  hash_hex(lib_sig));
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return {};
-    const std::string text(std::istreambuf_iterator<char>(is), {});
-    // Corrupt priors only lose advice, never fail a job.
-    record::LineReader in(text, nullptr);
-    if (!in.next() || in.line() != kPriorsHeader)
-        return {};
-    std::vector<int64_t> wins;
-    while (in.next()) {
-        for (const std::string_view tok : in.tokens()) {
-            int64_t w = 0;
-            if (wins.size() == static_cast<size_t>(kNumGemmLibs) ||
-                !record::parse_int(tok, &w))
-                return {};
-            wins.push_back(w);
-        }
-    }
-    if (wins.size() != static_cast<size_t>(kNumGemmLibs))
-        return {};
-    return wins;
-}
-
 bool
 PlanStore::put(const PlanStoreEntry& entry, std::string* error)
 {
-    const fs::path path = dir_ / entry_filename(entry.key);
-    if (!write_file(path, entry_to_string(entry), error))
-        return false;
-
-    // Fold the winner's library choices into the per-(gpu,lib) priors:
-    // one win per node the config assigned a library to (group
-    // assignments count once per group). Read-modify-write is lossy
-    // under concurrent puts — priors are advice, so approximate counts
-    // are acceptable where entry payloads are not.
-    std::vector<int64_t> wins =
-        read_priors(entry.key.gpu_sig, entry.key.lib_sig);
-    if (wins.empty())
-        wins.assign(static_cast<size_t>(kNumGemmLibs), 0);
-    for (GemmLib lib : entry.config.group_lib)
-        ++wins[static_cast<size_t>(lib)];
-    for (const auto& [node, lib] : entry.config.single_lib)
-        ++wins[static_cast<size_t>(lib)];
-    std::ostringstream os;
-    const record::WriteGuard pin(os);
-    os << kPriorsHeader << "\n";
-    for (int64_t w : wins)
-        os << w << "\n";
-    const fs::path priors = dir_ / ("priors." +
-                                    hash_hex(entry.key.gpu_sig) + "." +
-                                    hash_hex(entry.key.lib_sig));
-    return write_file(priors, os.str(), error);
+    return write_file(dir_ / entry_filename(entry.key),
+                      entry_to_string(entry), error);
 }
 
 StoreLookup
 PlanStore::lookup(const PlanStoreKey& key) const
 {
     StoreLookup out;
-
-    // L3 first: priors apply no matter how the per-graph rungs land,
-    // and L2 reporting wants them already resolved.
-    const std::vector<int64_t> wins =
-        read_priors(key.gpu_sig, key.lib_sig);
-    if (!wins.empty()) {
-        int64_t best = 0;
-        for (size_t lib = 0; lib < wins.size(); ++lib) {
-            if (wins[lib] > best) {  // strict: ties keep the lowest index
-                best = wins[lib];
-                out.preferred_lib = static_cast<int>(lib);
-            }
-        }
-        if (out.preferred_lib >= 0)
-            out.tier = StoreTier::L3;
-    }
 
     // L1: exact entry.
     const fs::path exact = dir_ / entry_filename(key);

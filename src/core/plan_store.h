@@ -27,17 +27,19 @@
  *                perturb the journey, not the converged answer;
  *   lib_sig      the kernel-library set the plan chose from.
  *
- * Lookup walks a three-tier ladder, L1 -> L2 -> L3 (the memory ->
- * knowledge -> golden-advice ladder of AMOS's SubScheduler):
+ * Lookup walks a two-tier ladder, L1 -> L2 (the memory -> knowledge
+ * rungs of AMOS's SubScheduler):
  *
  *   L1  exact match on all four hashes: reuse the stored config
  *       outright — no wiring, one measured mini-batch to verify;
  *   L2  same (shape_class, gpu_sig, lib_sig), different graph_sig: a
  *       shape neighbor. Its config seeds the wirer's best-so-far and
  *       its statistics pre-bind the transferable variables; only the
- *       residual space is explored;
- *   L3  no per-graph entry at all: global per-library win counts for
- *       (gpu_sig, lib_sig) bias the initial library choice.
+ *       residual space is explored.
+ *
+ * Anything else is a miss and wires cold: the winning GEMM library
+ * depends on the shape (paper Table 1), so entries for other shape
+ * classes say nothing about this graph (DESIGN.md §5.10).
  *
  * Changing the GPU timing model or the library set changes gpu_sig /
  * lib_sig, so stale knowledge invalidates by key mismatch — the same
@@ -127,12 +129,11 @@ struct PlanStoreEntry
 enum class StoreTier
 {
     Miss,  ///< cold: nothing reusable, full exploration
-    L3,    ///< per-library priors only (biased ordering)
     L2,    ///< shape-neighbor transfer (partial reuse)
     L1,    ///< exact hit (no wiring)
 };
 
-/** Stable string name ("miss", "l3", "l2", "l1") for reports. */
+/** Stable string name ("miss", "l2", "l1") for reports. */
 const char* store_tier_name(StoreTier t);
 
 /** Outcome of one ladder walk. */
@@ -142,13 +143,6 @@ struct StoreLookup
 
     /** Valid when tier is L1 or L2 (the exact or neighbor entry). */
     PlanStoreEntry entry;
-
-    /**
-     * L3 prior: the library with the most stored wins under this
-     * (gpu_sig, lib_sig), or -1 when no priors exist. Also filled on
-     * L2 (the ladder is cumulative).
-     */
-    int preferred_lib = -1;
 
     /**
      * Diagnoses of entries that were present but rejected (corrupt,
@@ -172,12 +166,12 @@ class PlanStore
 
     /**
      * Persist one wiring outcome (overwriting any entry under the same
-     * key) and fold its library wins into the per-(gpu,lib) priors.
+     * key).
      * @return false (with *error filled when non-null) on I/O failure.
      */
     bool put(const PlanStoreEntry& entry, std::string* error = nullptr);
 
-    /** Walk the L1 -> L2 -> L3 ladder for a key. */
+    /** Walk the L1 -> L2 ladder for a key. */
     StoreLookup lookup(const PlanStoreKey& key) const;
 
     /** Entry filename for a key ("<shape>.<gpu>.<lib>.<graph>.plan"). */
@@ -208,10 +202,6 @@ class PlanStore
     /** Atomically write `text` to `path` (temp + rename). */
     bool write_file(const std::filesystem::path& path,
                     const std::string& text, std::string* error) const;
-
-    /** Per-library win counts for (gpu_sig, lib_sig); empty if none. */
-    std::vector<int64_t> read_priors(uint64_t gpu_sig,
-                                     uint64_t lib_sig) const;
 
     std::filesystem::path dir_;
 };

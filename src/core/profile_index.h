@@ -104,14 +104,6 @@ struct MeasurementPolicy
     double tie_epsilon_rel = 0.0;
 
     /**
-     * Fault-retry budget: how many times the custom wirer re-measures
-     * a trial whose every dispatch came back faulted (transient kernel
-     * faults that survived the dispatcher's own replay budget) before
-     * quarantining the configuration's keys and moving on.
-     */
-    int fault_budget = 2;
-
-    /**
      * Plan-store L1 trust margin: an exact store hit is adopted only
      * when its verification mini-batch lands within
      * store_drift_rel * stored_best_ns of the stored timing. A larger

@@ -151,6 +151,10 @@ Scheduler::assemble_units(const ScheduleConfig& config,
 
     // ---- fused elementwise chains (§5.3) -----------------------------------
     if (config.elementwise_fusion) {
+        // Max chain length, and how far past the last member the scan
+        // may look.
+        constexpr int kMaxChain = 10;
+        constexpr int kChainWindow = 48;
         std::vector<NodeId> chain;  // ascending, so binary-searchable
         for (NodeId i = 0; i < graph_.size(); ++i) {
             if (covered[static_cast<size_t>(i)] >= 0 ||
@@ -164,8 +168,8 @@ Scheduler::assemble_units(const ScheduleConfig& config,
             // the chain, so contracting it cannot create a cycle.
             for (NodeId j = i + 1;
                  j < graph_.size() &&
-                 static_cast<int>(chain.size()) < opts_.max_ew_chain &&
-                 j - chain.back() <= opts_.ew_chain_window;
+                 static_cast<int>(chain.size()) < kMaxChain &&
+                 j - chain.back() <= kChainWindow;
                  ++j) {
                 if (covered[static_cast<size_t>(j)] >= 0 ||
                     !elementwise_[static_cast<size_t>(j)])
@@ -355,7 +359,8 @@ Scheduler::estimate_unit_ns(const PlanStep& unit) const
 {
     // Purely static estimate (the paper's "static flops calculation"):
     // never measured, only used to calibrate super-epoch extents.
-    double ns = opts_.est_launch_ns;
+    constexpr double kLaunchNs = 6000.0;
+    double ns = kLaunchNs;
     for (NodeId id : unit.nodes) {
         const Node& n = graph_.node(id);
         if (n.is_matmul())
@@ -482,13 +487,14 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
 
         // Cap the flattened product: trim the widest class until the
         // epoch fits the exhaustive budget.
+        constexpr int64_t kMaxEpochOptions = 24;
         auto product = [&] {
             int64_t p = 1;
             for (const auto& c : class_opts)
                 p *= static_cast<int64_t>(c.size());
             return p;
         };
-        while (product() > opts_.max_epoch_options) {
+        while (product() > kMaxEpochOptions) {
             size_t widest = 0;
             for (size_t c = 1; c < class_opts.size(); ++c)
                 if (class_opts[c].size() > class_opts[widest].size())

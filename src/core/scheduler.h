@@ -95,18 +95,6 @@ struct SchedulerOptions
 {
     /** Target static cost of one super-epoch, in estimated ns. */
     double super_epoch_ns = 300000.0;
-
-    /** Cap on flattened options per epoch. */
-    int max_epoch_options = 24;
-
-    /** Max elementwise-fusion chain length. */
-    int max_ew_chain = 10;
-
-    /** How far past the last member the chain scan may look. */
-    int ew_chain_window = 48;
-
-    /** Static launch-overhead estimate used for super-epoch sizing. */
-    double est_launch_ns = 6000.0;
 };
 
 /**

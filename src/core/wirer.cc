@@ -13,6 +13,13 @@ namespace astra {
 namespace {
 
 /**
+ * Re-measurements of a trial or best-of-strategy run whose every
+ * dispatch came back faulted (transient faults that outlived the
+ * dispatcher's own replays) before the wirer quarantines it.
+ */
+constexpr int kFaultBudget = 2;
+
+/**
  * Saturating product, for exhaustive state-space sizes (Table 7).
  * The cap is far below INT64_MAX so that report consumers can sum
  * saturated sizes across epochs without overflowing.
@@ -161,7 +168,7 @@ struct CustomWirer::StrategyRun
     int64_t wirer_retries = 0;
     double backoff_ns = 0.0;
 
-    /** A trial exhausted the measurement policy's fault budget. */
+    /** A trial exhausted its fault budget (kFaultBudget). */
     bool fault_exhausted = false;
 
     // ---- plan-store warm-start accounting (WirerOptions::warm) -----------
@@ -177,10 +184,7 @@ struct CustomWirer::StrategyRun
     /** Armed evaluator, or null when the mode is off or ineligible. */
     std::unique_ptr<WhatIfEngine> whatif;
 
-    /** Dependency-preserving records captured while armed. */
-    std::vector<RecordedTrace> traces;
-
-    /** Host replays performed (trace capture + exploration trials). */
+    /** Host replays performed (exploration trials). */
     int64_t whatif_evals = 0;
 
     /** dispatch_batch calls that dispatched >= 1 live mini-batch. */
@@ -379,9 +383,9 @@ CustomWirer::measure_trial(
             return;
         // Every repeat of the trial came back faulted even after the
         // dispatcher's own replays: re-measure the whole trial (fresh
-        // fault salts) up to the policy budget, then quarantine — the
+        // fault salts) up to kFaultBudget times, then quarantine — the
         // keys stay marked, sample-free, and can never be bound.
-        if (run.truncated || attempt >= opts_.measurement.fault_budget) {
+        if (run.truncated || attempt >= kFaultBudget) {
             run.fault_exhausted = true;
             return;
         }
@@ -392,7 +396,7 @@ CustomWirer::measure_trial(
 void
 CustomWirer::replay_trial(StrategyRun& run, const ScheduleConfig& config)
 {
-    const ReplayResult r = run.whatif->evaluate(config);
+    const DispatchResult r = run.whatif->evaluate(config);
     ++run.whatif_evals;
     // Replayed samples drop into the shard exactly like dispatched
     // ones. Epoch-span metrics couple across super-epochs through
@@ -479,7 +483,7 @@ CustomWirer::measure_final(StrategyRun& run, const ScheduleConfig& config,
         for (const DispatchResult& result : results)
             if (!result.faulted)
                 clean.push_back(result.total_ns);
-        if (!clean.empty() || attempt >= mp.fault_budget)
+        if (!clean.empty() || attempt >= kFaultBudget)
             break;
         ++run.wirer_retries;
     }
@@ -595,11 +599,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             }
         }
     };
-    const int l3_lib =
-        warm.preferred_lib >= 0 && warm.preferred_lib < kNumGemmLibs
-            ? warm.preferred_lib
-            : 0;
-
     // ---- replay or measure each exploration trial (§5.13) ----------------
     // While armed, every exploration trial of every stage is ranked on
     // the host: the walk advances over replayed samples that are
@@ -688,7 +687,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                     : -1;
             auto v = std::make_shared<AdaptiveVariable>(
                 g.key + "|lib", kNumGemmLibs,
-                warm_lib >= 0 ? warm_lib : l3_lib);
+                warm_lib >= 0 ? warm_lib : 0);
             v->set_context(sctx);
             lib_vars[static_cast<size_t>(g.id)] = v;
             if (warm_lib >= 0 && !run.whatif) {
@@ -721,7 +720,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             }
             auto v = std::make_shared<AdaptiveVariable>(
                 "n" + std::to_string(id) + "|lib", kNumGemmLibs,
-                warm_lib >= 0 ? warm_lib : l3_lib);
+                warm_lib >= 0 ? warm_lib : 0);
             v->set_context(sctx);
             single_vars[id] = v;
             if (warm_lib >= 0 && !run.whatif) {
@@ -760,17 +759,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         cfg.num_streams = opts_.num_streams;
         return cfg;
     };
-
-    // ---- trace capture ----------------------------------------------------
-    // The dependency-preserving record of this strategy's first
-    // measured configuration — compiled program, per-step costs and
-    // keys, spans, metrics. Richer than the Chrome export, durable via
-    // write_trace, and replayable under per-key cost substitution.
-    if (run.whatif) {
-        run.traces.push_back(
-            run.whatif->capture(current_config(false)));
-        ++run.whatif_evals;
-    }
 
     // ---- transfer priming (plan store, L2) -------------------------------
     // Measure the transferred configuration once before exploring the
@@ -1179,9 +1167,6 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.store_seeded_keys += run.seeded_keys;
         out.convergence.whatif_evals += run.whatif_evals;
         out.convergence.measured_configs += run.measured_configs;
-        for (RecordedTrace& t : run.traces)
-            out.whatif_traces.push_back(std::move(t));
-        run.traces.clear();
         out.index.merge(run.index);
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_stat;
         if (best_ns < 0.0 || run.final_stat < best_ns) {

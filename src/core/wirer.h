@@ -59,10 +59,7 @@ AstraFeatures features_all();
  * from profiling — §5.1: instrument only what is being explored),
  * measures the transferred configuration once up front to seed
  * best-so-far, seeds the profile shard with the neighbor's statistics
- * for the pre-bound keys, and explores only the residual space. With
- * only a preferred library (L3 priors) the library variables start at
- * the fleet-wide favorite — a biased ordering, not a binding, so the
- * converged configuration is unchanged.
+ * for the pre-bound keys, and explores only the residual space.
  */
 struct WirerWarmStart
 {
@@ -74,9 +71,6 @@ struct WirerWarmStart
 
     /** The neighbor's measurement statistics (seeds pre-bound keys). */
     ProfileIndex stats;
-
-    /** L3 prior: fleet-favorite library, or -1 for none. */
-    int preferred_lib = -1;
 };
 
 /** Options for the custom wirer. */
@@ -84,7 +78,6 @@ struct WirerOptions
 {
     AstraFeatures features;
     GpuConfig gpu;
-    SchedulerOptions sched;
     int num_streams = 2;
 
     /** Plan-store knowledge to start from (none by default). */
@@ -203,13 +196,6 @@ struct WirerResult
 
     /** Final profile index (for inspection/tests). */
     ProfileIndex index;
-
-    /**
-     * Dependency-preserving traces captured while the what-if engine
-     * was armed (one per strategy, in strategy order; empty when the
-     * engine was off). Durable via trace_to_string / trace_from_string.
-     */
-    std::vector<RecordedTrace> whatif_traces;
 
     /**
      * Per-stage exploration history: best-so-far time, trials spent,

@@ -67,7 +67,7 @@ struct ConvergenceEpoch
 
     // ---- what-if accounting (core/whatif.h, §5.13) -----------------------
 
-    /** Host replays the stage spent (trace capture, exploration trials). */
+    /** Host replays the stage spent (exploration trials). */
     int64_t whatif_evals = 0;
 
     /** Dispatched configurations (>= 1 live mini-batch each). */
@@ -131,9 +131,8 @@ struct ConvergenceReport
 
     /**
      * Which rung of the knowledge-base ladder answered this job:
-     * "miss" (cold), "l3" (library priors), "l2" (shape-neighbor
-     * transfer), "l1" (exact hit, wiring skipped), or "" when no store
-     * was configured.
+     * "miss" (cold), "l2" (shape-neighbor transfer), "l1" (exact hit,
+     * wiring skipped), or "" when no store was configured.
      */
     std::string store_tier;
 

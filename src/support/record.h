@@ -3,8 +3,8 @@
  * The record layer: how every text format read from outside the
  * program turns a token into a number, says where a parse failed, and
  * writes numbers back. Configurations, profile indexes, checkpoints,
- * what-if traces, plan-store entries, fault specs and command-line
- * arguments all go through it, so one module decides the grammar.
+ * plan-store entries, fault specs and command-line arguments all go
+ * through it, so one module decides the grammar.
  *
  * Tokens. A number is a whole token: leading whitespace, a trailing
  * character, overflow or an empty token all reject. Integers are

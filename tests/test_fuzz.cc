@@ -13,8 +13,8 @@
  * caught.
  *
  * RecordFuzz mutates a valid sample of every text format read from
- * outside the program (config, profile index, checkpoint, what-if
- * trace, plan-store entry, fault spec): it truncates, swaps tokens for
+ * outside the program (config, profile index, checkpoint, plan-store
+ * entry, fault spec): it truncates, swaps tokens for
  * hostile numbers and flips bits. Each mutant must read back or be
  * rejected with a "<unit> N: reason" diagnostic, and never abort.
  */
@@ -30,7 +30,6 @@
 #include "core/astra.h"
 #include "core/config_io.h"
 #include "core/plan_store.h"
-#include "core/whatif.h"
 #include "graph/builder.h"
 #include "models/data.h"
 #include "models/models.h"
@@ -296,14 +295,7 @@ record_formats()
         ModelKind::Scrnn, {.batch = 4, .seq_len = 2, .hidden = 8,
                            .embed_dim = 8, .vocab = 16});
     const SearchSpace space = enumerate_search_space(model.graph());
-    const Scheduler sched(model.graph(), space);
-    SimMemory mem(graph_tensor_bytes(model.graph()) + (1 << 20), false);
-    const TensorMap tmap(model.graph(), mem, space.strategies[0].runs);
-    GpuConfig gpu;
-    gpu.execute_kernels = false;
     const ScheduleConfig cfg = sample_config(space);
-    const RecordedTrace trace =
-        WhatIfEngine(model.graph(), tmap, sched, gpu).capture(cfg);
 
     WirerCheckpoint cp;
     cp.strategies.resize(2);
@@ -350,15 +342,6 @@ record_formats()
              if (!checkpoint_from_string(text, &c, error))
                  return false;
              *out = checkpoint_to_string(c);
-             return true;
-         }});
-    formats.push_back(
-        {"trace", trace_to_string(trace),
-         [](const std::string& text, std::string* error, std::string* out) {
-             RecordedTrace t;
-             if (!trace_from_string(text, &t, error))
-                 return false;
-             *out = trace_to_string(t);
              return true;
          }});
     // Mutations apply to the payload; the frame is rebuilt so each one

@@ -2,10 +2,11 @@
  * @file
  * Tests for the persistent plan/profile knowledge base: key
  * canonicalization, bit-exact entry round-trips, rejection of corrupt
- * or truncated entries (never a silent accept), the L1/L2/L3 lookup
+ * or truncated entries (never a silent accept), the L1/L2 lookup
  * ladder, the checked-in v1 compatibility fixture, and the end-to-end
  * warm-start story — a second process reuses a stored plan for the
- * price of one measured mini-batch, bit-identical to the cold winner.
+ * price of one measured mini-batch, bit-identical to the cold winner,
+ * and a store that knows only other shape classes changes nothing.
  */
 #include <gtest/gtest.h>
 
@@ -237,7 +238,7 @@ TEST(PlanStoreEntry, RejectsCorruptionTruncationAndVersionSkew)
     EXPECT_FALSE(PlanStore::entry_from_string(v2, &probe));
 }
 
-TEST(PlanStore, LadderMissThenL3ThenL2ThenL1)
+TEST(PlanStore, LadderMissThenL2ThenL1)
 {
     const fs::path dir = fresh_store_dir("plan_store_ladder");
     PlanStore store(dir);
@@ -256,26 +257,22 @@ TEST(PlanStore, LadderMissThenL3ThenL2ThenL1)
     expect_entries_equal(sample_entry(), l1.entry);
 
     // Same shape class / device / libraries, different graph: L2,
-    // with the neighbor's entry and the library prior (Oai2 holds the
-    // most wins in sample_entry's config).
+    // with the neighbor's entry.
     PlanStoreKey neighbor = key;
     neighbor.graph_sig = 0x9999;
     neighbor.total_flops = 2.5e9;
     StoreLookup l2 = fresh.lookup(neighbor);
     EXPECT_EQ(l2.tier, StoreTier::L2);
-    EXPECT_EQ(l2.preferred_lib, static_cast<int>(GemmLib::Oai2));
     EXPECT_TRUE(sample_entry().key == l2.entry.key);
 
-    // Different shape class on the same device/libraries: only the
-    // per-library priors carry over.
+    // A different shape class on the same device/libraries shares
+    // nothing.
     PlanStoreKey other = key;
     other.graph_sig = 0xaaaa;
     other.shape_class = 0xbbbb;
-    StoreLookup l3 = fresh.lookup(other);
-    EXPECT_EQ(l3.tier, StoreTier::L3);
-    EXPECT_EQ(l3.preferred_lib, static_cast<int>(GemmLib::Oai2));
+    EXPECT_EQ(fresh.lookup(other).tier, StoreTier::Miss);
 
-    // A different device class shares nothing.
+    // Nor does a different device class.
     PlanStoreKey elsewhere = other;
     elsewhere.gpu_sig = 0xcccc;
     EXPECT_EQ(fresh.lookup(elsewhere).tier, StoreTier::Miss);
@@ -382,13 +379,12 @@ TEST(PlanStoreCompat, WriterIsByteIdenticalUnderCommaDecimalLocale)
 }
 #endif
 
-TEST(PlanStore, EntryAndPriorsWrittenUnderCommaDecimalLocaleLoad)
+TEST(PlanStore, EntryWrittenUnderCommaDecimalLocaleLoads)
 {
-    // A win count of 1200 written as "1.200" would be dropped by a
-    // classic-locale reader, losing the L3 advice.
+    // A mini-batch count of 1234 written as "1.234" would be rejected
+    // by a classic-locale reader, losing the entry.
     const fs::path dir = fresh_store_dir("plan_store_comma_locale");
-    PlanStoreEntry e = sample_entry();
-    e.config.group_lib.assign(1200, GemmLib::Cublas);
+    const PlanStoreEntry e = sample_entry();
     {
         const testutil::ScopedGlobalLocale guard(std::locale(
             std::locale::classic(), new testutil::CommaDecimal));
@@ -398,7 +394,6 @@ TEST(PlanStore, EntryAndPriorsWrittenUnderCommaDecimalLocaleLoad)
     const StoreLookup hit = PlanStore(dir).lookup(e.key);
     EXPECT_EQ(hit.tier, StoreTier::L1);
     EXPECT_TRUE(hit.errors.empty());
-    EXPECT_EQ(hit.preferred_lib, static_cast<int>(GemmLib::Cublas));
 }
 
 TEST(PlanStoreWarmStart, SecondSessionHitsL1BitIdentical)
@@ -413,8 +408,7 @@ TEST(PlanStoreWarmStart, SecondSessionHitsL1BitIdentical)
     AstraSession cold(m.graph(), opts);
     const WirerResult first = cold.optimize();
     EXPECT_GT(first.minibatches, 10);
-    EXPECT_TRUE(first.convergence.store_tier == "miss" ||
-                first.convergence.store_tier == "l3");
+    EXPECT_EQ(first.convergence.store_tier, "miss");
 
     AstraSession warm(m.graph(), opts);
     const WirerResult second = warm.optimize();
@@ -526,6 +520,35 @@ TEST(PlanStoreWarmStart, WidthNeighborTransfersAtL2)
     AstraSession ref(neighbor.graph(), no_store);
     const WirerResult gold = ref.optimize();
     EXPECT_LE(warm.best_ns, gold.best_ns * 1.05);
+}
+
+TEST(PlanStoreWarmStart, OtherShapeClassWiresAsIfNoStore)
+{
+    // An entry for another shape class says nothing about this graph:
+    // wiring with the store must match wiring without one.
+    const fs::path dir = fresh_store_dir("plan_store_other_class");
+    AstraOptions opts;
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = false;
+    opts.plan_store.clear();
+
+    const BuiltModel other = small_scrnn(32, 3);
+    PlanStoreEntry stored = sample_entry();  // favours oai_2
+    stored.key = make_plan_store_key(other.graph(), opts.gpu);
+    ASSERT_TRUE(PlanStore(dir).put(stored));
+
+    const BuiltModel m = small_scrnn(32, 6);
+    AstraSession bare(m.graph(), opts);
+    const WirerResult gold = bare.optimize();
+    opts.plan_store = dir.string();
+    AstraSession stocked(m.graph(), opts);
+    const WirerResult r = stocked.optimize();
+
+    EXPECT_EQ(r.convergence.store_tier, "miss");
+    EXPECT_EQ(config_to_string(r.best_config),
+              config_to_string(gold.best_config));
+    EXPECT_EQ(r.best_ns, gold.best_ns);
+    EXPECT_EQ(r.minibatches, gold.minibatches);
 }
 
 // ---- crash-safe / multi-writer atomicity -----------------------------
