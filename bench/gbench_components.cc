@@ -55,6 +55,19 @@ gnmt_model()
     return m;
 }
 
+/**
+ * The repo benchmark's largest serving bucket (subLSTM, batch 8, seq 32,
+ * hidden = embed 64, vocab 1000): the fleet's largest enumeration.
+ */
+const BuiltModel&
+bucket32_model()
+{
+    static BuiltModel m = build_model(
+        ModelKind::SubLstm, {.batch = 8, .seq_len = 32, .hidden = 64,
+                             .embed_dim = 64, .vocab = 1000});
+    return m;
+}
+
 void
 BM_EnumerateSearchSpace(benchmark::State& state,
                         const BuiltModel& (*which)())
@@ -68,6 +81,8 @@ BM_EnumerateSearchSpace(benchmark::State& state,
 BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, sublstm, &model)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, gnmt, &gnmt_model)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, bucket32, &bucket32_model)
     ->Unit(benchmark::kMillisecond);
 
 /** Every group at its largest chunk, cuBLAS everywhere, one stream. */
@@ -123,17 +138,14 @@ BENCHMARK_CAPTURE(BM_BuildStreamedPlan, warm, true)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Cycle-repaired units of the repo benchmark's largest serving bucket
- * (subLSTM, batch 8, seq 32, hidden = embed 64, vocab 1000) at max
- * chunks: the Scheduler::build_units call a fleet set-up pays once
- * per bucket binding.
+ * Cycle-repaired units of the largest serving bucket (bucket32_model)
+ * at max chunks: the Scheduler::build_units call a fleet set-up pays
+ * once per bucket binding.
  */
 void
 BM_BuildUnits(benchmark::State& state)
 {
-    static const BuiltModel m = build_model(
-        ModelKind::SubLstm, {.batch = 8, .seq_len = 32, .hidden = 64,
-                             .embed_dim = 64, .vocab = 1000});
+    const BuiltModel& m = bucket32_model();
     static const SearchSpace space = enumerate_search_space(m.graph());
     const Scheduler scheduler(m.graph(), space);
     const ScheduleConfig cfg = max_chunk_config(space);

@@ -353,13 +353,12 @@ ProfileIndex::decide(const std::string& prefix, int num_choices) const
 }
 
 void
-ProfileIndex::merge(const ProfileIndex& other)
+ProfileIndex::merge(ProfileIndex other)
 {
-    for (const auto& [key, stats] : other.entries_) {
-        const auto [it, inserted] = entries_.emplace(key, stats);
-        if (!inserted)
-            it->second.merge(stats);
-    }
+    // Splice the nodes of keys new here; keys both hold stay in `other`.
+    entries_.merge(other.entries_);
+    for (const auto& [key, stats] : other.entries_)
+        entries_.find(key)->second.merge(stats);
     total_samples_ += other.total_samples_;
     total_rejected_ += other.total_rejected_;
     total_faults_ += other.total_faults_;

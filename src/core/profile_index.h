@@ -296,9 +296,10 @@ class ProfileIndex
      * statistics (ProfileStats::merge). The parallel wirer merges
      * per-strategy shards whose strategy context prefixes make the key
      * sets disjoint, so the merged index is bit-identical to the one a
-     * serial exploration would have accumulated.
+     * serial exploration would have accumulated. Pass an rvalue to
+     * move the new entries' nodes across instead of copying them.
      */
-    void merge(const ProfileIndex& other);
+    void merge(ProfileIndex other);
 
     /**
      * Install a persisted entry (insert, or merge into an existing

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <set>
-#include <sstream>
 
+#include "core/search_space_detail.h"
 #include "obs/obs.h"
 #include "runtime/executor.h"
 #include "support/logging.h"
@@ -13,6 +15,10 @@
 namespace astra {
 
 namespace {
+
+using detail::ConflictRow;
+using detail::RunRelation;
+using detail::run_relation;
 
 /**
  * Provenance key for fusion-set mining: the node's scope with
@@ -51,10 +57,53 @@ std::string
 mm_signature(const Graph& graph, const Node& n)
 {
     const GemmShape s = matmul_shape(graph, n);
-    std::ostringstream os;
-    os << (n.trans_a ? "T" : "N") << (n.trans_b ? "T" : "N") << s.m << "x"
-       << s.n << "x" << s.k;
-    return os.str();
+    return std::string(n.trans_a ? "T" : "N") + (n.trans_b ? "T" : "N") +
+           std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+           std::to_string(s.k);
+}
+
+/**
+ * Mining keys of every MatMul, computed once per graph so that the
+ * miners compare integers (-1 for other nodes). Equal ids mean equal
+ * key strings.
+ */
+struct MiningKeys
+{
+    /** Interned signature: ladder leaves must all share one. */
+    std::vector<int> signature;
+
+    /**
+     * Batch partition, "signature@provenance", as the rank of that
+     * string among the graph's distinct ones: a node's partitions are
+     * mined in the strings' lexicographic order, which fixes group ids.
+     */
+    std::vector<int> partition;
+};
+
+MiningKeys
+mining_keys(const Graph& graph)
+{
+    MiningKeys keys;
+    keys.signature.assign(static_cast<size_t>(graph.size()), -1);
+    keys.partition.assign(static_cast<size_t>(graph.size()), -1);
+    std::map<std::string, int> signatures;
+    std::map<std::string, std::vector<NodeId>> partitions;
+    for (const Node& n : graph.nodes()) {
+        if (!n.is_matmul())
+            continue;
+        const std::string sig = mm_signature(graph, n);
+        keys.signature[static_cast<size_t>(n.id)] =
+            signatures.try_emplace(sig, static_cast<int>(signatures.size()))
+                .first->second;
+        partitions[sig + "@" + provenance_key(n.scope)].push_back(n.id);
+    }
+    int rank = 0;
+    for (const auto& [name, mms] : partitions) {
+        for (NodeId id : mms)
+            keys.partition[static_cast<size_t>(id)] = rank;
+        ++rank;
+    }
+    return keys;
 }
 
 /** Chunk-size menu for a group of the given size (§4.8 range cap). */
@@ -77,16 +126,19 @@ make_chunk_options(int size, int max_options)
  * or nullopt-like empty-with-flag if it mixes duplicates (unfusable).
  */
 bool
-make_run(const std::vector<NodeId>& nodes, AdjacencyRun* out)
+make_run(std::vector<NodeId> nodes, AdjacencyRun* out)
 {
-    std::set<NodeId> distinct(nodes.begin(), nodes.end());
-    if (distinct.size() == 1) {
+    if (!nodes.empty() &&
+        std::all_of(nodes.begin(), nodes.end(),
+                    [&](NodeId id) { return id == nodes[0]; })) {
         out->members.clear();  // stride-0: no constraint
         return true;
     }
-    if (distinct.size() != nodes.size())
+    std::vector<NodeId> sorted = nodes;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
         return false;  // mixed duplicates: not uniform-stride addressable
-    out->members = nodes;
+    out->members = std::move(nodes);
     return true;
 }
 
@@ -167,15 +219,20 @@ rebuild_ladder_runs(const Graph& graph, FusionGroup* g)
 /** Mine sibling-GEMM batch fusion sets (§4.4.1 common-argument rule). */
 std::vector<FusionGroup>
 mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
-                  const EnumeratorOptions& opts)
+                  const MiningKeys& keys, const EnumeratorOptions& opts)
 {
     std::vector<FusionGroup> out;
+    std::vector<std::pair<int, NodeId>> parts;  // (partition, member)
+    std::vector<NodeId> chosen;
     for (const Node& shared : graph.nodes()) {
+        const std::vector<NodeId>& users = graph.users(shared.id);
+        if (users.size() < 2)
+            continue;  // no partition can reach two members
         for (int pos = 0; pos < 2; ++pos) {
             // Partition this node's MatMul consumers by fusability
             // signature (same shape/flags) and provenance scope.
-            std::map<std::string, std::vector<NodeId>> parts;
-            for (NodeId user : graph.users(shared.id)) {
+            parts.clear();
+            for (NodeId user : users) {
                 const Node& mm = graph.node(user);
                 if (!mm.is_matmul() || mm.inputs[static_cast<size_t>(pos)]
                                            != shared.id)
@@ -183,20 +240,22 @@ mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
                 // Avoid double-listing mm(x, x) style self-pairs.
                 if (mm.inputs[0] == mm.inputs[1] && pos == 1)
                     continue;
-                parts[mm_signature(graph, mm) + "@" +
-                      provenance_key(mm.scope)]
-                    .push_back(user);
+                parts.emplace_back(
+                    keys.partition[static_cast<size_t>(user)], user);
             }
-            for (auto& [sig, members] : parts) {
-                (void)sig;
-                std::sort(members.begin(), members.end());
-                members.erase(std::unique(members.begin(), members.end()),
-                              members.end());
-                if (static_cast<int>(members.size()) < 2)
+            // Partitions in key order, each one's members in id order
+            // and listed once (mm(x, x) uses x twice).
+            std::sort(parts.begin(), parts.end());
+            parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
+            for (size_t lo = 0, hi = 0; lo < parts.size(); lo = hi) {
+                while (hi < parts.size() && parts[hi].first == parts[lo].first)
+                    ++hi;
+                if (hi - lo < 2)
                     continue;
                 // Greedy mutually-independent subset, in id order.
-                std::vector<NodeId> chosen;
-                for (NodeId m : members) {
+                chosen.clear();
+                for (size_t i = lo; i < hi; ++i) {
+                    const NodeId m = parts[i].second;
                     bool ok = true;
                     for (NodeId c : chosen)
                         ok &= oracle.independent(m, c);
@@ -232,7 +291,8 @@ mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
 
 /** Mine GEMM-accumulator ladders (§4.4.1 fusion ladders). */
 std::vector<FusionGroup>
-mine_ladder_groups(const Graph& graph, const EnumeratorOptions& opts)
+mine_ladder_groups(const Graph& graph, const MiningKeys& keys,
+                   const EnumeratorOptions& opts)
 {
     std::vector<FusionGroup> out;
     for (const Node& root : graph.nodes()) {
@@ -273,21 +333,12 @@ mine_ladder_groups(const Graph& graph, const EnumeratorOptions& opts)
             continue;
 
         // All leaves must be single-use MatMuls of identical shape.
-        bool ok = true;
-        std::string sig;
-        for (NodeId l : leaves) {
-            const Node& ln = graph.node(l);
-            if (!ln.is_matmul() || graph.user_count(l) != 1) {
-                ok = false;
-                break;
-            }
-            const std::string s = mm_signature(graph, ln);
-            if (sig.empty())
-                sig = s;
-            else if (s != sig)
-                ok = false;
-        }
-        if (!ok)
+        const int sig = keys.signature[static_cast<size_t>(leaves[0])];
+        if (!std::all_of(leaves.begin(), leaves.end(), [&](NodeId l) {
+                return graph.node(l).is_matmul() &&
+                       graph.user_count(l) == 1 &&
+                       keys.signature[static_cast<size_t>(l)] == sig;
+            }))
             continue;
 
         FusionGroup g;
@@ -308,24 +359,13 @@ mine_ladder_groups(const Graph& graph, const EnumeratorOptions& opts)
     return out;
 }
 
-/** Relation between two adjacency runs. */
-enum class RunRelation
-{
-    Disjoint,
-    Identical,
-    Contains,      ///< second is a contiguous subsequence of first
-    ContainedIn,   ///< first is a contiguous subsequence of second
-    Conflict,
-};
+}  // namespace
 
-/**
- * How run b relates to run a. On a Conflict, `*sole_overlap` (when
- * given) is the one tensor the runs share, or kInvalidNode when they
- * share more than one.
- */
+namespace detail {
+
 RunRelation
 run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
-             NodeId* sole_overlap = nullptr)
+             NodeId* sole_overlap)
 {
     // Runs hold at most max_group_size members: a linear probe beats
     // building a set per pair.
@@ -364,6 +404,85 @@ run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
         *sole_overlap = shared == 1 ? first_shared : kInvalidNode;
     return RunRelation::Conflict;
 }
+
+ConflictRow::ConflictRow(int num_nodes)
+    : member_(static_cast<size_t>(num_nodes), 0)
+{
+    for (std::vector<int32_t>& pos : pos_)
+        pos.assign(static_cast<size_t>(num_nodes), -1);
+}
+
+void
+ConflictRow::load(const FusionGroup& g)
+{
+    ASTRA_ASSERT(g.runs.size() <= kMaxRuns);
+    for (NodeId id : loaded_) {
+        const size_t i = static_cast<size_t>(id);
+        member_[i] = 0;
+        for (std::vector<int32_t>& pos : pos_)
+            pos[i] = -1;
+    }
+    loaded_.clear();
+    for (NodeId id : g.mms) {
+        member_[static_cast<size_t>(id)] = 1;
+        loaded_.push_back(id);
+    }
+    runs_ = g.runs.size();
+    for (size_t k = 0; k < runs_; ++k) {
+        const std::vector<NodeId>& members = g.runs[k].members;
+        run_size_[k] = static_cast<int32_t>(members.size());
+        for (size_t p = 0; p < members.size(); ++p) {
+            pos_[k][static_cast<size_t>(members[p])] =
+                static_cast<int32_t>(p);
+            loaded_.push_back(members[p]);
+        }
+    }
+}
+
+RunRelation
+ConflictRow::relation(size_t k, const AdjacencyRun& b,
+                      NodeId* sole_overlap) const
+{
+    ASTRA_ASSERT(k < runs_);
+    const std::vector<int32_t>& pos = pos_[k];
+    // Walk the nodes b shares with run k, in b's order. Each must sit
+    // one place after the last in both runs; once one does not, no
+    // single layout holds both runs, and two nodes are shared.
+    int32_t shared = 0, first_p = 0, first_q = 0;
+    for (size_t q = 0; q < b.members.size(); ++q) {
+        const int32_t p = pos[static_cast<size_t>(b.members[q])];
+        if (p < 0)
+            continue;
+        if (shared == 0) {
+            first_p = p;
+            first_q = static_cast<int32_t>(q);
+        } else if (p != first_p + shared ||
+                   static_cast<int32_t>(q) != first_q + shared) {
+            if (sole_overlap)
+                *sole_overlap = kInvalidNode;
+            return RunRelation::Conflict;
+        }
+        ++shared;
+    }
+    // The shared nodes form one contiguous stretch of both runs.
+    const int32_t size_b = static_cast<int32_t>(b.members.size());
+    if (shared == 0)
+        return RunRelation::Disjoint;
+    if (shared == run_size_[k] && shared == size_b)
+        return RunRelation::Identical;
+    if (shared == size_b)
+        return RunRelation::Contains;
+    if (shared == run_size_[k])
+        return RunRelation::ContainedIn;
+    if (sole_overlap)
+        *sole_overlap = shared == 1 ? b.members[static_cast<size_t>(first_q)]
+                                    : kInvalidNode;
+    return RunRelation::Conflict;
+}
+
+}  // namespace detail
+
+namespace {
 
 /**
  * Remove one member (and its ladder Add, if any) from a group. The
@@ -414,33 +533,40 @@ member_owning(const Graph& graph, const FusionGroup& g, NodeId node)
 }
 
 /**
- * True when groups a and b cannot both be enabled (§4.5.2). They
- * conflict when they share a member GEMM (2-D fusion sets along
+ * True when groups a and b cannot both be enabled (§4.5.2); `row` holds
+ * a. They conflict when they share a member GEMM (2-D fusion sets along
  * different axes, §4.4.1 / Fig. 1) or when two of their runs overlap
- * in a way no single layout satisfies. An overlap on a single tensor
- * is resolved instead, where possible, by dropping the member that
- * owns it from the smaller group (a on ties) and looking again.
- * Groups whose footprints share no node never conflict and are left
- * untouched.
+ * in a way no single layout satisfies; the first such run pair counts,
+ * in (a's run, b's run) order. An overlap on a single tensor is
+ * resolved instead, where possible, by dropping the member that owns
+ * it from the smaller group (a on ties) and looking again. Groups whose
+ * footprints share no node never conflict and are left untouched.
  */
 bool
-groups_conflict(const Graph& graph, FusionGroup& a, FusionGroup& b,
-                const EnumeratorOptions& opts)
+groups_conflict(const Graph& graph, ConflictRow& row, FusionGroup& a,
+                FusionGroup& b, const EnumeratorOptions& opts)
 {
     for (NodeId m : b.mms)
-        if (std::find(a.mms.begin(), a.mms.end(), m) != a.mms.end())
+        if (row.is_member(m))
             return true;
-    for (const AdjacencyRun& ra : a.runs) {
+    for (size_t ka = 0; ka < a.runs.size(); ++ka) {
         for (const AdjacencyRun& rb : b.runs) {
             NodeId sole = kInvalidNode;
-            if (run_relation(ra, rb, &sole) != RunRelation::Conflict)
+            if (row.relation(ka, rb, &sole) != RunRelation::Conflict)
                 continue;
             if (sole != kInvalidNode) {
                 FusionGroup& victim = a.mms.size() <= b.mms.size() ? a : b;
-                const NodeId owner = member_owning(graph, victim, sole);
-                if (owner != kInvalidNode &&
-                    shrink_group(graph, &victim, owner, opts))
-                    return groups_conflict(graph, a, b, opts);
+                const size_t before = victim.mms.size();
+                // shrink_group refuses a group of two: skip the scan.
+                const NodeId owner =
+                    before > 2 ? member_owning(graph, victim, sole)
+                               : kInvalidNode;
+                const bool shrunk = owner != kInvalidNode &&
+                                    shrink_group(graph, &victim, owner, opts);
+                if (&victim == &a && a.mms.size() != before)
+                    row.load(a);
+                if (shrunk)
+                    return groups_conflict(graph, row, a, b, opts);
             }
             return true;
         }
@@ -470,47 +596,87 @@ for_each_footprint_node(const FusionGroup& g, F&& f)
  * footprints share a node: every other pair is conflict-free with no
  * side effect. Because shrinking only removes footprint nodes, a
  * node -> groups index built from the footprints before any shrink
- * lists every pair that can overlap when it is tested.
+ * lists every pair that can overlap when it is tested. Row i holds
+ * group i in a ConflictRow, reloaded only when a shrink changes it.
  */
 std::vector<std::vector<size_t>>
 analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups,
                   const EnumeratorOptions& opts)
 {
     const size_t n = groups.size();
-    std::vector<std::vector<size_t>> groups_at(
-        static_cast<size_t>(graph.size()));
-    for (size_t i = 0; i < n; ++i)
-        for_each_footprint_node(groups[i], [&](NodeId id) {
-            std::vector<size_t>& at = groups_at[static_cast<size_t>(id)];
-            if (at.empty() || at.back() != i)
-                at.push_back(i);
-        });
+    const size_t num_nodes = static_cast<size_t>(graph.size());
+    // The index is one flat array: node v's groups, ascending, are
+    // groups_at[first_at[v], first_at[v + 1]).
+    std::vector<size_t> first_at(num_nodes + 1, 0);
+    std::vector<size_t> last_group(num_nodes);
+    const auto for_each_node_group = [&](auto&& f) {  // each pair once
+        std::fill(last_group.begin(), last_group.end(), n);
+        for (size_t i = 0; i < n; ++i)
+            for_each_footprint_node(groups[i], [&](NodeId id) {
+                const size_t v = static_cast<size_t>(id);
+                if (last_group[v] != i) {
+                    last_group[v] = i;
+                    f(v, i);
+                }
+            });
+    };
+    for_each_node_group([&](size_t v, size_t) { ++first_at[v + 1]; });
+    std::partial_sum(first_at.begin(), first_at.end(), first_at.begin());
+    std::vector<size_t> groups_at(first_at.back());
+    std::vector<size_t> next_at(first_at.begin(), first_at.end() - 1);
+    for_each_node_group(
+        [&](size_t v, size_t i) { groups_at[next_at[v]++] = i; });
 
-    std::vector<std::vector<size_t>> conflicts(n);
+    // Row i's conflicting partners, in test order, are
+    // conflicting[row_end[i - 1], row_end[i]).
+    std::vector<size_t> conflicting, row_end(n);
     std::vector<size_t> listed_for(n, n);  // row that last listed j
     std::vector<size_t> partners;
-    int64_t pairs = 0, edges = 0;
+    ConflictRow row(graph.size());
+    int64_t pairs = 0;
     for (size_t i = 0; i < n; ++i) {
+        row.load(groups[i]);
         partners.clear();
         for_each_footprint_node(groups[i], [&](NodeId id) {
-            for (size_t j : groups_at[static_cast<size_t>(id)])
+            const size_t v = static_cast<size_t>(id);
+            for (size_t e = first_at[v]; e < first_at[v + 1]; ++e) {
+                const size_t j = groups_at[e];
                 if (j > i && listed_for[j] != i) {
                     listed_for[j] = i;
                     partners.push_back(j);
                 }
+            }
         });
         std::sort(partners.begin(), partners.end());
         pairs += static_cast<int64_t>(partners.size());
-        for (size_t j : partners) {
-            if (!groups_conflict(graph, groups[i], groups[j], opts))
-                continue;
-            conflicts[i].push_back(j);
-            conflicts[j].push_back(i);
-            ++edges;
-        }
+        for (size_t j : partners)
+            if (groups_conflict(graph, row, groups[i], groups[j], opts))
+                conflicting.push_back(j);
+        row_end[i] = conflicting.size();
     }
     obs::counter("enumerate.conflict_pairs").add(pairs);
-    obs::counter("enumerate.conflict_edges").add(edges);
+    obs::counter("enumerate.conflict_edges")
+        .add(static_cast<int64_t>(conflicting.size()));
+
+    // Each group's list in one allocation, its edges in the order they
+    // were found.
+    const auto for_each_edge = [&](auto&& f) {
+        for (size_t i = 0, e = 0; i < n; ++i)
+            for (; e < row_end[i]; ++e)
+                f(i, conflicting[e]);
+    };
+    std::vector<size_t> degree(n, 0);
+    for_each_edge([&](size_t i, size_t j) {
+        ++degree[i];
+        ++degree[j];
+    });
+    std::vector<std::vector<size_t>> conflicts(n);
+    for (size_t g = 0; g < n; ++g)
+        conflicts[g].reserve(degree[g]);
+    for_each_edge([&](size_t i, size_t j) {
+        conflicts[i].push_back(j);
+        conflicts[j].push_back(i);
+    });
     return conflicts;
 }
 
@@ -592,12 +758,14 @@ build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
 std::vector<std::vector<size_t>>
 strategy_orders(const Graph& graph, const std::vector<FusionGroup>& groups)
 {
-    const auto pass = [&](size_t g) {
-        return graph.node(groups[g].mms[0]).pass;
-    };
-    const auto mstack = [&](size_t g) {
-        return groups[g].axis == FusionAxis::MStack;
-    };
+    // Sort keys per group, read once: the pass of its first member and
+    // whether it row-stacks.
+    std::vector<Pass> pass(groups.size());
+    std::vector<uint8_t> mstack(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+        pass[g] = graph.node(groups[g].mms[0]).pass;
+        mstack[g] = groups[g].axis == FusionAxis::MStack;
+    }
     std::vector<size_t> by_flops(groups.size());
     for (size_t i = 0; i < by_flops.size(); ++i)
         by_flops[i] = i;
@@ -612,8 +780,8 @@ strategy_orders(const Graph& graph, const std::vector<FusionGroup>& groups)
     };
     return {
         by_flops,
-        refine([&](size_t a, size_t b) { return pass(a) < pass(b); }),
-        refine([&](size_t a, size_t b) { return pass(a) > pass(b); }),
+        refine([&](size_t a, size_t b) { return pass[a] < pass[b]; }),
+        refine([&](size_t a, size_t b) { return pass[a] > pass[b]; }),
         refine([&](size_t a, size_t b) {
             return groups[a].kind < groups[b].kind;  // batch first
         }),
@@ -623,7 +791,7 @@ strategy_orders(const Graph& graph, const std::vector<FusionGroup>& groups)
         // "One large GEMM" row-stacked groups amortize tile padding and
         // are usually the most profitable; try a layout that favors
         // them.
-        refine([&](size_t a, size_t b) { return mstack(a) > mstack(b); }),
+        refine([&](size_t a, size_t b) { return mstack[a] > mstack[b]; }),
     };
 }
 
@@ -641,10 +809,12 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
     {
         obs::ScopedSpan mine_span(obs::Category::Enumerate,
                                   "mine_fusion_groups");
-        groups = mine_batch_groups(graph, oracle, opts);
+        const MiningKeys keys = mining_keys(graph);
+        groups = mine_batch_groups(graph, oracle, keys, opts);
         std::vector<FusionGroup> ladders =
-            mine_ladder_groups(graph, opts);
-        groups.insert(groups.end(), ladders.begin(), ladders.end());
+            mine_ladder_groups(graph, keys, opts);
+        groups.insert(groups.end(), std::make_move_iterator(ladders.begin()),
+                      std::make_move_iterator(ladders.end()));
     }
 
     // ---- conflict analysis (§4.5.2) -------------------------------------
@@ -687,12 +857,12 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
     ASTRA_ASSERT(!space.strategies.empty());
 
     // ---- standalone GEMMs -------------------------------------------------
-    std::set<NodeId> grouped;
+    std::vector<uint8_t> grouped(static_cast<size_t>(graph.size()), 0);
     for (const FusionGroup& g : space.groups)
         for (NodeId m : g.mms)
-            grouped.insert(m);
+            grouped[static_cast<size_t>(m)] = 1;
     for (const Node& node : graph.nodes())
-        if (node.is_matmul() && !grouped.count(node.id))
+        if (node.is_matmul() && !grouped[static_cast<size_t>(node.id)])
             space.single_mms.push_back(node.id);
 
     obs::counter("enumerate.groups")
@@ -727,5 +897,6 @@ enumerate_dp_space(const Graph& graph)
     }
     return dp;
 }
+
 
 }  // namespace astra

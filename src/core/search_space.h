@@ -103,7 +103,13 @@ struct SearchSpace
 /** Knobs for the enumerator (coarse static knowledge, §4.8). */
 struct EnumeratorOptions
 {
-    /** Largest fusion set considered (diminishing returns beyond). */
+    /**
+     * Largest fusion set considered (diminishing returns beyond). A
+     * batch group keeps its first max_group_size mutually independent
+     * members, in id order; an accumulation ladder with more leaves is
+     * skipped outright, so from seq 17 a weight-gradient ladder (one
+     * leaf per timestep) is lost (ROADMAP item 1).
+     */
     int max_group_size = 16;
 
     /** At most this many chunk options per group. */

@@ -1167,7 +1167,7 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.store_seeded_keys += run.seeded_keys;
         out.convergence.whatif_evals += run.whatif_evals;
         out.convergence.measured_configs += run.measured_configs;
-        out.index.merge(run.index);
+        out.index.merge(std::move(run.index));
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_stat;
         if (best_ns < 0.0 || run.final_stat < best_ns) {
             best_ns = run.final_stat;

@@ -7,9 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "core/search_space.h"
+#include "core/search_space_detail.h"
 #include "models/models.h"
 #include "obs/obs.h"
 #include "tests/util.h"
@@ -276,6 +279,178 @@ TEST(Enumerator, PaperModelSearchSpacesArePinned)
                   digest)
             << model_name(kind);
     }
+}
+
+TEST(Enumerator, ExtraModelAndServingBucketSearchSpacesArePinned)
+{
+    // The pins above stay below max_group_size (16) everywhere. These
+    // add RHN and AttnLSTM at the zoo shape and the repo benchmark's
+    // serving buckets (subLSTM, batch 8, hidden = embed 64, vocab 1000):
+    // at seq 24 and 32 batch groups stop at 16 members and the longer
+    // ladders are skipped (ROADMAP item 1).
+    const std::pair<ModelKind, const char*> zoo[] = {
+        {ModelKind::Rhn, "db71d0af2e1b81b5"},
+        {ModelKind::AttnLstm, "fb544696f992bacb"},
+    };
+    for (const auto& [kind, digest] : zoo) {
+        const BuiltModel m = build_model(kind, zoo_shape());
+        EXPECT_EQ(testutil::search_space_digest(
+                      enumerate_search_space(m.graph())),
+                  digest)
+            << model_name(kind);
+    }
+    const std::pair<int64_t, const char*> buckets[] = {
+        {8, "176b5cf8680d8639"},
+        {16, "cab400b9beaded4a"},
+        {24, "eb5f1a3247e74175"},
+        {32, "1dd5db54062feac2"},
+    };
+    for (const auto& [seq, digest] : buckets) {
+        const BuiltModel m = build_model(
+            ModelKind::SubLstm, {.batch = 8, .seq_len = seq, .hidden = 64,
+                                 .embed_dim = 64, .vocab = 1000});
+        EXPECT_EQ(testutil::search_space_digest(
+                      enumerate_search_space(m.graph())),
+                  digest)
+            << "seq " << seq;
+    }
+}
+
+/** `n` distinct nodes drawn from [0, universe) minus `avoid`. */
+std::vector<NodeId>
+draw_nodes(Rng& rng, int universe, size_t n,
+           const std::vector<NodeId>& avoid = {})
+{
+    std::vector<NodeId> pool;
+    for (NodeId id = 0; id < universe; ++id)
+        if (std::find(avoid.begin(), avoid.end(), id) == avoid.end())
+            pool.push_back(id);
+    n = std::min(n, pool.size());
+    for (size_t i = 0; i < n; ++i)
+        std::swap(pool[i], pool[i + rng.next_below(pool.size() - i)]);
+    pool.resize(n);
+    return pool;
+}
+
+TEST(Enumerator, ConflictRowMatchesRunRelation)
+{
+    // Conflict analysis relates runs through a node-indexed row; the
+    // strategy fork calls run_relation. Both must give the same
+    // relation and sole overlap on every pair of runs, including a
+    // group with a node in both of its runs (a ladder of mm(x, x)).
+    using detail::ConflictRow;
+    using detail::RunRelation;
+    constexpr int kUniverse = 24;
+    Rng rng(20);
+    ConflictRow row(kUniverse);  // reloaded every trial
+    std::map<RunRelation, int> seen;
+    int sole_overlaps = 0, shared_across_runs = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        FusionGroup g;
+        g.mms = draw_nodes(rng, kUniverse, 2 + rng.next_below(4));
+        AdjacencyRun r0{draw_nodes(rng, kUniverse, 1 + rng.next_below(8))};
+        g.runs.push_back(r0);
+        switch (rng.next_below(4)) {
+          case 0:
+            break;  // one run
+          case 1:   // both runs hold the same nodes
+            g.runs.push_back(r0);
+            break;
+          case 2: {  // one node in both runs
+            AdjacencyRun r1{draw_nodes(rng, kUniverse, rng.next_below(6),
+                                       r0.members)};
+            r1.members.insert(
+                r1.members.begin() +
+                    static_cast<long>(rng.next_below(r1.members.size() + 1)),
+                r0.members[rng.next_below(r0.members.size())]);
+            g.runs.push_back(r1);
+            break;
+          }
+          default:
+            g.runs.push_back(
+                {draw_nodes(rng, kUniverse, 1 + rng.next_below(8))});
+        }
+        if (g.runs.size() > 1)
+            shared_across_runs += std::any_of(
+                r0.members.begin(), r0.members.end(), [&](NodeId id) {
+                    return std::count(g.runs[1].members.begin(),
+                                      g.runs[1].members.end(), id) > 0;
+                });
+        row.load(g);
+        for (NodeId id = 0; id < kUniverse; ++id)
+            EXPECT_EQ(row.is_member(id),
+                      std::count(g.mms.begin(), g.mms.end(), id) == 1);
+
+        for (int partner = 0; partner < 4; ++partner) {
+            const std::vector<NodeId>& ra =
+                g.runs[rng.next_below(g.runs.size())].members;
+            const size_t start = rng.next_below(ra.size());
+            const size_t len = 1 + rng.next_below(ra.size() - start);
+            AdjacencyRun b;
+            switch (rng.next_below(7)) {
+              case 0:  // unrelated
+                b.members = draw_nodes(rng, kUniverse, 1 + rng.next_below(8));
+                break;
+              case 1:  // identical
+                b.members = ra;
+                break;
+              case 2:  // a slice of the run
+                b.members.assign(ra.begin() + static_cast<long>(start),
+                                 ra.begin() + static_cast<long>(start + len));
+                break;
+              case 3: {  // the run inside a longer one
+                b.members = draw_nodes(rng, kUniverse, rng.next_below(4), ra);
+                const std::vector<NodeId> tail =
+                    draw_nodes(rng, kUniverse, rng.next_below(4), ra);
+                const size_t at = rng.next_below(b.members.size() + 1);
+                b.members.insert(b.members.begin() + static_cast<long>(at),
+                                 ra.begin(), ra.end());
+                for (NodeId id : tail)
+                    if (std::count(b.members.begin(), b.members.end(), id) ==
+                        0)
+                        b.members.push_back(id);
+                break;
+              }
+              case 4:  // a slice in reverse order
+                b.members.assign(ra.begin() + static_cast<long>(start),
+                                 ra.begin() + static_cast<long>(start + len));
+                std::reverse(b.members.begin(), b.members.end());
+                break;
+              case 5: {  // a shared prefix, then other nodes
+                b.members.assign(ra.begin(),
+                                 ra.begin() + static_cast<long>(len));
+                for (NodeId id : draw_nodes(rng, kUniverse,
+                                            1 + rng.next_below(4), ra))
+                    b.members.push_back(id);
+                break;
+              }
+              default: {  // one shared tensor among others
+                b.members = draw_nodes(rng, kUniverse, 1 + rng.next_below(6),
+                                       ra);
+                b.members.insert(
+                    b.members.begin() + static_cast<long>(rng.next_below(
+                                            b.members.size() + 1)),
+                    ra[rng.next_below(ra.size())]);
+              }
+            }
+            for (size_t k = 0; k < g.runs.size(); ++k) {
+                NodeId sole = kInvalidNode, want_sole = kInvalidNode;
+                const RunRelation got = row.relation(k, b, &sole);
+                const RunRelation want =
+                    detail::run_relation(g.runs[k], b, &want_sole);
+                ASSERT_EQ(got, want) << "trial " << trial << " run " << k;
+                ASSERT_EQ(sole, want_sole)
+                    << "trial " << trial << " run " << k;
+                ++seen[want];
+                sole_overlaps += want_sole != kInvalidNode;
+            }
+        }
+    }
+    EXPECT_EQ(seen.size(), 5u);  // every relation came up
+    for (const auto& [rel, count] : seen)
+        EXPECT_GT(count, 100) << static_cast<int>(rel);
+    EXPECT_GT(sole_overlaps, 100);
+    EXPECT_GT(shared_across_runs, 100);
 }
 
 TEST(Enumerator, ShrunkGroupsKeepTheChunkOptionCap)

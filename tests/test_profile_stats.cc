@@ -279,6 +279,59 @@ TEST(ProfileIndex, MergeOfDisjointShardsEqualsSerialIndex)
     }
 }
 
+TEST(ProfileIndex, MergeByMoveEqualsMergeByCopy)
+{
+    // The wirer moves its shards into the result; a copied shard must
+    // merge to the same entries and totals: new keys, a key both hold,
+    // an outlier rejected in the shard and a faulted key.
+    MeasurementPolicy p;
+    p.outlier_mad_k = 3.0;
+    p.outlier_min_window = 5;
+    ProfileIndex base(p), shard(p);
+    base.record("s0|a|0", 10.0);
+    base.record("shared|k|0", 50.0);
+    base.record("shared|k|0", 52.0);
+    for (int i = 0; i < 6; ++i)
+        shard.record("shared|k|0", 51.0 + 0.25 * i);
+    EXPECT_FALSE(shard.record("shared|k|0", 1e6));
+    shard.record("s1|a|0", 20.0);
+    shard.record("s1|a|1", 21.0);
+    shard.record_fault("s1|b|2");
+
+    ProfileIndex by_copy = base, by_move = base;
+    by_copy.merge(shard);
+    by_move.merge(ProfileIndex(shard));
+    EXPECT_EQ(by_move.total_samples(), by_copy.total_samples());
+    EXPECT_EQ(by_move.total_rejected(), by_copy.total_rejected());
+    EXPECT_EQ(by_move.total_faults(), by_copy.total_faults());
+    EXPECT_EQ(by_copy.total_rejected(), 1);
+    EXPECT_EQ(by_copy.total_faults(), 1);
+    ASSERT_EQ(by_move.size(), 5u);
+    ASSERT_EQ(by_copy.size(), 5u);
+    auto it = by_copy.entries().begin();
+    for (const auto& [key, stats] : by_move.entries()) {
+        ASSERT_EQ(key, it->first);
+        const ProfileStats& want = it->second;
+        EXPECT_EQ(stats.count, want.count) << key;
+        EXPECT_EQ(stats.rejected, want.rejected) << key;
+        EXPECT_EQ(stats.faults, want.faults) << key;
+        EXPECT_EQ(stats.min, want.min) << key;
+        EXPECT_EQ(stats.max, want.max) << key;
+        EXPECT_EQ(stats.mean, want.mean) << key;
+        EXPECT_EQ(stats.m2, want.m2) << key;
+        EXPECT_EQ(stats.window(), want.window()) << key;
+        ++it;
+    }
+    ProfileStats shared = *base.stats("shared|k|0");
+    shared.merge(*shard.stats("shared|k|0"));
+    const ProfileStats& got = *by_move.stats("shared|k|0");
+    EXPECT_EQ(got.count, 8);
+    EXPECT_EQ(got.rejected, 1);
+    EXPECT_EQ(got.mean, shared.mean);
+    EXPECT_EQ(got.m2, shared.m2);
+    EXPECT_EQ(got.window(), shared.window());
+}
+
 TEST(ProfileIndex, DecideWithFewerThanTwoMeasured)
 {
     MeasurementPolicy p;
