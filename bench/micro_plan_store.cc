@@ -1,6 +1,6 @@
 /**
  * @file
- * Micro-benchmark: what the plan/profile knowledge base buys and what
+ * Micro-benchmark: what the plan knowledge base buys and what
  * it costs.
  *
  * The value side is the fleet contract: a second sighting of a wired
@@ -98,9 +98,6 @@ main(int argc, char** argv)
     entry.key = key;
     entry.config = first.best_config;
     entry.best_ns = first.best_ns;
-    entry.minibatches = first.minibatches;
-    entry.termination = "complete";
-    entry.profile = first.index;
     const int reps = smoke ? 50 : 1000;
 
     double t = now_us();

@@ -215,13 +215,13 @@ AstraSession::optimize(const BindFn& bind)
                 out.best_config = hit.entry.config;
                 out.best_ns = res.total_ns;
                 out.minibatches = 1;
-                out.index = std::move(hit.entry.profile);
-                out.index.set_policy(opts_.measurement);
+                out.index = ProfileIndex(opts_.measurement);
                 out.strategy_ns.assign(space_.strategies.size(), -1.0);
                 out.strategy_ns[static_cast<size_t>(
                     out.best_config.strategy)] = res.total_ns;
                 out.convergence.best_ns = res.total_ns;
                 out.convergence.minibatches = 1;
+                out.convergence.measured_configs = 1;
                 out.convergence.termination =
                     wirer_termination_name(out.termination);
                 out.convergence.store_tier =
@@ -264,7 +264,6 @@ AstraSession::optimize(const BindFn& bind)
     if (hit.tier == StoreTier::L2) {
         ws.has_config = true;
         ws.config = std::move(hit.entry.config);
-        ws.stats = std::move(hit.entry.profile);
     }
     WirerResult out = make_wirer(std::move(ws))->explore(bind);
     out.convergence.store_tier = store_tier_name(hit.tier);
@@ -274,19 +273,14 @@ AstraSession::optimize(const BindFn& bind)
         // demotion visible to fleet/CI consumers of the report.
         out.minibatches += 1;
         out.convergence.minibatches += 1;
+        out.convergence.measured_configs += 1;
         out.convergence.store_drift_demotions += 1;
         obs::counter("session.store_drift_demotions").add();
     }
 
-    // Write-through: the winner (profiling statistics included) is the
-    // next process's L1 hit.
-    PlanStoreEntry entry;
-    entry.key = key;
-    entry.config = out.best_config;
-    entry.best_ns = out.best_ns;
-    entry.minibatches = out.minibatches;
-    entry.termination = wirer_termination_name(out.termination);
-    entry.profile = out.index;
+    // Write-through: the winner is the next process's L1 hit.
+    const PlanStoreEntry entry{
+        .key = key, .config = out.best_config, .best_ns = out.best_ns};
     std::string put_error;
     if (!store.put(entry, &put_error)) {
         warn("plan store: cannot persist entry: ", put_error);

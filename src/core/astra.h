@@ -62,7 +62,7 @@ struct AstraOptions
     int64_t hbm_bytes = 0;
 
     /**
-     * Directory of the persistent plan/profile knowledge base
+     * Directory of the persistent plan knowledge base
      * (core/plan_store.h). When non-empty, optimize() walks the store's
      * L1/L2 ladder before exploring — an exact hit skips wiring
      * entirely (one measured mini-batch verifies the plan), a shape

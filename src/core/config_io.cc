@@ -159,96 +159,6 @@ config_from_string(std::string_view text, ScheduleConfig* config,
 }
 
 void
-write_profile_index(std::ostream& os, const ProfileIndex& index)
-{
-    const record::WriteGuard pin(os);
-    os << "astra-profile v1\n";
-    os << "entries " << index.entries().size() << "\n";
-    for (const auto& [key, s] : index.entries()) {
-        os << "stat " << s.count << " " << s.rejected << " " << s.faults
-           << " " << s.min << " " << s.max << " " << s.mean << " "
-           << s.m2 << " " << s.window().size();
-        for (double w : s.window())
-            os << " " << w;
-        // The key goes last so it may contain any character but a
-        // newline (profile keys embed '|', '%', context mangles, ...).
-        os << " " << key << "\n";
-    }
-}
-
-std::string
-profile_index_to_string(const ProfileIndex& index)
-{
-    std::ostringstream os;
-    write_profile_index(os, index);
-    return os.str();
-}
-
-bool
-profile_index_from_string(std::string_view text, ProfileIndex* index,
-                          std::string* error)
-{
-    record::LineReader in(text, error);
-    const std::vector<std::string_view>& t = in.tokens();
-    if (!in.next())
-        return in.fail("empty input (expected 'astra-profile v1')");
-    if (in.line() != "astra-profile v1")
-        return in.fail("bad header '", in.line(),
-                       "' (expected 'astra-profile v1')");
-
-    int64_t num_entries = 0;
-    if (!in.next())
-        return in.fail("missing entries line");
-    if (t.size() != 2 || t[0] != "entries" ||
-        !record::parse_int(t[1], &num_entries, 0, record::kMaxCount))
-        return in.fail("malformed entries line '", in.line(), "'");
-
-    ProfileIndex out(index->policy());
-    for (int64_t i = 0; i < num_entries; ++i) {
-        if (!in.next())
-            return in.fail("truncated: expected ", num_entries,
-                           " stat lines, got ", i);
-        if (t.size() < 9 || t[0] != "stat")
-            return in.fail("malformed stat line '", in.line(), "'");
-        int64_t count = 0;
-        int64_t rejected = 0;
-        int64_t faults = 0;
-        double mn = 0.0;
-        double mx = 0.0;
-        double mean = 0.0;
-        double m2 = 0.0;
-        int64_t num_window = 0;
-        if (!record::parse_int(t[1], &count, 0) ||
-            !record::parse_int(t[2], &rejected, 0) ||
-            !record::parse_int(t[3], &faults, 0) ||
-            !record::parse_f64(t[4], &mn) ||
-            !record::parse_f64(t[5], &mx) ||
-            !record::parse_f64(t[6], &mean) ||
-            !record::parse_f64(t[7], &m2) ||
-            !record::parse_int(t[8], &num_window, 0, record::kMaxCount))
-            return in.fail("malformed stat fields in '", in.line(), "'");
-        std::vector<double> window;
-        for (int64_t w = 0; w < num_window; ++w) {
-            const size_t k = 9 + static_cast<size_t>(w);
-            double v = 0.0;
-            if (k >= t.size() || !record::parse_f64(t[k], &v))
-                return in.fail("malformed window sample ", w, " in '",
-                               in.line(), "'");
-            window.push_back(v);
-        }
-        std::string_view key;
-        if (!in.after(8 + static_cast<size_t>(num_window), &key))
-            return in.fail("missing profile key in '", in.line(), "'");
-        out.restore_entry(std::string(key),
-                          ProfileStats::restore(count, rejected, faults,
-                                                mn, mx, mean, m2,
-                                                std::move(window)));
-    }
-    *index = std::move(out);
-    return true;
-}
-
-void
 write_checkpoint(std::ostream& os, const WirerCheckpoint& cp)
 {
     const record::WriteGuard pin(os);

@@ -18,13 +18,6 @@
  * bit-identical to one that never stopped. All doubles round-trip
  * through hexfloat for exactly that reason.
  *
- * A ProfileIndex serializes too (the plan store persists each winning
- * configuration's full measurement statistics, core/plan_store.h):
- * every Welford accumulator — count, min, max, mean, M2, the retained
- * sample window, plus the rejection and fault tallies — round-trips
- * bit-exactly, so a rehydrated index ranks choices identically to the
- * live one that was saved.
- *
  * Every reader takes an optional error slot: on malformed input it
  * fills *error with "line N: reason" so a corrupt on-disk entry is
  * diagnosable (which file, where, why) instead of silently falling
@@ -40,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/profile_index.h"
 #include "core/scheduler.h"
 
 namespace astra {
@@ -60,27 +52,6 @@ bool read_config(std::istream& is, ScheduleConfig* config,
 std::string config_to_string(const ScheduleConfig& config);
 bool config_from_string(std::string_view text, ScheduleConfig* config,
                         std::string* error = nullptr);
-
-/**
- * Serialize a profile index's accumulated statistics (hexfloat doubles:
- * the rehydrated index is bit-identical — Welford state, sample
- * windows, rejection and fault tallies included). The measurement
- * policy is *not* persisted: it is a property of the run consuming the
- * statistics, not of the measurements themselves.
- */
-void write_profile_index(std::ostream& os, const ProfileIndex& index);
-
-/** Convenience: write_profile_index into a string. */
-std::string profile_index_to_string(const ProfileIndex& index);
-
-/**
- * Parse statistics written by write_profile_index into *index (whose
- * policy is preserved). @return false (leaving *index untouched) on
- * malformed input; `error` receives "line N: reason" when non-null.
- */
-bool profile_index_from_string(std::string_view text,
-                               ProfileIndex* index,
-                               std::string* error = nullptr);
 
 /**
  * One dispatched mini-batch as journaled by the custom wirer: the raw

@@ -152,7 +152,14 @@ lib_signature()
 }
 
 constexpr const char* kEntryMagic = "astra-plan-store";
-constexpr const char* kEntryVersion = "v1";
+constexpr const char* kEntryVersion = "v2";
+
+/**
+ * The first format, still read. It also stored the exploration's
+ * mini-batch count, termination reason and profile statistics, which
+ * nothing reads.
+ */
+constexpr const char* kEntryVersionV1 = "v1";
 
 }  // namespace
 
@@ -207,10 +214,7 @@ PlanStore::entry_to_string(const PlanStoreEntry& entry)
             << hash_hex(entry.key.lib_sig) << "\n";
     payload << "flops " << entry.key.total_flops << "\n";
     payload << "best_ns " << entry.best_ns << "\n";
-    payload << "minibatches " << entry.minibatches << "\n";
-    payload << "termination " << entry.termination << "\n";
     payload << config_to_string(entry.config);
-    write_profile_index(payload, entry.profile);
     const std::string body = payload.str();
 
     std::ostringstream out;
@@ -259,8 +263,9 @@ PlanStore::entry_from_string(std::string_view text, PlanStoreEntry* entry,
         !record::parse_int(t[2], &declared_len, 0))
         return in.fail("bad frame header (expected '", kEntryMagic, " ",
                        kEntryVersion, " <len> <fnv64>')");
-    if (t[1] != kEntryVersion)
+    if (t[1] != kEntryVersion && t[1] != kEntryVersionV1)
         return in.fail("unsupported version '", t[1], "'");
+    const bool v1 = t[1] == kEntryVersionV1;
     const std::string_view checksum = t[3];
     const std::string_view body = in.rest();
     if (body.size() < static_cast<uint64_t>(declared_len))
@@ -289,34 +294,32 @@ PlanStore::entry_from_string(std::string_view text, PlanStoreEntry* entry,
         if (!record::parse_finite(t[1], v))
             return in.fail("malformed ", tag, " value '", t[1], "'");
     }
-    if (!in.next() || t.size() != 2 || t[0] != "minibatches" ||
-        !record::parse_int(t[1], &out.minibatches, 0))
-        return in.fail("malformed minibatches line");
-    if (!in.next() || t.size() != 2 || t[0] != "termination")
-        return in.fail("malformed termination line");
-    out.termination = t[1];
-
-    // The rest of the payload is the config section followed by the
-    // profile section; both readers know their own headers, so split
-    // at the profile header line.
-    const std::string_view rest = in.rest();
-    size_t split = std::string_view::npos;
-    if (rest.starts_with("astra-profile v1\n"))
-        split = 0;
-    else if (const size_t at = rest.find("\nastra-profile v1\n");
-             at != std::string_view::npos)
-        split = at + 1;
-    if (split == std::string_view::npos) {
-        in.next();  // the section was due on the next line
-        return in.fail("missing profile section");
+    // The rest of the payload is the config section. A v1 payload has
+    // two lines before it and a profile section after it: check their
+    // tags, split at the profile header line and drop the profile
+    // bytes unparsed (the checksum already covered them).
+    std::string_view config_text = in.rest();
+    if (v1) {
+        for (const char* tag : {"minibatches", "termination"})
+            if (!in.next() || t.size() != 2 || t[0] != tag)
+                return in.fail("malformed ", tag, " line");
+        config_text = in.rest();
+        size_t split = std::string_view::npos;
+        if (config_text.starts_with("astra-profile v1\n"))
+            split = 0;
+        else if (const size_t at =
+                     config_text.find("\nastra-profile v1\n");
+                 at != std::string_view::npos)
+            split = at + 1;
+        if (split == std::string_view::npos) {
+            in.next();  // the section was due on the next line
+            return in.fail("missing profile section");
+        }
+        config_text = config_text.substr(0, split);
     }
     std::string sub_error;
-    if (!config_from_string(rest.substr(0, split), &out.config,
-                            &sub_error))
+    if (!config_from_string(config_text, &out.config, &sub_error))
         return in.fail("config section: ", sub_error);
-    if (!profile_index_from_string(rest.substr(split), &out.profile,
-                                   &sub_error))
-        return in.fail("profile section: ", sub_error);
 
     *entry = std::move(out);
     return true;

@@ -1,8 +1,7 @@
 /**
  * @file
- * Persistent plan/profile knowledge base (ROADMAP "wiring as a
- * service"): an on-disk store of winning configurations and their
- * measurement statistics, shared across processes.
+ * Persistent plan knowledge base (ROADMAP "wiring as a service"): an
+ * on-disk store of winning configurations, shared across processes.
  *
  * Astra's bet is that DL jobs are predictable across mini-batches; the
  * store extends that predictability across *process lifetimes*. A fleet
@@ -33,9 +32,9 @@
  *   L1  exact match on all four hashes: reuse the stored config
  *       outright — no wiring, one measured mini-batch to verify;
  *   L2  same (shape_class, gpu_sig, lib_sig), different graph_sig: a
- *       shape neighbor. Its config seeds the wirer's best-so-far and
- *       its statistics pre-bind the transferable variables; only the
- *       residual space is explored.
+ *       shape neighbor. Its config pre-binds the transferable
+ *       variables and seeds the wirer's best-so-far; only the residual
+ *       space is explored.
  *
  * Anything else is a miss and wires cold: the winning GEMM library
  * depends on the shape (paper Table 1), so entries for other shape
@@ -46,12 +45,16 @@
  * key-mangling-as-invalidation discipline the profile index uses for
  * context prefixes (§5.1).
  *
+ * An entry holds exactly what the ladder reads: the key, the flops
+ * distance, the stored best time (L1's drift check) and the config.
  * On disk, each entry is one file framed by a versioned header carrying
  * the payload length and an FNV-1a checksum; truncated or corrupted
  * files are rejected with a "line N" diagnosis and never silently
- * accepted (tests/data/plan_store_v1 is the compatibility fixture CI
- * replays). Writes go to a temp file then rename, so concurrent
- * readers see only whole entries.
+ * accepted. The writer emits v2; v1 entries, which also carried the
+ * exploration's statistics, still load (tests/data/plan_store_v1 and
+ * plan_store_v2 are the compatibility fixtures CI replays). Writes go
+ * to a temp file then rename, so concurrent readers see only whole
+ * entries.
  */
 #pragma once
 
@@ -63,7 +66,6 @@
 #include <vector>
 
 #include "core/config_io.h"
-#include "core/profile_index.h"
 #include "core/scheduler.h"
 #include "graph/graph.h"
 #include "sim/gpu.h"
@@ -114,15 +116,6 @@ struct PlanStoreEntry
 
     /** Measured end-to-end time of the winner when stored (ns). */
     double best_ns = 0.0;
-
-    /** Mini-batches the original exploration spent. */
-    int64_t minibatches = 0;
-
-    /** Termination reason of the original exploration ("complete"...). */
-    std::string termination;
-
-    /** Full measurement statistics of the exploration (bit-exact). */
-    ProfileIndex profile;
 };
 
 /** Which rung of the lookup ladder answered (report labels). */
@@ -185,7 +178,7 @@ class PlanStore
     static std::string entry_to_string(const PlanStoreEntry& entry);
 
     /**
-     * Parse a framed entry; rejects version mismatches, truncation
+     * Parse a framed v2 or v1 entry; rejects other versions, truncation
      * (payload shorter than the declared length) and checksum failures.
      * @return false (leaving *entry untouched) on malformed input;
      *         *error receives "line N: reason" when non-null.

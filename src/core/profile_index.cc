@@ -106,26 +106,6 @@ ProfileStats::merge(const ProfileStats& other)
     }
 }
 
-ProfileStats
-ProfileStats::restore(int64_t count, int64_t rejected, int64_t faults,
-                      double min, double max, double mean, double m2,
-                      std::vector<double> window)
-{
-    ProfileStats s;
-    s.count = count;
-    s.rejected = rejected;
-    s.faults = faults;
-    s.min = min;
-    s.max = max;
-    s.mean = mean;
-    s.m2 = m2;
-    if (window.size() > kWindowCap)
-        window.erase(window.begin(),
-                     window.end() - static_cast<long>(kWindowCap));
-    s.window_ = std::move(window);
-    return s;
-}
-
 double
 ProfileStats::variance() const
 {
@@ -362,19 +342,6 @@ ProfileIndex::merge(ProfileIndex other)
     total_samples_ += other.total_samples_;
     total_rejected_ += other.total_rejected_;
     total_faults_ += other.total_faults_;
-}
-
-void
-ProfileIndex::restore_entry(const std::string& key, ProfileStats stats)
-{
-    total_samples_ += stats.count;
-    total_rejected_ += stats.rejected;
-    total_faults_ += stats.faults;
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        entries_.emplace(key, std::move(stats));
-    else
-        it->second.merge(stats);
 }
 
 void

@@ -162,16 +162,6 @@ struct ProfileStats
      */
     const std::vector<double>& window() const { return window_; }
 
-    /**
-     * Rebuild an accumulator from persisted fields (config_io's
-     * profile-index reader). The window is truncated to the most
-     * recent kWindowCap samples, matching what add() would have kept.
-     */
-    static ProfileStats restore(int64_t count, int64_t rejected,
-                                int64_t faults, double min, double max,
-                                double mean, double m2,
-                                std::vector<double> window);
-
   private:
     static constexpr size_t kWindowCap = 32;
     std::vector<double> window_;
@@ -219,7 +209,6 @@ class ProfileIndex
     }
 
     const MeasurementPolicy& policy() const { return policy_; }
-    void set_policy(const MeasurementPolicy& p) { policy_ = p; }
 
     /**
      * Record a measurement; repeated records accumulate statistics.
@@ -300,15 +289,6 @@ class ProfileIndex
      * move the new entries' nodes across instead of copying them.
      */
     void merge(ProfileIndex other);
-
-    /**
-     * Install a persisted entry (insert, or merge into an existing
-     * entry under the same key) and account its samples/rejections/
-     * faults into the index totals — so an index rebuilt entirely via
-     * restore_entry reports the same totals as the live one that was
-     * serialized.
-     */
-    void restore_entry(const std::string& key, ProfileStats stats);
 
     void clear();
 

@@ -176,9 +176,6 @@ struct CustomWirer::StrategyRun
     /** Variables pre-bound from a transferred L2 configuration. */
     int64_t transferred = 0;
 
-    /** Profile keys seeded from the neighbor's stored statistics. */
-    int64_t seeded_keys = 0;
-
     // ---- what-if engine (WirerOptions::whatif, §5.13) ---------------------
 
     /** Armed evaluator, or null when the mode is off or ineligible. */
@@ -582,23 +579,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // their default, kept out of the stage trees (so stage exhaustive
     // sizes count only the residual space and pruning attribution
     // stays honest) and never given profile keys — §5.1's discipline:
-    // instrument only what is being explored. Seeded statistics are
-    // therefore informative (reports, dumps) but can never win a
-    // ranking for a residual variable: the neighbor measured a
-    // different graph, and its absolute times must not compete with
-    // this graph's.
+    // instrument only what is being explored.
     const WirerWarmStart& warm = opts_.warm;
     std::set<const AdaptiveVariable*> prebound;
     int64_t prebound_space = 1;
-    auto seed_stats = [&](const AdaptiveVariable& v) {
-        for (int c = 0; c < v.num_options(); ++c) {
-            const std::string key = v.profile_key_for(c);
-            if (const ProfileStats* s = warm.stats.stats(key)) {
-                run.index.restore_entry(key, *s);
-                ++run.seeded_keys;
-            }
-        }
-    };
     // ---- replay or measure each exploration trial (§5.13) ----------------
     // While armed, every exploration trial of every stage is ranked on
     // the host: the walk advances over replayed samples that are
@@ -654,7 +638,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                 prebound_space = sat_mul(
                     prebound_space,
                     static_cast<int64_t>(g.chunk_options.size()));
-                seed_stats(*v);
             } else {
                 chunk_leaves.push_back(UpdateNode::leaf(v));
                 chunk_exhaustive = sat_mul(
@@ -694,18 +677,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                 prebound.insert(v.get());
                 ++run.transferred;
                 prebound_space = sat_mul(prebound_space, kNumGemmLibs);
-                // Seed under the context stage B would have used, when
-                // the chunk half of that context is already settled.
-                const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
-                if (!cv || prebound.count(cv.get())) {
-                    const int chunk =
-                        cv ? g.chunk_options[static_cast<size_t>(
-                                 cv->current())]
-                           : 1;
-                    v->set_context(sctx + g.key + "|ch" +
-                                   std::to_string(chunk) + "|");
-                    seed_stats(*v);
-                }
             } else {
                 lib_leaves.push_back(UpdateNode::leaf(v));
                 lib_exhaustive = sat_mul(lib_exhaustive, kNumGemmLibs);
@@ -727,7 +698,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                 prebound.insert(v.get());
                 ++run.transferred;
                 prebound_space = sat_mul(prebound_space, kNumGemmLibs);
-                seed_stats(*v);
             } else {
                 lib_leaves.push_back(UpdateNode::leaf(v));
                 lib_exhaustive = sat_mul(lib_exhaustive, kNumGemmLibs);
@@ -1164,7 +1134,6 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.faults.wirer_retries += run.wirer_retries;
         out.convergence.faults.backoff_ns += run.backoff_ns;
         out.convergence.store_transferred_bindings += run.transferred;
-        out.convergence.store_seeded_keys += run.seeded_keys;
         out.convergence.whatif_evals += run.whatif_evals;
         out.convergence.measured_configs += run.measured_configs;
         out.index.merge(std::move(run.index));

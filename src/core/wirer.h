@@ -58,8 +58,8 @@ AstraFeatures features_all();
  * space (pre-bound variables are excluded from stage exploration *and*
  * from profiling — §5.1: instrument only what is being explored),
  * measures the transferred configuration once up front to seed
- * best-so-far, seeds the profile shard with the neighbor's statistics
- * for the pre-bound keys, and explores only the residual space.
+ * best-so-far, and explores only the residual space. No measurement
+ * transfers: the neighbor timed a different graph.
  */
 struct WirerWarmStart
 {
@@ -68,9 +68,6 @@ struct WirerWarmStart
 
     /** The neighbor's winning configuration. */
     ScheduleConfig config;
-
-    /** The neighbor's measurement statistics (seeds pre-bound keys). */
-    ProfileIndex stats;
 };
 
 /** Options for the custom wirer. */
@@ -194,7 +191,10 @@ struct WirerResult
     /** Per-strategy best end-to-end times, indexed by strategy id. */
     std::vector<double> strategy_ns;
 
-    /** Final profile index (for inspection/tests). */
+    /**
+     * Final profile index (for inspection/tests). Empty, under the
+     * session's policy, after a plan-store L1 hit: nothing was explored.
+     */
     ProfileIndex index;
 
     /**

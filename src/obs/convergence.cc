@@ -57,7 +57,6 @@ ConvergenceReport::write_json(std::ostream& os) const
     if (!store_tier.empty()) {
         os << ",\"store\":{\"tier\":\"" << store_tier
            << "\",\"transferred_bindings\":" << store_transferred_bindings
-           << ",\"seeded_keys\":" << store_seeded_keys
            << ",\"errors\":[";
         bool first = true;
         for (const std::string& e : store_errors) {

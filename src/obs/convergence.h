@@ -139,9 +139,6 @@ struct ConvergenceReport
     /** Variables pre-bound from a transferred L2 configuration. */
     int64_t store_transferred_bindings = 0;
 
-    /** Profile keys seeded from a neighbor's stored statistics. */
-    int64_t store_seeded_keys = 0;
-
     /**
      * Diagnoses of store entries that were present but rejected
      * (corrupt, truncated, wrong version) during lookup — a decaying

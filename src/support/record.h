@@ -2,9 +2,9 @@
  * @file
  * The record layer: how every text format read from outside the
  * program turns a token into a number, says where a parse failed, and
- * writes numbers back. Configurations, profile indexes, checkpoints,
- * plan-store entries, fault specs and command-line arguments all go
- * through it, so one module decides the grammar.
+ * writes numbers back. Configurations, checkpoints, plan-store
+ * entries, fault specs and command-line arguments all go through it,
+ * so one module decides the grammar.
  *
  * Tokens. A number is a whole token: leading whitespace, a trailing
  * character, overflow or an empty token all reject. Integers are

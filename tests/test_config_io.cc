@@ -144,152 +144,6 @@ TEST(ConfigIo, RejectsStreamCountBelowOne)
     EXPECT_EQ(one.num_streams, 1);
 }
 
-TEST(ProfileIo, RoundTripBitExact)
-{
-    MeasurementPolicy noisy = MeasurementPolicy::noise_robust();
-    ProfileIndex idx(noisy);
-    idx.record("s0|fmm.x4|0", 123.456789);
-    idx.record("s0|fmm.x4|0", 124.0);
-    idx.record("s0|fmm.x4|0", 1.0 / 3.0);
-    idx.record("s0|key with spaces|2", 0.5);
-    idx.record_fault("s0|quarantined|1");
-    idx.record_fault("s0|quarantined|1");
-
-    ProfileIndex back(noisy);
-    std::string error;
-    ASSERT_TRUE(profile_index_from_string(profile_index_to_string(idx),
-                                          &back, &error))
-        << error;
-    ASSERT_EQ(back.size(), idx.size());
-    EXPECT_EQ(back.total_samples(), idx.total_samples());
-    EXPECT_EQ(back.total_rejected(), idx.total_rejected());
-    EXPECT_EQ(back.total_faults(), idx.total_faults());
-    EXPECT_EQ(back.quarantined_keys(), idx.quarantined_keys());
-    auto it = idx.entries().begin();
-    auto bt = back.entries().begin();
-    for (; it != idx.entries().end(); ++it, ++bt) {
-        EXPECT_EQ(it->first, bt->first);
-        EXPECT_EQ(it->second.count, bt->second.count);
-        EXPECT_EQ(it->second.min, bt->second.min);    // bit-exact
-        EXPECT_EQ(it->second.mean, bt->second.mean);  // bit-exact
-        EXPECT_EQ(it->second.m2, bt->second.m2);      // bit-exact
-        EXPECT_EQ(it->second.window(), bt->second.window());
-    }
-}
-
-TEST(ProfileIo, RoundTripMergedAndOutlierRejectedState)
-{
-    // A parallel exploration merges per-strategy shards and rejects
-    // outliers; the persisted index must reproduce that exact state so
-    // a warm-started wirer ranks choices identically.
-    MeasurementPolicy policy;
-    policy.outlier_mad_k = 3.0;
-    policy.outlier_min_window = 5;
-    ProfileIndex a(policy), b(policy);
-    for (int i = 0; i < 12; ++i)
-        a.record("shared|k|0", 100.0 + 0.0625 * i);
-    EXPECT_FALSE(a.record("shared|k|0", 1e6));  // outlier, rejected
-    for (int i = 0; i < 7; ++i)
-        b.record("shared|k|0", 101.0 + 0.125 * i);
-    b.record_fault("s1|only|3");
-    a.merge(b);
-
-    ProfileIndex back;
-    ASSERT_TRUE(
-        profile_index_from_string(profile_index_to_string(a), &back));
-    const ProfileStats* s = back.stats("shared|k|0");
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->count, 19);
-    EXPECT_EQ(s->rejected, 1);
-    EXPECT_EQ(s->mean, a.stats("shared|k|0")->mean);
-    EXPECT_EQ(s->m2, a.stats("shared|k|0")->m2);
-    EXPECT_EQ(back.total_rejected(), 1);
-    EXPECT_EQ(back.quarantined_keys(), a.quarantined_keys());
-}
-
-TEST(ProfileIo, PropertyRandomRoundTrips)
-{
-    // Property-style sweep: random indices (deterministic LCG) must
-    // round-trip bit-exactly, whatever the sample values look like.
-    uint64_t state = 0x243f6a8885a308d3ull;
-    auto rnd = [&]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return state >> 11;
-    };
-    for (int trial = 0; trial < 20; ++trial) {
-        ProfileIndex idx;
-        const int keys = static_cast<int>(rnd() % 8);
-        for (int k = 0; k < keys; ++k) {
-            const std::string key = "s" + std::to_string(rnd() % 3) +
-                                    "|v" + std::to_string(k) + "|" +
-                                    std::to_string(rnd() % 4);
-            const int samples = 1 + static_cast<int>(rnd() % 40);
-            for (int s = 0; s < samples; ++s)
-                idx.record(key,
-                           static_cast<double>(rnd()) *
-                               (1.0 + 1e-9 * static_cast<double>(s)));
-            if (rnd() % 4 == 0)
-                idx.record_fault(key);
-        }
-        ProfileIndex back;
-        std::string error;
-        ASSERT_TRUE(profile_index_from_string(
-            profile_index_to_string(idx), &back, &error))
-            << "trial " << trial << ": " << error;
-        ASSERT_EQ(back.size(), idx.size()) << "trial " << trial;
-        EXPECT_EQ(back.total_samples(), idx.total_samples());
-        auto it = idx.entries().begin();
-        auto bt = back.entries().begin();
-        for (; it != idx.entries().end(); ++it, ++bt) {
-            EXPECT_EQ(it->first, bt->first);
-            EXPECT_EQ(it->second.min, bt->second.min);
-            EXPECT_EQ(it->second.max, bt->second.max);
-            EXPECT_EQ(it->second.mean, bt->second.mean);
-            EXPECT_EQ(it->second.m2, bt->second.m2);
-            EXPECT_EQ(it->second.window(), bt->second.window());
-        }
-    }
-}
-
-TEST(ProfileIo, RejectsMalformedWithLineDiagnosis)
-{
-    const struct
-    {
-        const char* text;
-        const char* expect;  // substring of the diagnosis
-    } cases[] = {
-        {"", "line 1"},
-        {"not-a-profile\n", "line 1"},
-        {"astra-profile v2\nentries 0\n", "line 1"},
-        {"astra-profile v1\n", "line 2"},
-        {"astra-profile v1\nentries x\n", "line 2"},
-        {"astra-profile v1\nentries 1\n", "line 3"},
-        {"astra-profile v1\nentries 1\nstat 1 0 0\n", "line 3"},
-        {"astra-profile v1\nentries 1\n"
-         "stat z 0 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 key\n",
-         "line 3"},
-        {"astra-profile v1\nentries 2\n"
-         "stat 1 0 0 0x1p+0 0x1p+0 0x1p+0 0x0p+0 1 0x1p+0 k\n",
-         "line 4"},  // fewer entries than declared
-        {"astra-profile v1\nentries 1\n"
-         "stat 1 0 0 0 0 0 0 999999999999999 k\n",
-         "line 3"},  // a window count must not size an allocation
-    };
-    for (const auto& c : cases) {
-        ProfileIndex probe;
-        probe.record("canary", 1.0);
-        std::string error;
-        EXPECT_FALSE(
-            profile_index_from_string(c.text, &probe, &error))
-            << c.text;
-        EXPECT_NE(error.find(c.expect), std::string::npos)
-            << "input: " << c.text << "\ndiagnosis: " << error;
-        // Failed parses leave the destination untouched.
-        EXPECT_EQ(probe.size(), 1u);
-        EXPECT_TRUE(probe.contains("canary"));
-    }
-}
-
 TEST(CheckpointIo, RoundTripIsBitExact)
 {
     WirerCheckpoint cp;
@@ -418,16 +272,6 @@ TEST(ConfigIo, RoundTripsUnderCommaDecimalGlobalLocale)
     EXPECT_EQ(cback.single_lib, cfg.single_lib);
     EXPECT_EQ(config_to_string(cback), config_to_string(cfg));
 
-    ProfileIndex idx;
-    idx.record("k|0", 1.0 / 3.0);
-    idx.record("k|0", 123456.789);
-    ProfileIndex iback;
-    ASSERT_TRUE(profile_index_from_string(profile_index_to_string(idx),
-                                          &iback, &error))
-        << error;
-    EXPECT_EQ(iback.stats("k|0")->mean, idx.stats("k|0")->mean);
-    EXPECT_EQ(iback.stats("k|0")->m2, idx.stats("k|0")->m2);
-
     WirerCheckpoint cp;
     cp.strategies.resize(1);
     DispatchRecord r;
@@ -443,42 +287,6 @@ TEST(ConfigIo, RoundTripsUnderCommaDecimalGlobalLocale)
     EXPECT_EQ(wback.strategies[0][0].clock_multiplier,
               r.clock_multiplier);
     EXPECT_EQ(wback.strategies[0][0].profile[0].second, 1.0 / 3.0);
-}
-
-TEST(ProfileIo, HexfloatParsesWithAndWithoutPrefixAndSign)
-{
-    // "%a"-style fixtures written by other tools may drop the "0x"
-    // prefix; both spellings (and an explicit sign) must parse to the
-    // same bits. 0x1.8p+3 == 12.0.
-    const char* variants[] = {
-        "astra-profile v1\nentries 1\n"
-        "stat 1 0 0 0x1.8p+3 0x1.8p+3 0x1.8p+3 0x0p+0 0 k\n",
-        "astra-profile v1\nentries 1\n"
-        "stat 1 0 0 1.8p+3 1.8p+3 1.8p+3 0x0p+0 0 k\n",
-        "astra-profile v1\nentries 1\n"
-        "stat 1 0 0 +0x1.8p+3 0X1.8P+3 0x1.8p+3 0x0p+0 0 k\n",
-    };
-    for (const char* text : variants) {
-        ProfileIndex back;
-        std::string error;
-        ASSERT_TRUE(profile_index_from_string(text, &back, &error))
-            << error << "\n" << text;
-        EXPECT_EQ(back.stats("k")->mean, 12.0) << text;
-    }
-    // Negative values keep their sign through the manual strip.
-    ProfileIndex neg;
-    ASSERT_TRUE(profile_index_from_string(
-        "astra-profile v1\nentries 1\n"
-        "stat 1 0 0 -0x1.8p+3 -0x1.8p+3 -0x1.8p+3 0x0p+0 0 k\n",
-        &neg));
-    EXPECT_EQ(neg.stats("k")->mean, -12.0);
-    // A comma decimal separator is never silently accepted — the token
-    // must fail whole-string parsing, not truncate at the comma.
-    ProfileIndex comma;
-    EXPECT_FALSE(profile_index_from_string(
-        "astra-profile v1\nentries 1\n"
-        "stat 1 0 0 1,5 1,5 1,5 0x0p+0 0 k\n",
-        &comma));
 }
 
 }  // namespace

@@ -13,10 +13,10 @@
  * caught.
  *
  * RecordFuzz mutates a valid sample of every text format read from
- * outside the program (config, profile index, checkpoint, plan-store
- * entry, fault spec): it truncates, swaps tokens for
- * hostile numbers and flips bits. Each mutant must read back or be
- * rejected with a "<unit> N: reason" diagnostic, and never abort.
+ * outside the program (config, checkpoint, plan-store entry, fault
+ * spec): it truncates, swaps tokens for hostile numbers and flips
+ * bits. Each mutant must read back or be rejected with a
+ * "<unit> N: reason" diagnostic, and never abort.
  */
 #include <gtest/gtest.h>
 
@@ -269,22 +269,11 @@ sample_config(const SearchSpace& space)
     return cfg;
 }
 
-ProfileIndex
-sample_profile()
-{
-    ProfileIndex index;
-    for (int i = 0; i < 6; ++i)
-        index.record("s0|fmm.x2|1", 100.0 + 0.25 * i);
-    index.record("s0|lib g7|2", 1.0 / 3.0);
-    index.record_fault("s0|bad|0");
-    return index;
-}
-
 /** The plan-store frame around a payload, recomputed for each mutant. */
 std::string
 frame(const std::string& payload)
 {
-    return "astra-plan-store v1 " + std::to_string(payload.size()) + " " +
+    return "astra-plan-store v2 " + std::to_string(payload.size()) + " " +
            hash_hex(fnv1a64(payload)) + "\n" + payload;
 }
 
@@ -311,9 +300,6 @@ record_formats()
     entry.key = {0x1111, 0x2222, 0x3333, 0x4444, 1.5e9};
     entry.config = cfg;
     entry.best_ns = 1.0 / 3.0;
-    entry.minibatches = 1234;
-    entry.termination = "complete";
-    entry.profile = sample_profile();
     const std::string framed = PlanStore::entry_to_string(entry);
 
     std::vector<RecordFormat> formats;
@@ -324,15 +310,6 @@ record_formats()
              if (!config_from_string(text, &c, error))
                  return false;
              *out = config_to_string(c);
-             return true;
-         }});
-    formats.push_back(
-        {"profile", profile_index_to_string(sample_profile()),
-         [](const std::string& text, std::string* error, std::string* out) {
-             ProfileIndex index;
-             if (!profile_index_from_string(text, &index, error))
-                 return false;
-             *out = profile_index_to_string(index);
              return true;
          }});
     formats.push_back(

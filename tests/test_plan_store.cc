@@ -1,20 +1,24 @@
 /**
  * @file
- * Tests for the persistent plan/profile knowledge base: key
+ * Tests for the persistent plan knowledge base: key
  * canonicalization, bit-exact entry round-trips, rejection of corrupt
  * or truncated entries (never a silent accept), the L1/L2 lookup
- * ladder, the checked-in v1 compatibility fixture, and the end-to-end
- * warm-start story — a second process reuses a stored plan for the
- * price of one measured mini-batch, bit-identical to the cold winner,
- * and a store that knows only other shape classes changes nothing.
+ * ladder, the checked-in v1 and v2 compatibility fixtures, and the
+ * end-to-end warm-start story — a second process reuses a stored plan
+ * for the price of one measured mini-batch, bit-identical to the cold
+ * winner, a shape neighbor explores only its residual space, and a
+ * store that knows only other shape classes changes nothing.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/astra.h"
@@ -61,16 +65,6 @@ sample_entry()
     e.config.single_lib[17] = GemmLib::Oai1;
     e.config.epoch_choice[{0, 2}] = 3;
     e.best_ns = 1.0 / 3.0;  // not representable in decimal
-    e.minibatches = 1234;
-    e.termination = "complete";
-    MeasurementPolicy noisy;
-    noisy.outlier_mad_k = 3.0;
-    e.profile = ProfileIndex(noisy);
-    e.profile.record("s0|fmm.x2|1", 100.25);
-    e.profile.record("s0|fmm.x2|1", 101.5);
-    e.profile.record("s0|fmm.x2|1", 99.875);
-    e.profile.record("s0|lib g7|2", 0.1);  // key with spaces survives
-    e.profile.record_fault("s0|bad|0");    // quarantined key
     return e;
 }
 
@@ -81,27 +75,19 @@ expect_entries_equal(const PlanStoreEntry& a, const PlanStoreEntry& b)
     EXPECT_EQ(a.key.total_flops, b.key.total_flops);  // bit-exact
     EXPECT_EQ(config_to_string(a.config), config_to_string(b.config));
     EXPECT_EQ(a.best_ns, b.best_ns);
-    EXPECT_EQ(a.minibatches, b.minibatches);
-    EXPECT_EQ(a.termination, b.termination);
-    ASSERT_EQ(a.profile.size(), b.profile.size());
-    EXPECT_EQ(a.profile.total_samples(), b.profile.total_samples());
-    EXPECT_EQ(a.profile.total_faults(), b.profile.total_faults());
-    EXPECT_EQ(a.profile.quarantined_keys(),
-              b.profile.quarantined_keys());
-    auto ita = a.profile.entries().begin();
-    auto itb = b.profile.entries().begin();
-    for (; ita != a.profile.entries().end(); ++ita, ++itb) {
-        EXPECT_EQ(ita->first, itb->first);
-        EXPECT_EQ(ita->second.count, itb->second.count);
-        EXPECT_EQ(ita->second.rejected, itb->second.rejected);
-        EXPECT_EQ(ita->second.faults, itb->second.faults);
-        EXPECT_EQ(ita->second.min, itb->second.min);
-        EXPECT_EQ(ita->second.max, itb->second.max);
-        EXPECT_EQ(ita->second.mean, itb->second.mean);
-        EXPECT_EQ(ita->second.m2, itb->second.m2);
-        EXPECT_EQ(ita->second.window(), itb->second.window());
-    }
 }
+
+#ifdef ASTRA_TEST_DATA_DIR
+/** A checked-in fixture file, read whole. */
+std::string
+read_fixture(const std::string& set, const std::string& name)
+{
+    const fs::path path = fs::path(ASTRA_TEST_DATA_DIR) / set / name;
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << "missing fixture " << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+#endif
 
 TEST(PlanStoreKey, SameGraphSameKey)
 {
@@ -169,33 +155,26 @@ TEST(PlanStoreEntry, RoundTripBitExact)
     expect_entries_equal(e, back);
 }
 
-TEST(PlanStoreEntry, RoundTripMergedAndRejectedStats)
+TEST(PlanStoreEntry, EntryHoldsOnlyWhatLookupReads)
 {
-    // Statistics that went through the outlier test and a parallel
-    // merge must survive persistence exactly: the warm-started wirer
-    // trusts the restored Welford state as if it had measured itself.
-    MeasurementPolicy noisy;
-    noisy.outlier_mad_k = 3.0;
-    noisy.outlier_min_window = 5;
-    ProfileIndex shard_a(noisy), shard_b(noisy);
-    for (int i = 0; i < 8; ++i)
-        shard_a.record("s0|k|0", 100.0 + 0.125 * i);
-    EXPECT_FALSE(shard_a.record("s0|k|0", 5000.0));  // rejected
-    for (int i = 0; i < 4; ++i)
-        shard_b.record("s1|k|0", 200.0 + 0.25 * i);
-    shard_a.merge(shard_b);
-
-    PlanStoreEntry e = sample_entry();
-    e.profile = shard_a;
-    PlanStoreEntry back;
-    ASSERT_TRUE(PlanStore::entry_from_string(
-        PlanStore::entry_to_string(e), &back));
-    expect_entries_equal(e, back);
-    EXPECT_EQ(back.profile.total_rejected(), 1);
-    const ProfileStats* s = back.profile.stats("s0|k|0");
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->count, 8);
-    EXPECT_EQ(s->rejected, 1);
+    // L1 and L2 read the key, the flops distance, best_ns (L1's drift
+    // check) and the config. An entry holds exactly those: no
+    // exploration statistics, mini-batch count or termination reason.
+    const PlanStoreEntry e = sample_entry();
+    const std::string text = PlanStore::entry_to_string(e);
+    ASSERT_TRUE(text.starts_with("astra-plan-store v2 ")) << text;
+    const std::string payload = text.substr(text.find('\n') + 1);
+    const size_t config_at = payload.find("astra-config v1\n");
+    ASSERT_NE(config_at, std::string::npos) << payload;
+    EXPECT_EQ(payload.substr(config_at), config_to_string(e.config));
+    std::vector<std::string> tags;
+    std::istringstream head(payload.substr(0, config_at));
+    for (std::string line; std::getline(head, line);)
+        tags.push_back(line.substr(0, line.find(' ')));
+    EXPECT_EQ(tags,
+              (std::vector<std::string>{"key", "flops", "best_ns"}));
+    for (const char* gone : {"minibatches", "termination", "astra-profile"})
+        EXPECT_EQ(payload.find(gone), std::string::npos) << gone;
 }
 
 TEST(PlanStoreEntry, RejectsCorruptionTruncationAndVersionSkew)
@@ -222,10 +201,10 @@ TEST(PlanStoreEntry, RejectsCorruptionTruncationAndVersionSkew)
          {size_t{0}, header_end / 2, header_end, good.size() / 2,
           good.size() - 1}) {
         PlanStoreEntry probe;
-        probe.minibatches = 77;  // canary
+        probe.best_ns = 77.0;  // canary
         EXPECT_FALSE(PlanStore::entry_from_string(good.substr(0, len),
                                                   &probe));
-        EXPECT_EQ(probe.minibatches, 77);  // untouched on failure
+        EXPECT_EQ(probe.best_ns, 77.0);  // untouched on failure
     }
 
     // Trailing garbage is not "close enough".
@@ -233,9 +212,9 @@ TEST(PlanStoreEntry, RejectsCorruptionTruncationAndVersionSkew)
     EXPECT_FALSE(PlanStore::entry_from_string(good + "x", &probe));
 
     // A future version must be rejected, not misparsed.
-    std::string v2 = good;
-    v2.replace(v2.find("v1"), 2, "v2");
-    EXPECT_FALSE(PlanStore::entry_from_string(v2, &probe));
+    std::string v3 = good;
+    v3.replace(v3.find("v2"), 2, "v3");
+    EXPECT_FALSE(PlanStore::entry_from_string(v3, &probe));
 }
 
 TEST(PlanStore, LadderMissThenL2ThenL1)
@@ -283,10 +262,10 @@ TEST(PlanStore, L2PicksNearestNeighborByFlops)
     const fs::path dir = fresh_store_dir("plan_store_nearest");
     PlanStore store(dir);
     PlanStoreEntry near = sample_entry();
-    near.minibatches = 1;  // marker
+    near.best_ns = 1.0;  // marker
     near.key.total_flops = 1.0e9;
     PlanStoreEntry far = sample_entry();
-    far.minibatches = 2;  // marker
+    far.best_ns = 2.0;  // marker
     far.key.graph_sig = 0x5555;
     far.key.total_flops = 64.0e9;
     ASSERT_TRUE(store.put(near));
@@ -297,7 +276,7 @@ TEST(PlanStore, L2PicksNearestNeighborByFlops)
     probe.total_flops = 2.0e9;
     const StoreLookup hit = store.lookup(probe);
     EXPECT_EQ(hit.tier, StoreTier::L2);
-    EXPECT_EQ(hit.entry.minibatches, 1);
+    EXPECT_EQ(hit.entry.best_ns, 1.0);
 }
 
 TEST(PlanStore, CorruptEntryIsSurfacedNotSilentlyUsed)
@@ -332,34 +311,37 @@ TEST(PlanStoreCompat, GoldenV1FixtureLoads)
 {
     // The checked-in fixture was written by the v1 writer when the
     // format was introduced; every future reader must keep loading it.
-    const fs::path fixture =
-        fs::path(ASTRA_TEST_DATA_DIR) / "plan_store_v1";
-    std::ifstream in(fixture / "entry.plan", std::ios::binary);
-    ASSERT_TRUE(in) << "missing fixture " << (fixture / "entry.plan");
-    const std::string text(std::istreambuf_iterator<char>(in), {});
-
+    // Its mini-batch count, termination and profile section are read
+    // past; every field an entry still has must equal the original.
     PlanStoreEntry entry;
     std::string error;
-    ASSERT_TRUE(PlanStore::entry_from_string(text, &entry, &error))
+    ASSERT_TRUE(PlanStore::entry_from_string(
+        read_fixture("plan_store_v1", "entry.plan"), &entry, &error))
+        << error;
+    expect_entries_equal(sample_entry(), entry);
+}
+
+TEST(PlanStoreCompat, GoldenV2FixtureLoads)
+{
+    PlanStoreEntry entry;
+    std::string error;
+    ASSERT_TRUE(PlanStore::entry_from_string(
+        read_fixture("plan_store_v2", "entry.plan"), &entry, &error))
         << error;
     expect_entries_equal(sample_entry(), entry);
 }
 
 TEST(PlanStoreCompat, GoldenCorruptAndTruncatedFixturesRejected)
 {
-    const fs::path fixture =
-        fs::path(ASTRA_TEST_DATA_DIR) / "plan_store_v1";
-    for (const char* name : {"entry.corrupt", "entry.truncated"}) {
-        std::ifstream in(fixture / name, std::ios::binary);
-        ASSERT_TRUE(in) << "missing fixture " << (fixture / name);
-        const std::string text(std::istreambuf_iterator<char>(in), {});
-        PlanStoreEntry probe;
-        std::string error;
-        EXPECT_FALSE(
-            PlanStore::entry_from_string(text, &probe, &error))
-            << name << " accepted";
-        EXPECT_FALSE(error.empty()) << name;
-    }
+    for (const char* set : {"plan_store_v1", "plan_store_v2"})
+        for (const char* name : {"entry.corrupt", "entry.truncated"}) {
+            PlanStoreEntry probe;
+            std::string error;
+            EXPECT_FALSE(PlanStore::entry_from_string(
+                read_fixture(set, name), &probe, &error))
+                << set << "/" << name << " accepted";
+            EXPECT_FALSE(error.empty()) << set << "/" << name;
+        }
 }
 
 TEST(PlanStoreCompat, WriterIsByteIdenticalUnderCommaDecimalLocale)
@@ -367,24 +349,103 @@ TEST(PlanStoreCompat, WriterIsByteIdenticalUnderCommaDecimalLocale)
     // The writer pins the classic locale: a host whose global locale
     // writes "1,5" and groups "1.234" must write the fixture's bytes,
     // or the entry fails to load there and everywhere else.
-    std::ifstream in(fs::path(ASTRA_TEST_DATA_DIR) / "plan_store_v1" /
-                         "entry.plan",
-                     std::ios::binary);
-    ASSERT_TRUE(in);
-    const std::string golden(std::istreambuf_iterator<char>(in), {});
+    const std::string golden = read_fixture("plan_store_v2", "entry.plan");
     EXPECT_EQ(PlanStore::entry_to_string(sample_entry()), golden);
     const testutil::ScopedGlobalLocale guard(
         std::locale(std::locale::classic(), new testutil::CommaDecimal));
     EXPECT_EQ(PlanStore::entry_to_string(sample_entry()), golden);
 }
+
+TEST(PlanStoreCompat, MutatedV1PayloadsLoadOrFailWithLineDiagnostic)
+{
+    // A v1 entry is outside input the reader still takes. Whatever its
+    // payload holds, re-framed so the checksum passes, the reader loads
+    // it or names the line; it never aborts. What it loads, the v2
+    // writer writes back readably.
+    const std::string fixture =
+        read_fixture("plan_store_v1", "entry.plan");
+    const std::string payload = fixture.substr(fixture.find('\n') + 1);
+    const auto frame_v1 = [](const std::string& p) {
+        return "astra-plan-store v1 " + std::to_string(p.size()) + " " +
+               hash_hex(fnv1a64(p)) + "\n" + p;
+    };
+
+    // The reader skips the mini-batch count, the termination reason
+    // and the profile section, but still requires each of them.
+    PlanStoreEntry probe;
+    std::string error;
+    for (const std::string tag : {"minibatches", "termination"}) {
+        std::string retagged = payload;
+        retagged.replace(retagged.find("\n" + tag + " ") + 1, tag.size(),
+                         "x");
+        EXPECT_FALSE(PlanStore::entry_from_string(frame_v1(retagged),
+                                                  &probe, &error));
+        EXPECT_NE(error.find("malformed " + tag + " line"),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_FALSE(PlanStore::entry_from_string(
+        frame_v1(payload.substr(0, payload.find("astra-profile v1\n"))),
+        &probe, &error));
+    EXPECT_NE(error.find("missing profile section"), std::string::npos)
+        << error;
+
+    std::vector<std::string> mutants;
+    for (size_t i = 0; i < payload.size(); ++i)
+        if (payload[i] == '\n') {
+            mutants.push_back(payload.substr(0, i));
+            mutants.push_back(payload.substr(0, i + 1));
+        }
+    for (const std::string tag : {"\nminibatches ", "\ntermination "}) {
+        const size_t at = payload.find(tag) + tag.size();
+        const size_t end = payload.find('\n', at);
+        for (const char* hostile : {"999999999999999", "-1", "nan", "inf",
+                                    "1x", "+1", "0x", "", "a b"})
+            mutants.push_back(payload.substr(0, at) + hostile +
+                              payload.substr(end));
+    }
+    Rng rng(17);
+    for (int flip = 0; flip < 300; ++flip) {
+        std::string m = payload;
+        m[rng.next_below(m.size())] ^=
+            static_cast<char>(1u << rng.next_below(8));
+        mutants.push_back(std::move(m));
+    }
+
+    const std::regex diagnostic("line [0-9]+: [\\s\\S]+");
+    int accepted = 0;
+    int rejected = 0;
+    for (const std::string& m : mutants) {
+        PlanStoreEntry entry;
+        error.clear();
+        if (!PlanStore::entry_from_string(frame_v1(m), &entry, &error)) {
+            ++rejected;
+            EXPECT_TRUE(std::regex_match(error, diagnostic))
+                << "rejected without a diagnostic ('" << error
+                << "'):\n"
+                << m;
+            continue;
+        }
+        ++accepted;
+        PlanStoreEntry again;
+        ASSERT_TRUE(PlanStore::entry_from_string(
+            PlanStore::entry_to_string(entry), &again, &error))
+            << error << "\n" << m;
+        expect_entries_equal(entry, again);
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+}
 #endif
 
 TEST(PlanStore, EntryWrittenUnderCommaDecimalLocaleLoads)
 {
-    // A mini-batch count of 1234 written as "1.234" would be rejected
-    // by a classic-locale reader, losing the entry.
+    // A node id of 1234 written as "1.234", or best_ns with a ','
+    // decimal point, would be rejected by a classic-locale reader,
+    // losing the entry.
     const fs::path dir = fresh_store_dir("plan_store_comma_locale");
-    const PlanStoreEntry e = sample_entry();
+    PlanStoreEntry e = sample_entry();
+    e.config.single_lib[1234] = GemmLib::Oai2;  // grouping bait
     {
         const testutil::ScopedGlobalLocale guard(std::locale(
             std::locale::classic(), new testutil::CommaDecimal));
@@ -414,6 +475,8 @@ TEST(PlanStoreWarmStart, SecondSessionHitsL1BitIdentical)
     const WirerResult second = warm.optimize();
     EXPECT_EQ(second.convergence.store_tier, "l1");
     EXPECT_EQ(second.minibatches, 1);
+    EXPECT_EQ(second.convergence.measured_configs,
+              second.convergence.minibatches);
     EXPECT_EQ(config_to_string(second.best_config),
               config_to_string(first.best_config));
     EXPECT_DOUBLE_EQ(second.best_ns, first.best_ns);
@@ -451,6 +514,9 @@ TEST(PlanStoreWarmStart, L1VerificationDriftDemotesToWarmStart)
     EXPECT_EQ(second.convergence.store_tier, "l2");
     EXPECT_GT(second.minibatches, 1);
     EXPECT_EQ(second.convergence.store_drift_demotions, 1);
+    // The verification mini-batch measured the stored config.
+    EXPECT_EQ(second.convergence.measured_configs,
+              second.convergence.minibatches);
     bool mentioned = false;
     for (const std::string& e : second.convergence.store_errors)
         mentioned |= e.find("drift") != std::string::npos;
@@ -551,6 +617,72 @@ TEST(PlanStoreWarmStart, OtherShapeClassWiresAsIfNoStore)
     EXPECT_EQ(r.minibatches, gold.minibatches);
 }
 
+// ---- warm starts that explore a residual space -----------------------
+
+/**
+ * Wire `kind` at embed 32 into a fresh store, then its embed-48
+ * neighbor (hidden 32 both times). The two graphs share a shape class
+ * but not their batch groups, so the L2 transfer leaves a residual
+ * space for the warm wirer to explore. Fault-free and timing-only, so
+ * the pins hold under any ASTRA_FAULTS / ASTRA_SIM_AUTOBOOST.
+ */
+std::pair<WirerResult, WirerResult>
+cold_then_embed_neighbor(const std::string& name, ModelKind kind,
+                         const MeasurementPolicy& policy, bool autoboost)
+{
+    AstraOptions opts;
+    opts.features = features_all();
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = autoboost;
+    opts.gpu.faults = FaultPlan{};
+    opts.measurement = policy;
+    opts.wirer_threads = 1;
+    opts.plan_store = fresh_store_dir(name).string();
+    const auto wire = [&](int64_t embed) {
+        const BuiltModel m = build_model(
+            kind, {.batch = 8, .seq_len = 4, .hidden = 32,
+                   .embed_dim = embed, .vocab = 50});
+        AstraSession session(m.graph(), opts);
+        return session.optimize();
+    };
+    WirerResult cold = wire(32);
+    return {std::move(cold), wire(48)};
+}
+
+std::string
+config_fnv(const ScheduleConfig& config)
+{
+    return hash_hex(fnv1a64(config_to_string(config)));
+}
+
+TEST(PlanStoreWarmStart, ScrnnEmbedNeighborExploresResidualSpace)
+{
+    const auto [cold, warm] = cold_then_embed_neighbor(
+        "plan_store_residual_scrnn", ModelKind::Scrnn,
+        MeasurementPolicy{}, /*autoboost=*/false);
+    EXPECT_EQ(cold.convergence.store_tier, "miss");
+    EXPECT_EQ(cold.minibatches, 418);
+    EXPECT_EQ(config_fnv(cold.best_config), "e5ef077cb869bb71");
+    EXPECT_EQ(warm.convergence.store_tier, "l2");
+    EXPECT_EQ(warm.minibatches, 131);
+    EXPECT_EQ(warm.best_ns, 615999.22824510862);
+    EXPECT_EQ(config_fnv(warm.best_config), "ade1a61080117c3a");
+}
+
+TEST(PlanStoreWarmStart, SublstmNoiseRobustEmbedNeighborExploresResidualSpace)
+{
+    const auto [cold, warm] = cold_then_embed_neighbor(
+        "plan_store_residual_sublstm", ModelKind::SubLstm,
+        MeasurementPolicy::noise_robust(), /*autoboost=*/true);
+    EXPECT_EQ(cold.convergence.store_tier, "miss");
+    EXPECT_EQ(cold.minibatches, 1764);
+    EXPECT_EQ(config_fnv(cold.best_config), "644eb8cc41d558a7");
+    EXPECT_EQ(warm.convergence.store_tier, "l2");
+    EXPECT_EQ(warm.minibatches, 330);
+    EXPECT_EQ(warm.best_ns, 1142668.7527209872);
+    EXPECT_EQ(config_fnv(warm.best_config), "01714e80faafa967");
+}
+
 // ---- crash-safe / multi-writer atomicity -----------------------------
 
 TEST(PlanStoreAtomicity, ConcurrentPutsNeverTearAnEntry)
@@ -571,7 +703,7 @@ TEST(PlanStoreAtomicity, ConcurrentPutsNeverTearAnEntry)
             PlanStore store(dir);  // one instance per "process"
             for (int i = 0; i < kRounds; ++i) {
                 PlanStoreEntry e = sample_entry();
-                e.minibatches = w * 1000 + i;  // writer-tagged payload
+                e.best_ns = w * 1000 + i;  // writer-tagged payload
                 std::string err;
                 if (!store.put(e, &err))
                     put_failures.fetch_add(1);
@@ -604,7 +736,7 @@ TEST(PlanStoreAtomicity, ConcurrentPutsNeverTearAnEntry)
     const StoreLookup final_hit = fresh.lookup(sample_entry().key);
     ASSERT_EQ(final_hit.tier, StoreTier::L1);
     EXPECT_TRUE(final_hit.errors.empty());
-    const int tag = static_cast<int>(final_hit.entry.minibatches);
+    const int tag = static_cast<int>(final_hit.entry.best_ns);
     EXPECT_GE(tag % 1000, 0);
     EXPECT_LT(tag % 1000, kRounds);
     EXPECT_LT(tag / 1000, kWriters);

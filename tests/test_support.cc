@@ -268,6 +268,7 @@ TEST(Record, DoublesKeepHexfloatAndRejectJunk)
         {"+-1", false, false},     {"0x-1", false, false},
         {"1e999", false, false},   {"1,5", false, false},
         {" 1", false, false},      {"", false, false},
+        {"+0x1.8p+3", true, true},
     };
     for (const auto& c : cases) {
         double v = 0.0;
@@ -277,6 +278,8 @@ TEST(Record, DoublesKeepHexfloatAndRejectJunk)
     double v = 0.0;
     ASSERT_TRUE(record::parse_f64("1.8p+3", &v));
     EXPECT_EQ(v, 12.0);
+    ASSERT_TRUE(record::parse_f64("-0X1.8P+3", &v));
+    EXPECT_EQ(v, -12.0);
     EXPECT_FALSE(record::parse_finite("0.5", &v, 1.0));
     EXPECT_TRUE(record::parse_finite("0x1p+0", &v, 1.0, 1.0));
     EXPECT_EQ(v, 1.0);
