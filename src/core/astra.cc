@@ -187,7 +187,8 @@ AstraSession::optimize(const BindFn& bind)
     PlanStore store(opts_.plan_store);
     const PlanStoreKey key = make_plan_store_key(*graph_, opts_.gpu);
     StoreLookup hit = store.lookup(key);
-    bool drift_demoted = false;
+    bool demoted = false;
+    bool verify_faulted = false;
 
     if (hit.tier == StoreTier::L1) {
         std::string why;
@@ -210,7 +211,7 @@ AstraSession::optimize(const BindFn& bind)
                 margin > 0.0 && hit.entry.best_ns > 0.0 &&
                 std::abs(res.total_ns - hit.entry.best_ns) >
                     margin * hit.entry.best_ns;
-            if (!drifted) {
+            if (!res.faulted && !drifted) {
                 WirerResult out;
                 out.best_config = hit.entry.config;
                 out.best_ns = res.total_ns;
@@ -230,25 +231,29 @@ AstraSession::optimize(const BindFn& bind)
                 obs::counter("session.store_l1_hits").add();
                 return out;
             }
-            // The verification mini-batch disagrees with the stored
-            // timing beyond the policy's drift margin: the entry is
-            // stale for this device (different clocks, changed timing
-            // model, contended host). Adopting it outright would pin a
-            // possibly-wrong plan for the whole job; demote to a warm
-            // start so the wirer re-measures with the stored config as
-            // a seed, and write the refreshed winner back.
-            warn("plan store: verification mini-batch drifted ",
-                 res.total_ns, " ns vs stored ", hit.entry.best_ns,
-                 " ns (margin ", margin,
-                 ") — demoting to warm start re-wiring");
-            hit.errors.push_back(
-                PlanStore::entry_filename(key) +
-                ": verification drift " + std::to_string(res.total_ns) +
-                " ns vs stored " + std::to_string(hit.entry.best_ns) +
-                " ns exceeds margin " + std::to_string(margin) +
-                "; demoted to warm start");
+            // The verification mini-batch faulted (its timing and
+            // values are suspect, so it verified nothing) or disagrees
+            // with the stored timing beyond the policy's drift margin
+            // (the entry is stale for this device: different clocks,
+            // changed timing model, contended host). Adopting it
+            // outright would pin a possibly-wrong plan for the whole
+            // job; demote to a warm start so the wirer re-measures
+            // with the stored config as a seed, and write the
+            // refreshed winner back.
+            const std::string reason =
+                res.faulted
+                    ? std::string("verification mini-batch faulted")
+                    : "verification drift " + std::to_string(res.total_ns) +
+                          " ns vs stored " +
+                          std::to_string(hit.entry.best_ns) +
+                          " ns exceeds margin " + std::to_string(margin);
+            warn("plan store: ", reason,
+                 " — demoting to warm start re-wiring");
+            hit.errors.push_back(PlanStore::entry_filename(key) + ": " +
+                                 reason + "; demoted to warm start");
             hit.tier = StoreTier::L2;
-            drift_demoted = true;
+            demoted = true;
+            verify_faulted = res.faulted;
         } else {
             // The exact entry no longer fits (scheduler knowledge
             // drifted under it): degrade to a warm start, which
@@ -268,17 +273,28 @@ AstraSession::optimize(const BindFn& bind)
     WirerResult out = make_wirer(std::move(ws))->explore(bind);
     out.convergence.store_tier = store_tier_name(hit.tier);
     out.convergence.store_errors = std::move(hit.errors);
-    if (drift_demoted) {
+    if (demoted) {
         // Account the spent L1 verification mini-batch and make the
         // demotion visible to fleet/CI consumers of the report.
         out.minibatches += 1;
         out.convergence.minibatches += 1;
         out.convergence.measured_configs += 1;
         out.convergence.store_drift_demotions += 1;
+        if (verify_faulted)
+            out.convergence.faults.faulted_minibatches += 1;
         obs::counter("session.store_drift_demotions").add();
     }
 
-    // Write-through: the winner is the next process's L1 hit.
+    // Write-through: the winner is the next process's L1 hit — but
+    // only a winner that measured clean. One whose every final run
+    // faulted carries kUnmeasuredNs, a time no later verification can
+    // match and no neighbor should inherit.
+    if (out.best_ns == kUnmeasuredNs) {
+        out.convergence.store_errors.push_back(
+            PlanStore::entry_filename(key) +
+            ": not written: no final run of the winner measured clean");
+        return out;
+    }
     const PlanStoreEntry entry{
         .key = key, .config = out.best_config, .best_ns = out.best_ns};
     std::string put_error;

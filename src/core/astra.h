@@ -123,22 +123,15 @@ class AstraSession
     bool used_recompute() const { return recompute_ != nullptr; }
 
     /**
-     * Build a custom wirer over this session's graph, search space and
-     * tensor maps (what optimize() runs). Exposed so callers can drive
-     * exploration manually — checkpoint mid-run, resume, then explore
-     * again (core/wirer.h). `warm` optionally carries plan-store
-     * knowledge into the exploration (WirerOptions::warm).
-     */
-    std::unique_ptr<CustomWirer>
-    make_wirer(WirerWarmStart warm = {}) const;
-
-    /**
      * Run the online exploration; every trial is a real mini-batch.
      * With AstraOptions::plan_store set, first walks the knowledge
      * base's ladder: an L1 exact hit returns the stored configuration
      * after a single measured verification mini-batch; an L2 neighbor
      * warm-starts the wirer; and the winner is written back. The
-     * report's store_tier records which rung answered.
+     * report's store_tier records which rung answered. The store
+     * trusts clean measurements only: an L1 verification that faulted
+     * or drifted demotes the hit to L2, and a winner whose best_ns is
+     * kUnmeasuredNs is not written back.
      */
     WirerResult optimize(const BindFn& bind = {});
 
@@ -170,6 +163,14 @@ class AstraSession
     DispatchResult run_native(GemmLib lib = GemmLib::Cublas) const;
 
   private:
+    /**
+     * A custom wirer over this session's graph, search space and
+     * tensor maps (what optimize() runs). `warm` optionally carries
+     * plan-store knowledge into the exploration (WirerOptions::warm).
+     */
+    std::unique_ptr<CustomWirer>
+    make_wirer(WirerWarmStart warm = {}) const;
+
     /**
      * Build space/scheduler/memories/maps for the current graph_,
      * walking the Bump -> Reuse rungs per strategy. Throws MemoryError

@@ -158,109 +158,4 @@ config_from_string(std::string_view text, ScheduleConfig* config,
     return true;
 }
 
-void
-write_checkpoint(std::ostream& os, const WirerCheckpoint& cp)
-{
-    const record::WriteGuard pin(os);
-    os << "astra-checkpoint v1\n";
-    os << "strategies " << cp.strategies.size() << "\n";
-    for (size_t sid = 0; sid < cp.strategies.size(); ++sid) {
-        const auto& recs = cp.strategies[sid];
-        os << "strategy " << sid << " " << recs.size() << "\n";
-        for (const DispatchRecord& r : recs) {
-            os << "record " << r.total_ns << " " << r.clock_multiplier
-               << " " << (r.faulted ? 1 : 0) << " " << r.fault_attempts
-               << " " << r.faults_seen << " " << r.straggler_events
-               << " " << r.backoff_ns << " " << r.profile.size()
-               << "\n";
-            // The key goes last so it may contain any character but a
-            // newline; the value parses no matter what the key is.
-            for (const auto& [key, ns] : r.profile)
-                os << "prof " << ns << " " << key << "\n";
-        }
-    }
-}
-
-std::string
-checkpoint_to_string(const WirerCheckpoint& cp)
-{
-    std::ostringstream os;
-    write_checkpoint(os, cp);
-    return os.str();
-}
-
-bool
-checkpoint_from_string(std::string_view text, WirerCheckpoint* cp,
-                       std::string* error)
-{
-    record::LineReader in(text, error);
-    const std::vector<std::string_view>& t = in.tokens();
-    if (!in.next())
-        return in.fail("empty input (expected 'astra-checkpoint v1')");
-    if (in.line() != "astra-checkpoint v1")
-        return in.fail("bad header '", in.line(),
-                       "' (expected 'astra-checkpoint v1')");
-
-    int64_t num_strategies = 0;
-    if (!in.next())
-        return in.fail("missing strategies line");
-    if (t.size() != 2 || t[0] != "strategies" ||
-        !record::parse_int(t[1], &num_strategies, 0,
-                           record::kMaxCount))
-        return in.fail("malformed strategies line");
-
-    WirerCheckpoint out;
-    for (int64_t sid = 0; sid < num_strategies; ++sid) {
-        int64_t got_sid = 0;
-        int64_t num_records = 0;
-        if (!in.next())
-            return in.fail("truncated: missing strategy ", sid,
-                           " header");
-        if (t.size() != 3 || t[0] != "strategy" ||
-            !record::parse_int(t[1], &got_sid, sid, sid) ||
-            !record::parse_int(t[2], &num_records, 0, record::kMaxCount))
-            return in.fail("malformed strategy header (expected "
-                           "'strategy ",
-                           sid, " <count>')");
-        auto& recs = out.strategies.emplace_back();
-        for (int64_t i = 0; i < num_records; ++i) {
-            DispatchRecord r;
-            if (!in.next())
-                return in.fail("truncated: strategy ", sid,
-                               " missing record ", i);
-            if (t.size() != 9 || t[0] != "record")
-                return in.fail("malformed record line");
-            int64_t faulted = 0;
-            int64_t num_profiles = 0;
-            if (!record::parse_f64(t[1], &r.total_ns) ||
-                !record::parse_f64(t[2], &r.clock_multiplier) ||
-                !record::parse_int(t[3], &faulted) ||
-                !record::parse_int(t[4], &r.fault_attempts) ||
-                !record::parse_int(t[5], &r.faults_seen) ||
-                !record::parse_int(t[6], &r.straggler_events) ||
-                !record::parse_f64(t[7], &r.backoff_ns) ||
-                !record::parse_int(t[8], &num_profiles, 0,
-                                   record::kMaxCount))
-                return in.fail("malformed record fields");
-            r.faulted = faulted != 0;
-            for (int64_t p = 0; p < num_profiles; ++p) {
-                double ns = 0.0;
-                if (!in.next())
-                    return in.fail("truncated: record ", i,
-                                   " missing prof ", p);
-                if (t.size() < 2 || t[0] != "prof" ||
-                    !record::parse_f64(t[1], &ns))
-                    return in.fail("malformed prof line");
-                std::string_view key;
-                if (!in.after(1, &key))
-                    return in.fail("missing profile key on prof line");
-                r.profile.emplace_back(std::string(key), ns);
-            }
-            recs.push_back(std::move(r));
-        }
-    }
-    *cp = std::move(out);
-    return true;
-}
-
 }  // namespace astra

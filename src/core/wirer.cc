@@ -94,8 +94,6 @@ wirer_termination_name(WirerTermination t)
         return "budget";
       case WirerTermination::FaultQuarantine:
         return "fault_quarantine";
-      case WirerTermination::Resume:
-        return "resume";
     }
     return "?";
 }
@@ -151,14 +149,6 @@ struct CustomWirer::StrategyRun
      * invariant the clock domain provides for boost draws).
      */
     uint64_t fault_seq = 0;
-
-    /** Measurement journal (raw results, in dispatch order). */
-    std::vector<DispatchRecord> journal;
-
-    /** Resume journal to replay before dispatching live, if any. */
-    const std::vector<DispatchRecord>* resume = nullptr;
-    size_t replay_pos = 0;
-    int64_t replayed = 0;
 
     /** Fault accounting, accumulated across this strategy's dispatches. */
     int64_t faults_seen = 0;
@@ -220,9 +210,7 @@ CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
 
     // Pre-draw per-dispatch fault salts under the same rule (|1 keeps
     // them nonzero so the dispatcher never substitutes its own
-    // process-wide counter). Replayed repeats consume their draws too —
-    // the live dispatches that follow must land on the same salts an
-    // uninterrupted run would have used.
+    // process-wide counter).
     const bool fault_armed = !opts_.gpu.faults.empty();
     std::vector<uint64_t> salts(static_cast<size_t>(repeats), 0);
     if (fault_armed)
@@ -231,41 +219,12 @@ CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
                           ++run.fault_seq) |
                 1;
 
-    // Resume: the first n_replay repeats are satisfied from the journal
-    // instead of dispatching. The split is decided here, before any
-    // fan-out, so it cannot depend on thread interleaving.
-    const int n_replay =
-        run.resume == nullptr
-            ? 0
-            : static_cast<int>(std::min<size_t>(
-                  static_cast<size_t>(repeats),
-                  run.resume->size() - run.replay_pos));
-
     // Warm fetch on the calling thread: the (at most one) miss and its
     // lowering happen here, so the per-dispatch fetches below always
     // hit — the cache tally is identical at every thread count.
     scheduler_.build_cached(config);
 
     auto dispatch_one = [&](int64_t i) {
-        if (i < n_replay) {
-            // Replay performs the same cache fetch a live dispatch
-            // would (tallies must match the uninterrupted run) and
-            // copies the journaled raw measurement in.
-            scheduler_.build_cached(config);
-            const DispatchRecord& rec =
-                (*run.resume)[run.replay_pos + static_cast<size_t>(i)];
-            DispatchResult& res = results[static_cast<size_t>(i)];
-            res.total_ns = rec.total_ns;
-            res.clock_multiplier = rec.clock_multiplier;
-            res.faulted = rec.faulted;
-            res.fault_attempts = rec.fault_attempts;
-            res.faults_seen = rec.faults_seen;
-            res.straggler_events = rec.straggler_events;
-            res.backoff_ns = rec.backoff_ns;
-            for (const auto& [key, ns] : rec.profile)
-                res.profile_ns.emplace(key, ns);
-            return;
-        }
         if (bind)
             bind(tmap, run.minibatches + i);
         GpuConfig gpu = opts_.gpu;
@@ -291,31 +250,13 @@ CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
             dispatch_one(i);
     }
     // A "measured config" is a batch that cost real mini-batches — the
-    // denominator of the what-if engine's savings claim. Journal
-    // replays count too: they were live dispatches in the process that
-    // wrote the journal, and a resumed run's report must be
-    // bit-identical to the uninterrupted one. (What-if replays never
-    // enter dispatch_batch, so they cannot inflate this.)
+    // denominator of the what-if engine's savings claim. (What-if
+    // replays never enter dispatch_batch, so they cannot inflate this.)
     ++run.measured_configs;
 
     // Accounting and profile recording happen sequentially in repeat
     // order, so the shard accumulates the exact serial sequence.
     for (DispatchResult& result : results) {
-        // Journal the raw result first — before clock normalization —
-        // so replaying the record reproduces this exact accounting
-        // pass (and re-journals identically on a resumed run).
-        DispatchRecord rec;
-        rec.total_ns = result.total_ns;
-        rec.clock_multiplier = result.clock_multiplier;
-        rec.faulted = result.faulted;
-        rec.fault_attempts = result.fault_attempts;
-        rec.faults_seen = result.faults_seen;
-        rec.straggler_events = result.straggler_events;
-        rec.backoff_ns = result.backoff_ns;
-        rec.profile.assign(result.profile_ns.begin(),
-                           result.profile_ns.end());
-        run.journal.push_back(std::move(rec));
-
         if (opts_.measurement.normalize_clock) {
             // DVFS compensation: the device reports the clock it ran
             // this mini-batch at; scaling by it converts every
@@ -349,10 +290,6 @@ CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
         // so the result entries drop straight into the shard (§4.6).
         for (const auto& [key, ns] : result.profile_ns)
             run.index.record(key, ns);
-    }
-    if (n_replay > 0) {
-        run.replay_pos += static_cast<size_t>(n_replay);
-        run.replayed += n_replay;
     }
     return results;
 }
@@ -488,7 +425,7 @@ CustomWirer::measure_final(StrategyRun& run, const ScheduleConfig& config,
         // Unmeasurable under persistent faults: quarantine the
         // strategy by giving it a time no real measurement can beat.
         run.fault_exhausted = true;
-        *stat_ns = 1e300;
+        *stat_ns = kUnmeasuredNs;
         return;
     }
     // End-to-end times are single scalars (no profile key), so the
@@ -733,9 +670,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // ---- transfer priming (plan store, L2) -------------------------------
     // Measure the transferred configuration once before exploring the
     // residual space: it seeds best-so-far (the neighbor's winner is
-    // the bar every residual trial must beat) and gives the journal a
-    // concrete measurement of the inherited plan. No profile keys — the
-    // pre-bound variables are settled, not explored.
+    // the bar every residual trial must beat) and records the
+    // inherited plan's measurement as the report's "transfer" epoch. No
+    // profile keys — the pre-bound variables are settled, not explored.
     if (warm.has_config) {
         const StageMark before = mark();
         measure_trial(
@@ -1029,10 +966,6 @@ CustomWirer::explore(const BindFn& bind)
 
     // An L2 warm start transfers the neighbor's allocation-strategy
     // decision too: only that strategy's residual space is explored.
-    // Resume journals are indexed by strategy position, so a journal
-    // recorded without the warm restriction cannot replay under it —
-    // warm start wins and the journal is dropped (with a warning; the
-    // combination indicates a driver mixing two recovery mechanisms).
     std::vector<int> sids;
     if (opts_.warm.has_config && opts_.warm.config.strategy >= 0 &&
         opts_.warm.config.strategy < num_strategies)
@@ -1040,12 +973,6 @@ CustomWirer::explore(const BindFn& bind)
     else
         for (int sid = 0; sid < num_strategies; ++sid)
             sids.push_back(sid);
-    if (opts_.warm.has_config && !resume_.empty()) {
-        warn("wirer: ignoring resume journal under plan-store warm "
-             "start (journals are positional; the warm restriction "
-             "changes the strategy set)");
-        resume_ = WirerCheckpoint{};
-    }
 
     // The exploration's share of the scheduler's process-lifetime
     // plan-cache tallies.
@@ -1055,25 +982,20 @@ CustomWirer::explore(const BindFn& bind)
     // Deterministic budget partition: each strategy owns its share of
     // the safety valve up front (see WirerOptions::max_minibatches), so
     // truncation decisions never depend on how concurrent pipelines
-    // interleave. The runs live in a member so their journals survive
-    // an exception thrown out of a pipeline — checkpoint() can then
-    // persist everything that was measured before the crash.
-    runs_.clear();
-    runs_.reserve(sids.size());
+    // interleave.
+    std::vector<StrategyRun> runs;
+    runs.reserve(sids.size());
     const int64_t budget = std::max<int64_t>(0, opts_.max_minibatches);
     const int64_t num_runs = static_cast<int64_t>(sids.size());
     for (int64_t i = 0; i < num_runs; ++i) {
         const int sid = sids[static_cast<size_t>(i)];
         const int64_t quota =
             budget / num_runs + (i < budget % num_runs ? 1 : 0);
-        runs_.push_back(std::make_unique<StrategyRun>(
+        runs.emplace_back(
             sid,
             opts_.context_prefix +
                 space_.strategies[static_cast<size_t>(sid)].key + "|",
-            quota, opts_.measurement, opts_.gpu));
-        if (static_cast<size_t>(i) < resume_.strategies.size())
-            runs_.back()->resume =
-                &resume_.strategies[static_cast<size_t>(i)];
+            quota, opts_.measurement, opts_.gpu);
     }
 
     // Fan out one pipeline per strategy. threads=1 constructs a pool
@@ -1085,7 +1007,7 @@ CustomWirer::explore(const BindFn& bind)
     pool_ = &pool;
     try {
         pool.parallel_for(num_runs, [&](int64_t i) {
-            run_strategy(*runs_[static_cast<size_t>(i)], bind);
+            run_strategy(runs[static_cast<size_t>(i)], bind);
         });
     } catch (...) {
         pool_ = nullptr;
@@ -1104,10 +1026,8 @@ CustomWirer::explore(const BindFn& bind)
     double best_seen = -1.0;
     int64_t mb_offset = 0;
     bool fault_exhausted = false;
-    bool cut_mid_replay = false;
     out.index = ProfileIndex(opts_.measurement);
-    for (const std::unique_ptr<StrategyRun>& runp : runs_) {
-        StrategyRun& run = *runp;
+    for (StrategyRun& run : runs) {
         for (ConvergenceEpoch e : run.epochs) {
             if (e.best_ns >= 0.0)
                 best_seen = best_seen < 0.0
@@ -1120,12 +1040,7 @@ CustomWirer::explore(const BindFn& bind)
         mb_offset += run.minibatches;
         out.minibatches += run.minibatches;
         out.truncated = out.truncated || run.truncated;
-        out.replayed_minibatches += run.replayed;
         fault_exhausted = fault_exhausted || run.fault_exhausted;
-        cut_mid_replay =
-            cut_mid_replay ||
-            (run.truncated && run.resume != nullptr &&
-             run.replay_pos < run.resume->size());
         out.convergence.faults.injected_kernel_faults += run.faults_seen;
         out.convergence.faults.straggler_events += run.straggler_events;
         out.convergence.faults.faulted_minibatches +=
@@ -1146,15 +1061,10 @@ CustomWirer::explore(const BindFn& bind)
     out.convergence.faults.quarantined_keys = static_cast<int64_t>(
         out.index.quarantined_keys().size());
 
-    // Termination reason, in increasing priority. "resume" surfaces
-    // only when the budget cut exploration while a journal was still
-    // replaying; a resumed run that completes reports exactly what the
-    // uninterrupted run would (bit-identical reports).
+    // Termination reason, in increasing priority.
     out.termination = WirerTermination::Complete;
     if (out.truncated)
         out.termination = WirerTermination::Budget;
-    if (cut_mid_replay)
-        out.termination = WirerTermination::Resume;
     if (fault_exhausted)
         out.termination = WirerTermination::FaultQuarantine;
     out.convergence.termination = wirer_termination_name(out.termination);
@@ -1175,22 +1085,6 @@ CustomWirer::explore(const BindFn& bind)
     if (fault_exhausted)
         obs::counter("wire.fault_quarantines").add();
     return out;
-}
-
-void
-CustomWirer::checkpoint(std::ostream& os) const
-{
-    WirerCheckpoint cp;
-    cp.strategies.reserve(runs_.size());
-    for (const std::unique_ptr<StrategyRun>& run : runs_)
-        cp.strategies.push_back(run->journal);
-    write_checkpoint(os, cp);
-}
-
-void
-CustomWirer::resume(WirerCheckpoint cp)
-{
-    resume_ = std::move(cp);
 }
 
 }  // namespace astra

@@ -20,12 +20,9 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "core/adaptive.h"
-#include "core/config_io.h"
 #include "core/scheduler.h"
 #include "core/whatif.h"
 #include "obs/convergence.h"
@@ -143,23 +140,26 @@ struct WirerOptions
  */
 using BindFn = std::function<void(const TensorMap&, int64_t minibatch)>;
 
-/**
- * Machine-readable reason the exploration ended the way it did.
- * A resumed run that then completes normally reports Complete — resume
- * is only surfaced when the budget cut exploration short while the
- * journal was still replaying, because an uninterrupted run must be
- * indistinguishable (bit-identical report included) from a resumed one.
- */
+/** Machine-readable reason the exploration ended the way it did. */
 enum class WirerTermination
 {
     Complete,         ///< full sweep, everything bound from measurements
     Budget,           ///< the mini-batch safety valve tripped
     FaultQuarantine,  ///< a config exhausted its fault-retry budget
-    Resume,           ///< truncated while still replaying a checkpoint
 };
 
 /** Stable string name ("complete", "budget", ...), for reports. */
 const char* wirer_termination_name(WirerTermination t);
+
+/**
+ * End-to-end time (ns) given to a configuration whose every final
+ * dispatch faulted, past the dispatcher's replays and the wirer's own
+ * fault budget. No real measurement can beat it, so such a strategy
+ * loses the cross-strategy argmin; a result whose best_ns is still
+ * this value never measured its winner, and the plan store keeps no
+ * entry for it.
+ */
+constexpr double kUnmeasuredNs = 1e300;
 
 /** Outcome of one full exploration. */
 struct WirerResult
@@ -167,7 +167,10 @@ struct WirerResult
     /** The winning configuration (strategy, chunks, libs, streams). */
     ScheduleConfig best_config;
 
-    /** Measured end-to-end time of the winning configuration (ns). */
+    /**
+     * Measured end-to-end time of the winning configuration (ns);
+     * kUnmeasuredNs when no final run of it measured clean.
+     */
     double best_ns = 0.0;
 
     /** Mini-batches used for exploration (Table 7's "configs"). */
@@ -181,12 +184,6 @@ struct WirerResult
 
     /** Why exploration stopped (refines `truncated` into a reason). */
     WirerTermination termination = WirerTermination::Complete;
-
-    /**
-     * Mini-batches satisfied from a resume journal instead of being
-     * dispatched (0 when exploration started fresh).
-     */
-    int64_t replayed_minibatches = 0;
 
     /** Per-strategy best end-to-end times, indexed by strategy id. */
     std::vector<double> strategy_ns;
@@ -218,28 +215,12 @@ class CustomWirer
                 WirerOptions opts);
     ~CustomWirer();
 
-    /** Explore; every trial dispatches a real mini-batch. */
+    /**
+     * Explore; every trial dispatches a real mini-batch. An exception
+     * out of the BindFn propagates once every strategy's pipeline has
+     * stopped; the wirer keeps nothing from the aborted exploration.
+     */
     WirerResult explore(const BindFn& bind = {});
-
-    /**
-     * Serialize the measurement journal of the most recent explore()
-     * call — including one that exited by exception: per-strategy
-     * journals survive the unwind, so a crashed exploration can still
-     * checkpoint everything its dispatches measured. (Dispatches whose
-     * batch was interrupted before accounting are simply absent; a
-     * resume re-runs them live.)
-     */
-    void checkpoint(std::ostream& os) const;
-
-    /**
-     * Arm the next explore() call to replay `cp` before dispatching
-     * anything new: each strategy's first journal-length mini-batches
-     * are satisfied from the journal (consuming the same clock draws,
-     * fault salts and plan-cache fetches a live dispatch would), then
-     * exploration continues live. The resumed result is bit-identical
-     * to an uninterrupted run over the same options.
-     */
-    void resume(WirerCheckpoint cp);
 
   private:
     /**
@@ -342,16 +323,6 @@ class CustomWirer
 
     /** Fan-out pool, alive only during explore(). */
     ThreadPool* pool_ = nullptr;
-
-    /**
-     * Per-strategy state of the most recent explore(). A member (not a
-     * local) so the journals survive an exception thrown out of the
-     * exploration — checkpoint() reads them afterwards.
-     */
-    std::vector<std::unique_ptr<StrategyRun>> runs_;
-
-    /** Journal armed by resume() for the next explore(). */
-    WirerCheckpoint resume_;
 };
 
 }  // namespace astra

@@ -117,10 +117,9 @@ struct ConvergenceReport
     int64_t minibatches = 0;
 
     /**
-     * Why exploration stopped: "complete", "budget" (safety valve),
-     * "fault_quarantine" (a config exhausted its fault-retry budget),
-     * or "resume" (the valve tripped while a checkpoint journal was
-     * still replaying). See core/wirer.h's WirerTermination.
+     * Why exploration stopped: "complete", "budget" (safety valve) or
+     * "fault_quarantine" (a config exhausted its fault-retry budget).
+     * See core/wirer.h's WirerTermination.
      */
     std::string termination = "complete";
 
@@ -147,9 +146,10 @@ struct ConvergenceReport
     std::vector<std::string> store_errors;
 
     /**
-     * L1 exact hits whose verification mini-batch drifted beyond
-     * MeasurementPolicy::store_drift_rel of the stored timing and were
-     * demoted to L2 warm starts instead of being adopted outright.
+     * L1 exact hits demoted to L2 warm starts instead of being adopted
+     * outright, because their verification mini-batch faulted or
+     * drifted beyond MeasurementPolicy::store_drift_rel of the stored
+     * timing.
      */
     int64_t store_drift_demotions = 0;
 

@@ -10,43 +10,6 @@ namespace astra::record {
 
 namespace {
 
-/**
- * The double grammar both parsers share. from_chars rejects a leading
- * '+' and reads hex digits only without their "0x" prefix, so the sign
- * and the prefix are stripped by hand. `bare_hex` retries a token the
- * decimal parse cannot consume as prefix-less hexfloat, but only when
- * it has the 'p' exponent to_chars always writes: "1f" stays junk.
- */
-bool
-parse_double(std::string_view tok, bool bare_hex, double* out)
-{
-    const char* first = tok.data();
-    const char* last = tok.data() + tok.size();
-    bool neg = false;
-    if (first != last && (*first == '+' || *first == '-')) {
-        neg = *first == '-';
-        ++first;
-    }
-    std::chars_format fmt = std::chars_format::general;
-    if (last - first > 2 && first[0] == '0' &&
-        (first[1] == 'x' || first[1] == 'X')) {
-        fmt = std::chars_format::hex;
-        first += 2;
-    }
-    if (first == last || *first == '+' || *first == '-')
-        return false;
-    double v = 0.0;
-    std::from_chars_result r = std::from_chars(first, last, v, fmt);
-    if (bare_hex && fmt == std::chars_format::general &&
-        (r.ec != std::errc() || r.ptr != last) &&
-        tok.find_first_of("pP") != std::string_view::npos)
-        r = std::from_chars(first, last, v, std::chars_format::hex);
-    if (r.ec != std::errc() || r.ptr != last)
-        return false;
-    *out = neg ? -v : v;
-    return true;
-}
-
 bool
 is_space(char c)
 {
@@ -68,17 +31,33 @@ detail::parse_i64(std::string_view tok, int64_t* out, int64_t lo, int64_t hi)
 }
 
 bool
-parse_f64(std::string_view tok, double* out)
-{
-    return parse_double(tok, /*bare_hex=*/true, out);
-}
-
-bool
 parse_finite(std::string_view tok, double* out, double lo, double hi)
 {
+    // from_chars rejects a leading '+' and reads hex digits only
+    // without their "0x" prefix, so the sign and the prefix are
+    // stripped by hand.
+    const char* first = tok.data();
+    const char* last = tok.data() + tok.size();
+    bool neg = false;
+    if (first != last && (*first == '+' || *first == '-')) {
+        neg = *first == '-';
+        ++first;
+    }
+    std::chars_format fmt = std::chars_format::general;
+    if (last - first > 2 && first[0] == '0' &&
+        (first[1] == 'x' || first[1] == 'X')) {
+        fmt = std::chars_format::hex;
+        first += 2;
+    }
+    if (first == last || *first == '+' || *first == '-')
+        return false;
     double v = 0.0;
-    if (!parse_double(tok, /*bare_hex=*/false, &v) || !std::isfinite(v) ||
-        v < lo || v > hi)
+    const auto [ptr, ec] = std::from_chars(first, last, v, fmt);
+    if (ec != std::errc() || ptr != last)
+        return false;
+    if (neg)
+        v = -v;
+    if (!std::isfinite(v) || v < lo || v > hi)
         return false;
     *out = v;
     return true;
@@ -134,18 +113,6 @@ LineReader::next()
         tokens_.push_back(line_.substr(i, j - i));
         i = j;
     }
-    return true;
-}
-
-bool
-LineReader::after(size_t i, std::string_view* field) const
-{
-    const std::string_view& t = tokens_[i];
-    const size_t end = static_cast<size_t>(t.data() - line_.data()) +
-                       t.size();
-    if (end >= line_.size() || line_[end] != ' ')
-        return false;
-    *field = line_.substr(end + 1);
     return true;
 }
 

@@ -2,17 +2,14 @@
  * @file
  * The record layer: how every text format read from outside the
  * program turns a token into a number, says where a parse failed, and
- * writes numbers back. Configurations, checkpoints, plan-store
- * entries, fault specs and command-line arguments all go through it,
- * so one module decides the grammar.
+ * writes numbers back. Configurations, plan-store entries, fault
+ * specs and command-line arguments all go through it, so one module
+ * decides the grammar.
  *
  * Tokens. A number is a whole token: leading whitespace, a trailing
  * character, overflow or an empty token all reject. Integers are
  * base 10 with an optional '-'. Doubles take an optional sign, then
- * decimal or "0x" hexfloat; parse_f64 also takes inf, nan and the
- * prefix-less hexfloat of std::to_chars, which stored measurements may
- * use. parse_finite is the stricter grammar for values that must be
- * finite.
+ * decimal or "0x" hexfloat, and must be finite.
  *
  * Locale. Numbers are read with std::from_chars, which ignores the
  * locale, and written through a WriteGuard, which pins the classic
@@ -20,10 +17,9 @@
  * for 1.5 and groups thousands as "1.234" therefore loads on every
  * other host, and in the process that wrote it.
  *
- * Counts. No reader sizes a container from a count it read. Counts
- * are bounded by kMaxCount, and containers grow only as records
- * actually arrive, so a hostile count fails on the first missing
- * record instead of allocating.
+ * Counts. No reader sizes a container from a count it read:
+ * containers grow only as records actually arrive, so a hostile count
+ * fails on the first missing record instead of allocating.
  *
  * Diagnostics. A reader that fails says "<unit> N: reason": unit
  * "line" for the line formats, "token" for the ';'-separated fault
@@ -45,9 +41,6 @@
 
 namespace astra::record {
 
-/** The largest count any reader accepts. */
-constexpr int64_t kMaxCount = 10000000;
-
 namespace detail {
 bool parse_i64(std::string_view tok, int64_t* out, int64_t lo, int64_t hi);
 }  // namespace detail
@@ -68,13 +61,6 @@ parse_int(std::string_view tok, T* out,
     *out = static_cast<T>(v);
     return true;
 }
-
-/**
- * Whole token as a double, in any form a writer emits: decimal, "0x"
- * hexfloat, inf, nan, or the hexfloat of std::to_chars, which drops
- * the "0x" prefix but always carries a 'p' exponent ("1.8p+3").
- */
-bool parse_f64(std::string_view tok, double* out);
 
 /** Whole token as a finite double in [lo, hi]: decimal or "0x" hex. */
 bool parse_finite(std::string_view tok, double* out,
@@ -173,13 +159,6 @@ class LineReader
     {
         return tokens_;
     }
-
-    /**
-     * The rest of the current line after token i and the one ' ' that
-     * follows it, for a last field that may itself hold spaces
-     * (profile keys). False when no ' ' follows token i.
-     */
-    bool after(size_t i, std::string_view* field) const;
 
     /** Input after the current line. */
     std::string_view rest() const { return text_.substr(pos_); }

@@ -144,87 +144,6 @@ TEST(ConfigIo, RejectsStreamCountBelowOne)
     EXPECT_EQ(one.num_streams, 1);
 }
 
-TEST(CheckpointIo, RoundTripIsBitExact)
-{
-    WirerCheckpoint cp;
-    cp.strategies.resize(2);
-    DispatchRecord r0;
-    r0.total_ns = 1.0 / 3.0;  // not representable in decimal
-    r0.clock_multiplier = 1.0 + 0.12 * (1.0 / 7.0);
-    r0.profile = {{"g0", 12345.678901234567}, {"fmm.x2.%5.oai_1", 0.1}};
-    DispatchRecord r1;
-    r1.total_ns = 9.87654e12;
-    r1.faulted = true;
-    r1.fault_attempts = 3;
-    r1.faults_seen = 5;
-    r1.straggler_events = 2;
-    r1.backoff_ns = 50.0 * 1e3 * 7.0;
-    cp.strategies[0] = {r0, r1};
-    // Strategy 1 left empty: shards may not have dispatched yet.
-
-    WirerCheckpoint back;
-    ASSERT_TRUE(checkpoint_from_string(checkpoint_to_string(cp), &back));
-    ASSERT_EQ(back.strategies.size(), 2u);
-    ASSERT_EQ(back.strategies[0].size(), 2u);
-    EXPECT_TRUE(back.strategies[1].empty());
-    const DispatchRecord& b0 = back.strategies[0][0];
-    EXPECT_EQ(b0.total_ns, r0.total_ns);  // bit-exact, not NEAR
-    EXPECT_EQ(b0.clock_multiplier, r0.clock_multiplier);
-    EXPECT_FALSE(b0.faulted);
-    ASSERT_EQ(b0.profile.size(), 2u);
-    EXPECT_EQ(b0.profile[0].first, "g0");
-    EXPECT_EQ(b0.profile[0].second, r0.profile[0].second);
-    EXPECT_EQ(b0.profile[1].first, "fmm.x2.%5.oai_1");
-    EXPECT_EQ(b0.profile[1].second, 0.1);
-    const DispatchRecord& b1 = back.strategies[0][1];
-    EXPECT_EQ(b1.total_ns, r1.total_ns);
-    EXPECT_TRUE(b1.faulted);
-    EXPECT_EQ(b1.fault_attempts, 3);
-    EXPECT_EQ(b1.faults_seen, 5);
-    EXPECT_EQ(b1.straggler_events, 2);
-    EXPECT_EQ(b1.backoff_ns, r1.backoff_ns);
-}
-
-TEST(CheckpointIo, RoundTripEmpty)
-{
-    WirerCheckpoint cp;
-    EXPECT_TRUE(cp.empty());
-    WirerCheckpoint back;
-    ASSERT_TRUE(checkpoint_from_string(checkpoint_to_string(cp), &back));
-    EXPECT_TRUE(back.empty());
-}
-
-TEST(CheckpointIo, RejectsMalformedInput)
-{
-    WirerCheckpoint probe;
-    probe.strategies.resize(3);  // canary
-    const char* cases[] = {
-        "",
-        "not-a-checkpoint\n",
-        "astra-checkpoint v2\nstrategies 0\n",
-        "astra-checkpoint v1\nstrategies x\n",
-        "astra-checkpoint v1\nstrategies 1\n",  // missing strategy line
-        "astra-checkpoint v1\nstrategies 1\nstrategy 1 0\n",  // sid wrong
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n",  // no record
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
-        "record zzz 0x1p+0 0 0 0 0 0x0p+0 0\n",
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
-        "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 1\n",  // missing prof
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
-        "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 1\nprof nope key\n",
-        // Declared counts must not size an allocation.
-        "astra-checkpoint v1\nstrategies 999999999999999\n",
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 999999999999999\n",
-        "astra-checkpoint v1\nstrategies 1\nstrategy 0 1\n"
-        "record 0x1p+0 0x1p+0 0 0 0 0 0x0p+0 999999999999999\n",
-    };
-    for (const char* text : cases) {
-        WirerCheckpoint copy = probe;
-        EXPECT_FALSE(checkpoint_from_string(text, &copy)) << text;
-        EXPECT_EQ(copy.strategies.size(), 3u) << text;  // untouched
-    }
-}
-
 TEST(ConfigIo, RestartReproducesTunedTime)
 {
     const BuiltModel m =
@@ -249,11 +168,12 @@ TEST(ConfigIo, RestartReproducesTunedTime)
 
 TEST(ConfigIo, RoundTripsUnderCommaDecimalGlobalLocale)
 {
-    // A checkpoint written on one host must load on a host whose
-    // global locale writes "1,5" for 1.5 and groups thousands as
-    // "1.234": the persistence layer pins the classic locale on its
-    // own streams and parses numbers with std::from_chars, so the
-    // ambient locale must not matter in either direction.
+    // A config written on one host must load on a host whose global
+    // locale groups thousands as "1.234": the persistence layer pins
+    // the classic locale on its own streams and parses numbers with
+    // std::from_chars, so the ambient locale must not matter in either
+    // direction. (Locale-safe doubles are covered by
+    // PlanStore.EntryWrittenUnderCommaDecimalLocaleLoads.)
     const ScopedGlobalLocale guard(
         std::locale(std::locale::classic(), new CommaDecimal));
 
@@ -271,22 +191,6 @@ TEST(ConfigIo, RoundTripsUnderCommaDecimalGlobalLocale)
     EXPECT_EQ(cback.group_chunk, cfg.group_chunk);
     EXPECT_EQ(cback.single_lib, cfg.single_lib);
     EXPECT_EQ(config_to_string(cback), config_to_string(cfg));
-
-    WirerCheckpoint cp;
-    cp.strategies.resize(1);
-    DispatchRecord r;
-    r.total_ns = 1234567.25;
-    r.clock_multiplier = 1.0 + 1.0 / 7.0;
-    r.profile = {{"g0", 1.0 / 3.0}};
-    cp.strategies[0] = {r};
-    WirerCheckpoint wback;
-    ASSERT_TRUE(checkpoint_from_string(checkpoint_to_string(cp), &wback,
-                                       &error))
-        << error;
-    EXPECT_EQ(wback.strategies[0][0].total_ns, r.total_ns);
-    EXPECT_EQ(wback.strategies[0][0].clock_multiplier,
-              r.clock_multiplier);
-    EXPECT_EQ(wback.strategies[0][0].profile[0].second, 1.0 / 3.0);
 }
 
 }  // namespace

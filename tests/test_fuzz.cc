@@ -13,8 +13,8 @@
  * caught.
  *
  * RecordFuzz mutates a valid sample of every text format read from
- * outside the program (config, checkpoint, plan-store entry, fault
- * spec): it truncates, swaps tokens for hostile numbers and flips
+ * outside the program (config, plan-store entry, fault spec): it
+ * truncates, swaps tokens for hostile numbers and flips
  * bits. Each mutant must read back or be rejected with a
  * "<unit> N: reason" diagnostic, and never abort.
  */
@@ -286,16 +286,6 @@ record_formats()
     const SearchSpace space = enumerate_search_space(model.graph());
     const ScheduleConfig cfg = sample_config(space);
 
-    WirerCheckpoint cp;
-    cp.strategies.resize(2);
-    DispatchRecord r;
-    r.total_ns = 1.0 / 3.0;
-    r.profile = {{"g0", 12345.5}, {"fmm.x2.%5.oai_1", 0.1}};
-    cp.strategies[0] = {r, r};
-    r.faulted = true;
-    r.fault_attempts = 2;
-    cp.strategies[1] = {r};
-
     PlanStoreEntry entry;
     entry.key = {0x1111, 0x2222, 0x3333, 0x4444, 1.5e9};
     entry.config = cfg;
@@ -310,15 +300,6 @@ record_formats()
              if (!config_from_string(text, &c, error))
                  return false;
              *out = config_to_string(c);
-             return true;
-         }});
-    formats.push_back(
-        {"checkpoint", checkpoint_to_string(cp),
-         [](const std::string& text, std::string* error, std::string* out) {
-             WirerCheckpoint c;
-             if (!checkpoint_from_string(text, &c, error))
-                 return false;
-             *out = checkpoint_to_string(c);
              return true;
          }});
     // Mutations apply to the payload; the frame is rebuilt so each one

@@ -597,8 +597,6 @@ TEST(ObsConvergence, TerminationAndFaultReportInJson)
     EXPECT_STREQ(
         wirer_termination_name(WirerTermination::FaultQuarantine),
         "fault_quarantine");
-    EXPECT_STREQ(wirer_termination_name(WirerTermination::Resume),
-                 "resume");
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
  * end-to-end warm-start story — a second process reuses a stored plan
  * for the price of one measured mini-batch, bit-identical to the cold
  * winner, a shape neighbor explores only its residual space, and a
- * store that knows only other shape classes changes nothing.
+ * store that knows only other shape classes changes nothing. Only
+ * clean measurements enter the store or verify an entry.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "core/astra.h"
 #include "core/config_io.h"
 #include "core/plan_store.h"
+#include "graph/builder.h"
 #include "models/models.h"
 #include "tests/util.h"
 
@@ -555,6 +557,120 @@ TEST(PlanStoreWarmStart, DriftCheckDisabledByNonPositiveMargin)
     EXPECT_EQ(second.convergence.store_tier, "l1");
     EXPECT_EQ(second.minibatches, 1);
     EXPECT_EQ(second.convergence.store_drift_demotions, 0);
+}
+
+// ---- only clean measurements enter the store -------------------------
+
+/** One matmul, so features_fk explores a single library variable. */
+Graph
+one_matmul()
+{
+    GraphBuilder b;
+    const NodeId x = b.input({64, 4096});
+    const NodeId w = b.param({4096, 1024});
+    b.graph().mark_output(b.matmul(x, w));
+    return std::move(b.graph());
+}
+
+/**
+ * Timing-only features_fk at base clock under its own fault plan
+ * (empty when `spec` is), never ASTRA_FAULTS, with a store at `dir`.
+ */
+AstraOptions
+store_opts(const fs::path& dir, const char* spec)
+{
+    AstraOptions o;
+    o.features = features_fk();
+    o.gpu.execute_kernels = false;
+    o.gpu.autoboost = false;
+    o.gpu.faults = FaultPlan{};
+    if (spec != nullptr) {
+        EXPECT_TRUE(FaultPlan::parse(spec, &o.gpu.faults)) << spec;
+    }
+    o.sched.super_epoch_ns = 150000.0;
+    o.plan_store = dir.string();
+    return o;
+}
+
+/** The fault-free winner's time on one_matmul(). */
+constexpr double kOneMatmulBestNs = 100614.11216591937;
+
+bool
+mentions(const std::vector<std::string>& errors, const std::string& what)
+{
+    for (const std::string& e : errors)
+        if (e.find(what) != std::string::npos)
+            return true;
+    return false;
+}
+
+TEST(PlanStoreCleanOnly, AllFaultedColdRunWritesNoEntry)
+{
+    // Every dispatch faults, so no final run measures clean and the
+    // winner carries kUnmeasuredNs: nothing is worth storing.
+    const fs::path dir = fresh_store_dir("plan_store_all_faulted");
+    const Graph g = one_matmul();
+    const AstraOptions o = store_opts(dir, "seed=3;retries=2;kernel:p=1");
+    AstraSession session(g, o);
+    const WirerResult r = session.optimize();
+    EXPECT_EQ(r.convergence.store_tier, "miss");
+    EXPECT_EQ(r.termination, WirerTermination::FaultQuarantine);
+    EXPECT_EQ(r.best_ns, kUnmeasuredNs);
+    EXPECT_TRUE(mentions(r.convergence.store_errors, "measured clean"));
+    for (const fs::directory_entry& f : fs::directory_iterator(dir))
+        EXPECT_NE(f.path().extension(), ".plan") << f.path();
+    EXPECT_EQ(PlanStore(dir).lookup(make_plan_store_key(g, o.gpu)).tier,
+              StoreTier::Miss);
+}
+
+TEST(PlanStoreCleanOnly, QuarantinedLoserStillStoresCleanWinner)
+{
+    // Only oai_1 faults. The run ends fault_quarantine, but its winner
+    // measured clean, so the entry is written and answers at L1.
+    const fs::path dir = fresh_store_dir("plan_store_clean_winner");
+    const Graph g = one_matmul();
+    const AstraOptions o =
+        store_opts(dir, "seed=3;retries=2;kernel:name=oai_1,p=1");
+    AstraSession cold(g, o);
+    const WirerResult first = cold.optimize();
+    EXPECT_EQ(first.termination, WirerTermination::FaultQuarantine);
+    EXPECT_EQ(first.best_ns, kOneMatmulBestNs);
+    EXPECT_EQ(PlanStore(dir).lookup(make_plan_store_key(g, o.gpu))
+                  .entry.best_ns,
+              kOneMatmulBestNs);
+
+    AstraSession warm(g, o);
+    const WirerResult second = warm.optimize();
+    EXPECT_EQ(second.convergence.store_tier, "l1");
+    EXPECT_EQ(second.minibatches, 1);
+    EXPECT_EQ(config_to_string(second.best_config),
+              config_to_string(first.best_config));
+}
+
+TEST(PlanStoreCleanOnly, FaultedVerificationDemotesAndKeepsStoredTime)
+{
+    // A verification mini-batch that faults verifies nothing: the hit
+    // is demoted like a drifted one, and the all-faulted re-wiring
+    // leaves the clean entry in place.
+    const fs::path dir = fresh_store_dir("plan_store_faulted_verify");
+    const Graph g = one_matmul();
+    const AstraOptions clean = store_opts(dir, nullptr);
+    AstraSession cold(g, clean);
+    EXPECT_EQ(cold.optimize().best_ns, kOneMatmulBestNs);
+
+    AstraSession faulty(g, store_opts(dir, "seed=3;retries=2;kernel:p=1"));
+    const WirerResult r = faulty.optimize();
+    EXPECT_EQ(r.convergence.store_tier, "l2");
+    EXPECT_EQ(r.convergence.store_drift_demotions, 1);
+    EXPECT_TRUE(mentions(r.convergence.store_errors, "faulted"));
+    // Every mini-batch faulted, the verification included.
+    EXPECT_EQ(r.convergence.faults.faulted_minibatches, r.minibatches);
+    EXPECT_EQ(r.best_ns, kUnmeasuredNs);
+
+    const StoreLookup hit =
+        PlanStore(dir).lookup(make_plan_store_key(g, clean.gpu));
+    ASSERT_EQ(hit.tier, StoreTier::L1);
+    EXPECT_EQ(hit.entry.best_ns, kOneMatmulBestNs);
 }
 
 TEST(PlanStoreWarmStart, WidthNeighborTransfersAtL2)
