@@ -2,9 +2,9 @@
  * @file
  * Micro-benchmark: exploration wall-clock vs wirer threads.
  *
- * The parallel wirer fans allocation-strategy pipelines (and batched
- * repeat measurements) across host threads while guaranteeing results
- * bit-identical to a serial run. This harness measures that trade:
+ * The parallel wirer fans allocation-strategy pipelines across host
+ * threads while guaranteeing results bit-identical to a serial run.
+ * This harness measures that trade:
  * one full online exploration per thread count on a multi-strategy
  * stacked LSTM, reporting wall-clock, speedup over threads=1, the
  * plan-cache hit rate, and whether the result matched the serial run
@@ -74,10 +74,9 @@ main(int argc, char** argv)
     base.gpu = env.gpu;
     base.sched = env.sched;
     base.features = features_all();
-    // The noise-robust policy measures every trial k times; those
-    // repeats batch across workers, so intra-strategy parallelism is
-    // exercised too (not just the strategy fan-out).
-    base.measurement = MeasurementPolicy::noise_robust();
+    // Clock-normalized measurement, so that under ASTRA_SIM_AUTOBOOST
+    // the identity checks also cover each strategy's clock draws.
+    base.normalize_clock = true;
 
     const std::vector<int> thread_counts =
         smoke ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
@@ -148,7 +147,7 @@ main(int argc, char** argv)
     table.print();
 
     // A 2x floor at 4 threads is only meaningful with >= 4 hardware
-    // threads and >= 4 strategies to fan out (plus batched repeats).
+    // threads and >= 4 strategies to fan out.
     const bool can_scale = !smoke && hw >= 4 && num_strategies >= 4 &&
                            speedup_at_4 > 0.0;
     bool scaling_ok = true;

@@ -27,7 +27,8 @@
  * --fault-spec injects deterministic faults (sim/faults.h grammar,
  * e.g. "seed=3;kernel:p=0.01;alloc:at=0;straggler:p=0.001,x=4") into
  * every dispatch; exploration retries, quarantines and degrades
- * instead of aborting.
+ * instead of aborting. A result row whose dispatch still faulted is
+ * marked "(faulted)" and gets no speedup: its time is suspect.
  *
  * --trace dumps the tuned run's kernel spans alone; --trace-out (or
  * ASTRA_TRACE=FILE.json) captures the whole invocation through the
@@ -169,7 +170,7 @@ main(int argc, char** argv)
     // allocation failures degrade Bump -> Reuse -> recompute.
     opts.grads = &model.grads;
     AstraSession session(model.graph(), opts);
-    const double native = session.run_native().total_ns;
+    const DispatchResult native = session.run_native();
 
     ScheduleConfig best;
     int64_t explored = 0;
@@ -206,8 +207,7 @@ main(int argc, char** argv)
                           << " bindings transferred";
             std::cout << "\n";
             for (const std::string& e : r.convergence.store_errors)
-                std::cerr << "plan store: rejected entry: " << e
-                          << "\n";
+                std::cerr << "plan store: " << e << "\n";
         }
         if (!save_path.empty()) {
             std::ofstream out(save_path);
@@ -238,13 +238,21 @@ main(int argc, char** argv)
 
     TextTable table("Result");
     table.set_header({"backend", "mini-batch ms", "speedup"});
-    table.add_row({"native", TextTable::fmt(native / 1e6, 3), "1.00"});
-    table.add_row(
-        {explored > 0 ? "Astra (" + std::to_string(explored) +
-                            " configs explored)"
-                      : "Astra (preloaded config)",
-         TextTable::fmt(tuned.total_ns / 1e6, 3),
-         TextTable::fmt(native / tuned.total_ns, 2)});
+    // A dispatch that faulted past its retries measured nothing
+    // trustworthy: mark its row, and print no speedup that rests on it.
+    const auto add_row = [&](std::string backend, const DispatchResult& r) {
+        const bool faulted = native.faulted || r.faulted;
+        table.add_row({r.faulted ? backend + " (faulted)" : backend,
+                       TextTable::fmt(r.total_ns / 1e6, 3),
+                       faulted ? "-"
+                               : TextTable::fmt(
+                                     native.total_ns / r.total_ns, 2)});
+    };
+    add_row("native", native);
+    add_row(explored > 0 ? "Astra (" + std::to_string(explored) +
+                               " configs explored)"
+                         : "Astra (preloaded config)",
+            tuned);
     table.print();
     return 0;
 }

@@ -150,8 +150,7 @@ main(int argc, char** argv)
                            TextTable::fmt(r.best_ns / 1e6, 3),
                            config_fnv});
             for (const std::string& e : r.convergence.store_errors)
-                std::cerr << "plan store: rejected entry: " << e
-                          << "\n";
+                std::cerr << "plan store: " << e << "\n";
             if (report)
                 report << "sighting round=" << round << " workload="
                        << w.name << " tier=" << tier

@@ -72,12 +72,6 @@ AdaptiveVariable::bind_best(const ProfileIndex& index)
     return true;
 }
 
-ChoiceDecision
-AdaptiveVariable::decide(const ProfileIndex& index) const
-{
-    return index.decide(context_ + key_ + "=", num_options_);
-}
-
 std::unique_ptr<UpdateNode>
 UpdateNode::leaf(VarPtr var)
 {

@@ -81,14 +81,6 @@ class AdaptiveVariable
      */
     bool bind_best(const ProfileIndex& index);
 
-    /**
-     * Noise-aware ranking of this variable's options under the current
-     * context (ProfileIndex::decide with this variable's key prefix).
-     * A non-decisive result means the top two candidates are within
-     * the index policy's noise floor and deserve re-measurement.
-     */
-    ChoiceDecision decide(const ProfileIndex& index) const;
-
   private:
     std::string key_;
     std::string context_;

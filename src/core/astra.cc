@@ -109,7 +109,7 @@ AstraSession::make_wirer(WirerWarmStart warm) const
     wopts.gpu = opts_.gpu;
     wopts.num_streams = opts_.num_streams;
     wopts.context_prefix = opts_.context_prefix;
-    wopts.measurement = opts_.measurement;
+    wopts.normalize_clock = opts_.normalize_clock;
     wopts.max_minibatches = opts_.max_minibatches;
     wopts.threads = opts_.wirer_threads;
     wopts.whatif = opts_.whatif;
@@ -204,19 +204,17 @@ AstraSession::optimize(const BindFn& bind)
             DispatchResult res = dispatch_plan(
                 *plan, *graph_,
                 tensor_map(hit.entry.config.strategy), opts_.gpu);
-            if (opts_.measurement.normalize_clock)
+            if (opts_.normalize_clock)
                 res.total_ns *= res.clock_multiplier;
-            const double margin = opts_.measurement.store_drift_rel;
             const bool drifted =
-                margin > 0.0 && hit.entry.best_ns > 0.0 &&
+                hit.entry.best_ns > 0.0 &&
                 std::abs(res.total_ns - hit.entry.best_ns) >
-                    margin * hit.entry.best_ns;
+                    kStoreDriftRel * hit.entry.best_ns;
             if (!res.faulted && !drifted) {
                 WirerResult out;
                 out.best_config = hit.entry.config;
                 out.best_ns = res.total_ns;
                 out.minibatches = 1;
-                out.index = ProfileIndex(opts_.measurement);
                 out.strategy_ns.assign(space_.strategies.size(), -1.0);
                 out.strategy_ns[static_cast<size_t>(
                     out.best_config.strategy)] = res.total_ns;
@@ -233,9 +231,9 @@ AstraSession::optimize(const BindFn& bind)
             }
             // The verification mini-batch faulted (its timing and
             // values are suspect, so it verified nothing) or disagrees
-            // with the stored timing beyond the policy's drift margin
-            // (the entry is stale for this device: different clocks,
-            // changed timing model, contended host). Adopting it
+            // with the stored timing beyond kStoreDriftRel (the entry
+            // is stale for this device: different clocks, changed
+            // timing model, contended host). Adopting it
             // outright would pin a possibly-wrong plan for the whole
             // job; demote to a warm start so the wirer re-measures
             // with the stored config as a seed, and write the
@@ -246,7 +244,8 @@ AstraSession::optimize(const BindFn& bind)
                     : "verification drift " + std::to_string(res.total_ns) +
                           " ns vs stored " +
                           std::to_string(hit.entry.best_ns) +
-                          " ns exceeds margin " + std::to_string(margin);
+                          " ns exceeds margin " +
+                          std::to_string(kStoreDriftRel);
             warn("plan store: ", reason,
                  " — demoting to warm start re-wiring");
             hit.errors.push_back(PlanStore::entry_filename(key) + ": " +

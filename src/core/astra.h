@@ -36,8 +36,14 @@ struct AstraOptions
     /** Prefix for all profile keys (bucketed profiling sets this). */
     std::string context_prefix;
 
-    /** Measurement accumulation / noise policy (see profile_index.h). */
-    MeasurementPolicy measurement;
+    /**
+     * Measure the clock instead of pinning it (see
+     * WirerOptions::normalize_clock): samples, and the plan store's L1
+     * verification, are scaled to base-clock time, and rankings merge
+     * choices within kTieRel of the best onto the lowest index. Off by
+     * default.
+     */
+    bool normalize_clock = false;
 
     /**
      * What-if decisions in the wirer (core/whatif.h): replay every
@@ -50,8 +56,8 @@ struct AstraOptions
 
     /**
      * Host threads for the wirer's exploration (WirerOptions::threads):
-     * allocation strategies and independent repeat measurements fan out
-     * across them, with results bit-identical to wirer_threads = 1.
+     * allocation strategies fan out across them, with results
+     * bit-identical to wirer_threads = 1.
      */
     int wirer_threads = 1;
 

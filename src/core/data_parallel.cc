@@ -1,6 +1,5 @@
 #include "core/data_parallel.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -59,8 +58,7 @@ explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
                                       std::move(leaves));
     root->initialize();
 
-    ProfileIndex index(opts.measurement);
-    const int repeats = std::max(1, opts.measurement.min_samples);
+    ProfileIndex index(opts.normalize_clock);
 
     DpOptions dopts;
     dopts.degree = G;
@@ -81,14 +79,11 @@ explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
             dp.bucket_options[static_cast<size_t>(bucket_var->current())];
         dopts.flush = fc == 0 ? FlushSchedule::Eager
                               : FlushSchedule::EndOfStep;
-        for (int r = 0; r < repeats; ++r) {
-            const DpResult m =
-                dispatch_plan_dp(plan, graph, tmap, opts.gpu,
-                                 dp.grad_nodes, dopts);
-            ++p.minibatches;
-            index.record(bucket_var->profile_key(), m.step_ns);
-            index.record(flush_var->profile_key(), m.step_ns);
-        }
+        const DpResult m = dispatch_plan_dp(plan, graph, tmap, opts.gpu,
+                                            dp.grad_nodes, dopts);
+        ++p.minibatches;
+        index.record(bucket_var->profile_key(), m.step_ns);
+        index.record(flush_var->profile_key(), m.step_ns);
         if (root->finished())
             break;
         root->advance(index);

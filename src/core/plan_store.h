@@ -118,6 +118,16 @@ struct PlanStoreEntry
     double best_ns = 0.0;
 };
 
+/**
+ * How far a plan's measured time may stray from the time it was stored
+ * or installed with, relative to that time, before the plan counts as
+ * stale for this device. An L1 verification mini-batch beyond it
+ * demotes the hit to an L2 warm start; the serving drift watcher fires
+ * a re-wire past it, so online detection and offline verification
+ * agree on what "stale" means.
+ */
+constexpr double kStoreDriftRel = 0.25;
+
 /** Which rung of the lookup ladder answered (report labels). */
 enum class StoreTier
 {

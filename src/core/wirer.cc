@@ -5,8 +5,10 @@
 #include <set>
 #include <utility>
 
+#include "core/adaptive.h"
 #include "obs/obs.h"
 #include "support/logging.h"
+#include "support/thread_pool.h"
 
 namespace astra {
 
@@ -31,22 +33,6 @@ sat_mul(int64_t a, int64_t b)
     if (a > 0 && b > kCap / a)
         return kCap;
     return a * b;
-}
-
-/**
- * Worst per-key coefficient of variation among a stage's variables'
- * measured choices: the stage's observed noise floor for reporting.
- */
-double
-stage_max_cv(const UpdateNode& stage, const ProfileIndex& index)
-{
-    double worst = 0.0;
-    stage.for_each_var([&](AdaptiveVariable& v) {
-        for (int c = 0; c < v.num_options(); ++c)
-            if (const ProfileStats* s = index.stats(v.profile_key_for(c)))
-                worst = std::max(worst, s->cov());
-    });
-    return worst;
 }
 
 }  // namespace
@@ -107,9 +93,10 @@ wirer_termination_name(WirerTermination t)
 struct CustomWirer::StrategyRun
 {
     StrategyRun(int sid_in, std::string sctx_in, int64_t quota_in,
-                const MeasurementPolicy& policy, const GpuConfig& gpu)
+                bool normalize_clock, const GpuConfig& gpu)
         : sid(sid_in), sctx(std::move(sctx_in)), quota(quota_in),
-          index(policy), clock(gpu, static_cast<uint64_t>(sid_in) + 1)
+          index(normalize_clock),
+          clock(gpu, static_cast<uint64_t>(sid_in) + 1)
     {
     }
 
@@ -140,7 +127,7 @@ struct CustomWirer::StrategyRun
 
     /** The strategy's bound best configuration and its measured time. */
     ScheduleConfig best_config;
-    double final_stat = 0.0;
+    double final_ns = 0.0;
 
     /**
      * Per-dispatch fault-salt sequence: the i-th dispatch of this
@@ -174,7 +161,7 @@ struct CustomWirer::StrategyRun
     /** Host replays performed (exploration trials). */
     int64_t whatif_evals = 0;
 
-    /** dispatch_batch calls that dispatched >= 1 live mini-batch. */
+    /** Mini-batches dispatched (what-if replays are not). */
     int64_t measured_configs = 0;
 };
 
@@ -191,135 +178,88 @@ CustomWirer::CustomWirer(const Graph& graph, const SearchSpace& space,
                  "one tensor map per allocation strategy");
 }
 
-std::vector<DispatchResult>
-CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
-                            int repeats, const BindFn& bind)
+DispatchResult
+CustomWirer::dispatch(StrategyRun& run, const ScheduleConfig& config,
+                      const BindFn& bind)
 {
-    std::vector<DispatchResult> results;
-    if (repeats <= 0)
-        return results;
-    results.resize(static_cast<size_t>(repeats));
     const TensorMap& tmap = *tensor_maps_[static_cast<size_t>(run.sid)];
+    // The clock and the fault salt a mini-batch sees come from the
+    // strategy's own sequences: a function of its measurement history,
+    // never of which thread runs it (|1 keeps the salt nonzero so the
+    // dispatcher never substitutes its own process-wide counter).
+    GpuConfig gpu = opts_.gpu;
+    const double forced = run.clock.draw();
+    if (forced > 0.0)
+        gpu.forced_clock_multiplier = forced;
+    if (!opts_.gpu.faults.empty())
+        gpu.fault_salt =
+            fault_mix(static_cast<uint64_t>(run.sid) + 1, ++run.fault_seq) |
+            1;
 
-    // Pre-draw the boost multipliers in repeat order: the clock a
-    // mini-batch sees is a function of the strategy's measurement
-    // history, never of which thread runs the repeat.
-    std::vector<double> forced(static_cast<size_t>(repeats));
-    for (double& m : forced)
-        m = run.clock.draw();
-
-    // Pre-draw per-dispatch fault salts under the same rule (|1 keeps
-    // them nonzero so the dispatcher never substitutes its own
-    // process-wide counter).
-    const bool fault_armed = !opts_.gpu.faults.empty();
-    std::vector<uint64_t> salts(static_cast<size_t>(repeats), 0);
-    if (fault_armed)
-        for (uint64_t& s : salts)
-            s = fault_mix(static_cast<uint64_t>(run.sid) + 1,
-                          ++run.fault_seq) |
-                1;
-
-    // Warm fetch on the calling thread: the (at most one) miss and its
-    // lowering happen here, so the per-dispatch fetches below always
-    // hit — the cache tally is identical at every thread count.
+    // Warm fetch, then the dispatch's own fetch: a config's first
+    // mini-batch counts one miss and one hit in the plan-cache tally.
     scheduler_.build_cached(config);
-
-    auto dispatch_one = [&](int64_t i) {
-        if (bind)
-            bind(tmap, run.minibatches + i);
-        GpuConfig gpu = opts_.gpu;
-        if (forced[static_cast<size_t>(i)] > 0.0)
-            gpu.forced_clock_multiplier = forced[static_cast<size_t>(i)];
-        gpu.fault_salt = salts[static_cast<size_t>(i)];
-        const std::shared_ptr<const ExecutionPlan> plan =
-            scheduler_.build_cached(config);
-        results[static_cast<size_t>(i)] =
-            dispatch_plan(*plan, graph_, tmap, gpu);
-    };
-    // Repeats may fan out only when a dispatch touches nothing shared:
-    // no bind callback mutating tensors, and a timing-only device (real
-    // kernel execution writes the strategy's tensors). The rule depends
-    // only on the options, so serial and parallel runs take the same
-    // branch.
-    const bool concurrent = pool_ != nullptr && !bind &&
-                            !opts_.gpu.execute_kernels && repeats > 1;
-    if (concurrent) {
-        pool_->parallel_for(repeats, dispatch_one);
-    } else {
-        for (int64_t i = 0; i < repeats; ++i)
-            dispatch_one(i);
-    }
-    // A "measured config" is a batch that cost real mini-batches — the
-    // denominator of the what-if engine's savings claim. (What-if
-    // replays never enter dispatch_batch, so they cannot inflate this.)
+    if (bind)
+        bind(tmap, run.minibatches);
+    const std::shared_ptr<const ExecutionPlan> plan =
+        scheduler_.build_cached(config);
+    DispatchResult result = dispatch_plan(*plan, graph_, tmap, gpu);
+    // A "measured config" costs a real mini-batch — the denominator of
+    // the what-if engine's savings claim. (What-if replays never come
+    // through here, so they cannot inflate it.)
     ++run.measured_configs;
 
-    // Accounting and profile recording happen sequentially in repeat
-    // order, so the shard accumulates the exact serial sequence.
-    for (DispatchResult& result : results) {
-        if (opts_.measurement.normalize_clock) {
-            // DVFS compensation: the device reports the clock it ran
-            // this mini-batch at; scaling by it converts every
-            // measurement to base-clock-equivalent time (§7, measured
-            // instead of pinned).
-            result.total_ns *= result.clock_multiplier;
-            for (auto& [key, ns] : result.profile_ns)
-                ns *= result.clock_multiplier;
-        }
-        ++run.minibatches;
-        run.faults_seen += result.faults_seen;
-        run.fault_attempts += result.fault_attempts;
-        run.straggler_events += result.straggler_events;
-        run.backoff_ns += result.backoff_ns;
-        static obs::Counter& trials = obs::counter("wire.minibatches");
-        trials.add();
-        obs::observe("wire.minibatch_ns", result.total_ns);
-        if (result.faulted) {
-            // The dispatcher's retry budget ran dry: timing and values
-            // are suspect. Mark the keys (quarantine) instead of
-            // recording samples, and leave best-seen untouched — a
-            // faulted measurement must never win a binding.
-            ++run.faulted_minibatches;
-            for (const auto& [key, ns] : result.profile_ns)
-                run.index.record_fault(key);
-            continue;
-        }
-        if (run.best_seen_ns < 0.0 || result.total_ns < run.best_seen_ns)
-            run.best_seen_ns = result.total_ns;
-        // All profile keys are fully context-mangled by construction,
-        // so the result entries drop straight into the shard (§4.6).
-        for (const auto& [key, ns] : result.profile_ns)
-            run.index.record(key, ns);
+    if (opts_.normalize_clock) {
+        // DVFS compensation: the device reports the clock it ran this
+        // mini-batch at; scaling by it converts every measurement to
+        // base-clock-equivalent time (§7, measured instead of pinned).
+        result.total_ns *= result.clock_multiplier;
+        for (auto& [key, ns] : result.profile_ns)
+            ns *= result.clock_multiplier;
     }
-    return results;
+    ++run.minibatches;
+    run.faults_seen += result.faults_seen;
+    run.fault_attempts += result.fault_attempts;
+    run.straggler_events += result.straggler_events;
+    run.backoff_ns += result.backoff_ns;
+    static obs::Counter& trials = obs::counter("wire.minibatches");
+    trials.add();
+    obs::observe("wire.minibatch_ns", result.total_ns);
+    if (result.faulted) {
+        // The dispatcher's retry budget ran dry: timing and values are
+        // suspect. Mark the keys (quarantine) instead of recording
+        // samples, and leave best-seen untouched — a faulted
+        // measurement must never win a binding.
+        ++run.faulted_minibatches;
+        for (const auto& [key, ns] : result.profile_ns)
+            run.index.record_fault(key);
+        return result;
+    }
+    if (run.best_seen_ns < 0.0 || result.total_ns < run.best_seen_ns)
+        run.best_seen_ns = result.total_ns;
+    // All profile keys are fully context-mangled by construction, so
+    // the result entries drop straight into the shard (§4.6).
+    for (const auto& [key, ns] : result.profile_ns)
+        run.index.record(key, ns);
+    return result;
 }
 
 void
-CustomWirer::measure_trial(
-    StrategyRun& run, const std::function<ScheduleConfig()>& make_cfg,
-    const BindFn& bind)
+CustomWirer::measure_trial(StrategyRun& run, const ScheduleConfig& config,
+                           const BindFn& bind)
 {
-    const int k = std::max(1, opts_.measurement.min_samples);
     for (int attempt = 0;; ++attempt) {
-        const int64_t avail =
-            std::max<int64_t>(0, run.quota - run.minibatches);
-        const int r = static_cast<int>(std::min<int64_t>(k, avail));
-        if (r < k)
+        if (run.minibatches >= run.quota) {
             run.truncated = true;
-        const std::vector<DispatchResult> results =
-            dispatch_batch(run, make_cfg(), r, bind);
-        if (results.empty())
             return;
-        bool any_clean = false;
-        for (const DispatchResult& result : results)
-            any_clean = any_clean || !result.faulted;
-        if (any_clean)
+        }
+        if (!dispatch(run, config, bind).faulted)
             return;
-        // Every repeat of the trial came back faulted even after the
-        // dispatcher's own replays: re-measure the whole trial (fresh
-        // fault salts) up to kFaultBudget times, then quarantine — the
-        // keys stay marked, sample-free, and can never be bound.
-        if (run.truncated || attempt >= kFaultBudget) {
+        // The trial came back faulted even after the dispatcher's own
+        // replays: re-measure it (fresh fault salt) up to kFaultBudget
+        // times, then quarantine — the keys stay marked, sample-free,
+        // and can never be bound.
+        if (attempt >= kFaultBudget) {
             run.fault_exhausted = true;
             return;
         }
@@ -343,103 +283,23 @@ CustomWirer::replay_trial(StrategyRun& run, const ScheduleConfig& config)
         run.index.record(key, ns);
 }
 
-int64_t
-CustomWirer::resolve_ambiguity(
-    StrategyRun& run, UpdateNode& stage,
-    const std::function<ScheduleConfig()>& make_cfg, const BindFn& bind,
-    const std::function<bool(const AdaptiveVariable&)>& eligible)
-{
-    const MeasurementPolicy& mp = opts_.measurement;
-    const int rounds = std::max(0, mp.max_repeats - 1);
-    int64_t extra = 0;
-    for (int round = 0; round < rounds; ++round) {
-        bool ambiguous = false;
-        stage.for_each_var([&](AdaptiveVariable& v) {
-            if (v.num_options() < 2)
-                return;
-            if (eligible && !eligible(v))
-                return;
-            const ChoiceDecision d = v.decide(run.index);
-            if (d.choice < 0 || d.decisive)
-                return;
-            // Steer the next mini-batch at whichever of the top two
-            // contenders has fewer samples, so their intervals tighten
-            // at the same rate.
-            const int64_t n_best =
-                run.index.samples(v.profile_key_for(d.choice));
-            const int64_t n_run =
-                run.index.samples(v.profile_key_for(d.runner_up));
-            v.set(n_run < n_best ? d.runner_up : d.choice);
-            ambiguous = true;
-        });
-        if (!ambiguous)
-            break;
-        if (run.whatif) {
-            // Armed: the re-measurement is replayed like any other
-            // trial — same config sequence, same samples, no budget.
-            replay_trial(run, make_cfg());
-        } else {
-            if (run.minibatches >= run.quota) {
-                run.truncated = true;
-                break;
-            }
-            dispatch_batch(run, make_cfg(), 1, bind);
-        }
-        ++extra;
-    }
-    if (extra > 0) {
-        static obs::Counter& remeasured =
-            obs::counter("wire.remeasure_minibatches");
-        remeasured.add(extra);
-    }
-    return extra;
-}
-
-void
+double
 CustomWirer::measure_final(StrategyRun& run, const ScheduleConfig& config,
-                           const BindFn& bind, double* stat_ns)
+                           const BindFn& bind)
 {
-    const MeasurementPolicy& mp = opts_.measurement;
-    const int k = std::max(1, mp.min_samples);
-    // Only clean dispatches may define the strategy's end-to-end time;
-    // if the whole batch faulted, re-measure up to the fault budget.
-    std::vector<double> clean;
+    // Only a clean dispatch may define the strategy's end-to-end time.
     for (int attempt = 0;; ++attempt) {
-        // The first dispatch is unconditional — a truncated result must
-        // still carry an end-to-end time — and only the k-1 extra
-        // repeats are gated on the remaining quota.
-        const int64_t avail = run.quota - run.minibatches;
-        const int extra = static_cast<int>(
-            std::min<int64_t>(k - 1, std::max<int64_t>(0, avail - 1)));
-        const int r = 1 + extra;
-        const std::vector<DispatchResult> results =
-            dispatch_batch(run, config, r, bind);
-        for (const DispatchResult& result : results)
-            if (!result.faulted)
-                clean.push_back(result.total_ns);
-        if (!clean.empty() || attempt >= kFaultBudget)
+        const DispatchResult result = dispatch(run, config, bind);
+        if (!result.faulted)
+            return result.total_ns;
+        if (attempt >= kFaultBudget)
             break;
         ++run.wirer_retries;
     }
-    if (clean.empty()) {
-        // Unmeasurable under persistent faults: quarantine the
-        // strategy by giving it a time no real measurement can beat.
-        run.fault_exhausted = true;
-        *stat_ns = kUnmeasuredNs;
-        return;
-    }
-    // End-to-end times are single scalars (no profile key), so the
-    // policy's k-repeat applies here directly rather than via the
-    // index.
-    double sum = 0.0;
-    double mn = clean.front();
-    for (double ns : clean) {
-        sum += ns;
-        mn = std::min(mn, ns);
-    }
-    *stat_ns = mp.statistic == Statistic::Mean
-                   ? sum / static_cast<double>(clean.size())
-                   : mn;
+    // Unmeasurable under persistent faults: quarantine the strategy by
+    // giving it a time no real measurement can beat.
+    run.fault_exhausted = true;
+    return kUnmeasuredNs;
 }
 
 void
@@ -458,38 +318,29 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // is admissible only when measurements are normalized back to the
     // base clock the replay simulates at.
     if (opts_.whatif.enabled && opts_.gpu.faults.empty() &&
-        (!opts_.gpu.autoboost || opts_.measurement.normalize_clock))
+        (!opts_.gpu.autoboost || opts_.normalize_clock))
         run.whatif = std::make_unique<WhatIfEngine>(
             graph_, *tensor_maps_[static_cast<size_t>(sid)], scheduler_,
             opts_.gpu);
 
     // One convergence epoch per update-tree stage: trials actually
     // dispatched vs the exhaustive size of the stage's subspace, with
-    // the saving attributed to the stage's exploration mode (§4.5),
-    // plus the stage's measurement-noise accounting. best_ns and
-    // minibatches_total are recorded strategy-local here; explore()
-    // rewrites them into the global running values when it merges the
-    // runs in strategy order.
+    // the saving attributed to the stage's exploration mode (§4.5).
+    // best_ns and minibatches_total are recorded strategy-local here;
+    // explore() rewrites them into the global running values when it
+    // merges the runs in strategy order.
     struct StageMark
     {
         int64_t trials = 0;
-        int64_t samples = 0;
-        int64_t rejected = 0;
         int64_t whatif_evals = 0;
         int64_t measured_configs = 0;
     };
     auto mark = [&]() {
-        StageMark m;
-        m.trials = run.minibatches;
-        m.samples = run.index.total_samples();
-        m.rejected = run.index.total_rejected();
-        m.whatif_evals = run.whatif_evals;
-        m.measured_configs = run.measured_configs;
-        return m;
+        return StageMark{run.minibatches, run.whatif_evals,
+                         run.measured_configs};
     };
     auto record_epoch = [&](const char* stage, const char* mode,
-                            const StageMark& before, int64_t exhaustive,
-                            int64_t remeasured, double max_cv) {
+                            const StageMark& before, int64_t exhaustive) {
         ConvergenceEpoch e;
         e.strategy = sid;
         e.stage = stage;
@@ -499,15 +350,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         e.pruned = std::max<int64_t>(0, exhaustive - e.trials);
         e.best_ns = run.best_seen_ns;
         e.minibatches_total = run.minibatches;
-        e.remeasure_trials = remeasured;
-        e.samples = run.index.total_samples() - before.samples;
-        e.outliers_rejected =
-            run.index.total_rejected() - before.rejected;
-        e.max_cv = max_cv;
         e.whatif_evals = run.whatif_evals - before.whatif_evals;
         e.measured_configs =
             run.measured_configs - before.measured_configs;
-        obs::observe("wire.stage_max_cv", max_cv);
         run.epochs.push_back(std::move(e));
     };
 
@@ -529,11 +374,11 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // The device still gets the last word: each stage's bound winner
     // is dispatched once for real after bind_best, and the
     // best-of-strategy runs are always measured.
-    auto trial = [&](const std::function<ScheduleConfig()>& make_cfg) {
+    auto trial = [&](const ScheduleConfig& config) {
         if (run.whatif)
-            replay_trial(run, make_cfg());
+            replay_trial(run, config);
         else
-            measure_trial(run, make_cfg, bind);
+            measure_trial(run, config, bind);
     };
 
     // ---- variables ------------------------------------------------------
@@ -675,10 +520,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // profile keys — the pre-bound variables are settled, not explored.
     if (warm.has_config) {
         const StageMark before = mark();
-        measure_trial(
-            run, [&]() { return current_config(false); }, bind);
+        measure_trial(run, current_config(false), bind);
         record_epoch("transfer", "store", before,
-                     prebound_space > 1 ? prebound_space : 0, 0, 0.0);
+                     prebound_space > 1 ? prebound_space : 0);
     }
 
     // ---- stage A: fusion chunks (Parallel, §4.5.1) -----------------------
@@ -699,18 +543,15 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         };
         stage->initialize();
         while (true) {
-            trial(chunk_cfg);
+            trial(chunk_cfg());
             if (run.truncated || stage->finished())
                 break;
             stage->advance(run.index);
         }
-        const int64_t extra =
-            resolve_ambiguity(run, *stage, chunk_cfg, bind);
         stage->bind_best(run.index);
         if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, chunk_cfg, bind);
-        record_epoch("chunks", "parallel", before, chunk_exhaustive,
-                     extra, stage_max_cv(*stage, run.index));
+            measure_trial(run, chunk_cfg(), bind);
+        record_epoch("chunks", "parallel", before, chunk_exhaustive);
     }
 
     // ---- stage B: kernel libraries (context = bound chunks, §4.6) -------
@@ -746,18 +587,15 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         };
         stage->initialize();
         while (true) {
-            trial(lib_cfg);
+            trial(lib_cfg());
             if (run.truncated || stage->finished())
                 break;
             stage->advance(run.index);
         }
-        const int64_t extra =
-            resolve_ambiguity(run, *stage, lib_cfg, bind);
         stage->bind_best(run.index);
         if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, lib_cfg, bind);
-        record_epoch("libs", "parallel", before, lib_exhaustive, extra,
-                     stage_max_cv(*stage, run.index));
+            measure_trial(run, lib_cfg(), bind);
+        record_epoch("libs", "parallel", before, lib_exhaustive);
     }
 
     // ---- stage C: stream scheduling (§4.5.3-4.5.5) ------------------------
@@ -815,19 +653,17 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                         stream_space,
                         static_cast<int64_t>(e->options.size()));
                 }
-            record_epoch("streams", "store", before, stream_space, 0,
-                         0.0);
+            record_epoch("streams", "store", before, stream_space);
         } else {
 
         // Epoch variables frozen by their Prefix node. A frozen
         // epoch's binding extends later epochs' contexts, so it
         // must never change again — and its span is no longer
         // profiled: post-freeze samples are taken while *later*
-        // epochs vary, and the cross-epoch stream interference
-        // they carry would pollute the frozen key's statistics
-        // (harmless for min, ruinous for mean). Not instrumenting
-        // settled spans is also the paper's overhead discipline
-        // (§5.1: profile only what is being explored).
+        // epochs vary and carry their cross-epoch stream
+        // interference. Not instrumenting settled spans is the
+        // paper's overhead discipline (§5.1: profile only what is
+        // being explored).
         std::set<const AdaptiveVariable*> frozen;
 
         std::vector<std::unique_ptr<UpdateNode>> se_nodes;
@@ -880,15 +716,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             }
             return cfg;
         };
-        // Ambiguity must be resolved *before* a Prefix freeze, not
-        // after the sweep: once an epoch is frozen its binding is
-        // baked into later epochs' contexts. So each loop step
-        // re-measures any fully-swept, not-yet-frozen epoch whose
-        // top two contenders are still inside the noise floor, and
-        // only then lets advance() freeze it.
-        auto about_to_freeze = [&](const AdaptiveVariable& v) {
-            return v.finished() && !frozen.count(&v);
-        };
         // While armed, the stage keeps the exhaustive walk's exact
         // trial sequence and replays it (trial() above). An epoch span
         // is a wall-clock barrier-to-barrier duration, and host launch
@@ -898,58 +725,47 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         // freezes (§5.13). Replaying every trial keeps the index
         // bit-identical, so every freeze lands where the measured
         // sweep's would, and the mini-batches stay unspent.
-        int64_t extra = 0;
         stage->initialize();
         while (true) {
-            trial(stream_cfg);
-            if (run.truncated)
-                break;
-            extra += resolve_ambiguity(run, *stage, stream_cfg, bind,
-                                       about_to_freeze);
+            trial(stream_cfg());
             if (run.truncated || stage->finished())
                 break;
             stage->advance(run.index);
         }
         stage->bind_best(run.index);
         if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, stream_cfg, bind);
-        record_epoch("streams", "prefix", before, stream_exhaustive,
-                     extra, stage_max_cv(*stage, run.index));
+            measure_trial(run, stream_cfg(), bind);
+        record_epoch("streams", "prefix", before, stream_exhaustive);
         }
     }
 
     // ---- best-of-strategy run ---------------------------------------------
     // Always measured, even when the safety valve already tripped:
     // the caller needs an end-to-end time for the bound best to be
-    // usable (the valve may overshoot by the final k repeats).
+    // usable (the valve may overshoot by these final runs).
     const StageMark final_before = mark();
     ScheduleConfig best = current_config(opts_.features.streams);
     for (const auto& [key, v] : epoch_vars)
         best.epoch_choice[key] = v->current();
-    double final_stat = 0.0;
-    measure_final(run, best, bind, &final_stat);
+    double final_ns = measure_final(run, best, bind);
     if (opts_.features.streams) {
         // Streams are themselves an optimization choice: compare
         // the streamed winner against the same binding without
         // streams and keep whichever measures faster (dynamic
-        // adaptation can turn any optimization off, §6.6). The
-        // comparison uses the policy statistic over k repeats so
-        // clock jitter cannot flip it.
+        // adaptation can turn any optimization off, §6.6).
         ScheduleConfig serial = best;
         serial.use_streams = false;
         serial.epoch_choice.clear();
-        double serial_stat = 0.0;
-        measure_final(run, serial, bind, &serial_stat);
-        if (serial_stat < final_stat) {
+        const double serial_ns = measure_final(run, serial, bind);
+        if (serial_ns < final_ns) {
             best = serial;
-            final_stat = serial_stat;
+            final_ns = serial_ns;
         }
     }
     run.best_config = std::move(best);
-    run.final_stat = final_stat;
+    run.final_ns = final_ns;
     const int64_t final_trials = run.minibatches - final_before.trials;
-    record_epoch("final", "hierarchical", final_before, final_trials, 0,
-                 0.0);
+    record_epoch("final", "hierarchical", final_before, final_trials);
 }
 
 WirerResult
@@ -995,7 +811,7 @@ CustomWirer::explore(const BindFn& bind)
             sid,
             opts_.context_prefix +
                 space_.strategies[static_cast<size_t>(sid)].key + "|",
-            quota, opts_.measurement, opts_.gpu);
+            quota, opts_.normalize_clock, opts_.gpu);
     }
 
     // Fan out one pipeline per strategy. threads=1 constructs a pool
@@ -1004,16 +820,9 @@ CustomWirer::explore(const BindFn& bind)
     // whole batch before rethrowing a pipeline's exception, so no
     // other strategy's work leaks past the unwind.
     ThreadPool pool(std::max(1, opts_.threads));
-    pool_ = &pool;
-    try {
-        pool.parallel_for(num_runs, [&](int64_t i) {
-            run_strategy(runs[static_cast<size_t>(i)], bind);
-        });
-    } catch (...) {
-        pool_ = nullptr;
-        throw;
-    }
-    pool_ = nullptr;
+    pool.parallel_for(num_runs, [&](int64_t i) {
+        run_strategy(runs[static_cast<size_t>(i)], bind);
+    });
 
     // ---- deterministic merge (strategy order) -----------------------------
     // Reproduces exactly what the serial wirer accumulated when it ran
@@ -1026,7 +835,7 @@ CustomWirer::explore(const BindFn& bind)
     double best_seen = -1.0;
     int64_t mb_offset = 0;
     bool fault_exhausted = false;
-    out.index = ProfileIndex(opts_.measurement);
+    out.index = ProfileIndex(opts_.normalize_clock);
     for (StrategyRun& run : runs) {
         for (ConvergenceEpoch e : run.epochs) {
             if (e.best_ns >= 0.0)
@@ -1052,9 +861,9 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.whatif_evals += run.whatif_evals;
         out.convergence.measured_configs += run.measured_configs;
         out.index.merge(std::move(run.index));
-        out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_stat;
-        if (best_ns < 0.0 || run.final_stat < best_ns) {
-            best_ns = run.final_stat;
+        out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_ns;
+        if (best_ns < 0.0 || run.final_ns < best_ns) {
+            best_ns = run.final_ns;
             out.best_config = run.best_config;
         }
     }

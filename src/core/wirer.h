@@ -22,12 +22,11 @@
 #include <functional>
 #include <vector>
 
-#include "core/adaptive.h"
+#include "core/profile_index.h"
 #include "core/scheduler.h"
 #include "core/whatif.h"
 #include "obs/convergence.h"
 #include "runtime/dispatcher.h"
-#include "support/thread_pool.h"
 
 namespace astra {
 
@@ -97,9 +96,8 @@ struct WirerOptions
     /**
      * Host threads for exploration (1 = fully serial). Allocation
      * strategies explore on worker threads, each with its own profile
-     * shard, clock domain and simulated device; independent repeat
-     * measurements of one configuration batch across workers too. Any
-     * value produces bit-identical results to threads=1: every ordered
+     * shard, clock domain and simulated device. Any value produces
+     * bit-identical results to threads=1: every ordered
      * reduction (profile merge, convergence report, cross-strategy
      * argmin with lowest-index ties) happens after the join, in
      * strategy order. With a BindFn, trials that mutate tensors stay
@@ -110,11 +108,14 @@ struct WirerOptions
     int threads = 1;
 
     /**
-     * How measurements accumulate and when rankings are decisive
-     * (MeasurementPolicy{} reproduces the paper's one-measurement
-     * regime; MeasurementPolicy::noise_robust() survives autoboost).
+     * Measure the clock instead of pinning it (§7): multiply every
+     * sample by the clock multiplier the device reports for its
+     * mini-batch, and rank choices within kTieRel of the best as ties
+     * on the lowest index. Off (the paper's regime) keeps raw times
+     * and the strict first-best; on converges under autoboost to the
+     * configuration a base-clock run finds.
      */
-    MeasurementPolicy measurement;
+    bool normalize_clock = false;
 
     /**
      * What-if decision path (§5.13): replay every exploration trial on
@@ -122,8 +123,7 @@ struct WirerOptions
      * Off (the default) measures every trial; on converges to the same
      * configuration with far fewer mini-batches. The engine only arms
      * when its replay is provably exact against a dispatch: no fault
-     * injection, and either autoboost off or measurements normalized
-     * to base clock.
+     * injection, and either autoboost off or normalize_clock on.
      */
     WhatIfOptions whatif;
 };
@@ -189,8 +189,8 @@ struct WirerResult
     std::vector<double> strategy_ns;
 
     /**
-     * Final profile index (for inspection/tests). Empty, under the
-     * session's policy, after a plan-store L1 hit: nothing was explored.
+     * Final profile index (for inspection/tests). Empty after a
+     * plan-store L1 hit: nothing was explored.
      */
     ProfileIndex index;
 
@@ -237,31 +237,24 @@ class CustomWirer
     struct StrategyRun;
 
     /**
-     * Dispatch `repeats` mini-batches of one configuration, recording
-     * results (profiles, best-seen, counters) in repeat order. The
-     * plan is fetched through the scheduler's cache — once up front on
-     * the calling thread, then per dispatch — so repeats never
-     * re-lower and concurrent fetches always hit. Repeats run
-     * concurrently on the pool when nothing mutates shared tensors
-     * (no BindFn, timing-only device); otherwise they stay sequential
-     * — the same rule at every thread count, so results are identical.
-     * No budget logic here: callers reserve first.
+     * Dispatch one mini-batch of a configuration and record its
+     * result (profile, best-seen, counters) in the run. The plan is
+     * fetched through the scheduler's cache. No budget logic here:
+     * callers reserve first.
      *
-     * @return the dispatch results, in repeat order.
+     * @return the dispatch result, normalized to base clock under
+     *         WirerOptions::normalize_clock.
      */
-    std::vector<DispatchResult>
-    dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
-                   int repeats, const BindFn& bind);
+    DispatchResult dispatch(StrategyRun& run, const ScheduleConfig& config,
+                            const BindFn& bind);
 
     /**
-     * One exploration trial: measure the current assignment
-     * `min_samples` times (once under the default policy), so that
-     * binding decisions taken mid-sweep — Prefix-mode freezes, §4.5.4
-     * — already see averaged statistics. Sets the run's truncated flag
-     * when its budget share cannot cover the repeats.
+     * One exploration trial: measure the configuration once, again
+     * (fresh fault salts) when the mini-batch faulted, up to the fault
+     * budget. Sets the run's truncated flag when its budget share is
+     * spent.
      */
-    void measure_trial(StrategyRun& run,
-                       const std::function<ScheduleConfig()>& make_cfg,
+    void measure_trial(StrategyRun& run, const ScheduleConfig& config,
                        const BindFn& bind);
 
     /**
@@ -278,39 +271,14 @@ class CustomWirer
     void replay_trial(StrategyRun& run, const ScheduleConfig& config);
 
     /**
-     * k-repeat re-measurement (measurement policy): while any variable
-     * in the stage has a non-decisive ranking, set every ambiguous
-     * variable to its least-sampled top-2 contender and dispatch one
-     * more mini-batch (all ambiguous variables re-measure in parallel,
-     * §4.5.1). Stops when all rankings are decisive, the policy's
-     * repeat budget is spent, or the safety valve trips.
+     * Measure a bound configuration end-to-end, unconditionally — the
+     * valve may overshoot so a truncated result is still dispatchable
+     * — and again when it faulted, up to the fault budget.
      *
-     * @param make_cfg builds the stage's config with profile keys for
-     *        the variables' current choices.
-     * @param eligible optional filter; variables failing it are never
-     *        re-measured (the stream stage uses it to target only the
-     *        variable about to be frozen by Prefix mode — frozen
-     *        variables can no longer change, so re-measuring them
-     *        would burn budget without converging).
-     * @return extra mini-batches spent.
+     * @return the first clean end-to-end time, or kUnmeasuredNs.
      */
-    int64_t resolve_ambiguity(
-        StrategyRun& run, UpdateNode& stage,
-        const std::function<ScheduleConfig()>& make_cfg,
-        const BindFn& bind,
-        const std::function<bool(const AdaptiveVariable&)>& eligible = {});
-
-    /**
-     * Measure a bound configuration end-to-end, repeating up to the
-     * policy's min_samples and reducing with the policy statistic (one
-     * run under the default policy). The first dispatch is
-     * unconditional — the valve may overshoot by the final repeats so
-     * a truncated result is still dispatchable.
-     *
-     * @param[out] stat_ns the policy-reduced end-to-end time.
-     */
-    void measure_final(StrategyRun& run, const ScheduleConfig& config,
-                       const BindFn& bind, double* stat_ns);
+    double measure_final(StrategyRun& run, const ScheduleConfig& config,
+                         const BindFn& bind);
 
     /** One strategy's full pipeline: stages A-C + best-of-strategy. */
     void run_strategy(StrategyRun& run, const BindFn& bind);
@@ -320,9 +288,6 @@ class CustomWirer
     const Scheduler& scheduler_;
     std::vector<const TensorMap*> tensor_maps_;
     WirerOptions opts_;
-
-    /** Fan-out pool, alive only during explore(). */
-    ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace astra

@@ -102,10 +102,6 @@ ConvergenceReport::write_json(std::ostream& os) const
            << ",\"exhaustive\":" << e.exhaustive << ",\"pruned\":"
            << e.pruned << ",\"best_ns\":" << e.best_ns
            << ",\"minibatches_total\":" << e.minibatches_total
-           << ",\"remeasure_trials\":" << e.remeasure_trials
-           << ",\"samples\":" << e.samples
-           << ",\"outliers_rejected\":" << e.outliers_rejected
-           << ",\"max_cv\":" << e.max_cv
            << ",\"whatif_evals\":" << e.whatif_evals
            << ",\"measured_configs\":" << e.measured_configs << "}";
     }
@@ -116,14 +112,11 @@ void
 ConvergenceReport::write_csv(std::ostream& os) const
 {
     os << "strategy,stage,mode,trials,exhaustive,pruned,best_ns,"
-          "minibatches_total,remeasure_trials,samples,"
-          "outliers_rejected,max_cv,whatif_evals,measured_configs\n";
+          "minibatches_total,whatif_evals,measured_configs\n";
     for (const ConvergenceEpoch& e : epochs)
         os << e.strategy << "," << e.stage << "," << e.mode << ","
            << e.trials << "," << e.exhaustive << "," << e.pruned << ","
            << e.best_ns << "," << e.minibatches_total << ","
-           << e.remeasure_trials << "," << e.samples << ","
-           << e.outliers_rejected << "," << e.max_cv << ","
            << e.whatif_evals << "," << e.measured_configs << "\n";
 }
 

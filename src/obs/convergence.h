@@ -47,24 +47,6 @@ struct ConvergenceEpoch
     /** Cumulative mini-batches dispatched when the stage ended. */
     int64_t minibatches_total = 0;
 
-    // ---- measurement-noise accounting (statistics-bearing index) ---------
-
-    /** Extra mini-batches spent re-measuring non-decisive rankings. */
-    int64_t remeasure_trials = 0;
-
-    /** Profile-index samples accepted during the stage. */
-    int64_t samples = 0;
-
-    /** Samples the index's MAD outlier test rejected in the stage. */
-    int64_t outliers_rejected = 0;
-
-    /**
-     * Worst per-key coefficient of variation among the stage's
-     * variables' measured choices (0 at base clock; grows with
-     * autoboost-style jitter, §7).
-     */
-    double max_cv = 0.0;
-
     // ---- what-if accounting (core/whatif.h, §5.13) -----------------------
 
     /** Host replays the stage spent (exploration trials). */
@@ -139,17 +121,23 @@ struct ConvergenceReport
     int64_t store_transferred_bindings = 0;
 
     /**
-     * Diagnoses of store entries that were present but rejected
-     * (corrupt, truncated, wrong version) during lookup — a decaying
-     * store is visible here instead of silently cold-starting.
+     * One line per store event a job should see, each naming its entry
+     * file and the reason:
+     *  - an entry present but rejected at lookup (corrupt, truncated,
+     *    wrong version, or no longer fitting the search space) — a
+     *    decaying store is visible here instead of silently
+     *    cold-starting;
+     *  - an L1 hit demoted to a warm start because its verification
+     *    mini-batch faulted or drifted;
+     *  - a winner not written back because no final run of it measured
+     *    clean (or a write that failed).
      */
     std::vector<std::string> store_errors;
 
     /**
      * L1 exact hits demoted to L2 warm starts instead of being adopted
      * outright, because their verification mini-batch faulted or
-     * drifted beyond MeasurementPolicy::store_drift_rel of the stored
-     * timing.
+     * drifted beyond kStoreDriftRel of the stored timing.
      */
     int64_t store_drift_demotions = 0;
 

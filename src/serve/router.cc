@@ -32,14 +32,39 @@ drift_onset_ns(const std::vector<ClockStep>& schedule)
     return -1.0;
 }
 
-double
-median_of_tail(const std::vector<double>& window, int n)
+/**
+ * The drift watcher's view of one (replica, bucket): the last served
+ * batch times of the plan installed at `epoch`.
+ */
+struct DriftWindow
 {
-    ASTRA_ASSERT(static_cast<int>(window.size()) >= n && n > 0);
-    std::vector<double> tail(window.end() - n, window.end());
-    std::sort(tail.begin(), tail.end());
-    return tail[tail.size() / 2];
-}
+    int epoch = -1;
+    std::vector<double> tail;
+
+    /**
+     * Add a batch served under `plan_epoch` (a new epoch restarts the
+     * window). True once the median of the last `n` times exceeds the
+     * plan's install-time baseline by more than kStoreDriftRel.
+     */
+    bool
+    drifted(int plan_epoch, double ns, int n, double baseline_ns)
+    {
+        ASTRA_ASSERT(n > 0);
+        if (plan_epoch != epoch) {
+            epoch = plan_epoch;
+            tail.clear();
+        }
+        tail.push_back(ns);
+        if (static_cast<int>(tail.size()) > n)
+            tail.erase(tail.begin());
+        if (static_cast<int>(tail.size()) < n)
+            return false;
+        std::vector<double> sorted = tail;
+        std::sort(sorted.begin(), sorted.end());
+        return sorted[sorted.size() / 2] >
+               (1.0 + kStoreDriftRel) * baseline_ns;
+    }
+};
 
 /**
  * First simulated time in [a, b] at which the replica is down under
@@ -280,18 +305,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                          opts_.queue_policy);
     MetricsRecorder metrics;
 
-    // The drift watcher's measurement discipline: same policy family
-    // as exploration, but with the MAD outlier gate disarmed — a
-    // sustained regression is exactly the signal the watcher exists to
-    // see, not noise to reject. Keys fold in the replica id, so one
+    // The drift watcher's windows, one per (replica, bucket), so one
     // replica's drift never pollutes a peer's window.
-    MeasurementPolicy watch_policy = opts_.base.astra.measurement;
-    watch_policy.outlier_mad_k = 0.0;
-    ProfileIndex watch(watch_policy);
-    const double drift_rel =
-        opts_.base.watcher.drift_rel > 0.0
-            ? opts_.base.watcher.drift_rel
-            : opts_.base.astra.measurement.store_drift_rel;
+    std::vector<DriftWindow> watch(static_cast<size_t>(G * buckets));
 
     // ---- exactly-once resolution table -------------------------------
     std::unordered_map<int64_t, Resolution> res;
@@ -541,41 +557,25 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
             // already invalidated and re-wiring).
             PendingSwap& swap = pending[static_cast<size_t>(i)]
                                        [static_cast<size_t>(f.bucket)];
-            if (opts_.base.watcher.enabled && !f.generic && !swap.active) {
-                const std::string key =
-                    "serve|r" + std::to_string(i) + "|b" +
-                    std::to_string(bucket_len) + "|e" +
-                    std::to_string(f.plan_epoch);
-                watch.record(key, f.service_ns);
-                const ProfileStats* stats = watch.stats(key);
-                if (stats != nullptr &&
-                    static_cast<int>(stats->window().size()) >=
-                        opts_.base.watcher.min_window) {
-                    const double med =
-                        median_of_tail(stats->window(),
-                                       opts_.base.watcher.min_window);
-                    if (med > (1.0 + drift_rel) * f.baseline_ns) {
-                        // Invalidate the blob: this bucket degrades to
-                        // generic dispatch while the re-wire runs
-                        // off-path.
-                        ++rep.total.drift_detections;
-                        c_detect.add();
-                        if (drift_detect_budget < 0 && served_at_drift >= 0)
-                            drift_detect_budget =
-                                served_total - served_at_drift;
-                        r.set_degraded(f.bucket, true);
-                        if (r.health() == ReplicaHealth::Healthy)
-                            r.set_health(ReplicaHealth::Degraded);
-                        swap.plan =
-                            proto_->rewire(f.bucket, r.gpu_at(f.end_ns));
-                        swap.ready_ns =
-                            f.end_ns + opts_.base.rewire_latency_ns;
-                        swap.active = true;
-                        ++rs.rewires;
-                        ++rep.total.rewires;
-                        c_rewires.add();
-                    }
-                }
+            if (opts_.base.watcher.enabled && !f.generic && !swap.active &&
+                watch[static_cast<size_t>(i * buckets + f.bucket)].drifted(
+                    f.plan_epoch, f.service_ns,
+                    opts_.base.watcher.min_window, f.baseline_ns)) {
+                // Invalidate the blob: this bucket degrades to generic
+                // dispatch while the re-wire runs off-path.
+                ++rep.total.drift_detections;
+                c_detect.add();
+                if (drift_detect_budget < 0 && served_at_drift >= 0)
+                    drift_detect_budget = served_total - served_at_drift;
+                r.set_degraded(f.bucket, true);
+                if (r.health() == ReplicaHealth::Healthy)
+                    r.set_health(ReplicaHealth::Degraded);
+                swap.plan = proto_->rewire(f.bucket, r.gpu_at(f.end_ns));
+                swap.ready_ns = f.end_ns + opts_.base.rewire_latency_ns;
+                swap.active = true;
+                ++rs.rewires;
+                ++rep.total.rewires;
+                c_rewires.add();
             }
             f.active = false;
         }

@@ -38,10 +38,10 @@
  *     win, so goodput strictly beats FIFO strict-overflow.
  *
  *  4. *Graceful degradation.* A per-(replica, bucket) drift watcher
- *     folds every served batch time into a ProfileIndex under an
- *     install-epoch-mangled key (a hot swap starts a fresh window) and
- *     compares the window median against the plan's install-time
- *     baseline with the MeasurementPolicy::store_drift_rel tolerance.
+ *     keeps the tail of served batch times since the plan's install
+ *     (a hot swap starts a fresh window) and compares its median
+ *     against the plan's install-time baseline with the plan store's
+ *     kStoreDriftRel tolerance.
  *     When it fires, the replica's wired blob is *invalidated* — the
  *     bucket falls back to generic dispatch (same simulated semantics,
  *     no stale compiled stream) while the prototype re-wires it

@@ -85,7 +85,7 @@ BucketedServer::rewire(int bucket, const GpuConfig& gpu) const
     // store resolves the same workload identity: the stale entry
     // L1-hits (gpu_sig ignores the forced multiplier), its
     // verification mini-batch — measured on the *throttled* device —
-    // drifts past store_drift_rel, and optimize() demotes into a
+    // drifts past kStoreDriftRel, and optimize() demotes into a
     // warm-started re-exploration whose winner is written back.
     o.context_prefix = opts_.astra.context_prefix + "b" +
                        std::to_string(len) + "|";

@@ -42,20 +42,12 @@ struct DriftWatcherOptions
     bool enabled = true;
 
     /**
-     * Served batches per install epoch before the watcher may judge
-     * (the median needs a window; mirrors the profile index's
-     * outlier_min_window discipline).
+     * Served batches per install epoch before the watcher may judge:
+     * it fires when the median of the last min_window batch times
+     * exceeds (1 + kStoreDriftRel) x the plan's install-time baseline,
+     * the plan store's own staleness margin (core/plan_store.h).
      */
     int min_window = 5;
-
-    /**
-     * Relative regression that counts as drift: fire when the window
-     * median exceeds (1 + drift_rel) x the plan's install-time
-     * baseline. <= 0 inherits MeasurementPolicy::store_drift_rel, so
-     * online detection and the plan store's offline verification agree
-     * on what "stale" means.
-     */
-    double drift_rel = 0.0;
 };
 
 /** One step of the injected clock-drift schedule. */

@@ -27,7 +27,7 @@ TEST(ProfileIndex, RecordLookup)
     EXPECT_DOUBLE_EQ(*idx.lookup("a"), 3.0);
     EXPECT_TRUE(idx.contains("a"));
     EXPECT_EQ(idx.size(), 1u);
-    EXPECT_EQ(idx.samples("a"), 3);
+    EXPECT_EQ(idx.entries().at("a").count, 3);
     EXPECT_EQ(idx.total_samples(), 3);
 }
 

@@ -276,8 +276,8 @@ TEST(SimGpu, ClockQueryNormalizesJitter)
     // the drain, and queryable afterwards (the NVML analog). Because
     // every time constant rides the same clock, multiplying a measured
     // span by the queried multiplier recovers the base-clock span to
-    // FP rounding — the mechanism MeasurementPolicy::normalize_clock
-    // relies on.
+    // FP rounding — the mechanism AstraOptions::normalize_clock relies
+    // on.
     auto measure = [](SimGpu& gpu) {
         const EventId s = gpu.create_event();
         const EventId e = gpu.create_event();
