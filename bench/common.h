@@ -58,9 +58,8 @@ struct AstraOutcome
     double ns = 0.0;
     int64_t configs = 0;
 
-    // What-if accounting (zeros when the engine is off).
+    /** Host replays of the what-if engine (0 when it is off). */
     int64_t whatif_evals = 0;
-    int64_t measured_configs = 0;
 
     /** Canonical text of the winning config (config_to_string). */
     std::string config_text;

@@ -7,7 +7,7 @@
  * multiplier, device counters and the full profile map — and (b) cut
  * the measured *wall-clock* host enqueue time
  * (DispatchResult::host_enqueue_ns) by at least 2x in aggregate.
- * dispatch_plan binds the cached plan on every call (dependency
+ * dispatch_plan binds the plan on every call (dependency
  * analysis, profile keys, kernel descriptors) before walking it, and
  * counts the bind as enqueue time; the replay walks a binary that was
  * bound once at lowering time. Each model is exercised at its densest
@@ -51,7 +51,7 @@ struct RowTotals
 };
 
 /**
- * Time g_steps mini-batches through a cold dispatch_plan of the cached
+ * Time g_steps mini-batches through a cold dispatch_plan of the built
  * plan and a warm session.run over the same graph/config, checking
  * bit-identity of every step pair.
  */
@@ -72,12 +72,12 @@ measure(const Graph& graph, const Env& env, const ScheduleConfig& cfg)
     // Warm the session: the first run builds the plan and lowers and
     // verifies the wired binary. Steady state is what the bench times.
     (void)session.run(cfg);
-    const auto plan = session.scheduler().build_cached(cfg);
+    const ExecutionPlan plan = session.scheduler().build(cfg);
     const TensorMap& tmap = session.tensor_map(cfg.strategy);
 
     RowTotals t;
     for (int i = 0; i < g_steps; ++i) {
-        const DispatchResult a = dispatch_plan(*plan, graph, tmap, opts.gpu);
+        const DispatchResult a = dispatch_plan(plan, graph, tmap, opts.gpu);
         const DispatchResult b = session.run(cfg);
         t.dispatch_ns += a.host_enqueue_ns;
         t.replay_ns += b.host_enqueue_ns;

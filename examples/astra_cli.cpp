@@ -193,10 +193,8 @@ main(int argc, char** argv)
         explored = r.minibatches;
         if (r.convergence.whatif_evals > 0)
             std::cerr << "whatif: " << r.convergence.whatif_evals
-                      << " host replays, "
-                      << r.convergence.measured_configs
-                      << " configs measured (" << r.minibatches
-                      << " mini-batches)\n";
+                      << " host replays, " << r.minibatches
+                      << " mini-batches\n";
         if (!r.convergence.store_tier.empty()) {
             std::cout << "plan store: tier " << r.convergence.store_tier
                       << ", " << r.minibatches

@@ -194,15 +194,11 @@ AstraSession::optimize(const BindFn& bind)
         std::string why;
         if (config_fits(hit.entry.config, &why)) {
             // Exact knowledge: skip wiring. One measured mini-batch
-            // verifies the plan still dispatches and leaves it in its
-            // strategy's slot of the scheduler's plan memo for
-            // steady-state run().
+            // verifies the plan still dispatches.
             if (bind)
                 bind(tensor_map(hit.entry.config.strategy), 0);
-            const std::shared_ptr<const ExecutionPlan> plan =
-                scheduler_->build_cached(hit.entry.config);
             DispatchResult res = dispatch_plan(
-                *plan, *graph_,
+                scheduler_->build(hit.entry.config), *graph_,
                 tensor_map(hit.entry.config.strategy), opts_.gpu);
             if (opts_.normalize_clock)
                 res.total_ns *= res.clock_multiplier;
@@ -220,7 +216,6 @@ AstraSession::optimize(const BindFn& bind)
                     out.best_config.strategy)] = res.total_ns;
                 out.convergence.best_ns = res.total_ns;
                 out.convergence.minibatches = 1;
-                out.convergence.measured_configs = 1;
                 out.convergence.termination =
                     wirer_termination_name(out.termination);
                 out.convergence.store_tier =
@@ -277,7 +272,6 @@ AstraSession::optimize(const BindFn& bind)
         // demotion visible to fleet/CI consumers of the report.
         out.minibatches += 1;
         out.convergence.minibatches += 1;
-        out.convergence.measured_configs += 1;
         out.convergence.store_drift_demotions += 1;
         if (verify_faulted)
             out.convergence.faults.faulted_minibatches += 1;

@@ -18,7 +18,7 @@ Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
                      SchedulerOptions opts)
     : graph_(graph), space_(space), opts_(opts),
       elementwise_(static_cast<size_t>(graph.size())),
-      skeletons_(space.strategies.size()), plans_(space.strategies.size())
+      skeletons_(space.strategies.size())
 {
     for (const Node& n : graph_.nodes())
         elementwise_[static_cast<size_t>(n.id)] = op_is_elementwise(n.kind);
@@ -613,7 +613,7 @@ std::shared_ptr<const Scheduler::PlanSkeleton>
 Scheduler::skeleton(const ScheduleConfig& config) const
 {
     std::string sig = binding_signature(config);
-    Slot<PlanSkeleton>& slot = skeletons_[strategy_slot(config)];
+    SkeletonSlot& slot = skeletons_[strategy_slot(config)];
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
         if (slot.value != nullptr && slot.sig == sig)
@@ -706,42 +706,6 @@ Scheduler::build(const ScheduleConfig& config) const
     return plan;
 }
 
-std::shared_ptr<const ExecutionPlan>
-Scheduler::build_cached(const ScheduleConfig& config) const
-{
-    std::string sig = plan_signature(config);
-    Slot<ExecutionPlan>& slot = plans_[strategy_slot(config)];
-    {
-        std::lock_guard<std::mutex> lock(cache_mu_);
-        if (slot.value != nullptr && slot.sig == sig) {
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            static obs::Counter& hits =
-                obs::counter("scheduler.plan_cache.hits");
-            hits.add();
-            return slot.value;
-        }
-    }
-    // Lower outside the lock: concurrent misses on *different*
-    // strategies must not serialize (lowering dominates). Concurrent
-    // misses on one strategy are possible in principle; the last
-    // store wins and each caller keeps the plan it built — callers on
-    // the wirer path fetch a config's plan once before fanning repeats
-    // out, and each strategy shard owns its strategy's slot, so such
-    // races never occur there and the counters stay deterministic.
-    auto plan = std::make_shared<const ExecutionPlan>(build(config));
-    // Declared before the lock, so the replaced plan is freed after
-    // the lock is released.
-    std::shared_ptr<const ExecutionPlan> replaced;
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    replaced = std::exchange(slot.value, plan);
-    slot.sig = std::move(sig);
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& misses =
-        obs::counter("scheduler.plan_cache.misses");
-    misses.add();
-    return plan;
-}
-
 std::shared_ptr<const WiredBinary>
 Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
                        const GpuConfig& gpu) const
@@ -758,13 +722,11 @@ Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
             return it->second;
         }
     }
-    // Lower outside the lock, reusing the plan cache for the schedule
-    // itself. Lowering includes the reuse audit and the legality
-    // verifier: a blob that would replay incorrectly must never enter
-    // the cache.
-    const std::shared_ptr<const ExecutionPlan> plan = build_cached(config);
+    // Lower outside the lock. Lowering includes the reuse audit and
+    // the legality verifier: a blob that would replay incorrectly must
+    // never enter the cache.
     auto bin = std::make_shared<WiredBinary>(
-        lower_plan(*plan, graph_, tmap, gpu));
+        lower_plan(build(config), graph_, tmap, gpu));
     const WiredVerdict verdict = verify_wired(*bin);
     ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
                  verdict.why);

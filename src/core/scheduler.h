@@ -131,23 +131,6 @@ class Scheduler
     ExecutionPlan build(const ScheduleConfig& config) const;
 
     /**
-     * build() behind a one-plan-per-strategy memo: the last plan built
-     * for each allocation strategy is kept with its signature, so the
-     * wirer's k-repeat re-measurements of a trial (and steady-state
-     * run() of a converged config) skip lowering entirely. The
-     * signature covers every plan-affecting field of the config —
-     * including the profiling-key attachments, which Scheduler::build
-     * bakes into the plan's steps — so a hit is exact, never
-     * structural-only. Retained plans scale with strategies, not with
-     * trials; one slot per strategy keeps the hit/miss tally
-     * deterministic while strategy shards explore concurrently.
-     * Thread-safe; the returned plan is immutable and shared, so
-     * concurrent dispatches may hold it simultaneously.
-     */
-    std::shared_ptr<const ExecutionPlan>
-    build_cached(const ScheduleConfig& config) const;
-
-    /**
      * Lowered wired binary (runtime/wired.h) for the configuration,
      * cached by plan signature: the steady-state dispatch path
      * compiles a converged config once and replays the blob for every
@@ -160,16 +143,6 @@ class Scheduler
     std::shared_ptr<const WiredBinary>
     wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
                 const GpuConfig& gpu) const;
-
-    /** Cache hits/misses since construction (convergence reporting). */
-    int64_t plan_cache_hits() const
-    {
-        return cache_hits_.load(std::memory_order_relaxed);
-    }
-    int64_t plan_cache_misses() const
-    {
-        return cache_misses_.load(std::memory_order_relaxed);
-    }
 
     /** Wired-binary cache tallies (AstraSession::run reporting). */
     int64_t wired_cache_hits() const
@@ -191,12 +164,11 @@ class Scheduler
         StreamSpace space;
     };
 
-    /** A signature and the value last built under it. */
-    template <typename T>
-    struct Slot
+    /** A binding's signature and the skeleton last built under it. */
+    struct SkeletonSlot
     {
         std::string sig;
-        std::shared_ptr<const T> value;
+        std::shared_ptr<const PlanSkeleton> value;
     };
 
     /** One assembly pass (no cycle repair); forced_chunk caps groups. */
@@ -225,12 +197,9 @@ class Scheduler
     /** Per node, 1 when its op is elementwise (the chain scan's test). */
     std::vector<char> elementwise_;
 
-    /** Guards the per-strategy slots and the wired-binary cache. */
+    /** Guards the per-strategy skeletons and the wired-binary cache. */
     mutable std::mutex cache_mu_;
-    mutable std::vector<Slot<PlanSkeleton>> skeletons_;
-    mutable std::vector<Slot<ExecutionPlan>> plans_;
-    mutable std::atomic<int64_t> cache_hits_{0};
-    mutable std::atomic<int64_t> cache_misses_{0};
+    mutable std::vector<SkeletonSlot> skeletons_;
 
     mutable std::unordered_map<std::string,
                                std::shared_ptr<const WiredBinary>>

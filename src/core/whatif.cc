@@ -1,6 +1,5 @@
 #include "core/whatif.h"
 
-#include <memory>
 #include <vector>
 
 #include "obs/obs.h"
@@ -44,14 +43,10 @@ DispatchResult
 WhatIfEngine::evaluate(const ScheduleConfig& config) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "whatif.evaluate");
-    // The scheduler keeps only its last plan per strategy, so a fetch
-    // hits only when this strategy's previous fetch was the same
-    // config. Anything else is built — for a stage-C trial that is
-    // just the epoch walk over the binding's cached plan skeleton.
-    const std::shared_ptr<const ExecutionPlan> plan =
-        scheduler_.build_cached(config);
-    const WiredBinary bound =
-        bind_plan(*plan, graph_, tmap_, gpu_, /*profiling=*/true);
+    // For a stage-C trial the build is just the epoch walk over the
+    // binding's cached plan skeleton.
+    const WiredBinary bound = bind_plan(scheduler_.build(config), graph_,
+                                        tmap_, gpu_, /*profiling=*/true);
     SimGpu gpu(gpu_);
     for (int s = 1; s < bound.program.num_streams; ++s)
         gpu.create_stream();

@@ -8,7 +8,7 @@
 #include "core/adaptive.h"
 #include "obs/obs.h"
 #include "support/logging.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 namespace astra {
 
@@ -160,9 +160,6 @@ struct CustomWirer::StrategyRun
 
     /** Host replays performed (exploration trials). */
     int64_t whatif_evals = 0;
-
-    /** Mini-batches dispatched (what-if replays are not). */
-    int64_t measured_configs = 0;
 };
 
 CustomWirer::~CustomWirer() = default;
@@ -196,18 +193,10 @@ CustomWirer::dispatch(StrategyRun& run, const ScheduleConfig& config,
             fault_mix(static_cast<uint64_t>(run.sid) + 1, ++run.fault_seq) |
             1;
 
-    // Warm fetch, then the dispatch's own fetch: a config's first
-    // mini-batch counts one miss and one hit in the plan-cache tally.
-    scheduler_.build_cached(config);
     if (bind)
         bind(tmap, run.minibatches);
-    const std::shared_ptr<const ExecutionPlan> plan =
-        scheduler_.build_cached(config);
-    DispatchResult result = dispatch_plan(*plan, graph_, tmap, gpu);
-    // A "measured config" costs a real mini-batch — the denominator of
-    // the what-if engine's savings claim. (What-if replays never come
-    // through here, so they cannot inflate it.)
-    ++run.measured_configs;
+    DispatchResult result =
+        dispatch_plan(scheduler_.build(config), graph_, tmap, gpu);
 
     if (opts_.normalize_clock) {
         // DVFS compensation: the device reports the clock it ran this
@@ -333,11 +322,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     {
         int64_t trials = 0;
         int64_t whatif_evals = 0;
-        int64_t measured_configs = 0;
     };
     auto mark = [&]() {
-        return StageMark{run.minibatches, run.whatif_evals,
-                         run.measured_configs};
+        return StageMark{run.minibatches, run.whatif_evals};
     };
     auto record_epoch = [&](const char* stage, const char* mode,
                             const StageMark& before, int64_t exhaustive) {
@@ -351,8 +338,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         e.best_ns = run.best_seen_ns;
         e.minibatches_total = run.minibatches;
         e.whatif_evals = run.whatif_evals - before.whatif_evals;
-        e.measured_configs =
-            run.measured_configs - before.measured_configs;
         run.epochs.push_back(std::move(e));
     };
 
@@ -790,11 +775,6 @@ CustomWirer::explore(const BindFn& bind)
         for (int sid = 0; sid < num_strategies; ++sid)
             sids.push_back(sid);
 
-    // The exploration's share of the scheduler's process-lifetime
-    // plan-cache tallies.
-    const int64_t cache_hits0 = scheduler_.plan_cache_hits();
-    const int64_t cache_misses0 = scheduler_.plan_cache_misses();
-
     // Deterministic budget partition: each strategy owns its share of
     // the safety valve up front (see WirerOptions::max_minibatches), so
     // truncation decisions never depend on how concurrent pipelines
@@ -814,13 +794,11 @@ CustomWirer::explore(const BindFn& bind)
             quota, opts_.normalize_clock, opts_.gpu);
     }
 
-    // Fan out one pipeline per strategy. threads=1 constructs a pool
-    // with no workers, and parallel_for degenerates to the serial loop
-    // — one code path for both regimes. parallel_for completes the
-    // whole batch before rethrowing a pipeline's exception, so no
-    // other strategy's work leaks past the unwind.
-    ThreadPool pool(std::max(1, opts_.threads));
-    pool.parallel_for(num_runs, [&](int64_t i) {
+    // Fan out one pipeline per strategy. At threads=1 parallel_for is
+    // the serial loop — one code path for both regimes. It joins every
+    // pipeline before rethrowing one's exception, so no other
+    // strategy's work leaks past the unwind.
+    parallel_for(opts_.threads, num_runs, [&](int64_t i) {
         run_strategy(runs[static_cast<size_t>(i)], bind);
     });
 
@@ -859,7 +837,6 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.faults.backoff_ns += run.backoff_ns;
         out.convergence.store_transferred_bindings += run.transferred;
         out.convergence.whatif_evals += run.whatif_evals;
-        out.convergence.measured_configs += run.measured_configs;
         out.index.merge(std::move(run.index));
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_ns;
         if (best_ns < 0.0 || run.final_ns < best_ns) {
@@ -881,10 +858,6 @@ CustomWirer::explore(const BindFn& bind)
     out.best_ns = best_ns;
     out.convergence.best_ns = best_ns;
     out.convergence.minibatches = out.minibatches;
-    out.convergence.plan_cache_hits =
-        scheduler_.plan_cache_hits() - cache_hits0;
-    out.convergence.plan_cache_misses =
-        scheduler_.plan_cache_misses() - cache_misses0;
     obs::counter("wire.explorations").add();
     if (out.truncated)
         obs::counter("wire.truncations").add();

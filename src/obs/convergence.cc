@@ -49,10 +49,7 @@ void
 ConvergenceReport::write_json(std::ostream& os) const
 {
     os << "{\"best_ns\":" << best_ns << ",\"minibatches\":"
-       << minibatches << ",\"plan_cache_hits\":" << plan_cache_hits
-       << ",\"plan_cache_misses\":" << plan_cache_misses
-       << ",\"whatif_evals\":" << whatif_evals
-       << ",\"measured_configs\":" << measured_configs
+       << minibatches << ",\"whatif_evals\":" << whatif_evals
        << ",\"termination\":\"" << termination << "\"";
     if (!store_tier.empty()) {
         os << ",\"store\":{\"tier\":\"" << store_tier
@@ -102,8 +99,7 @@ ConvergenceReport::write_json(std::ostream& os) const
            << ",\"exhaustive\":" << e.exhaustive << ",\"pruned\":"
            << e.pruned << ",\"best_ns\":" << e.best_ns
            << ",\"minibatches_total\":" << e.minibatches_total
-           << ",\"whatif_evals\":" << e.whatif_evals
-           << ",\"measured_configs\":" << e.measured_configs << "}";
+           << ",\"whatif_evals\":" << e.whatif_evals << "}";
     }
     os << "]}";
 }
@@ -112,12 +108,12 @@ void
 ConvergenceReport::write_csv(std::ostream& os) const
 {
     os << "strategy,stage,mode,trials,exhaustive,pruned,best_ns,"
-          "minibatches_total,whatif_evals,measured_configs\n";
+          "minibatches_total,whatif_evals\n";
     for (const ConvergenceEpoch& e : epochs)
         os << e.strategy << "," << e.stage << "," << e.mode << ","
            << e.trials << "," << e.exhaustive << "," << e.pruned << ","
            << e.best_ns << "," << e.minibatches_total << ","
-           << e.whatif_evals << "," << e.measured_configs << "\n";
+           << e.whatif_evals << "\n";
 }
 
 }  // namespace astra

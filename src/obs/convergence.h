@@ -51,9 +51,6 @@ struct ConvergenceEpoch
 
     /** Host replays the stage spent (exploration trials). */
     int64_t whatif_evals = 0;
-
-    /** Dispatched configurations (>= 1 live mini-batch each). */
-    int64_t measured_configs = 0;
 };
 
 /**
@@ -169,27 +166,6 @@ struct ConvergenceReport
      * benchmark change. Not written to JSON or CSV.
      */
     int64_t predictor_pruned = 0;
-
-    /** Total configurations that cost at least one live mini-batch. */
-    int64_t measured_configs = 0;
-
-    // ---- plan-cache accounting (Scheduler::build_cached) -----------------
-
-    /** Dispatches that reused an already-lowered ExecutionPlan. */
-    int64_t plan_cache_hits = 0;
-
-    /** Dispatches that had to lower their configuration. */
-    int64_t plan_cache_misses = 0;
-
-    /** Hit fraction, 0 when nothing went through the cache. */
-    double plan_cache_hit_rate() const
-    {
-        const int64_t total = plan_cache_hits + plan_cache_misses;
-        return total > 0
-                   ? static_cast<double>(plan_cache_hits) /
-                         static_cast<double>(total)
-                   : 0.0;
-    }
 
     /** Sum of `pruned` over epochs with the given mode. */
     int64_t pruned_by(const std::string& mode) const;

@@ -686,8 +686,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         const AstraSession& s =
                             proto_->router().session(b);
                         dr = dispatch_plan(
-                            *s.scheduler().build_cached(p.config),
-                            s.graph(),
+                            s.scheduler().build(p.config), s.graph(),
                             s.tensor_map(p.config.strategy), gpu);
                     } else {
                         dr = replay_wired(*p.binary, gpu);

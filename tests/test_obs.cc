@@ -525,8 +525,6 @@ TEST(ObsConvergence, JsonAndCsvExports)
     ConvergenceReport rep;
     rep.best_ns = 123.5;
     rep.minibatches = 7;
-    rep.plan_cache_hits = 9;
-    rep.plan_cache_misses = 3;
     ConvergenceEpoch e;
     e.strategy = 1;
     e.stage = "chunks";
@@ -544,9 +542,6 @@ TEST(ObsConvergence, JsonAndCsvExports)
     ASSERT_TRUE(doc);
     EXPECT_DOUBLE_EQ(doc->object.at("best_ns")->number, 123.5);
     EXPECT_DOUBLE_EQ(doc->object.at("minibatches")->number, 7.0);
-    EXPECT_DOUBLE_EQ(doc->object.at("plan_cache_hits")->number, 9.0);
-    EXPECT_DOUBLE_EQ(doc->object.at("plan_cache_misses")->number, 3.0);
-    EXPECT_DOUBLE_EQ(rep.plan_cache_hit_rate(), 0.75);
     const JsonPtr epochs = doc->object.at("epochs");
     ASSERT_EQ(epochs->array.size(), 1u);
     EXPECT_EQ(epochs->array[0]->object.at("mode")->string, "parallel");

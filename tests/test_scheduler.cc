@@ -4,8 +4,8 @@
  * coverage exactly-once, topological validity), super-epoch/epoch
  * partitioning, equivalence-class stream options, full streamed plans
  * that remain value-preserving, plan identity pinned on the paper
- * models, and the plan-skeleton / one-plan-per-strategy memo
- * (retention, span counts, concurrent strategies).
+ * models, and the per-strategy plan skeleton (span counts, binding
+ * keys, concurrent strategies).
  */
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@
 #include "models/data.h"
 #include "models/models.h"
 #include "obs/obs.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 #include "tests/util.h"
 
 namespace astra {
@@ -101,69 +101,10 @@ TEST(Scheduler, FusionReducesUnitCount)
     EXPECT_LT(n_fused, n_unfused * 0.6);
 }
 
-TEST(Scheduler, PlanCacheHitsOnEqualConfigs)
-{
-    const BuiltModel m = small_model();
-    const SearchSpace space = enumerate_search_space(m.graph());
-    const Scheduler sched(m.graph(), space);
-    const int64_t hits0 = sched.plan_cache_hits();
-    const int64_t misses0 = sched.plan_cache_misses();
-
-    const ScheduleConfig cfg = default_config(space, 1);
-    const auto first = sched.build_cached(cfg);
-    ASSERT_NE(first, nullptr);
-    EXPECT_EQ(sched.plan_cache_misses() - misses0, 1);
-    EXPECT_EQ(sched.plan_cache_hits() - hits0, 0);
-
-    // An equal (even if separately constructed) config reuses the
-    // lowered plan object itself.
-    const auto again = sched.build_cached(default_config(space, 1));
-    EXPECT_EQ(again.get(), first.get());
-    EXPECT_EQ(sched.plan_cache_hits() - hits0, 1);
-    EXPECT_EQ(sched.plan_cache_misses() - misses0, 1);
-
-    // The cached plan is the same lowering build() produces.
-    const ExecutionPlan direct = sched.build(cfg);
-    ASSERT_EQ(first->steps.size(), direct.steps.size());
-    for (size_t i = 0; i < direct.steps.size(); ++i)
-        EXPECT_EQ(first->steps[i].nodes, direct.steps[i].nodes);
-}
-
-TEST(Scheduler, PlanCacheDistinguishesConfigs)
-{
-    const BuiltModel m = small_model();
-    const SearchSpace space = enumerate_search_space(m.graph());
-    const Scheduler sched(m.graph(), space);
-    const int64_t misses0 = sched.plan_cache_misses();
-
-    // Every field of the signature must keep distinct configurations
-    // apart: chunking, library, elementwise fusion and streaming each
-    // produce a different plan object.
-    const auto base = sched.build_cached(default_config(space, 0));
-    ScheduleConfig chunked = default_config(space, 3);
-    const auto with_chunks = sched.build_cached(chunked);
-    ScheduleConfig libbed = default_config(space, 0);
-    libbed.group_lib.assign(space.groups.size(), GemmLib::Oai1);
-    const auto with_lib = sched.build_cached(libbed);
-    ScheduleConfig unfused = default_config(space, 0);
-    unfused.elementwise_fusion = false;
-    const auto without_ew = sched.build_cached(unfused);
-    ScheduleConfig streamed = default_config(space, 0);
-    streamed.use_streams = true;
-    streamed.num_streams = 2;
-    const auto with_streams = sched.build_cached(streamed);
-
-    const std::set<const ExecutionPlan*> distinct{
-        base.get(), with_chunks.get(), with_lib.get(), without_ew.get(),
-        with_streams.get()};
-    EXPECT_EQ(distinct.size(), 5u);
-    EXPECT_EQ(sched.plan_cache_misses() - misses0, 5);
-}
-
 /**
  * Streamed siblings of one binding: `cfg` with use_streams on and each
- * of `choices` applied to every epoch (raw, so each sibling has its
- * own signature; build() clamps out-of-range choices).
+ * of `choices` applied to every epoch (raw; build() clamps out-of-range
+ * choices).
  */
 std::vector<ScheduleConfig>
 epoch_siblings(const Scheduler& sched, ScheduleConfig cfg,
@@ -189,7 +130,7 @@ span_count(const std::vector<obs::Span>& spans, const std::string& name)
                          [&](const obs::Span& s) { return s.name == name; });
 }
 
-TEST(Scheduler, PlanCacheKeepsOnlyTheLastPlanPerStrategy)
+TEST(Scheduler, StreamedSiblingsShareOneSkeleton)
 {
     const BuiltModel m = small_model();
     const SearchSpace space = enumerate_search_space(m.graph());
@@ -203,20 +144,12 @@ TEST(Scheduler, PlanCacheKeepsOnlyTheLastPlanPerStrategy)
     obs::set_enabled(true);
     const std::vector<ScheduleConfig> trials =
         epoch_siblings(sched, default_config(space, 2), {0, 1, 2, 3, 4});
-    std::vector<std::shared_ptr<const ExecutionPlan>> plans;
     for (const ScheduleConfig& cfg : trials)
-        plans.push_back(sched.build_cached(cfg));
+        (void)sched.build(cfg);
     obs::set_enabled(false);
     const std::vector<obs::Span> spans = obs::host_spans();
     obs::reset();
 
-    EXPECT_EQ(sched.plan_cache_misses(), k);
-    EXPECT_EQ(sched.plan_cache_hits(), 0);
-    // The memo holds only the newest plan; the test holds the rest.
-    for (int i = 0; i + 1 < k; ++i)
-        EXPECT_EQ(plans[static_cast<size_t>(i)].use_count(), 1) << i;
-    EXPECT_EQ(plans.back().use_count(), 2);
-    EXPECT_EQ(sched.build_cached(trials.back()), plans.back());
     // stream_space() and all k builds share one skeleton.
     EXPECT_EQ(span_count(spans, "scheduler.build_units"), 1);
     EXPECT_EQ(span_count(spans, "scheduler.stream_space"), 1);
@@ -261,24 +194,6 @@ TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
             << "step " << i;
 }
 
-TEST(Scheduler, PlanCacheSlotsAreIndependentPerStrategy)
-{
-    const BuiltModel m = small_model();
-    const SearchSpace space = enumerate_search_space(m.graph());
-    if (space.strategies.size() < 2)
-        GTEST_SKIP() << "one strategy in this space";
-    const Scheduler sched(m.graph(), space);
-    ScheduleConfig a = default_config(space, 1);
-    ScheduleConfig b = a;
-    b.strategy = 1;
-    const auto first = sched.build_cached(a);
-    sched.build_cached(b);
-    // Strategy 1's plan did not displace strategy 0's.
-    EXPECT_EQ(sched.build_cached(a), first);
-    EXPECT_EQ(sched.plan_cache_hits(), 1);
-    EXPECT_EQ(sched.plan_cache_misses(), 2);
-}
-
 TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
 {
     const BuiltModel m = small_model();
@@ -288,7 +203,7 @@ TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
     const Scheduler serial(m.graph(), space, opts);
 
     // Per strategy: streamed siblings of two bindings plus the
-    // unstreamed binding, so skeleton and plan slots both turn over.
+    // unstreamed binding, so the skeleton slots turn over.
     std::vector<ScheduleConfig> cfgs;
     for (const AllocStrategy& s : space.strategies)
         for (int chunk_opt : {1, 3}) {
@@ -303,22 +218,18 @@ TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
     for (const ScheduleConfig& cfg : cfgs)
         expect.push_back(testutil::plan_dump(serial.build(cfg)));
 
-    // Every config of every strategy at once, each fetched twice: the
-    // slots are shared mutable state, so concurrent fetches on one
-    // strategy may evict each other but must never return a wrong plan.
+    // Every config of every strategy at once, each built twice: the
+    // skeleton slots are shared mutable state, so concurrent builds on
+    // one strategy may evict each other's skeleton but must never
+    // return a wrong plan.
     const Scheduler shared(m.graph(), space, opts);
     std::vector<std::string> got(cfgs.size() * 2);
-    ThreadPool pool(4);
-    pool.parallel_for(static_cast<int64_t>(got.size()), [&](int64_t i) {
-        const ScheduleConfig& cfg = cfgs[static_cast<size_t>(i) / 2];
-        got[static_cast<size_t>(i)] =
-            i % 2 == 0 ? testutil::plan_dump(*shared.build_cached(cfg))
-                       : testutil::plan_dump(shared.build(cfg));
+    parallel_for(4, static_cast<int64_t>(got.size()), [&](int64_t i) {
+        got[static_cast<size_t>(i)] = testutil::plan_dump(
+            shared.build(cfgs[static_cast<size_t>(i) / 2]));
     });
     for (size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expect[i / 2]) << "config " << i / 2;
-    EXPECT_EQ(shared.plan_cache_hits() + shared.plan_cache_misses(),
-              static_cast<int64_t>(cfgs.size()));
 }
 
 TEST(Scheduler, PaperModelPlansArePinned)

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the support library: RNG determinism, statistics,
- * table rendering, thread pool, and the record layer's token grammar,
+ * table rendering, parallel_for, and the record layer's token grammar,
  * line numbering and writer guard.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <sstream>
@@ -14,11 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "support/parallel_for.h"
 #include "support/record.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
-#include "support/thread_pool.h"
 #include "tests/util.h"
 
 namespace astra {
@@ -133,14 +132,12 @@ TEST(TextTable, FmtDigits)
     EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
     for (int threads : {1, 2, 4, 7}) {
-        ThreadPool pool(threads);
-        EXPECT_EQ(pool.threads(), std::max(1, threads));
         constexpr int64_t kN = 1000;
         std::vector<std::atomic<int>> hits(kN);
-        pool.parallel_for(kN, [&](int64_t i) {
+        parallel_for(threads, kN, [&](int64_t i) {
             hits[static_cast<size_t>(i)].fetch_add(1);
         });
         for (int64_t i = 0; i < kN; ++i)
@@ -149,42 +146,29 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce)
     }
 }
 
-TEST(ThreadPool, SerialPoolRunsInline)
+TEST(ParallelFor, OneThreadRunsInline)
 {
-    // With no workers the body must run on the calling thread, in
-    // index order — the property that makes threads=1 the exact serial
-    // loop.
-    ThreadPool pool(1);
+    // With one thread (or fewer) the body must run on the calling
+    // thread, in index order — the property that makes threads=1 the
+    // exact serial loop.
     const std::thread::id caller = std::this_thread::get_id();
-    std::vector<int64_t> order;
-    pool.parallel_for(16, [&](int64_t i) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        order.push_back(i);
-    });
-    ASSERT_EQ(order.size(), 16u);
-    for (int64_t i = 0; i < 16; ++i)
-        EXPECT_EQ(order[static_cast<size_t>(i)], i);
+    for (int threads : {-1, 0, 1}) {
+        std::vector<int64_t> order;
+        parallel_for(threads, 16, [&](int64_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(i);
+        });
+        ASSERT_EQ(order.size(), 16u);
+        for (int64_t i = 0; i < 16; ++i)
+            EXPECT_EQ(order[static_cast<size_t>(i)], i);
+    }
 }
 
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
+TEST(ParallelFor, FirstExceptionPropagates)
 {
-    // A strategy task batching its repeat measurements issues a nested
-    // parallel_for on the same pool; caller-helping must keep it live
-    // even when every worker is parked inside an outer task.
-    ThreadPool pool(4);
-    std::atomic<int64_t> total{0};
-    pool.parallel_for(8, [&](int64_t) {
-        pool.parallel_for(8, [&](int64_t) { total.fetch_add(1); });
-    });
-    EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, FirstExceptionPropagates)
-{
-    ThreadPool pool(4);
     std::atomic<int64_t> ran{0};
     try {
-        pool.parallel_for(64, [&](int64_t i) {
+        parallel_for(4, 64, [&](int64_t i) {
             ran.fetch_add(1);
             if (i == 13)
                 throw std::runtime_error("boom");
@@ -197,37 +181,52 @@ TEST(ThreadPool, FirstExceptionPropagates)
     EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPool, ReusableAfterException)
+TEST(ParallelFor, EveryTaskThrowing)
+{
+    // The calling thread's own tasks throw too: the workers must still
+    // be joined and one exception rethrown (an unjoined std::thread
+    // would call std::terminate).
+    for (int threads : {2, 4}) {
+        std::atomic<int64_t> ran{0};
+        EXPECT_THROW(parallel_for(threads, 16,
+                                  [&](int64_t) {
+                                      ran.fetch_add(1);
+                                      throw std::runtime_error("all");
+                                  }),
+                     std::runtime_error);
+        EXPECT_EQ(ran.load(), 16) << threads << " threads";
+    }
+}
+
+TEST(ParallelFor, UsableAfterException)
 {
     // Regression for the wirer's fault path: a shard that throws (a
     // dispatch whose fault budget is exhausted, a bind callback error)
-    // must not deadlock or poison the pool — the same pool must run
-    // subsequent batches to completion.
-    ThreadPool pool(4);
+    // must not deadlock or leave threads behind — later calls run
+    // their batches to completion.
     for (int round = 0; round < 3; ++round) {
         std::atomic<int64_t> ran{0};
-        EXPECT_THROW(pool.parallel_for(32,
-                                       [&](int64_t i) {
-                                           ran.fetch_add(1);
-                                           if (i % 7 == 0)
-                                               throw std::runtime_error(
-                                                   "shard failure");
-                                       }),
+        EXPECT_THROW(parallel_for(4, 32,
+                                  [&](int64_t i) {
+                                      ran.fetch_add(1);
+                                      if (i % 7 == 0)
+                                          throw std::runtime_error(
+                                              "shard failure");
+                                  }),
                      std::runtime_error);
         EXPECT_EQ(ran.load(), 32);  // whole batch still drained
         std::atomic<int64_t> ok{0};
-        pool.parallel_for(32, [&](int64_t) { ok.fetch_add(1); });
+        parallel_for(4, 32, [&](int64_t) { ok.fetch_add(1); });
         EXPECT_EQ(ok.load(), 32);
     }
 }
 
-TEST(ThreadPool, EmptyAndSingleBatches)
+TEST(ParallelFor, EmptyAndSingleBatches)
 {
-    ThreadPool pool(4);
     int calls = 0;
-    pool.parallel_for(0, [&](int64_t) { ++calls; });
+    parallel_for(4, 0, [&](int64_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    pool.parallel_for(1, [&](int64_t) { ++calls; });
+    parallel_for(4, 1, [&](int64_t) { ++calls; });
     EXPECT_EQ(calls, 1);
 }
 

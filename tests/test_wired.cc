@@ -5,14 +5,16 @@
  * replay-vs-dispatch bit-identity across the model zoo
  * (fused, streamed, profiled and recompute variants), value
  * preservation with executing kernels, the scheduler's wired-binary
- * cache behind AstraSession::run, and — critically — *non-vacuous*
- * adversarial checks that the verifier rejects each class of illegal
- * lowering it claims to catch (cross-stream reuse without a control
- * edge, stale event slots, use-before-def, arena overlap while live).
+ * cache behind AstraSession::run and the plan signature that keys it,
+ * and — critically — *non-vacuous* adversarial checks that the
+ * verifier rejects each class of illegal lowering it claims to catch
+ * (cross-stream reuse without a control edge, stale event slots,
+ * use-before-def, arena overlap while live).
  */
 #include <gtest/gtest.h>
 
 #include <locale>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -317,12 +319,12 @@ tiny_config()
 void
 check_identity(AstraSession& session, const ScheduleConfig& cfg)
 {
-    const auto plan = session.scheduler().build_cached(cfg);
+    const ExecutionPlan plan = session.scheduler().build(cfg);
     const TensorMap& tmap = session.tensor_map(cfg.strategy);
     const DispatchResult generic = dispatch_plan(
-        *plan, session.graph(), tmap, session.options().gpu);
+        plan, session.graph(), tmap, session.options().gpu);
 
-    const WiredBinary bin = lower_plan(*plan, session.graph(), tmap,
+    const WiredBinary bin = lower_plan(plan, session.graph(), tmap,
                                        session.options().gpu);
     const WiredVerdict v = verify_wired(bin);
     ASSERT_TRUE(v.ok) << v.why;
@@ -447,7 +449,7 @@ TEST(ReplayWired, ValuesMatchGenericDispatchExactly)
     cfg.group_lib.assign(generic.space().groups.size(),
                          GemmLib::Cublas);
     const DispatchResult a =
-        dispatch_plan(*generic.scheduler().build_cached(cfg), m.graph(),
+        dispatch_plan(generic.scheduler().build(cfg), m.graph(),
                       generic.tensor_map(0), opts.gpu);
     const DispatchResult b = compiled.run(cfg);
     EXPECT_EQ(a.total_ns, b.total_ns);
@@ -489,6 +491,65 @@ TEST(CompiledDispatch, SessionCachesLoweredBinary)
     EXPECT_EQ(session.scheduler().wired_cache_misses(), 2);
 }
 
+TEST(CompiledDispatch, WiredCacheKeysEveryPlanField)
+{
+    // The plan signature keys the wired-binary cache: chunking,
+    // library, elementwise fusion, streams and an epoch choice must
+    // each lower their own binary, and an equal config built
+    // separately must get the same binary object back.
+    const BuiltModel m = build_model(ModelKind::Scrnn, tiny_config());
+    AstraOptions opts;
+    opts.gpu = pinned_gpu();
+    opts.sched.super_epoch_ns = 150000.0;  // several epochs to choose in
+    AstraSession session(m.graph(), opts);
+    const SearchSpace& space = session.space();
+    const Scheduler& sched = session.scheduler();
+
+    const auto variants = [&] {
+        const ScheduleConfig base = testutil::default_config(space);
+        ScheduleConfig libbed = base;
+        libbed.group_lib.assign(space.groups.size(), GemmLib::Oai1);
+        ScheduleConfig unfused = base;
+        unfused.elementwise_fusion = false;
+        ScheduleConfig streamed = base;
+        streamed.use_streams = true;
+        streamed.num_streams = 2;
+        ScheduleConfig chosen = streamed;
+        for (const EpochInfo& e : sched.stream_space(streamed).epochs)
+            if (e.options.size() > 1) {
+                chosen.epoch_choice[{e.super_epoch, e.level}] = 1;
+                break;
+            }
+        return std::vector<ScheduleConfig>{
+            base,     testutil::default_config(space, 3),
+            libbed,   unfused,
+            streamed, chosen};
+    };
+    const std::vector<ScheduleConfig> cfgs = variants();
+    ASSERT_NE(cfgs[1].group_chunk, cfgs[0].group_chunk);
+    ASSERT_FALSE(cfgs[5].epoch_choice.empty());
+
+    std::vector<std::shared_ptr<const WiredBinary>> bins;
+    for (const ScheduleConfig& cfg : cfgs)
+        bins.push_back(sched.wire_cached(
+            cfg, session.tensor_map(cfg.strategy), opts.gpu));
+    std::set<const WiredBinary*> distinct;
+    for (const auto& bin : bins)
+        distinct.insert(bin.get());
+    EXPECT_EQ(distinct.size(), cfgs.size());
+
+    const std::vector<ScheduleConfig> again = variants();
+    for (size_t i = 0; i < again.size(); ++i)
+        EXPECT_EQ(sched.wire_cached(again[i],
+                                    session.tensor_map(again[i].strategy),
+                                    opts.gpu),
+                  bins[i])
+            << "variant " << i;
+    EXPECT_EQ(sched.wired_cache_misses(),
+              static_cast<int64_t>(cfgs.size()));
+    EXPECT_EQ(sched.wired_cache_hits(), static_cast<int64_t>(cfgs.size()));
+}
+
 TEST(CompiledDispatch, MatchesGenericSessionPath)
 {
     const BuiltModel m = build_model(ModelKind::MiLstm, tiny_config());
@@ -503,7 +564,7 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
     for (const FusionGroup& g : session.space().groups)
         cfg.group_keys[g.id] = "w|" + g.key;
     expect_bit_identical(
-        dispatch_plan(*session.scheduler().build_cached(cfg), m.graph(),
+        dispatch_plan(session.scheduler().build(cfg), m.graph(),
                       session.tensor_map(cfg.strategy), opts.gpu),
         session.run(cfg));
 }

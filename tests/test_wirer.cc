@@ -223,7 +223,7 @@ expect_identical_results(const WirerResult& a, const WirerResult& b)
         EXPECT_DOUBLE_EQ(stats.min, it->second.min);
         ++it;
     }
-    // Full convergence history including the plan-cache tally.
+    // Full convergence history.
     EXPECT_EQ(report_json(a.convergence), report_json(b.convergence));
 }
 
@@ -240,12 +240,6 @@ TEST(CustomWirer, ParallelExplorationBitIdenticalToSerial)
     serial_opts.wirer_threads = 1;
     AstraSession serial_session(m.graph(), serial_opts);
     const WirerResult serial = serial_session.optimize();
-
-    // The plan cache must be visibly exercised (warm fetch + one fetch
-    // per dispatch: at least one hit per mini-batch after the first).
-    EXPECT_GT(serial.convergence.plan_cache_misses, 0);
-    EXPECT_GT(serial.convergence.plan_cache_hits, 0);
-    EXPECT_GT(serial.convergence.plan_cache_hit_rate(), 0.5);
 
     for (int threads : {4, 7}) {
         AstraOptions opts = timing_only(features_all());
