@@ -98,15 +98,18 @@ steady_config(const AstraSession& session)
     for (const FusionGroup& g : space.groups) {
         cfg.group_chunk[static_cast<size_t>(g.id)] =
             g.chunk_options.back();
-        cfg.group_keys[g.id] = "w|" + g.key;
+        cfg.group_keys[g.id] = ProfileKey(
+            0, wirer_variable_id(WirerVariable::GroupChunk, g.id), 0);
     }
     cfg.use_streams = true;
     cfg.num_streams = 2;
     const StreamSpace ss = session.scheduler().stream_space(cfg);
-    for (const EpochInfo& e : ss.epochs)
-        cfg.epoch_keys[{e.super_epoch, e.level}] =
-            "ep|" + std::to_string(e.super_epoch) + "." +
-            std::to_string(e.level);
+    for (size_t i = 0; i < ss.epochs.size(); ++i)
+        cfg.epoch_keys[{ss.epochs[i].super_epoch, ss.epochs[i].level}] =
+            ProfileKey(0,
+                       wirer_variable_id(WirerVariable::EpochSplit,
+                                         static_cast<int>(i)),
+                       0);
     return cfg;
 }
 

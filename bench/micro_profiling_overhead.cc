@@ -42,7 +42,8 @@ main()
         const double plain = session.run(cfg).total_ns;
         ScheduleConfig profiled = cfg;
         for (const FusionGroup& g : session.space().groups)
-            profiled.group_keys[g.id] = "p|" + g.key;
+            profiled.group_keys[g.id] = ProfileKey(
+                0, wirer_variable_id(WirerVariable::GroupChunk, g.id), 0);
         const double instrumented = session.run(profiled).total_ns;
         table.add_row(model.name,
                       {plain / 1e6, instrumented / 1e6,

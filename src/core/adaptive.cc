@@ -7,12 +7,14 @@
 
 namespace astra {
 
-AdaptiveVariable::AdaptiveVariable(std::string key, int num_options,
+AdaptiveVariable::AdaptiveVariable(uint32_t id, int num_options,
                                    int default_option)
-    : key_(std::move(key)), num_options_(num_options),
-      default_(default_option), current_(default_option)
+    : id_(id), num_options_(num_options), default_(default_option),
+      current_(default_option)
 {
-    ASTRA_ASSERT(num_options_ >= 1);
+    ASTRA_ASSERT(id_ <= ProfileKey::kMaxVariable);
+    ASTRA_ASSERT(num_options_ >= 1 &&
+                 num_options_ - 1 <= ProfileKey::kMaxChoice);
     ASTRA_ASSERT(default_ >= 0 && default_ < num_options_);
 }
 
@@ -45,25 +47,18 @@ AdaptiveVariable::get_profile_value(const ProfileIndex& index) const
     return v ? *v : std::numeric_limits<double>::quiet_NaN();
 }
 
-std::string
-AdaptiveVariable::profile_key_for(int choice) const
-{
-    return context_ + key_ + "=" + std::to_string(choice);
-}
-
 void
 AdaptiveVariable::set(int option)
 {
     ASTRA_ASSERT(option >= 0 && option < num_options_,
-                 "option out of range for ", key_);
+                 "option out of range for variable ", id_);
     current_ = option;
 }
 
 bool
 AdaptiveVariable::bind_best(const ProfileIndex& index)
 {
-    const int best =
-        index.best_choice(context_ + key_ + "=", num_options_);
+    const int best = index.best_choice(context_, id_, num_options_);
     if (best < 0) {
         current_ = default_;
         return false;

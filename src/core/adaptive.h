@@ -2,9 +2,9 @@
  * @file
  * Adaptive variables and the update tree (paper §4.4.2).
  *
- * An AdaptiveVariable is the basic unit of adaptation: a named choice
- * with a small option set, a context prefix for profile-index keying,
- * and the paper's interface (initialize / iterate / get_profile_value).
+ * An AdaptiveVariable is the basic unit of adaptation: a choice with a
+ * small option set, an id and a context for profile-index keying, and
+ * the paper's interface (initialize / iterate / get_profile_value).
  * Variables are organized into an update tree whose interior nodes are
  * annotated with an exploration mode:
  *
@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/profile_index.h"
@@ -33,12 +32,12 @@ class AdaptiveVariable
 {
   public:
     /**
-     * @param key stable identity, e.g. "g3|chunk".
+     * @param id stable identity, the key's variable field (at most
+     *        ProfileKey::kMaxVariable).
      * @param num_options number of choices (>= 1).
      * @param default_option the choice used before/without exploration.
      */
-    AdaptiveVariable(std::string key, int num_options,
-                     int default_option = 0);
+    AdaptiveVariable(uint32_t id, int num_options, int default_option = 0);
 
     // ---- the paper's interface -------------------------------------------
 
@@ -56,17 +55,20 @@ class AdaptiveVariable
 
     // ---- wiring ------------------------------------------------------------
 
-    const std::string& key() const { return key_; }
+    uint32_t id() const { return id_; }
 
-    /** Set the higher-level-binding prefix mangled into profile keys. */
-    void set_context(std::string prefix) { context_ = std::move(prefix); }
-    const std::string& context() const { return context_; }
+    /** Set the higher-level-binding context of the profile keys. */
+    void set_context(ContextId context) { context_ = context; }
+    ContextId context() const { return context_; }
 
-    /** Full profile-index key for a given choice of this variable. */
-    std::string profile_key_for(int choice) const;
+    /** Profile-index key for a given choice of this variable. */
+    ProfileKey profile_key_for(int choice) const
+    {
+        return ProfileKey(context_, id_, choice);
+    }
 
-    /** Full profile-index key for the current choice. */
-    std::string profile_key() const { return profile_key_for(current_); }
+    /** Profile-index key for the current choice. */
+    ProfileKey profile_key() const { return profile_key_for(current_); }
 
     int current() const { return current_; }
     void set(int option);
@@ -82,8 +84,8 @@ class AdaptiveVariable
     bool bind_best(const ProfileIndex& index);
 
   private:
-    std::string key_;
-    std::string context_;
+    uint32_t id_;
+    ContextId context_ = 0;
     int num_options_;
     int default_;
     int current_;

@@ -108,7 +108,6 @@ AstraSession::make_wirer(WirerWarmStart warm) const
     wopts.features = opts_.features;
     wopts.gpu = opts_.gpu;
     wopts.num_streams = opts_.num_streams;
-    wopts.context_prefix = opts_.context_prefix;
     wopts.normalize_clock = opts_.normalize_clock;
     wopts.max_minibatches = opts_.max_minibatches;
     wopts.threads = opts_.wirer_threads;
@@ -189,6 +188,7 @@ AstraSession::optimize(const BindFn& bind)
     StoreLookup hit = store.lookup(key);
     bool demoted = false;
     bool verify_faulted = false;
+    double verified_ns = -1.0;
 
     if (hit.tier == StoreTier::L1) {
         std::string why;
@@ -248,6 +248,11 @@ AstraSession::optimize(const BindFn& bind)
             hit.tier = StoreTier::L2;
             demoted = true;
             verify_faulted = res.faulted;
+            // A clean verification measured the stored configuration
+            // on this device: the warm start reuses it rather than
+            // dispatching the same configuration again.
+            if (!res.faulted)
+                verified_ns = res.total_ns;
         } else {
             // The exact entry no longer fits (scheduler knowledge
             // drifted under it): degrade to a warm start, which
@@ -263,6 +268,7 @@ AstraSession::optimize(const BindFn& bind)
     if (hit.tier == StoreTier::L2) {
         ws.has_config = true;
         ws.config = std::move(hit.entry.config);
+        ws.measured_ns = verified_ns;
     }
     WirerResult out = make_wirer(std::move(ws))->explore(bind);
     out.convergence.store_tier = store_tier_name(hit.tier);

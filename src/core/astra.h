@@ -33,9 +33,6 @@ struct AstraOptions
     EnumeratorOptions enumerator;
     int num_streams = 2;
 
-    /** Prefix for all profile keys (bucketed profiling sets this). */
-    std::string context_prefix;
-
     /**
      * Measure the clock instead of pinning it (see
      * WirerOptions::normalize_clock): samples, and the plan store's L1

@@ -20,13 +20,10 @@ BucketedAstra::BucketedAstra(std::vector<int> bucket_lengths,
         Bucket b;
         b.builder = std::make_unique<GraphBuilder>();
         build(*b.builder, len);
-        AstraOptions bucket_opts = opts;
-        // The bucket id prefixes every profile key (§5.5), so the five
-        // per-bucket explorations never alias in the index.
-        bucket_opts.context_prefix =
-            opts.context_prefix + "b" + std::to_string(len) + "|";
-        b.session = std::make_unique<AstraSession>(b.builder->graph(),
-                                                   bucket_opts);
+        // Each bucket's session explores into its own profile index
+        // (§5.5), so the per-bucket explorations never alias.
+        b.session =
+            std::make_unique<AstraSession>(b.builder->graph(), opts);
         buckets_.push_back(std::move(b));
     }
 }

@@ -4,8 +4,8 @@
  *
  * Variable-length inputs violate the mini-batch-predictability
  * assumption, so Astra buckets input lengths, builds one graph per
- * bucket, and runs an independent exploration inside each bucket with
- * the bucket id prefixed onto every profile key. A mini-batch of true
+ * bucket, and runs an independent exploration inside each bucket, into
+ * the bucket session's own profile index. A mini-batch of true
  * length L executes in the smallest bucket >= L, paying a small amount
  * of extra (padded) computation.
  */

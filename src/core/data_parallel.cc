@@ -30,10 +30,10 @@ namespace {
 /**
  * Explore gradient-bucket capacity and flush schedule for one degree
  * with the adaptive machinery: two variables under an Exhaustive
- * update node, profile keys mangled under a "dp<G>|" context prefix
- * (plus the flush binding in the bucket variable's context, so a
- * capacity measured under one schedule never answers for the other).
- * Fills the chosen binding and measured detail into `p`.
+ * update node, in an index of their own, with the flush binding in the
+ * bucket variable's context (so a capacity measured under one schedule
+ * never answers for the other). Fills the chosen binding and measured
+ * detail into `p`.
  */
 void
 explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
@@ -42,14 +42,13 @@ explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
                    const DataParallelSpace& dp, ScalePoint& p)
 {
     const int G = p.degree;
-    const std::string dpctx =
-        opts.context_prefix + "dp" + std::to_string(G) + "|";
+    ContextTable contexts;
 
     const int nbuckets = static_cast<int>(dp.bucket_options.size());
+    constexpr uint32_t kBucketVar = 0, kFlushVar = 1;
     auto bucket_var =
-        std::make_shared<AdaptiveVariable>("bucket", nbuckets);
-    auto flush_var = std::make_shared<AdaptiveVariable>("flush", 2);
-    flush_var->set_context(dpctx);
+        std::make_shared<AdaptiveVariable>(kBucketVar, nbuckets);
+    auto flush_var = std::make_shared<AdaptiveVariable>(kFlushVar, 2);
 
     std::vector<std::unique_ptr<UpdateNode>> leaves;
     leaves.push_back(UpdateNode::leaf(bucket_var));
@@ -65,7 +64,7 @@ explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
     dopts.link = net;
 
     const auto bucket_context = [&](int flush_choice) {
-        return dpctx + "flush=" + std::to_string(flush_choice) + "|";
+        return contexts.extend(contexts.root(), kFlushVar, flush_choice);
     };
 
     // Exhaustive sweep: each trial dispatches the current binding on G

@@ -14,8 +14,7 @@
  * dispatched onto G co-simulated devices (runtime/dispatcher_dp.h)
  * with ring-allreduce chunk transfers on a per-device comm stream.
  * Gradient bucket capacity and flush schedule are adaptive variables
- * explored against the profile index under a "dp<G>|" context prefix
- * (the same key-mangling bucketed profiling uses), so compute/comm
+ * explored per degree in a profile index of their own, so compute/comm
  * overlap is measured, never modelled. The closed-form ring formula
  * survives only as a cross-check the bench prints.
  */

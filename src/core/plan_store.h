@@ -43,7 +43,7 @@
  * Changing the GPU timing model or the library set changes gpu_sig /
  * lib_sig, so stale knowledge invalidates by key mismatch — the same
  * key-mangling-as-invalidation discipline the profile index uses for
- * context prefixes (§5.1).
+ * its contexts (§5.1).
  *
  * An entry holds exactly what the ladder reads: the key, the flops
  * distance, the stored best time (L1's drift check) and the config.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/obs.h"
+#include "support/logging.h"
 
 namespace astra {
 
@@ -11,8 +12,8 @@ namespace {
 
 /** The entry for `key` when it holds a sample, else null. */
 const ProfileStats*
-sampled(const std::map<std::string, ProfileStats>& entries,
-        const std::string& key)
+sampled(const std::unordered_map<ProfileKey, ProfileStats>& entries,
+        ProfileKey key)
 {
     const auto it = entries.find(key);
     return it == entries.end() || it->second.count == 0 ? nullptr
@@ -20,6 +21,24 @@ sampled(const std::map<std::string, ProfileStats>& entries,
 }
 
 }  // namespace
+
+ContextTable::ContextTable(uint32_t shard)
+    : root_(shard << kSerialBits)
+{
+    ASTRA_ASSERT(shard <= kMaxShard, "context shard ", shard,
+                 " out of range");
+}
+
+ContextId
+ContextTable::extend(ContextId parent, uint32_t variable, int choice)
+{
+    const auto [it, inserted] = ids_.try_emplace(
+        ProfileKey(parent, variable, choice),
+        root_ + static_cast<ContextId>(ids_.size()) + 1);
+    ASTRA_ASSERT(shard_of(it->second) == shard_of(root_),
+                 "context table of shard ", shard_of(root_), " is full");
+    return it->second;
+}
 
 void
 ProfileStats::add(double x)
@@ -29,7 +48,7 @@ ProfileStats::add(double x)
 }
 
 void
-ProfileIndex::record(const std::string& key, double ns)
+ProfileIndex::record(ProfileKey key, double ns)
 {
     static obs::Counter& records = obs::counter("profile_index.records");
     records.add();
@@ -38,7 +57,7 @@ ProfileIndex::record(const std::string& key, double ns)
 }
 
 void
-ProfileIndex::record_fault(const std::string& key)
+ProfileIndex::record_fault(ProfileKey key)
 {
     static obs::Counter& faults =
         obs::counter("profile_index.faulted_records");
@@ -47,18 +66,19 @@ ProfileIndex::record_fault(const std::string& key)
     ++total_faults_;
 }
 
-std::vector<std::string>
+std::vector<ProfileKey>
 ProfileIndex::quarantined_keys() const
 {
-    std::vector<std::string> out;
+    std::vector<ProfileKey> out;
     for (const auto& [key, stats] : entries_)
         if (stats.faults > 0 && stats.count == 0)
             out.push_back(key);
+    std::sort(out.begin(), out.end());
     return out;
 }
 
 std::optional<double>
-ProfileIndex::lookup(const std::string& key) const
+ProfileIndex::lookup(ProfileKey key) const
 {
     const ProfileStats* s = sampled(entries_, key);
     if (s == nullptr) {
@@ -73,20 +93,20 @@ ProfileIndex::lookup(const std::string& key) const
 }
 
 bool
-ProfileIndex::contains(const std::string& key) const
+ProfileIndex::contains(ProfileKey key) const
 {
     return entries_.count(key) > 0;
 }
 
 int
-ProfileIndex::best_choice(const std::string& prefix,
+ProfileIndex::best_choice(ContextId context, uint32_t variable,
                           int num_choices) const
 {
     int best = -1;
     double best_v = 0.0;
     for (int c = 0; c < num_choices; ++c) {
         const ProfileStats* s =
-            sampled(entries_, prefix + std::to_string(c));
+            sampled(entries_, ProfileKey(context, variable, c));
         if (s != nullptr && (best < 0 || s->min < best_v)) {
             best = c;
             best_v = s->min;
@@ -100,7 +120,7 @@ ProfileIndex::best_choice(const std::string& prefix,
     const double floor = kTieRel * std::abs(best_v);
     for (int c = 0; c < best; ++c) {
         const ProfileStats* s =
-            sampled(entries_, prefix + std::to_string(c));
+            sampled(entries_, ProfileKey(context, variable, c));
         if (s != nullptr && s->min - best_v <= floor)
             return c;
     }

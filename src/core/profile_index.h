@@ -3,13 +3,14 @@
  * The profile index (paper §4.6): a key-value store of fine-grained
  * measurements gathered during online exploration.
  *
- * Keys are mangled strings of the form
- *   "<context prefix>|<variable key>|<choice>"
- * where the context prefix encodes every higher-level binding the
- * measurement depends on (allocation strategy, bucket, the frozen
- * prefix of earlier epochs, ...). When the custom wirer explores a
- * different higher-level binding, lookups with the new prefix miss and
- * the dependent entries are re-measured — exactly the paper's
+ * A key (support/profile_key.h) is one choice of one variable under a
+ * context that stands for every higher-level binding the measurement
+ * depends on (allocation strategy, a group's bound chunk, the frozen
+ * prefix of earlier epochs, ...). A ContextTable interns each context
+ * as (parent context, frozen variable, its choice): the paper's key
+ * mangling, without the text. When the custom wirer explores a
+ * different higher-level binding, lookups under the new context miss
+ * and the dependent entries are re-measured — exactly the paper's
  * key-mangling-as-invalidation mechanism.
  *
  * Like the paper's prototype, the index trusts one measurement per
@@ -25,10 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "support/profile_key.h"
 
 namespace astra {
 
@@ -40,6 +42,40 @@ namespace astra {
  */
 constexpr double kTieRel = 1e-9;
 
+/**
+ * The contexts of one exploration shard. A context is a parent context
+ * extended by one frozen variable at one choice; the table gives each
+ * distinct extension one id. A shard's ids are [shard << kSerialBits,
+ * (shard + 1) << kSerialBits), its root first, so tables of distinct
+ * shards (the wirer's allocation strategies) never issue the same id
+ * and their keys stay disjoint when the shards merge.
+ */
+class ContextTable
+{
+  public:
+    static constexpr int kSerialBits = 20;
+    static constexpr uint32_t kMaxShard = (1u << (32 - kSerialBits)) - 2;
+
+    /** @param shard < kMaxShard + 1; its root is shard << kSerialBits. */
+    explicit ContextTable(uint32_t shard = 0);
+
+    /** The shard's root context: no binding frozen yet. */
+    ContextId root() const { return root_; }
+
+    /** `parent` extended by `variable` frozen at `choice`; interned. */
+    ContextId extend(ContextId parent, uint32_t variable, int choice);
+
+    /** Shard whose table issued `context`. */
+    static uint32_t shard_of(ContextId context)
+    {
+        return context >> kSerialBits;
+    }
+
+  private:
+    ContextId root_;
+    std::unordered_map<ProfileKey, ContextId> ids_;
+};
+
 /** Per-key measurements: what a ranking reads. */
 struct ProfileStats
 {
@@ -49,6 +85,9 @@ struct ProfileStats
 
     /** Accumulate one sample. */
     void add(double x);
+
+    friend bool operator==(const ProfileStats&,
+                           const ProfileStats&) = default;
 };
 
 /** Fine-grained measurement store. */
@@ -68,7 +107,7 @@ class ProfileIndex
     }
 
     /** Record a measurement; repeated records keep the minimum. */
-    void record(const std::string& key, double ns);
+    void record(ProfileKey key, double ns);
 
     /**
      * Mark a key as having produced a faulted measurement instead of a
@@ -77,30 +116,31 @@ class ProfileIndex
      * best_choice() — skips sample-free entries, so a faulted
      * configuration can never win a binding by default.
      */
-    void record_fault(const std::string& key);
+    void record_fault(ProfileKey key);
 
     /** Faulted measurements across all keys. */
     int64_t total_faults() const { return total_faults_; }
 
     /**
-     * Keys that only ever faulted (faults > 0, no samples) — the
-     * quarantine list surfaced in the convergence report.
+     * Keys that only ever faulted (faults > 0, no samples), in key
+     * order — the quarantine list surfaced in the convergence report.
      */
-    std::vector<std::string> quarantined_keys() const;
+    std::vector<ProfileKey> quarantined_keys() const;
 
     /** Fastest sample for an exact key, if it has any. */
-    std::optional<double> lookup(const std::string& key) const;
+    std::optional<double> lookup(ProfileKey key) const;
 
     /** True when a measurement exists for the key. */
-    bool contains(const std::string& key) const;
+    bool contains(ProfileKey key) const;
 
     /**
-     * Among keys "<prefix><choice>" for choice in [0, num_choices),
-     * return the choice with the fastest sample (ties, and with
-     * merge_ties anything within kTieRel of it, go to the lowest
-     * index); -1 when no choice has been measured yet.
+     * Among the keys (context, variable, choice) for choice in
+     * [0, num_choices), return the choice with the fastest sample
+     * (ties, and with merge_ties anything within kTieRel of it, go to
+     * the lowest index); -1 when no choice has been measured yet.
      */
-    int best_choice(const std::string& prefix, int num_choices) const;
+    int best_choice(ContextId context, uint32_t variable,
+                    int num_choices) const;
 
     /** Number of distinct keys (state-space accounting / tests). */
     size_t size() const { return entries_.size(); }
@@ -108,8 +148,8 @@ class ProfileIndex
     /** Samples across all keys. */
     int64_t total_samples() const { return total_samples_; }
 
-    /** All entries (ordered), for dumps and tests. */
-    const std::map<std::string, ProfileStats>& entries() const
+    /** All entries (unordered), for dumps and tests. */
+    const std::unordered_map<ProfileKey, ProfileStats>& entries() const
     {
         return entries_;
     }
@@ -118,8 +158,8 @@ class ProfileIndex
      * Fold another index's entries and totals into this one. Entries
      * under distinct keys insert as-is; same-key entries add their
      * counts and keep the smaller minimum. The parallel wirer merges
-     * per-strategy shards whose strategy context prefixes make the key
-     * sets disjoint, so the merged index is bit-identical to the one a
+     * per-strategy shards whose context tables make the key sets
+     * disjoint, so the merged index is bit-identical to the one a
      * serial exploration would have accumulated. Pass an rvalue to
      * move the new entries' nodes across instead of copying them.
      */
@@ -127,7 +167,7 @@ class ProfileIndex
 
   private:
     bool merge_ties_ = false;
-    std::map<std::string, ProfileStats> entries_;
+    std::unordered_map<ProfileKey, ProfileStats> entries_;
     int64_t total_samples_ = 0;
     int64_t total_faults_ = 0;
 };

@@ -539,15 +539,12 @@ append_num(std::string& sig, int64_t v)
     sig += ',';
 }
 
-/**
- * Length-prefixed, so no string can alias another by embedding a
- * separator.
- */
+/** A profile key as its packed value (the no-key value included). */
 void
-append_str(std::string& sig, const std::string& s)
+append_key(std::string& sig, ProfileKey key)
 {
-    append_num(sig, static_cast<int64_t>(s.size()));
-    sig += s;
+    sig += std::to_string(key.bits());
+    sig += ',';
 }
 
 /**
@@ -576,12 +573,12 @@ binding_signature(const ScheduleConfig& c)
     sig += "gk;";
     for (const auto& [id, key] : c.group_keys) {
         append_num(sig, id);
-        append_str(sig, key);
+        append_key(sig, key);
     }
     sig += "sk;";
     for (const auto& [id, key] : c.single_keys) {
         append_num(sig, id);
-        append_str(sig, key);
+        append_key(sig, key);
     }
     return sig;
 }
@@ -602,7 +599,7 @@ plan_signature(const ScheduleConfig& c)
     for (const auto& [se, key] : c.epoch_keys) {
         append_num(sig, se.first);
         append_num(sig, se.second);
-        append_str(sig, key);
+        append_key(sig, key);
     }
     return sig;
 }

@@ -58,13 +58,17 @@ struct ScheduleConfig
     // ---- profiling attachments (set by the custom wirer) -----------------
 
     /** Group id -> profile key for its GEMM steps (summed metric). */
-    std::map<int, std::string> group_keys;
+    std::map<int, ProfileKey> group_keys;
 
     /** Standalone MatMul node -> profile key. */
-    std::map<NodeId, std::string> single_keys;
+    std::map<NodeId, ProfileKey> single_keys;
 
     /** (super-epoch, epoch) -> epoch-metric profile key. */
-    std::map<std::pair<int, int>, std::string> epoch_keys;
+    std::map<std::pair<int, int>, ProfileKey> epoch_keys;
+
+    /** Field-for-field equality: equal configs build equal plans. */
+    friend bool operator==(const ScheduleConfig&,
+                           const ScheduleConfig&) = default;
 };
 
 /** One epoch of the stream-exploration structure. */

@@ -35,6 +35,17 @@ sat_mul(int64_t a, int64_t b)
     return a * b;
 }
 
+/** A clean end-to-end time `runs` holds for `config`, or -1. */
+double
+reusable_ns(const std::vector<std::pair<ScheduleConfig, double>>& runs,
+            const ScheduleConfig& config)
+{
+    for (const auto& [measured, ns] : runs)
+        if (measured == config)
+            return ns;
+    return -1.0;
+}
+
 }  // namespace
 
 AstraFeatures
@@ -70,6 +81,21 @@ features_all()
     return AstraFeatures{};
 }
 
+uint32_t
+wirer_variable_id(WirerVariable kind, int index)
+{
+    ASTRA_ASSERT(index >= 0 && index <= (ProfileKey::kMaxVariable >> 2),
+                 "wirer variable index ", index, " out of range");
+    return static_cast<uint32_t>(index) << 2 |
+           static_cast<uint32_t>(kind);
+}
+
+WirerVariable
+wirer_variable_kind(uint32_t id)
+{
+    return static_cast<WirerVariable>(id & 3);
+}
+
 const char*
 wirer_termination_name(WirerTermination t)
 {
@@ -92,16 +118,18 @@ wirer_termination_name(WirerTermination t)
  */
 struct CustomWirer::StrategyRun
 {
-    StrategyRun(int sid_in, std::string sctx_in, int64_t quota_in,
-                bool normalize_clock, const GpuConfig& gpu)
-        : sid(sid_in), sctx(std::move(sctx_in)), quota(quota_in),
-          index(normalize_clock),
+    StrategyRun(int sid_in, int64_t quota_in, bool normalize_clock,
+                const GpuConfig& gpu)
+        : sid(sid_in), contexts(static_cast<uint32_t>(sid_in)),
+          quota(quota_in), index(normalize_clock),
           clock(gpu, static_cast<uint64_t>(sid_in) + 1)
     {
     }
 
-    int sid;           ///< allocation-strategy index
-    std::string sctx;  ///< strategy context prefix for profile keys
+    int sid;  ///< allocation-strategy index
+
+    /** This strategy's contexts: shard `sid`, rooted at the strategy. */
+    ContextTable contexts;
 
     /** This strategy's share of the mini-batch safety valve. */
     int64_t quota;
@@ -128,6 +156,14 @@ struct CustomWirer::StrategyRun
     /** The strategy's bound best configuration and its measured time. */
     ScheduleConfig best_config;
     double final_ns = 0.0;
+
+    /**
+     * Clean end-to-end times of the unprofiled configurations this run
+     * has measured (the transfer, the final runs) or was handed
+     * (WirerWarmStart::measured_ns). A final run of an identical
+     * configuration reuses the time instead of dispatching again.
+     */
+    std::vector<std::pair<ScheduleConfig, double>> clean_runs;
 
     /**
      * Per-dispatch fault-salt sequence: the i-th dispatch of this
@@ -226,31 +262,32 @@ CustomWirer::dispatch(StrategyRun& run, const ScheduleConfig& config,
     }
     if (run.best_seen_ns < 0.0 || result.total_ns < run.best_seen_ns)
         run.best_seen_ns = result.total_ns;
-    // All profile keys are fully context-mangled by construction, so
+    // Every profile key carries its full context by construction, so
     // the result entries drop straight into the shard (§4.6).
     for (const auto& [key, ns] : result.profile_ns)
         run.index.record(key, ns);
     return result;
 }
 
-void
+double
 CustomWirer::measure_trial(StrategyRun& run, const ScheduleConfig& config,
                            const BindFn& bind)
 {
     for (int attempt = 0;; ++attempt) {
         if (run.minibatches >= run.quota) {
             run.truncated = true;
-            return;
+            return -1.0;
         }
-        if (!dispatch(run, config, bind).faulted)
-            return;
+        const DispatchResult result = dispatch(run, config, bind);
+        if (!result.faulted)
+            return result.total_ns;
         // The trial came back faulted even after the dispatcher's own
         // replays: re-measure it (fresh fault salt) up to kFaultBudget
         // times, then quarantine — the keys stay marked, sample-free,
         // and can never be bound.
         if (attempt >= kFaultBudget) {
             run.fault_exhausted = true;
-            return;
+            return -1.0;
         }
         ++run.wirer_retries;
     }
@@ -276,11 +313,16 @@ double
 CustomWirer::measure_final(StrategyRun& run, const ScheduleConfig& config,
                            const BindFn& bind)
 {
+    if (const double reused = reusable_ns(run.clean_runs, config);
+        reused >= 0.0)
+        return reused;
     // Only a clean dispatch may define the strategy's end-to-end time.
     for (int attempt = 0;; ++attempt) {
         const DispatchResult result = dispatch(run, config, bind);
-        if (!result.faulted)
+        if (!result.faulted) {
+            run.clean_runs.emplace_back(config, result.total_ns);
             return result.total_ns;
+        }
         if (attempt >= kFaultBudget)
             break;
         ++run.wirer_retries;
@@ -299,7 +341,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         space_.strategies[static_cast<size_t>(sid)];
     obs::ScopedSpan strategy_span(obs::Category::Wire,
                                   "wirer.strategy." + strat.key);
-    const std::string& sctx = run.sctx;
+    const ContextId root = run.contexts.root();
 
     // ---- what-if arming (§5.13) -------------------------------------------
     // Arm only when host replay is provably exact against a dispatch:
@@ -390,10 +432,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                         it - g.chunk_options.begin());
             }
             auto v = std::make_shared<AdaptiveVariable>(
-                g.key + "|chunk",
+                wirer_variable_id(WirerVariable::GroupChunk, g.id),
                 static_cast<int>(g.chunk_options.size()),
                 warm_idx >= 0 ? warm_idx : 0);
-            v->set_context(sctx);
+            v->set_context(root);
             chunk_vars[static_cast<size_t>(g.id)] = v;
             // While the what-if engine is armed, a transferred choice
             // stays *residual*: exploring it costs host replays, not
@@ -436,9 +478,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                               .group_lib[static_cast<size_t>(g.id)])
                     : -1;
             auto v = std::make_shared<AdaptiveVariable>(
-                g.key + "|lib", kNumGemmLibs,
-                warm_lib >= 0 ? warm_lib : 0);
-            v->set_context(sctx);
+                wirer_variable_id(WirerVariable::GroupLib, g.id),
+                kNumGemmLibs, warm_lib >= 0 ? warm_lib : 0);
+            v->set_context(root);
             lib_vars[static_cast<size_t>(g.id)] = v;
             if (warm_lib >= 0 && !run.whatif) {
                 prebound.insert(v.get());
@@ -449,7 +491,8 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                 lib_exhaustive = sat_mul(lib_exhaustive, kNumGemmLibs);
             }
         }
-        for (NodeId id : space_.single_mms) {
+        for (size_t i = 0; i < space_.single_mms.size(); ++i) {
+            const NodeId id = space_.single_mms[i];
             int warm_lib = -1;
             if (warm.has_config) {
                 const auto it = warm.config.single_lib.find(id);
@@ -457,9 +500,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                     warm_lib = static_cast<int>(it->second);
             }
             auto v = std::make_shared<AdaptiveVariable>(
-                "n" + std::to_string(id) + "|lib", kNumGemmLibs,
-                warm_lib >= 0 ? warm_lib : 0);
-            v->set_context(sctx);
+                wirer_variable_id(WirerVariable::SingleLib,
+                                  static_cast<int>(i)),
+                kNumGemmLibs, warm_lib >= 0 ? warm_lib : 0);
+            v->set_context(root);
             single_vars[id] = v;
             if (warm_lib >= 0 && !run.whatif) {
                 prebound.insert(v.get());
@@ -503,9 +547,22 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // the bar every residual trial must beat) and records the
     // inherited plan's measurement as the report's "transfer" epoch. No
     // profile keys — the pre-bound variables are settled, not explored.
+    // A caller that already measured exactly this configuration clean
+    // hands its time over, and a final run of it reuses either.
+    if (warm.measured_ns >= 0.0)
+        run.clean_runs.emplace_back(warm.config, warm.measured_ns);
     if (warm.has_config) {
         const StageMark before = mark();
-        measure_trial(run, current_config(false), bind);
+        const ScheduleConfig transfer = current_config(false);
+        const double reused = reusable_ns(run.clean_runs, transfer);
+        if (reused >= 0.0) {
+            if (run.best_seen_ns < 0.0 || reused < run.best_seen_ns)
+                run.best_seen_ns = reused;
+        } else {
+            const double ns = measure_trial(run, transfer, bind);
+            if (ns >= 0.0)
+                run.clean_runs.emplace_back(transfer, ns);
+        }
         record_epoch("transfer", "store", before,
                      prebound_space > 1 ? prebound_space : 0);
     }
@@ -553,8 +610,11 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                 cv ? g.chunk_options[static_cast<size_t>(
                          cv->current())]
                    : 1;
-            lv->set_context(sctx + g.key + "|ch" +
-                            std::to_string(chunk) + "|");
+            // The group's bound chunk value, not its option index: a
+            // group without a chunk variable runs unfused.
+            lv->set_context(run.contexts.extend(
+                root, wirer_variable_id(WirerVariable::GroupChunk, g.id),
+                chunk));
         }
         auto stage = UpdateNode::composite(
             UpdateNode::Mode::Parallel, std::move(lib_leaves));
@@ -599,6 +659,13 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         std::map<int, std::vector<const EpochInfo*>> by_se;
         for (const EpochInfo& e : ss.epochs)
             by_se[e.super_epoch].push_back(&e);
+        // An epoch's variable is numbered by its position in the
+        // stream space, which every trial of this run shares.
+        auto epoch_variable = [&ss](const EpochInfo& e) {
+            return wirer_variable_id(
+                WirerVariable::EpochSplit,
+                static_cast<int>(&e - ss.epochs.data()));
+        };
 
         // Warm stream transfer is all-or-nothing: a Prefix freeze
         // mangles later epochs' contexts, so a partially pre-bound
@@ -626,11 +693,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             for (const auto& [se, epochs] : by_se)
                 for (const EpochInfo* e : epochs) {
                     auto v = std::make_shared<AdaptiveVariable>(
-                        "se" + std::to_string(se) + "e" +
-                            std::to_string(e->level) + "|split",
+                        epoch_variable(*e),
                         static_cast<int>(e->options.size()),
                         warm.config.epoch_choice.at({se, e->level}));
-                    v->set_context(sctx);
+                    v->set_context(root);
                     epoch_vars[{se, e->level}] = v;
                     prebound.insert(v.get());
                     ++run.transferred;
@@ -657,10 +723,9 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             std::vector<VarPtr> se_vars;
             for (const EpochInfo* e : epochs) {
                 auto v = std::make_shared<AdaptiveVariable>(
-                    "se" + std::to_string(se) + "e" +
-                        std::to_string(e->level) + "|split",
+                    epoch_variable(*e),
                     static_cast<int>(e->options.size()), 0);
-                v->set_context(sctx);
+                v->set_context(root);
                 epoch_vars[{se, e->level}] = v;
                 se_vars.push_back(v);
                 epoch_leaves.push_back(UpdateNode::leaf(v));
@@ -673,20 +738,15 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             // History-awareness: once an epoch is frozen, its
             // binding becomes part of later epochs' contexts.
             prefix->set_on_child_bound(
-                [se_vars, &frozen](int idx) {
-                    frozen.insert(
-                        se_vars[static_cast<size_t>(idx)].get());
-                    const std::string suffix =
-                        se_vars[static_cast<size_t>(idx)]->key() +
-                        "b" +
-                        std::to_string(
-                            se_vars[static_cast<size_t>(idx)]
-                                ->current()) +
-                        "|";
+                [se_vars, &frozen, &contexts = run.contexts](int idx) {
+                    const AdaptiveVariable& bound =
+                        *se_vars[static_cast<size_t>(idx)];
+                    frozen.insert(&bound);
                     for (size_t j = static_cast<size_t>(idx) + 1;
                          j < se_vars.size(); ++j)
-                        se_vars[j]->set_context(
-                            se_vars[j]->context() + suffix);
+                        se_vars[j]->set_context(contexts.extend(
+                            se_vars[j]->context(), bound.id(),
+                            bound.current()));
                 });
             se_nodes.push_back(std::move(prefix));
         }
@@ -787,11 +847,7 @@ CustomWirer::explore(const BindFn& bind)
         const int sid = sids[static_cast<size_t>(i)];
         const int64_t quota =
             budget / num_runs + (i < budget % num_runs ? 1 : 0);
-        runs.emplace_back(
-            sid,
-            opts_.context_prefix +
-                space_.strategies[static_cast<size_t>(sid)].key + "|",
-            quota, opts_.normalize_clock, opts_.gpu);
+        runs.emplace_back(sid, quota, opts_.normalize_clock, opts_.gpu);
     }
 
     // Fan out one pipeline per strategy. At threads=1 parallel_for is

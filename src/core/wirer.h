@@ -5,7 +5,7 @@
  *
  * Every trial is a real training mini-batch dispatched on the device;
  * fine-grained cudaEvent measurements land in the profile index under
- * context-mangled keys, and the update tree advances. The exploration
+ * (context, variable, choice) keys, and the update tree advances. The exploration
  * is phased exactly like the paper's update tree:
  *
  *   for each allocation strategy (hierarchical fork, §4.5.2):
@@ -64,7 +64,36 @@ struct WirerWarmStart
 
     /** The neighbor's winning configuration. */
     ScheduleConfig config;
+
+    /**
+     * Clean end-to-end time of `config` on this graph and device when
+     * the caller already measured it (a drift-demoted L1 hit's
+     * verification); negative otherwise. A run that would dispatch
+     * exactly `config` reuses it instead.
+     */
+    double measured_ns = -1.0;
 };
+
+/**
+ * What a wirer variable adapts. Its profile-key variable id
+ * (ProfileKey::variable) is `index << 2 | kind`, where `index` is the
+ * group id (GroupChunk, GroupLib), the MatMul's position in
+ * SearchSpace::single_mms (SingleLib) or the epoch's position in the
+ * strategy's stream space (EpochSplit).
+ */
+enum class WirerVariable : uint32_t
+{
+    GroupChunk = 0,
+    GroupLib = 1,
+    SingleLib = 2,
+    EpochSplit = 3,
+};
+
+/** Profile-key variable id of the `kind` variable for `index`. */
+uint32_t wirer_variable_id(WirerVariable kind, int index);
+
+/** The kind a wirer variable id encodes. */
+WirerVariable wirer_variable_kind(uint32_t id);
 
 /** Options for the custom wirer. */
 struct WirerOptions
@@ -75,12 +104,6 @@ struct WirerOptions
 
     /** Plan-store knowledge to start from (none by default). */
     WirerWarmStart warm;
-
-    /**
-     * Prefix mangled into every profile key (bucketed profiling adds
-     * the bucket id here, §5.5).
-     */
-    std::string context_prefix;
 
     /**
      * Safety valve on total exploration mini-batches. Exhausting it
@@ -190,7 +213,8 @@ struct WirerResult
 
     /**
      * Final profile index (for inspection/tests). Empty after a
-     * plan-store L1 hit: nothing was explored.
+     * plan-store L1 hit: nothing was explored. Strategy k's keys carry
+     * contexts of shard k (ContextTable::shard_of).
      */
     ProfileIndex index;
 
@@ -226,8 +250,8 @@ class CustomWirer
     /**
      * All mutable state of one allocation strategy's exploration
      * pipeline. Each strategy owns a StrategyRun exclusively for the
-     * duration of explore(): a private ProfileIndex shard (strategy
-     * context prefixes make the key sets disjoint), its own mini-batch
+     * duration of explore(): a private ProfileIndex shard (its own
+     * ContextTable shard makes the key sets disjoint), its own mini-batch
      * accounting against a pre-partitioned budget share, a ClockDomain
      * whose boost draws depend only on this strategy's measurement
      * sequence, and the stage history for the convergence report. The
@@ -253,9 +277,12 @@ class CustomWirer
      * (fresh fault salts) when the mini-batch faulted, up to the fault
      * budget. Sets the run's truncated flag when its budget share is
      * spent.
+     *
+     * @return the clean end-to-end time, or a negative value when no
+     *         attempt measured clean.
      */
-    void measure_trial(StrategyRun& run, const ScheduleConfig& config,
-                       const BindFn& bind);
+    double measure_trial(StrategyRun& run, const ScheduleConfig& config,
+                         const BindFn& bind);
 
     /**
      * One *replayed* exploration trial (§5.13): evaluate the
@@ -273,7 +300,9 @@ class CustomWirer
     /**
      * Measure a bound configuration end-to-end, unconditionally — the
      * valve may overshoot so a truncated result is still dispatchable
-     * — and again when it faulted, up to the fault budget.
+     * — and again when it faulted, up to the fault budget. A clean
+     * end-to-end time the run already holds for an identical
+     * configuration is reused instead of dispatched again.
      *
      * @return the first clean end-to-end time, or kUnmeasuredNs.
      */

@@ -67,7 +67,7 @@ emit_kernel_event(std::ostream& os, const TraceSpan& s, bool* first)
        << "\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":" << s.start_ns / 1e3
        << ",\"dur\":" << (s.end_ns - s.start_ns) / 1e3
        << ",\"pid\":0,\"tid\":" << s.stream << ",\"args\":{\"key\":\""
-       << escape(s.key) << "\",\"stream\":" << s.stream
+       << to_string(s.key) << "\",\"stream\":" << s.stream
        << ",\"dur_src\":\"device\"}}";
 }
 

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/profile_key.h"
 #include "support/stats.h"
 
 namespace astra {
@@ -41,8 +42,8 @@ struct TraceSpan
     int stream = 0;
     double start_ns = 0.0;
     double end_ns = 0.0;
-    /** Profile-index key of the launching step ("" when unkeyed). */
-    std::string key;
+    /** Profile-index key of the launching step (none when unkeyed). */
+    ProfileKey key;
 };
 
 namespace obs {

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "runtime/plan.h"
@@ -32,7 +31,7 @@ struct DispatchResult
      * Fine-grained measurements: profile_key -> summed elapsed ns
      * (for epoch_metric keys: max barrier-to-completion time).
      */
-    std::map<std::string, double> profile_ns;
+    std::map<ProfileKey, double> profile_ns;
 
     /** Device counters accumulated during the run. */
     GpuStats stats;

@@ -17,6 +17,7 @@
 
 #include "graph/graph.h"
 #include "kernels/cost.h"
+#include "support/profile_key.h"
 
 namespace astra {
 
@@ -55,7 +56,7 @@ struct PlanStep
 
     /** Record events around this step and report under profile_key. */
     bool profile = false;
-    std::string profile_key;
+    ProfileKey profile_key;
 
     /**
      * Stream-scheduling metric (paper §4.7): report, under profile_key,

@@ -66,7 +66,7 @@ struct WiredCmd
 /** Profiling readout recipe for one instrumented plan step. */
 struct WiredProfile
 {
-    std::string key;
+    ProfileKey key;
     bool epoch_metric = false;
     int32_t step = -1;        ///< owning plan step (diagnostics)
     int32_t start_slot = -1;  ///< unused for epoch metrics

@@ -81,14 +81,12 @@ BucketedServer::rewire(int bucket, const GpuConfig& gpu) const
 
     AstraOptions o = opts_.astra;
     o.gpu = gpu;
-    // Same §5.5 context prefix as the router's bucket, so the plan
-    // store resolves the same workload identity: the stale entry
-    // L1-hits (gpu_sig ignores the forced multiplier), its
-    // verification mini-batch — measured on the *throttled* device —
-    // drifts past kStoreDriftRel, and optimize() demotes into a
-    // warm-started re-exploration whose winner is written back.
-    o.context_prefix = opts_.astra.context_prefix + "b" +
-                       std::to_string(len) + "|";
+    // The plan store keys the bucket's entry by its graph and device,
+    // so the stale entry L1-hits (gpu_sig ignores the forced
+    // multiplier), its verification mini-batch — measured on the
+    // *throttled* device — drifts past kStoreDriftRel, and optimize()
+    // demotes into a warm start that reuses that measurement and
+    // writes the re-explored winner back.
     state->session =
         std::make_unique<AstraSession>(state->builder->graph(), o);
     const WirerResult r = state->session->optimize();

@@ -157,11 +157,11 @@ class BucketedServer
 
     /**
      * Re-wire one bucket against an explicit device configuration:
-     * fresh session over the bucket's graph (same §5.5 context prefix,
-     * so the plan store sees the same workload identity), full
-     * optimize() — which walks the store ladder, fails drift
-     * verification on the stale entry, warm-starts, and writes the
-     * refreshed winner back — then lowers the winner into a wired
+     * fresh session over the bucket's graph (the plan store keys it
+     * by graph and device, so it sees the same workload identity),
+     * full optimize() — which walks the store ladder, fails drift
+     * verification on the stale entry, warm-starts from it, and writes
+     * the refreshed winner back — then lowers the winner into a wired
      * blob. Returns the candidate plan; does NOT install it.
      */
     BucketPlan rewire(int bucket, const GpuConfig& gpu) const;

@@ -15,6 +15,8 @@
 #include <functional>
 #include <string>
 
+#include "support/profile_key.h"
+
 namespace astra {
 
 /** One device kernel launch. */
@@ -46,12 +48,11 @@ struct KernelDesc
     std::function<void()> compute;
 
     /**
-     * Profile-index key of the plan step that launched this kernel
-     * ("" when the launch is not plan-keyed). Carried into collected
-     * trace spans so recorded traces can cross-reference ProfileIndex
-     * statistics (what-if replay, §5.13).
+     * Profile-index key of the plan step that launched this kernel (no
+     * key when the launch is not plan-keyed). Carried into collected
+     * trace spans, whose Chrome export renders it (obs/export.h).
      */
-    std::string key;
+    ProfileKey key;
 };
 
 }  // namespace astra

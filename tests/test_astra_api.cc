@@ -218,25 +218,5 @@ TEST(BuilderMisuse, CrossEntropyLabelCountMismatchDies)
     EXPECT_DEATH(b.cross_entropy(logits, labels), "one label");
 }
 
-TEST(ProfileIndexIntegration, EntriesAreContextDisjointAcrossBuckets)
-{
-    const BuiltModel m = tiny();
-    AstraOptions a;
-    a.gpu.execute_kernels = false;
-    a.context_prefix = "b13|";
-    AstraSession s1(m.graph(), a);
-    const WirerResult r1 = s1.optimize();
-    AstraOptions b;
-    b.gpu.execute_kernels = false;
-    b.context_prefix = "b24|";
-    AstraSession s2(m.graph(), b);
-    const WirerResult r2 = s2.optimize();
-    for (const auto& [k, v] : r1.index.entries()) {
-        (void)v;
-        EXPECT_FALSE(r2.index.contains(k))
-            << "bucketed keys must not alias: " << k;
-    }
-}
-
 }  // namespace
 }  // namespace astra

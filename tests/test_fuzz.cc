@@ -172,7 +172,8 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
                 static_cast<GemmLib>(cfg_rng.next_below(kNumGemmLibs));
             // Keyed groups (and epochs below) give the replay check a
             // profile map to compare.
-            cfg.group_keys[grp.id] = "fz|g" + std::to_string(grp.id);
+            cfg.group_keys[grp.id] =
+                testutil::wirer_key(WirerVariable::GroupChunk, grp.id);
         }
         if (cfg.use_streams) {
             // Warm the shared scheduler on a sibling (same binding,
@@ -180,10 +181,12 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             // cached skeleton must equal a fresh scheduler's.
             (void)sched.build(draw_choices(cfg));
             cfg = draw_choices(cfg);
-            for (const EpochInfo& e : sched.stream_space(cfg).epochs)
-                cfg.epoch_keys[{e.super_epoch, e.level}] =
-                    "fz|e" + std::to_string(e.super_epoch) + "." +
-                    std::to_string(e.level);
+            const StreamSpace ss = sched.stream_space(cfg);
+            for (size_t i = 0; i < ss.epochs.size(); ++i)
+                cfg.epoch_keys[{ss.epochs[i].super_epoch,
+                                ss.epochs[i].level}] =
+                    testutil::wirer_key(WirerVariable::EpochSplit,
+                                        static_cast<int>(i));
         }
         const ExecutionPlan plan = sched.build(cfg);
         EXPECT_EQ(testutil::plan_dump(plan),

@@ -133,7 +133,8 @@ TEST(Integration, ProfilingOverheadBelowHalfPercent)
     // Same configuration with every group profiled.
     ScheduleConfig profiled = cfg;
     for (const FusionGroup& g : space.groups)
-        profiled.group_keys[g.id] = "p|" + g.key;
+        profiled.group_keys[g.id] = ProfileKey(
+            0, wirer_variable_id(WirerVariable::GroupChunk, g.id), 0);
     const double instrumented = session.run(profiled).total_ns;
     EXPECT_LT((instrumented - plain) / plain, 0.005);
 }

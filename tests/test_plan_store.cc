@@ -749,7 +749,7 @@ TEST(PlanStoreWarmStart, ScrnnEmbedNeighborExploresResidualSpace)
     EXPECT_EQ(cold.minibatches, 418);
     EXPECT_EQ(config_fnv(cold.best_config), "e5ef077cb869bb71");
     EXPECT_EQ(warm.convergence.store_tier, "l2");
-    EXPECT_EQ(warm.minibatches, 131);
+    EXPECT_EQ(warm.minibatches, 130);
     EXPECT_EQ(warm.best_ns, 615999.22824510862);
     EXPECT_EQ(config_fnv(warm.best_config), "ade1a61080117c3a");
 }

@@ -11,6 +11,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,9 +23,17 @@
 #include "core/config_io.h"
 #include "core/profile_index.h"
 #include "models/models.h"
+#include "support/rng.h"
 
 namespace astra {
 namespace {
+
+/** Variable `var` of context 0 at `choice`. */
+ProfileKey
+key(uint32_t var, int choice)
+{
+    return ProfileKey(0, var, choice);
+}
 
 TEST(ProfileIndex, ResolutionFloorMergesSubEpsilonTies)
 {
@@ -29,92 +41,90 @@ TEST(ProfileIndex, ResolutionFloorMergesSubEpsilonTies)
     // the kTieRel resolution floor of a normalized ranking. The strict
     // rule chases the last ulp; with the floor the pair is a tie,
     // merged onto the lowest index.
+    constexpr uint32_t e = 0, f = 1, g = 2;
     ProfileIndex strict;
     ProfileIndex merged(/*merge_ties=*/true);
     for (ProfileIndex* idx : {&strict, &merged}) {
-        idx->record("e=0", 100.0 * (1.0 + 5e-10));
-        idx->record("e=1", 100.0);
-        idx->record("f=0", 100.0 * (1.0 + 1e-6));
-        idx->record("f=1", 100.0);
+        idx->record(key(e, 0), 100.0 * (1.0 + 5e-10));
+        idx->record(key(e, 1), 100.0);
+        idx->record(key(f, 0), 100.0 * (1.0 + 1e-6));
+        idx->record(key(f, 1), 100.0);
     }
-    EXPECT_EQ(strict.best_choice("e=", 2), 1);
-    EXPECT_EQ(merged.best_choice("e=", 2), 0);  // lowest index wins
+    EXPECT_EQ(strict.best_choice(0, e, 2), 1);
+    EXPECT_EQ(merged.best_choice(0, e, 2), 0);  // lowest index wins
     // A separation above the floor is not merged: the better choice
     // keeps winning regardless of index order.
-    EXPECT_EQ(strict.best_choice("f=", 2), 1);
-    EXPECT_EQ(merged.best_choice("f=", 2), 1);
+    EXPECT_EQ(strict.best_choice(0, f, 2), 1);
+    EXPECT_EQ(merged.best_choice(0, f, 2), 1);
     // The merge takes the lowest tied index, skipping unmeasured and
     // slower ones; exact ties go to the lowest index in both regimes.
     for (ProfileIndex* idx : {&strict, &merged}) {
-        idx->record("g=1", 100.0 * (1.0 + 1e-6));
-        idx->record("g=2", 100.0 * (1.0 + 2e-10));
-        idx->record("g=3", 100.0);
-        idx->record("g=4", 100.0);
+        idx->record(key(g, 1), 100.0 * (1.0 + 1e-6));
+        idx->record(key(g, 2), 100.0 * (1.0 + 2e-10));
+        idx->record(key(g, 3), 100.0);
+        idx->record(key(g, 4), 100.0);
     }
-    EXPECT_EQ(strict.best_choice("g=", 5), 3);
-    EXPECT_EQ(merged.best_choice("g=", 5), 2);
+    EXPECT_EQ(strict.best_choice(0, g, 5), 3);
+    EXPECT_EQ(merged.best_choice(0, g, 5), 2);
 }
 
 TEST(ProfileIndex, TieMergeWithFewerThanTwoMeasured)
 {
     ProfileIndex idx(/*merge_ties=*/true);
-    EXPECT_EQ(idx.best_choice("x=", 3), -1);
-    idx.record("x=1", 4.0);
-    EXPECT_EQ(idx.best_choice("x=", 3), 1);
+    EXPECT_EQ(idx.best_choice(0, 0, 3), -1);
+    idx.record(key(0, 1), 4.0);
+    EXPECT_EQ(idx.best_choice(0, 0, 3), 1);
     // A faulted key holds no sample and never wins, tie or not.
-    idx.record_fault("x=0");
-    EXPECT_EQ(idx.best_choice("x=", 3), 1);
+    idx.record_fault(key(0, 0));
+    EXPECT_EQ(idx.best_choice(0, 0, 3), 1);
 }
 
 TEST(ProfileStats, MergeIntoEmptyAndFromEmpty)
 {
+    const ProfileKey k = key(0, 0);
     ProfileIndex filled, empty;
-    filled.record("k", 5.0);
-    filled.record("k", 3.0);
+    filled.record(k, 5.0);
+    filled.record(k, 3.0);
 
     empty.merge(filled);
     ASSERT_EQ(empty.size(), 1u);
-    EXPECT_EQ(empty.entries().at("k").count, 2);
-    EXPECT_DOUBLE_EQ(empty.entries().at("k").min, 3.0);
+    EXPECT_EQ(empty.entries().at(k).count, 2);
+    EXPECT_DOUBLE_EQ(empty.entries().at(k).min, 3.0);
 
     ProfileIndex unsampled;
-    unsampled.record_fault("k");
+    unsampled.record_fault(k);
     ProfileIndex copy = filled;
     copy.merge(unsampled);
-    EXPECT_EQ(copy.entries().at("k").count, 2);
-    EXPECT_EQ(copy.entries().at("k").faults, 1);
-    EXPECT_DOUBLE_EQ(copy.entries().at("k").min, 3.0);
+    EXPECT_EQ(copy.entries().at(k).count, 2);
+    EXPECT_EQ(copy.entries().at(k).faults, 1);
+    EXPECT_DOUBLE_EQ(copy.entries().at(k).min, 3.0);
     unsampled.merge(filled);
-    EXPECT_DOUBLE_EQ(unsampled.entries().at("k").min, 3.0);
+    EXPECT_DOUBLE_EQ(unsampled.entries().at(k).min, 3.0);
 }
 
 TEST(ProfileIndex, MergeOfDisjointShardsEqualsSerialIndex)
 {
     // The parallel wirer's reduction: per-strategy shards have
-    // disjoint keys (strategy context prefixes), so the merged index
-    // must equal the one a serial run would have built.
+    // disjoint keys (one context-table shard each), so the merged
+    // index must equal the one a serial run would have built.
+    const ContextId c0 = ContextTable(0).root();
+    const ContextId c1 = ContextTable(1).root();
     ProfileIndex s0, s1, serial;
-    s0.record("s0|a|0", 10.0);
-    s0.record("s0|a|1", 12.0);
-    s0.record("s0|a|0", 10.0);
-    s1.record("s1|a|0", 20.0);
-    serial.record("s0|a|0", 10.0);
-    serial.record("s0|a|1", 12.0);
-    serial.record("s0|a|0", 10.0);
-    serial.record("s1|a|0", 20.0);
+    s0.record(ProfileKey(c0, 0, 0), 10.0);
+    s0.record(ProfileKey(c0, 0, 1), 12.0);
+    s0.record(ProfileKey(c0, 0, 0), 10.0);
+    s1.record(ProfileKey(c1, 0, 0), 20.0);
+    serial.record(ProfileKey(c0, 0, 0), 10.0);
+    serial.record(ProfileKey(c0, 0, 1), 12.0);
+    serial.record(ProfileKey(c0, 0, 0), 10.0);
+    serial.record(ProfileKey(c1, 0, 0), 20.0);
 
     ProfileIndex merged;
     merged.merge(s0);
     merged.merge(s1);
     EXPECT_EQ(merged.size(), serial.size());
     EXPECT_EQ(merged.total_samples(), serial.total_samples());
-    auto it = serial.entries().begin();
-    for (const auto& [key, stats] : merged.entries()) {
-        ASSERT_EQ(key, it->first);
-        EXPECT_EQ(stats.count, it->second.count);
-        EXPECT_DOUBLE_EQ(stats.min, it->second.min);
-        ++it;
-    }
+    EXPECT_EQ(merged.entries(), serial.entries());
 }
 
 TEST(ProfileIndex, MergeByMoveEqualsMergeByCopy)
@@ -122,15 +132,16 @@ TEST(ProfileIndex, MergeByMoveEqualsMergeByCopy)
     // The wirer moves its shards into the result; a copied shard must
     // merge to the same entries and totals: new keys, a key both hold
     // and a faulted key.
+    const ProfileKey shared(9, 0, 0);
     ProfileIndex base, shard;
-    base.record("s0|a|0", 10.0);
-    base.record("shared|k|0", 50.0);
-    base.record("shared|k|0", 52.0);
+    base.record(ProfileKey(0, 0, 0), 10.0);
+    base.record(shared, 50.0);
+    base.record(shared, 52.0);
     for (int i = 0; i < 6; ++i)
-        shard.record("shared|k|0", 49.0 + 0.25 * i);
-    shard.record("s1|a|0", 20.0);
-    shard.record("s1|a|1", 21.0);
-    shard.record_fault("s1|b|2");
+        shard.record(shared, 49.0 + 0.25 * i);
+    shard.record(ProfileKey(1, 0, 0), 20.0);
+    shard.record(ProfileKey(1, 0, 1), 21.0);
+    shard.record_fault(ProfileKey(1, 1, 2));
 
     ProfileIndex by_copy = base, by_move = base;
     by_copy.merge(shard);
@@ -140,21 +151,170 @@ TEST(ProfileIndex, MergeByMoveEqualsMergeByCopy)
     EXPECT_EQ(by_copy.total_samples(), 11);
     EXPECT_EQ(by_copy.total_faults(), 1);
     ASSERT_EQ(by_move.size(), 5u);
-    ASSERT_EQ(by_copy.size(), 5u);
-    auto it = by_copy.entries().begin();
-    for (const auto& [key, stats] : by_move.entries()) {
-        ASSERT_EQ(key, it->first);
-        const ProfileStats& want = it->second;
-        EXPECT_EQ(stats.count, want.count) << key;
-        EXPECT_EQ(stats.faults, want.faults) << key;
-        EXPECT_EQ(stats.min, want.min) << key;
-        ++it;
-    }
-    const ProfileStats& got = by_move.entries().at("shared|k|0");
+    EXPECT_EQ(by_move.entries(), by_copy.entries());
+    const ProfileStats& got = by_move.entries().at(shared);
     EXPECT_EQ(got.count, 8);
     EXPECT_EQ(got.min, 49.0);
     EXPECT_EQ(by_move.quarantined_keys(),
-              std::vector<std::string>{"s1|b|2"});
+              std::vector<ProfileKey>{ProfileKey(1, 1, 2)});
+}
+
+/**
+ * The index as it was kept before keys were integers: entries under
+ * the key text "c<context>|v<variable>=<choice>" in an ordered map,
+ * rankings over the text "<prefix><choice>". The differential test
+ * below checks the integer index answers every query as this does.
+ */
+class TextIndex
+{
+  public:
+    explicit TextIndex(bool merge_ties) : merge_ties_(merge_ties) {}
+
+    static std::string
+    prefix(ContextId context, uint32_t variable)
+    {
+        return "c" + std::to_string(context) + "|v" +
+               std::to_string(variable) + "=";
+    }
+    static std::string
+    text(ProfileKey k)
+    {
+        return prefix(k.context(), k.variable()) +
+               std::to_string(k.choice());
+    }
+
+    void
+    record(ProfileKey k, double ns)
+    {
+        ProfileStats& s = entries_[text(k)];
+        s.min = s.count == 0 ? ns : std::min(s.min, ns);
+        ++s.count;
+        ++samples_;
+    }
+    void
+    record_fault(ProfileKey k)
+    {
+        ++entries_[text(k)].faults;
+        ++faults_;
+    }
+    std::optional<double>
+    lookup(ProfileKey k) const
+    {
+        const ProfileStats* s = sampled(text(k));
+        return s ? std::optional<double>(s->min) : std::nullopt;
+    }
+    bool contains(ProfileKey k) const { return entries_.count(text(k)) > 0; }
+    int
+    best_choice(ContextId context, uint32_t variable, int n) const
+    {
+        const std::string p = prefix(context, variable);
+        int best = -1;
+        double best_v = 0.0;
+        for (int c = 0; c < n; ++c) {
+            const ProfileStats* s = sampled(p + std::to_string(c));
+            if (s != nullptr && (best < 0 || s->min < best_v)) {
+                best = c;
+                best_v = s->min;
+            }
+        }
+        if (!merge_ties_)
+            return best;
+        const double floor = kTieRel * std::abs(best_v);
+        for (int c = 0; c < best; ++c) {
+            const ProfileStats* s = sampled(p + std::to_string(c));
+            if (s != nullptr && s->min - best_v <= floor)
+                return c;
+        }
+        return best;
+    }
+    std::vector<std::string>
+    quarantined() const
+    {
+        std::vector<std::string> out;
+        for (const auto& [k, s] : entries_)
+            if (s.faults > 0 && s.count == 0)
+                out.push_back(k);
+        return out;
+    }
+    const std::map<std::string, ProfileStats>& entries() const
+    {
+        return entries_;
+    }
+    int64_t samples() const { return samples_; }
+    int64_t faults() const { return faults_; }
+
+  private:
+    const ProfileStats*
+    sampled(const std::string& k) const
+    {
+        const auto it = entries_.find(k);
+        return it == entries_.end() || it->second.count == 0
+                   ? nullptr
+                   : &it->second;
+    }
+
+    bool merge_ties_;
+    std::map<std::string, ProfileStats> entries_;
+    int64_t samples_ = 0, faults_ = 0;
+};
+
+TEST(ProfileIndex, AnswersEveryQueryAsTheTextIndexDid)
+{
+    // Seeded random sequences of record, record_fault, lookup and
+    // best_choice over a small key space (so keys repeat and contexts
+    // share variables), with values drawn near each other so exact
+    // ties and sub-kTieRel ties occur, in both ranking regimes.
+    constexpr ContextId kContexts[] = {0, 1, 0x00100000, 0x00100001};
+    for (bool merge_ties : {false, true}) {
+        for (uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE("merge_ties " + std::to_string(merge_ties) +
+                         " seed " + std::to_string(seed));
+            Rng rng(seed);
+            ProfileIndex idx(merge_ties);
+            TextIndex ref(merge_ties);
+            auto draw_key = [&] {
+                return ProfileKey(kContexts[rng.next_below(4)],
+                                  rng.next_below(3), rng.next_below(5));
+            };
+            for (int op = 0; op < 400; ++op) {
+                const uint64_t what = rng.next_below(10);
+                if (what < 4) {
+                    const ProfileKey k = draw_key();
+                    static constexpr double kNear[] = {
+                        1.0, 1.0 + 2e-10, 1.0 + 1e-6, 1.25, 0.75};
+                    const double ns =
+                        100.0 * kNear[rng.next_below(5)];
+                    idx.record(k, ns);
+                    ref.record(k, ns);
+                } else if (what < 5) {
+                    const ProfileKey k = draw_key();
+                    idx.record_fault(k);
+                    ref.record_fault(k);
+                } else if (what < 7) {
+                    const ProfileKey k = draw_key();
+                    ASSERT_EQ(idx.lookup(k), ref.lookup(k));
+                    ASSERT_EQ(idx.contains(k), ref.contains(k));
+                } else {
+                    const ContextId c = kContexts[rng.next_below(4)];
+                    const auto v =
+                        static_cast<uint32_t>(rng.next_below(3));
+                    const int n = 1 + static_cast<int>(rng.next_below(5));
+                    ASSERT_EQ(idx.best_choice(c, v, n),
+                              ref.best_choice(c, v, n));
+                }
+            }
+            ASSERT_EQ(idx.size(), ref.entries().size());
+            EXPECT_EQ(idx.total_samples(), ref.samples());
+            EXPECT_EQ(idx.total_faults(), ref.faults());
+            for (const auto& [k, stats] : idx.entries())
+                EXPECT_EQ(stats, ref.entries().at(TextIndex::text(k)));
+            std::vector<std::string> quarantined;
+            for (ProfileKey k : idx.quarantined_keys())
+                quarantined.push_back(TextIndex::text(k));
+            std::sort(quarantined.begin(), quarantined.end());
+            EXPECT_EQ(quarantined, ref.quarantined());
+        }
+    }
 }
 
 BuiltModel

@@ -220,21 +220,22 @@ TEST(Dispatcher, ProfileSumsOverSteps)
     PlanStep p1;
     p1.nodes = {a};
     p1.profile = true;
-    p1.profile_key = "grp";
+    const ProfileKey grp(0, 1, 0);
+    p1.profile_key = grp;
     PlanStep p2;
     p2.nodes = {c};
     p2.profile = true;
-    p2.profile_key = "grp";
+    p2.profile_key = grp;
     plan.steps = {p1, p2};
     SimMemory mem(1 << 20);
     TensorMap tmap(b.graph(), mem);
     GpuConfig cfg;
     cfg.execute_kernels = false;
     const DispatchResult res = dispatch_plan(plan, b.graph(), tmap, cfg);
-    ASSERT_TRUE(res.profile_ns.count("grp"));
+    ASSERT_TRUE(res.profile_ns.count(grp));
     // Two kernels, each at least one launch overhead long.
-    EXPECT_GT(res.profile_ns.at("grp"), 2 * cfg.launch_overhead_ns);
-    EXPECT_LE(res.profile_ns.at("grp"), res.total_ns);
+    EXPECT_GT(res.profile_ns.at(grp), 2 * cfg.launch_overhead_ns);
+    EXPECT_LE(res.profile_ns.at(grp), res.total_ns);
 }
 
 TEST(Dispatcher, BarrierResetsEpochMetricBase)
@@ -255,17 +256,18 @@ TEST(Dispatcher, BarrierResetsEpochMetricBase)
     p2.nodes = {c};
     p2.profile = true;
     p2.epoch_metric = true;
-    p2.profile_key = "epoch0";
+    const ProfileKey epoch0(0, 2, 0);
+    p2.profile_key = epoch0;
     plan.steps.push_back(p2);
     SimMemory mem(1 << 20);
     TensorMap tmap(b.graph(), mem);
     GpuConfig cfg;
     cfg.execute_kernels = false;
     const DispatchResult res = dispatch_plan(plan, b.graph(), tmap, cfg);
-    ASSERT_TRUE(res.profile_ns.count("epoch0"));
+    ASSERT_TRUE(res.profile_ns.count(epoch0));
     // Metric is measured from the barrier, not from time zero.
-    EXPECT_LT(res.profile_ns.at("epoch0"), res.total_ns);
-    EXPECT_GT(res.profile_ns.at("epoch0"), 0.0);
+    EXPECT_LT(res.profile_ns.at(epoch0), res.total_ns);
+    EXPECT_GT(res.profile_ns.at(epoch0), 0.0);
 }
 
 TEST(Dispatcher, EpochMetricMatchesHandComputedEventTimes)
@@ -322,7 +324,8 @@ TEST(Dispatcher, EpochMetricMatchesHandComputedEventTimes)
     p2.nodes = {c};
     p2.profile = true;
     p2.epoch_metric = true;
-    p2.profile_key = "e";
+    const ProfileKey ek(0, 3, 0);
+    p2.profile_key = ek;
     plan.steps.push_back(p2);
     PlanStep p3;
     p3.nodes = {d};
@@ -333,16 +336,16 @@ TEST(Dispatcher, EpochMetricMatchesHandComputedEventTimes)
     p4.stream = 1;
     p4.profile = true;
     p4.epoch_metric = true;
-    p4.profile_key = "e";
+    p4.profile_key = ek;
     plan.steps.push_back(p4);
 
     const DispatchResult res = dispatch_plan(plan, b.graph(), tmap, cfg);
-    ASSERT_TRUE(res.profile_ns.count("e"));
+    ASSERT_TRUE(res.profile_ns.count(ek));
     // Hand-composed timeline: the barrier arrives when p1 ends (d1);
     // both epoch steps start there and run concurrently, so the
     // barrier-anchored max-over-key metric is max(d2, d3) and the
     // whole dispatch is d1 + max(d2, d3).
-    EXPECT_DOUBLE_EQ(res.profile_ns.at("e"), std::max(d2, d3));
+    EXPECT_DOUBLE_EQ(res.profile_ns.at(ek), std::max(d2, d3));
     EXPECT_DOUBLE_EQ(res.total_ns, d1 + std::max(d2, d3));
 }
 

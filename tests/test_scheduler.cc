@@ -183,9 +183,11 @@ TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
     cfg.num_streams = 3;
     walk.push_back(cfg);
     for (const FusionGroup& g : space.groups)
-        cfg.group_keys[g.id] = "w|" + g.key;
+        cfg.group_keys[g.id] =
+            testutil::wirer_key(WirerVariable::GroupChunk, g.id);
     walk.push_back(cfg);
-    cfg.single_keys[space.single_mms[0]] = "n|single";
+    cfg.single_keys[space.single_mms[0]] =
+        testutil::wirer_key(WirerVariable::SingleLib, 0);
     walk.push_back(cfg);
     for (size_t i = 0; i < walk.size(); ++i)
         EXPECT_EQ(testutil::plan_dump(sched.build(walk[i])),
@@ -235,15 +237,16 @@ TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
 TEST(Scheduler, PaperModelPlansArePinned)
 {
     // FNV-1a of testutil::plan_dump over pinned_configs at the zoo
-    // shape, every PlanStep field byte for byte. What the wirer
+    // shape, every PlanStep field byte for byte (profile keys as the
+    // ordinal of their first appearance). What the wirer
     // measures is exactly these plans, so a change here is a change in
     // what gets dispatched; update a digest only on purpose.
     const std::pair<ModelKind, const char*> pinned[] = {
-        {ModelKind::Gnmt, "4abd38e9e6269eba"},
-        {ModelKind::StackedLstm, "2f206f5d1924ce2b"},
-        {ModelKind::MiLstm, "766911ac4508eff9"},
-        {ModelKind::Scrnn, "8b05ea481ef210c0"},
-        {ModelKind::SubLstm, "9c3dfaa5a8dd7c22"},
+        {ModelKind::Gnmt, "5f0a88a364386824"},
+        {ModelKind::StackedLstm, "6bc031b605cd8906"},
+        {ModelKind::MiLstm, "795a4d98dc3e5dd5"},
+        {ModelKind::Scrnn, "b057176fde629a7c"},
+        {ModelKind::SubLstm, "b98646c69966ffd1"},
     };
     for (const auto& [kind, digest] : pinned) {
         const BuiltModel m = build_model(kind, testutil::zoo_shape());

@@ -421,8 +421,8 @@ TEST(SimGpu, TraceOffByDefault)
 TEST(Trace, ChromeJsonFormat)
 {
     std::vector<TraceSpan> spans = {
-        {"mm.\"x\"", 0, 1000.0, 3000.0, ""},
-        {"few", 1, 2000.0, 2500.0, ""},
+        {"mm.\"x\"", 0, 1000.0, 3000.0, ProfileKey(0, 5, 1)},
+        {"few", 1, 2000.0, 2500.0, {}},
     };
     std::ostringstream os;
     write_chrome_trace(os, spans);
@@ -432,6 +432,9 @@ TEST(Trace, ChromeJsonFormat)
     EXPECT_NE(json.find("\"dur\":2"), std::string::npos);  // us
     // The quote in the kernel name must be escaped.
     EXPECT_NE(json.find("mm.\\\""), std::string::npos);
+    // Profile keys render as their fields; an unkeyed span as "".
+    EXPECT_NE(json.find("\"key\":\"c0/v5=1\""), std::string::npos);
+    EXPECT_NE(json.find("\"key\":\"\""), std::string::npos);
 }
 
 TEST(SimGpu, RunUntilPausesAtHorizonAndResumes)
@@ -975,7 +978,7 @@ TEST(SimGpu, LaunchByReferenceMatchesByValue)
                 100.0 + 5000.0 * rng.next_double(),
                 2000.0 * rng.next_double(),
                 static_cast<int>(rng.next_below(40)));
-            d.key = k % 2 ? "key" + std::to_string(k) : "";
+            d.key = k % 2 ? ProfileKey(0, k, 0) : ProfileKey();
             value_kernels.push_back(d);
             value_kernels.back().compute = [&value_log, k] {
                 value_log.push_back(k);

@@ -82,9 +82,14 @@ struct EngineRig
             cfg.single_lib[id] = GemmLib::Cublas;
         // Keyed steps exercise the profile-metric side of the replay.
         if (!space.groups.empty())
-            cfg.group_keys[space.groups[0].id] = "t|g0";
+            cfg.group_keys[space.groups[0].id] = ProfileKey(
+                0,
+                wirer_variable_id(WirerVariable::GroupChunk,
+                                  space.groups[0].id),
+                0);
         if (!space.single_mms.empty())
-            cfg.single_keys[space.single_mms[0]] = "t|s0";
+            cfg.single_keys[space.single_mms[0]] = ProfileKey(
+                0, wirer_variable_id(WirerVariable::SingleLib, 0), 0);
         cfg.use_streams = with_streams;
         return cfg;
     }
@@ -223,7 +228,7 @@ TEST(WhatIf, ArmedWarmStartKeepsTheUnmaskedWinner)
     fs::remove_all(store);
 
     EXPECT_EQ(r.convergence.store_tier, "l2");
-    EXPECT_EQ(r.minibatches, 4);
+    EXPECT_EQ(r.minibatches, 3);
     EXPECT_EQ(r.convergence.whatif_evals, 7);
     EXPECT_EQ(hash_hex(fnv1a64(config_to_string(r.best_config))),
               "e95fda62ec8afde7");

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <locale>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -360,7 +361,8 @@ TEST(ReplayWired, BitIdenticalAcrossZooFusedStreamedProfiled)
         for (const FusionGroup& g : space.groups) {
             fused.group_chunk[static_cast<size_t>(g.id)] =
                 g.chunk_options.back();
-            fused.group_keys[g.id] = "w|" + g.key;
+            fused.group_keys[g.id] =
+                testutil::wirer_key(WirerVariable::GroupChunk, g.id);
         }
         check_identity(session, fused);
 
@@ -370,10 +372,11 @@ TEST(ReplayWired, BitIdenticalAcrossZooFusedStreamedProfiled)
         streamed.use_streams = true;
         streamed.num_streams = 2;
         const StreamSpace ss = session.scheduler().stream_space(streamed);
-        for (const EpochInfo& e : ss.epochs)
-            streamed.epoch_keys[{e.super_epoch, e.level}] =
-                "ep|" + std::to_string(e.super_epoch) + "." +
-                std::to_string(e.level);
+        for (size_t i = 0; i < ss.epochs.size(); ++i)
+            streamed.epoch_keys[{ss.epochs[i].super_epoch,
+                                 ss.epochs[i].level}] =
+                testutil::wirer_key(WirerVariable::EpochSplit,
+                                    static_cast<int>(i));
         check_identity(session, streamed);
     }
 }
@@ -562,7 +565,8 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
     cfg.group_lib.assign(session.space().groups.size(),
                          GemmLib::Cublas);
     for (const FusionGroup& g : session.space().groups)
-        cfg.group_keys[g.id] = "w|" + g.key;
+        cfg.group_keys[g.id] =
+            testutil::wirer_key(WirerVariable::GroupChunk, g.id);
     expect_bit_identical(
         dispatch_plan(session.scheduler().build(cfg), m.graph(),
                       session.tensor_map(cfg.strategy), opts.gpu),
@@ -572,9 +576,10 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
 // ---- bound kernel descriptors ---------------------------------------------
 
 /**
- * Canonical text of a bound plan: per step the descriptor's name, key
- * (both length-prefixed), blocks, max_sms, block_ns and setup_ns
- * (hexfloat), "-" for a barrier; then the command array.
+ * Canonical text of a bound plan: per step the descriptor's name
+ * (length-prefixed), key (the ordinal of its first appearance),
+ * blocks, max_sms, block_ns and setup_ns (hexfloat), "-" for a
+ * barrier; then the command array.
  */
 std::string
 bound_dump(const WiredBinary& bin)
@@ -582,14 +587,16 @@ bound_dump(const WiredBinary& bin)
     std::ostringstream os;
     os.imbue(std::locale::classic());
     os << std::hexfloat;
+    std::map<ProfileKey, size_t> key_ordinal;
     for (size_t i = 0; i < bin.kernels.size(); ++i) {
         if (bin.program.is_barrier[i]) {
             os << "-\n";
             continue;
         }
         const KernelDesc& k = bin.kernels[i];
-        os << k.name.size() << ":" << k.name << " " << k.key.size() << ":"
-           << k.key << " " << k.blocks << " " << k.max_sms << " "
+        os << k.name.size() << ":" << k.name << " "
+           << key_ordinal.emplace(k.key, key_ordinal.size()).first->second
+           << " " << k.blocks << " " << k.max_sms << " "
            << k.block_ns << " " << k.setup_ns << "\n";
     }
     for (const WiredCmd& c : bin.program.cmds)
@@ -607,11 +614,11 @@ TEST(Wired, BoundKernelsArePinned)
     // (read by the fault plan's name= filter and by traces), costs or
     // commands. Update a digest only on purpose.
     const std::pair<ModelKind, const char*> pinned[] = {
-        {ModelKind::Gnmt, "003202a1cd83162e"},
-        {ModelKind::StackedLstm, "fe45d2fa1f72c24f"},
-        {ModelKind::MiLstm, "3cb49b0d2d6d9921"},
-        {ModelKind::Scrnn, "895c9d915fad3bd7"},
-        {ModelKind::SubLstm, "9bb55f08226a58b9"},
+        {ModelKind::Gnmt, "1382621bbbbffc54"},
+        {ModelKind::StackedLstm, "9646dc2b25dbc1e6"},
+        {ModelKind::MiLstm, "cfa0d778351a626b"},
+        {ModelKind::Scrnn, "11e300f152b23e1f"},
+        {ModelKind::SubLstm, "7b9abf5b0b958642"},
     };
     const GpuConfig gpu = pinned_gpu();
     std::set<std::string> gnmt_names;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -127,27 +128,56 @@ TEST(CustomWirer, WorkConservingBindCalledEveryTrial)
 TEST(CustomWirer, ProfileIndexUsesContextPrefixes)
 {
     const BuiltModel m = small_model();
-    AstraOptions o = timing_only(features_all());
-    o.context_prefix = "b42|";
-    AstraSession session(m.graph(), o);
+    AstraSession session(m.graph(), timing_only(features_all()));
     const WirerResult r = session.optimize();
+    const SearchSpace& space = session.space();
     EXPECT_GT(r.index.size(), 0u);
+    // Keys under different strategies are distinct (alloc fork): each
+    // strategy's contexts come from its own shard.
+    std::set<uint32_t> shards;
+    std::set<WirerVariable> kinds;
     for (const auto& [key, stats] : r.index.entries()) {
-        EXPECT_EQ(key.rfind("b42|", 0), 0u)
-            << "key missing bucket prefix: " << key;
         EXPECT_GT(stats.count, 0);
         EXPECT_GT(stats.min, 0.0);
+        shards.insert(ContextTable::shard_of(key.context()));
+        kinds.insert(wirer_variable_kind(key.variable()));
+        // A key's variable exists in this space and its choice is one
+        // of the variable's options.
+        const int index = static_cast<int>(key.variable() >> 2);
+        switch (wirer_variable_kind(key.variable())) {
+          case WirerVariable::GroupChunk:
+            ASSERT_LT(index, static_cast<int>(space.groups.size()));
+            EXPECT_LT(key.choice(),
+                      static_cast<int>(space.groups[static_cast<size_t>(
+                                                        index)]
+                                           .chunk_options.size()));
+            break;
+          case WirerVariable::GroupLib:
+            ASSERT_LT(index, static_cast<int>(space.groups.size()));
+            EXPECT_LT(key.choice(), kNumGemmLibs);
+            break;
+          case WirerVariable::SingleLib:
+            EXPECT_LT(index, static_cast<int>(space.single_mms.size()));
+            EXPECT_LT(key.choice(), kNumGemmLibs);
+            break;
+          case WirerVariable::EpochSplit:
+            break;
+        }
     }
-    // Keys under different strategies must be distinct (alloc fork).
-    bool saw_s0 = false, saw_s1 = false;
+    std::set<uint32_t> want;
+    for (size_t s = 0; s < space.strategies.size(); ++s)
+        want.insert(static_cast<uint32_t>(s));
+    EXPECT_EQ(shards, want);
+    EXPECT_EQ(kinds.size(), space.single_mms.empty() ? 3u : 4u);
+    // A library variable's context is its group's bound chunk: it
+    // extends its strategy's root, never is the root itself.
     for (const auto& [key, stats] : r.index.entries()) {
         (void)stats;
-        saw_s0 |= key.find("|s0|") != std::string::npos;
-        saw_s1 |= key.find("|s1|") != std::string::npos;
-    }
-    EXPECT_TRUE(saw_s0);
-    if (session.space().strategies.size() > 1) {
-        EXPECT_TRUE(saw_s1);
+        if (wirer_variable_kind(key.variable()) == WirerVariable::GroupLib) {
+            EXPECT_NE(key.context(),
+                      ContextTable(ContextTable::shard_of(key.context()))
+                          .root());
+        }
     }
 }
 
@@ -215,14 +245,7 @@ expect_identical_results(const WirerResult& a, const WirerResult& b)
     ASSERT_EQ(a.index.size(), b.index.size());
     EXPECT_EQ(a.index.total_samples(), b.index.total_samples());
     EXPECT_EQ(a.index.total_faults(), b.index.total_faults());
-    auto it = b.index.entries().begin();
-    for (const auto& [key, stats] : a.index.entries()) {
-        ASSERT_EQ(key, it->first);
-        EXPECT_EQ(stats.count, it->second.count);
-        EXPECT_EQ(stats.faults, it->second.faults);
-        EXPECT_DOUBLE_EQ(stats.min, it->second.min);
-        ++it;
-    }
+    EXPECT_EQ(a.index.entries(), b.index.entries());
     // Full convergence history.
     EXPECT_EQ(report_json(a.convergence), report_json(b.convergence));
 }
@@ -388,13 +411,17 @@ TEST(CustomWirer, QuarantineTargetsOnlyFaultingKernels)
     EXPECT_EQ(r.termination, WirerTermination::FaultQuarantine);
     EXPECT_EQ(r.convergence.termination, "fault_quarantine");
 
-    // Profile keys encode the library choice as "lib=<enum>"; only
-    // Oai1's keys (lib=1) may appear on the quarantine list.
-    const std::vector<std::string> quarantined = r.index.quarantined_keys();
+    // A library variable's choice is the GemmLib value; only Oai1's
+    // keys may appear on the quarantine list.
+    const std::vector<ProfileKey> quarantined = r.index.quarantined_keys();
     ASSERT_FALSE(quarantined.empty());
-    for (const std::string& key : quarantined)
-        EXPECT_NE(key.find("lib=1"), std::string::npos)
+    for (ProfileKey key : quarantined) {
+        EXPECT_EQ(wirer_variable_kind(key.variable()),
+                  WirerVariable::SingleLib)
             << "clean config quarantined: " << key;
+        EXPECT_EQ(key.choice(), static_cast<int>(GemmLib::Oai1))
+            << "clean config quarantined: " << key;
+    }
     const FaultReport& fr = r.convergence.faults;
     EXPECT_EQ(fr.quarantined_keys,
               static_cast<int64_t>(quarantined.size()));

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <locale>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -143,8 +144,9 @@ search_space_digest(const SearchSpace& space)
 /**
  * Canonical text of an execution plan: its stream count and every
  * PlanStep field, one step per line (doubles in hexfloat, strings
- * length-prefixed). Two plans dump equal exactly when they are equal
- * field for field.
+ * length-prefixed, profile keys as the ordinal of their first
+ * appearance). Two plans dump equal exactly when they are equal field
+ * for field, up to a renaming of keys.
  */
 inline std::string
 plan_dump(const ExecutionPlan& plan)
@@ -155,14 +157,16 @@ plan_dump(const ExecutionPlan& plan)
     const auto str = [&os](const std::string& s) {
         os << s.size() << ":" << s;
     };
+    std::map<ProfileKey, size_t> key_ordinal;
     for (const PlanStep& s : plan.steps) {
         os << "kind " << static_cast<int>(s.kind) << " nodes[";
         for (size_t i = 0; i < s.nodes.size(); ++i)
             os << (i ? "," : "") << s.nodes[i];
         os << "] lib " << static_cast<int>(s.lib) << " axis "
            << static_cast<int>(s.fused_axis) << " stream " << s.stream
-           << " profile " << s.profile << " key ";
-        str(s.profile_key);
+           << " profile " << s.profile << " key "
+           << key_ordinal.emplace(s.profile_key, key_ordinal.size())
+                  .first->second;
         os << " epoch " << s.epoch_metric << " compound "
            << s.compound_cost.blocks << "/" << s.compound_cost.block_ns
            << "/" << s.compound_cost.setup_ns << "/"
@@ -171,6 +175,13 @@ plan_dump(const ExecutionPlan& plan)
         os << " setup " << s.extra_setup_ns << "\n";
     }
     return os.str();
+}
+
+/** The wirer's root-context key for `kind` variable `index`, choice 0. */
+inline ProfileKey
+wirer_key(WirerVariable kind, int index)
+{
+    return ProfileKey(0, wirer_variable_id(kind, index), 0);
 }
 
 /** numpunct facet of a de_DE-style locale: ',' decimal, '.' grouping. */
@@ -245,12 +256,13 @@ pinned_configs(const SearchSpace& space, const Scheduler& sched)
     for (uint64_t seed = 1; seed <= 3; ++seed) {
         Rng rng(seed);
         ScheduleConfig drawn = streamed;
-        for (const EpochInfo& e : ss.epochs) {
+        for (size_t i = 0; i < ss.epochs.size(); ++i) {
+            const EpochInfo& e = ss.epochs[i];
             const std::pair<int, int> key{e.super_epoch, e.level};
             drawn.epoch_choice[key] =
                 static_cast<int>(rng.next_below(e.options.size()));
-            drawn.epoch_keys[key] = "ep|" + std::to_string(e.super_epoch) +
-                                    "." + std::to_string(e.level);
+            drawn.epoch_keys[key] =
+                wirer_key(WirerVariable::EpochSplit, static_cast<int>(i));
         }
         cfgs.push_back(std::move(drawn));
     }
