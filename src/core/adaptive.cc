@@ -107,12 +107,6 @@ UpdateNode::initialize()
     }
     for (auto& c : children_)
         c->initialize();
-    if (mode_ == Mode::Exhaustive) {
-        bool all_single = true;
-        for (const auto& c : children_)
-            all_single &= c->var_->num_options() == 1;
-        exhausted_ = children_.empty() || all_single;
-    }
 }
 
 bool
@@ -127,7 +121,14 @@ UpdateNode::finished() const
                 return false;
         return true;
       case Mode::Exhaustive:
-        return exhausted_;
+        // Done once bound, or once the odometer sits on its last
+        // combination: the trial that just ran measured it.
+        if (exhausted_)
+            return true;
+        for (const auto& c : children_)
+            if (c->var_->current() + 1 < c->var_->num_options())
+                return false;
+        return true;
       case Mode::Prefix:
         return active_child_ >= children_.size();
     }
@@ -168,7 +169,6 @@ UpdateNode::advance(const ProfileIndex& index)
                 return;
             }
         }
-        exhausted_ = true;
         bind_best(index);
         return;
       }
@@ -208,6 +208,10 @@ UpdateNode::bind_best(const ProfileIndex& index)
         var_->bind_best(index);
         return;
     }
+    // A bound odometer stays finished wherever its best combination
+    // lies: advancing it again would restart the sweep from there.
+    if (mode_ == Mode::Exhaustive)
+        exhausted_ = true;
     for (auto& c : children_)
         c->bind_best(index);
 }

@@ -165,7 +165,7 @@ class UpdateNode
 
     // Prefix state.
     size_t active_child_ = 0;
-    // Exhaustive state.
+    // Exhaustive state: bound to its best combination.
     bool exhausted_ = false;
 };
 

@@ -101,28 +101,6 @@ AstraSession::plan_mode(int strategy) const
     return plan_modes_[static_cast<size_t>(strategy)];
 }
 
-std::unique_ptr<CustomWirer>
-AstraSession::make_wirer(WirerWarmStart warm) const
-{
-    WirerOptions wopts;
-    wopts.features = opts_.features;
-    wopts.gpu = opts_.gpu;
-    wopts.num_streams = opts_.num_streams;
-    wopts.normalize_clock = opts_.normalize_clock;
-    wopts.max_minibatches = opts_.max_minibatches;
-    wopts.threads = opts_.wirer_threads;
-    wopts.whatif = opts_.whatif;
-    wopts.warm = std::move(warm);
-
-    std::vector<const TensorMap*> maps;
-    maps.reserve(maps_.size());
-    for (const auto& m : maps_)
-        maps.push_back(m.get());
-
-    return std::make_unique<CustomWirer>(*graph_, space_, *scheduler_,
-                                         maps, wopts);
-}
-
 bool
 AstraSession::config_fits(const ScheduleConfig& config,
                           std::string* why) const
@@ -181,7 +159,7 @@ WirerResult
 AstraSession::optimize(const BindFn& bind)
 {
     if (opts_.plan_store.empty())
-        return make_wirer()->explore(bind);
+        return explore({}, bind);
 
     PlanStore store(opts_.plan_store);
     const PlanStoreKey key = make_plan_store_key(*graph_, opts_.gpu);
@@ -270,7 +248,7 @@ AstraSession::optimize(const BindFn& bind)
         ws.config = std::move(hit.entry.config);
         ws.measured_ns = verified_ns;
     }
-    WirerResult out = make_wirer(std::move(ws))->explore(bind);
+    WirerResult out = explore(ws, bind);
     out.convergence.store_tier = store_tier_name(hit.tier);
     out.convergence.store_errors = std::move(hit.errors);
     if (demoted) {

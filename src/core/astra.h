@@ -17,7 +17,9 @@
 #include <string>
 
 #include "core/plan_store.h"
+#include "core/whatif.h"
 #include "core/wirer.h"
+#include "runtime/dispatcher.h"
 
 namespace astra {
 
@@ -34,27 +36,48 @@ struct AstraOptions
     int num_streams = 2;
 
     /**
-     * Measure the clock instead of pinning it (see
-     * WirerOptions::normalize_clock): samples, and the plan store's L1
-     * verification, are scaled to base-clock time, and rankings merge
-     * choices within kTieRel of the best onto the lowest index. Off by
-     * default.
+     * Measure the clock instead of pinning it (§7): multiply every
+     * sample, and the plan store's L1 verification, by the clock
+     * multiplier the device reports for its mini-batch, and rank
+     * choices within kTieRel of the best as ties on the lowest index.
+     * Off (the paper's regime) keeps raw times and the strict
+     * first-best; on converges under autoboost to the configuration a
+     * base-clock run finds.
      */
     bool normalize_clock = false;
 
     /**
-     * What-if decisions in the wirer (core/whatif.h): replay every
-     * exploration trial, measure each stage's winner. Off by default.
+     * What-if decision path (core/whatif.h, §5.13): replay every
+     * exploration trial on the host, then measure each stage's bound
+     * winner on the device. Off (the default) measures every trial; on
+     * converges to the same configuration with far fewer mini-batches.
+     * The engine only arms when its replay is provably exact against a
+     * dispatch: no fault injection, and either autoboost off or
+     * normalize_clock on.
      */
     WhatIfOptions whatif;
 
-    /** Mini-batch safety valve (WirerResult::truncated when tripped). */
+    /**
+     * Safety valve on total exploration mini-batches. Exhausting it
+     * never aborts: exploration stops, everything measured so far is
+     * bound to its best, and WirerResult::truncated is set. The budget
+     * is partitioned evenly across allocation strategies up front
+     * (each strategy owns its share), so which trials the valve cuts
+     * is a deterministic function of the options, never of how
+     * concurrent strategies happen to interleave.
+     */
     int64_t max_minibatches = 200000;
 
     /**
-     * Host threads for the wirer's exploration (WirerOptions::threads):
-     * allocation strategies fan out across them, with results
-     * bit-identical to wirer_threads = 1.
+     * Host threads for the wirer's exploration (1 = fully serial).
+     * Allocation strategies explore on worker threads, each with its
+     * own profile shard, clock domain and simulated device. Any value
+     * produces results bit-identical to 1: every ordered reduction
+     * (profile merge, convergence report, cross-strategy argmin with
+     * lowest-index ties) happens after the join, in strategy order.
+     * With a BindFn, trials stay sequential within a strategy, but
+     * distinct strategies' binds run concurrently (their tensor maps
+     * are disjoint).
      */
     int wirer_threads = 1;
 
@@ -167,12 +190,14 @@ class AstraSession
 
   private:
     /**
-     * A custom wirer over this session's graph, search space and
-     * tensor maps (what optimize() runs). `warm` optionally carries
-     * plan-store knowledge into the exploration (WirerOptions::warm).
+     * The custom wirer (core/wirer.cc): explore this session's search
+     * space under its options, starting from the plan-store knowledge
+     * in `warm`. An exception out of `bind` propagates once every
+     * strategy's pipeline has stopped, and nothing of the aborted
+     * exploration is kept.
      */
-    std::unique_ptr<CustomWirer>
-    make_wirer(WirerWarmStart warm = {}) const;
+    WirerResult explore(const WirerWarmStart& warm,
+                        const BindFn& bind) const;
 
     /**
      * Build space/scheduler/memories/maps for the current graph_,

@@ -22,7 +22,7 @@
 
 namespace astra {
 
-/** The wirer's what-if mode (WirerOptions::whatif, §5.13). */
+/** The wirer's what-if mode (AstraOptions::whatif, §5.13). */
 struct WhatIfOptions
 {
     /**

@@ -1,52 +1,19 @@
 #include "core/wirer.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "core/adaptive.h"
+#include "core/astra.h"
 #include "obs/obs.h"
 #include "support/logging.h"
 #include "support/parallel_for.h"
 
 namespace astra {
-
-namespace {
-
-/**
- * Re-measurements of a trial or best-of-strategy run whose every
- * dispatch came back faulted (transient faults that outlived the
- * dispatcher's own replays) before the wirer quarantines it.
- */
-constexpr int kFaultBudget = 2;
-
-/**
- * Saturating product, for exhaustive state-space sizes (Table 7).
- * The cap is far below INT64_MAX so that report consumers can sum
- * saturated sizes across epochs without overflowing.
- */
-int64_t
-sat_mul(int64_t a, int64_t b)
-{
-    constexpr int64_t kCap = 1000000000000000;  // 1e15
-    if (a > 0 && b > kCap / a)
-        return kCap;
-    return a * b;
-}
-
-/** A clean end-to-end time `runs` holds for `config`, or -1. */
-double
-reusable_ns(const std::vector<std::pair<ScheduleConfig, double>>& runs,
-            const ScheduleConfig& config)
-{
-    for (const auto& [measured, ns] : runs)
-        if (measured == config)
-            return ns;
-    return -1.0;
-}
-
-}  // namespace
 
 AstraFeatures
 features_f()
@@ -110,13 +77,41 @@ wirer_termination_name(WirerTermination t)
     return "?";
 }
 
+namespace {
+
 /**
- * One allocation strategy's private exploration state (see wirer.h).
- * Everything a trial mutates lives here; distinct strategies' runs
- * share nothing, so the pipelines may execute concurrently and still
- * merge into the exact serial result.
+ * Re-measurements of a trial or best-of-strategy run whose every
+ * dispatch came back faulted (transient faults that outlived the
+ * dispatcher's own replays) before the wirer quarantines it.
  */
-struct CustomWirer::StrategyRun
+constexpr int kFaultBudget = 2;
+
+/**
+ * Saturating product, for exhaustive state-space sizes (Table 7).
+ * The cap is far below INT64_MAX so that report consumers can sum
+ * saturated sizes across epochs without overflowing.
+ */
+int64_t
+sat_mul(int64_t a, int64_t b)
+{
+    constexpr int64_t kCap = 1000000000000000;  // 1e15
+    if (a > 0 && b > kCap / a)
+        return kCap;
+    return a * b;
+}
+
+/**
+ * One allocation strategy's private exploration state. Each strategy
+ * owns a StrategyRun exclusively for the duration of the exploration: a
+ * private ProfileIndex shard (its own ContextTable shard makes the key
+ * sets disjoint), its own mini-batch accounting against a
+ * pre-partitioned budget share, a ClockDomain whose boost draws depend
+ * only on this strategy's measurement sequence, and the stage history
+ * for the convergence report. Distinct strategies' runs share nothing
+ * mutable, so the pipelines may execute concurrently and still merge
+ * (in strategy order, after the join) into the exact serial result.
+ */
+struct StrategyRun
 {
     StrategyRun(int sid_in, int64_t quota_in, bool normalize_clock,
                 const GpuConfig& gpu)
@@ -158,10 +153,9 @@ struct CustomWirer::StrategyRun
     double final_ns = 0.0;
 
     /**
-     * Clean end-to-end times of the unprofiled configurations this run
-     * has measured (the transfer, the final runs) or was handed
-     * (WirerWarmStart::measured_ns). A final run of an identical
-     * configuration reuses the time instead of dispatching again.
+     * Clean end-to-end times of the configurations without profile
+     * keys this run has measured or was handed
+     * (WirerWarmStart::measured_ns); measure() reuses them.
      */
     std::vector<std::pair<ScheduleConfig, double>> clean_runs;
 
@@ -184,57 +178,49 @@ struct CustomWirer::StrategyRun
     /** A trial exhausted its fault budget (kFaultBudget). */
     bool fault_exhausted = false;
 
-    // ---- plan-store warm-start accounting (WirerOptions::warm) -----------
-
     /** Variables pre-bound from a transferred L2 configuration. */
     int64_t transferred = 0;
 
-    // ---- what-if engine (WirerOptions::whatif, §5.13) ---------------------
-
-    /** Armed evaluator, or null when the mode is off or ineligible. */
+    /** Armed what-if evaluator (§5.13), or null when off or ineligible. */
     std::unique_ptr<WhatIfEngine> whatif;
 
     /** Host replays performed (exploration trials). */
     int64_t whatif_evals = 0;
 };
 
-CustomWirer::~CustomWirer() = default;
-
-CustomWirer::CustomWirer(const Graph& graph, const SearchSpace& space,
-                         const Scheduler& scheduler,
-                         const std::vector<const TensorMap*>& tensor_maps,
-                         WirerOptions opts)
-    : graph_(graph), space_(space), scheduler_(scheduler),
-      tensor_maps_(tensor_maps), opts_(std::move(opts))
-{
-    ASTRA_ASSERT(tensor_maps_.size() == space_.strategies.size(),
-                 "one tensor map per allocation strategy");
-}
-
+/**
+ * Dispatch one mini-batch of a configuration on the run's tensor map
+ * and record its result (profile, best-seen, counters) in the run. No
+ * budget logic here: callers reserve first.
+ *
+ * @return the dispatch result, normalized to base clock under
+ *         AstraOptions::normalize_clock.
+ */
 DispatchResult
-CustomWirer::dispatch(StrategyRun& run, const ScheduleConfig& config,
-                      const BindFn& bind)
+dispatch(const AstraSession& session, StrategyRun& run,
+         const ScheduleConfig& config, const BindFn& bind)
 {
-    const TensorMap& tmap = *tensor_maps_[static_cast<size_t>(run.sid)];
+    const AstraOptions& opts = session.options();
+    const TensorMap& tmap = session.tensor_map(run.sid);
     // The clock and the fault salt a mini-batch sees come from the
     // strategy's own sequences: a function of its measurement history,
     // never of which thread runs it (|1 keeps the salt nonzero so the
     // dispatcher never substitutes its own process-wide counter).
-    GpuConfig gpu = opts_.gpu;
+    GpuConfig gpu = opts.gpu;
     const double forced = run.clock.draw();
     if (forced > 0.0)
         gpu.forced_clock_multiplier = forced;
-    if (!opts_.gpu.faults.empty())
+    if (!opts.gpu.faults.empty())
         gpu.fault_salt =
             fault_mix(static_cast<uint64_t>(run.sid) + 1, ++run.fault_seq) |
             1;
 
     if (bind)
         bind(tmap, run.minibatches);
-    DispatchResult result =
-        dispatch_plan(scheduler_.build(config), graph_, tmap, gpu);
+    DispatchResult result = dispatch_plan(session.scheduler().build(config),
+                                          session.graph(), tmap, gpu);
 
-    if (opts_.normalize_clock) {
+    if (opts.normalize_clock) {
         // DVFS compensation: the device reports the clock it ran this
         // mini-batch at; scaling by it converts every measurement to
         // base-clock-equivalent time (§7, measured instead of pinned).
@@ -269,32 +255,74 @@ CustomWirer::dispatch(StrategyRun& run, const ScheduleConfig& config,
     return result;
 }
 
+/**
+ * Measure a configuration end-to-end: once, and again (fresh fault
+ * salts) when the mini-batch faulted, up to kFaultBudget times. An
+ * exploration trial (`final` false) first reserves from the run's
+ * budget share and sets the run's truncated flag when it is spent; a
+ * final run measures unconditionally, since the valve may overshoot so
+ * that a truncated result is still dispatchable.
+ *
+ * One reuse rule covers every measurement: the clean time of each
+ * configuration that carries no profile keys is kept, and a later
+ * measurement of an equal configuration (trial, transfer or final)
+ * returns it instead of dispatching again. A second dispatch would add
+ * nothing to the profile index and only re-time the same plan.
+ *
+ * @return the clean end-to-end time; when no attempt measured clean,
+ *         kUnmeasuredNs for a final run and -1 for a trial.
+ */
 double
-CustomWirer::measure_trial(StrategyRun& run, const ScheduleConfig& config,
-                           const BindFn& bind)
+measure(const AstraSession& session, StrategyRun& run,
+        const ScheduleConfig& config, const BindFn& bind, bool final)
 {
+    const bool keyless = config.group_keys.empty() &&
+                         config.single_keys.empty() &&
+                         config.epoch_keys.empty();
+    if (keyless)
+        for (const auto& [measured, ns] : run.clean_runs)
+            if (measured == config) {
+                // A handed-over time counts like a measurement.
+                if (run.best_seen_ns < 0.0 || ns < run.best_seen_ns)
+                    run.best_seen_ns = ns;
+                return ns;
+            }
     for (int attempt = 0;; ++attempt) {
-        if (run.minibatches >= run.quota) {
+        if (!final && run.minibatches >= run.quota) {
             run.truncated = true;
             return -1.0;
         }
-        const DispatchResult result = dispatch(run, config, bind);
-        if (!result.faulted)
+        const DispatchResult result = dispatch(session, run, config, bind);
+        if (!result.faulted) {
+            if (keyless)
+                run.clean_runs.emplace_back(config, result.total_ns);
             return result.total_ns;
-        // The trial came back faulted even after the dispatcher's own
-        // replays: re-measure it (fresh fault salt) up to kFaultBudget
-        // times, then quarantine — the keys stay marked, sample-free,
-        // and can never be bound.
+        }
+        // Faulted even after the dispatcher's own replays: re-measure
+        // (fresh fault salt) up to kFaultBudget times, then quarantine.
+        // A trial's keys stay marked, sample-free, and can never be
+        // bound; a final run gives its strategy a time no real
+        // measurement can beat.
         if (attempt >= kFaultBudget) {
             run.fault_exhausted = true;
-            return -1.0;
+            return final ? kUnmeasuredNs : -1.0;
         }
         ++run.wirer_retries;
     }
 }
 
+/**
+ * One *replayed* exploration trial (§5.13): evaluate the exact
+ * co-varied configuration the walk is about to dispatch on the host
+ * instead, and drop the replayed profile samples into the shard as if
+ * they had been measured. Replay is bit-exact against a dispatch of the
+ * same config at base clock (the arming predicate), so the profile
+ * index — and with it every later freeze, bind and decision — evolves
+ * identically to the exhaustive run while the mini-batch stays unspent.
+ * Requires run.whatif armed.
+ */
 void
-CustomWirer::replay_trial(StrategyRun& run, const ScheduleConfig& config)
+replay_trial(StrategyRun& run, const ScheduleConfig& config)
 {
     const DispatchResult r = run.whatif->evaluate(config);
     ++run.whatif_evals;
@@ -309,36 +337,15 @@ CustomWirer::replay_trial(StrategyRun& run, const ScheduleConfig& config)
         run.index.record(key, ns);
 }
 
-double
-CustomWirer::measure_final(StrategyRun& run, const ScheduleConfig& config,
-                           const BindFn& bind)
-{
-    if (const double reused = reusable_ns(run.clean_runs, config);
-        reused >= 0.0)
-        return reused;
-    // Only a clean dispatch may define the strategy's end-to-end time.
-    for (int attempt = 0;; ++attempt) {
-        const DispatchResult result = dispatch(run, config, bind);
-        if (!result.faulted) {
-            run.clean_runs.emplace_back(config, result.total_ns);
-            return result.total_ns;
-        }
-        if (attempt >= kFaultBudget)
-            break;
-        ++run.wirer_retries;
-    }
-    // Unmeasurable under persistent faults: quarantine the strategy by
-    // giving it a time no real measurement can beat.
-    run.fault_exhausted = true;
-    return kUnmeasuredNs;
-}
-
+/** One strategy's full pipeline: stages A-C + best-of-strategy. */
 void
-CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
+run_strategy(const AstraSession& session, const WirerWarmStart& warm,
+             StrategyRun& run, const BindFn& bind)
 {
+    const AstraOptions& opts = session.options();
+    const SearchSpace& space = session.space();
     const int sid = run.sid;
-    const AllocStrategy& strat =
-        space_.strategies[static_cast<size_t>(sid)];
+    const AllocStrategy& strat = space.strategies[static_cast<size_t>(sid)];
     obs::ScopedSpan strategy_span(obs::Category::Wire,
                                   "wirer.strategy." + strat.key);
     const ContextId root = run.contexts.root();
@@ -348,11 +355,11 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // fault injection perturbs timing beyond the model, and autoboost
     // is admissible only when measurements are normalized back to the
     // base clock the replay simulates at.
-    if (opts_.whatif.enabled && opts_.gpu.faults.empty() &&
-        (!opts_.gpu.autoboost || opts_.normalize_clock))
+    if (opts.whatif.enabled && opts.gpu.faults.empty() &&
+        (!opts.gpu.autoboost || opts.normalize_clock))
         run.whatif = std::make_unique<WhatIfEngine>(
-            graph_, *tensor_maps_[static_cast<size_t>(sid)], scheduler_,
-            opts_.gpu);
+            session.graph(), session.tensor_map(sid), session.scheduler(),
+            opts.gpu);
 
     // One convergence epoch per update-tree stage: trials actually
     // dispatched vs the exhaustive size of the stage's subspace, with
@@ -383,77 +390,59 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         run.epochs.push_back(std::move(e));
     };
 
-    // ---- plan-store warm start (WirerOptions::warm) ----------------------
-    // Pre-bound variables are created with the transferred choice as
-    // their default, kept out of the stage trees (so stage exhaustive
-    // sizes count only the residual space and pruning attribution
-    // stays honest) and never given profile keys — §5.1's discipline:
-    // instrument only what is being explored.
-    const WirerWarmStart& warm = opts_.warm;
+    // ---- variables (plan-store warm start, AstraSession::optimize) -------
+    // One binder makes every chunk and library variable, at the
+    // transferred choice `warm_choice` when there is one (-1: none).
+    // With what-if off, a transferred variable is pre-bound: kept out
+    // of the stage trees (so stage exhaustive sizes count only the
+    // residual space and pruning attribution stays honest) and never
+    // given profile keys — §5.1's discipline: instrument only what is
+    // being explored. While the what-if engine is armed, a transferred
+    // choice stays *residual*: exploring it costs host replays, not
+    // mini-batches, so the neighbor's plan is verified on this graph
+    // instead of trusted.
     std::set<const AdaptiveVariable*> prebound;
     int64_t prebound_space = 1;
-    // ---- replay or measure each exploration trial (§5.13) ----------------
-    // While armed, every exploration trial of every stage is ranked on
-    // the host: the walk advances over replayed samples that are
-    // bit-identical to what a dispatch of the same co-varied config
-    // would have measured, so freezes and binds land exactly where the
-    // exhaustive sweep's would — without spending the mini-batches.
-    // The device still gets the last word: each stage's bound winner
-    // is dispatched once for real after bind_best, and the
-    // best-of-strategy runs are always measured.
-    auto trial = [&](const ScheduleConfig& config) {
-        if (run.whatif)
-            replay_trial(run, config);
-        else
-            measure_trial(run, config, bind);
+    auto make_variable = [&](WirerVariable kind, int index, int options,
+                             int warm_choice,
+                             std::vector<std::unique_ptr<UpdateNode>>& leaves,
+                             int64_t& exhaustive) {
+        auto v = std::make_shared<AdaptiveVariable>(
+            wirer_variable_id(kind, index), options,
+            warm_choice >= 0 ? warm_choice : 0);
+        v->set_context(root);
+        if (warm_choice >= 0 && !run.whatif) {
+            prebound.insert(v.get());
+            ++run.transferred;
+            prebound_space = sat_mul(prebound_space, options);
+        } else {
+            leaves.push_back(UpdateNode::leaf(v));
+            exhaustive = sat_mul(exhaustive, options);
+        }
+        return v;
     };
 
-    // ---- variables ------------------------------------------------------
-    // Chunk variables for groups fusable under this strategy.
-    std::vector<VarPtr> chunk_vars(space_.groups.size());
+    // Chunk variables for groups fusable under this strategy. A
+    // neighbor's chunk transfers when this graph offers the same value.
+    std::vector<VarPtr> chunk_vars(space.groups.size());
     std::vector<std::unique_ptr<UpdateNode>> chunk_leaves;
     int64_t chunk_exhaustive = 1;
-    if (opts_.features.fusion) {
-        for (const FusionGroup& g : space_.groups) {
-            if (!strat.group_enabled[static_cast<size_t>(g.id)] ||
-                g.chunk_options.size() < 2)
-                continue;
-            // Transfer the neighbor's chunk if this graph offers the
-            // same value; otherwise the variable is residual.
-            int warm_idx = -1;
-            if (warm.has_config &&
-                static_cast<size_t>(g.id) <
-                    warm.config.group_chunk.size()) {
-                const auto it = std::find(
-                    g.chunk_options.begin(), g.chunk_options.end(),
-                    warm.config.group_chunk[static_cast<size_t>(g.id)]);
-                if (it != g.chunk_options.end())
-                    warm_idx = static_cast<int>(
-                        it - g.chunk_options.begin());
-            }
-            auto v = std::make_shared<AdaptiveVariable>(
-                wirer_variable_id(WirerVariable::GroupChunk, g.id),
-                static_cast<int>(g.chunk_options.size()),
-                warm_idx >= 0 ? warm_idx : 0);
-            v->set_context(root);
-            chunk_vars[static_cast<size_t>(g.id)] = v;
-            // While the what-if engine is armed, a transferred choice
-            // stays *residual*: exploring it costs host replays, not
-            // mini-batches, so the neighbor's plan is verified on this
-            // graph instead of trusted.
-            if (warm_idx >= 0 && !run.whatif) {
-                prebound.insert(v.get());
-                ++run.transferred;
-                prebound_space = sat_mul(
-                    prebound_space,
-                    static_cast<int64_t>(g.chunk_options.size()));
-            } else {
-                chunk_leaves.push_back(UpdateNode::leaf(v));
-                chunk_exhaustive = sat_mul(
-                    chunk_exhaustive,
-                    static_cast<int64_t>(g.chunk_options.size()));
-            }
+    for (const FusionGroup& g : space.groups) {
+        const auto gi = static_cast<size_t>(g.id);
+        if (!strat.group_enabled[gi] || g.chunk_options.size() < 2)
+            continue;
+        int warm_idx = -1;
+        if (warm.has_config && gi < warm.config.group_chunk.size()) {
+            const auto it =
+                std::find(g.chunk_options.begin(), g.chunk_options.end(),
+                          warm.config.group_chunk[gi]);
+            if (it != g.chunk_options.end())
+                warm_idx = static_cast<int>(it - g.chunk_options.begin());
         }
+        chunk_vars[gi] = make_variable(
+            WirerVariable::GroupChunk, g.id,
+            static_cast<int>(g.chunk_options.size()), warm_idx,
+            chunk_leaves, chunk_exhaustive);
     }
 
     // Library variables: per enabled group and per standalone GEMM.
@@ -461,58 +450,34 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // owned by a conflicting enabled group under this strategy, so
     // a library variable for them would only inflate the state
     // space (Table 7) without affecting the schedule.
-    std::vector<VarPtr> lib_vars(space_.groups.size());
+    std::vector<VarPtr> lib_vars(space.groups.size());
     std::map<NodeId, VarPtr> single_vars;
     std::vector<std::unique_ptr<UpdateNode>> lib_leaves;
     int64_t lib_exhaustive = 1;
-    if (opts_.features.kernel_choice) {
-        for (const FusionGroup& g : space_.groups) {
-            if (!strat.group_enabled[static_cast<size_t>(g.id)])
+    if (opts.features.kernel_choice) {
+        for (const FusionGroup& g : space.groups) {
+            const auto gi = static_cast<size_t>(g.id);
+            if (!strat.group_enabled[gi])
                 continue;
             const int warm_lib =
-                warm.has_config &&
-                        static_cast<size_t>(g.id) <
-                            warm.config.group_lib.size()
-                    ? static_cast<int>(
-                          warm.config
-                              .group_lib[static_cast<size_t>(g.id)])
+                warm.has_config && gi < warm.config.group_lib.size()
+                    ? static_cast<int>(warm.config.group_lib[gi])
                     : -1;
-            auto v = std::make_shared<AdaptiveVariable>(
-                wirer_variable_id(WirerVariable::GroupLib, g.id),
-                kNumGemmLibs, warm_lib >= 0 ? warm_lib : 0);
-            v->set_context(root);
-            lib_vars[static_cast<size_t>(g.id)] = v;
-            if (warm_lib >= 0 && !run.whatif) {
-                prebound.insert(v.get());
-                ++run.transferred;
-                prebound_space = sat_mul(prebound_space, kNumGemmLibs);
-            } else {
-                lib_leaves.push_back(UpdateNode::leaf(v));
-                lib_exhaustive = sat_mul(lib_exhaustive, kNumGemmLibs);
-            }
+            lib_vars[gi] = make_variable(WirerVariable::GroupLib, g.id,
+                                         kNumGemmLibs, warm_lib,
+                                         lib_leaves, lib_exhaustive);
         }
-        for (size_t i = 0; i < space_.single_mms.size(); ++i) {
-            const NodeId id = space_.single_mms[i];
+        for (size_t i = 0; i < space.single_mms.size(); ++i) {
+            const NodeId id = space.single_mms[i];
             int warm_lib = -1;
             if (warm.has_config) {
                 const auto it = warm.config.single_lib.find(id);
                 if (it != warm.config.single_lib.end())
                     warm_lib = static_cast<int>(it->second);
             }
-            auto v = std::make_shared<AdaptiveVariable>(
-                wirer_variable_id(WirerVariable::SingleLib,
-                                  static_cast<int>(i)),
-                kNumGemmLibs, warm_lib >= 0 ? warm_lib : 0);
-            v->set_context(root);
-            single_vars[id] = v;
-            if (warm_lib >= 0 && !run.whatif) {
-                prebound.insert(v.get());
-                ++run.transferred;
-                prebound_space = sat_mul(prebound_space, kNumGemmLibs);
-            } else {
-                lib_leaves.push_back(UpdateNode::leaf(v));
-                lib_exhaustive = sat_mul(lib_exhaustive, kNumGemmLibs);
-            }
+            single_vars[id] = make_variable(
+                WirerVariable::SingleLib, static_cast<int>(i),
+                kNumGemmLibs, warm_lib, lib_leaves, lib_exhaustive);
         }
     }
 
@@ -520,10 +485,10 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     auto current_config = [&](bool with_streams) {
         ScheduleConfig cfg;
         cfg.strategy = sid;
-        cfg.elementwise_fusion = opts_.features.elementwise_fusion;
-        cfg.group_chunk.assign(space_.groups.size(), 1);
-        cfg.group_lib.assign(space_.groups.size(), GemmLib::Cublas);
-        for (const FusionGroup& g : space_.groups) {
+        cfg.elementwise_fusion = opts.features.elementwise_fusion;
+        cfg.group_chunk.assign(space.groups.size(), 1);
+        cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+        for (const FusionGroup& g : space.groups) {
             const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
             if (cv)
                 cfg.group_chunk[static_cast<size_t>(g.id)] =
@@ -537,7 +502,23 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         for (const auto& [id, v] : single_vars)
             cfg.single_lib[id] = static_cast<GemmLib>(v->current());
         cfg.use_streams = with_streams;
-        cfg.num_streams = opts_.num_streams;
+        cfg.num_streams = opts.num_streams;
+        return cfg;
+    };
+    // A stage-A or stage-B trial: the current binding, keyed on the
+    // explored (not pre-bound) variables of `group_vars`, indexed by
+    // group id, and with `singles` on the standalone GEMMs' too.
+    auto keyed_config = [&](const std::vector<VarPtr>& group_vars,
+                            bool singles) {
+        ScheduleConfig cfg = current_config(false);
+        for (size_t gi = 0; gi < group_vars.size(); ++gi)
+            if (group_vars[gi] && !prebound.count(group_vars[gi].get()))
+                cfg.group_keys[static_cast<int>(gi)] =
+                    group_vars[gi]->profile_key();
+        if (singles)
+            for (const auto& [id, v] : single_vars)
+                if (!prebound.count(v.get()))
+                    cfg.single_keys[id] = v->profile_key();
         return cfg;
     };
 
@@ -548,252 +529,230 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     // inherited plan's measurement as the report's "transfer" epoch. No
     // profile keys — the pre-bound variables are settled, not explored.
     // A caller that already measured exactly this configuration clean
-    // hands its time over, and a final run of it reuses either.
+    // hands its time over, which measure() then reuses.
     if (warm.measured_ns >= 0.0)
         run.clean_runs.emplace_back(warm.config, warm.measured_ns);
     if (warm.has_config) {
         const StageMark before = mark();
-        const ScheduleConfig transfer = current_config(false);
-        const double reused = reusable_ns(run.clean_runs, transfer);
-        if (reused >= 0.0) {
-            if (run.best_seen_ns < 0.0 || reused < run.best_seen_ns)
-                run.best_seen_ns = reused;
-        } else {
-            const double ns = measure_trial(run, transfer, bind);
-            if (ns >= 0.0)
-                run.clean_runs.emplace_back(transfer, ns);
-        }
+        measure(session, run, current_config(false), bind, false);
         record_epoch("transfer", "store", before,
                      prebound_space > 1 ? prebound_space : 0);
     }
 
-    // ---- stage A: fusion chunks (Parallel, §4.5.1) -----------------------
-    if (!chunk_leaves.empty()) {
-        obs::ScopedSpan stage_span(obs::Category::Wire,
-                                   "wirer.stage.chunks");
+    // ---- one stage of the update tree (§4.5) -----------------------------
+    // Inside the stage's span, `setup` builds the stage (stage B's
+    // contexts, stage C's stream space and Prefix nodes) and returns
+    // its tree, trial configuration, exhaustive size and mode. The walk
+    // then runs one trial per step until the tree finishes or the
+    // budget share is spent, binds every variable to its measured best
+    // and records the stage's convergence epoch. A stage the store
+    // settled has no tree and only records its epoch.
+    //
+    // While the what-if engine is armed (§5.13), every trial is ranked
+    // on the host: the walk advances over replayed samples that are
+    // bit-identical to what a dispatch of the same co-varied config
+    // would have measured, so freezes and binds land exactly where the
+    // exhaustive sweep's would — without spending the mini-batches.
+    // The device still gets the last word: each stage's bound winner
+    // is dispatched once for real after bind_best, and the
+    // best-of-strategy runs are always measured.
+    struct Stage
+    {
+        std::unique_ptr<UpdateNode> tree;
+        std::function<ScheduleConfig()> config;
+        int64_t exhaustive = 1;
+        const char* mode = "parallel";
+    };
+    auto walk = [&](std::string_view span_name, const char* name,
+                    auto setup) {
+        obs::ScopedSpan stage_span(obs::Category::Wire, span_name);
         const StageMark before = mark();
-        auto stage = UpdateNode::composite(
-            UpdateNode::Mode::Parallel, std::move(chunk_leaves));
-        auto chunk_cfg = [&]() {
-            ScheduleConfig cfg = current_config(false);
-            for (const FusionGroup& g : space_.groups) {
-                const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
-                if (cv && !prebound.count(cv.get()))
-                    cfg.group_keys[g.id] = cv->profile_key();
+        const Stage stage = setup();
+        if (stage.tree) {
+            stage.tree->initialize();
+            while (true) {
+                if (run.whatif)
+                    replay_trial(run, stage.config());
+                else
+                    measure(session, run, stage.config(), bind, false);
+                if (run.truncated || stage.tree->finished())
+                    break;
+                stage.tree->advance(run.index);
             }
-            return cfg;
-        };
-        stage->initialize();
-        while (true) {
-            trial(chunk_cfg());
-            if (run.truncated || stage->finished())
-                break;
-            stage->advance(run.index);
+            stage.tree->bind_best(run.index);
+            if (run.whatif)  // measure the stage's bound winner
+                measure(session, run, stage.config(), bind, false);
         }
-        stage->bind_best(run.index);
-        if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, chunk_cfg(), bind);
-        record_epoch("chunks", "parallel", before, chunk_exhaustive);
-    }
+        record_epoch(name, stage.mode, before, stage.exhaustive);
+    };
+    auto parallel = [](std::vector<std::unique_ptr<UpdateNode>> children) {
+        return UpdateNode::composite(UpdateNode::Mode::Parallel,
+                                     std::move(children));
+    };
+
+    // ---- stage A: fusion chunks (Parallel, §4.5.1) -----------------------
+    if (!chunk_leaves.empty())
+        walk("wirer.stage.chunks", "chunks", [&] {
+            return Stage{parallel(std::move(chunk_leaves)),
+                         [&] { return keyed_config(chunk_vars, false); },
+                         chunk_exhaustive};
+        });
 
     // ---- stage B: kernel libraries (context = bound chunks, §4.6) -------
-    if (!lib_leaves.empty()) {
-        obs::ScopedSpan stage_span(obs::Category::Wire,
-                                   "wirer.stage.libs");
-        const StageMark before = mark();
-        for (const FusionGroup& g : space_.groups) {
-            const auto& lv = lib_vars[static_cast<size_t>(g.id)];
-            if (!lv)
-                continue;
-            const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
-            const int chunk =
-                cv ? g.chunk_options[static_cast<size_t>(
-                         cv->current())]
-                   : 1;
-            // The group's bound chunk value, not its option index: a
-            // group without a chunk variable runs unfused.
-            lv->set_context(run.contexts.extend(
-                root, wirer_variable_id(WirerVariable::GroupChunk, g.id),
-                chunk));
-        }
-        auto stage = UpdateNode::composite(
-            UpdateNode::Mode::Parallel, std::move(lib_leaves));
-        auto lib_cfg = [&]() {
-            ScheduleConfig cfg = current_config(false);
-            for (const FusionGroup& g : space_.groups) {
+    if (!lib_leaves.empty())
+        walk("wirer.stage.libs", "libs", [&] {
+            for (const FusionGroup& g : space.groups) {
                 const auto& lv = lib_vars[static_cast<size_t>(g.id)];
-                if (lv && !prebound.count(lv.get()))
-                    cfg.group_keys[g.id] = lv->profile_key();
+                if (!lv)
+                    continue;
+                const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
+                const int chunk =
+                    cv ? g.chunk_options[static_cast<size_t>(
+                             cv->current())]
+                       : 1;
+                // The group's bound chunk value, not its option index:
+                // a group without a chunk variable runs unfused.
+                lv->set_context(run.contexts.extend(
+                    root,
+                    wirer_variable_id(WirerVariable::GroupChunk, g.id),
+                    chunk));
             }
-            for (const auto& [id, v] : single_vars)
-                if (!prebound.count(v.get()))
-                    cfg.single_keys[id] = v->profile_key();
-            return cfg;
-        };
-        stage->initialize();
-        while (true) {
-            trial(lib_cfg());
-            if (run.truncated || stage->finished())
-                break;
-            stage->advance(run.index);
-        }
-        stage->bind_best(run.index);
-        if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, lib_cfg(), bind);
-        record_epoch("libs", "parallel", before, lib_exhaustive);
-    }
+            return Stage{parallel(std::move(lib_leaves)),
+                         [&] { return keyed_config(lib_vars, true); },
+                         lib_exhaustive};
+        });
 
     // ---- stage C: stream scheduling (§4.5.3-4.5.5) ------------------------
     std::map<std::pair<int, int>, VarPtr> epoch_vars;
-    if (opts_.features.streams) {
-        obs::ScopedSpan stage_span(obs::Category::Wire,
-                                   "wirer.stage.streams");
-        const StageMark before = mark();
-        int64_t stream_exhaustive = 1;
-        // The binding every stage-C trial shares: its skeleton is
-        // built here once and serves each trial's plan.
-        const StreamSpace ss =
-            scheduler_.stream_space(current_config(true));
+    // Epoch variables frozen by their Prefix node. A frozen epoch's
+    // binding extends later epochs' contexts, so it must never change
+    // again — and its span is no longer profiled: post-freeze samples
+    // are taken while *later* epochs vary and carry their cross-epoch
+    // stream interference. Not instrumenting settled spans is the
+    // paper's overhead discipline (§5.1: profile only what is being
+    // explored).
+    std::set<const AdaptiveVariable*> frozen;
+    if (opts.features.streams)
+        walk("wirer.stage.streams", "streams", [&]() -> Stage {
+            // The binding every stage-C trial shares: its skeleton is
+            // built here once and serves each trial's plan.
+            const StreamSpace ss =
+                session.scheduler().stream_space(current_config(true));
 
-        // Parallel over super-epochs; Prefix over epochs within.
-        std::map<int, std::vector<const EpochInfo*>> by_se;
-        for (const EpochInfo& e : ss.epochs)
-            by_se[e.super_epoch].push_back(&e);
-        // An epoch's variable is numbered by its position in the
-        // stream space, which every trial of this run shares.
-        auto epoch_variable = [&ss](const EpochInfo& e) {
-            return wirer_variable_id(
-                WirerVariable::EpochSplit,
-                static_cast<int>(&e - ss.epochs.data()));
-        };
+            // Parallel over super-epochs; Prefix over epochs within.
+            std::map<int, std::vector<const EpochInfo*>> by_se;
+            for (const EpochInfo& e : ss.epochs)
+                by_se[e.super_epoch].push_back(&e);
+            // An epoch's variable is numbered by its position in the
+            // stream space, which every trial of this run shares.
+            auto position = [&ss](const EpochInfo* e) {
+                return static_cast<int>(e - ss.epochs.data());
+            };
 
-        // Warm stream transfer is all-or-nothing: a Prefix freeze
-        // mangles later epochs' contexts, so a partially pre-bound
-        // stream stage would explore its residual epochs under
-        // contexts no measurement can ever share. Either every epoch
-        // of this graph's stream space has a valid transferred choice
-        // (pre-bind them all, skip the stage) or none does (explore
-        // the full stage as residual). The neighbor choosing serial
-        // (use_streams=false) transfers nothing: this graph may still
-        // profit from streams.
-        bool warm_streams = warm.has_config && warm.config.use_streams;
-        if (warm_streams)
-            for (const auto& [se, epochs] : by_se)
-                for (const EpochInfo* e : epochs) {
-                    const auto it =
-                        warm.config.epoch_choice.find({se, e->level});
-                    if (it == warm.config.epoch_choice.end() ||
-                        it->second < 0 ||
-                        it->second >=
-                            static_cast<int>(e->options.size()))
-                        warm_streams = false;
-                }
-        if (warm_streams) {
-            int64_t stream_space = 1;
-            for (const auto& [se, epochs] : by_se)
-                for (const EpochInfo* e : epochs) {
-                    auto v = std::make_shared<AdaptiveVariable>(
-                        epoch_variable(*e),
-                        static_cast<int>(e->options.size()),
-                        warm.config.epoch_choice.at({se, e->level}));
-                    v->set_context(root);
-                    epoch_vars[{se, e->level}] = v;
-                    prebound.insert(v.get());
-                    ++run.transferred;
-                    stream_space = sat_mul(
-                        stream_space,
-                        static_cast<int64_t>(e->options.size()));
-                }
-            record_epoch("streams", "store", before, stream_space);
-        } else {
-
-        // Epoch variables frozen by their Prefix node. A frozen
-        // epoch's binding extends later epochs' contexts, so it
-        // must never change again — and its span is no longer
-        // profiled: post-freeze samples are taken while *later*
-        // epochs vary and carry their cross-epoch stream
-        // interference. Not instrumenting settled spans is the
-        // paper's overhead discipline (§5.1: profile only what is
-        // being explored).
-        std::set<const AdaptiveVariable*> frozen;
-
-        std::vector<std::unique_ptr<UpdateNode>> se_nodes;
-        for (const auto& [se, epochs] : by_se) {
-            std::vector<std::unique_ptr<UpdateNode>> epoch_leaves;
-            std::vector<VarPtr> se_vars;
-            for (const EpochInfo* e : epochs) {
-                auto v = std::make_shared<AdaptiveVariable>(
-                    epoch_variable(*e),
-                    static_cast<int>(e->options.size()), 0);
-                v->set_context(root);
-                epoch_vars[{se, e->level}] = v;
-                se_vars.push_back(v);
-                epoch_leaves.push_back(UpdateNode::leaf(v));
-                stream_exhaustive = sat_mul(
-                    stream_exhaustive,
-                    static_cast<int64_t>(e->options.size()));
+            // Warm stream transfer is all-or-nothing: a Prefix freeze
+            // mangles later epochs' contexts, so a partially pre-bound
+            // stream stage would explore its residual epochs under
+            // contexts no measurement can ever share. Either every
+            // epoch of this graph's stream space has a valid
+            // transferred choice (pre-bind them all, even with what-if
+            // armed, and skip the stage) or none does (explore the
+            // full stage as residual). The neighbor choosing serial
+            // (use_streams=false) transfers nothing: this graph may
+            // still profit from streams.
+            bool warm_streams = warm.has_config && warm.config.use_streams;
+            if (warm_streams)
+                for (const auto& [se, epochs] : by_se)
+                    for (const EpochInfo* e : epochs) {
+                        const auto it =
+                            warm.config.epoch_choice.find({se, e->level});
+                        if (it == warm.config.epoch_choice.end() ||
+                            it->second < 0 ||
+                            it->second >=
+                                static_cast<int>(e->options.size()))
+                            warm_streams = false;
+                    }
+            if (warm_streams) {
+                int64_t stream_space = 1;
+                for (const auto& [se, epochs] : by_se)
+                    for (const EpochInfo* e : epochs) {
+                        auto v = std::make_shared<AdaptiveVariable>(
+                            wirer_variable_id(WirerVariable::EpochSplit,
+                                              position(e)),
+                            static_cast<int>(e->options.size()),
+                            warm.config.epoch_choice.at({se, e->level}));
+                        v->set_context(root);
+                        epoch_vars[{se, e->level}] = v;
+                        prebound.insert(v.get());
+                        ++run.transferred;
+                        stream_space = sat_mul(
+                            stream_space,
+                            static_cast<int64_t>(e->options.size()));
+                    }
+                return {nullptr, {}, stream_space, "store"};
             }
-            auto prefix = UpdateNode::composite(
-                UpdateNode::Mode::Prefix, std::move(epoch_leaves));
-            // History-awareness: once an epoch is frozen, its
-            // binding becomes part of later epochs' contexts.
-            prefix->set_on_child_bound(
-                [se_vars, &frozen, &contexts = run.contexts](int idx) {
-                    const AdaptiveVariable& bound =
-                        *se_vars[static_cast<size_t>(idx)];
-                    frozen.insert(&bound);
-                    for (size_t j = static_cast<size_t>(idx) + 1;
-                         j < se_vars.size(); ++j)
-                        se_vars[j]->set_context(contexts.extend(
-                            se_vars[j]->context(), bound.id(),
-                            bound.current()));
-                });
-            se_nodes.push_back(std::move(prefix));
-        }
-        auto stage = UpdateNode::composite(
-            UpdateNode::Mode::Parallel, std::move(se_nodes));
-        auto stream_cfg = [&]() {
-            ScheduleConfig cfg = current_config(true);
-            for (const auto& [key, v] : epoch_vars) {
-                cfg.epoch_choice[key] = v->current();
-                if (!frozen.count(v.get()))
-                    cfg.epoch_keys[key] = v->profile_key();
+
+            int64_t stream_exhaustive = 1;
+            std::vector<std::unique_ptr<UpdateNode>> se_nodes;
+            for (const auto& [se, epochs] : by_se) {
+                std::vector<std::unique_ptr<UpdateNode>> epoch_leaves;
+                std::vector<VarPtr> se_vars;
+                for (const EpochInfo* e : epochs)
+                    se_vars.push_back(
+                        epoch_vars[{se, e->level}] = make_variable(
+                            WirerVariable::EpochSplit, position(e),
+                            static_cast<int>(e->options.size()), -1,
+                            epoch_leaves, stream_exhaustive));
+                auto prefix = UpdateNode::composite(
+                    UpdateNode::Mode::Prefix, std::move(epoch_leaves));
+                // History-awareness: once an epoch is frozen, its
+                // binding becomes part of later epochs' contexts.
+                prefix->set_on_child_bound(
+                    [se_vars, &frozen, &contexts = run.contexts](int idx) {
+                        const AdaptiveVariable& bound =
+                            *se_vars[static_cast<size_t>(idx)];
+                        frozen.insert(&bound);
+                        for (size_t j = static_cast<size_t>(idx) + 1;
+                             j < se_vars.size(); ++j)
+                            se_vars[j]->set_context(contexts.extend(
+                                se_vars[j]->context(), bound.id(),
+                                bound.current()));
+                    });
+                se_nodes.push_back(std::move(prefix));
             }
-            return cfg;
-        };
-        // While armed, the stage keeps the exhaustive walk's exact
-        // trial sequence and replays it (trial() above). An epoch span
-        // is a wall-clock barrier-to-barrier duration, and host launch
-        // pipelining couples it to the co-varied walk state of every
-        // *other* super-epoch — skipping trials in one SE would shift
-        // its partners' trial states and could flip their near-tie
-        // freezes (§5.13). Replaying every trial keeps the index
-        // bit-identical, so every freeze lands where the measured
-        // sweep's would, and the mini-batches stay unspent.
-        stage->initialize();
-        while (true) {
-            trial(stream_cfg());
-            if (run.truncated || stage->finished())
-                break;
-            stage->advance(run.index);
-        }
-        stage->bind_best(run.index);
-        if (run.whatif)  // measure the stage's bound winner
-            measure_trial(run, stream_cfg(), bind);
-        record_epoch("streams", "prefix", before, stream_exhaustive);
-        }
-    }
+            // While armed, the walk replays the exhaustive walk's exact
+            // trial sequence. An epoch span is a wall-clock
+            // barrier-to-barrier duration, and host launch pipelining
+            // couples it to the co-varied walk state of every *other*
+            // super-epoch — skipping trials in one SE would shift its
+            // partners' trial states and could flip their near-tie
+            // freezes (§5.13). Replaying every trial keeps the index
+            // bit-identical, so every freeze lands where the measured
+            // sweep's would, and the mini-batches stay unspent.
+            auto stream_cfg = [&] {
+                ScheduleConfig cfg = current_config(true);
+                for (const auto& [key, v] : epoch_vars) {
+                    cfg.epoch_choice[key] = v->current();
+                    if (!frozen.count(v.get()))
+                        cfg.epoch_keys[key] = v->profile_key();
+                }
+                return cfg;
+            };
+            return {parallel(std::move(se_nodes)), stream_cfg,
+                    stream_exhaustive, "prefix"};
+        });
 
     // ---- best-of-strategy run ---------------------------------------------
     // Always measured, even when the safety valve already tripped:
     // the caller needs an end-to-end time for the bound best to be
-    // usable (the valve may overshoot by these final runs).
+    // usable (the valve may overshoot by these final runs). Stage C's
+    // last trial, or its winner measurement under what-if, already
+    // measured the streamed winner, so measure() reuses that time.
     const StageMark final_before = mark();
-    ScheduleConfig best = current_config(opts_.features.streams);
+    ScheduleConfig best = current_config(opts.features.streams);
     for (const auto& [key, v] : epoch_vars)
         best.epoch_choice[key] = v->current();
-    double final_ns = measure_final(run, best, bind);
-    if (opts_.features.streams) {
+    double final_ns = measure(session, run, best, bind, true);
+    if (opts.features.streams) {
         // Streams are themselves an optimization choice: compare
         // the streamed winner against the same binding without
         // streams and keep whichever measures faster (dynamic
@@ -801,7 +760,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         ScheduleConfig serial = best;
         serial.use_streams = false;
         serial.epoch_choice.clear();
-        const double serial_ns = measure_final(run, serial, bind);
+        const double serial_ns = measure(session, run, serial, bind, true);
         if (serial_ns < final_ns) {
             best = serial;
             final_ns = serial_ns;
@@ -813,30 +772,31 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
     record_epoch("final", "hierarchical", final_before, final_trials);
 }
 
+}  // namespace
+
 WirerResult
-CustomWirer::explore(const BindFn& bind)
+AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
 {
     obs::ScopedSpan explore_span(obs::Category::Wire, "wirer.explore");
     WirerResult out;
 
     const int num_strategies =
-        opts_.features.alloc
-            ? static_cast<int>(space_.strategies.size())
-            : 1;
+        opts_.features.alloc ? static_cast<int>(space_.strategies.size())
+                             : 1;
     out.strategy_ns.assign(space_.strategies.size(), -1.0);
 
     // An L2 warm start transfers the neighbor's allocation-strategy
     // decision too: only that strategy's residual space is explored.
     std::vector<int> sids;
-    if (opts_.warm.has_config && opts_.warm.config.strategy >= 0 &&
-        opts_.warm.config.strategy < num_strategies)
-        sids.push_back(opts_.warm.config.strategy);
+    if (warm.has_config && warm.config.strategy >= 0 &&
+        warm.config.strategy < num_strategies)
+        sids.push_back(warm.config.strategy);
     else
         for (int sid = 0; sid < num_strategies; ++sid)
             sids.push_back(sid);
 
     // Deterministic budget partition: each strategy owns its share of
-    // the safety valve up front (see WirerOptions::max_minibatches), so
+    // the safety valve up front (see AstraOptions::max_minibatches), so
     // truncation decisions never depend on how concurrent pipelines
     // interleave.
     std::vector<StrategyRun> runs;
@@ -854,8 +814,8 @@ CustomWirer::explore(const BindFn& bind)
     // the serial loop — one code path for both regimes. It joins every
     // pipeline before rethrowing one's exception, so no other
     // strategy's work leaks past the unwind.
-    parallel_for(opts_.threads, num_runs, [&](int64_t i) {
-        run_strategy(runs[static_cast<size_t>(i)], bind);
+    parallel_for(opts_.wirer_threads, num_runs, [&](int64_t i) {
+        run_strategy(*this, warm, runs[static_cast<size_t>(i)], bind);
     });
 
     // ---- deterministic merge (strategy order) -----------------------------

@@ -85,7 +85,6 @@ dispatch_plan_dp(const ExecutionPlan& plan, const Graph& graph,
     gpu_cfg.collect_trace = true;  // compute/comm split comes from spans
 
     MultiSim multi(G, gpu_cfg);
-    multi.set_straggler_timeout(opts.straggler_timeout_ns);
 
     // Each device's link endpoint is its own fault domain: derive a
     // per-device comm injector the same way MultiSim salts its devices,
@@ -254,32 +253,6 @@ dispatch_plan_dp(const ExecutionPlan& plan, const Graph& graph,
         static obs::Counter& overlap = obs::counter("comm.overlap_ns");
         overlap.add(static_cast<int64_t>(result.overlap_ns));
         obs::observe("dispatch.dp_step_ns", result.step_ns);
-    }
-
-    result.stragglers = multi.straggler_events();
-    if (obs_on && result.stragglers > 0) {
-        static obs::Counter& stragglers = obs::counter("comm.stragglers");
-        stragglers.add(result.stragglers);
-    }
-
-    // Persistent-straggler degradation: when the overlapped pipeline
-    // kept tripping the watchdog — a slow link stalls all 2(G-1) hops
-    // of every in-flight bucket — re-dispatch with the serial schedule,
-    // whose single compute/comm rendezvous bounds the blast radius of
-    // one bad link to its own transfers.
-    if (G > 1 && opts.flush == FlushSchedule::Eager &&
-        opts.serial_fallback && opts.straggler_timeout_ns > 0.0 &&
-        result.stragglers >= opts.straggler_fallback_threshold) {
-        DpOptions serial = opts;
-        serial.flush = FlushSchedule::EndOfStep;
-        serial.serial_fallback = false;
-        DpResult fb =
-            dispatch_plan_dp(plan, graph, tmap, cfg, grad_nodes, serial);
-        fb.stragglers += result.stragglers;
-        fb.fell_back_serial = true;
-        if (obs_on)
-            obs::counter("comm.serial_fallbacks").add();
-        return fb;
     }
     return result;
 }

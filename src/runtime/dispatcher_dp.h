@@ -60,25 +60,6 @@ struct DpOptions
     int64_t bucket_bytes = 0;
 
     FlushSchedule flush = FlushSchedule::Eager;
-
-    /**
-     * Straggler watchdog (MultiSim::set_straggler_timeout): a mirrored
-     * ring event that left its receiver waiting longer than this marks
-     * a straggler observation. 0 disables detection.
-     */
-    double straggler_timeout_ns = 0.0;
-
-    /**
-     * With Eager flush, this many straggler observations in one step
-     * trigger the degraded mode: re-dispatch with the serial
-     * (EndOfStep) schedule, whose single rendezvous tolerates a slow
-     * link far better than the overlapped pipeline's 2(G-1) per-bucket
-     * hops. Ignored when straggler_timeout_ns is 0.
-     */
-    int straggler_fallback_threshold = 3;
-
-    /** Allow the serial fallback (off = detect and report only). */
-    bool serial_fallback = true;
 };
 
 /** Measured outcome of one data-parallel mini-batch. */
@@ -101,12 +82,6 @@ struct DpResult
     double comm_bytes = 0.0;
 
     int num_buckets = 0;
-
-    /** Straggler observations (all attempts, see DpOptions). */
-    int64_t stragglers = 0;
-
-    /** True when persistent stragglers forced the serial fallback. */
-    bool fell_back_serial = false;
 };
 
 /**

@@ -55,14 +55,8 @@ MultiSim::deliver_mirrors()
         SimGpu& src = device(m.src);
         if (!src.event_recorded(m.src_event))
             continue;
-        const double t = src.event_time_ns(m.src_event);
-        // Straggler watchdog: the receiver sat at now_ns() waiting for
-        // a signal that only fired at t — a wait beyond the timeout
-        // marks the sender as straggling on this step.
-        if (straggler_timeout_ns_ > 0.0 &&
-            t - device(m.dst).now_ns() > straggler_timeout_ns_)
-            ++straggler_events_;
-        device(m.dst).record_external(m.dst_event, t);
+        device(m.dst).record_external(m.dst_event,
+                                      src.event_time_ns(m.src_event));
         m.delivered = true;
         delivered = true;
     }

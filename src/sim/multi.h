@@ -79,21 +79,6 @@ class MultiSim
     /** Drop delivered mirrors and reset per-device events. */
     void reset_events();
 
-    /**
-     * Arm straggler detection: a mirrored event whose receiver has
-     * already idled past the sender's record time by more than
-     * `timeout_ns` when the mirror is delivered counts as a straggler
-     * observation (the co-simulated analogue of a NCCL watchdog
-     * timeout). 0 disables detection.
-     */
-    void set_straggler_timeout(double timeout_ns)
-    {
-        straggler_timeout_ns_ = timeout_ns;
-    }
-
-    /** Mirror deliveries that exceeded the straggler timeout. */
-    int64_t straggler_events() const { return straggler_events_; }
-
   private:
     struct Mirror
     {
@@ -109,8 +94,6 @@ class MultiSim
 
     std::vector<std::unique_ptr<SimGpu>> devices_;
     std::vector<Mirror> mirrors_;
-    double straggler_timeout_ns_ = 0.0;
-    int64_t straggler_events_ = 0;
 };
 
 }  // namespace astra

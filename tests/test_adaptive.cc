@@ -246,6 +246,8 @@ TEST(UpdateTree, ExhaustiveCoversTheProduct)
         tree->advance(d.idx);
     }
     EXPECT_EQ(combos.size(), 6u);
+    // The walk stops on the last combination: no trial past the product.
+    EXPECT_EQ(d.trials, tree->max_trials());
 }
 
 TEST(UpdateTree, PrefixFreezesLeftToRight)

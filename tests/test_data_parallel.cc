@@ -255,7 +255,7 @@ TEST(DataParallel, CommFaultDegradesMeasuredLink)
 {
     // A degraded interconnect (comm:x=4 on every hop) must show up in
     // the *measured* link busy time — same payload, slower chunks —
-    // without perturbing compute or tripping the straggler machinery.
+    // without perturbing compute.
     const AstraOptions opts = quiet_opts();
     const DpHarness h(opts);
     DpOptions dopts;
@@ -273,38 +273,6 @@ TEST(DataParallel, CommFaultDegradesMeasuredLink)
     // The payload is a property of the model, not of link health.
     EXPECT_DOUBLE_EQ(degraded.comm_bytes, clean.comm_bytes);
     EXPECT_EQ(degraded.num_buckets, clean.num_buckets);
-    EXPECT_FALSE(degraded.fell_back_serial);
-}
-
-TEST(DataParallel, PersistentStragglersTriggerSerialFallback)
-{
-    // One device salted into repeated latency spikes leaves its ring
-    // neighbours waiting: the watchdog counts the late mirrors, and
-    // past the threshold the dispatcher re-runs the step under the
-    // serial (EndOfStep) schedule. With the fallback disabled the same
-    // dispatch merely reports what it saw.
-    const AstraOptions opts = quiet_opts();
-    const DpHarness h(opts);
-    GpuConfig cfg = opts.gpu;
-    ASSERT_TRUE(
-        FaultPlan::parse("seed=9;straggler:p=0.3,x=25", &cfg.faults));
-    cfg.fault_salt = 5;  // nonzero: per-device salts diverge -> skew
-
-    DpOptions dopts;
-    dopts.degree = 4;
-    dopts.flush = FlushSchedule::Eager;
-    dopts.straggler_timeout_ns = 2000.0;
-    dopts.straggler_fallback_threshold = 3;
-    const DpResult r = h.run(cfg, dopts);
-    EXPECT_GE(r.stragglers, 3);
-    EXPECT_TRUE(r.fell_back_serial);
-    EXPECT_GT(r.step_ns, 0.0);
-
-    DpOptions detect_only = dopts;
-    detect_only.serial_fallback = false;
-    const DpResult d = h.run(cfg, detect_only);
-    EXPECT_GE(d.stragglers, 3);
-    EXPECT_FALSE(d.fell_back_serial);
 }
 
 TEST(DataParallel, DispatchTimingsArePinned)

@@ -8,7 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <filesystem>
+#include <locale>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -456,6 +459,93 @@ TEST(CustomWirer, BindExceptionPropagatesAndSessionStaysUsable)
         EXPECT_EQ(r.best_ns, ref.best_ns);
         EXPECT_EQ(r.minibatches, ref.minibatches);
         EXPECT_EQ(r.strategy_ns, ref.strategy_ns);
+    }
+}
+
+/**
+ * One row of ExplorationReportsArePinned: the FNV-1a of the
+ * exploration's convergence JSON, the FNV-1a of its winner's config
+ * and its mini-batches.
+ */
+std::string
+exploration_row(const WirerResult& r)
+{
+    std::ostringstream json;
+    json.imbue(std::locale::classic());
+    r.convergence.write_json(json);
+    return hash_hex(fnv1a64(json.str())) + " " +
+           hash_hex(fnv1a64(config_to_string(r.best_config))) + " " +
+           std::to_string(r.minibatches);
+}
+
+TEST(CustomWirer, ExplorationReportsArePinned)
+{
+    // Whole explorations, stage by stage: the five paper models at a
+    // small shape under features_all, what-if off and on, then an L2
+    // warm start (SC-RNN's embed neighbour) each way. The JSON carries
+    // every stage's trials, exhaustive size, best-so-far and running
+    // total, so a row moves when any trial, stage or final run does.
+    // Hermetic (timing-only, base clock, no faults, no store but the
+    // warm start's own), so the rows hold under the CI noise and fault
+    // jobs. Update a row only on purpose.
+    const ModelConfig shape{.batch = 4, .seq_len = 2, .hidden = 16,
+                            .embed_dim = 16, .vocab = 50};
+    AstraOptions o = timing_only(features_all());
+    o.gpu.faults = FaultPlan{};
+    o.plan_store.clear();
+    const std::pair<ModelKind, std::array<const char*, 2>> pinned[] = {
+        {ModelKind::Gnmt,
+         {"db7e1dcea6d7c072 b367cc8c41a94809 336",
+          "da3e210ed123dd03 b367cc8c41a94809 16"}},
+        {ModelKind::StackedLstm,
+         {"2a5710e792703011 f2df75e6e95e5c4a 305",
+          "6ce7316c37562ff6 f2df75e6e95e5c4a 16"}},
+        {ModelKind::MiLstm,
+         {"d80a919b6c0548b6 5ff572c8a5de9b0a 265",
+          "54425ee0a1f0da9d 5ff572c8a5de9b0a 12"}},
+        {ModelKind::Scrnn,
+         {"e66ea0a5a77f2198 fdbea542cc2edb04 194",
+          "a9690292981a232d fdbea542cc2edb04 12"}},
+        {ModelKind::SubLstm,
+         {"b5a1862ae0bb457b d25b1bc0e3853127 204",
+          "10c51cfd183c1e37 d25b1bc0e3853127 12"}},
+    };
+    for (const auto& [kind, rows] : pinned)
+        for (int whatif : {0, 1}) {
+            o.whatif.enabled = whatif != 0;
+            const BuiltModel m = build_model(kind, shape);
+            AstraSession session(m.graph(), o);
+            EXPECT_EQ(exploration_row(session.optimize()),
+                      rows[static_cast<size_t>(whatif)])
+                << model_name(kind) << ", what-if " << whatif;
+        }
+
+    // The cold pass (a miss) writes the store; the neighbour at embed
+    // 24 transfers its winner at L2 and explores the residual space.
+    const std::array<const char*, 2> warm_rows = {
+        "miss ac35f0186fc312af fdbea542cc2edb04 194 | "
+        "l2 95b1e78fb8c6c101 70a620f5e9b02bdb 6",
+        "miss 6e8c77c2766f31d0 fdbea542cc2edb04 12 | "
+        "l2 d366b5992a632a46 0de60100a698721d 5"};
+    for (int whatif : {0, 1}) {
+        o.whatif.enabled = whatif != 0;
+        const std::filesystem::path dir =
+            std::filesystem::path(::testing::TempDir()) /
+            ("wirer_pinned_warm_start_" + std::to_string(whatif));
+        std::filesystem::remove_all(dir);
+        o.plan_store = dir.string();
+        std::string rows;
+        for (int64_t embed : {16, 24}) {
+            ModelConfig c = shape;
+            c.embed_dim = embed;
+            const BuiltModel m = build_model(ModelKind::Scrnn, c);
+            AstraSession session(m.graph(), o);
+            const WirerResult r = session.optimize();
+            rows += (embed == 16 ? "" : " | ") +
+                    r.convergence.store_tier + " " + exploration_row(r);
+        }
+        EXPECT_EQ(rows, warm_rows[static_cast<size_t>(whatif)])
+            << "warm start, what-if " << whatif;
     }
 }
 
