@@ -6,11 +6,11 @@
  * explore dimensions such as ... data partitioning in multi-GPU jobs."
  * For each degree G the tuned per-device plan is *executed* on G
  * co-simulated devices with ring-allreduce chunk transfers on a comm
- * stream per device (runtime/dispatcher_dp.h), while gradient bucket
- * capacity and flush schedule are explored as adaptive variables. The
- * table reports the measured serial and overlapped step times next to
- * the closed-form ring estimate — which survives only as this printed
- * cross-check — and a second table shows the adaptively-chosen bucket
+ * stream per device (runtime/dispatcher_dp.h), once per gradient
+ * bucket capacity and flush schedule. The table reports the measured
+ * serial and overlapped step times next to the closed-form ring
+ * estimate — which survives only as this printed cross-check — and a
+ * second table, read from the same sweep, shows the chosen bucket
  * capacity beating both fixed extremes (one bucket, per-tensor).
  *
  * `--smoke` runs a tiny stacked LSTM at degrees {1,2} for CI.
@@ -19,7 +19,6 @@
 
 #include "bench/common.h"
 #include "core/data_parallel.h"
-#include "core/search_space.h"
 
 using namespace astra;
 using namespace astra::bench;
@@ -51,7 +50,7 @@ main(int argc, char** argv)
     opts.gpu = env.gpu;
     opts.sched = env.sched;
     opts.features = features_fk();
-    InterconnectConfig net;  // PCIe-class ring, gigabits/s
+    LinkConfig net;  // PCIe-class ring, gigabits/s
 
     ModelConfig cfg;
     cfg.layers = 2;
@@ -111,40 +110,31 @@ main(int argc, char** argv)
               << "k samples/s)\n\n";
 
     // ---- chosen bucket capacity vs the fixed extremes ------------------
-    // Re-dispatch the tuned plan at one degree under (a) a single
-    // bucket, (b) one bucket per tensor, (c) the adaptively-chosen
-    // capacity — all eager — to show the adaptive choice is not just
-    // "between" the extremes but better than both.
+    // The sweep measured every capacity under each flush schedule; read
+    // (a) a single bucket, (b) one bucket per tensor, (c) the chosen
+    // capacity back from it, all eager, to show the chosen capacity is
+    // not just "between" the extremes but better than both.
     const int G = smoke ? 2 : 4;
     const ScalePoint* chosen = nullptr;
     for (const ScalePoint& p : points)
         if (p.degree == G)
             chosen = &p;
     ASTRA_ASSERT(chosen, "degree sweep must include G=", G);
-
-    GraphBuilder b;
-    build(b, global / G);
-    AstraSession session(b.graph(), opts);
-    const WirerResult wr = session.optimize();
-    const ExecutionPlan plan = session.scheduler().build(wr.best_config);
-    const TensorMap& tmap = session.tensor_map(wr.best_config.strategy);
-    const DataParallelSpace dp = enumerate_dp_space(b.graph());
+    const auto eager = [&](int64_t cap) -> const DpResult& {
+        for (const BucketTrial& t : chosen->sweep)
+            if (t.bucket_bytes == cap && t.flush == FlushSchedule::Eager)
+                return t.result;
+        panic("no eager sweep point at capacity ", cap);
+    };
 
     TextTable extremes("Gradient-bucket capacity at G=" +
                        std::to_string(G) + " (eager flush)");
     extremes.set_header({"capacity", "buckets", "step ms", "hidden ms"});
-    const int64_t caps[] = {dp.grad_bytes, 0, chosen->bucket_bytes};
+    const int64_t caps[] = {chosen->grad_bytes, 0, chosen->bucket_bytes};
     const char* labels[] = {"one bucket", "per-tensor", "(chosen)"};
     double steps[3] = {};
     for (int i = 0; i < 3; ++i) {
-        DpOptions dopts;
-        dopts.degree = G;
-        dopts.link = net;
-        dopts.bucket_bytes = caps[i];
-        dopts.flush = FlushSchedule::Eager;
-        const DpResult r = dispatch_plan_dp(plan, b.graph(), tmap,
-                                            opts.gpu, dp.grad_nodes,
-                                            dopts);
+        const DpResult& r = eager(caps[i]);
         steps[i] = r.step_ns;
         const std::string label =
             i == 2 ? bucket_label(caps[i]) + " (chosen)"

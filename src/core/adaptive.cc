@@ -1,6 +1,5 @@
 #include "core/adaptive.h"
 
-#include <cmath>
 #include <limits>
 
 #include "support/logging.h"
@@ -47,14 +46,6 @@ AdaptiveVariable::get_profile_value(const ProfileIndex& index) const
     return v ? *v : std::numeric_limits<double>::quiet_NaN();
 }
 
-void
-AdaptiveVariable::set(int option)
-{
-    ASTRA_ASSERT(option >= 0 && option < num_options_,
-                 "option out of range for variable ", id_);
-    current_ = option;
-}
-
 bool
 AdaptiveVariable::bind_best(const ProfileIndex& index)
 {
@@ -85,14 +76,6 @@ UpdateNode::composite(Mode mode,
     auto node = std::unique_ptr<UpdateNode>(new UpdateNode());
     node->mode_ = mode;
     node->children_ = std::move(children);
-    if (mode == Mode::Exhaustive) {
-        // The generic odometer is implemented over leaf children; for
-        // coupled metrics over larger subtrees, flatten the product
-        // into one variable instead.
-        for (const auto& c : node->children_)
-            ASTRA_ASSERT(c->mode_ == Mode::Leaf,
-                         "Exhaustive nodes take leaf children");
-    }
     return node;
 }
 
@@ -100,7 +83,6 @@ void
 UpdateNode::initialize()
 {
     active_child_ = 0;
-    exhausted_ = false;
     if (mode_ == Mode::Leaf) {
         var_->initialize();
         return;
@@ -118,15 +100,6 @@ UpdateNode::finished() const
       case Mode::Parallel:
         for (const auto& c : children_)
             if (!c->finished())
-                return false;
-        return true;
-      case Mode::Exhaustive:
-        // Done once bound, or once the odometer sits on its last
-        // combination: the trial that just ran measured it.
-        if (exhausted_)
-            return true;
-        for (const auto& c : children_)
-            if (c->var_->current() + 1 < c->var_->num_options())
                 return false;
         return true;
       case Mode::Prefix:
@@ -156,22 +129,6 @@ UpdateNode::advance(const ProfileIndex& index)
             else
                 c->advance(index);
         return;
-      case Mode::Exhaustive: {
-        // Odometer over the children's options (brute force).
-        if (exhausted_)
-            return;
-        for (size_t i = 0; i < children_.size(); ++i) {
-            AdaptiveVariable& v = *children_[i]->var_;
-            if (v.current() + 1 < v.num_options()) {
-                v.set(v.current() + 1);
-                for (size_t j = 0; j < i; ++j)
-                    children_[j]->var_->set(0);
-                return;
-            }
-        }
-        bind_best(index);
-        return;
-      }
       case Mode::Prefix: {
         if (active_child_ >= children_.size())
             return;
@@ -208,52 +165,8 @@ UpdateNode::bind_best(const ProfileIndex& index)
         var_->bind_best(index);
         return;
     }
-    // A bound odometer stays finished wherever its best combination
-    // lies: advancing it again would restart the sweep from there.
-    if (mode_ == Mode::Exhaustive)
-        exhausted_ = true;
     for (auto& c : children_)
         c->bind_best(index);
-}
-
-int64_t
-UpdateNode::max_trials() const
-{
-    switch (mode_) {
-      case Mode::Leaf:
-        return var_->num_options();
-      case Mode::Parallel: {
-        int64_t worst = 1;
-        for (const auto& c : children_)
-            worst = std::max(worst, c->max_trials());
-        return worst;
-      }
-      case Mode::Exhaustive: {
-        int64_t product = 1;
-        for (const auto& c : children_)
-            product *= c->max_trials();
-        return product;
-      }
-      case Mode::Prefix: {
-        int64_t total = 0;
-        for (const auto& c : children_)
-            total += c->max_trials();
-        return std::max<int64_t>(total, 1);
-      }
-    }
-    return 1;
-}
-
-void
-UpdateNode::for_each_var(
-    const std::function<void(AdaptiveVariable&)>& fn) const
-{
-    if (mode_ == Mode::Leaf) {
-        fn(*var_);
-        return;
-    }
-    for (const auto& c : children_)
-        c->for_each_var(fn);
 }
 
 }  // namespace astra

@@ -12,10 +12,13 @@
  *                mini-batch each — fine-grained profiling makes their
  *                measurements independent, so total trials are the MAX
  *                over children, not the product (§4.5.1).
- *  - Exhaustive: cartesian product of the children (history-sensitive
- *                choices inside an epoch, §4.5.3).
  *  - Prefix:     children explored left to right; each child is frozen
  *                at its measured best before the next starts (§4.5.4).
+ *
+ * The paper's third mode, Exhaustive (the cartesian product of
+ * history-sensitive choices inside an epoch, §4.5.3), has no node: each
+ * epoch's product is flattened into one variable's options
+ * (EpochInfo::options, core/scheduler.h).
  */
 #pragma once
 
@@ -71,7 +74,6 @@ class AdaptiveVariable
     ProfileKey profile_key() const { return profile_key_for(current_); }
 
     int current() const { return current_; }
-    void set(int option);
     int num_options() const { return num_options_; }
 
     /** True once iterate() has walked every option. */
@@ -102,7 +104,6 @@ class UpdateNode
     {
         Leaf,
         Parallel,
-        Exhaustive,
         Prefix,
     };
 
@@ -141,20 +142,6 @@ class UpdateNode
     /** Bind every variable in the subtree to its measured best. */
     void bind_best(const ProfileIndex& index);
 
-    /** Upper bound on mini-batches this subtree needs (Table 7 math). */
-    int64_t max_trials() const;
-
-    /** Visit every variable in the subtree. */
-    void
-    for_each_var(const std::function<void(AdaptiveVariable&)>& fn) const;
-
-    Mode mode() const { return mode_; }
-    const std::vector<std::unique_ptr<UpdateNode>>& children() const
-    {
-        return children_;
-    }
-    const VarPtr& var() const { return var_; }
-
   private:
     UpdateNode() = default;
 
@@ -165,8 +152,6 @@ class UpdateNode
 
     // Prefix state.
     size_t active_child_ = 0;
-    // Exhaustive state: bound to its best combination.
-    bool exhausted_ = false;
 };
 
 }  // namespace astra

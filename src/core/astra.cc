@@ -285,8 +285,8 @@ AstraSession::optimize(const BindFn& bind)
 DispatchResult
 AstraSession::run(const ScheduleConfig& config) const
 {
-    // Steady state: lower once (cached by config signature), then
-    // replay the preresolved command array.
+    // Steady state: lower once (cached by config), then replay the
+    // preresolved command array.
     return replay_wired(*scheduler_->wire_cached(
                             config, tensor_map(config.strategy), opts_.gpu),
                         opts_.gpu);

@@ -65,26 +65,13 @@ BucketedAstra::bucket_for(int length) const
         return idx;
     // Clamp, but keep count: the warning fires once per instance
     // (steady-state serving hits this per mini-batch), while the tally
-    // and obs counter record every clamp for the convergence report.
+    // and obs counter record every clamp.
     overflow_count_.fetch_add(1, std::memory_order_relaxed);
     overflow_counter_->add();
     if (!warned_overflow_.exchange(true, std::memory_order_relaxed))
         warn("bucket_for(", length, "): length exceeds largest bucket ",
              lengths_.back(), "; clamping (input would be truncated)");
     return idx;
-}
-
-ConvergenceReport
-BucketedAstra::convergence_report(int i) const
-{
-    ASTRA_ASSERT(i >= 0 && i < static_cast<int>(buckets_.size()));
-    ASTRA_ASSERT(buckets_[static_cast<size_t>(i)].optimized,
-                 "call optimize() first");
-    ConvergenceReport rep =
-        buckets_[static_cast<size_t>(i)].result.convergence;
-    rep.bucket_overflows =
-        overflow_count_.load(std::memory_order_relaxed);
-    return rep;
 }
 
 double

@@ -72,14 +72,6 @@ class BucketedAstra
     void set_strict_overflow(bool strict) { strict_overflow_ = strict; }
 
     /**
-     * Bucket i's exploration report with the instance-wide overflow
-     * tally stamped into ConvergenceReport::bucket_overflows — the
-     * fleet-visible record that this model's length distribution has
-     * outgrown its largest bucket.
-     */
-    ConvergenceReport convergence_report(int i) const;
-
-    /**
      * Simulated time of one steady-state mini-batch of true length.
      *
      * Routes through the non-counting index lookup: overflow tallying

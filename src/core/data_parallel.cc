@@ -1,9 +1,5 @@
 #include "core/data_parallel.h"
 
-#include <limits>
-#include <string>
-
-#include "core/adaptive.h"
 #include "core/search_space.h"
 #include "obs/obs.h"
 #include "support/logging.h"
@@ -11,7 +7,7 @@
 namespace astra {
 
 double
-ring_allreduce_ns(int64_t bytes, int degree, const InterconnectConfig& net)
+ring_allreduce_ns(int64_t bytes, int degree, const LinkConfig& net)
 {
     ASTRA_ASSERT(degree >= 1);
     if (degree == 1)
@@ -28,98 +24,48 @@ ring_allreduce_ns(int64_t bytes, int degree, const InterconnectConfig& net)
 namespace {
 
 /**
- * Explore gradient-bucket capacity and flush schedule for one degree
- * with the adaptive machinery: two variables under an Exhaustive
- * update node, in an index of their own, with the flush binding in the
- * bucket variable's context (so a capacity measured under one schedule
- * never answers for the other). Fills the chosen binding and measured
- * detail into `p`.
+ * Measure each (flush, capacity) binding of one degree once, Eager
+ * first and capacities ascending, and bind the first strictly fastest
+ * step. enumerate_dp_space ends the capacities at grad_bytes, so the
+ * sweep's last point, one bucket flushed after compute, is the serial
+ * baseline. Fills the chosen binding and its detail into `p`.
  */
 void
-explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
-                   const TensorMap& tmap, const AstraOptions& opts,
-                   const InterconnectConfig& net,
-                   const DataParallelSpace& dp, ScalePoint& p)
+sweep_dp_bindings(const ExecutionPlan& plan, const Graph& graph,
+                  const TensorMap& tmap, const AstraOptions& opts,
+                  const LinkConfig& net, const DataParallelSpace& dp,
+                  ScalePoint& p)
 {
-    const int G = p.degree;
-    ContextTable contexts;
-
-    const int nbuckets = static_cast<int>(dp.bucket_options.size());
-    constexpr uint32_t kBucketVar = 0, kFlushVar = 1;
-    auto bucket_var =
-        std::make_shared<AdaptiveVariable>(kBucketVar, nbuckets);
-    auto flush_var = std::make_shared<AdaptiveVariable>(kFlushVar, 2);
-
-    std::vector<std::unique_ptr<UpdateNode>> leaves;
-    leaves.push_back(UpdateNode::leaf(bucket_var));
-    leaves.push_back(UpdateNode::leaf(flush_var));
-    auto root = UpdateNode::composite(UpdateNode::Mode::Exhaustive,
-                                      std::move(leaves));
-    root->initialize();
-
-    ProfileIndex index(opts.normalize_clock);
-
     DpOptions dopts;
-    dopts.degree = G;
+    dopts.degree = p.degree;
     dopts.link = net;
+    for (const FlushSchedule flush :
+         {FlushSchedule::Eager, FlushSchedule::EndOfStep})
+        for (const int64_t cap : dp.bucket_options) {
+            dopts.bucket_bytes = cap;
+            dopts.flush = flush;
+            p.sweep.push_back({cap, flush,
+                               dispatch_plan_dp(plan, graph, tmap,
+                                                opts.gpu, dp.grad_nodes,
+                                                dopts)});
+            ++p.minibatches;
+        }
 
-    const auto bucket_context = [&](int flush_choice) {
-        return contexts.extend(contexts.root(), kFlushVar, flush_choice);
-    };
+    const BucketTrial* best = &p.sweep.front();
+    for (const BucketTrial& t : p.sweep)
+        if (t.result.step_ns < best->result.step_ns)
+            best = &t;
+    p.bucket_bytes = best->bucket_bytes;
+    p.flush = best->flush;
+    p.step_ns = best->result.step_ns;
+    p.comm_ns = best->result.comm_ns;
+    p.overlap_ns = best->result.overlap_ns;
+    p.num_buckets = best->result.num_buckets;
 
-    // Exhaustive sweep: each trial dispatches the current binding on G
-    // devices and records the measured step under both variables' keys
-    // (the flush key accumulates the best across capacities — ranking
-    // schedules by their best achievable step).
-    while (true) {
-        const int fc = flush_var->current();
-        bucket_var->set_context(bucket_context(fc));
-        dopts.bucket_bytes =
-            dp.bucket_options[static_cast<size_t>(bucket_var->current())];
-        dopts.flush = fc == 0 ? FlushSchedule::Eager
-                              : FlushSchedule::EndOfStep;
-        const DpResult m = dispatch_plan_dp(plan, graph, tmap, opts.gpu,
-                                            dp.grad_nodes, dopts);
-        ++p.minibatches;
-        index.record(bucket_var->profile_key(), m.step_ns);
-        index.record(flush_var->profile_key(), m.step_ns);
-        if (root->finished())
-            break;
-        root->advance(index);
-    }
-
-    // Bind: flush first, then the capacity under that schedule (the
-    // bucket variable's context depends on the flush binding).
-    flush_var->bind_best(index);
-    bucket_var->set_context(bucket_context(flush_var->current()));
-    bucket_var->bind_best(index);
-
-    p.flush = flush_var->current() == 0 ? FlushSchedule::Eager
-                                        : FlushSchedule::EndOfStep;
-    p.bucket_bytes =
-        dp.bucket_options[static_cast<size_t>(bucket_var->current())];
-
-    // Re-dispatch the chosen binding for the detail fields.
-    dopts.bucket_bytes = p.bucket_bytes;
-    dopts.flush = p.flush;
-    const DpResult chosen =
-        dispatch_plan_dp(plan, graph, tmap, opts.gpu, dp.grad_nodes,
-                         dopts);
-    ++p.minibatches;
-    p.step_ns = chosen.step_ns;
-    p.comm_ns = chosen.comm_ns;
-    p.overlap_ns = chosen.overlap_ns;
-    p.num_buckets = chosen.num_buckets;
-
-    // Serial baseline: one bucket, flushed only after compute drains.
-    DpOptions serial = dopts;
-    serial.bucket_bytes = dp.grad_bytes;
-    serial.flush = FlushSchedule::EndOfStep;
-    const DpResult base =
-        dispatch_plan_dp(plan, graph, tmap, opts.gpu, dp.grad_nodes,
-                         serial);
-    ++p.minibatches;
-    p.serial_ns = base.step_ns;
+    const BucketTrial& serial = p.sweep.back();
+    ASTRA_ASSERT(serial.bucket_bytes == dp.grad_bytes &&
+                 serial.flush == FlushSchedule::EndOfStep);
+    p.serial_ns = serial.result.step_ns;
 }
 
 }  // namespace
@@ -127,18 +73,13 @@ explore_dp_binding(const ExecutionPlan& plan, const Graph& graph,
 std::vector<ScalePoint>
 measure_scaling(const BatchGraphFn& build, int64_t global_batch,
                 const std::vector<int>& degrees, const AstraOptions& opts,
-                const InterconnectConfig& net, ConvergenceReport* report)
+                const LinkConfig& net)
 {
     std::vector<ScalePoint> points;
     for (int degree : degrees) {
         if (degree < 1 || global_batch % degree != 0) {
-            const std::string why =
-                "skipping degree " + std::to_string(degree) +
-                ": does not divide global batch " +
-                std::to_string(global_batch);
-            warn(why);
-            if (report != nullptr)
-                report->dp_skipped.push_back(why);
+            warn("skipping degree ", degree,
+                 ": does not divide global batch ", global_batch);
             obs::counter("dp.degrees_skipped").add();
             continue;
         }
@@ -177,11 +118,11 @@ measure_scaling(const BatchGraphFn& build, int64_t global_batch,
             p.step_ns = p.compute_ns;
             p.serial_ns = p.compute_ns;
         } else {
-            explore_dp_binding(plan, b.graph(), tmap, opts, net, dp, p);
+            sweep_dp_bindings(plan, b.graph(), tmap, opts, net, dp, p);
         }
         obs::observe("dp.step_ns", p.step_ns);
         obs::observe("dp.overlap_ns", p.overlap_ns);
-        points.push_back(p);
+        points.push_back(std::move(p));
     }
     ASTRA_ASSERT(!points.empty(), "no feasible parallelism degree");
     return points;

@@ -13,10 +13,10 @@
  * B/G, Astra tunes the compute schedule, and the tuned plan is
  * dispatched onto G co-simulated devices (runtime/dispatcher_dp.h)
  * with ring-allreduce chunk transfers on a per-device comm stream.
- * Gradient bucket capacity and flush schedule are adaptive variables
- * explored per degree in a profile index of their own, so compute/comm
- * overlap is measured, never modelled. The closed-form ring formula
- * survives only as a cross-check the bench prints.
+ * Every gradient bucket capacity is measured under both flush
+ * schedules, so compute/comm overlap is measured, never modelled. The
+ * closed-form ring formula survives only as a cross-check the bench
+ * prints.
  */
 #pragma once
 
@@ -30,22 +30,23 @@
 namespace astra {
 
 /**
- * Inter-device link model (PCIe-era defaults, matching the P100 box).
- * NOTE: link_gbps is giga*bits* per second (see sim/multi.h).
- */
-using InterconnectConfig = LinkConfig;
-
-/**
  * Analytic time for a ring allreduce of `bytes` across `degree`
  * devices: 2(G-1)/G bandwidth terms plus 2(G-1) latency hops. Kept as
  * a sanity cross-check for the measured path — Astra itself never
  * trusts it.
  */
-double ring_allreduce_ns(int64_t bytes, int degree,
-                         const InterconnectConfig& net);
+double ring_allreduce_ns(int64_t bytes, int degree, const LinkConfig& net);
 
 /** Builds the training graph for one per-device mini-batch size. */
 using BatchGraphFn = std::function<void(GraphBuilder&, int64_t batch)>;
+
+/** One measured (bucket capacity, flush schedule) binding. */
+struct BucketTrial
+{
+    int64_t bucket_bytes = 0;
+    FlushSchedule flush = FlushSchedule::Eager;
+    DpResult result;
+};
 
 /** One measured scaling point. */
 struct ScalePoint
@@ -84,6 +85,12 @@ struct ScalePoint
     /** Data-parallel measurement mini-batches spent at this degree. */
     int minibatches = 0;
 
+    /**
+     * Every binding measured at this degree, each once: Eager first,
+     * capacities ascending within a schedule. Empty at degree 1.
+     */
+    std::vector<BucketTrial> sweep;
+
     /** Global samples per simulated second. */
     double
     throughput(int64_t global_batch) const
@@ -97,21 +104,20 @@ struct ScalePoint
  *
  * Every degree that divides the global batch is explored: the graph is
  * rebuilt at batch/G, Astra tunes it (work-conserving, as always), and
- * the tuned plan is executed on G simulated devices while the adaptive
- * layer explores gradient-bucket capacity and flush schedule. Returns
- * one point per feasible degree, in the order given.
+ * the tuned plan is executed on G simulated devices once per
+ * (flush schedule, bucket capacity) binding, 1 + 2 x
+ * |bucket_options| mini-batches in all. The first strictly fastest
+ * binding is chosen. Returns one point per feasible degree, in the
+ * order given.
  *
- * Degrees that do not divide the global batch are skipped with a
- * warning; when `report` is non-null each skip is also appended to
- * ConvergenceReport::dp_skipped, so a sweep that measured fewer points
- * than asked is visible to machine consumers, not just the log.
+ * A degree that does not divide the global batch gets no point: it is
+ * skipped with a warning and counted in dp.degrees_skipped.
  */
 std::vector<ScalePoint> measure_scaling(const BatchGraphFn& build,
                                         int64_t global_batch,
                                         const std::vector<int>& degrees,
                                         const AstraOptions& opts,
-                                        const InterconnectConfig& net,
-                                        ConvergenceReport* report = nullptr);
+                                        const LinkConfig& net);
 
 /**
  * Index into `points` of the best-throughput degree.

@@ -464,76 +464,19 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
 
 namespace {
 
-void
-append_num(std::string& sig, int64_t v)
-{
-    sig += std::to_string(v);
-    sig += ',';
-}
-
-/** A profile key as its packed value (the no-key value included). */
-void
-append_key(std::string& sig, ProfileKey key)
-{
-    sig += std::to_string(key.bits());
-    sig += ',';
-}
-
 /**
- * Every ScheduleConfig field that build_units() or stream_space()
- * reads: the key of a plan skeleton.
+ * True when two configs agree on every field build_units() or
+ * stream_space() reads: the key of a plan skeleton.
  */
-std::string
-binding_signature(const ScheduleConfig& c)
+bool
+same_binding(const ScheduleConfig& a, const ScheduleConfig& b)
 {
-    std::string sig;
-    sig.reserve(128);
-    append_num(sig, c.strategy);
-    append_num(sig, c.elementwise_fusion ? 1 : 0);
-    append_num(sig, c.num_streams);
-    sig += "ch;";
-    for (int v : c.group_chunk)
-        append_num(sig, v);
-    sig += "gl;";
-    for (GemmLib lib : c.group_lib)
-        append_num(sig, static_cast<int>(lib));
-    sig += "sl;";
-    for (const auto& [id, lib] : c.single_lib) {
-        append_num(sig, id);
-        append_num(sig, static_cast<int>(lib));
-    }
-    sig += "gk;";
-    for (const auto& [id, key] : c.group_keys) {
-        append_num(sig, id);
-        append_key(sig, key);
-    }
-    sig += "sk;";
-    for (const auto& [id, key] : c.single_keys) {
-        append_num(sig, id);
-        append_key(sig, key);
-    }
-    return sig;
-}
-
-/** Every plan-affecting field of a ScheduleConfig: a plan's key. */
-std::string
-plan_signature(const ScheduleConfig& c)
-{
-    std::string sig = binding_signature(c);
-    append_num(sig, c.use_streams ? 1 : 0);
-    sig += "ec;";
-    for (const auto& [se, opt] : c.epoch_choice) {
-        append_num(sig, se.first);
-        append_num(sig, se.second);
-        append_num(sig, opt);
-    }
-    sig += "ek;";
-    for (const auto& [se, key] : c.epoch_keys) {
-        append_num(sig, se.first);
-        append_num(sig, se.second);
-        append_key(sig, key);
-    }
-    return sig;
+    return a.strategy == b.strategy &&
+           a.elementwise_fusion == b.elementwise_fusion &&
+           a.num_streams == b.num_streams &&
+           a.group_chunk == b.group_chunk && a.group_lib == b.group_lib &&
+           a.single_lib == b.single_lib && a.group_keys == b.group_keys &&
+           a.single_keys == b.single_keys;
 }
 
 }  // namespace
@@ -541,11 +484,10 @@ plan_signature(const ScheduleConfig& c)
 std::shared_ptr<const Scheduler::PlanSkeleton>
 Scheduler::skeleton(const ScheduleConfig& config) const
 {
-    std::string sig = binding_signature(config);
     SkeletonSlot& slot = skeletons_[strategy_slot(config)];
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
-        if (slot.value != nullptr && slot.sig == sig)
+        if (slot.value != nullptr && same_binding(slot.binding, config))
             return slot.value;
     }
     auto built = std::make_shared<PlanSkeleton>();
@@ -554,7 +496,7 @@ Scheduler::skeleton(const ScheduleConfig& config) const
     std::shared_ptr<const PlanSkeleton> skel = std::move(built);
     std::lock_guard<std::mutex> lock(cache_mu_);
     slot.value = skel;
-    slot.sig = std::move(sig);
+    slot.binding = config;
     return skel;
 }
 
@@ -639,16 +581,21 @@ std::shared_ptr<const WiredBinary>
 Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
                        const GpuConfig& gpu) const
 {
-    const std::string sig = plan_signature(config);
+    // Under cache_mu_: the binary lowered from an equal config, if any.
+    const auto cached = [&]() -> std::shared_ptr<const WiredBinary> {
+        for (const auto& [cfg, bin] : wired_cache_)
+            if (cfg == config)
+                return bin;
+        return nullptr;
+    };
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
-        const auto it = wired_cache_.find(sig);
-        if (it != wired_cache_.end()) {
+        if (std::shared_ptr<const WiredBinary> hit = cached()) {
             wired_hits_.fetch_add(1, std::memory_order_relaxed);
             static obs::Counter& hits =
                 obs::counter("scheduler.wired_cache.hits");
             hits.add();
-            return it->second;
+            return hit;
         }
     }
     // Lower outside the lock. Lowering includes the reuse audit and
@@ -659,14 +606,16 @@ Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
     const WiredVerdict verdict = verify_wired(*bin);
     ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
                  verdict.why);
-    std::shared_ptr<const WiredBinary> frozen = std::move(bin);
     std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto [it, inserted] = wired_cache_.emplace(sig, std::move(frozen));
     wired_misses_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& misses =
         obs::counter("scheduler.wired_cache.misses");
     misses.add();
-    return it->second;
+    // A concurrent call may have lowered an equal config meanwhile.
+    if (std::shared_ptr<const WiredBinary> raced = cached())
+        return raced;
+    wired_cache_.emplace_back(config, std::move(bin));
+    return wired_cache_.back().second;
 }
 
 }  // namespace astra

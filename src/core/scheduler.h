@@ -18,8 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/search_space.h"
@@ -136,7 +135,7 @@ class Scheduler
 
     /**
      * Lowered wired binary (runtime/wired.h) for the configuration,
-     * cached by plan signature: the steady-state dispatch path
+     * cached under an equal config: the steady-state dispatch path
      * compiles a converged config once and replays the blob for every
      * later mini-batch. The binary captures buffer addresses from
      * `tmap`, so the cache assumes one TensorMap per allocation
@@ -168,10 +167,10 @@ class Scheduler
         StreamSpace space;
     };
 
-    /** A binding's signature and the skeleton last built under it. */
+    /** A config and the skeleton last built for its binding. */
     struct SkeletonSlot
     {
-        std::string sig;
+        ScheduleConfig binding;
         std::shared_ptr<const PlanSkeleton> value;
     };
 
@@ -205,8 +204,9 @@ class Scheduler
     mutable std::mutex cache_mu_;
     mutable std::vector<SkeletonSlot> skeletons_;
 
-    mutable std::unordered_map<std::string,
-                               std::shared_ptr<const WiredBinary>>
+    /** Lowered binaries, each with the config it was lowered from. */
+    mutable std::vector<
+        std::pair<ScheduleConfig, std::shared_ptr<const WiredBinary>>>
         wired_cache_;
     mutable std::atomic<int64_t> wired_hits_{0};
     mutable std::atomic<int64_t> wired_misses_{0};

@@ -485,7 +485,6 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     auto current_config = [&](bool with_streams) {
         ScheduleConfig cfg;
         cfg.strategy = sid;
-        cfg.elementwise_fusion = opts.features.elementwise_fusion;
         cfg.group_chunk.assign(space.groups.size(), 1);
         cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
         for (const FusionGroup& g : space.groups) {

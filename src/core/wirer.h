@@ -33,14 +33,13 @@ namespace astra {
 
 /**
  * Which adaptation dimensions are active (Astra_F / FK / FKS / all).
- * GEMM fusion chunk adaptation (F) is always on.
+ * GEMM fusion chunk adaptation (F) and elementwise fusion are always on.
  */
 struct AstraFeatures
 {
     bool kernel_choice = true;   ///< GEMM library adaptation (K)
     bool streams = true;         ///< multi-stream scheduling (S)
     bool alloc = true;           ///< allocation-strategy fork (all)
-    bool elementwise_fusion = true;
 };
 
 /** Feature presets matching the paper's evaluation columns. */

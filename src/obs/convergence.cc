@@ -2,7 +2,11 @@
 
 #include <ostream>
 
+#include "support/record.h"
+
 namespace astra {
+
+using record::Num;
 
 int64_t
 ConvergenceReport::pruned_by(const std::string& mode) const
@@ -48,13 +52,13 @@ json_escape(const std::string& s)
 void
 ConvergenceReport::write_json(std::ostream& os) const
 {
-    os << "{\"best_ns\":" << best_ns << ",\"minibatches\":"
-       << minibatches << ",\"whatif_evals\":" << whatif_evals
+    os << "{\"best_ns\":" << Num(best_ns) << ",\"minibatches\":"
+       << Num(minibatches) << ",\"whatif_evals\":" << Num(whatif_evals)
        << ",\"termination\":\"" << termination << "\"";
     if (!store_tier.empty()) {
         os << ",\"store\":{\"tier\":\"" << store_tier
-           << "\",\"transferred_bindings\":" << store_transferred_bindings
-           << ",\"errors\":[";
+           << "\",\"transferred_bindings\":"
+           << Num(store_transferred_bindings) << ",\"errors\":[";
         bool first = true;
         for (const std::string& e : store_errors) {
             if (!first)
@@ -64,42 +68,30 @@ ConvergenceReport::write_json(std::ostream& os) const
         }
         os << "]";
         if (store_drift_demotions > 0)
-            os << ",\"drift_demotions\":" << store_drift_demotions;
+            os << ",\"drift_demotions\":" << Num(store_drift_demotions);
         os << "}";
     }
-    if (!dp_skipped.empty()) {
-        os << ",\"dp_skipped\":[";
-        bool sfirst = true;
-        for (const std::string& s : dp_skipped) {
-            if (!sfirst)
-                os << ",";
-            sfirst = false;
-            os << "\"" << json_escape(s) << "\"";
-        }
-        os << "]";
-    }
-    if (bucket_overflows > 0)
-        os << ",\"bucket_overflows\":" << bucket_overflows;
     os << ",\"fault_report\":{\"injected_kernel_faults\":"
-       << faults.injected_kernel_faults
-       << ",\"straggler_events\":" << faults.straggler_events
-       << ",\"faulted_minibatches\":" << faults.faulted_minibatches
-       << ",\"dispatch_retries\":" << faults.dispatch_retries
-       << ",\"wirer_retries\":" << faults.wirer_retries
-       << ",\"quarantined_keys\":" << faults.quarantined_keys
-       << ",\"backoff_ns\":" << faults.backoff_ns << "}"
+       << Num(faults.injected_kernel_faults)
+       << ",\"straggler_events\":" << Num(faults.straggler_events)
+       << ",\"faulted_minibatches\":" << Num(faults.faulted_minibatches)
+       << ",\"dispatch_retries\":" << Num(faults.dispatch_retries)
+       << ",\"wirer_retries\":" << Num(faults.wirer_retries)
+       << ",\"quarantined_keys\":" << Num(faults.quarantined_keys)
+       << ",\"backoff_ns\":" << Num(faults.backoff_ns) << "}"
        << ",\"epochs\":[";
     bool first = true;
     for (const ConvergenceEpoch& e : epochs) {
         if (!first)
             os << ",";
         first = false;
-        os << "{\"strategy\":" << e.strategy << ",\"stage\":\"" << e.stage
-           << "\",\"mode\":\"" << e.mode << "\",\"trials\":" << e.trials
-           << ",\"exhaustive\":" << e.exhaustive << ",\"pruned\":"
-           << e.pruned << ",\"best_ns\":" << e.best_ns
-           << ",\"minibatches_total\":" << e.minibatches_total
-           << ",\"whatif_evals\":" << e.whatif_evals << "}";
+        os << "{\"strategy\":" << Num(e.strategy) << ",\"stage\":\""
+           << e.stage << "\",\"mode\":\"" << e.mode
+           << "\",\"trials\":" << Num(e.trials) << ",\"exhaustive\":"
+           << Num(e.exhaustive) << ",\"pruned\":" << Num(e.pruned)
+           << ",\"best_ns\":" << Num(e.best_ns)
+           << ",\"minibatches_total\":" << Num(e.minibatches_total)
+           << ",\"whatif_evals\":" << Num(e.whatif_evals) << "}";
     }
     os << "]}";
 }
@@ -110,10 +102,11 @@ ConvergenceReport::write_csv(std::ostream& os) const
     os << "strategy,stage,mode,trials,exhaustive,pruned,best_ns,"
           "minibatches_total,whatif_evals\n";
     for (const ConvergenceEpoch& e : epochs)
-        os << e.strategy << "," << e.stage << "," << e.mode << ","
-           << e.trials << "," << e.exhaustive << "," << e.pruned << ","
-           << e.best_ns << "," << e.minibatches_total << ","
-           << e.whatif_evals << "\n";
+        os << Num(e.strategy) << "," << e.stage << "," << e.mode << ","
+           << Num(e.trials) << "," << Num(e.exhaustive) << ","
+           << Num(e.pruned) << "," << Num(e.best_ns) << ","
+           << Num(e.minibatches_total) << "," << Num(e.whatif_evals)
+           << "\n";
 }
 
 }  // namespace astra

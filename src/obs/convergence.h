@@ -138,24 +138,6 @@ struct ConvergenceReport
      */
     int64_t store_drift_demotions = 0;
 
-    // ---- coverage diagnostics --------------------------------------------
-
-    /**
-     * Data-parallel degrees measure_scaling() skipped (degree does not
-     * divide the global batch), one human-readable diagnosis each — a
-     * sweep that silently measured fewer points than asked is visible
-     * here.
-     */
-    std::vector<std::string> dp_skipped;
-
-    /**
-     * Mini-batch lengths that overflowed the largest profiling bucket
-     * and were clamped (BucketedAstra::bucket_for). A nonzero tally
-     * means steady-state dispatches ran on a plan wired for a shorter
-     * sequence.
-     */
-    int64_t bucket_overflows = 0;
-
     // ---- what-if accounting (core/whatif.h, §5.13) -----------------------
 
     /** Total host replays across the exploration (0 when off). */

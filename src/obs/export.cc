@@ -4,9 +4,13 @@
 #include <map>
 #include <ostream>
 
+#include "support/record.h"
+
 namespace astra {
 
 namespace {
+
+using record::Num;
 
 /** Full JSON string escaping for span and counter names. */
 std::string
@@ -64,10 +68,12 @@ emit_kernel_event(std::ostream& os, const TraceSpan& s, bool* first)
     // span was measured under, the stream it ran on, and the fact that
     // the duration came from the (simulated) device clock.
     os << "{\"name\":\"" << escape(s.name)
-       << "\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":" << s.start_ns / 1e3
-       << ",\"dur\":" << (s.end_ns - s.start_ns) / 1e3
-       << ",\"pid\":0,\"tid\":" << s.stream << ",\"args\":{\"key\":\""
-       << to_string(s.key) << "\",\"stream\":" << s.stream
+       << "\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":"
+       << Num(s.start_ns / 1e3)
+       << ",\"dur\":" << Num((s.end_ns - s.start_ns) / 1e3)
+       << ",\"pid\":0,\"tid\":" << Num(s.stream)
+       << ",\"args\":{\"key\":\"" << to_string(s.key)
+       << "\",\"stream\":" << Num(s.stream)
        << ",\"dur_src\":\"device\"}}";
 }
 
@@ -78,7 +84,7 @@ emit_process_name(std::ostream& os, int pid, const char* name,
     if (!*first)
         os << ",";
     *first = false;
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << Num(pid)
        << ",\"tid\":0,\"args\":{\"name\":\"" << escape(name) << "\"}}";
 }
 
@@ -107,9 +113,10 @@ write_chrome_trace(std::ostream& os, const std::vector<Span>& host,
     for (const Span& s : host) {
         os << ",{\"name\":\"" << escape(s.name) << "\",\"cat\":\""
            << category_name(s.cat) << "\",\"ph\":\"X\",\"ts\":"
-           << s.start_ns / 1e3 << ",\"dur\":"
-           << (s.end_ns - s.start_ns) / 1e3 << ",\"pid\":1,\"tid\":"
-           << s.tid << ",\"args\":{\"dur_src\":\"host\"}}";
+           << Num(s.start_ns / 1e3) << ",\"dur\":"
+           << Num((s.end_ns - s.start_ns) / 1e3)
+           << ",\"pid\":1,\"tid\":" << Num(s.tid)
+           << ",\"args\":{\"dur_src\":\"host\"}}";
     }
     for (const TraceSpan& s : kernels)
         emit_kernel_event(os, s, &first);

@@ -459,12 +459,6 @@ SimGpu::elapsed_ns(EventId start, EventId end) const
     return event_time_ns(end) - event_time_ns(start);
 }
 
-void
-SimGpu::reset_events()
-{
-    std::fill(event_times_.begin(), event_times_.end(), -1.0);
-}
-
 double
 SimGpu::utilization() const
 {

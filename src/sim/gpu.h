@@ -290,11 +290,7 @@ class SimGpu
     /** elapsed = end - start, both must be recorded. */
     double elapsed_ns(EventId start, EventId end) const;
 
-    /** Reset events to unrecorded (reuse across mini-batches). */
-    void reset_events();
-
     const GpuStats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; }
 
     /** Average SM utilization over all simulated time so far. */
     double utilization() const;

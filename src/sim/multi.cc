@@ -6,14 +6,6 @@
 
 namespace astra {
 
-double
-link_transfer_ns(double bytes, const LinkConfig& link)
-{
-    ASTRA_ASSERT(link.link_gbps > 0.0);
-    // link_gbps is gigabits/s: 1 Gbit/s == 1 bit/ns, so ns = bits/gbps.
-    return bytes * 8.0 / link.link_gbps + link.latency_us * 1e3;
-}
-
 MultiSim::MultiSim(int count, const GpuConfig& config)
 {
     ASTRA_ASSERT(count >= 1, "MultiSim needs at least one device");
@@ -104,14 +96,6 @@ MultiSim::now_ns() const
     for (const auto& d : devices_)
         t = std::max(t, d->now_ns());
     return t;
-}
-
-void
-MultiSim::reset_events()
-{
-    mirrors_.clear();
-    for (auto& d : devices_)
-        d->reset_events();
 }
 
 }  // namespace astra

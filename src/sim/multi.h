@@ -38,9 +38,6 @@ struct LinkConfig
     double latency_us = 10.0;  ///< per-message software + wire latency
 };
 
-/** Pure wire time for one message of `bytes` over a link, in ns. */
-double link_transfer_ns(double bytes, const LinkConfig& link);
-
 /** Co-simulates a group of SimGpu devices with cross-device events. */
 class MultiSim
 {
@@ -75,9 +72,6 @@ class MultiSim
 
     /** Max simulated time across devices; meaningful after run(). */
     double now_ns() const;
-
-    /** Drop delivered mirrors and reset per-device events. */
-    void reset_events();
 
   private:
     struct Mirror

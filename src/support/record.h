@@ -15,7 +15,8 @@
  * locale, and written through a WriteGuard, which pins the classic
  * locale. A record written on a host whose global locale writes "1,5"
  * for 1.5 and groups thousands as "1.234" therefore loads on every
- * other host, and in the process that wrote it.
+ * other host, and in the process that wrote it. Text other programs
+ * read (JSON, CSV) writes its numbers as Num, with std::to_chars.
  *
  * Counts. No reader sizes a container from a count it read:
  * containers grow only as records actually arrive, so a hostile count
@@ -28,6 +29,7 @@
  */
 #pragma once
 
+#include <charconv>
 #include <concepts>
 #include <cstdint>
 #include <ios>
@@ -90,6 +92,33 @@ class WriteGuard
     std::ostream& os_;
     std::locale locale_;
     std::ios_base::fmtflags flags_;
+};
+
+/**
+ * A number written as std::to_chars' shortest text that reads back to
+ * the same value, whatever the stream's locale, precision and flags:
+ * `os << record::Num(x)`. For JSON and CSV, which take no hexfloat.
+ */
+class Num
+{
+  public:
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    explicit Num(T v)
+        : len_(static_cast<int>(
+              std::to_chars(buf_, buf_ + sizeof buf_, v).ptr - buf_))
+    {
+    }
+
+    friend std::ostream&
+    operator<<(std::ostream& os, const Num& n)
+    {
+        return os.write(n.buf_, n.len_);
+    }
+
+  private:
+    char buf_[32];
+    int len_;
 };
 
 /**

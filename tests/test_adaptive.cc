@@ -4,8 +4,7 @@
  * §4.4.2) and the profile index with (context, variable, choice) keys
  * (§4.6).
  * The trial-count assertions encode the paper's §4.5.1 arithmetic:
- * Parallel is additive (max), Exhaustive multiplicative, Prefix
- * summed.
+ * Parallel takes the max over its children, Prefix their sum.
  */
 #include <gtest/gtest.h>
 
@@ -175,18 +174,16 @@ struct Driver
     ProfileIndex idx;
     int trials = 0;
 
-    /** metric(var) -> value recorded under the var's current key. */
+    /** metric(var) -> value recorded under each of `vars`' keys. */
     void
-    run(UpdateNode& tree,
-        const std::function<double(const AdaptiveVariable&)>& metric,
-        int max_trials = 1000)
+    run(UpdateNode& tree, const std::vector<VarPtr>& vars,
+        const std::function<double(const AdaptiveVariable&)>& metric)
     {
         tree.initialize();
-        while (trials < max_trials) {
+        while (trials < 1000) {
             ++trials;
-            tree.for_each_var([&](AdaptiveVariable& v) {
-                idx.record(v.profile_key(), metric(v));
-            });
+            for (const VarPtr& v : vars)
+                idx.record(v->profile_key(), metric(*v));
             if (tree.finished())
                 break;
             tree.advance(idx);
@@ -209,11 +206,10 @@ TEST(UpdateTree, ParallelTrialsAreMaxNotProduct)
     }
     auto tree = UpdateNode::composite(UpdateNode::Mode::Parallel,
                                       std::move(leaves));
-    EXPECT_EQ(tree->max_trials(), 3);
 
     Driver d;
     // Best option differs per variable: g0 likes 0, g1 likes 1, ...
-    d.run(*tree, [](const AdaptiveVariable& v) {
+    d.run(*tree, vars, [](const AdaptiveVariable& v) {
         const int want = static_cast<int>(v.id());
         return v.current() == want % 3 ? 1.0 : 10.0;
     });
@@ -221,33 +217,6 @@ TEST(UpdateTree, ParallelTrialsAreMaxNotProduct)
     for (int g = 0; g < 5; ++g)
         EXPECT_EQ(vars[static_cast<size_t>(g)]->current(), g % 3)
             << "g" << g;
-}
-
-TEST(UpdateTree, ExhaustiveCoversTheProduct)
-{
-    auto a = std::make_shared<AdaptiveVariable>(0, 2);
-    auto bb = std::make_shared<AdaptiveVariable>(1, 3);
-    std::vector<std::unique_ptr<UpdateNode>> leaves;
-    leaves.push_back(UpdateNode::leaf(a));
-    leaves.push_back(UpdateNode::leaf(bb));
-    auto tree = UpdateNode::composite(UpdateNode::Mode::Exhaustive,
-                                      std::move(leaves));
-    EXPECT_EQ(tree->max_trials(), 6);
-    std::set<std::pair<int, int>> combos;
-    Driver d;
-    tree->initialize();
-    while (true) {
-        ++d.trials;
-        combos.insert({a->current(), bb->current()});
-        d.idx.record(a->profile_key(), a->current() == 1 ? 1.0 : 5.0);
-        d.idx.record(bb->profile_key(), bb->current() == 2 ? 1.0 : 5.0);
-        if (tree->finished())
-            break;
-        tree->advance(d.idx);
-    }
-    EXPECT_EQ(combos.size(), 6u);
-    // The walk stops on the last combination: no trial past the product.
-    EXPECT_EQ(d.trials, tree->max_trials());
 }
 
 TEST(UpdateTree, PrefixFreezesLeftToRight)
@@ -269,10 +238,9 @@ TEST(UpdateTree, PrefixFreezesLeftToRight)
             e1->set_context(contexts.extend(e1->context(), e0->id(),
                                             e0->current()));
     });
-    EXPECT_EQ(tree->max_trials(), 6);
 
     Driver d;
-    d.run(*tree, [&](const AdaptiveVariable& v) {
+    d.run(*tree, {e0, e1}, [&](const AdaptiveVariable& v) {
         if (v.id() == e0->id())
             return v.current() == 2 ? 1.0 : 5.0;
         // e1's best depends on nothing here; pick option 1.
@@ -285,9 +253,9 @@ TEST(UpdateTree, PrefixFreezesLeftToRight)
     // e1's measurements were taken under the frozen-e0 context.
     EXPECT_TRUE(d.idx.contains(ProfileKey(
         contexts.extend(contexts.root(), e0->id(), 2), e1->id(), 1)));
-    // Total trials: 3 (e0) + handoff + 3 (e1) — bounded by a small
-    // constant over the sum.
-    EXPECT_LE(d.trials, 8);
+    // 3 (e0) + 3 (e1) + the trial that measures the frozen prefix:
+    // the sum, not the 3 x 3 product.
+    EXPECT_EQ(d.trials, 7);
 }
 
 TEST(UpdateTree, NestedParallelOfPrefixes)
@@ -295,25 +263,27 @@ TEST(UpdateTree, NestedParallelOfPrefixes)
     // The stream stage shape: Parallel over super-epochs, each a
     // Prefix of epochs. Trials = max over SEs of the summed options.
     std::vector<std::unique_ptr<UpdateNode>> ses;
+    std::vector<VarPtr> vars;
     for (int se = 0; se < 3; ++se) {
         std::vector<std::unique_ptr<UpdateNode>> epochs;
-        for (int e = 0; e < 2 + se; ++e)
-            epochs.push_back(UpdateNode::leaf(
-                std::make_shared<AdaptiveVariable>(
-                    static_cast<uint32_t>(se * 8 + e), 2)));
+        for (int e = 0; e < 2 + se; ++e) {
+            vars.push_back(std::make_shared<AdaptiveVariable>(
+                static_cast<uint32_t>(se * 8 + e), 2));
+            epochs.push_back(UpdateNode::leaf(vars.back()));
+        }
         ses.push_back(UpdateNode::composite(UpdateNode::Mode::Prefix,
                                             std::move(epochs)));
     }
     auto tree = UpdateNode::composite(UpdateNode::Mode::Parallel,
                                       std::move(ses));
-    EXPECT_EQ(tree->max_trials(), 8);  // largest SE: 4 epochs x 2
     Driver d;
-    d.run(*tree, [](const AdaptiveVariable& v) {
+    d.run(*tree, vars, [](const AdaptiveVariable& v) {
         return v.current() == 0 ? 1.0 : 2.0;
     });
-    // Parallel across SEs: bounded by the largest prefix plus the
-    // per-child handoff steps, far below the 2^9 flat product.
-    EXPECT_LE(d.trials, 12);
+    // Parallel across SEs: the largest prefix (4 epochs x 2 options)
+    // plus the trial that measures it frozen, far below the 2^9 flat
+    // product.
+    EXPECT_EQ(d.trials, 9);
 }
 
 TEST(UpdateTree, BindBestRecursive)

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "core/data_parallel.h"
@@ -23,7 +22,7 @@ namespace {
 
 TEST(RingAllreduce, Algebra)
 {
-    InterconnectConfig net;
+    LinkConfig net;
     net.link_gbps = 10.0;  // gigabits/s: 10 bits per ns
     net.latency_us = 5.0;
     EXPECT_DOUBLE_EQ(ring_allreduce_ns(1 << 20, 1, net), 0.0);
@@ -78,7 +77,7 @@ quiet_opts()
 TEST(DataParallel, MeasuresEveryFeasibleDegree)
 {
     const AstraOptions opts = quiet_opts();
-    InterconnectConfig net;
+    LinkConfig net;
     const auto points =
         measure_scaling(model_builder(), 32, {1, 2, 4, 3}, opts, net);
     // Degree 3 does not divide 32 and is skipped.
@@ -110,36 +109,20 @@ TEST(DataParallel, MeasuresEveryFeasibleDegree)
 TEST(DataParallel, SkippedDegreesAreReportedNotJustLogged)
 {
     // A sweep asked for degrees {3, 4} at global batch 16: degree 3
-    // does not divide and must surface in the convergence report, not
-    // vanish behind a log line someone scrolled past.
+    // does not divide, so the returned points, not only a log line,
+    // show that it was never measured.
     const AstraOptions opts = quiet_opts();
-    InterconnectConfig net;
-    ConvergenceReport report;
+    LinkConfig net;
     const auto points =
-        measure_scaling(model_builder(), 16, {3, 4}, opts, net, &report);
+        measure_scaling(model_builder(), 16, {3, 4}, opts, net);
     ASSERT_EQ(points.size(), 1u);
     EXPECT_EQ(points[0].degree, 4);
-    ASSERT_EQ(report.dp_skipped.size(), 1u);
-    EXPECT_NE(report.dp_skipped[0].find("degree 3"), std::string::npos)
-        << report.dp_skipped[0];
-    EXPECT_NE(report.dp_skipped[0].find("16"), std::string::npos)
-        << report.dp_skipped[0];
-
-    // The diagnostics ride the report's JSON dump for fleet consumers.
-    std::ostringstream os;
-    report.write_json(os);
-    EXPECT_NE(os.str().find("\"dp_skipped\""), std::string::npos);
-
-    // Null report (the default) keeps the old warn-only behavior.
-    const auto again =
-        measure_scaling(model_builder(), 16, {3, 4}, opts, net);
-    EXPECT_EQ(again.size(), 1u);
 }
 
 TEST(DataParallel, OverlapBeatsSerialAndAnalyticSum)
 {
     const AstraOptions opts = quiet_opts();
-    InterconnectConfig net;  // 12 Gbit/s: comm is worth hiding
+    LinkConfig net;  // 12 Gbit/s: comm is worth hiding
     const auto points =
         measure_scaling(model_builder(), 32, {2}, opts, net);
     ASSERT_EQ(points.size(), 1u);
@@ -159,40 +142,25 @@ TEST(DataParallel, OverlapBeatsSerialAndAnalyticSum)
 TEST(DataParallel, AdaptiveBucketChoiceIsNotWorseThanExtremes)
 {
     const AstraOptions opts = quiet_opts();
-    InterconnectConfig net;
+    LinkConfig net;
     const int G = 2;
     const auto points =
         measure_scaling(model_builder(), 32, {G}, opts, net);
     ASSERT_EQ(points.size(), 1u);
     const ScalePoint& p = points[0];
 
-    // Re-dispatch the fixed extremes through the same pipeline the
-    // exploration used; the adaptively-chosen capacity can't lose to
-    // either (it was picked by measured argmin over a superset).
-    GraphBuilder b;
-    model_builder()(b, 32 / G);
-    AstraSession session(b.graph(), opts);
-    const WirerResult wr = session.optimize();
-    const ExecutionPlan plan = session.scheduler().build(wr.best_config);
-    const TensorMap& tmap = session.tensor_map(wr.best_config.strategy);
-    const DataParallelSpace dp = enumerate_dp_space(b.graph());
-    ASSERT_GE(dp.bucket_options.size(), 2u);
-    EXPECT_EQ(dp.grad_bytes, p.grad_bytes);
-
-    auto run = [&](int64_t cap, FlushSchedule flush) {
-        DpOptions dopts;
-        dopts.degree = G;
-        dopts.link = net;
-        dopts.bucket_bytes = cap;
-        dopts.flush = flush;
-        return dispatch_plan_dp(plan, b.graph(), tmap, opts.gpu,
-                                dp.grad_nodes, dopts);
+    // The sweep measured the fixed extremes through the same pipeline;
+    // the chosen capacity can't lose to either (it was picked by
+    // measured argmin over a superset).
+    const auto eager = [&](int64_t cap) {
+        for (const BucketTrial& t : p.sweep)
+            if (t.bucket_bytes == cap && t.flush == FlushSchedule::Eager)
+                return t.result.step_ns;
+        ADD_FAILURE() << "no eager sweep point at capacity " << cap;
+        return 0.0;
     };
-    const double one_bucket =
-        run(dp.grad_bytes, FlushSchedule::Eager).step_ns;
-    const double per_tensor = run(0, FlushSchedule::Eager).step_ns;
-    EXPECT_LE(p.step_ns, one_bucket);
-    EXPECT_LE(p.step_ns, per_tensor);
+    EXPECT_LE(p.step_ns, eager(p.grad_bytes));  // one bucket
+    EXPECT_LE(p.step_ns, eager(0));             // per-tensor
 }
 
 TEST(DataParallel, CommunicationCreatesACrossover)
@@ -203,14 +171,14 @@ TEST(DataParallel, CommunicationCreatesACrossover)
     // the paper says must be measured, not modelled.
     const AstraOptions opts = quiet_opts();
 
-    InterconnectConfig fast;
+    LinkConfig fast;
     fast.link_gbps = 400.0;
     fast.latency_us = 1.0;
     const auto fast_points =
         measure_scaling(model_builder(), 64, {1, 2, 4}, opts, fast);
     const size_t fast_best = best_degree(fast_points, 64);
 
-    InterconnectConfig slow;
+    LinkConfig slow;
     slow.link_gbps = 0.05;
     slow.latency_us = 300.0;
     const auto slow_points =
@@ -250,6 +218,56 @@ struct DpHarness
 
     int strategy = 0;
 };
+
+TEST(DataParallel, SweepMeasuresEachBindingOnce)
+{
+    // One compute-only dispatch plus one per (flush, capacity) binding,
+    // Eager first and capacities ascending; the point's detail is read
+    // back from the sweep, so it equals a fresh dispatch of the chosen
+    // binding and of the serial one (one grad_bytes bucket flushed
+    // after compute) bit for bit.
+    AstraOptions opts = quiet_opts();
+    opts.gpu.faults = FaultPlan();
+    const LinkConfig net;
+    const auto points =
+        measure_scaling(model_builder(), 32, {2}, opts, net);
+    ASSERT_EQ(points.size(), 1u);
+    const ScalePoint& p = points[0];
+    const DpHarness h(opts);  // per-device batch 16 = 32 / 2
+    const std::vector<int64_t>& caps = h.dp.bucket_options;
+    EXPECT_EQ(p.minibatches, static_cast<int>(1 + 2 * caps.size()));
+    ASSERT_EQ(p.sweep.size(), 2 * caps.size());
+    bool before_chosen = true;
+    for (size_t i = 0; i < p.sweep.size(); ++i) {
+        const BucketTrial& t = p.sweep[i];
+        EXPECT_EQ(t.bucket_bytes, caps[i % caps.size()]) << i;
+        EXPECT_EQ(t.flush, i < caps.size() ? FlushSchedule::Eager
+                                           : FlushSchedule::EndOfStep)
+            << i;
+        // The first strictly fastest binding is the chosen one.
+        if (t.bucket_bytes == p.bucket_bytes && t.flush == p.flush)
+            before_chosen = false;
+        else if (before_chosen)
+            EXPECT_GT(t.result.step_ns, p.step_ns) << i;
+        else
+            EXPECT_GE(t.result.step_ns, p.step_ns) << i;
+    }
+    EXPECT_FALSE(before_chosen);
+
+    DpOptions dopts;
+    dopts.degree = 2;
+    dopts.link = net;
+    dopts.bucket_bytes = p.bucket_bytes;
+    dopts.flush = p.flush;
+    const DpResult chosen = h.run(opts.gpu, dopts);
+    EXPECT_EQ(p.step_ns, chosen.step_ns);
+    EXPECT_EQ(p.comm_ns, chosen.comm_ns);
+    EXPECT_EQ(p.overlap_ns, chosen.overlap_ns);
+    EXPECT_EQ(p.num_buckets, chosen.num_buckets);
+    dopts.bucket_bytes = p.grad_bytes;
+    dopts.flush = FlushSchedule::EndOfStep;
+    EXPECT_EQ(p.serial_ns, h.run(opts.gpu, dopts).step_ns);
+}
 
 TEST(DataParallel, CommFaultDegradesMeasuredLink)
 {

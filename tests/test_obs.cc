@@ -17,6 +17,7 @@
 #include "obs/convergence.h"
 #include "obs/export.h"
 #include "obs/obs.h"
+#include "tests/util.h"
 
 namespace astra {
 namespace {
@@ -356,13 +357,17 @@ TEST(ObsCounters, ConcurrentRegistrationAndLookup)
 
 TEST(ObsExport, KernelOnlyTraceIsValidJson)
 {
+    // Written under a de_DE-style global locale, and a span starting
+    // 12,345,678,901 ns in: the numbers stay JSON and read back exact.
+    const testutil::ScopedGlobalLocale comma(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
     std::vector<TraceSpan> spans;
     spans.push_back({"gemm \"odd\\name\"", 0, 1000.0, 5000.0, {}});
-    spans.push_back({"ew", 1, 2000.0, 3000.0, {}});
+    spans.push_back({"ew", 1, 12345678901.0, 12345681901.0, {}});
     std::ostringstream os;
     write_chrome_trace(os, spans);
     const JsonPtr doc = parse_json(os.str());
-    ASSERT_TRUE(doc);
+    ASSERT_TRUE(doc) << os.str();
     ASSERT_EQ(doc->kind, JsonValue::Kind::Object);
     const JsonPtr events = doc->object.at("traceEvents");
     ASSERT_EQ(events->kind, JsonValue::Kind::Array);
@@ -372,6 +377,11 @@ TEST(ObsExport, KernelOnlyTraceIsValidJson)
         EXPECT_EQ(e->object.at("ph")->string, "X");
         EXPECT_GE(e->object.at("dur")->number, 0.0);
     }
+    const JsonPtr late = events->array[1];
+    EXPECT_EQ(late->object.at("ts")->number, 12345678901.0 / 1e3);
+    EXPECT_EQ(late->object.at("dur")->number,
+              (12345681901.0 - 12345678901.0) / 1e3);
+    EXPECT_EQ(late->object.at("tid")->number, 1.0);
 }
 
 TEST(ObsExport, MergedTraceHasHostAndKernelSpans)
@@ -522,38 +532,44 @@ TEST(ObsConvergence, WirerEmitsReport)
 
 TEST(ObsConvergence, JsonAndCsvExports)
 {
+    // Written under a de_DE-style global locale (',' decimal, '.'
+    // thousands): every number is still JSON, and reads back exact.
+    const testutil::ScopedGlobalLocale comma(
+        std::locale(std::locale::classic(), new testutil::CommaDecimal));
     ConvergenceReport rep;
-    rep.best_ns = 123.5;
-    rep.minibatches = 7;
+    rep.best_ns = 15985059.25;
+    rep.minibatches = 2789;
     ConvergenceEpoch e;
     e.strategy = 1;
     e.stage = "chunks";
     e.mode = "parallel";
     e.trials = 4;
-    e.exhaustive = 16;
-    e.pruned = 12;
-    e.best_ns = 123.5;
+    e.exhaustive = 16384;
+    e.pruned = 16380;
+    e.best_ns = 15985059.25;
     e.minibatches_total = 4;
     rep.epochs.push_back(e);
 
     std::ostringstream js;
     rep.write_json(js);
     const JsonPtr doc = parse_json(js.str());
-    ASSERT_TRUE(doc);
-    EXPECT_DOUBLE_EQ(doc->object.at("best_ns")->number, 123.5);
-    EXPECT_DOUBLE_EQ(doc->object.at("minibatches")->number, 7.0);
+    ASSERT_TRUE(doc) << js.str();
+    EXPECT_EQ(doc->object.at("best_ns")->number, 15985059.25);
+    EXPECT_EQ(doc->object.at("minibatches")->number, 2789.0);
     const JsonPtr epochs = doc->object.at("epochs");
     ASSERT_EQ(epochs->array.size(), 1u);
     EXPECT_EQ(epochs->array[0]->object.at("mode")->string, "parallel");
-    EXPECT_DOUBLE_EQ(epochs->array[0]->object.at("pruned")->number,
-                     12.0);
+    EXPECT_EQ(epochs->array[0]->object.at("pruned")->number, 16380.0);
+    EXPECT_EQ(epochs->array[0]->object.at("best_ns")->number,
+              15985059.25);
 
     std::ostringstream csv;
     rep.write_csv(csv);
     const std::string text = csv.str();
     EXPECT_NE(text.find("strategy,stage,mode"), std::string::npos);
-    EXPECT_NE(text.find("1,chunks,parallel,4,16,12"),
-              std::string::npos);
+    EXPECT_NE(text.find("1,chunks,parallel,4,16384,16380,15985059.25,4,0"),
+              std::string::npos)
+        << text;
 }
 
 TEST(ObsConvergence, TerminationAndFaultReportInJson)

@@ -15,6 +15,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "kernels/cost.h"
 #include "obs/export.h"
 #include "sim/memory.h"
 #include "sim/multi.h"
@@ -539,12 +540,13 @@ TEST(MultiSim, CrossDeviceDeadlockPanics)
 
 TEST(MultiSim, LinkTransferAlgebra)
 {
-    LinkConfig link;
-    link.link_gbps = 8.0;  // 8 bits per ns: 1 ns per byte
-    link.latency_us = 2.0;
-    // 4096 bytes = 32768 bits at 8 Gbit/s -> 4096 ns, plus 2000 ns
-    // latency. Hand-computed to pin the bits-vs-bytes unit.
-    EXPECT_DOUBLE_EQ(link_transfer_ns(4096.0, link), 4096.0 + 2000.0);
+    // 4096 bytes = 32768 bits at 8 Gbit/s (8 bits per ns) -> 4096 ns,
+    // plus 2000 ns latency, all setup on no SMs. Hand-computed to pin
+    // the bits-vs-bytes unit of the ring's chunk transfers.
+    const KernelCost c = comm_transfer_cost(4096.0, 8.0, 2.0);
+    EXPECT_DOUBLE_EQ(c.setup_ns, 4096.0 + 2000.0);
+    EXPECT_EQ(c.blocks, 0);
+    EXPECT_DOUBLE_EQ(c.block_ns, 0.0);
 }
 
 TEST(SimMemory, BumpAllocationAndAdjacency)

@@ -11,7 +11,6 @@
 #include <array>
 #include <atomic>
 #include <filesystem>
-#include <locale>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -471,7 +470,6 @@ std::string
 exploration_row(const WirerResult& r)
 {
     std::ostringstream json;
-    json.imbue(std::locale::classic());
     r.convergence.write_json(json);
     return hash_hex(fnv1a64(json.str())) + " " +
            hash_hex(fnv1a64(config_to_string(r.best_config))) + " " +
@@ -495,20 +493,20 @@ TEST(CustomWirer, ExplorationReportsArePinned)
     o.plan_store.clear();
     const std::pair<ModelKind, std::array<const char*, 2>> pinned[] = {
         {ModelKind::Gnmt,
-         {"db7e1dcea6d7c072 b367cc8c41a94809 336",
-          "da3e210ed123dd03 b367cc8c41a94809 16"}},
+         {"c5d671d1b02b4065 b367cc8c41a94809 336",
+          "f96221f0f4793eae b367cc8c41a94809 16"}},
         {ModelKind::StackedLstm,
-         {"2a5710e792703011 f2df75e6e95e5c4a 305",
-          "6ce7316c37562ff6 f2df75e6e95e5c4a 16"}},
+         {"f39468edb427359d f2df75e6e95e5c4a 305",
+          "9920a85405c923d5 f2df75e6e95e5c4a 16"}},
         {ModelKind::MiLstm,
-         {"d80a919b6c0548b6 5ff572c8a5de9b0a 265",
-          "54425ee0a1f0da9d 5ff572c8a5de9b0a 12"}},
+         {"f661e975fe72bf42 5ff572c8a5de9b0a 265",
+          "a71ccb61bae432fd 5ff572c8a5de9b0a 12"}},
         {ModelKind::Scrnn,
-         {"e66ea0a5a77f2198 fdbea542cc2edb04 194",
-          "a9690292981a232d fdbea542cc2edb04 12"}},
+         {"6813458e55f684d5 fdbea542cc2edb04 194",
+          "7887fb6f5f0567af fdbea542cc2edb04 12"}},
         {ModelKind::SubLstm,
-         {"b5a1862ae0bb457b d25b1bc0e3853127 204",
-          "10c51cfd183c1e37 d25b1bc0e3853127 12"}},
+         {"22a39581aa264f51 d25b1bc0e3853127 204",
+          "4abbeae50c9753a3 d25b1bc0e3853127 12"}},
     };
     for (const auto& [kind, rows] : pinned)
         for (int whatif : {0, 1}) {
@@ -523,10 +521,10 @@ TEST(CustomWirer, ExplorationReportsArePinned)
     // The cold pass (a miss) writes the store; the neighbour at embed
     // 24 transfers its winner at L2 and explores the residual space.
     const std::array<const char*, 2> warm_rows = {
-        "miss ac35f0186fc312af fdbea542cc2edb04 194 | "
-        "l2 95b1e78fb8c6c101 70a620f5e9b02bdb 6",
-        "miss 6e8c77c2766f31d0 fdbea542cc2edb04 12 | "
-        "l2 d366b5992a632a46 0de60100a698721d 5"};
+        "miss 40336cd1c3c34a80 fdbea542cc2edb04 194 | "
+        "l2 2e3d6bc58635f419 70a620f5e9b02bdb 6",
+        "miss e3d96a389c698d7c fdbea542cc2edb04 12 | "
+        "l2 ad503f3a3ed71042 0de60100a698721d 5"};
     for (int whatif : {0, 1}) {
         o.whatif.enabled = whatif != 0;
         const std::filesystem::path dir =
