@@ -1,26 +1,35 @@
 #include "baselines/xla.h"
 
 #include "core/scheduler.h"
-#include "support/logging.h"
 
 namespace astra {
 
+namespace {
+
+/**
+ * Host round-trip charged around each embedding op (ns). XLA's
+ * fallback path for lookups blocks the stream, copies indices to the
+ * host and gathers there (§6.6: "multiple transitions between CPU and
+ * GPU for lookups"); a blocking sync + PCIe round trip costs hundreds
+ * of microseconds, which is what made XLA up to 3x slower than native
+ * TF on embedding models.
+ */
+constexpr double kEmbeddingHostSyncNs = 300000.0;
+
+}  // namespace
+
 ExecutionPlan
-xla_plan(const Graph& graph, const SearchSpace& space,
-         const XlaOptions& opts)
+xla_plan(const Graph& graph, const SearchSpace& space)
 {
-    // Static choice: strategy 0 (greedy-by-flops layout), maximal
-    // chunks, default library everywhere — no measurement anywhere.
+    // Static choice: strategy 0 (greedy-by-flops layout), elementwise
+    // chains fused, chunk 1 everywhere, default library everywhere —
+    // no measurement anywhere.
     ScheduleConfig cfg;
     cfg.strategy = 0;
-    cfg.elementwise_fusion = opts.elementwise_fusion;
+    cfg.elementwise_fusion = true;
     cfg.use_streams = false;
     cfg.group_chunk.assign(space.groups.size(), 1);
     cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
-    if (opts.gemm_fusion)
-        for (const FusionGroup& g : space.groups)
-            cfg.group_chunk[static_cast<size_t>(g.id)] =
-                g.chunk_options.back();
 
     Scheduler scheduler(graph, space);
     ExecutionPlan plan = scheduler.build(cfg);
@@ -31,7 +40,7 @@ xla_plan(const Graph& graph, const SearchSpace& space,
             continue;
         const OpKind kind = graph.node(step.nodes[0]).kind;
         if (kind == OpKind::Embedding || kind == OpKind::EmbeddingGrad)
-            step.extra_setup_ns += opts.embedding_host_sync_ns;
+            step.extra_setup_ns += kEmbeddingHostSyncNs;
     }
     return plan;
 }

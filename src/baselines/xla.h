@@ -3,11 +3,13 @@
  * An XLA-like static whole-graph optimizer (paper §6.6).
  *
  * XLA compiles ahead of time with heuristics and no measurement: it
- * fuses elementwise chains, fuses GEMM siblings maximally (always the
- * largest chunk), always uses the default library, and runs one
- * stream. Its known robustness failure is reproduced: embedding
- * lookups fall off the fast path and incur host round-trips, which is
- * why the paper evaluates XLA on embedding-free model variants.
+ * fuses elementwise chains, never batches sibling GEMMs (the XLA of
+ * the paper's era fused loop computations only, which is the gap
+ * Astra_FK exploits in Table 9), always uses the default library, and
+ * runs one stream. Its known robustness failure is reproduced:
+ * embedding lookups fall off the fast path and incur host round-trips,
+ * which is why the paper evaluates XLA on embedding-free model
+ * variants.
  */
 #pragma once
 
@@ -16,37 +18,12 @@
 
 namespace astra {
 
-/** Tunables of the XLA-like baseline. */
-struct XlaOptions
-{
-    /**
-     * Host round-trip charged around each embedding op (ns). XLA's
-     * fallback path for lookups blocks the stream, copies indices to
-     * the host and gathers there (§6.6: "multiple transitions between
-     * CPU and GPU for lookups"); a blocking sync + PCIe round trip
-     * costs hundreds of microseconds, which is what made XLA up to 3x
-     * slower than native TF on embedding models.
-     */
-    double embedding_host_sync_ns = 300000.0;
-
-    /** Fuse elementwise chains (XLA's primary strength). */
-    bool elementwise_fusion = true;
-
-    /**
-     * Statically fuse GEMM siblings at maximal chunk. Off by default:
-     * the XLA of the paper's era fused elementwise/loop computations
-     * but did not batch sibling GEMMs — which is exactly the gap
-     * Astra_FK exploits in Table 9.
-     */
-    bool gemm_fusion = false;
-};
-
 /**
  * Build the XLA plan for a graph. Reuses the enumerator's structural
  * mining (the heuristics operate on the same patterns) but makes every
- * choice statically: maximal fusion, default library, single stream.
+ * choice statically: elementwise fusion, one GEMM per kernel, default
+ * library, single stream.
  */
-ExecutionPlan xla_plan(const Graph& graph, const SearchSpace& space,
-                       const XlaOptions& opts = {});
+ExecutionPlan xla_plan(const Graph& graph, const SearchSpace& space);
 
 }  // namespace astra

@@ -293,9 +293,9 @@ AstraSession::run(const ScheduleConfig& config) const
 }
 
 DispatchResult
-AstraSession::run_native(GemmLib lib) const
+AstraSession::run_native() const
 {
-    return dispatch_plan(native_plan(*graph_, lib), *graph_,
+    return dispatch_plan(native_plan(*graph_), *graph_,
                          tensor_map(0), opts_.gpu);
 }
 

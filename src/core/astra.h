@@ -186,7 +186,7 @@ class AstraSession
      * Native-framework baseline on this graph (single stream, one
      * kernel per node, default library), on strategy-0 allocation.
      */
-    DispatchResult run_native(GemmLib lib = GemmLib::Cublas) const;
+    DispatchResult run_native() const;
 
   private:
     /**

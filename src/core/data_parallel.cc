@@ -28,7 +28,9 @@ namespace {
  * first and capacities ascending, and bind the first strictly fastest
  * step. enumerate_dp_space ends the capacities at grad_bytes, so the
  * sweep's last point, one bucket flushed after compute, is the serial
- * baseline. Fills the chosen binding and its detail into `p`.
+ * baseline; no transfer of it starts before the compute streams drain,
+ * so its compute span is the compute-only time. Fills the chosen
+ * binding, its detail, serial_ns and compute_ns into `p`.
  */
 void
 sweep_dp_bindings(const ExecutionPlan& plan, const Graph& graph,
@@ -66,6 +68,7 @@ sweep_dp_bindings(const ExecutionPlan& plan, const Graph& graph,
     ASTRA_ASSERT(serial.bucket_bytes == dp.grad_bytes &&
                  serial.flush == FlushSchedule::EndOfStep);
     p.serial_ns = serial.result.step_ns;
+    p.compute_ns = serial.result.compute_ns;
 }
 
 }  // namespace
@@ -103,18 +106,14 @@ measure_scaling(const BatchGraphFn& build, int64_t global_batch,
         p.grad_bytes = dp.grad_bytes;
         p.allreduce_ns = ring_allreduce_ns(p.grad_bytes, degree, net);
 
-        // Pure-compute makespan under the dp dispatcher (no gradient
-        // nodes -> no communication), so serial/overlap comparisons
-        // share one measurement pipeline.
-        DpOptions compute_only;
-        compute_only.degree = degree;
-        compute_only.link = net;
-        p.compute_ns = dispatch_plan_dp(plan, b.graph(), tmap, opts.gpu,
-                                        {}, compute_only)
-                           .step_ns;
-        ++p.minibatches;
-
         if (degree == 1) {
+            // Pure-compute makespan under the dp dispatcher (one
+            // device moves no gradients), so every degree shares one
+            // measurement pipeline.
+            p.compute_ns = dispatch_plan_dp(plan, b.graph(), tmap,
+                                            opts.gpu, {}, DpOptions())
+                               .step_ns;
+            ++p.minibatches;
             p.step_ns = p.compute_ns;
             p.serial_ns = p.compute_ns;
         } else {

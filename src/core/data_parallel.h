@@ -53,7 +53,11 @@ struct ScalePoint
 {
     int degree = 1;
 
-    /** Measured per-device mini-batch time without communication. */
+    /**
+     * Measured per-device mini-batch time without communication: a
+     * compute-only dispatch at degree 1, device 0's compute span in the
+     * serial sweep point otherwise.
+     */
     double compute_ns = 0.0;
 
     /** Analytic ring formula for the gradient volume (cross-check). */
@@ -105,10 +109,10 @@ struct ScalePoint
  * Every degree that divides the global batch is explored: the graph is
  * rebuilt at batch/G, Astra tunes it (work-conserving, as always), and
  * the tuned plan is executed on G simulated devices once per
- * (flush schedule, bucket capacity) binding, 1 + 2 x
- * |bucket_options| mini-batches in all. The first strictly fastest
- * binding is chosen. Returns one point per feasible degree, in the
- * order given.
+ * (flush schedule, bucket capacity) binding, 2 x |bucket_options|
+ * mini-batches in all (one compute-only mini-batch at G = 1). The
+ * first strictly fastest binding is chosen. Returns one point per
+ * feasible degree, in the order given.
  *
  * A degree that does not divide the global batch gets no point: it is
  * skipped with a warning and counted in dp.degrees_skipped.

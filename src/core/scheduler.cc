@@ -590,27 +590,14 @@ Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
     };
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
-        if (std::shared_ptr<const WiredBinary> hit = cached()) {
-            wired_hits_.fetch_add(1, std::memory_order_relaxed);
-            static obs::Counter& hits =
-                obs::counter("scheduler.wired_cache.hits");
-            hits.add();
+        if (std::shared_ptr<const WiredBinary> hit = cached())
             return hit;
-        }
     }
-    // Lower outside the lock. Lowering includes the reuse audit and
-    // the legality verifier: a blob that would replay incorrectly must
-    // never enter the cache.
+    // Lower outside the lock. Lowering ends in the legality verifier,
+    // so a blob that would replay incorrectly never enters the cache.
     auto bin = std::make_shared<WiredBinary>(
         lower_plan(build(config), graph_, tmap, gpu));
-    const WiredVerdict verdict = verify_wired(*bin);
-    ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
-                 verdict.why);
     std::lock_guard<std::mutex> lock(cache_mu_);
-    wired_misses_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& misses =
-        obs::counter("scheduler.wired_cache.misses");
-    misses.add();
     // A concurrent call may have lowered an equal config meanwhile.
     if (std::shared_ptr<const WiredBinary> raced = cached())
         return raced;

@@ -13,8 +13,6 @@
  */
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -147,16 +145,6 @@ class Scheduler
     wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
                 const GpuConfig& gpu) const;
 
-    /** Wired-binary cache tallies (AstraSession::run reporting). */
-    int64_t wired_cache_hits() const
-    {
-        return wired_hits_.load(std::memory_order_relaxed);
-    }
-    int64_t wired_cache_misses() const
-    {
-        return wired_misses_.load(std::memory_order_relaxed);
-    }
-
     const SchedulerOptions& options() const { return opts_; }
 
   private:
@@ -208,8 +196,6 @@ class Scheduler
     mutable std::vector<
         std::pair<ScheduleConfig, std::shared_ptr<const WiredBinary>>>
         wired_cache_;
-    mutable std::atomic<int64_t> wired_hits_{0};
-    mutable std::atomic<int64_t> wired_misses_{0};
 };
 
 }  // namespace astra

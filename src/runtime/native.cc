@@ -5,7 +5,7 @@
 namespace astra {
 
 ExecutionPlan
-native_plan(const Graph& graph, GemmLib default_lib)
+native_plan(const Graph& graph)
 {
     ExecutionPlan plan;
     plan.num_streams = 1;
@@ -15,7 +15,6 @@ native_plan(const Graph& graph, GemmLib default_lib)
         PlanStep step;
         step.kind = StepKind::Single;
         step.nodes = {n.id};
-        step.lib = default_lib;
         step.stream = 0;
         plan.steps.push_back(std::move(step));
     }

@@ -11,7 +11,6 @@
 namespace astra {
 
 /** Build the native single-stream, one-kernel-per-node plan. */
-ExecutionPlan native_plan(const Graph& graph,
-                          GemmLib default_lib = GemmLib::Cublas);
+ExecutionPlan native_plan(const Graph& graph);
 
 }  // namespace astra

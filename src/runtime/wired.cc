@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -22,7 +21,6 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
     const int num_steps = static_cast<int>(plan.steps.size());
     WiredProgram prog;
     prog.num_streams = plan.num_streams;
-    prog.profiling = profiling;
     prog.step_begin.assign(static_cast<size_t>(num_steps) + 1, 0);
     prog.is_barrier.assign(static_cast<size_t>(num_steps), 0);
 
@@ -135,7 +133,6 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
             WiredProfile wp;
             wp.key = step.profile_key;
             wp.epoch_metric = step.epoch_metric;
-            wp.step = i;
             wp.start_slot = start;
             wp.end_slot = end;
             if (step.epoch_metric && current_barrier >= 0) {
@@ -182,62 +179,6 @@ collect_wired_profiles(const WiredProgram& program,
                 events[static_cast<size_t>(wp.end_slot)]);
         }
     }
-}
-
-void
-insert_control_edges(WiredProgram& program,
-                     const std::vector<ControlEdge>& edges)
-{
-    if (edges.empty())
-        return;
-    const int num_steps =
-        static_cast<int>(program.step_begin.size()) - 1;
-
-    // One fresh slot per edge: recorded right after from_step's launch,
-    // waited on right before to_step's launch.
-    std::map<int, std::vector<int32_t>> record_after, wait_before;
-    for (const ControlEdge& e : edges) {
-        ASTRA_ASSERT(e.from_step >= 0 && e.from_step < num_steps &&
-                     e.to_step >= 0 && e.to_step < num_steps,
-                     "control edge ", e.from_step, "->", e.to_step,
-                     " out of range");
-        ASTRA_ASSERT(!program.is_barrier[static_cast<size_t>(e.from_step)] &&
-                     !program.is_barrier[static_cast<size_t>(e.to_step)],
-                     "control edges must join launching steps");
-        const int32_t slot = program.num_events++;
-        record_after[e.from_step].push_back(slot);
-        wait_before[e.to_step].push_back(slot);
-    }
-
-    std::vector<WiredCmd> cmds;
-    cmds.reserve(program.cmds.size() + 2 * edges.size());
-    std::vector<int32_t> step_begin(program.step_begin.size(), 0);
-    for (int i = 0; i < num_steps; ++i) {
-        step_begin[static_cast<size_t>(i)] =
-            static_cast<int32_t>(cmds.size());
-        const int32_t begin = program.step_begin[static_cast<size_t>(i)];
-        const int32_t end = program.step_begin[static_cast<size_t>(i) + 1];
-        for (int32_t c = begin; c < end; ++c) {
-            const WiredCmd& cmd = program.cmds[static_cast<size_t>(c)];
-            if (cmd.op == WiredOp::Launch) {
-                if (auto it = wait_before.find(i); it != wait_before.end())
-                    for (int32_t slot : it->second)
-                        cmds.push_back({WiredOp::Wait, cmd.stream, slot});
-                cmds.push_back(cmd);
-                if (auto it = record_after.find(i);
-                    it != record_after.end())
-                    for (int32_t slot : it->second)
-                        cmds.push_back(
-                            {WiredOp::Record, cmd.stream, slot});
-            } else {
-                cmds.push_back(cmd);
-            }
-        }
-    }
-    step_begin[static_cast<size_t>(num_steps)] =
-        static_cast<int32_t>(cmds.size());
-    program.cmds = std::move(cmds);
-    program.step_begin = std::move(step_begin);
 }
 
 namespace {
@@ -606,7 +547,6 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
     obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
     const int num_steps = static_cast<int>(plan.steps.size());
     WiredBinary bin = bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
-    bin.arena_bytes = tmap.peak_bytes();
 
     // Arena interval per touched tensor: covered nodes get their
     // producing step; uncovered inputs (graph sources) are live at
@@ -673,66 +613,12 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
                              interval_of[static_cast<size_t>(id)])]
                 .last_use_step = num_steps;
 
-    // Audit every arena-byte reuse against the program's own
-    // happens-before order; reuse the schedule does not already order
-    // gets an explicit control edge instead of trusting dynamic
-    // liveness.
-    ProgramOrder order = simulate_program(bin.program, num_steps);
-    ASTRA_ASSERT(order.ok, "compiled program is not executable: ",
-                 order.why);
-    const std::vector<std::vector<int>> users = interval_users(bin);
-    std::vector<ControlEdge> edges;
-    std::set<std::pair<int, int>> edge_set;
-    const auto order_accesses = [&](int x, int to_def) {
-        const ArenaInterval& iv = bin.intervals[static_cast<size_t>(x)];
-        const auto need = [&](int from) {
-            if (from == to_def || order.completes_before(from, to_def))
-                return;
-            ASTRA_ASSERT(from >= 0 && from < to_def,
-                         "statically unschedulable arena reuse: step ",
-                         from, " accesses bytes redefined by earlier "
-                         "step ", to_def);
-            if (edge_set.emplace(from, to_def).second)
-                edges.push_back(ControlEdge{from, to_def});
-        };
-        need(iv.def_step);
-        for (int u : users[static_cast<size_t>(x)])
-            need(u);
-    };
-    for (const auto& [x, y] : overlapping_pairs(bin.intervals)) {
-        const ArenaInterval& a = bin.intervals[static_cast<size_t>(x)];
-        const ArenaInterval& b = bin.intervals[static_cast<size_t>(y)];
-        ASTRA_ASSERT(a.def_step >= 0 || b.def_step >= 0,
-                     "entry-live tensors %", a.node, " and %", b.node,
-                     " overlap in the arena");
-        ASTRA_ASSERT(a.def_step != b.def_step ||
-                         a.last_use_step == a.def_step ||
-                         b.last_use_step == b.def_step,
-                     "step ", a.def_step, " defines overlapping tensors %",
-                     a.node, " and %", b.node, " that both outlive it");
-        // The later definition inherits the bytes; every access of the
-        // earlier occupant must be ordered before it. When one step
-        // defines both, the earlier occupant is the one that dies in
-        // that step (the step's kernel computes its nodes in order).
-        if (a.def_step < b.def_step ||
-            (a.def_step == b.def_step && a.last_use_step == a.def_step))
-            order_accesses(x, b.def_step);
-        else
-            order_accesses(y, a.def_step);
-    }
-    if (!edges.empty()) {
-        insert_control_edges(bin.program, edges);
-        bin.control_edges = static_cast<int64_t>(edges.size());
-    }
-
+    const WiredVerdict verdict = verify_wired(bin);
+    ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
+                 verdict.why);
     if (obs::enabled()) {
         static obs::Counter& lowered = obs::counter("wired.lowered");
         lowered.add();
-        if (bin.control_edges > 0) {
-            static obs::Counter& ce =
-                obs::counter("wired.control_edges");
-            ce.add(bin.control_edges);
-        }
     }
     return bin;
 }

@@ -21,16 +21,17 @@
  *    same bound form.
  *  - WiredBinary: a bound plan plus the arena interval table
  *    (offset/size/lifetime per tensor in the TensorMap's arena).
- *    lower_plan audits every arena-byte reuse against the program's
- *    own happens-before order and inserts explicit control edges
- *    where reuse would otherwise rely on dynamic liveness (the
- *    npu_compiler feasible-memory-scheduler discipline). replay_wired
- *    walks a lowered binary with no per-call bind at all.
+ *    lower_plan builds the table and proves the binary with
+ *    verify_wired; it never adds synchronization. The memory planner
+ *    hands a tensor freed bytes only when every reader of their
+ *    previous occupant is its ancestor, so a dependency-ordered
+ *    schedule already orders every reuse. replay_wired walks a
+ *    lowered binary with no per-call bind at all.
  *  - verify_wired() is the compile-time barrier/ordering simulator: it
  *    replays the command stream abstractly (stream FIFO + event
  *    vector clocks) and rejects stale event slots, use-before-def and
- *    overlap-while-live — so an illegal lowering is caught in tests,
- *    not as silent value corruption a million steps in.
+ *    overlap-while-live — so an illegal lowering panics when it is
+ *    lowered, not as silent value corruption a million steps in.
  */
 #pragma once
 
@@ -68,7 +69,6 @@ struct WiredProfile
 {
     ProfileKey key;
     bool epoch_metric = false;
-    int32_t step = -1;        ///< owning plan step (diagnostics)
     int32_t start_slot = -1;  ///< unused for epoch metrics
     int32_t end_slot = -1;
     /** Slots of the preceding barrier's rendezvous events, as a range
@@ -102,9 +102,6 @@ struct WiredProgram
 
     int num_streams = 1;
 
-    /** Whether profiling instrumentation was compiled in. */
-    bool profiling = false;
-
     /** Readout recipes, in plan-step order. */
     std::vector<WiredProfile> profiles;
 };
@@ -129,27 +126,6 @@ WiredProgram compile_plan(const ExecutionPlan& plan, const Graph& graph,
 void collect_wired_profiles(const WiredProgram& program,
                             const std::vector<EventId>& events,
                             const SimGpu& gpu, DispatchResult& result);
-
-/**
- * A synchronization edge lowering had to add to make an arena reuse
- * legal: `from_step`'s completion must be ordered before `to_step`'s
- * launch.
- */
-struct ControlEdge
-{
-    int from_step = -1;  ///< an access of the bytes' previous occupant
-    int to_step = -1;    ///< definition of the new occupant
-};
-
-/**
- * Realize control edges in a compiled program: for each edge, a new
- * event slot is recorded right after `from_step`'s launch and waited
- * on right before `to_step`'s launch. Spans and slot counts are
- * updated; edges into/from barrier steps are invalid (they already
- * rendezvous every stream).
- */
-void insert_control_edges(WiredProgram& program,
-                          const std::vector<ControlEdge>& edges);
 
 /** One tensor's placement in the arena, with its static lifetime. */
 struct ArenaInterval
@@ -190,19 +166,13 @@ struct WiredBinary
     std::vector<int32_t> uses, defs;
     std::vector<WiredStepAccess> access;
 
-    /** Executed arena extent in bytes (the TensorMap's peak). */
-    int64_t arena_bytes = 0;
-
-    /** Control edges lowering had to insert to make reuse legal. */
-    int64_t control_edges = 0;
-
     int steps() const { return static_cast<int>(kernels.size()); }
 };
 
 /**
  * Bind a plan for dispatch: compile_plan, then build one kernel
  * descriptor per non-barrier step against the TensorMap (names, fused
- * shapes, compute closures and costs under `cfg`). No arena audit.
+ * shapes, compute closures and costs under `cfg`). No arena table.
  *
  * @param profiling compile the steps' profile/epoch_metric
  *        instrumentation (see compile_plan).
@@ -228,11 +198,10 @@ void enqueue_wired(const WiredProgram& program,
 
 /**
  * Lower a converged plan into a wired binary: bind it (with profiling
- * instrumentation), tabulate arena intervals, and audit every
- * byte-overlapping interval pair against the program's happens-before
- * order — inserting control edges where the schedule alone does not
- * order a reuse. Panics if the plan/TensorMap pair is statically
- * unschedulable (e.g. two live tensors share bytes).
+ * instrumentation), tabulate arena intervals, and prove the result
+ * with verify_wired. Panics with the verifier's diagnosis when the
+ * plan/TensorMap pair does not verify (e.g. two live tensors share
+ * bytes, or the schedule does not order a reuse).
  */
 WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg);
@@ -242,10 +211,9 @@ WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
  * dispatch_plan runs, minus the bind — a tight loop over the command
  * array with no dependency analysis, descriptor construction or hash
  * lookups. The same transaction (fault retry, autoboost salting) runs
- * both, so results are bit-identical to dispatch_plan of the same plan
- * unless lowering had to insert control edges.
- * DispatchResult::host_enqueue_ns reports the measured wall-time cost
- * of the walk, comparable against dispatch_plan's bind + walk.
+ * both, so results are bit-identical to dispatch_plan of the same
+ * plan. DispatchResult::host_enqueue_ns reports the measured wall-time
+ * cost of the walk, comparable against dispatch_plan's bind + walk.
  */
 DispatchResult replay_wired(const WiredBinary& bin, const GpuConfig& cfg);
 

@@ -161,20 +161,6 @@ TEST(Xla, StaticPlanFusesWithoutMeasurement)
     }
 }
 
-TEST(Xla, OptionalGemmFusionStillAvailable)
-{
-    const BuiltModel m = lstm_model(8, 32, /*embedding=*/false);
-    const SearchSpace space = enumerate_search_space(m.graph());
-    XlaOptions opts;
-    opts.gemm_fusion = true;
-    const ExecutionPlan plan = xla_plan(m.graph(), space, opts);
-    int gemm_fused = 0;
-    for (const PlanStep& s : plan.steps)
-        gemm_fused += s.kind == StepKind::FusedGemm ||
-                      s.kind == StepKind::LadderGemm;
-    EXPECT_GT(gemm_fused, 0);
-}
-
 TEST(Xla, ValuesMatchNative)
 {
     const BuiltModel m = lstm_model(4, 16, /*embedding=*/false);

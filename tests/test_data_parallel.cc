@@ -221,11 +221,11 @@ struct DpHarness
 
 TEST(DataParallel, SweepMeasuresEachBindingOnce)
 {
-    // One compute-only dispatch plus one per (flush, capacity) binding,
-    // Eager first and capacities ascending; the point's detail is read
-    // back from the sweep, so it equals a fresh dispatch of the chosen
-    // binding and of the serial one (one grad_bytes bucket flushed
-    // after compute) bit for bit.
+    // One dispatch per (flush, capacity) binding, Eager first and
+    // capacities ascending; the point's detail is read back from the
+    // sweep, so it equals a fresh dispatch of the chosen binding, of
+    // the serial one (one grad_bytes bucket flushed after compute) and,
+    // for compute_ns, of a compute-only run bit for bit.
     AstraOptions opts = quiet_opts();
     opts.gpu.faults = FaultPlan();
     const LinkConfig net;
@@ -235,7 +235,7 @@ TEST(DataParallel, SweepMeasuresEachBindingOnce)
     const ScalePoint& p = points[0];
     const DpHarness h(opts);  // per-device batch 16 = 32 / 2
     const std::vector<int64_t>& caps = h.dp.bucket_options;
-    EXPECT_EQ(p.minibatches, static_cast<int>(1 + 2 * caps.size()));
+    EXPECT_EQ(p.minibatches, static_cast<int>(2 * caps.size()));
     ASSERT_EQ(p.sweep.size(), 2 * caps.size());
     bool before_chosen = true;
     for (size_t i = 0; i < p.sweep.size(); ++i) {
@@ -267,6 +267,14 @@ TEST(DataParallel, SweepMeasuresEachBindingOnce)
     dopts.bucket_bytes = p.grad_bytes;
     dopts.flush = FlushSchedule::EndOfStep;
     EXPECT_EQ(p.serial_ns, h.run(opts.gpu, dopts).step_ns);
+    DpOptions compute_only;
+    compute_only.degree = 2;
+    compute_only.link = net;
+    EXPECT_EQ(p.compute_ns,
+              dispatch_plan_dp(h.plan, h.b.graph(),
+                               h.session->tensor_map(h.strategy),
+                               opts.gpu, {}, compute_only)
+                  .step_ns);
 }
 
 TEST(DataParallel, CommFaultDegradesMeasuredLink)

@@ -3,12 +3,13 @@
  * Compiled-dispatch tests: WiredProgram compilation structure, bound
  * kernel descriptors pinned on the paper models,
  * replay-vs-dispatch bit-identity across the model zoo
- * (fused, streamed, profiled and recompute variants), value
+ * (fused, streamed, profiled and recompute variants, on Bump and
+ * Reuse arenas), value
  * preservation with executing kernels, the scheduler's wired-binary
- * cache behind AstraSession::run and the plan signature that keys it,
+ * cache behind AstraSession::run and the config equality that keys it,
  * and — critically — *non-vacuous* adversarial checks that the
  * verifier rejects each class of illegal lowering it claims to catch
- * (cross-stream reuse without a control edge, stale event slots,
+ * (cross-stream reuse without a record/wait edge, stale event slots,
  * use-before-def, arena overlap while live).
  */
 #include <gtest/gtest.h>
@@ -145,8 +146,8 @@ TEST(CompilePlan, BarrierRendezvousesEveryStreamPair)
 /**
  * Hand-built two-step binary: steps 0 and 1 launch on different
  * streams with no synchronization; both define 1 KiB at arena offset
- * 0. Without a control edge this is exactly the cross-stream reuse the
- * verifier exists to reject.
+ * 0. Without a record/wait edge this is exactly the cross-stream reuse
+ * the verifier exists to reject.
  */
 WiredBinary
 cross_stream_reuse_binary()
@@ -173,21 +174,35 @@ cross_stream_reuse_binary()
     bin.intervals = {i0, i1};
     bin.defs = {0, 1};
     bin.access = {{0, 0, 0, 1}, {0, 0, 1, 2}};
-    bin.arena_bytes = 1024;
     return bin;
 }
 
-TEST(VerifyWired, CatchesCrossStreamReuseWithoutControlEdge)
+/**
+ * Order step 1 of cross_stream_reuse_binary after step 0 by hand: step
+ * 0 records event slot 0 on stream 0, and step 1 waits on it on stream
+ * 1 before it launches.
+ */
+void
+order_step1_after_step0(WiredProgram& p)
+{
+    p.num_events = 1;
+    p.cmds = {{WiredOp::Launch, 0, 0},
+              {WiredOp::Record, 0, 0},
+              {WiredOp::Wait, 1, 0},
+              {WiredOp::Launch, 1, 1}};
+    p.step_begin = {0, 2, 4};
+}
+
+TEST(VerifyWired, CatchesCrossStreamReuseWithoutOrdering)
 {
     WiredBinary bin = cross_stream_reuse_binary();
     const WiredVerdict bad = verify_wired(bin);
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.why.find("overlap"), std::string::npos) << bad.why;
 
-    // The fix lowering would apply — an explicit control edge — must
-    // flip the verdict, proving the check keys on the ordering and not
-    // on some structural accident.
-    insert_control_edges(bin.program, {{0, 1}});
+    // Ordering the two steps by hand must flip the verdict, proving the
+    // check keys on the ordering and not on some structural accident.
+    order_step1_after_step0(bin.program);
     const WiredVerdict good = verify_wired(bin);
     EXPECT_TRUE(good.ok) << good.why;
 }
@@ -223,7 +238,7 @@ TEST(VerifyWired, CatchesUseBeforeDef)
     EXPECT_NE(bad.why.find("use-before-def"), std::string::npos)
         << bad.why;
 
-    insert_control_edges(bin.program, {{0, 1}});
+    order_step1_after_step0(bin.program);
     const WiredVerdict good = verify_wired(bin);
     EXPECT_TRUE(good.ok) << good.why;
 }
@@ -256,7 +271,6 @@ TEST(VerifyWired, CatchesArenaOverlapWhileLive)
     bin.defs = {0, 1};
     bin.uses = {0};
     bin.access = {{0, 0, 0, 1}, {0, 0, 1, 2}, {0, 1, 2, 2}};
-    bin.arena_bytes = 512;
     const WiredVerdict v = verify_wired(bin);
     EXPECT_FALSE(v.ok);
     EXPECT_NE(v.why.find("overlap-while-live"), std::string::npos)
@@ -289,7 +303,6 @@ TEST(VerifyWired, SameStepOverlapNeedsATensorThatDiesInTheStep)
     bin.defs = {0, 1};
     bin.uses = {1};
     bin.access = {{0, 0, 0, 2}, {0, 1, 2, 2}};
-    bin.arena_bytes = 512;
     const WiredVerdict good = verify_wired(bin);
     EXPECT_TRUE(good.ok) << good.why;
 
@@ -316,68 +329,83 @@ tiny_config()
     return cfg;
 }
 
-/** Dispatch both paths for one config and assert bit-identity. */
+/**
+ * Dispatch both paths for one config and assert bit-identity. The
+ * lowering proves itself (lower_plan panics on an illegal binary).
+ */
 void
 check_identity(AstraSession& session, const ScheduleConfig& cfg)
 {
     const ExecutionPlan plan = session.scheduler().build(cfg);
     const TensorMap& tmap = session.tensor_map(cfg.strategy);
-    const DispatchResult generic = dispatch_plan(
-        plan, session.graph(), tmap, session.options().gpu);
-
-    const WiredBinary bin = lower_plan(plan, session.graph(), tmap,
-                                       session.options().gpu);
-    const WiredVerdict v = verify_wired(bin);
-    ASSERT_TRUE(v.ok) << v.why;
-    // Real layouts are dependency-ordered by construction (Bump, or
-    // the ancestor-guarded Reuse planner): no control edge needed.
-    EXPECT_EQ(bin.control_edges, 0);
-    const DispatchResult wired =
-        replay_wired(bin, session.options().gpu);
-    expect_bit_identical(generic, wired);
+    const GpuConfig gpu = pinned_gpu();
+    const DispatchResult generic =
+        dispatch_plan(plan, session.graph(), tmap, gpu);
+    const WiredBinary bin = lower_plan(plan, session.graph(), tmap, gpu);
+    expect_bit_identical(generic, replay_wired(bin, gpu));
 }
 
 TEST(ReplayWired, BitIdenticalAcrossZooFusedStreamedProfiled)
 {
+    // Every configuration on a Bump arena and on a liveness-reuse one:
+    // a fault on the first allocation drops the session to the Reuse
+    // rung, whose recycled bytes the schedule must already order.
     const ModelKind kinds[] = {ModelKind::Scrnn, ModelKind::MiLstm,
                                ModelKind::SubLstm,
                                ModelKind::StackedLstm, ModelKind::Gnmt};
-    for (ModelKind kind : kinds) {
-        SCOPED_TRACE(model_name(kind));
-        const BuiltModel m = build_model(kind, tiny_config());
-        AstraOptions opts;
-        opts.gpu = pinned_gpu();
-        AstraSession session(m.graph(), opts);
-        const SearchSpace& space = session.space();
+    for (const MemoryPlanMode mode :
+         {MemoryPlanMode::Bump, MemoryPlanMode::Reuse}) {
+        for (ModelKind kind : kinds) {
+            SCOPED_TRACE(std::string(model_name(kind)) +
+                         (mode == MemoryPlanMode::Reuse ? " reuse"
+                                                        : " bump"));
+            const BuiltModel m = build_model(kind, tiny_config());
+            AstraOptions opts;
+            opts.gpu = pinned_gpu();
+            if (mode == MemoryPlanMode::Reuse) {
+                ASSERT_TRUE(
+                    FaultPlan::parse("alloc:at=0", &opts.gpu.faults));
+            }
+            AstraSession session(m.graph(), opts);
+            ASSERT_EQ(session.plan_mode(0), mode);
+            // Reuse recycles bytes, so lowering has reuses to prove.
+            if (mode == MemoryPlanMode::Reuse) {
+                EXPECT_LT(session.tensor_map(0).peak_bytes(),
+                          graph_tensor_bytes(m.graph()));
+            }
+            const SearchSpace& space = session.space();
 
-        // Plain: single stream, no fusion.
-        ScheduleConfig plain;
-        plain.group_chunk.assign(space.groups.size(), 1);
-        plain.group_lib.assign(space.groups.size(), GemmLib::Cublas);
-        check_identity(session, plain);
+            // Plain: single stream, no fusion.
+            ScheduleConfig plain;
+            plain.group_chunk.assign(space.groups.size(), 1);
+            plain.group_lib.assign(space.groups.size(),
+                                   GemmLib::Cublas);
+            check_identity(session, plain);
 
-        // Fused + profiled: max chunk per group, every group keyed.
-        ScheduleConfig fused = plain;
-        for (const FusionGroup& g : space.groups) {
-            fused.group_chunk[static_cast<size_t>(g.id)] =
-                g.chunk_options.back();
-            fused.group_keys[g.id] =
-                testutil::wirer_key(WirerVariable::GroupChunk, g.id);
+            // Fused + profiled: max chunk per group, every group keyed.
+            ScheduleConfig fused = plain;
+            for (const FusionGroup& g : space.groups) {
+                fused.group_chunk[static_cast<size_t>(g.id)] =
+                    g.chunk_options.back();
+                fused.group_keys[g.id] =
+                    testutil::wirer_key(WirerVariable::GroupChunk, g.id);
+            }
+            check_identity(session, fused);
+
+            // Streamed + epoch metrics: two streams, every epoch keyed
+            // so the barrier-relative readout path is exercised.
+            ScheduleConfig streamed = fused;
+            streamed.use_streams = true;
+            streamed.num_streams = 2;
+            const StreamSpace ss =
+                session.scheduler().stream_space(streamed);
+            for (size_t i = 0; i < ss.epochs.size(); ++i)
+                streamed.epoch_keys[{ss.epochs[i].super_epoch,
+                                     ss.epochs[i].level}] =
+                    testutil::wirer_key(WirerVariable::EpochSplit,
+                                        static_cast<int>(i));
+            check_identity(session, streamed);
         }
-        check_identity(session, fused);
-
-        // Streamed + epoch metrics: two streams, every epoch keyed so
-        // the barrier-relative readout path is exercised.
-        ScheduleConfig streamed = fused;
-        streamed.use_streams = true;
-        streamed.num_streams = 2;
-        const StreamSpace ss = session.scheduler().stream_space(streamed);
-        for (size_t i = 0; i < ss.epochs.size(); ++i)
-            streamed.epoch_keys[{ss.epochs[i].super_epoch,
-                                 ss.epochs[i].level}] =
-                testutil::wirer_key(WirerVariable::EpochSplit,
-                                    static_cast<int>(i));
-        check_identity(session, streamed);
     }
 }
 
@@ -400,8 +428,8 @@ TEST(ReplayWired, ReuseArenaRecyclesBytesInsideAFusedStep)
     // The Reuse planner may hand a fused step's output the bytes of a
     // tensor that dies inside the same step (its last readers are the
     // output's ancestors). The step's kernel computes its nodes in
-    // order, so lowering must accept the overlap without a control
-    // edge and replay exactly like a dispatch.
+    // order, so lowering must prove the overlap legal and replay
+    // exactly like a dispatch.
     const BuiltModel m = build_model(ModelKind::SubLstm, tiny_config());
     const SearchSpace space = enumerate_search_space(m.graph());
     SimMemory mem(graph_tensor_bytes(m.graph()) + (1 << 20), false);
@@ -423,9 +451,6 @@ TEST(ReplayWired, ReuseArenaRecyclesBytesInsideAFusedStep)
                 a.offset < b.offset + b.bytes &&
                 b.offset < a.offset + a.bytes;
     ASSERT_GT(same_step_overlaps, 0) << "no intra-step reuse to check";
-    const WiredVerdict v = verify_wired(bin);
-    ASSERT_TRUE(v.ok) << v.why;
-    EXPECT_EQ(bin.control_edges, 0);
     expect_bit_identical(dispatch_plan(plan, m.graph(), tmap, gpu),
                          replay_wired(bin, gpu));
 }
@@ -481,22 +506,32 @@ TEST(CompiledDispatch, SessionCachesLoweredBinary)
     cfg.group_lib.assign(session.space().groups.size(),
                          GemmLib::Cublas);
 
+    const Scheduler& sched = session.scheduler();
+    const auto wired = [&](const ScheduleConfig& c) {
+        return sched.wire_cached(c, session.tensor_map(c.strategy),
+                                 opts.gpu);
+    };
+
+    // Runs of a configuration share the binary cached for it: an equal
+    // config gets the same object back after every run.
     const DispatchResult first = session.run(cfg);
+    const std::shared_ptr<const WiredBinary> bin = wired(cfg);
     const DispatchResult second = session.run(cfg);
     EXPECT_EQ(first.total_ns, second.total_ns);
-    EXPECT_EQ(session.scheduler().wired_cache_misses(), 1);
-    EXPECT_EQ(session.scheduler().wired_cache_hits(), 1);
+    EXPECT_EQ(wired(cfg), bin);
 
-    // A different configuration lowers its own binary.
+    // A different configuration lowers its own binary, and the first
+    // stays cached.
     ScheduleConfig other = cfg;
     other.elementwise_fusion = false;
     session.run(other);
-    EXPECT_EQ(session.scheduler().wired_cache_misses(), 2);
+    EXPECT_NE(wired(other), bin);
+    EXPECT_EQ(wired(cfg), bin);
 }
 
 TEST(CompiledDispatch, WiredCacheKeysEveryPlanField)
 {
-    // The plan signature keys the wired-binary cache: chunking,
+    // Config equality keys the wired-binary cache: chunking,
     // library, elementwise fusion, streams and an epoch choice must
     // each lower their own binary, and an equal config built
     // separately must get the same binary object back.
@@ -548,9 +583,6 @@ TEST(CompiledDispatch, WiredCacheKeysEveryPlanField)
                                     opts.gpu),
                   bins[i])
             << "variant " << i;
-    EXPECT_EQ(sched.wired_cache_misses(),
-              static_cast<int64_t>(cfgs.size()));
-    EXPECT_EQ(sched.wired_cache_hits(), static_cast<int64_t>(cfgs.size()));
 }
 
 TEST(CompiledDispatch, MatchesGenericSessionPath)
