@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.h"
 #include "support/logging.h"
@@ -127,21 +128,51 @@ ProfileIndex::best_choice(ContextId context, uint32_t variable,
     return best;
 }
 
-void
-ProfileIndex::merge(ProfileIndex other)
+ProfileTable
+ProfileIndex::freeze() &&
 {
-    // Splice the nodes of keys new here; keys both hold stay in `other`.
-    entries_.merge(other.entries_);
-    for (const auto& [key, stats] : other.entries_) {
-        ProfileStats& mine = entries_.find(key)->second;
-        if (stats.count > 0)
-            mine.min = mine.count == 0 ? stats.min
-                                       : std::min(mine.min, stats.min);
-        mine.count += stats.count;
-        mine.faults += stats.faults;
+    std::unordered_map<ProfileKey, ProfileStats> entries;
+    entries.swap(entries_);
+    ProfileTable table;
+    table.entries_.assign(entries.begin(), entries.end());
+    std::sort(table.entries_.begin(), table.entries_.end(),
+              [](const ProfileTable::Entry& a, const ProfileTable::Entry& b) {
+                  return a.first < b.first;
+              });
+    table.total_samples_ = std::exchange(total_samples_, 0);
+    table.total_faults_ = std::exchange(total_faults_, 0);
+    return table;
+}
+
+ProfileTable
+ProfileTable::concat(std::vector<ProfileTable> tables)
+{
+    ProfileTable out;
+    size_t size = 0;
+    for (const ProfileTable& t : tables)
+        size += t.size();
+    out.entries_.reserve(size);
+    for (ProfileTable& t : tables) {
+        ASTRA_ASSERT(out.entries_.empty() || t.entries_.empty() ||
+                         out.entries_.back().first < t.entries_.front().first,
+                     "profile tables out of key order");
+        out.entries_.insert(out.entries_.end(), t.entries_.begin(),
+                            t.entries_.end());
+        out.total_samples_ += t.total_samples_;
+        out.total_faults_ += t.total_faults_;
+        t = ProfileTable();  // free each table once it is copied
     }
-    total_samples_ += other.total_samples_;
-    total_faults_ += other.total_faults_;
+    return out;
+}
+
+std::vector<ProfileKey>
+ProfileTable::quarantined_keys() const
+{
+    std::vector<ProfileKey> out;
+    for (const auto& [key, stats] : entries_)
+        if (stats.faults > 0 && stats.count == 0)
+            out.push_back(key);
+    return out;
 }
 
 }  // namespace astra

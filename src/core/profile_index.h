@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/profile_key.h"
@@ -47,8 +48,8 @@ constexpr double kTieRel = 1e-9;
  * extended by one frozen variable at one choice; the table gives each
  * distinct extension one id. A shard's ids are [shard << kSerialBits,
  * (shard + 1) << kSerialBits), its root first, so tables of distinct
- * shards (the wirer's allocation strategies) never issue the same id
- * and their keys stay disjoint when the shards merge.
+ * shards (the wirer's allocation strategies) never issue the same id,
+ * and shard k's keys all order before shard k + 1's.
  */
 class ContextTable
 {
@@ -88,6 +89,50 @@ struct ProfileStats
 
     friend bool operator==(const ProfileStats&,
                            const ProfileStats&) = default;
+};
+
+/**
+ * A profile shard frozen for reading: its (key, stats) entries sorted
+ * by key, 32 B a key, and its totals. The wirer freezes each
+ * strategy's ProfileIndex when the strategy's pipeline ends and
+ * concatenates the tables in strategy order. Shard k's contexts fill
+ * [k << ContextTable::kSerialBits, (k + 1) << ContextTable::kSerialBits)
+ * in a key's top 32 bits, so the concatenation is already in key order.
+ */
+class ProfileTable
+{
+  public:
+    using Entry = std::pair<ProfileKey, ProfileStats>;
+
+    ProfileTable() = default;
+
+    /**
+     * The tables' entries one after another and their totals summed;
+     * panics unless every table's keys order after the previous one's.
+     */
+    static ProfileTable concat(std::vector<ProfileTable> tables);
+
+    /** Number of distinct keys. */
+    size_t size() const { return entries_.size(); }
+
+    /** All entries, in key order. */
+    const std::vector<Entry>& entries() const { return entries_; }
+
+    /** Samples across all keys. */
+    int64_t total_samples() const { return total_samples_; }
+
+    /** Faulted measurements across all keys. */
+    int64_t total_faults() const { return total_faults_; }
+
+    /** Keys that only ever faulted (faults > 0, no samples), in order. */
+    std::vector<ProfileKey> quarantined_keys() const;
+
+  private:
+    friend class ProfileIndex;
+
+    std::vector<Entry> entries_;
+    int64_t total_samples_ = 0;
+    int64_t total_faults_ = 0;
 };
 
 /** Fine-grained measurement store. */
@@ -155,15 +200,10 @@ class ProfileIndex
     }
 
     /**
-     * Fold another index's entries and totals into this one. Entries
-     * under distinct keys insert as-is; same-key entries add their
-     * counts and keep the smaller minimum. The parallel wirer merges
-     * per-strategy shards whose context tables make the key sets
-     * disjoint, so the merged index is bit-identical to the one a
-     * serial exploration would have accumulated. Pass an rvalue to
-     * move the new entries' nodes across instead of copying them.
+     * The entries and totals as a ProfileTable. The index is left
+     * empty, its hash table freed.
      */
-    void merge(ProfileIndex other);
+    ProfileTable freeze() &&;
 
   private:
     bool merge_ties_ = false;

@@ -24,12 +24,11 @@ Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
 }
 
 size_t
-Scheduler::strategy_slot(const ScheduleConfig& config) const
+Scheduler::strategy_slot(int strategy) const
 {
-    ASTRA_ASSERT(config.strategy >= 0 &&
-                 config.strategy <
-                     static_cast<int>(space_.strategies.size()));
-    return static_cast<size_t>(config.strategy);
+    ASTRA_ASSERT(strategy >= 0 &&
+                 strategy < static_cast<int>(space_.strategies.size()));
+    return static_cast<size_t>(strategy);
 }
 
 namespace {
@@ -53,7 +52,8 @@ std::vector<PlanStep>
 Scheduler::assemble_units(const ScheduleConfig& config,
                           const std::map<int, int>& forced_chunk) const
 {
-    const AllocStrategy& strat = space_.strategies[strategy_slot(config)];
+    const AllocStrategy& strat =
+        space_.strategies[strategy_slot(config.strategy)];
 
     std::vector<PlanStep> steps;
     std::vector<int> covered(static_cast<size_t>(graph_.size()), -1);
@@ -484,7 +484,7 @@ same_binding(const ScheduleConfig& a, const ScheduleConfig& b)
 std::shared_ptr<const Scheduler::PlanSkeleton>
 Scheduler::skeleton(const ScheduleConfig& config) const
 {
-    SkeletonSlot& slot = skeletons_[strategy_slot(config)];
+    SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
     {
         std::lock_guard<std::mutex> lock(cache_mu_);
         if (slot.value != nullptr && same_binding(slot.binding, config))
@@ -498,6 +498,14 @@ Scheduler::skeleton(const ScheduleConfig& config) const
     slot.value = skel;
     slot.binding = config;
     return skel;
+}
+
+void
+Scheduler::release_skeleton(int strategy) const
+{
+    SkeletonSlot released;  // freed after the lock is dropped
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::swap(released, skeletons_[strategy_slot(strategy)]);
 }
 
 StreamSpace

@@ -105,8 +105,11 @@ struct SchedulerOptions
  * cycle-repaired units plus the StreamSpace. Both depend on every
  * plan-affecting ScheduleConfig field except epoch_choice and
  * epoch_keys, so stream exploration, which varies only those two,
- * builds the skeleton once and then only walks its epochs. The last
- * skeleton is kept per allocation strategy.
+ * builds the skeleton once and then only walks its epochs. Each
+ * allocation strategy keeps its last skeleton until release_skeleton():
+ * the wirer releases it when the strategy's pipeline ends, and the
+ * next streamed build of that strategy (a converged winner's) builds
+ * it again once and keeps it.
  */
 class Scheduler
 {
@@ -130,6 +133,9 @@ class Scheduler
 
     /** Full plan for the configuration. */
     ExecutionPlan build(const ScheduleConfig& config) const;
+
+    /** Drop the strategy's kept skeleton (its exploration has ended). */
+    void release_skeleton(int strategy) const;
 
     /**
      * Lowered wired binary (runtime/wired.h) for the configuration,
@@ -178,8 +184,8 @@ class Scheduler
     StreamSpace stream_space(const std::vector<PlanStep>& units,
                              int num_streams) const;
 
-    /** Index of the config's strategy slot (asserts it is in range). */
-    size_t strategy_slot(const ScheduleConfig& config) const;
+    /** Slot index of an allocation strategy (asserts it is in range). */
+    size_t strategy_slot(int strategy) const;
 
     const Graph& graph_;
     const SearchSpace& space_;

@@ -110,6 +110,7 @@ sat_mul(int64_t a, int64_t b)
  * for the convergence report. Distinct strategies' runs share nothing
  * mutable, so the pipelines may execute concurrently and still merge
  * (in strategy order, after the join) into the exact serial result.
+ * When its pipeline ends, the run freezes its shard into `table`.
  */
 struct StrategyRun
 {
@@ -131,6 +132,9 @@ struct StrategyRun
 
     /** Private profile shard (keys disjoint across strategies). */
     ProfileIndex index;
+
+    /** `index` frozen when the pipeline ends. */
+    ProfileTable table;
 
     /**
      * Private boost-draw sequence: the i-th mini-batch of this
@@ -769,6 +773,11 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     run.final_ns = final_ns;
     const int64_t final_trials = run.minibatches - final_before.trials;
     record_epoch("final", "hierarchical", final_before, final_trials);
+
+    // What only this pipeline read dies with it: the strategy's plan
+    // skeleton and the shard's hash table.
+    session.scheduler().release_skeleton(sid);
+    run.table = std::move(run.index).freeze();
 }
 
 }  // namespace
@@ -819,16 +828,16 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
 
     // ---- deterministic merge (strategy order) -----------------------------
     // Reproduces exactly what the serial wirer accumulated when it ran
-    // the strategies one after another: epochs concatenate in strategy
-    // order, local mini-batch totals shift by the running offset, local
-    // best-so-far times fold into a global running minimum, and the
-    // cross-strategy argmin breaks ties toward the lowest strategy
-    // index (strict <).
+    // the strategies one after another: epochs and frozen profile
+    // tables concatenate in strategy order, local mini-batch totals
+    // shift by the running offset, local best-so-far times fold into a
+    // global running minimum, and the cross-strategy argmin breaks ties
+    // toward the lowest strategy index (strict <).
     double best_ns = -1.0;
     double best_seen = -1.0;
     int64_t mb_offset = 0;
     bool fault_exhausted = false;
-    out.index = ProfileIndex(opts_.normalize_clock);
+    std::vector<ProfileTable> tables;
     for (StrategyRun& run : runs) {
         for (ConvergenceEpoch e : run.epochs) {
             if (e.best_ns >= 0.0)
@@ -852,13 +861,14 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
         out.convergence.faults.backoff_ns += run.backoff_ns;
         out.convergence.store_transferred_bindings += run.transferred;
         out.convergence.whatif_evals += run.whatif_evals;
-        out.index.merge(std::move(run.index));
+        tables.push_back(std::move(run.table));
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_ns;
         if (best_ns < 0.0 || run.final_ns < best_ns) {
             best_ns = run.final_ns;
             out.best_config = run.best_config;
         }
     }
+    out.index = ProfileTable::concat(std::move(tables));
     out.convergence.faults.quarantined_keys = static_cast<int64_t>(
         out.index.quarantined_keys().size());
 

@@ -159,11 +159,13 @@ struct WirerResult
     std::vector<double> strategy_ns;
 
     /**
-     * Final profile index (for inspection/tests). Empty after a
+     * Final profile table (for inspection/tests): every strategy's
+     * shard, frozen when its pipeline ended and concatenated in
+     * strategy order, so its entries are in key order. Empty after a
      * plan-store L1 hit: nothing was explored. Strategy k's keys carry
      * contexts of shard k (ContextTable::shard_of).
      */
-    ProfileIndex index;
+    ProfileTable index;
 
     /**
      * Per-stage exploration history: best-so-far time, trials spent,

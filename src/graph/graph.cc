@@ -132,18 +132,25 @@ Graph::to_string() const
 }
 
 DependencyOracle::DependencyOracle(const Graph& graph)
+    : column_(static_cast<size_t>(graph.size()), -1)
 {
-    const size_t n = static_cast<size_t>(graph.size());
-    words_per_node_ = (n + 63) / 64;
-    bits_.assign(n * words_per_node_, 0);
+    size_t num_matmuls = 0;
+    for (const Node& node : graph.nodes())
+        if (node.is_matmul())
+            column_[static_cast<size_t>(node.id)] =
+                static_cast<int32_t>(num_matmuls++);
+    words_per_node_ = (num_matmuls + 63) / 64;
+    bits_.assign(static_cast<size_t>(graph.size()) * words_per_node_, 0);
     for (const Node& node : graph.nodes()) {
         uint64_t* row = bits_.data() +
                         static_cast<size_t>(node.id) * words_per_node_;
         for (NodeId in : node.inputs) {
-            // Mark the direct input...
-            row[static_cast<size_t>(in) / 64] |=
-                1ull << (static_cast<size_t>(in) % 64);
-            // ...and union in all of its ancestors.
+            // Mark a MatMul input...
+            const int32_t col = column_[static_cast<size_t>(in)];
+            if (col >= 0)
+                row[static_cast<size_t>(col) / 64] |=
+                    1ull << (static_cast<size_t>(col) % 64);
+            // ...and union in every MatMul the input consumes.
             const uint64_t* src = bits_.data() +
                                   static_cast<size_t>(in) * words_per_node_;
             for (size_t w = 0; w < words_per_node_; ++w)
@@ -155,7 +162,16 @@ DependencyOracle::DependencyOracle(const Graph& graph)
 bool
 DependencyOracle::depends_on(NodeId descendant, NodeId ancestor) const
 {
-    return test(descendant, ancestor);
+    const auto n = static_cast<NodeId>(column_.size());
+    ASTRA_ASSERT(descendant >= 0 && descendant < n);
+    ASTRA_ASSERT(ancestor >= 0 && ancestor < n &&
+                     column_[static_cast<size_t>(ancestor)] >= 0,
+                 "dependency oracle: node %", ancestor, " is not a MatMul");
+    const auto col =
+        static_cast<size_t>(column_[static_cast<size_t>(ancestor)]);
+    const uint64_t word =
+        bits_[static_cast<size_t>(descendant) * words_per_node_ + col / 64];
+    return (word >> (col % 64)) & 1u;
 }
 
 }  // namespace astra

@@ -105,19 +105,27 @@ class Graph
 };
 
 /**
- * Answers reachability queries ("does b depend on a?") in O(1) after an
- * O(N^2/64) precomputation pass. Used by the enumerator to verify that
- * fusion candidates are mutually independent.
+ * Answers "does b depend on MatMul a?" in O(1) after one pass over the
+ * graph. Each node keeps a bitset over the graph's MatMuls: the ones it
+ * transitively consumes. That is N x M bits for M MatMuls among N
+ * nodes, not N x N, and is all the oracle's one client needs: the
+ * enumerator checks that sibling GEMMs are mutually independent.
  */
 class DependencyOracle
 {
   public:
     explicit DependencyOracle(const Graph& graph);
 
-    /** True when `descendant` transitively consumes `ancestor`. */
+    /**
+     * True when `descendant` transitively consumes `ancestor`, which
+     * must be a MatMul (panics otherwise).
+     */
     bool depends_on(NodeId descendant, NodeId ancestor) const;
 
-    /** True when a and b are independent (neither reaches the other). */
+    /**
+     * True when MatMuls a and b are independent (neither reaches the
+     * other).
+     */
     bool
     independent(NodeId a, NodeId b) const
     {
@@ -125,16 +133,10 @@ class DependencyOracle
     }
 
   private:
+    /** Per node, its MatMul's bit in the bitsets; -1 for other ops. */
+    std::vector<int32_t> column_;
     size_t words_per_node_ = 0;
-    std::vector<uint64_t> bits_;   // ancestor bitsets, row per node
-
-    bool
-    test(NodeId node, NodeId ancestor) const
-    {
-        const size_t idx = static_cast<size_t>(node) * words_per_node_ +
-                           static_cast<size_t>(ancestor) / 64;
-        return (bits_[idx] >> (static_cast<size_t>(ancestor) % 64)) & 1u;
-    }
+    std::vector<uint64_t> bits_;   // MatMul-ancestor bitsets, row per node
 };
 
 /** Flops of one MatMul node (2*M*N*K). */

@@ -226,9 +226,20 @@ dispatch_plan_dp(const ExecutionPlan& plan, const Graph& graph,
 
     DpResult result;
     result.step_ns = multi.now_ns();
+    // Compute and comm come from the device whose trace ends last (the
+    // lowest index on ties), the one that sets the step, so overlap_ns
+    // never mixes one device's spans with another device's step.
+    int last = 0;
+    double last_end = 0.0;
+    for (int d = 0; d < G; ++d)
+        for (const TraceSpan& s : multi.device(d).trace())
+            if (s.end_ns > last_end) {
+                last_end = s.end_ns;
+                last = d;
+            }
     double compute_end = 0.0;
     double comm_sum = 0.0;
-    for (const TraceSpan& s : multi.device(0).trace()) {
+    for (const TraceSpan& s : multi.device(last).trace()) {
         if (G > 1 && s.stream == comm_stream)
             comm_sum += s.end_ns - s.start_ns;
         else

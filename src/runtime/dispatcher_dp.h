@@ -68,10 +68,14 @@ struct DpResult
     /** Makespan across all devices (compute + exposed comm). */
     double step_ns = 0.0;
 
-    /** When device 0's last compute-stream kernel finished. */
+    /**
+     * When the last compute-stream kernel finished on the device whose
+     * trace ends last (the lowest index on ties): the one that sets
+     * step_ns.
+     */
     double compute_ns = 0.0;
 
-    /** Total link busy time on device 0's comm stream. */
+    /** Total link busy time on that device's comm stream. */
     double comm_ns = 0.0;
 
     /** Communication hidden under compute:

@@ -277,6 +277,30 @@ TEST(DataParallel, SweepMeasuresEachBindingOnce)
                   .step_ns);
 }
 
+TEST(DataParallel, SweepComputeIsTheComputeOnlyMakespanUnderAutoboost)
+{
+    // Per-device clocks: the devices finish at different times. The
+    // serial point's compute_ns is read from the device that finishes
+    // last, so it still equals a compute-only run's makespan bit for
+    // bit, as at base clock.
+    AstraOptions opts = quiet_opts();
+    opts.gpu.faults = FaultPlan();
+    opts.gpu.autoboost = true;
+    const LinkConfig net;
+    const auto points =
+        measure_scaling(model_builder(), 32, {2}, opts, net);
+    ASSERT_EQ(points.size(), 1u);
+    const DpHarness h(opts);
+    DpOptions compute_only;
+    compute_only.degree = 2;
+    compute_only.link = net;
+    EXPECT_EQ(points[0].compute_ns,
+              dispatch_plan_dp(h.plan, h.b.graph(),
+                               h.session->tensor_map(h.strategy),
+                               opts.gpu, {}, compute_only)
+                  .step_ns);
+}
+
 TEST(DataParallel, CommFaultDegradesMeasuredLink)
 {
     // A degraded interconnect (comm:x=4 on every hop) must show up in

@@ -10,7 +10,8 @@
  * native dispatch, and its lowered binary verifies and replays to the
  * same values and timings as dispatching the plan. This is where
  * grouping edge cases the hand-written models never produce get
- * caught.
+ * caught. OracleFuzz checks the enumerator's MatMul reachability
+ * oracle against a graph search on those graphs and the model zoo.
  *
  * RecordFuzz mutates a valid sample of every text format read from
  * outside the program (config, plan-store entry, fault spec): it
@@ -237,6 +238,57 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<uint64_t>(1, 25));
+
+// ---- the dependency oracle against graph search ---------------------------
+
+/**
+ * MatMul pairs (a, b) on which the oracle's depends_on(b, a) disagrees
+ * with a depth-first search from a over the users lists.
+ */
+int64_t
+oracle_disagreements(const Graph& g)
+{
+    const DependencyOracle oracle(g);
+    std::vector<NodeId> mms;
+    for (const Node& n : g.nodes())
+        if (n.is_matmul())
+            mms.push_back(n.id);
+    int64_t wrong = 0;
+    std::vector<char> reached;
+    std::vector<NodeId> stack;
+    for (NodeId a : mms) {
+        reached.assign(static_cast<size_t>(g.size()), 0);
+        stack.assign(1, a);
+        while (!stack.empty()) {
+            const NodeId v = stack.back();
+            stack.pop_back();
+            for (NodeId u : g.users(v))
+                if (!reached[static_cast<size_t>(u)]) {
+                    reached[static_cast<size_t>(u)] = 1;
+                    stack.push_back(u);
+                }
+        }
+        for (NodeId b : mms)
+            wrong += oracle.depends_on(b, a) !=
+                     (reached[static_cast<size_t>(b)] != 0);
+    }
+    return wrong;
+}
+
+TEST(OracleFuzz, MatMulReachabilityAgreesWithGraphSearch)
+{
+    const ModelConfig shape{.batch = 4, .seq_len = 8, .hidden = 16,
+                            .embed_dim = 16, .vocab = 50};
+    for (const ModelKind kind :
+         {ModelKind::Scrnn, ModelKind::MiLstm, ModelKind::SubLstm,
+          ModelKind::StackedLstm, ModelKind::Gnmt, ModelKind::Rhn,
+          ModelKind::AttnLstm})
+        EXPECT_EQ(oracle_disagreements(build_model(kind, shape).graph()), 0)
+            << model_name(kind);
+    for (uint64_t seed = 1; seed <= 24; ++seed)
+        EXPECT_EQ(oracle_disagreements(random_graph(seed).graph()), 0)
+            << "seed " << seed;
+}
 
 // ---- record readers under mutation ----------------------------------------
 

@@ -139,17 +139,26 @@ TEST(Graph, ToStringDump)
 
 TEST(DependencyOracle, TransitiveReachability)
 {
+    // The oracle indexes MatMul ancestors only, but reachability still
+    // runs through the ops between them.
     GraphBuilder b;
-    const NodeId a = b.input({2, 2});
+    const NodeId x = b.input({2, 2});
+    const NodeId w = b.param({2, 2});
+    const NodeId a = b.matmul(x, w);
     const NodeId c = b.sigmoid(a);
-    const NodeId d = b.tanh(c);
-    const NodeId e = b.input({2, 2});
+    const NodeId d = b.matmul(c, w);
+    const NodeId e = b.matmul(x, w);
     const DependencyOracle oracle(b.graph());
     EXPECT_TRUE(oracle.depends_on(d, a));   // via c
-    EXPECT_TRUE(oracle.depends_on(d, c));
+    EXPECT_TRUE(oracle.depends_on(c, a));
     EXPECT_FALSE(oracle.depends_on(a, d));
+    EXPECT_FALSE(oracle.depends_on(e, a));
     EXPECT_TRUE(oracle.independent(d, e));
+    EXPECT_FALSE(oracle.independent(d, a));
     EXPECT_FALSE(oracle.independent(d, d));
+    // A query about any other ancestor is a caller bug.
+    EXPECT_DEATH(oracle.depends_on(d, c), "is not a MatMul");
+    EXPECT_DEATH(oracle.depends_on(d, x), "is not a MatMul");
 }
 
 TEST(DependencyOracle, SiblingsIndependent)

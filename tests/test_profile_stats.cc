@@ -3,11 +3,12 @@
  * Tests for the profile index's two measurement regimes — raw times
  * with the strict first-best (the paper's), and clock-normalized times
  * whose rankings merge sub-resolution ties onto the lowest index — the
- * shard merge, the wirer's graceful safety-valve truncation, and the
- * headline property: with autoboost jitter enabled, the normalized
- * wirer converges to the same configuration as a jitter-free run, one
- * measurement per trial (paper §7's predictability assumption,
- * recovered by measuring the clock instead of pinning it).
+ * frozen shards' concatenation, the wirer's graceful safety-valve
+ * truncation, and the headline property: with autoboost jitter
+ * enabled, the normalized wirer converges to the same configuration as
+ * a jitter-free run, one measurement per trial (paper §7's
+ * predictability assumption, recovered by measuring the clock instead
+ * of pinning it).
  */
 #include <gtest/gtest.h>
 
@@ -79,84 +80,71 @@ TEST(ProfileIndex, TieMergeWithFewerThanTwoMeasured)
     EXPECT_EQ(idx.best_choice(0, 0, 3), 1);
 }
 
-TEST(ProfileStats, MergeIntoEmptyAndFromEmpty)
+TEST(ProfileTable, FrozenShardsConcatenateToTheSerialTable)
 {
-    const ProfileKey k = key(0, 0);
-    ProfileIndex filled, empty;
-    filled.record(k, 5.0);
-    filled.record(k, 3.0);
-
-    empty.merge(filled);
-    ASSERT_EQ(empty.size(), 1u);
-    EXPECT_EQ(empty.entries().at(k).count, 2);
-    EXPECT_DOUBLE_EQ(empty.entries().at(k).min, 3.0);
-
-    ProfileIndex unsampled;
-    unsampled.record_fault(k);
-    ProfileIndex copy = filled;
-    copy.merge(unsampled);
-    EXPECT_EQ(copy.entries().at(k).count, 2);
-    EXPECT_EQ(copy.entries().at(k).faults, 1);
-    EXPECT_DOUBLE_EQ(copy.entries().at(k).min, 3.0);
-    unsampled.merge(filled);
-    EXPECT_DOUBLE_EQ(unsampled.entries().at(k).min, 3.0);
-}
-
-TEST(ProfileIndex, MergeOfDisjointShardsEqualsSerialIndex)
-{
-    // The parallel wirer's reduction: per-strategy shards have
-    // disjoint keys (one context-table shard each), so the merged
-    // index must equal the one a serial run would have built.
+    // The wirer's reduction: each strategy freezes its own shard (one
+    // context-table shard each, so the key sets are disjoint) and the
+    // tables concatenate in shard order. That must equal freezing one
+    // index that recorded every sample: the same entries in key order
+    // and the same totals. Keys are recorded out of order, repeat,
+    // fault, and shard 1 records nothing.
     const ContextId c0 = ContextTable(0).root();
-    const ContextId c1 = ContextTable(1).root();
-    ProfileIndex s0, s1, serial;
-    s0.record(ProfileKey(c0, 0, 0), 10.0);
-    s0.record(ProfileKey(c0, 0, 1), 12.0);
-    s0.record(ProfileKey(c0, 0, 0), 10.0);
-    s1.record(ProfileKey(c1, 0, 0), 20.0);
-    serial.record(ProfileKey(c0, 0, 0), 10.0);
-    serial.record(ProfileKey(c0, 0, 1), 12.0);
-    serial.record(ProfileKey(c0, 0, 0), 10.0);
-    serial.record(ProfileKey(c1, 0, 0), 20.0);
+    const ContextId c2 = ContextTable(2).root();
+    ProfileIndex shards[3], serial;
+    auto record = [&](int shard, ProfileKey k, double ns) {
+        shards[shard].record(k, ns);
+        serial.record(k, ns);
+    };
+    auto fault = [&](int shard, ProfileKey k) {
+        shards[shard].record_fault(k);
+        serial.record_fault(k);
+    };
+    record(2, ProfileKey(c2 + 1, 4, 0), 30.0);
+    record(0, ProfileKey(c0, 1, 2), 12.0);
+    record(0, ProfileKey(c0, 0, 0), 10.0);
+    record(2, ProfileKey(c2, 0, 1), 21.0);
+    record(0, ProfileKey(c0, 1, 2), 11.0);
+    fault(0, ProfileKey(c0, 1, 2));
+    fault(2, ProfileKey(c2, 3, 0));
+    record(0, ProfileKey(c0, 0, 0), 10.5);
 
-    ProfileIndex merged;
-    merged.merge(s0);
-    merged.merge(s1);
-    EXPECT_EQ(merged.size(), serial.size());
-    EXPECT_EQ(merged.total_samples(), serial.total_samples());
-    EXPECT_EQ(merged.entries(), serial.entries());
+    std::vector<ProfileTable> frozen;
+    for (ProfileIndex& shard : shards)
+        frozen.push_back(std::move(shard).freeze());
+    EXPECT_EQ(shards[0].size(), 0u);  // the hash table went with it
+    EXPECT_EQ(shards[0].total_samples(), 0);
+    const ProfileTable got = ProfileTable::concat(std::move(frozen));
+    const ProfileTable want = std::move(serial).freeze();
+
+    EXPECT_EQ(got.entries(), want.entries());
+    EXPECT_EQ(got.total_samples(), want.total_samples());
+    EXPECT_EQ(got.total_faults(), want.total_faults());
+    EXPECT_EQ(got.quarantined_keys(), want.quarantined_keys());
+    const std::vector<ProfileTable::Entry> expected = {
+        {ProfileKey(c0, 0, 0), {.count = 2, .faults = 0, .min = 10.0}},
+        {ProfileKey(c0, 1, 2), {.count = 2, .faults = 1, .min = 11.0}},
+        {ProfileKey(c2, 0, 1), {.count = 1, .faults = 0, .min = 21.0}},
+        {ProfileKey(c2, 3, 0), {.count = 0, .faults = 1, .min = 0.0}},
+        {ProfileKey(c2 + 1, 4, 0), {.count = 1, .faults = 0, .min = 30.0}},
+    };
+    EXPECT_EQ(got.entries(), expected);
+    EXPECT_EQ(got.size(), 5u);
+    EXPECT_EQ(got.total_samples(), 6);
+    EXPECT_EQ(got.total_faults(), 2);
+    EXPECT_EQ(got.quarantined_keys(),
+              std::vector<ProfileKey>{ProfileKey(c2, 3, 0)});
 }
 
-TEST(ProfileIndex, MergeByMoveEqualsMergeByCopy)
+TEST(ProfileTable, ConcatRejectsTablesOutOfShardOrder)
 {
-    // The wirer moves its shards into the result; a copied shard must
-    // merge to the same entries and totals: new keys, a key both hold
-    // and a faulted key.
-    const ProfileKey shared(9, 0, 0);
-    ProfileIndex base, shard;
-    base.record(ProfileKey(0, 0, 0), 10.0);
-    base.record(shared, 50.0);
-    base.record(shared, 52.0);
-    for (int i = 0; i < 6; ++i)
-        shard.record(shared, 49.0 + 0.25 * i);
-    shard.record(ProfileKey(1, 0, 0), 20.0);
-    shard.record(ProfileKey(1, 0, 1), 21.0);
-    shard.record_fault(ProfileKey(1, 1, 2));
-
-    ProfileIndex by_copy = base, by_move = base;
-    by_copy.merge(shard);
-    by_move.merge(ProfileIndex(shard));
-    EXPECT_EQ(by_move.total_samples(), by_copy.total_samples());
-    EXPECT_EQ(by_move.total_faults(), by_copy.total_faults());
-    EXPECT_EQ(by_copy.total_samples(), 11);
-    EXPECT_EQ(by_copy.total_faults(), 1);
-    ASSERT_EQ(by_move.size(), 5u);
-    EXPECT_EQ(by_move.entries(), by_copy.entries());
-    const ProfileStats& got = by_move.entries().at(shared);
-    EXPECT_EQ(got.count, 8);
-    EXPECT_EQ(got.min, 49.0);
-    EXPECT_EQ(by_move.quarantined_keys(),
-              std::vector<ProfileKey>{ProfileKey(1, 1, 2)});
+    ProfileIndex first, second;
+    first.record(ProfileKey(ContextTable(1).root(), 0, 0), 1.0);
+    second.record(ProfileKey(ContextTable(0).root(), 0, 0), 1.0);
+    std::vector<ProfileTable> tables;
+    tables.push_back(std::move(first).freeze());
+    tables.push_back(std::move(second).freeze());
+    EXPECT_DEATH(ProfileTable::concat(std::move(tables)),
+                 "out of key order");
 }
 
 /**

@@ -5,7 +5,7 @@
  * partitioning, equivalence-class stream options, full streamed plans
  * that remain value-preserving, plan identity pinned on the paper
  * models, and the per-strategy plan skeleton (span counts, binding
- * keys, concurrent strategies).
+ * keys, concurrent strategies, release when exploration ends).
  */
 #include <gtest/gtest.h>
 
@@ -154,6 +154,37 @@ TEST(Scheduler, StreamedSiblingsShareOneSkeleton)
     EXPECT_EQ(span_count(spans, "scheduler.build_units"), 1);
     EXPECT_EQ(span_count(spans, "scheduler.stream_space"), 1);
     EXPECT_EQ(span_count(spans, "scheduler.build"), k);
+}
+
+TEST(Scheduler, ExplorationReleasesEachStrategySkeleton)
+{
+    // A strategy's skeleton lives only while its pipeline explores.
+    // Its last binding is the strategy's winner, so after optimize()
+    // the first streamed build of the winner builds the skeleton again,
+    // once, and keeps it for the next build.
+    const BuiltModel m = small_model();
+    AstraOptions opts;
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = false;
+    opts.features = features_all();
+    AstraSession session(m.graph(), opts);
+    ASSERT_GT(session.space().strategies.size(), 1u);
+    const WirerResult r = session.optimize();
+    ScheduleConfig winner = r.best_config;
+    winner.use_streams = true;
+
+    for (int build = 0; build < 2; ++build) {
+        obs::reset();
+        obs::set_enabled(true);
+        (void)session.scheduler().build(winner);
+        obs::set_enabled(false);
+        const std::vector<obs::Span> spans = obs::host_spans();
+        obs::reset();
+        EXPECT_EQ(span_count(spans, "scheduler.build_units"), 1 - build)
+            << "build " << build;
+        EXPECT_EQ(span_count(spans, "scheduler.stream_space"), 1 - build)
+            << "build " << build;
+    }
 }
 
 TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
