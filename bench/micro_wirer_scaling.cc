@@ -10,7 +10,7 @@
  * so that a slow stretch of host time does not always land on the same
  * one. It prints every run's wall-clock and whether its result matched
  * the serial run exactly (configuration, best time, mini-batch count,
- * the profile table, whose shards are frozen on the worker threads,
+ * the profile summary, whose shards are reduced on the worker threads,
  * and convergence minibatch totals), then the median wall per thread
  * count. Identity failures fail the binary regardless of speed.
  *
@@ -93,7 +93,7 @@ main(int argc, char** argv)
                 config_to_string(serial.best_config) ||
             r.best_ns != serial.best_ns ||
             r.minibatches != serial.minibatches ||
-            r.index.entries() != serial.index.entries() ||
+            r.profile != serial.profile ||
             r.convergence.epochs.size() != serial.convergence.epochs.size())
             return false;
         for (size_t i = 0; i < r.convergence.epochs.size(); ++i)

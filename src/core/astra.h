@@ -83,7 +83,9 @@ struct AstraOptions
 
     /**
      * Simulated HBM per allocation strategy; 0 = sized automatically
-     * from the graph's tensor footprint.
+     * from the graph's tensor footprint. A pool gets host memory only
+     * when a tensor value is first read or written (sim/memory.h), so
+     * with gpu.execute_kernels off it may exceed the host's memory.
      */
     int64_t hbm_bytes = 0;
 

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "kernels/cost.h"
 #include "support/record.h"
@@ -31,7 +33,7 @@ fnv1a64(const void* data, size_t len, uint64_t seed)
 uint64_t
 fnv1a64(std::string_view bytes)
 {
-    return fnv1a64(bytes.data(), bytes.size(), 14695981039346656037ull);
+    return fnv1a64(bytes.data(), bytes.size(), kFnvOffset);
 }
 
 std::string
@@ -81,47 +83,51 @@ class Hasher
     uint64_t value() const { return h_; }
 
   private:
-    uint64_t h_ = 14695981039346656037ull;
+    uint64_t h_ = kFnvOffset;
 };
 
 /**
- * One canonical walk over everything a plan depends on. When
- * `mask_dims` is set, dimension values hash as their rank only — the
- * shape-class view under which batch/hidden-width neighbors collide.
+ * One canonical walk over everything a plan depends on, feeding two
+ * hashers: `full` sees it all, and `masked` skips dimension values
+ * (their rank stays), slice offsets and lengths — the shape-class view
+ * under which batch/hidden-width neighbors collide.
+ * @return {full, masked} signatures.
  */
-uint64_t
-graph_signature(const Graph& graph, bool mask_dims)
+std::pair<uint64_t, uint64_t>
+graph_signatures(const Graph& graph)
 {
-    Hasher h;
-    h.mix(static_cast<uint64_t>(graph.size()));
+    Hasher full, masked;
+    const auto both = [&](const auto& v) {
+        full.mix(v);
+        masked.mix(v);
+    };
+    both(static_cast<uint64_t>(graph.size()));
     for (const Node& n : graph.nodes()) {
-        h.mix(static_cast<uint64_t>(n.kind));
-        h.mix(static_cast<uint64_t>(n.inputs.size()));
+        both(static_cast<uint64_t>(n.kind));
+        both(static_cast<uint64_t>(n.inputs.size()));
         for (NodeId in : n.inputs)
-            h.mix(static_cast<uint64_t>(in));
-        h.mix(static_cast<uint64_t>(n.desc.dtype));
+            both(static_cast<uint64_t>(in));
+        both(static_cast<uint64_t>(n.desc.dtype));
         const auto& dims = n.desc.shape.dims();
-        h.mix(static_cast<uint64_t>(dims.size()));
-        if (!mask_dims)
-            for (int64_t d : dims)
-                h.mix(static_cast<uint64_t>(d));
-        h.mix(static_cast<uint64_t>(n.trans_a) |
-              static_cast<uint64_t>(n.trans_b) << 1 |
-              static_cast<uint64_t>(n.pass) << 2);
-        h.mix_f64(static_cast<double>(n.scalar));
-        if (!mask_dims) {
-            h.mix(static_cast<uint64_t>(n.offset));
-            h.mix(static_cast<uint64_t>(n.length));
-        }
+        both(static_cast<uint64_t>(dims.size()));
+        for (int64_t d : dims)
+            full.mix(static_cast<uint64_t>(d));
+        both(static_cast<uint64_t>(n.trans_a) |
+             static_cast<uint64_t>(n.trans_b) << 1 |
+             static_cast<uint64_t>(n.pass) << 2);
+        full.mix_f64(static_cast<double>(n.scalar));
+        masked.mix_f64(static_cast<double>(n.scalar));
+        full.mix(static_cast<uint64_t>(n.offset));
+        full.mix(static_cast<uint64_t>(n.length));
         // Scope is enumerator provenance (adjacency runs follow it),
         // so it shapes the search space and belongs in the identity.
         // The debug name does not.
-        h.mix(n.scope);
+        both(n.scope);
     }
-    h.mix(static_cast<uint64_t>(graph.outputs().size()));
+    both(static_cast<uint64_t>(graph.outputs().size()));
     for (NodeId out : graph.outputs())
-        h.mix(static_cast<uint64_t>(out));
-    return h.value();
+        both(static_cast<uint64_t>(out));
+    return {full.value(), masked.value()};
 }
 
 uint64_t
@@ -167,8 +173,7 @@ PlanStoreKey
 make_plan_store_key(const Graph& graph, const GpuConfig& gpu)
 {
     PlanStoreKey key;
-    key.graph_sig = graph_signature(graph, /*mask_dims=*/false);
-    key.shape_class = graph_signature(graph, /*mask_dims=*/true);
+    std::tie(key.graph_sig, key.shape_class) = graph_signatures(graph);
     key.gpu_sig = gpu_signature(gpu);
     key.lib_sig = lib_signature();
     key.total_flops = graph.total_matmul_flops();

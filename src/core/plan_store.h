@@ -72,6 +72,9 @@
 
 namespace astra {
 
+/** FNV-1a 64-bit offset basis: the hash of no bytes. */
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
 /** FNV-1a 64-bit over a byte string (store keys and checksums). */
 uint64_t fnv1a64(std::string_view bytes);
 uint64_t fnv1a64(const void* data, size_t len, uint64_t seed);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
+#include "core/plan_store.h"
 #include "obs/obs.h"
 #include "support/logging.h"
 
@@ -128,51 +130,40 @@ ProfileIndex::best_choice(ContextId context, uint32_t variable,
     return best;
 }
 
-ProfileTable
-ProfileIndex::freeze() &&
+ProfileSummary
+ProfileIndex::summarize() &&
 {
-    std::unordered_map<ProfileKey, ProfileStats> entries;
-    entries.swap(entries_);
-    ProfileTable table;
-    table.entries_.assign(entries.begin(), entries.end());
-    std::sort(table.entries_.begin(), table.entries_.end(),
-              [](const ProfileTable::Entry& a, const ProfileTable::Entry& b) {
-                  return a.first < b.first;
-              });
-    table.total_samples_ = std::exchange(total_samples_, 0);
-    table.total_faults_ = std::exchange(total_faults_, 0);
-    return table;
-}
-
-ProfileTable
-ProfileTable::concat(std::vector<ProfileTable> tables)
-{
-    ProfileTable out;
-    size_t size = 0;
-    for (const ProfileTable& t : tables)
-        size += t.size();
-    out.entries_.reserve(size);
-    for (ProfileTable& t : tables) {
-        ASTRA_ASSERT(out.entries_.empty() || t.entries_.empty() ||
-                         out.entries_.back().first < t.entries_.front().first,
-                     "profile tables out of key order");
-        out.entries_.insert(out.entries_.end(), t.entries_.begin(),
-                            t.entries_.end());
-        out.total_samples_ += t.total_samples_;
-        out.total_faults_ += t.total_faults_;
-        t = ProfileTable();  // free each table once it is copied
+    ProfileSummary out;
+    out.keys = static_cast<int64_t>(entries_.size());
+    out.samples = std::exchange(total_samples_, 0);
+    out.faults = std::exchange(total_faults_, 0);
+    out.quarantined = quarantined_keys();
+    for (const auto& [key, stats] : entries_) {
+        uint64_t bits = 0;
+        static_assert(sizeof(bits) == sizeof(stats.min));
+        std::memcpy(&bits, &stats.min, sizeof(bits));
+        const uint64_t fields[] = {key.bits(),
+                                   static_cast<uint64_t>(stats.count),
+                                   static_cast<uint64_t>(stats.faults),
+                                   bits};
+        out.digest += fnv1a64(fields, sizeof(fields), kFnvOffset);
     }
+    std::unordered_map<ProfileKey, ProfileStats>().swap(entries_);
     return out;
 }
 
-std::vector<ProfileKey>
-ProfileTable::quarantined_keys() const
+void
+ProfileSummary::fold(const ProfileSummary& later)
 {
-    std::vector<ProfileKey> out;
-    for (const auto& [key, stats] : entries_)
-        if (stats.faults > 0 && stats.count == 0)
-            out.push_back(key);
-    return out;
+    keys += later.keys;
+    samples += later.samples;
+    faults += later.faults;
+    ASTRA_ASSERT(quarantined.empty() || later.quarantined.empty() ||
+                     quarantined.back() < later.quarantined.front(),
+                 "profile summaries out of key order");
+    quarantined.insert(quarantined.end(), later.quarantined.begin(),
+                       later.quarantined.end());
+    digest += later.digest;
 }
 
 }  // namespace astra

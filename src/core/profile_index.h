@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "support/profile_key.h"
@@ -92,47 +91,35 @@ struct ProfileStats
 };
 
 /**
- * A profile shard frozen for reading: its (key, stats) entries sorted
- * by key, 32 B a key, and its totals. The wirer freezes each
- * strategy's ProfileIndex when the strategy's pipeline ends and
- * concatenates the tables in strategy order. Shard k's contexts fill
- * [k << ContextTable::kSerialBits, (k + 1) << ContextTable::kSerialBits)
- * in a key's top 32 bits, so the concatenation is already in key order.
+ * What an exploration keeps of its profile shards once they die. The
+ * wirer reduces each strategy's ProfileIndex to a summary when the
+ * strategy's pipeline ends and folds the summaries in strategy order;
+ * shard k's contexts order before shard k + 1's (ContextTable), so the
+ * fold keeps `quarantined` in key order.
  */
-class ProfileTable
+struct ProfileSummary
 {
-  public:
-    using Entry = std::pair<ProfileKey, ProfileStats>;
-
-    ProfileTable() = default;
-
-    /**
-     * The tables' entries one after another and their totals summed;
-     * panics unless every table's keys order after the previous one's.
-     */
-    static ProfileTable concat(std::vector<ProfileTable> tables);
-
-    /** Number of distinct keys. */
-    size_t size() const { return entries_.size(); }
-
-    /** All entries, in key order. */
-    const std::vector<Entry>& entries() const { return entries_; }
-
-    /** Samples across all keys. */
-    int64_t total_samples() const { return total_samples_; }
-
-    /** Faulted measurements across all keys. */
-    int64_t total_faults() const { return total_faults_; }
+    int64_t keys = 0;     ///< distinct keys
+    int64_t samples = 0;  ///< clean samples across all keys
+    int64_t faults = 0;   ///< faulted measurements across all keys
 
     /** Keys that only ever faulted (faults > 0, no samples), in order. */
-    std::vector<ProfileKey> quarantined_keys() const;
+    std::vector<ProfileKey> quarantined;
 
-  private:
-    friend class ProfileIndex;
+    /**
+     * Sum, mod 2^64, of each entry's FNV-1a over its key, count,
+     * faults and the bits of its min. Keys are unique, so the sum
+     * pins the table as its key-ordered list would, without sorting
+     * it, and the digest of disjoint shards folded together equals
+     * the digest of one index that recorded them all.
+     */
+    uint64_t digest = 0;
 
-    std::vector<Entry> entries_;
-    int64_t total_samples_ = 0;
-    int64_t total_faults_ = 0;
+    /** Add a shard whose keys all order after this summary's. */
+    void fold(const ProfileSummary& later);
+
+    friend bool operator==(const ProfileSummary&,
+                           const ProfileSummary&) = default;
 };
 
 /** Fine-grained measurement store. */
@@ -200,10 +187,10 @@ class ProfileIndex
     }
 
     /**
-     * The entries and totals as a ProfileTable. The index is left
+     * The entries reduced to a ProfileSummary. The index is left
      * empty, its hash table freed.
      */
-    ProfileTable freeze() &&;
+    ProfileSummary summarize() &&;
 
   private:
     bool merge_ties_ = false;

@@ -110,7 +110,7 @@ sat_mul(int64_t a, int64_t b)
  * for the convergence report. Distinct strategies' runs share nothing
  * mutable, so the pipelines may execute concurrently and still merge
  * (in strategy order, after the join) into the exact serial result.
- * When its pipeline ends, the run freezes its shard into `table`.
+ * When its pipeline ends, the run reduces its shard to `profile`.
  */
 struct StrategyRun
 {
@@ -133,8 +133,8 @@ struct StrategyRun
     /** Private profile shard (keys disjoint across strategies). */
     ProfileIndex index;
 
-    /** `index` frozen when the pipeline ends. */
-    ProfileTable table;
+    /** `index` reduced when the pipeline ends. */
+    ProfileSummary profile;
 
     /**
      * Private boost-draw sequence: the i-th mini-batch of this
@@ -777,7 +777,7 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     // What only this pipeline read dies with it: the strategy's plan
     // skeleton and the shard's hash table.
     session.scheduler().release_skeleton(sid);
-    run.table = std::move(run.index).freeze();
+    run.profile = std::move(run.index).summarize();
 }
 
 }  // namespace
@@ -828,8 +828,8 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
 
     // ---- deterministic merge (strategy order) -----------------------------
     // Reproduces exactly what the serial wirer accumulated when it ran
-    // the strategies one after another: epochs and frozen profile
-    // tables concatenate in strategy order, local mini-batch totals
+    // the strategies one after another: epochs concatenate and profile
+    // summaries fold in strategy order, local mini-batch totals
     // shift by the running offset, local best-so-far times fold into a
     // global running minimum, and the cross-strategy argmin breaks ties
     // toward the lowest strategy index (strict <).
@@ -837,7 +837,6 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
     double best_seen = -1.0;
     int64_t mb_offset = 0;
     bool fault_exhausted = false;
-    std::vector<ProfileTable> tables;
     for (StrategyRun& run : runs) {
         for (ConvergenceEpoch e : run.epochs) {
             if (e.best_ns >= 0.0)
@@ -861,16 +860,15 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
         out.convergence.faults.backoff_ns += run.backoff_ns;
         out.convergence.store_transferred_bindings += run.transferred;
         out.convergence.whatif_evals += run.whatif_evals;
-        tables.push_back(std::move(run.table));
+        out.profile.fold(run.profile);
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_ns;
         if (best_ns < 0.0 || run.final_ns < best_ns) {
             best_ns = run.final_ns;
             out.best_config = run.best_config;
         }
     }
-    out.index = ProfileTable::concat(std::move(tables));
-    out.convergence.faults.quarantined_keys = static_cast<int64_t>(
-        out.index.quarantined_keys().size());
+    out.convergence.faults.quarantined_keys =
+        static_cast<int64_t>(out.profile.quarantined.size());
 
     // Termination reason, in increasing priority.
     out.termination = WirerTermination::Complete;

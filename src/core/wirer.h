@@ -159,13 +159,11 @@ struct WirerResult
     std::vector<double> strategy_ns;
 
     /**
-     * Final profile table (for inspection/tests): every strategy's
-     * shard, frozen when its pipeline ended and concatenated in
-     * strategy order, so its entries are in key order. Empty after a
-     * plan-store L1 hit: nothing was explored. Strategy k's keys carry
-     * contexts of shard k (ContextTable::shard_of).
+     * What the profile index held: every strategy's shard, reduced to
+     * a summary when its pipeline ended and folded in strategy order.
+     * Empty after a plan-store L1 hit: nothing was explored.
      */
-    ProfileTable index;
+    ProfileSummary profile;
 
     /**
      * Per-stage exploration history: best-so-far time, trials spent,

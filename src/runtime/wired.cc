@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -377,24 +376,23 @@ overlapping_pairs(const std::vector<ArenaInterval>& intervals)
     return pairs;
 }
 
-/** Reading steps of each interval, inverted from the per-step tables. */
+/** Reading steps of each interval, inverted from the per-step ranges. */
 std::vector<std::vector<int>>
-interval_users(const WiredBinary& bin)
+interval_users(const ArenaTable& table)
 {
-    std::vector<std::vector<int>> users(bin.intervals.size());
-    for (int i = 0; i < static_cast<int>(bin.access.size()); ++i) {
-        const WiredStepAccess& a = bin.access[static_cast<size_t>(i)];
-        for (int32_t u = a.use_begin; u < a.use_end; ++u)
-            users[static_cast<size_t>(bin.uses[static_cast<size_t>(u)])]
-                .push_back(i);
-    }
+    std::vector<std::vector<int>> users(table.intervals.size());
+    for (size_t i = 0; i + 1 < table.use_begin.size(); ++i)
+        for (int32_t u = table.use_begin[i]; u < table.use_begin[i + 1];
+             ++u)
+            users[static_cast<size_t>(table.uses[static_cast<size_t>(u)])]
+                .push_back(static_cast<int>(i));
     return users;
 }
 
 std::string
-describe_interval(const WiredBinary& bin, int idx)
+describe_interval(const ArenaTable& table, int idx)
 {
-    const ArenaInterval& iv = bin.intervals[static_cast<size_t>(idx)];
+    const ArenaInterval& iv = table.intervals[static_cast<size_t>(idx)];
     std::ostringstream os;
     os << "node %" << iv.node << " [" << iv.offset << ", "
        << iv.offset + iv.bytes << ") def=" << iv.def_step;
@@ -404,7 +402,7 @@ describe_interval(const WiredBinary& bin, int idx)
 }  // namespace
 
 WiredVerdict
-verify_wired(const WiredBinary& bin)
+verify_wired(const WiredBinary& bin, const ArenaTable& table)
 {
     WiredVerdict v;
     const auto fail = [&](std::string why) {
@@ -429,31 +427,32 @@ verify_wired(const WiredBinary& bin)
 
     // Use-before-def: a step may only read intervals whose producing
     // launch provably *completed* before the reader launched.
-    if (bin.access.size() != static_cast<size_t>(num_steps) &&
-        !bin.access.empty())
+    const std::vector<int32_t>& begin = table.use_begin;
+    if (!begin.empty() && begin.size() != static_cast<size_t>(num_steps) + 1)
         return fail("access table disagrees with step count");
-    for (int i = 0; i < static_cast<int>(bin.access.size()); ++i) {
-        const WiredStepAccess& a = bin.access[static_cast<size_t>(i)];
-        for (int32_t u = a.use_begin; u < a.use_end; ++u) {
-            const int32_t iv = bin.uses[static_cast<size_t>(u)];
-            if (iv < 0 || iv >= static_cast<int32_t>(bin.intervals.size()))
+    for (int i = 0; i + 1 < static_cast<int>(begin.size()); ++i) {
+        for (int32_t u = begin[static_cast<size_t>(i)];
+             u < begin[static_cast<size_t>(i) + 1]; ++u) {
+            const int32_t iv = table.uses[static_cast<size_t>(u)];
+            if (iv < 0 ||
+                iv >= static_cast<int32_t>(table.intervals.size()))
                 return fail("use references interval out of range");
             const int def =
-                bin.intervals[static_cast<size_t>(iv)].def_step;
+                table.intervals[static_cast<size_t>(iv)].def_step;
             if (def == i)
                 continue;  // internal edge of a fused step
             if (!order.completes_before(def, i))
                 return fail("use-before-def: step " + std::to_string(i) +
-                            " reads " + describe_interval(bin, iv) +
+                            " reads " + describe_interval(table, iv) +
                             " without ordering after its definition");
         }
     }
 
     // Overlap-while-live: byte-sharing intervals need every access of
     // one ordered before the definition of the other.
-    const std::vector<std::vector<int>> users = interval_users(bin);
+    const std::vector<std::vector<int>> users = interval_users(table);
     const auto accesses_before = [&](int x, int to_def) {
-        const ArenaInterval& iv = bin.intervals[static_cast<size_t>(x)];
+        const ArenaInterval& iv = table.intervals[static_cast<size_t>(x)];
         // One step defining both: its kernel computes its nodes in
         // order, so x may give up its bytes only if it dies there.
         if (iv.def_step == to_def ? iv.last_use_step != to_def
@@ -465,22 +464,22 @@ verify_wired(const WiredBinary& bin)
                 return false;
         return true;
     };
-    for (const auto& [x, y] : overlapping_pairs(bin.intervals)) {
-        const ArenaInterval& a = bin.intervals[static_cast<size_t>(x)];
-        const ArenaInterval& b = bin.intervals[static_cast<size_t>(y)];
+    for (const auto& [x, y] : overlapping_pairs(table.intervals)) {
+        const ArenaInterval& a = table.intervals[static_cast<size_t>(x)];
+        const ArenaInterval& b = table.intervals[static_cast<size_t>(y)];
         if (a.def_step < 0 && b.def_step < 0)
             return fail("two entry-live intervals overlap: " +
-                        describe_interval(bin, x) + " and " +
-                        describe_interval(bin, y));
+                        describe_interval(table, x) + " and " +
+                        describe_interval(table, y));
         if (a.def_step < 0 || b.def_step < 0)
             return fail("interval overlaps an entry-live buffer: " +
-                        describe_interval(bin, x) + " and " +
-                        describe_interval(bin, y));
+                        describe_interval(table, x) + " and " +
+                        describe_interval(table, y));
         if (!accesses_before(x, b.def_step) &&
             !accesses_before(y, a.def_step))
             return fail("overlap-while-live: " +
-                        describe_interval(bin, x) + " and " +
-                        describe_interval(bin, y) +
+                        describe_interval(table, x) + " and " +
+                        describe_interval(table, y) +
                         " share bytes without ordering");
     }
     return v;
@@ -540,13 +539,12 @@ enqueue_wired(const WiredProgram& program,
     }
 }
 
-WiredBinary
-lower_plan(const ExecutionPlan& plan, const Graph& graph,
-           const TensorMap& tmap, const GpuConfig& cfg)
+ArenaTable
+arena_table(const ExecutionPlan& plan, const Graph& graph,
+            const TensorMap& tmap)
 {
-    obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
     const int num_steps = static_cast<int>(plan.steps.size());
-    WiredBinary bin = bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
+    ArenaTable table;
 
     // Arena interval per touched tensor: covered nodes get their
     // producing step; uncovered inputs (graph sources) are live at
@@ -562,58 +560,67 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
         int32_t& slot = interval_of[static_cast<size_t>(id)];
         if (slot >= 0)
             return slot;
-        slot = static_cast<int32_t>(bin.intervals.size());
+        slot = static_cast<int32_t>(table.intervals.size());
         ArenaInterval iv;
         iv.node = id;
         iv.offset = tmap.ptr(id);
         iv.bytes = static_cast<int64_t>(graph.node(id).desc.bytes());
         iv.def_step = def_step;
         iv.last_use_step = def_step;
-        bin.intervals.push_back(iv);
+        table.intervals.push_back(iv);
         return slot;
     };
 
-    bin.access.resize(static_cast<size_t>(num_steps));
+    table.use_begin.resize(static_cast<size_t>(num_steps) + 1);
     for (int i = 0; i < num_steps; ++i) {
         const PlanStep& step = plan.steps[static_cast<size_t>(i)];
-        WiredStepAccess& acc = bin.access[static_cast<size_t>(i)];
-        acc.def_begin = static_cast<int32_t>(bin.defs.size());
         for (NodeId id : step.nodes)
-            bin.defs.push_back(intern(id, i));
-        acc.def_end = static_cast<int32_t>(bin.defs.size());
+            intern(id, i);
 
-        acc.use_begin = static_cast<int32_t>(bin.uses.size());
-        std::set<int32_t> used;
+        // A step reads a few intervals: dedupe in its own range.
+        const auto first = static_cast<ptrdiff_t>(table.uses.size());
+        table.use_begin[static_cast<size_t>(i)] =
+            static_cast<int32_t>(first);
         for (NodeId id : step.nodes) {
             for (NodeId in : graph.node(id).inputs) {
                 if (producer[static_cast<size_t>(in)] == i)
                     continue;  // internal edge of a fused step
                 const int32_t iv =
                     intern(in, producer[static_cast<size_t>(in)]);
-                if (used.insert(iv).second)
-                    bin.uses.push_back(iv);
+                if (std::find(table.uses.begin() + first, table.uses.end(),
+                              iv) == table.uses.end())
+                    table.uses.push_back(iv);
             }
         }
-        acc.use_end = static_cast<int32_t>(bin.uses.size());
-        for (int32_t u = acc.use_begin; u < acc.use_end; ++u) {
-            ArenaInterval& iv =
-                bin.intervals[static_cast<size_t>(
-                    bin.uses[static_cast<size_t>(u)])];
+        for (auto u = table.uses.begin() + first; u != table.uses.end();
+             ++u) {
+            ArenaInterval& iv = table.intervals[static_cast<size_t>(*u)];
             iv.last_use_step = std::max(iv.last_use_step, i);
         }
     }
+    table.use_begin[static_cast<size_t>(num_steps)] =
+        static_cast<int32_t>(table.uses.size());
     // Graph outputs (and never-read results) must survive the whole
     // mini-batch: pin them to the one-past-the-end step.
-    for (ArenaInterval& iv : bin.intervals)
+    for (ArenaInterval& iv : table.intervals)
         if (iv.node >= 0 && graph.user_count(iv.node) == 0)
             iv.last_use_step = num_steps;
     for (NodeId id : graph.outputs())
         if (interval_of[static_cast<size_t>(id)] >= 0)
-            bin.intervals[static_cast<size_t>(
-                             interval_of[static_cast<size_t>(id)])]
+            table.intervals[static_cast<size_t>(
+                               interval_of[static_cast<size_t>(id)])]
                 .last_use_step = num_steps;
+    return table;
+}
 
-    const WiredVerdict verdict = verify_wired(bin);
+WiredBinary
+lower_plan(const ExecutionPlan& plan, const Graph& graph,
+           const TensorMap& tmap, const GpuConfig& cfg)
+{
+    obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
+    WiredBinary bin = bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
+    const WiredVerdict verdict =
+        verify_wired(bin, arena_table(plan, graph, tmap));
     ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
                  verdict.why);
     if (obs::enabled()) {

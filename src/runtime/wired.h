@@ -19,12 +19,13 @@
  *    TensorMap). dispatch_plan binds on every call and then walks;
  *    the data-parallel dispatcher and the what-if engine walk the
  *    same bound form.
- *  - WiredBinary: a bound plan plus the arena interval table
- *    (offset/size/lifetime per tensor in the TensorMap's arena).
- *    lower_plan builds the table and proves the binary with
- *    verify_wired; it never adds synchronization. The memory planner
- *    hands a tensor freed bytes only when every reader of their
- *    previous occupant is its ancestor, so a dependency-ordered
+ *  - WiredBinary: a bound plan, the program plus its kernels.
+ *    lower_plan binds one, tabulates the plan's arena intervals
+ *    (ArenaTable: offset/size/lifetime per tensor in the TensorMap's
+ *    arena) and proves the binary against them with verify_wired,
+ *    then drops the table; it never adds synchronization. The memory
+ *    planner hands a tensor freed bytes only when every reader of
+ *    their previous occupant is its ancestor, so a dependency-ordered
  *    schedule already orders every reuse. replay_wired walks a
  *    lowered binary with no per-call bind at all.
  *  - verify_wired() is the compile-time barrier/ordering simulator: it
@@ -137,20 +138,33 @@ struct ArenaInterval
     int32_t last_use_step = -1; ///< last reader; steps() = whole batch
 };
 
-/** Per-step view into WiredBinary::uses / defs (interval indices). */
-struct WiredStepAccess
+/**
+ * What verify_wired checks a binary against: the arena placement and
+ * lifetime of every tensor a plan touches, and the intervals each step
+ * reads (a step defines the intervals whose def_step it is).
+ */
+struct ArenaTable
 {
-    int32_t use_begin = 0, use_end = 0;
-    int32_t def_begin = 0, def_end = 0;
+    std::vector<ArenaInterval> intervals;
+
+    /** Step i reads intervals uses[use_begin[i], use_begin[i+1]). */
+    std::vector<int32_t> uses;
+    std::vector<int32_t> use_begin;  ///< steps+1 entries, or none
 };
 
 /**
- * A bound mini-batch (program + prebuilt kernels), plus the arena map
- * once lowered. bind_plan fills only `program` and `kernels`;
- * lower_plan adds the rest. Valid as long as the TensorMap (and its
- * SimMemory) it was bound against outlive it — kernel compute closures
- * capture raw buffer pointers, exactly like recorded CUDA graphs
- * capture device pointers.
+ * Tabulate a plan's arena intervals against the TensorMap it is bound
+ * to: graph sources are live at entry, and graph outputs and
+ * never-read results stay live to the end of the mini-batch.
+ */
+ArenaTable arena_table(const ExecutionPlan& plan, const Graph& graph,
+                       const TensorMap& tmap);
+
+/**
+ * A bound mini-batch: program + prebuilt kernels. Valid as long as the
+ * TensorMap (and its SimMemory) it was bound against outlive it —
+ * kernel compute closures capture raw buffer pointers, exactly like
+ * recorded CUDA graphs capture device pointers.
  */
 struct WiredBinary
 {
@@ -159,20 +173,13 @@ struct WiredBinary
     /** Per plan step; barrier steps hold an empty descriptor. */
     std::vector<KernelDesc> kernels;
 
-    /** Arena placement and lifetime of every tensor the plan touches. */
-    std::vector<ArenaInterval> intervals;
-
-    /** Flat interval-index arrays, viewed per step through `access`. */
-    std::vector<int32_t> uses, defs;
-    std::vector<WiredStepAccess> access;
-
     int steps() const { return static_cast<int>(kernels.size()); }
 };
 
 /**
  * Bind a plan for dispatch: compile_plan, then build one kernel
  * descriptor per non-barrier step against the TensorMap (names, fused
- * shapes, compute closures and costs under `cfg`). No arena table.
+ * shapes, compute closures and costs under `cfg`).
  *
  * @param profiling compile the steps' profile/epoch_metric
  *        instrumentation (see compile_plan).
@@ -198,10 +205,11 @@ void enqueue_wired(const WiredProgram& program,
 
 /**
  * Lower a converged plan into a wired binary: bind it (with profiling
- * instrumentation), tabulate arena intervals, and prove the result
- * with verify_wired. Panics with the verifier's diagnosis when the
- * plan/TensorMap pair does not verify (e.g. two live tensors share
- * bytes, or the schedule does not order a reuse).
+ * instrumentation), tabulate its arena_table, and prove the binary
+ * against the table with verify_wired. Panics with the verifier's
+ * diagnosis when the plan/TensorMap pair does not verify (e.g. two
+ * live tensors share bytes, or the schedule does not order a reuse).
+ * The binary keeps no table.
  */
 WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg);
@@ -227,7 +235,7 @@ struct WiredVerdict
 /**
  * The barrier/ordering simulator: abstractly execute the command
  * stream (stream FIFO semantics, event record/wait edges as vector
- * clocks) and check
+ * clocks) and check, against `table`,
  *  - liveness: every command executes — a wait on a never-recorded
  *    slot (stale event) or a record/wait cycle is a deadlock;
  *  - slot discipline: no event slot recorded twice, all slot/stream/
@@ -238,6 +246,6 @@ struct WiredVerdict
  *    every access ordered before the other's definition (entry-live
  *    intervals may never be overlapped).
  */
-WiredVerdict verify_wired(const WiredBinary& bin);
+WiredVerdict verify_wired(const WiredBinary& bin, const ArenaTable& table);
 
 }  // namespace astra

@@ -1,6 +1,5 @@
 #include "sim/memory.h"
 
-#include <cstring>
 #include <sstream>
 
 namespace astra {
@@ -38,10 +37,20 @@ MemoryError::MemoryError(Kind kind, int64_t requested, int64_t capacity)
 }
 
 SimMemory::SimMemory(int64_t bytes, bool zero)
-    : capacity_(bytes), pool_(new uint8_t[static_cast<size_t>(bytes)])
+    : capacity_(bytes), zero_(zero)
 {
-    if (zero)
-        std::memset(pool_.get(), 0, static_cast<size_t>(bytes));
+}
+
+uint8_t*
+SimMemory::host(DevPtr p) const
+{
+    if (p < 0 || p >= capacity_)
+        throw MemoryError(MemoryError::Kind::BadPointer, p, capacity_);
+    std::call_once(backed_, [this] {
+        const size_t n = static_cast<size_t>(capacity_);
+        pool_.reset(zero_ ? new uint8_t[n]() : new uint8_t[n]);
+    });
+    return pool_.get() + p;
 }
 
 void

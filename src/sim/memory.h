@@ -5,8 +5,10 @@
  * Allocations have real device addresses inside one contiguous pool, so
  * "are these tensors adjacent?" is a meaningful question — GEMM fusion
  * without copies requires operand tensors to be allocated contiguously
- * (paper §3.2), and the memory planner decides placement. The pool is
- * backed by host storage so kernels compute actual values.
+ * (paper §3.2), and the memory planner decides placement. Host storage
+ * backs the pool so kernels compute actual values; the pool gets it on
+ * the first f32()/i32() call, so a timing-only session, which never
+ * reads its tensors' bytes, holds none.
  *
  * Allocation failure is a *recoverable* condition (MemoryError), not a
  * process abort: the session layer reacts by degrading to a more
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -67,9 +70,9 @@ class SimMemory
   public:
     /**
      * @param bytes pool capacity (default 512 MiB).
-     * @param zero zero-fill the pool (value-executing runs want
-     *        deterministic contents; timing-only sweeps skip the cost
-     *        and never read the backing store).
+     * @param zero zero-fill the host storage when it is first backed
+     *        (value-executing runs want deterministic contents;
+     *        timing-only sweeps skip the cost and never read it).
      */
     explicit SimMemory(int64_t bytes = 512ll * 1024 * 1024,
                        bool zero = true);
@@ -107,22 +110,19 @@ class SimMemory
     float*
     f32(DevPtr p)
     {
-        check_pointer(p);
-        return reinterpret_cast<float*>(pool_.get() + p);
+        return reinterpret_cast<float*>(host(p));
     }
     const float*
     f32(DevPtr p) const
     {
-        check_pointer(p);
-        return reinterpret_cast<const float*>(pool_.get() + p);
+        return reinterpret_cast<const float*>(host(p));
     }
 
     /** Host pointer backing a device address (i32 view). */
     int32_t*
     i32(DevPtr p)
     {
-        check_pointer(p);
-        return reinterpret_cast<int32_t*>(pool_.get() + p);
+        return reinterpret_cast<int32_t*>(host(p));
     }
 
     /** True when b starts exactly where a (of `a_bytes` bytes) ends. */
@@ -133,17 +133,15 @@ class SimMemory
     }
 
   private:
-    void
-    check_pointer(DevPtr p) const
-    {
-        if (p < 0 || p >= capacity_)
-            throw MemoryError(MemoryError::Kind::BadPointer, p,
-                              capacity_);
-    }
+    /** Host byte backing `p`; the first call from any thread backs
+        the pool (TensorMaps are read through const references). */
+    uint8_t* host(DevPtr p) const;
 
     int64_t capacity_;
     int64_t next_ = 0;
-    std::unique_ptr<uint8_t[]> pool_;
+    bool zero_;
+    mutable std::once_flag backed_;
+    mutable std::unique_ptr<uint8_t[]> pool_;
     FaultInjector injector_;
 };
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for the liveness-based memory planner (buffer reuse) and the
  * §3.4 recompute-for-memory rewrite: value preservation, peak-memory
- * reduction, and the compute-vs-memory trade itself.
+ * reduction, and the compute-vs-memory trade itself; the OOM ladder;
+ * and a timing-only session over a pool the host cannot back.
  */
 #include <gtest/gtest.h>
 
@@ -295,6 +296,24 @@ TEST(OomLadder, RecomputeRungWhenReuseCannotFit)
     AstraSession session(m.graph(), opts);
     EXPECT_TRUE(session.used_recompute());
     EXPECT_GT(session.graph().size(), m.graph().size());
+}
+
+TEST(SimulatedHbm, TimingOnlySessionModelsAPoolTheHostCannotBack)
+{
+    // A session that only times kernels never reads its tensors'
+    // bytes, so each strategy's simulated HBM gets no host memory: a
+    // 1 TiB device wires on any host.
+    const BuiltModel m = rnn(4);
+    AstraOptions opts;
+    opts.hbm_bytes = int64_t{1} << 40;
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = false;
+    opts.gpu.faults = FaultPlan();
+    AstraSession session(m.graph(), opts);
+    const WirerResult r = session.optimize();
+    EXPECT_EQ(r.termination, WirerTermination::Complete);
+    EXPECT_GT(r.minibatches, 0);
+    EXPECT_EQ(session.tensor_map(0).memory().capacity(), opts.hbm_bytes);
 }
 
 TEST(Recompute, CheckpointsAreStateTensors)

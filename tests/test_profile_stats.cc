@@ -3,7 +3,7 @@
  * Tests for the profile index's two measurement regimes — raw times
  * with the strict first-best (the paper's), and clock-normalized times
  * whose rankings merge sub-resolution ties onto the lowest index — the
- * frozen shards' concatenation, the wirer's graceful safety-valve
+ * fold of shard summaries, the wirer's graceful safety-valve
  * truncation, and the headline property: with autoboost jitter
  * enabled, the normalized wirer converges to the same configuration as
  * a jitter-free run, one measurement per trial (paper §7's
@@ -80,14 +80,13 @@ TEST(ProfileIndex, TieMergeWithFewerThanTwoMeasured)
     EXPECT_EQ(idx.best_choice(0, 0, 3), 1);
 }
 
-TEST(ProfileTable, FrozenShardsConcatenateToTheSerialTable)
+TEST(ProfileSummary, FoldedShardsSummarizeTheSerialIndex)
 {
-    // The wirer's reduction: each strategy freezes its own shard (one
-    // context-table shard each, so the key sets are disjoint) and the
-    // tables concatenate in shard order. That must equal freezing one
-    // index that recorded every sample: the same entries in key order
-    // and the same totals. Keys are recorded out of order, repeat,
-    // fault, and shard 1 records nothing.
+    // The wirer's reduction: each strategy summarizes its own shard
+    // (one context-table shard each, so the key sets are disjoint) and
+    // the summaries fold in shard order. That must equal summarizing
+    // one index that recorded every sample. Keys are recorded out of
+    // order, repeat, fault, and shard 1 records nothing.
     const ContextId c0 = ContextTable(0).root();
     const ContextId c2 = ContextTable(2).root();
     ProfileIndex shards[3], serial;
@@ -106,45 +105,49 @@ TEST(ProfileTable, FrozenShardsConcatenateToTheSerialTable)
     record(0, ProfileKey(c0, 1, 2), 11.0);
     fault(0, ProfileKey(c0, 1, 2));
     fault(2, ProfileKey(c2, 3, 0));
+    fault(0, ProfileKey(c0, 5, 1));
     record(0, ProfileKey(c0, 0, 0), 10.5);
 
-    std::vector<ProfileTable> frozen;
+    ProfileSummary got;
     for (ProfileIndex& shard : shards)
-        frozen.push_back(std::move(shard).freeze());
+        got.fold(std::move(shard).summarize());
     EXPECT_EQ(shards[0].size(), 0u);  // the hash table went with it
     EXPECT_EQ(shards[0].total_samples(), 0);
-    const ProfileTable got = ProfileTable::concat(std::move(frozen));
-    const ProfileTable want = std::move(serial).freeze();
+    EXPECT_EQ(got, std::move(serial).summarize());
+    EXPECT_EQ(got.keys, 6);
+    EXPECT_EQ(got.samples, 6);
+    EXPECT_EQ(got.faults, 3);
+    EXPECT_EQ(got.quarantined,
+              (std::vector<ProfileKey>{ProfileKey(c0, 5, 1),
+                                       ProfileKey(c2, 3, 0)}));
 
-    EXPECT_EQ(got.entries(), want.entries());
-    EXPECT_EQ(got.total_samples(), want.total_samples());
-    EXPECT_EQ(got.total_faults(), want.total_faults());
-    EXPECT_EQ(got.quarantined_keys(), want.quarantined_keys());
-    const std::vector<ProfileTable::Entry> expected = {
-        {ProfileKey(c0, 0, 0), {.count = 2, .faults = 0, .min = 10.0}},
-        {ProfileKey(c0, 1, 2), {.count = 2, .faults = 1, .min = 11.0}},
-        {ProfileKey(c2, 0, 1), {.count = 1, .faults = 0, .min = 21.0}},
-        {ProfileKey(c2, 3, 0), {.count = 0, .faults = 1, .min = 0.0}},
-        {ProfileKey(c2 + 1, 4, 0), {.count = 1, .faults = 0, .min = 30.0}},
+    // The digest covers every field of every entry.
+    const auto digest = [](ProfileKey key, double ns, int samples,
+                           int faults) {
+        ProfileIndex idx;
+        for (int i = 0; i < samples; ++i)
+            idx.record(key, ns);
+        for (int i = 0; i < faults; ++i)
+            idx.record_fault(key);
+        return std::move(idx).summarize().digest;
     };
-    EXPECT_EQ(got.entries(), expected);
-    EXPECT_EQ(got.size(), 5u);
-    EXPECT_EQ(got.total_samples(), 6);
-    EXPECT_EQ(got.total_faults(), 2);
-    EXPECT_EQ(got.quarantined_keys(),
-              std::vector<ProfileKey>{ProfileKey(c2, 3, 0)});
+    const ProfileKey k(c0, 0, 0);
+    const uint64_t base = digest(k, 10.0, 1, 0);
+    EXPECT_NE(digest(ProfileKey(c0, 0, 1), 10.0, 1, 0), base);
+    EXPECT_NE(digest(k, 9.0, 1, 0), base);
+    EXPECT_NE(digest(k, 10.0, 2, 0), base);
+    EXPECT_NE(digest(k, 10.0, 1, 1), base);
 }
 
-TEST(ProfileTable, ConcatRejectsTablesOutOfShardOrder)
+TEST(ProfileSummary, FoldRejectsShardsOutOfKeyOrder)
 {
+    // `quarantined` stays in key order only if shards fold in order.
     ProfileIndex first, second;
-    first.record(ProfileKey(ContextTable(1).root(), 0, 0), 1.0);
-    second.record(ProfileKey(ContextTable(0).root(), 0, 0), 1.0);
-    std::vector<ProfileTable> tables;
-    tables.push_back(std::move(first).freeze());
-    tables.push_back(std::move(second).freeze());
-    EXPECT_DEATH(ProfileTable::concat(std::move(tables)),
-                 "out of key order");
+    first.record_fault(ProfileKey(ContextTable(1).root(), 0, 0));
+    second.record_fault(ProfileKey(ContextTable(0).root(), 0, 0));
+    ProfileSummary got = std::move(first).summarize();
+    const ProfileSummary later = std::move(second).summarize();
+    EXPECT_DEATH(got.fold(later), "out of key order");
 }
 
 /**
@@ -400,8 +403,7 @@ TEST(CustomWirer, ParallelExplorationIdenticalUnderAutoboost)
               config_to_string(serial.best_config));
     EXPECT_DOUBLE_EQ(parallel.best_ns, serial.best_ns);
     EXPECT_EQ(parallel.minibatches, serial.minibatches);
-    EXPECT_EQ(parallel.index.total_samples(),
-              serial.index.total_samples());
+    EXPECT_EQ(parallel.profile, serial.profile);
     ASSERT_EQ(parallel.strategy_ns.size(), serial.strategy_ns.size());
     for (size_t i = 0; i < serial.strategy_ns.size(); ++i)
         EXPECT_DOUBLE_EQ(parallel.strategy_ns[i],

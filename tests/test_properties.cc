@@ -142,7 +142,7 @@ TEST(Determinism, ExplorationIsFullyReproducible)
     const WirerResult c = run();
     EXPECT_EQ(a.minibatches, c.minibatches);
     EXPECT_DOUBLE_EQ(a.best_ns, c.best_ns);
-    EXPECT_EQ(a.index.entries(), c.index.entries());
+    EXPECT_EQ(a.profile, c.profile);
 }
 
 TEST(Conservation, BusySmTimeNeverExceedsPoolCapacity)

@@ -3,8 +3,9 @@
  * Tests for the discrete-event GPU simulator: stream FIFO semantics,
  * event record/wait, launch overhead, SM-pool sharing across streams,
  * occupancy caps, determinism, autoboost-induced variance (§7),
- * profiling-event cost, and by-reference launches matching by-value
- * ones.
+ * profiling-event cost, by-reference launches matching by-value
+ * ones, and simulated HBM (allocation, faults, host backing on first
+ * use).
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "kernels/cost.h"
@@ -569,6 +572,35 @@ TEST(SimMemory, HostBackingIsZeroed)
     const float* f = mem.f32(p);
     for (int i = 0; i < 16; ++i)
         EXPECT_FLOAT_EQ(f[i], 0.0f);
+}
+
+TEST(SimMemory, DeferredHostBackingKeepsWrittenValues)
+{
+    // A pool gets its host storage on the first f32/i32 call, once
+    // (here uninitialized): every later view reads what earlier ones
+    // wrote, whichever thread asks first.
+    SimMemory mem(4096, /*zero=*/false);
+    const DevPtr a = mem.allocate(64);
+    const DevPtr b = mem.allocate(64);
+    std::vector<const float*> seen(4, nullptr);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < seen.size(); ++t)
+        readers.emplace_back([&, t] {
+            seen[t] = std::as_const(mem).f32(a);
+        });
+    for (std::thread& t : readers)
+        t.join();
+    float* f = mem.f32(a);
+    for (const float* p : seen)
+        EXPECT_EQ(p, f);
+    for (int i = 0; i < 16; ++i)
+        f[i] = 0.5f * static_cast<float>(i);
+    mem.i32(b)[3] = 42;
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(std::as_const(mem).f32(a)[i],
+                  0.5f * static_cast<float>(i));
+    EXPECT_EQ(mem.i32(b)[3], 42);
+    EXPECT_THROW(mem.f32(4096), MemoryError);
 }
 
 TEST(SimMemory, ExhaustionIsRecoverable)

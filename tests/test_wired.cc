@@ -146,11 +146,11 @@ TEST(CompilePlan, BarrierRendezvousesEveryStreamPair)
 /**
  * Hand-built two-step binary: steps 0 and 1 launch on different
  * streams with no synchronization; both define 1 KiB at arena offset
- * 0. Without a record/wait edge this is exactly the cross-stream reuse
- * the verifier exists to reject.
+ * 0 (`table`). Without a record/wait edge this is exactly the
+ * cross-stream reuse the verifier exists to reject.
  */
 WiredBinary
-cross_stream_reuse_binary()
+cross_stream_reuse_binary(ArenaTable& table)
 {
     WiredBinary bin;
     WiredProgram& p = bin.program;
@@ -171,9 +171,8 @@ cross_stream_reuse_binary()
     i1.node = 1;
     i1.def_step = 1;
     i1.last_use_step = 1;
-    bin.intervals = {i0, i1};
-    bin.defs = {0, 1};
-    bin.access = {{0, 0, 0, 1}, {0, 0, 1, 2}};
+    table.intervals = {i0, i1};
+    table.use_begin = {0, 0, 0};
     return bin;
 }
 
@@ -195,15 +194,16 @@ order_step1_after_step0(WiredProgram& p)
 
 TEST(VerifyWired, CatchesCrossStreamReuseWithoutOrdering)
 {
-    WiredBinary bin = cross_stream_reuse_binary();
-    const WiredVerdict bad = verify_wired(bin);
+    ArenaTable table;
+    WiredBinary bin = cross_stream_reuse_binary(table);
+    const WiredVerdict bad = verify_wired(bin, table);
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.why.find("overlap"), std::string::npos) << bad.why;
 
     // Ordering the two steps by hand must flip the verdict, proving the
     // check keys on the ordering and not on some structural accident.
     order_step1_after_step0(bin.program);
-    const WiredVerdict good = verify_wired(bin);
+    const WiredVerdict good = verify_wired(bin, table);
     EXPECT_TRUE(good.ok) << good.why;
 }
 
@@ -220,26 +220,27 @@ TEST(VerifyWired, CatchesStaleEventSlot)
     p.step_begin = {0, 1, 3};
     p.is_barrier = {0, 0};
     bin.kernels.resize(2);
-    const WiredVerdict v = verify_wired(bin);
+    const WiredVerdict v = verify_wired(bin, ArenaTable());
     EXPECT_FALSE(v.ok);
     EXPECT_NE(v.why.find("stale event slot"), std::string::npos) << v.why;
 }
 
 TEST(VerifyWired, CatchesUseBeforeDef)
 {
-    WiredBinary bin = cross_stream_reuse_binary();
+    ArenaTable table;
+    WiredBinary bin = cross_stream_reuse_binary(table);
     // Step 1 now *reads* interval 0 (defined by step 0 on the other
     // stream) instead of overlapping it.
-    bin.intervals[1].offset = 4096;
-    bin.uses = {0};
-    bin.access = {{0, 0, 0, 1}, {0, 1, 1, 2}};
-    const WiredVerdict bad = verify_wired(bin);
+    table.intervals[1].offset = 4096;
+    table.uses = {0};
+    table.use_begin = {0, 0, 1};
+    const WiredVerdict bad = verify_wired(bin, table);
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.why.find("use-before-def"), std::string::npos)
         << bad.why;
 
     order_step1_after_step0(bin.program);
-    const WiredVerdict good = verify_wired(bin);
+    const WiredVerdict good = verify_wired(bin, table);
     EXPECT_TRUE(good.ok) << good.why;
 }
 
@@ -267,11 +268,11 @@ TEST(VerifyWired, CatchesArenaOverlapWhileLive)
     i1.node = 1;
     i1.def_step = 1;
     i1.last_use_step = 1;
-    bin.intervals = {i0, i1};
-    bin.defs = {0, 1};
-    bin.uses = {0};
-    bin.access = {{0, 0, 0, 1}, {0, 0, 1, 2}, {0, 1, 2, 2}};
-    const WiredVerdict v = verify_wired(bin);
+    ArenaTable table;
+    table.intervals = {i0, i1};
+    table.uses = {0};
+    table.use_begin = {0, 0, 0, 1};
+    const WiredVerdict v = verify_wired(bin, table);
     EXPECT_FALSE(v.ok);
     EXPECT_NE(v.why.find("overlap-while-live"), std::string::npos)
         << v.why;
@@ -299,17 +300,17 @@ TEST(VerifyWired, SameStepOverlapNeedsATensorThatDiesInTheStep)
     ArenaInterval i1 = i0;
     i1.node = 1;
     i1.last_use_step = 1;
-    bin.intervals = {i0, i1};
-    bin.defs = {0, 1};
-    bin.uses = {1};
-    bin.access = {{0, 0, 0, 2}, {0, 1, 2, 2}};
-    const WiredVerdict good = verify_wired(bin);
+    ArenaTable table;
+    table.intervals = {i0, i1};
+    table.uses = {1};
+    table.use_begin = {0, 0, 1};
+    const WiredVerdict good = verify_wired(bin, table);
     EXPECT_TRUE(good.ok) << good.why;
 
-    bin.intervals[0].last_use_step = 1;
-    bin.uses = {0, 1};
-    bin.access = {{0, 0, 0, 2}, {0, 2, 2, 2}};
-    const WiredVerdict bad = verify_wired(bin);
+    table.intervals[0].last_use_step = 1;
+    table.uses = {0, 1};
+    table.use_begin = {0, 0, 2};
+    const WiredVerdict bad = verify_wired(bin, table);
     EXPECT_FALSE(bad.ok);
     EXPECT_NE(bad.why.find("overlap-while-live"), std::string::npos)
         << bad.why;
@@ -443,9 +444,10 @@ TEST(ReplayWired, ReuseArenaRecyclesBytesInsideAFusedStep)
     const GpuConfig gpu = pinned_gpu();
 
     const WiredBinary bin = lower_plan(plan, m.graph(), tmap, gpu);
+    const ArenaTable table = arena_table(plan, m.graph(), tmap);
     int same_step_overlaps = 0;
-    for (const ArenaInterval& a : bin.intervals)
-        for (const ArenaInterval& b : bin.intervals)
+    for (const ArenaInterval& a : table.intervals)
+        for (const ArenaInterval& b : table.intervals)
             same_step_overlaps +=
                 &a < &b && a.def_step >= 0 && a.def_step == b.def_step &&
                 a.offset < b.offset + b.bytes &&

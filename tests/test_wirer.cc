@@ -21,6 +21,7 @@
 #include "core/config_io.h"
 #include "models/data.h"
 #include "models/models.h"
+#include "obs/obs.h"
 #include "sim/faults.h"
 
 namespace astra {
@@ -129,18 +130,29 @@ TEST(CustomWirer, WorkConservingBindCalledEveryTrial)
 
 TEST(CustomWirer, ProfileIndexUsesContextPrefixes)
 {
+    // Every kernel span carries its step's profile key, so a traced
+    // exploration shows the keys the index was built from.
     const BuiltModel m = small_model();
     AstraSession session(m.graph(), timing_only(features_all()));
+    obs::reset();
+    obs::set_enabled(true);
     const WirerResult r = session.optimize();
+    obs::set_enabled(false);
+    ASSERT_EQ(obs::dropped_kernel_spans(), 0);
+    std::set<ProfileKey> keys;
+    for (const TraceSpan& span : obs::kernel_spans())
+        if (span.key.valid())
+            keys.insert(span.key);
+    obs::reset();
     const SearchSpace& space = session.space();
-    EXPECT_GT(r.index.size(), 0u);
+    EXPECT_GT(r.profile.keys, 0);
+    EXPECT_EQ(r.profile.keys, static_cast<int64_t>(keys.size()));
+    EXPECT_GE(r.profile.samples, r.profile.keys);
     // Keys under different strategies are distinct (alloc fork): each
     // strategy's contexts come from its own shard.
     std::set<uint32_t> shards;
     std::set<WirerVariable> kinds;
-    for (const auto& [key, stats] : r.index.entries()) {
-        EXPECT_GT(stats.count, 0);
-        EXPECT_GT(stats.min, 0.0);
+    for (ProfileKey key : keys) {
         shards.insert(ContextTable::shard_of(key.context()));
         kinds.insert(wirer_variable_kind(key.variable()));
         // A key's variable exists in this space and its choice is one
@@ -173,8 +185,7 @@ TEST(CustomWirer, ProfileIndexUsesContextPrefixes)
     EXPECT_EQ(kinds.size(), space.single_mms.empty() ? 3u : 4u);
     // A library variable's context is its group's bound chunk: it
     // extends its strategy's root, never is the root itself.
-    for (const auto& [key, stats] : r.index.entries()) {
-        (void)stats;
+    for (ProfileKey key : keys) {
         if (wirer_variable_kind(key.variable()) == WirerVariable::GroupLib) {
             EXPECT_NE(key.context(),
                       ContextTable(ContextTable::shard_of(key.context()))
@@ -243,11 +254,9 @@ expect_identical_results(const WirerResult& a, const WirerResult& b)
     ASSERT_EQ(a.strategy_ns.size(), b.strategy_ns.size());
     for (size_t i = 0; i < a.strategy_ns.size(); ++i)
         EXPECT_DOUBLE_EQ(a.strategy_ns[i], b.strategy_ns[i]);
-    // The merged profile index entry-for-entry, to the last bit.
-    ASSERT_EQ(a.index.size(), b.index.size());
-    EXPECT_EQ(a.index.total_samples(), b.index.total_samples());
-    EXPECT_EQ(a.index.total_faults(), b.index.total_faults());
-    EXPECT_EQ(a.index.entries(), b.index.entries());
+    // The merged profile index: counts, quarantine list and the digest
+    // of every entry, to the last bit.
+    EXPECT_EQ(a.profile, b.profile);
     // Full convergence history.
     EXPECT_EQ(report_json(a.convergence), report_json(b.convergence));
 }
@@ -415,7 +424,7 @@ TEST(CustomWirer, QuarantineTargetsOnlyFaultingKernels)
 
     // A library variable's choice is the GemmLib value; only Oai1's
     // keys may appear on the quarantine list.
-    const std::vector<ProfileKey> quarantined = r.index.quarantined_keys();
+    const std::vector<ProfileKey>& quarantined = r.profile.quarantined;
     ASSERT_FALSE(quarantined.empty());
     for (ProfileKey key : quarantined) {
         EXPECT_EQ(wirer_variable_kind(key.variable()),
