@@ -101,7 +101,6 @@ calibrated_traffic(serve::ReplicaFleet& fleet, uint64_t seed)
     cfg.base_rps = 0.35 * 4.0 * 1e9 / batch_ns;
     cfg.slo_ns = 30.0 * batch_ns;
     cfg.length_div = 10;  // PTB lengths scaled into the {4,6,8} buckets
-    cfg.min_length = 2;
     cfg.seed = seed;
     // One diurnal burst: 2x traffic over the middle fifth.
     cfg.bursts.push_back(

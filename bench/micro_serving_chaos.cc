@@ -13,7 +13,7 @@
  *     within a pinned completion budget of the heartbeat deadline.
  *  3. Overload shedding: a 2-replica fleet under ~2x capacity with a
  *     bounded queue — the EDF/goodput-aware drop rule must beat FIFO
- *     strict-overflow goodput strictly.
+ *     tail-drop goodput strictly.
  *  4. Determinism: repeating the death scenario on the same fleet
  *     reproduces every counter bit-identically.
  *
@@ -92,7 +92,6 @@ calibrated_traffic(double batch_ns, double load_frac, uint64_t seed)
     cfg.base_rps = load_frac * 4.0 * 1e9 / batch_ns;
     cfg.slo_ns = 30.0 * batch_ns;
     cfg.length_div = 10;
-    cfg.min_length = 2;
     cfg.seed = seed;
     cfg.bursts.push_back(
         {0.4 * cfg.duration_ns, 0.6 * cfg.duration_ns, 2.0});

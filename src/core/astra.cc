@@ -50,7 +50,7 @@ AstraSession::init()
     plan_modes_.clear();
 
     graph_->validate();
-    space_ = enumerate_search_space(*graph_, opts_.enumerator);
+    space_ = enumerate_search_space(*graph_);
     scheduler_ =
         std::make_unique<Scheduler>(*graph_, space_, opts_.sched);
 

@@ -32,7 +32,6 @@ struct AstraOptions
     AstraFeatures features;
     GpuConfig gpu;
     SchedulerOptions sched;
-    EnumeratorOptions enumerator;
     int num_streams = 2;
 
     /**

@@ -1,8 +1,6 @@
 #include "core/bucketed.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "obs/obs.h"
 #include "support/logging.h"
@@ -48,12 +46,6 @@ BucketedAstra::clamped_index(int length) const
             return static_cast<int>(i);
     // Longer than every bucket: the padded graph is *shorter* than the
     // input, so a real serving path would truncate tokens here.
-    if (strict_overflow_)
-        throw std::out_of_range(
-            "bucket_for(" + std::to_string(length) +
-            "): length exceeds largest bucket " +
-            std::to_string(lengths_.back()) +
-            " and strict overflow mode rejects truncation");
     return static_cast<int>(lengths_.size()) - 1;
 }
 

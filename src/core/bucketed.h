@@ -52,9 +52,9 @@ class BucketedAstra
      * size the largest bucket from the true length distribution.
      * Every overflow is tallied (overflow_count(), obs counter
      * "bucketed.length_overflows") so steady-state clamping is visible
-     * even after the one-shot warning went quiet. In strict mode
-     * (set_strict_overflow) an overflowing length throws
-     * std::out_of_range instead of silently truncating.
+     * even after the one-shot warning went quiet. The serving path
+     * never gets here with such a length: its admission queue rejects
+     * it first (serve/queue.h).
      */
     int bucket_for(int length) const;
 
@@ -65,20 +65,12 @@ class BucketedAstra
     }
 
     /**
-     * Reject lengths beyond the largest bucket (std::out_of_range)
-     * instead of clamping — for serving paths where silent token
-     * truncation is worse than a failed request.
-     */
-    void set_strict_overflow(bool strict) { strict_overflow_ = strict; }
-
-    /**
      * Simulated time of one steady-state mini-batch of true length.
      *
      * Routes through the non-counting index lookup: overflow tallying
      * belongs to bucket_for (the routing decision), so a request a
      * caller already routed is never double-counted when it is then
-     * served. Strict overflow mode still rejects here — serving a
-     * truncated request is as wrong as routing one.
+     * served.
      */
     double step_ns(int length) const;
 
@@ -102,9 +94,9 @@ class BucketedAstra
     /**
      * Pure index math shared by bucket_for and step_ns: smallest
      * covering bucket, clamped to the last one past the largest
-     * boundary (std::out_of_range in strict mode). No tally, no warn —
-     * callers that represent a *routing decision* count overflows,
-     * callers that serve an already-routed length must not.
+     * boundary. No tally, no warn — callers that represent a *routing
+     * decision* count overflows, callers that serve an already-routed
+     * length must not.
      */
     int clamped_index(int length) const;
 
@@ -126,7 +118,6 @@ class BucketedAstra
      */
     mutable std::atomic<bool> warned_overflow_{false};
     mutable std::atomic<int64_t> overflow_count_{0};
-    bool strict_overflow_ = false;
 
     /**
      * Cached handle of the "bucketed.length_overflows" counter: the

@@ -108,14 +108,14 @@ mining_keys(const Graph& graph)
 
 /** Chunk-size menu for a group of the given size (§4.8 range cap). */
 std::vector<int>
-make_chunk_options(int size, int max_options)
+make_chunk_options(int size)
 {
     std::vector<int> opts{1};
     for (int c = 2; c < size; c *= 2)
         opts.push_back(c);
     if (size > 1)
         opts.push_back(size);
-    while (static_cast<int>(opts.size()) > max_options)
+    while (static_cast<int>(opts.size()) > kMaxChunkOptions)
         opts.erase(opts.begin() + static_cast<long>(opts.size() / 2));
     return opts;
 }
@@ -152,12 +152,9 @@ group_flops(const Graph& graph, const std::vector<NodeId>& mms)
 }
 
 void
-finalize_group(const Graph& graph, FusionGroup* g,
-               const EnumeratorOptions& opts)
+finalize_group(const Graph& graph, FusionGroup* g)
 {
-    g->chunk_options =
-        make_chunk_options(static_cast<int>(g->mms.size()),
-                           opts.max_chunk_options);
+    g->chunk_options = make_chunk_options(static_cast<int>(g->mms.size()));
     g->flops = group_flops(graph, g->mms);
 }
 
@@ -219,7 +216,7 @@ rebuild_ladder_runs(const Graph& graph, FusionGroup* g)
 /** Mine sibling-GEMM batch fusion sets (§4.4.1 common-argument rule). */
 std::vector<FusionGroup>
 mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
-                  const MiningKeys& keys, const EnumeratorOptions& opts)
+                  const MiningKeys& keys)
 {
     std::vector<FusionGroup> out;
     std::vector<std::pair<int, NodeId>> parts;  // (partition, member)
@@ -261,8 +258,7 @@ mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
                         ok &= oracle.independent(m, c);
                     if (ok)
                         chosen.push_back(m);
-                    if (static_cast<int>(chosen.size()) >=
-                        opts.max_group_size)
+                    if (static_cast<int>(chosen.size()) >= kMaxGroupSize)
                         break;
                 }
                 if (static_cast<int>(chosen.size()) < 2)
@@ -281,7 +277,7 @@ mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
                              : FusionAxis::Batched;
                 if (!rebuild_batch_runs(graph, &g))
                     continue;
-                finalize_group(graph, &g, opts);
+                finalize_group(graph, &g);
                 out.push_back(std::move(g));
             }
         }
@@ -291,8 +287,7 @@ mine_batch_groups(const Graph& graph, const DependencyOracle& oracle,
 
 /** Mine GEMM-accumulator ladders (§4.4.1 fusion ladders). */
 std::vector<FusionGroup>
-mine_ladder_groups(const Graph& graph, const MiningKeys& keys,
-                   const EnumeratorOptions& opts)
+mine_ladder_groups(const Graph& graph, const MiningKeys& keys)
 {
     std::vector<FusionGroup> out;
     for (const Node& root : graph.nodes()) {
@@ -329,7 +324,7 @@ mine_ladder_groups(const Graph& graph, const MiningKeys& keys,
         for (auto it = spine.rbegin(); it != spine.rend(); ++it)
             leaves.push_back(graph.node(*it).inputs[1]);
         if (static_cast<int>(leaves.size()) < 2 ||
-            static_cast<int>(leaves.size()) > opts.max_group_size)
+            static_cast<int>(leaves.size()) > kMaxGroupSize)
             continue;
 
         // All leaves must be single-use MatMuls of identical shape.
@@ -353,7 +348,7 @@ mine_ladder_groups(const Graph& graph, const MiningKeys& keys,
                      : FusionAxis::Batched;
         if (!rebuild_ladder_runs(graph, &g))
             continue;
-        finalize_group(graph, &g, opts);
+        finalize_group(graph, &g);
         out.push_back(std::move(g));
     }
     return out;
@@ -367,7 +362,7 @@ RunRelation
 run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
              NodeId* sole_overlap)
 {
-    // Runs hold at most max_group_size members: a linear probe beats
+    // Runs hold at most kMaxGroupSize members: a linear probe beats
     // building a set per pair.
     size_t shared = 0;
     NodeId first_shared = kInvalidNode;
@@ -490,8 +485,7 @@ namespace {
  * runs are rebuilt from a subset of the members.
  */
 bool
-shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member,
-             const EnumeratorOptions& opts)
+shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member)
 {
     if (static_cast<int>(g->mms.size()) <= 2)
         return false;  // would fall below the fusion minimum
@@ -514,7 +508,7 @@ shrink_group(const Graph& graph, FusionGroup* g, NodeId offending_member,
                         : rebuild_ladder_runs(graph, g);
     if (!ok)
         return false;
-    finalize_group(graph, g, opts);
+    finalize_group(graph, g);
     return true;
 }
 
@@ -544,7 +538,7 @@ member_owning(const Graph& graph, const FusionGroup& g, NodeId node)
  */
 bool
 groups_conflict(const Graph& graph, ConflictRow& row, FusionGroup& a,
-                FusionGroup& b, const EnumeratorOptions& opts)
+                FusionGroup& b)
 {
     for (NodeId m : b.mms)
         if (row.is_member(m))
@@ -562,11 +556,11 @@ groups_conflict(const Graph& graph, ConflictRow& row, FusionGroup& a,
                     before > 2 ? member_owning(graph, victim, sole)
                                : kInvalidNode;
                 const bool shrunk = owner != kInvalidNode &&
-                                    shrink_group(graph, &victim, owner, opts);
+                                    shrink_group(graph, &victim, owner);
                 if (&victim == &a && a.mms.size() != before)
                     row.load(a);
                 if (shrunk)
-                    return groups_conflict(graph, row, a, b, opts);
+                    return groups_conflict(graph, row, a, b);
             }
             return true;
         }
@@ -600,8 +594,7 @@ for_each_footprint_node(const FusionGroup& g, F&& f)
  * group i in a ConflictRow, reloaded only when a shrink changes it.
  */
 std::vector<std::vector<size_t>>
-analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups,
-                  const EnumeratorOptions& opts)
+analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups)
 {
     const size_t n = groups.size();
     const size_t num_nodes = static_cast<size_t>(graph.size());
@@ -650,7 +643,7 @@ analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups,
         std::sort(partners.begin(), partners.end());
         pairs += static_cast<int64_t>(partners.size());
         for (size_t j : partners)
-            if (groups_conflict(graph, row, groups[i], groups[j], opts))
+            if (groups_conflict(graph, row, groups[i], groups[j]))
                 conflicting.push_back(j);
         row_end[i] = conflicting.size();
     }
@@ -798,7 +791,7 @@ strategy_orders(const Graph& graph, const std::vector<FusionGroup>& groups)
 }  // namespace
 
 SearchSpace
-enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
+enumerate_search_space(const Graph& graph)
 {
     obs::ScopedSpan obs_span(obs::Category::Enumerate,
                              "enumerate_search_space");
@@ -810,9 +803,8 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
         obs::ScopedSpan mine_span(obs::Category::Enumerate,
                                   "mine_fusion_groups");
         const MiningKeys keys = mining_keys(graph);
-        groups = mine_batch_groups(graph, oracle, keys, opts);
-        std::vector<FusionGroup> ladders =
-            mine_ladder_groups(graph, keys, opts);
+        groups = mine_batch_groups(graph, oracle, keys);
+        std::vector<FusionGroup> ladders = mine_ladder_groups(graph, keys);
         groups.insert(groups.end(), std::make_move_iterator(ladders.begin()),
                       std::make_move_iterator(ladders.end()));
     }
@@ -825,7 +817,7 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
     {
         obs::ScopedSpan conflict_span(obs::Category::Enumerate,
                                       "conflict_analysis");
-        conflicts = analyze_conflicts(graph, groups, opts);
+        conflicts = analyze_conflicts(graph, groups);
     }
 
     // Drop groups that degenerated below two members.
@@ -842,8 +834,7 @@ enumerate_search_space(const Graph& graph, const EnumeratorOptions& opts)
                                   "strategy_fork");
         std::set<std::vector<bool>> seen;
         for (const auto& order : strategy_orders(graph, space.groups)) {
-            if (static_cast<int>(space.strategies.size()) >=
-                opts.max_strategies)
+            if (static_cast<int>(space.strategies.size()) >= kMaxStrategies)
                 break;
             AllocStrategy s =
                 build_strategy(graph, space.groups, conflicts, order);

@@ -100,28 +100,25 @@ struct SearchSpace
     std::vector<AllocStrategy> strategies;
 };
 
-/** Knobs for the enumerator (coarse static knowledge, §4.8). */
-struct EnumeratorOptions
-{
-    /**
-     * Largest fusion set considered (diminishing returns beyond). A
-     * batch group keeps its first max_group_size mutually independent
-     * members, in id order; an accumulation ladder with more leaves is
-     * skipped outright, so from seq 17 a weight-gradient ladder (one
-     * leaf per timestep) is lost (ROADMAP item 1).
-     */
-    int max_group_size = 16;
+// ---- enumerator caps (coarse static knowledge, §4.8) -----------------
 
-    /** At most this many chunk options per group. */
-    int max_chunk_options = 4;
+/**
+ * Largest fusion set considered (diminishing returns beyond). A batch
+ * group keeps its first kMaxGroupSize mutually independent members, in
+ * id order; an accumulation ladder with more leaves is skipped
+ * outright, so from seq 17 a weight-gradient ladder (one leaf per
+ * timestep) is lost (ROADMAP item 1).
+ */
+inline constexpr int kMaxGroupSize = 16;
 
-    /** Cap on the allocation-strategy fork. */
-    int max_strategies = 6;
-};
+/** At most this many chunk options per group. */
+inline constexpr int kMaxChunkOptions = 4;
+
+/** Cap on the allocation-strategy fork. */
+inline constexpr int kMaxStrategies = 6;
 
 /** Run the enumerator over a graph. */
-SearchSpace enumerate_search_space(const Graph& graph,
-                                   const EnumeratorOptions& opts = {});
+SearchSpace enumerate_search_space(const Graph& graph);
 
 /**
  * The data-parallel dimension of the state space: which gradient

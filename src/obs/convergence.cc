@@ -96,17 +96,4 @@ ConvergenceReport::write_json(std::ostream& os) const
     os << "]}";
 }
 
-void
-ConvergenceReport::write_csv(std::ostream& os) const
-{
-    os << "strategy,stage,mode,trials,exhaustive,pruned,best_ns,"
-          "minibatches_total,whatif_evals\n";
-    for (const ConvergenceEpoch& e : epochs)
-        os << Num(e.strategy) << "," << e.stage << "," << e.mode << ","
-           << Num(e.trials) << "," << Num(e.exhaustive) << ","
-           << Num(e.pruned) << "," << Num(e.best_ns) << ","
-           << Num(e.minibatches_total) << "," << Num(e.whatif_evals)
-           << "\n";
-}
-
 }  // namespace astra

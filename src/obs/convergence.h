@@ -145,7 +145,7 @@ struct ConvergenceReport
 
     /**
      * Always 0; read by perfbench/spans.cc; delete with the next
-     * benchmark change. Not written to JSON or CSV.
+     * benchmark change. Not written to JSON.
      */
     int64_t predictor_pruned = 0;
 
@@ -157,9 +157,6 @@ struct ConvergenceReport
 
     /** Machine-readable dump: {"epochs":[...],"best_ns":...}. */
     void write_json(std::ostream& os) const;
-
-    /** Spreadsheet-friendly dump, one epoch per row. */
-    void write_csv(std::ostream& os) const;
 };
 
 }  // namespace astra

@@ -1,6 +1,7 @@
 #include "obs/obs.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -249,13 +250,25 @@ bool
 init_from_env()
 {
     const char* env = std::getenv("ASTRA_TRACE");
-    if (env == nullptr || *env == '\0' || std::string_view(env) == "0")
+    const std::string_view v = env == nullptr ? "" : env;
+    if (v.empty() || v == "0")
         return enabled();
-    if (std::string_view(env) == "1")
+    if (v == "1") {
         set_enabled(true);
-    else
-        set_trace_path(env);
-    return true;
+        return true;
+    }
+    if (v.ends_with(".json")) {
+        set_trace_path(std::string(v));
+        return true;
+    }
+    // Neither a switch nor a trace file: "false" or "off" must not
+    // turn tracing on and write a file of that name.
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+        std::fprintf(stderr,
+                     "ASTRA_TRACE ignored (want 0, 1 or FILE.json): '%s'\n",
+                     env);
+    return enabled();
 }
 
 void

@@ -184,10 +184,11 @@ int64_t dropped_kernel_spans();
 void reset();
 
 /**
- * Read ASTRA_TRACE. Empty/unset or "0": leave tracing off. Any other
- * value enables collection; a value that is not "1" is additionally
- * taken as an output path and a Chrome trace + text summary are
- * written there at process exit. Safe to call repeatedly.
+ * Read ASTRA_TRACE. Empty/unset or "0": leave tracing off. "1" enables
+ * collection. A path ending in ".json" enables collection, and a
+ * Chrome trace is written there at process exit. Any other value
+ * leaves tracing off, with one line on stderr per process.
+ * Safe to call repeatedly.
  * @return true when tracing is (already or now) enabled.
  */
 bool init_from_env();

@@ -50,7 +50,7 @@ struct ServeReport
     // ---- request accounting ------------------------------------------
     int64_t offered = 0;    ///< requests in the generated trace
     int64_t admitted = 0;   ///< routed into a bucket queue
-    int64_t rejected = 0;   ///< refused by strict overflow
+    int64_t rejected = 0;   ///< longer than the largest bucket
     int64_t served = 0;     ///< completed (served + rejected == offered)
     int64_t dropped = 0;    ///< admitted but never served (must be 0)
     int64_t deadline_misses = 0;

@@ -1,7 +1,5 @@
 #include "serve/queue.h"
 
-#include <stdexcept>
-
 #include "support/logging.h"
 
 namespace astra::serve {
@@ -25,16 +23,13 @@ AdmitResult
 AdmissionQueue::admit_bounded(const ServeRequest& r)
 {
     AdmitResult out;
-    int bucket = -1;
-    try {
-        bucket = router_->bucket_for(r.length);
-    } catch (const std::out_of_range&) {
-        // Strict overflow: the router refuses to truncate. Refusal is a
-        // per-request outcome here, not a job abort.
+    if (r.length > router_->bucket_lengths().back()) {
+        // No bucket covers it, and serving it would truncate tokens.
+        // Refusal is a per-request outcome here, not a job abort.
         ++rejected_;
         return out;
     }
-    auto& q = queues_[static_cast<size_t>(bucket)];
+    auto& q = queues_[static_cast<size_t>(router_->bucket_for(r.length))];
     if (capacity_ > 0 && q.size() >= capacity_) {
         ++overflowed_;
         if (policy_ == QueuePolicy::FifoOverflow) {
@@ -66,17 +61,12 @@ AdmissionQueue::admit_bounded(const ServeRequest& r)
 void
 AdmissionQueue::requeue(const ServeRequest& r)
 {
-    int bucket = -1;
-    try {
-        bucket = router_->bucket_for(r.length);
-    } catch (const std::out_of_range&) {
-        ASTRA_ASSERT(false && "requeue of a never-admissible request");
-        return;
-    }
+    ASTRA_ASSERT(r.length <= router_->bucket_lengths().back(),
+                 "requeue of a never-admissible request");
     // Front of the queue (it is the oldest work we hold), no admitted_
     // bump (it was counted at first admission), no capacity check (its
     // slot was already granted — failover must not turn into a drop).
-    queues_[static_cast<size_t>(bucket)].push_front(r);
+    queues_[static_cast<size_t>(router_->bucket_for(r.length))].push_front(r);
 }
 
 std::vector<ServeRequest>

@@ -9,13 +9,11 @@
  * amortize the padded graph over more requests) against deadline risk
  * (waiting for stragglers burns the head request's slack).
  *
- * Overflow policy is the router's: with the router in strict overflow
- * mode, a request longer than the largest bucket is *rejected at
- * admission* (tallied, visible in the report) instead of silently
- * truncated — on a serving path, a refused request is honest and a
- * truncated answer is not. In clamping mode the request is admitted
- * into the last bucket and the router's overflow tally records the
- * truncation exposure.
+ * A request longer than the largest bucket is *rejected at admission*
+ * (tallied in rejected(), visible in the report) instead of silently
+ * truncated: on a serving path, a refused request is honest and a
+ * truncated answer is not. So every admitted length has a covering
+ * bucket, and the router's clamp never fires on the serving path.
  */
 #pragma once
 
@@ -66,8 +64,7 @@ class AdmissionQueue
   public:
     /**
      * @param router the bucketed sessions whose bucket_for routes every
-     *        admission; must outlive the queue. Its strict-overflow
-     *        mode decides reject-vs-clamp.
+     *        admission; must outlive the queue.
      * @param capacity per-bucket queue bound (0 = unbounded).
      * @param policy what to do when a bucket is at capacity.
      */
@@ -78,8 +75,7 @@ class AdmissionQueue
 
     /**
      * Route and enqueue one request. Returns false (and tallies the
-     * rejection) when the router's strict overflow mode refuses the
-     * length.
+     * rejection) when the length exceeds the largest bucket.
      */
     bool admit(const ServeRequest& r);
 
@@ -94,7 +90,8 @@ class AdmissionQueue
      * Re-enqueue a request that was already admitted once (failover
      * retry): pushed at the *front* of its bucket so age order is
      * preserved, never counted as a second admission, and exempt from
-     * the capacity bound (its slot was already granted).
+     * the capacity bound (its slot was already granted). Its length
+     * must be admissible.
      */
     void requeue(const ServeRequest& r);
 
@@ -128,7 +125,7 @@ class AdmissionQueue
     /** Dequeue up to max_batch requests from one bucket, FIFO order. */
     std::vector<ServeRequest> pop_batch(int bucket, int max_batch);
 
-    /** Requests refused by strict overflow since construction. */
+    /** Requests refused as longer than the largest bucket. */
     int64_t rejected() const { return rejected_; }
 
     /** Requests admitted since construction. */

@@ -18,6 +18,14 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /**
+ * Batching patience as a fraction of the expected service time: a
+ * partially-full batch launches once the head request's remaining
+ * slack falls below (1 + kBatchWaitFrac) x the bucket's expected batch
+ * time; until then the dispatcher waits for more arrivals.
+ */
+constexpr double kBatchWaitFrac = 0.25;
+
+/**
  * Drift onset of an ascending clock schedule: the at_ns of its first
  * step that changes the clock (multiplier > 0 and != 1), or -1 when
  * none does. ServeReport's drift-detection request budget counts from
@@ -142,7 +150,7 @@ enum class Resolution : uint8_t
 {
     Pending,
     Served,
-    Rejected,  ///< strict-overflow refusal at admission
+    Rejected,  ///< over-long refusal at admission
     Evicted,   ///< lost to the capacity bound (either policy)
     Shed,      ///< dropped as hopeless before dispatch
     Failed,    ///< retries exhausted / fleet extinct
@@ -250,9 +258,8 @@ ReplicaFleet::optimize()
         for (auto& r : replicas_)
             r->install(b, p);
     }
-    heartbeat_ns_ = opts_.heartbeat_timeout_ns > 0.0
-                        ? opts_.heartbeat_timeout_ns
-                        : 2.0 * max_baseline;
+    // One missed batch-time is ambiguity, two is a verdict.
+    heartbeat_ns_ = 2.0 * max_baseline;
     optimized_ = true;
     return total;
 }
@@ -648,7 +655,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                 // the expected service time plus the patience margin.
                 const double launch_by =
                     queue.head(b).deadline_ns -
-                    (1.0 + opts_.base.batch_wait_frac) * p.baseline_ns;
+                    (1.0 + kBatchWaitFrac) * p.baseline_ns;
                 if (static_cast<int>(queue.depth(b)) <
                         opts_.base.max_batch &&
                     next_arrival < traffic.size() &&

@@ -16,8 +16,8 @@
  *  1. *Detection.* Replica liveness is a pure function of simulated
  *     time (sim/faults.h replica_death / replica_flap specs). Replicas
  *     heartbeat continuously while alive; the router declares a
- *     replica Dead when the heartbeat deadline (down edge +
- *     heartbeat_timeout_ns) passes, and an in-flight batch on a dying
+ *     replica Dead when the heartbeat deadline (down edge + 2 x the
+ *     largest bucket baseline) passes, and an in-flight batch on a dying
  *     replica surfaces at the same deadline. Because both the fault
  *     schedule and the traffic are seeded, every detection time — and
  *     therefore every failover count — is bit-reproducible.
@@ -35,7 +35,7 @@
  *     of tail-dropping the newest (serve/queue.h), and each dispatch
  *     first sheds requests whose deadline can no longer be met even if
  *     launched immediately — capacity goes to requests that still can
- *     win, so goodput strictly beats FIFO strict-overflow.
+ *     win, so goodput strictly beats FIFO tail-drop.
  *
  *  4. *Graceful degradation.* A per-(replica, bucket) drift watcher
  *     keeps the tail of served batch times since the plan's install
@@ -87,14 +87,6 @@ struct FleetOptions
      * replica 0 falls back to base.clock_schedule, others are calm.
      */
     std::vector<std::vector<ClockStep>> replica_clocks;
-
-    /**
-     * Heartbeat deadline: a replica is declared Dead this long after
-     * its last heartbeat (its down edge). <= 0 auto-derives
-     * 2 x the largest bucket baseline — one missed batch-time is
-     * ambiguity, two is a verdict.
-     */
-    double heartbeat_timeout_ns = 0.0;
 
     /** Per-bucket queue bound (0 = unbounded) and overflow policy. */
     size_t queue_capacity = 0;
@@ -185,7 +177,11 @@ class ReplicaFleet
     /** The effective fault plan (explicit or device-inherited). */
     const FaultPlan& faults() const { return faults_; }
 
-    /** The effective heartbeat timeout (after auto-derivation). */
+    /**
+     * Heartbeat deadline: a replica is declared Dead this long after
+     * its last heartbeat (its down edge), 2 x the largest bucket
+     * baseline (set by optimize()).
+     */
     double heartbeat_timeout_ns() const { return heartbeat_ns_; }
 
   private:

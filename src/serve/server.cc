@@ -44,10 +44,8 @@ BucketedServer::BucketedServer(ServeOptions opts)
 {
     ASTRA_ASSERT(!opts_.bucket_lengths.empty());
     ASTRA_ASSERT(opts_.max_batch > 0);
-    ASTRA_ASSERT(opts_.batch_wait_frac >= 0.0);
     router_ = std::make_unique<BucketedAstra>(opts_.bucket_lengths,
                                               opts_.build, opts_.astra);
-    router_->set_strict_overflow(opts_.strict_overflow);
 }
 
 BucketedServer::~BucketedServer() = default;

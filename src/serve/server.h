@@ -82,17 +82,6 @@ struct ServeOptions
      */
     int max_batch = 4;
 
-    /**
-     * Batching patience as a fraction of the expected service time: a
-     * partially-full batch launches once the head request's remaining
-     * slack falls below (1 + batch_wait_frac) x the bucket's expected
-     * batch time; until then the dispatcher waits for more arrivals.
-     */
-    double batch_wait_frac = 0.25;
-
-    /** Reject (don't truncate) lengths beyond the largest bucket. */
-    bool strict_overflow = true;
-
     DriftWatcherOptions watcher;
 
     /** Injected drift schedule, ascending by at_ns (empty = calm). */

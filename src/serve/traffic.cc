@@ -41,7 +41,7 @@ generate_traffic(const TrafficConfig& cfg)
 {
     ASTRA_ASSERT(cfg.duration_ns > 0.0 && cfg.base_rps > 0.0);
     ASTRA_ASSERT(cfg.slo_ns > 0.0);
-    ASTRA_ASSERT(cfg.length_div > 0 && cfg.min_length > 0);
+    ASTRA_ASSERT(cfg.length_div > 0);
     for (const BurstPhase& p : cfg.bursts)
         ASTRA_ASSERT(p.rate_multiplier > 0.0 && p.end_ns > p.start_ns);
 
@@ -70,7 +70,7 @@ generate_traffic(const TrafficConfig& cfg)
         ServeRequest r;
         r.id = static_cast<int64_t>(out.size());
         r.arrival_ns = t;
-        r.length = std::max(cfg.min_length,
+        r.length = std::max(kMinRequestLength,
                             sample_ptb_length(rng) / cfg.length_div);
         r.deadline_ns = t + cfg.slo_ns;
         out.push_back(r);

@@ -44,6 +44,9 @@ struct BurstPhase
     double rate_multiplier = 1.0;  ///< multiplies the base rate
 };
 
+/** Floor on sampled request lengths (tokens). */
+inline constexpr int kMinRequestLength = 2;
+
 /** Parameters of one generated trace. */
 struct TrafficConfig
 {
@@ -65,9 +68,6 @@ struct TrafficConfig
 
     /** PTB length scale divisor (graphs unroll per token; 1:4 scale). */
     int length_div = 4;
-
-    /** Floor on sampled lengths. */
-    int min_length = 2;
 
     uint64_t seed = 1;
 

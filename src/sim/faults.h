@@ -159,8 +159,10 @@ struct FaultPlan
 
     /**
      * The process-wide plan from ASTRA_FAULTS (empty when unset or
-     * malformed — a bad env spec must not crash every binary). Read
-     * once, then cached, like sim_autoboost_env().
+     * malformed — a bad env spec must not crash every binary, and is
+     * reported once on stderr). Read once, then cached; the other
+     * environment switches (sim_autoboost_env(), obs::init_from_env())
+     * parse as strictly.
      */
     static const FaultPlan& from_env();
 

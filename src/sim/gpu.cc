@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -20,7 +21,16 @@ sim_autoboost_env()
 {
     static const bool on = [] {
         const char* v = std::getenv("ASTRA_SIM_AUTOBOOST");
-        return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+        if (v == nullptr || *v == '\0' || std::strcmp(v, "0") == 0)
+            return false;
+        if (std::strcmp(v, "1") == 0)
+            return true;
+        // Not a boolean: stay off (the deterministic default), but say
+        // so — "false" or "off" must not silently mean on.
+        std::fprintf(stderr,
+                     "ASTRA_SIM_AUTOBOOST ignored (want 0 or 1): '%s'\n",
+                     v);
+        return false;
     }();
     return on;
 }
@@ -169,8 +179,7 @@ SimGpu::begin_command()
             clock_m_ = config_.forced_clock_multiplier;
             clock_sampled_ = true;
         } else if (config_.autoboost) {
-            clock_m_ = 1.0 + config_.autoboost_amplitude *
-                                 boost_rng_.next_double();
+            clock_m_ = 1.0 + kAutoboostAmplitude * boost_rng_.next_double();
             clock_sampled_ = true;
         }
     }

@@ -37,11 +37,15 @@
 namespace astra {
 
 /**
- * True when the ASTRA_SIM_AUTOBOOST environment variable is set to a
- * non-empty value other than "0" — the CI noise job uses it to run
- * the whole suite under clock jitter. Read once, then cached.
+ * True when the ASTRA_SIM_AUTOBOOST environment variable is "1" — the
+ * CI noise job uses it to run the whole suite under clock jitter.
+ * Unset, empty or "0" means off; any other value is ignored (off) with
+ * one line on stderr. Read once, then cached.
  */
 bool sim_autoboost_env();
+
+/** Max fractional speedup from autoboost (clock above base). */
+inline constexpr double kAutoboostAmplitude = 0.12;
 
 /** Device configuration (defaults approximate a P100). */
 struct GpuConfig
@@ -99,9 +103,6 @@ struct GpuConfig
      */
     bool autoboost = sim_autoboost_env();
 
-    /** Max fractional speedup from autoboost (clock above base). */
-    double autoboost_amplitude = 0.12;
-
     uint64_t autoboost_seed = 17;
 
     /**
@@ -154,7 +155,6 @@ class ClockDomain
 
     ClockDomain(const GpuConfig& config, uint64_t salt)
         : on_(config.autoboost),
-          amplitude_(config.autoboost_amplitude),
           rng_(config.autoboost_seed + kSeedMix * salt)
     {
     }
@@ -168,12 +168,11 @@ class ClockDomain
     {
         if (!on_)
             return 0.0;
-        return 1.0 + amplitude_ * rng_.next_double();
+        return 1.0 + kAutoboostAmplitude * rng_.next_double();
     }
 
   private:
     bool on_;
-    double amplitude_;
     Rng rng_;
 };
 

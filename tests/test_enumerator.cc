@@ -175,15 +175,17 @@ TEST(Enumerator, ChunkOptionsAscendWithOne)
 
 TEST(Enumerator, MaxGroupSizeCaps)
 {
+    // 40 fusable siblings: the batch group stops at the cap.
     GraphBuilder b;
     const NodeId x = b.input({8, 16});
-    for (int i = 0; i < 30; ++i)
+    for (int i = 0; i < 40; ++i)
         b.matmul(x, b.param({16, 16}));
-    EnumeratorOptions opts;
-    opts.max_group_size = 6;
-    const SearchSpace space = enumerate_search_space(b.graph(), opts);
+    const SearchSpace space = enumerate_search_space(b.graph());
+    ASSERT_FALSE(space.groups.empty());
+    size_t largest = 0;
     for (const FusionGroup& g : space.groups)
-        EXPECT_LE(g.mms.size(), 6u);
+        largest = std::max(largest, g.mms.size());
+    EXPECT_EQ(largest, static_cast<size_t>(kMaxGroupSize));
 }
 
 TEST(Enumerator, TwoDimensionalConflictForksStrategies)
@@ -283,7 +285,7 @@ TEST(Enumerator, PaperModelSearchSpacesArePinned)
 
 TEST(Enumerator, ExtraModelAndServingBucketSearchSpacesArePinned)
 {
-    // The pins above stay below max_group_size (16) everywhere. These
+    // The pins above stay below kMaxGroupSize (16) everywhere. These
     // add RHN and AttnLSTM at the zoo shape and the repo benchmark's
     // serving buckets (subLSTM, batch 8, hidden = embed 64, vocab 1000):
     // at seq 24 and 32 batch groups stop at 16 members and the longer
@@ -457,14 +459,13 @@ TEST(Enumerator, ShrunkGroupsKeepTheChunkOptionCap)
 {
     // Single-tensor conflict resolution shrinks StackedLSTM batch
     // groups at this shape; the re-finalized groups must still honor
-    // the caller's chunk-option cap.
+    // the chunk-option cap.
     const BuiltModel m = build_model(ModelKind::StackedLstm, zoo_shape());
-    EnumeratorOptions opts;
-    opts.max_chunk_options = 2;
-    const SearchSpace space = enumerate_search_space(m.graph(), opts);
+    const SearchSpace space = enumerate_search_space(m.graph());
     ASSERT_FALSE(space.groups.empty());
     for (const FusionGroup& g : space.groups)
-        EXPECT_LE(g.chunk_options.size(), 2u)
+        EXPECT_LE(g.chunk_options.size(),
+                  static_cast<size_t>(kMaxChunkOptions))
             << g.key << " (" << g.mms.size() << " members)";
 }
 

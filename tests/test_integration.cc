@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "core/astra.h"
@@ -222,23 +221,6 @@ TEST(Integration, BucketOverflowsAreTalliedAndReportable)
     EXPECT_EQ(bucketed.bucket_for(99), 2);
     EXPECT_EQ(bucketed.bucket_for(8), 2);  // exact fit: not an overflow
     EXPECT_EQ(bucketed.overflow_count(), 2);
-}
-
-TEST(Integration, StrictOverflowModeRejectsTruncation)
-{
-    // Serving stacks that would rather fail a request than silently
-    // truncate it opt into strict mode: an over-length batch throws
-    // instead of clamping.
-    AstraOptions opts;
-    opts.gpu.execute_kernels = false;
-    opts.features = features_fk();
-    BucketedAstra bucketed({4, 6, 8}, [](GraphBuilder&, int) {}, opts);
-    bucketed.set_strict_overflow(true);
-    EXPECT_EQ(bucketed.bucket_for(8), 2);  // in range: unaffected
-    EXPECT_THROW(bucketed.bucket_for(9), std::out_of_range);
-    bucketed.set_strict_overflow(false);
-    EXPECT_EQ(bucketed.bucket_for(9), 2);  // back to clamping
-    EXPECT_EQ(bucketed.overflow_count(), 1);
 }
 
 TEST(Integration, AutoboostDegradesAdaptationQuality)

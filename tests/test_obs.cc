@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -353,6 +354,31 @@ TEST(ObsCounters, ConcurrentRegistrationAndLookup)
                   kIters);
 }
 
+// ---- ASTRA_TRACE -----------------------------------------------------
+
+TEST(ObsEnv, TraceIgnoresValuesThatAreNeitherSwitchNorJsonPath)
+{
+    // "false" must not turn tracing on and write a trace file of that
+    // name at exit. It is ignored, with one stderr line per process
+    // however often the environment is read.
+    obs::reset();
+    obs::set_enabled(false);
+    const char* prior = std::getenv("ASTRA_TRACE");
+    const std::string saved = prior == nullptr ? "" : prior;
+    testing::internal::CaptureStderr();
+    for (const char* v : {"false", "off", "false", "0", ""}) {
+        ::setenv("ASTRA_TRACE", v, 1);
+        EXPECT_FALSE(obs::init_from_env()) << "'" << v << "'";
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    if (prior == nullptr)
+        ::unsetenv("ASTRA_TRACE");
+    else
+        ::setenv("ASTRA_TRACE", saved.c_str(), 1);
+    EXPECT_FALSE(obs::enabled());
+    EXPECT_EQ(err, "ASTRA_TRACE ignored (want 0, 1 or FILE.json): 'false'\n");
+}
+
 // ---- exporters -------------------------------------------------------
 
 TEST(ObsExport, KernelOnlyTraceIsValidJson)
@@ -530,7 +556,7 @@ TEST(ObsConvergence, WirerEmitsReport)
     EXPECT_EQ(rep.faults.quarantined_keys, 0);
 }
 
-TEST(ObsConvergence, JsonAndCsvExports)
+TEST(ObsConvergence, JsonExport)
 {
     // Written under a de_DE-style global locale (',' decimal, '.'
     // thousands): every number is still JSON, and reads back exact.
@@ -562,14 +588,6 @@ TEST(ObsConvergence, JsonAndCsvExports)
     EXPECT_EQ(epochs->array[0]->object.at("pruned")->number, 16380.0);
     EXPECT_EQ(epochs->array[0]->object.at("best_ns")->number,
               15985059.25);
-
-    std::ostringstream csv;
-    rep.write_csv(csv);
-    const std::string text = csv.str();
-    EXPECT_NE(text.find("strategy,stage,mode"), std::string::npos);
-    EXPECT_NE(text.find("1,chunks,parallel,4,16384,16380,15985059.25,4,0"),
-              std::string::npos)
-        << text;
 }
 
 TEST(ObsConvergence, TerminationAndFaultReportInJson)

@@ -3,8 +3,8 @@
  * Tests for the online serving loop (src/serve; a single server is a
  * one-replica ReplicaFleet) and the concurrency contract of the
  * bucketed routing path it leans on: race-free concurrent
- * bucket_for/step_ns, single-count overflow accounting,
- * strict-overflow rejection at admission, deterministic open-loop
+ * bucket_for/step_ns, single-count overflow accounting, rejection of
+ * over-long requests at admission, deterministic open-loop
  * traffic, the live re-wiring story — drift detection from window
  * statistics, an off-path re-wire, and a hot swap between mini-batches
  * whose installed configuration is bit-identical (by FNV fingerprint)
@@ -16,7 +16,6 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -162,25 +161,11 @@ TEST(BucketedRouting, OverflowCountedOncePerRoutingDecision)
     EXPECT_EQ(router.overflow_count(), 1);
 }
 
-TEST(BucketedRouting, StrictOverflowRejectsInsteadOfClamping)
-{
-    BucketedAstra router = make_router({3, 4});
-    router.optimize();
-    router.set_strict_overflow(true);
-
-    EXPECT_THROW((void)router.bucket_for(5), std::out_of_range);
-    EXPECT_THROW((void)router.step_ns(5), std::out_of_range);
-    EXPECT_EQ(router.bucket_for(4), 1);
-    // Rejected lengths are not clamps; the overflow tally stays clean.
-    EXPECT_EQ(router.overflow_count(), 0);
-}
-
 // ---- admission queue -------------------------------------------------
 
 TEST(AdmissionQueue, StrictOverflowRejectsAtAdmission)
 {
     BucketedAstra router = make_router({3, 4});
-    router.set_strict_overflow(true);
     serve::AdmissionQueue queue(router);
 
     serve::ServeRequest ok;
@@ -195,6 +180,8 @@ TEST(AdmissionQueue, StrictOverflowRejectsAtAdmission)
     EXPECT_EQ(queue.admitted(), 1);
     EXPECT_EQ(queue.rejected(), 1);
     EXPECT_EQ(queue.depth(), 1u);
+    // A refusal is not a clamp: the router's overflow tally stays clean.
+    EXPECT_EQ(router.overflow_count(), 0);
 }
 
 TEST(AdmissionQueue, RoutesToSmallestCoveringBucketAndBatchesFifo)
@@ -244,7 +231,7 @@ TEST(Traffic, DeterministicPoissonWithBursts)
         if (i > 0) {
             EXPECT_GE(a[i].arrival_ns, a[i - 1].arrival_ns);
         }
-        EXPECT_GE(a[i].length, cfg.min_length);
+        EXPECT_GE(a[i].length, serve::kMinRequestLength);
     }
 
     // The burst phase triples the rate over [50ms, 100ms): that
@@ -299,11 +286,6 @@ TEST(Traffic, RejectsDegenerateLengthConfig)
     zero_div.length_div = 0;  // would be integer division by zero
     EXPECT_DEATH((void)serve::generate_traffic(zero_div),
                  "length_div");
-
-    serve::TrafficConfig zero_min = cfg;
-    zero_min.min_length = 0;  // would emit zero-length requests
-    EXPECT_DEATH((void)serve::generate_traffic(zero_min),
-                 "min_length");
 }
 
 // ---- serving loop (a fleet of one replica) ---------------------------
@@ -325,7 +307,6 @@ TEST(Serve, CalmTrafficMeetsSloAndDropsNothing)
     so.build = scrnn_builder();
     so.astra = serve_astra_opts();
     so.max_batch = 4;
-    so.strict_overflow = false;
     serve::ReplicaFleet server(one_replica(std::move(so)));
     ASSERT_GT(server.optimize(), 0);
 
@@ -535,7 +516,7 @@ TEST(Serve, ObsCountersMirrorTheReport)
     serve::ReplicaFleet fleet(one_replica(std::move(so)));
     fleet.optimize();
     auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
-    traffic[5].length = 50;  // strict overflow: rejected at admission
+    traffic[5].length = 50;  // beyond the largest bucket: rejected
 
     obs::reset();
     obs::set_enabled(true);
@@ -558,7 +539,6 @@ TEST(Serve, StrictOverflowSurfacesRejectionsInReport)
     so.bucket_lengths = {3, 4};
     so.build = scrnn_builder();
     so.astra = serve_astra_opts();
-    so.strict_overflow = true;
     serve::ReplicaFleet server(one_replica(std::move(so)));
     server.optimize();
 
@@ -580,14 +560,13 @@ TEST(Serve, StrictOverflowSurfacesRejectionsInReport)
 
 TEST(Serve, StrictOverflowRejectedTrailingRequestsEndLoopCleanly)
 {
-    // Regression: when the *final* arrivals are all strict-overflow
-    // rejected while the queue is drained, the loop must terminate
+    // Regression: when the *final* arrivals are all rejected as
+    // over-long while the queue is drained, the loop must terminate
     // cleanly instead of reading past the end of the trace.
     serve::ServeOptions so;
     so.bucket_lengths = {3, 4};
     so.build = scrnn_builder();
     so.astra = serve_astra_opts();
-    so.strict_overflow = true;
     so.record_batches = true;
     serve::ReplicaFleet server(one_replica(std::move(so)));
     server.optimize();

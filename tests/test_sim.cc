@@ -306,7 +306,7 @@ TEST(SimGpu, ClockQueryNormalizesJitter)
         const double span = measure(gpu);
         const double m = gpu.clock_multiplier();
         EXPECT_GE(m, 1.0);
-        EXPECT_LE(m, 1.0 + cfg.autoboost_amplitude);
+        EXPECT_LE(m, 1.0 + kAutoboostAmplitude);
         boosted = boosted || m > 1.0;
         EXPECT_NEAR(span * m, base, 1e-9 * base);
     }
@@ -356,7 +356,7 @@ TEST(ClockDomain, DrawSequenceIsSeededAndSalted)
         const double m = a.draw();
         EXPECT_DOUBLE_EQ(m, b.draw());  // same (seed, salt): same run
         EXPECT_GE(m, 1.0);
-        EXPECT_LE(m, 1.0 + cfg.autoboost_amplitude);
+        EXPECT_LE(m, 1.0 + kAutoboostAmplitude);
         salt_differs = salt_differs || m != other.draw();
     }
     EXPECT_TRUE(salt_differs);  // distinct strands see distinct jitter
