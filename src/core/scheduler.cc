@@ -50,6 +50,7 @@ unit_signature(const Graph& graph, const PlanStep& unit)
 
 std::vector<PlanStep>
 Scheduler::assemble_units(const ScheduleConfig& config,
+                          const std::vector<int>& owner,
                           const std::map<int, int>& forced_chunk) const
 {
     const AllocStrategy& strat =
@@ -65,19 +66,13 @@ Scheduler::assemble_units(const ScheduleConfig& config,
         }
     };
 
-    // Group id of every grouped MatMul (for lib/profile lookup when it
-    // executes unfused).
-    std::vector<int> group_of(static_cast<size_t>(graph_.size()), -1);
+    // The ladder of every ladder Add (a chain's Adds belong to it
+    // alone), for its profile key when it executes unfused.
     std::vector<int> ladder_add_group(static_cast<size_t>(graph_.size()),
                                       -1);
-    for (const FusionGroup& g : space_.groups) {
-        for (NodeId m : g.mms)
-            if (group_of[static_cast<size_t>(m)] < 0)
-                group_of[static_cast<size_t>(m)] = g.id;
+    for (const FusionGroup& g : space_.groups)
         for (NodeId a : g.adds)
-            if (ladder_add_group[static_cast<size_t>(a)] < 0)
-                ladder_add_group[static_cast<size_t>(a)] = g.id;
-    }
+            ladder_add_group[static_cast<size_t>(a)] = g.id;
 
     // ---- fused GEMM chunks ------------------------------------------------
     for (const FusionGroup& g : space_.groups) {
@@ -201,7 +196,8 @@ Scheduler::assemble_units(const ScheduleConfig& config,
         step.kind = StepKind::Single;
         step.nodes = {n.id};
         if (n.is_matmul()) {
-            const int g = group_of[static_cast<size_t>(n.id)];
+            // An unfused GEMM is timed and tuned by its owner.
+            const int g = owner[static_cast<size_t>(n.id)];
             if (g >= 0) {
                 step.lib =
                     g < static_cast<int>(config.group_lib.size())
@@ -250,11 +246,14 @@ Scheduler::build_units(const ScheduleConfig& config) const
     // while member B2 feeds member A2). The repair loop halves the
     // fusion chunk of every group caught in a cycle and re-assembles —
     // the standard fusion-clustering cycle-breaking strategy.
+    const std::vector<int> owner = gemm_owners(
+        space_, space_.strategies[strategy_slot(config.strategy)],
+        graph_.size());
     std::map<int, int> forced_chunk;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::vector<PlanStep> unplaced;
         std::vector<PlanStep> ordered = topo_sort_steps(
-            assemble_units(config, forced_chunk), graph_, &unplaced);
+            assemble_units(config, owner, forced_chunk), graph_, &unplaced);
         if (unplaced.empty())
             return ordered;
 
@@ -264,7 +263,11 @@ Scheduler::build_units(const ScheduleConfig& config) const
             if (step.kind != StepKind::FusedGemm &&
                 step.kind != StepKind::LadderGemm)
                 continue;
-            // Identify the group by its first member GEMM.
+            // Identify the group by its first member GEMM, through the
+            // first group listing it. That may be a disabled group,
+            // which cannot fuse, and then the step's own group keeps its
+            // chunk this attempt; reading the owner instead lowers
+            // GNMT's tuned speed (DESIGN.md §5.3).
             for (const FusionGroup& g : space_.groups) {
                 if (std::find(g.mms.begin(), g.mms.end(),
                               step.nodes[0]) == g.mms.end())

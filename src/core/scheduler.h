@@ -168,9 +168,13 @@ class Scheduler
         std::shared_ptr<const PlanSkeleton> value;
     };
 
-    /** One assembly pass (no cycle repair); forced_chunk caps groups. */
+    /**
+     * One assembly pass (no cycle repair); forced_chunk caps groups.
+     * `owner` is gemm_owners() under the config's strategy.
+     */
     std::vector<PlanStep>
     assemble_units(const ScheduleConfig& config,
+                   const std::vector<int>& owner,
                    const std::map<int, int>& forced_chunk) const;
 
     /** Static per-unit cost estimate (flops + bytes + launch). */

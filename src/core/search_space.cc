@@ -154,7 +154,10 @@ group_flops(const Graph& graph, const std::vector<NodeId>& mms)
 void
 finalize_group(const Graph& graph, FusionGroup* g)
 {
-    g->chunk_options = make_chunk_options(static_cast<int>(g->mms.size()));
+    // A ladder may list more leaves than one kernel fuses: its chunks
+    // stop at kMaxGroupSize and the tail runs in further chunks.
+    g->chunk_options = make_chunk_options(
+        std::min(static_cast<int>(g->mms.size()), kMaxGroupSize));
     g->flops = group_flops(graph, g->mms);
 }
 
@@ -323,9 +326,6 @@ mine_ladder_groups(const Graph& graph, const MiningKeys& keys)
         leaves.push_back(graph.node(spine.back()).inputs[0]);
         for (auto it = spine.rbegin(); it != spine.rend(); ++it)
             leaves.push_back(graph.node(*it).inputs[1]);
-        if (static_cast<int>(leaves.size()) < 2 ||
-            static_cast<int>(leaves.size()) > kMaxGroupSize)
-            continue;
 
         // All leaves must be single-use MatMuls of identical shape.
         const int sig = keys.signature[static_cast<size_t>(leaves[0])];
@@ -362,8 +362,9 @@ RunRelation
 run_relation(const AdjacencyRun& a, const AdjacencyRun& b,
              NodeId* sole_overlap)
 {
-    // Runs hold at most kMaxGroupSize members: a linear probe beats
-    // building a set per pair.
+    // Runs are short (a batch group's hold at most kMaxGroupSize
+    // members, a ladder's one per leaf): a linear probe beats building
+    // a set per pair.
     size_t shared = 0;
     NodeId first_shared = kInvalidNode;
     for (NodeId m : b.members) {
@@ -864,6 +865,22 @@ enumerate_search_space(const Graph& graph)
         .add(static_cast<int64_t>(space.single_mms.size()));
 
     return space;
+}
+
+std::vector<int>
+gemm_owners(const SearchSpace& space, const AllocStrategy& strategy,
+            int num_nodes)
+{
+    std::vector<int> owner(static_cast<size_t>(num_nodes), -1);
+    for (const FusionGroup& g : space.groups)
+        if (strategy.group_enabled[static_cast<size_t>(g.id)])
+            for (NodeId m : g.mms)
+                owner[static_cast<size_t>(m)] = g.id;
+    for (const FusionGroup& g : space.groups)
+        for (NodeId m : g.mms)
+            if (owner[static_cast<size_t>(m)] < 0)
+                owner[static_cast<size_t>(m)] = g.id;
+    return owner;
 }
 
 DataParallelSpace

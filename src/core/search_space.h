@@ -103,11 +103,13 @@ struct SearchSpace
 // ---- enumerator caps (coarse static knowledge, §4.8) -----------------
 
 /**
- * Largest fusion set considered (diminishing returns beyond). A batch
+ * Largest fused kernel considered (diminishing returns beyond). A batch
  * group keeps its first kMaxGroupSize mutually independent members, in
- * id order; an accumulation ladder with more leaves is skipped
- * outright, so from seq 17 a weight-gradient ladder (one leaf per
- * timestep) is lost (ROADMAP item 1).
+ * id order. An accumulation ladder keeps every leaf (a weight-gradient
+ * ladder has one per timestep) but fuses at most kMaxGroupSize of them
+ * per kernel: its largest chunk option is kMaxGroupSize, and each
+ * later chunk carries in the previous chunk's partial sum, so the
+ * summation order stays the unfused add chain's.
  */
 inline constexpr int kMaxGroupSize = 16;
 
@@ -119,6 +121,19 @@ inline constexpr int kMaxStrategies = 6;
 
 /** Run the enumerator over a graph. */
 SearchSpace enumerate_search_space(const Graph& graph);
+
+/**
+ * Each MatMul's *owner* under an allocation strategy: the variable
+ * that decides its GEMM library and profile key, fused or not. That is
+ * the strategy's enabled group listing it (enabled groups are
+ * disjoint), else the first group listing it, else the MatMul itself.
+ * Indexed by node id over `num_nodes`: the owning group's id, or -1
+ * for a standalone MatMul (SearchSpace::single_mms) and for every
+ * other node. The scheduler attributes units by it and the wirer gives
+ * every owning group a library variable.
+ */
+std::vector<int> gemm_owners(const SearchSpace& space,
+                             const AllocStrategy& strategy, int num_nodes);
 
 /**
  * The data-parallel dimension of the state space: which gradient

@@ -449,19 +449,24 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
             chunk_leaves, chunk_exhaustive);
     }
 
-    // Library variables: per enabled group and per standalone GEMM.
-    // Disabled groups are forced unfused by the scheduler and are
-    // owned by a conflicting enabled group under this strategy, so
-    // a library variable for them would only inflate the state
-    // space (Table 7) without affecting the schedule.
+    // Library variables: one per owner of a GEMM (gemm_owners), the
+    // variable the scheduler reads that GEMM's library and key from.
+    // Every enabled group owns its members. A disabled group runs
+    // unfused and owns the members no enabled group lists, if it is
+    // the first group to list them; it owns nothing otherwise, and a
+    // variable for it would only inflate the state space (Table 7).
     std::vector<VarPtr> lib_vars(space.groups.size());
     std::map<NodeId, VarPtr> single_vars;
     std::vector<std::unique_ptr<UpdateNode>> lib_leaves;
     int64_t lib_exhaustive = 1;
     if (opts.features.kernel_choice) {
+        std::vector<char> owns(space.groups.size(), 0);
+        for (int g : gemm_owners(space, strat, session.graph().size()))
+            if (g >= 0)
+                owns[static_cast<size_t>(g)] = 1;
         for (const FusionGroup& g : space.groups) {
             const auto gi = static_cast<size_t>(g.id);
-            if (!strat.group_enabled[gi])
+            if (!owns[gi])
                 continue;
             const int warm_lib =
                 warm.has_config && gi < warm.config.group_lib.size()
@@ -614,7 +619,8 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
                              cv->current())]
                        : 1;
                 // The group's bound chunk value, not its option index:
-                // a group without a chunk variable runs unfused.
+                // a group without a chunk variable (a disabled owner)
+                // runs unfused.
                 lv->set_context(run.contexts.extend(
                     root,
                     wirer_variable_id(WirerVariable::GroupChunk, g.id),

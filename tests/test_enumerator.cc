@@ -288,8 +288,8 @@ TEST(Enumerator, ExtraModelAndServingBucketSearchSpacesArePinned)
     // The pins above stay below kMaxGroupSize (16) everywhere. These
     // add RHN and AttnLSTM at the zoo shape and the repo benchmark's
     // serving buckets (subLSTM, batch 8, hidden = embed 64, vocab 1000):
-    // at seq 24 and 32 batch groups stop at 16 members and the longer
-    // ladders are skipped (ROADMAP item 1).
+    // at seq 24 and 32 batch groups stop at 16 members, and the longer
+    // ladders keep every leaf with chunks of at most 16.
     const std::pair<ModelKind, const char*> zoo[] = {
         {ModelKind::Rhn, "db71d0af2e1b81b5"},
         {ModelKind::AttnLstm, "fb544696f992bacb"},
@@ -304,8 +304,8 @@ TEST(Enumerator, ExtraModelAndServingBucketSearchSpacesArePinned)
     const std::pair<int64_t, const char*> buckets[] = {
         {8, "176b5cf8680d8639"},
         {16, "cab400b9beaded4a"},
-        {24, "eb5f1a3247e74175"},
-        {32, "1dd5db54062feac2"},
+        {24, "213a248835bbe4a7"},
+        {32, "4f30e7e132487341"},
     };
     for (const auto& [seq, digest] : buckets) {
         const BuiltModel m = build_model(

@@ -21,6 +21,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -40,9 +41,14 @@
 namespace astra {
 namespace {
 
-/** Random layered DAG with fusable sibling GEMMs and add chains. */
+/**
+ * Random layered DAG with fusable sibling GEMMs and add chains. Its
+ * ladders draw 2-4 leaves, or with `long_ladders` 17-40, past the
+ * largest fused kernel (kMaxGroupSize), and then the first layer is
+ * always a ladder.
+ */
 GraphBuilder
-random_graph(uint64_t seed)
+random_graph(uint64_t seed, bool long_ladders = false)
 {
     Rng rng(seed);
     GraphBuilder b;
@@ -58,7 +64,8 @@ random_graph(uint64_t seed)
         GraphBuilder::Scoped scope(b, "L" + std::to_string(layer));
         const NodeId x =
             live[rng.next_below(live.size())];
-        switch (rng.next_below(4)) {
+        const uint64_t kind = rng.next_below(4);
+        switch (long_ladders && layer == 0 ? 1 : kind) {
           case 0: {  // sibling GEMMs off one operand (batch-fusable)
             const int n = 2 + static_cast<int>(rng.next_below(3));
             for (int i = 0; i < n; ++i)
@@ -67,6 +74,21 @@ random_graph(uint64_t seed)
             break;
           }
           case 1: {  // accumulation ladder (ladder-fusable)
+            if (long_ladders) {
+                // An RNN weight-gradient shape: one weight, a fresh
+                // operand per leaf (a leaf may not repeat one), so the
+                // backward pass accumulates the weight's gradient
+                // through as long a ladder.
+                const int n = 17 + static_cast<int>(rng.next_below(24));
+                const NodeId w = b.param({dim, dim});
+                NodeId acc = b.matmul(b.tanh(x), w);
+                for (int i = 1; i < n; ++i)
+                    acc = b.add(acc, b.matmul(b.tanh(live[rng.next_below(
+                                                  live.size())]),
+                                              w));
+                live.push_back(acc);
+                break;
+            }
             const int n = 2 + static_cast<int>(rng.next_below(3));
             NodeId acc = b.matmul(x, b.param({dim, dim}));
             for (int i = 1; i < n; ++i)
@@ -102,18 +124,21 @@ random_graph(uint64_t seed)
     return b;
 }
 
-class FuzzPipeline : public ::testing::TestWithParam<uint64_t>
-{};
-
-TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
+/**
+ * Six random configurations of one random graph, through the whole
+ * pipeline. Each must cover every node exactly once in topological
+ * order, be emitted the same by a warm and a fresh scheduler, attribute
+ * every GEMM unit to its owner (testutil::attribution_errors), match
+ * the native dispatch's loss bit for bit, and lower to a binary that
+ * replays to the same loss and timings.
+ */
+void
+check_random_configs(const Graph& g, const SearchSpace& space,
+                     uint64_t seed)
 {
-    GraphBuilder gb = random_graph(GetParam());
-    const Graph& g = gb.graph();
-    g.validate();
-
     // Native reference values.
     testutil::Runner native(g);
-    Rng data_rng(GetParam() ^ 0xabcdef);
+    Rng data_rng(seed ^ 0xabcdef);
     bind_all(g, native.tmap(), data_rng);
     native.run_native();
     NodeId loss = kInvalidNode;
@@ -124,32 +149,16 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
     const float expect = native.scalar(loss);
     ASSERT_TRUE(std::isfinite(expect));
 
-    const SearchSpace space = enumerate_search_space(g);
-    // The enumerator's output, pinned byte for byte per seed
-    // (testutil::search_space_dump): the space the wirer explores
-    // changes only on purpose.
-    static const char* const kSpaceDigests[] = {
-        "5dcbcb9509b4af14", "28e0948245cd5c8b", "4227d37dcc6fda79",
-        "6f15c9c81bd34bdb", "7b98ac7d3537c5a4", "02b829a88ba93c9b",
-        "bcfc869012c70d90", "a5f3d8c3f151954d", "58db41f197cb64c8",
-        "c0cf1e74d050c963", "5560a64df7f6e8ac", "2d815ee8b0ff6362",
-        "0a9633840941e42f", "9d6b87f17208f9ec", "970d3da2a24bfc8a",
-        "1c058d621f927191", "995978cb13e12be4", "4eb5991b7d0d5710",
-        "64e52a981b83d15b", "1f685bf06c8accf9", "b50e5f21a58429ee",
-        "45ebac4d8e02efa3", "52081ae8c9f69e68", "71977b1d211764e8",
-    };
-    ASSERT_LE(GetParam(), std::size(kSpaceDigests));
-    EXPECT_EQ(testutil::search_space_digest(space),
-              kSpaceDigests[GetParam() - 1])
-        << "seed " << GetParam();
     SchedulerOptions sopts;
     sopts.super_epoch_ns = 50000.0;
     const Scheduler sched(g, space, sopts);
 
-    Rng cfg_rng(GetParam() * 31 + 7);
-    // Epoch choices draw from their own stream, so the bindings above
-    // stay the ones the space digests were taken with.
-    Rng choice_rng(GetParam() * 131 + 3);
+    Rng cfg_rng(seed * 31 + 7);
+    // Epoch choices and standalone libraries draw from their own
+    // streams, so the bindings above stay the ones the space digests
+    // were taken with.
+    Rng choice_rng(seed * 131 + 3);
+    Rng single_rng(seed * 71 + 5);
     const auto draw_choices = [&](ScheduleConfig cfg) {
         const StreamSpace ss = sched.stream_space(cfg);
         for (const EpochInfo& e : ss.epochs)
@@ -176,6 +185,13 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             cfg.group_keys[grp.id] =
                 testutil::wirer_key(WirerVariable::GroupChunk, grp.id);
         }
+        for (size_t i = 0; i < space.single_mms.size(); ++i) {
+            const NodeId id = space.single_mms[i];
+            cfg.single_lib[id] =
+                static_cast<GemmLib>(single_rng.next_below(kNumGemmLibs));
+            cfg.single_keys[id] = testutil::wirer_key(
+                WirerVariable::SingleLib, static_cast<int>(i));
+        }
         if (cfg.use_streams) {
             // Warm the shared scheduler on a sibling (same binding,
             // other epoch choices): the plan it then emits from the
@@ -192,9 +208,9 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
         const ExecutionPlan plan = sched.build(cfg);
         EXPECT_EQ(testutil::plan_dump(plan),
                   testutil::plan_dump(Scheduler(g, space, sopts).build(cfg)))
-            << "seed " << GetParam() << " trial " << trial;
+            << "seed " << seed << " trial " << trial;
 
-        // Coverage + order invariant.
+        // Coverage + order invariant, and attribution.
         const auto units = sched.build_units(cfg);
         std::set<NodeId> covered;
         for (const PlanStep& u : units)
@@ -206,6 +222,8 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             if (!op_is_source(n.kind)) {
                 ASSERT_TRUE(covered.count(n.id)) << "node %" << n.id;
             }
+        EXPECT_EQ(testutil::attribution_errors(g, space, cfg, units), "")
+            << "seed " << seed << " trial " << trial;
 
         // Value invariant, on the strategy's own layout. The device is
         // pinned to base clock and no faults: the timing identity below
@@ -214,11 +232,11 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
             g, space.strategies[static_cast<size_t>(cfg.strategy)].runs);
         cand.config().autoboost = false;
         cand.config().faults = FaultPlan();
-        Rng data_rng2(GetParam() ^ 0xabcdef);
+        Rng data_rng2(seed ^ 0xabcdef);
         bind_all(g, cand.tmap(), data_rng2);
         const DispatchResult dispatched = cand.run(plan);
         ASSERT_EQ(cand.scalar(loss), expect)
-            << "seed " << GetParam() << " trial " << trial;
+            << "seed " << seed << " trial " << trial;
 
         // Steady state: the lowered binary (which lower_plan proves
         // with verify_wired) replays to the same loss (recomputed, not
@@ -228,16 +246,74 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
         cand.tmap().f32(loss)[0] = std::nanf("");
         const DispatchResult replayed = replay_wired(bin, cand.config());
         EXPECT_EQ(cand.scalar(loss), expect)
-            << "seed " << GetParam() << " trial " << trial;
+            << "seed " << seed << " trial " << trial;
         EXPECT_EQ(replayed.total_ns, dispatched.total_ns)
-            << "seed " << GetParam() << " trial " << trial;
+            << "seed " << seed << " trial " << trial;
         EXPECT_EQ(replayed.profile_ns, dispatched.profile_ns)
-            << "seed " << GetParam() << " trial " << trial;
+            << "seed " << seed << " trial " << trial;
     }
+}
+
+class FuzzPipeline : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
+{
+    GraphBuilder gb = random_graph(GetParam());
+    const Graph& g = gb.graph();
+    g.validate();
+
+    const SearchSpace space = enumerate_search_space(g);
+    // The enumerator's output, pinned byte for byte per seed
+    // (testutil::search_space_dump): the space the wirer explores
+    // changes only on purpose.
+    static const char* const kSpaceDigests[] = {
+        "5dcbcb9509b4af14", "28e0948245cd5c8b", "4227d37dcc6fda79",
+        "6f15c9c81bd34bdb", "7b98ac7d3537c5a4", "02b829a88ba93c9b",
+        "bcfc869012c70d90", "a5f3d8c3f151954d", "58db41f197cb64c8",
+        "c0cf1e74d050c963", "5560a64df7f6e8ac", "2d815ee8b0ff6362",
+        "0a9633840941e42f", "9d6b87f17208f9ec", "970d3da2a24bfc8a",
+        "1c058d621f927191", "995978cb13e12be4", "4eb5991b7d0d5710",
+        "64e52a981b83d15b", "1f685bf06c8accf9", "b50e5f21a58429ee",
+        "45ebac4d8e02efa3", "52081ae8c9f69e68", "71977b1d211764e8",
+    };
+    ASSERT_LE(GetParam(), std::size(kSpaceDigests));
+    EXPECT_EQ(testutil::search_space_digest(space),
+              kSpaceDigests[GetParam() - 1])
+        << "seed " << GetParam();
+    check_random_configs(g, space, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<uint64_t>(1, 25));
+
+class FuzzLongLadders : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(FuzzLongLadders, SplitLaddersAreValueIdentical)
+{
+    // Ladders longer than one fused kernel are split into chunks of at
+    // most kMaxGroupSize leaves, each later chunk carrying in the
+    // previous chunk's partial sum.
+    GraphBuilder gb = random_graph(GetParam(), /*long_ladders=*/true);
+    const Graph& g = gb.graph();
+    g.validate();
+    const SearchSpace space = enumerate_search_space(g);
+    size_t longest = 0;
+    for (const FusionGroup& grp : space.groups) {
+        EXPECT_LE(grp.chunk_options.size(),
+                  static_cast<size_t>(kMaxChunkOptions));
+        EXPECT_LE(grp.chunk_options.back(), kMaxGroupSize);
+        if (grp.kind == GroupKind::Ladder)
+            longest = std::max(longest, grp.mms.size());
+    }
+    EXPECT_GT(longest, static_cast<size_t>(kMaxGroupSize))
+        << "seed " << GetParam();
+    check_random_configs(g, space, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLongLadders,
+                         ::testing::Range<uint64_t>(1, 9));
 
 // ---- the dependency oracle against graph search ---------------------------
 

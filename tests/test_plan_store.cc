@@ -748,12 +748,12 @@ TEST(PlanStoreWarmStart, ScrnnEmbedNeighborExploresResidualSpace)
         "plan_store_residual_scrnn", ModelKind::Scrnn,
         /*normalize_clock=*/false, /*autoboost=*/false);
     EXPECT_EQ(cold.convergence.store_tier, "miss");
-    EXPECT_EQ(cold.minibatches, 415);
-    EXPECT_EQ(config_fnv(cold.best_config), "e5ef077cb869bb71");
+    EXPECT_EQ(cold.minibatches, 385);
+    EXPECT_EQ(config_fnv(cold.best_config), "774b10130aee0087");
     EXPECT_EQ(warm.convergence.store_tier, "l2");
-    EXPECT_EQ(warm.minibatches, 129);
-    EXPECT_EQ(warm.best_ns, 615999.22824510862);
-    EXPECT_EQ(config_fnv(warm.best_config), "ade1a61080117c3a");
+    EXPECT_EQ(warm.minibatches, 148);
+    EXPECT_EQ(warm.best_ns, 531189.52955196623);
+    EXPECT_EQ(config_fnv(warm.best_config), "80b7cb664174d2ce");
 }
 
 TEST(PlanStoreWarmStart, SublstmNoiseRobustEmbedNeighborExploresResidualSpace)
@@ -762,14 +762,14 @@ TEST(PlanStoreWarmStart, SublstmNoiseRobustEmbedNeighborExploresResidualSpace)
         "plan_store_residual_sublstm", ModelKind::SubLstm,
         /*normalize_clock=*/true, /*autoboost=*/true);
     EXPECT_EQ(cold.convergence.store_tier, "miss");
-    EXPECT_EQ(cold.minibatches, 584);
-    EXPECT_EQ(config_fnv(cold.best_config), "644eb8cc41d558a7");
+    EXPECT_EQ(cold.minibatches, 591);
+    EXPECT_EQ(config_fnv(cold.best_config), "c2aa5aa4599c38b6");
     EXPECT_EQ(warm.convergence.store_tier, "l2");
     EXPECT_EQ(warm.minibatches, 109);
     // The streamed winner's time is stage C's last trial, reused: its
     // own clock draw, normalized.
-    EXPECT_EQ(warm.best_ns, 1142668.7527209835);
-    EXPECT_EQ(config_fnv(warm.best_config), "01714e80faafa967");
+    EXPECT_EQ(warm.best_ns, 1140258.6584615265);
+    EXPECT_EQ(config_fnv(warm.best_config), "d2ad9179f25bafd2");
 }
 
 // ---- crash-safe / multi-writer atomicity -----------------------------

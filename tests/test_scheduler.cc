@@ -290,6 +290,45 @@ TEST(Scheduler, PaperModelPlansArePinned)
     }
 }
 
+TEST(Scheduler, EveryGemmUnitIsAttributedToItsOwner)
+{
+    // The attribution oracle over the zoo: every strategy, every group
+    // at chunk 1 and at its largest chunk, each group and standalone
+    // GEMM with a library and key of its own. A GEMM that an enabled
+    // group lists is timed and tuned by that group even while the
+    // group runs unfused, however many disabled groups list it first.
+    for (ModelKind kind : {ModelKind::Gnmt, ModelKind::StackedLstm,
+                           ModelKind::MiLstm, ModelKind::Scrnn,
+                           ModelKind::SubLstm}) {
+        const BuiltModel m = build_model(kind, testutil::zoo_shape());
+        const SearchSpace space = enumerate_search_space(m.graph());
+        const Scheduler sched(m.graph(), space);
+        for (const AllocStrategy& s : space.strategies)
+            for (int option : {0, 1 << 20}) {
+                ScheduleConfig cfg = default_config(space, option);
+                cfg.strategy = s.id;
+                for (const FusionGroup& g : space.groups) {
+                    cfg.group_lib[static_cast<size_t>(g.id)] =
+                        static_cast<GemmLib>(g.id % kNumGemmLibs);
+                    cfg.group_keys[g.id] =
+                        testutil::wirer_key(WirerVariable::GroupLib, g.id);
+                }
+                for (size_t i = 0; i < space.single_mms.size(); ++i) {
+                    const int index = static_cast<int>(i);
+                    cfg.single_lib[space.single_mms[i]] =
+                        static_cast<GemmLib>(index % kNumGemmLibs);
+                    cfg.single_keys[space.single_mms[i]] =
+                        testutil::wirer_key(WirerVariable::SingleLib, index);
+                }
+                EXPECT_EQ(testutil::attribution_errors(
+                              m.graph(), space, cfg, sched.build_units(cfg)),
+                          "")
+                    << model_name(kind) << " " << s.key << ", chunk option "
+                    << option;
+            }
+    }
+}
+
 TEST(Scheduler, DisabledGroupsForcedUnfused)
 {
     const BuiltModel m = small_model();

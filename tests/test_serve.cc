@@ -694,12 +694,12 @@ TEST(Fleet, ArmedButSilentSingleReplicaMatchesSingleServer)
     // trace: detection machinery armed, failure path silent. It must
     // reproduce an unarmed fleet of one bit for bit, and both must
     // reproduce the retired single-server loop: the pinned values are
-    // that loop's outputs on this trace.
+    // that loop's outputs on this trace, under the plan Astra now picks.
     const std::string store = fresh_store_dir("fleet_silent_store");
     serve::ReplicaFleet unarmed(fleet_options({4}, store, 1));
     unarmed.optimize();
     const double b = unarmed.replica(0).plan(0).baseline_ns;
-    EXPECT_DOUBLE_EQ(b, 992549.67021495337);
+    EXPECT_DOUBLE_EQ(b, 809771.27127066941);
     const auto traffic = steady_traffic(40, 4, 1.5 * b, 40.0 * b);
     const serve::FleetReport plain = unarmed.serve(traffic);
 
@@ -720,9 +720,9 @@ TEST(Fleet, ArmedButSilentSingleReplicaMatchesSingleServer)
     EXPECT_EQ(rep.total.served, 40);
     EXPECT_EQ(rep.total.dropped, 0);
     EXPECT_EQ(rep.total.batches, 20);
-    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2481374.1755373776);
-    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2481374.175537385);
-    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 60545529.883112155);
+    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2024428.1781766713);
+    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2024428.1781766787);
+    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 49396047.547510833);
     EXPECT_EQ(rep.deaths_detected, 0);
     EXPECT_EQ(rep.failed_batches, 0);
     EXPECT_EQ(rep.retries, 0);
@@ -902,7 +902,8 @@ TEST(Fleet, SingleReplicaDriftBudgetMatchesSingleServer)
     // Serve.DriftTriggersRewireAndHotSwapWithoutDrops' drift scenario
     // on a fleet of one: it reports the requests completed between
     // drift onset and the first detection, and reproduces the retired
-    // single-server loop, whose outputs on this trace are pinned.
+    // single-server loop, whose outputs on this trace, under the plan
+    // Astra now picks, are pinned.
     const auto options = [](const std::string& store) {
         serve::FleetOptions fo =
             fleet_options({4}, fresh_store_dir(store), 1);
@@ -912,7 +913,7 @@ TEST(Fleet, SingleReplicaDriftBudgetMatchesSingleServer)
     serve::ReplicaFleet probe(options("drift_budget_probe"));
     probe.optimize();
     const double b = probe.replica(0).plan(0).baseline_ns;
-    EXPECT_DOUBLE_EQ(b, 992549.67021495337);
+    EXPECT_DOUBLE_EQ(b, 809771.27127066941);
     const double gap = 1.5 * b;
     const auto traffic = steady_traffic(60, 4, gap, 40.0 * b);
 
@@ -929,9 +930,9 @@ TEST(Fleet, SingleReplicaDriftBudgetMatchesSingleServer)
     EXPECT_EQ(rep.total.swaps, 1);
     EXPECT_EQ(rep.total.detection_request_budget, 4);
     EXPECT_EQ(rep.failover_detect_budget, -1);  // no replica died
-    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2481374.1755373823);
-    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2906752.6056295186);
-    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 90747398.419652879);
+    EXPECT_DOUBLE_EQ(rep.total.p50_ns, 2024428.1781766713);
+    EXPECT_DOUBLE_EQ(rep.total.p99_ns, 2371473.0087212548);
+    EXPECT_DOUBLE_EQ(rep.total.makespan_ns, 74036230.516175479);
 }
 
 TEST(Fleet, DeathBetweenRewireReadyAndSwapInstallLosesNothing)

@@ -195,9 +195,13 @@ TEST(WhatIf, ArmedWirerDeterministicAcrossThreadCounts)
 /**
  * An armed L2 warm start replays the full walk and binds its winner.
  * Skipping options before the walk shifts the co-varied configurations
- * a Parallel stage visits: on this workload it bound a slower config
- * (df15129418bc0375, 4.353758 ms, 118 replays) than the one pinned
- * below.
+ * a Parallel stage visits. When the wirer still masked options, the
+ * masked walk bound a slower config on this workload (df15129418bc0375,
+ * 4.353758 ms, 118 replays) than the unmasked walk then did
+ * (4.349758 ms). The masking, its cost predictor and the stored
+ * profile statistics the predictor trained on are gone, so that
+ * binding was not re-derived once every GEMM came to be tuned by its
+ * owner; the unmasked walk now binds the faster config pinned below.
  */
 TEST(WhatIf, ArmedWarmStartKeepsTheUnmaskedWinner)
 {
@@ -231,8 +235,8 @@ TEST(WhatIf, ArmedWarmStartKeepsTheUnmaskedWinner)
     EXPECT_EQ(r.minibatches, 3);
     EXPECT_EQ(r.convergence.whatif_evals, 7);
     EXPECT_EQ(hash_hex(fnv1a64(config_to_string(r.best_config))),
-              "e95fda62ec8afde7");
-    EXPECT_NEAR(r.best_ns, 4349758.0068, 1e-3);
+              "a5568bbb286acea7");
+    EXPECT_NEAR(r.best_ns, 4151987.4207, 1e-3);
 }
 
 // ---- counter reporting ---------------------------------------------------

@@ -194,6 +194,74 @@ TEST(CustomWirer, ProfileIndexUsesContextPrefixes)
     }
 }
 
+TEST(CustomWirer, StageBTimesEveryGemmUnderALibraryVariable)
+{
+    // Stage B tunes each GEMM through the variable that decides it, its
+    // owner (gemm_owners): a group or the standalone GEMM itself. So in
+    // a stage-B trial, the one whose kernels carry library keys, every
+    // GEMM kernel carries one, keys read as in
+    // ProfileIndexUsesContextPrefixes. The bind callback marks where
+    // each mini-batch's kernel spans begin. Hermetic, what-if off:
+    // every trial is dispatched.
+    const ModelConfig shape{.batch = 4, .seq_len = 2, .hidden = 16,
+                            .embed_dim = 16, .vocab = 50};
+    const auto is_lib_key = [](ProfileKey key) {
+        const WirerVariable kind = wirer_variable_kind(key.variable());
+        return key.valid() && (kind == WirerVariable::GroupLib ||
+                               kind == WirerVariable::SingleLib);
+    };
+    const auto is_gemm = [](const std::string& name) {
+        return name.starts_with("mm.") || name.starts_with("fmm.") ||
+               name.starts_with("lmm.");
+    };
+    for (const bool all : {false, true})
+        for (ModelKind kind :
+             {ModelKind::Gnmt, ModelKind::StackedLstm, ModelKind::MiLstm,
+              ModelKind::Scrnn, ModelKind::SubLstm}) {
+            AstraOptions o = timing_only(all ? features_all() : features_fk());
+            o.gpu.faults = FaultPlan{};
+            o.plan_store.clear();
+            o.whatif.enabled = false;
+            const BuiltModel m = build_model(kind, shape);
+            AstraSession session(m.graph(), o);
+            std::vector<std::vector<TraceSpan>> minibatches;
+            const auto take = [&] {
+                minibatches.push_back(obs::kernel_spans());
+                obs::reset();
+            };
+            obs::reset();
+            obs::set_enabled(true);
+            session.optimize([&](const TensorMap&, int64_t) { take(); });
+            take();
+            obs::set_enabled(false);
+            obs::reset();
+            int64_t trials = 0, gemms = 0, unkeyed = 0;
+            std::string first_unkeyed;
+            for (const std::vector<TraceSpan>& spans : minibatches) {
+                if (std::none_of(spans.begin(), spans.end(),
+                                 [&](const TraceSpan& s) {
+                                     return is_lib_key(s.key);
+                                 }))
+                    continue;
+                ++trials;
+                for (const TraceSpan& s : spans) {
+                    if (!is_gemm(s.name))
+                        continue;
+                    ++gemms;
+                    if (!is_lib_key(s.key) && unkeyed++ == 0)
+                        first_unkeyed = s.name;
+                }
+            }
+            const std::string what = std::string(model_name(kind)) +
+                                     (all ? ", features_all" : ", features_fk");
+            EXPECT_GT(trials, 0) << what;
+            EXPECT_GT(gemms, 0) << what;
+            EXPECT_EQ(unkeyed, 0)
+                << what << ": " << unkeyed << " of " << gemms
+                << " GEMM kernels untimed, first " << first_unkeyed;
+        }
+}
+
 TEST(CustomWirer, KernelSelectionPicksMeasuredBest)
 {
     // A single standalone GEMM with a strongly shape-biased winner:
@@ -502,20 +570,20 @@ TEST(CustomWirer, ExplorationReportsArePinned)
     o.plan_store.clear();
     const std::pair<ModelKind, std::array<const char*, 2>> pinned[] = {
         {ModelKind::Gnmt,
-         {"c5d671d1b02b4065 b367cc8c41a94809 336",
-          "f96221f0f4793eae b367cc8c41a94809 16"}},
+         {"d574e84f1ace2a93 8f2e42d779171238 335",
+          "09a2435429288079 8f2e42d779171238 16"}},
         {ModelKind::StackedLstm,
-         {"f39468edb427359d f2df75e6e95e5c4a 305",
-          "9920a85405c923d5 f2df75e6e95e5c4a 16"}},
+         {"51abd645782c6496 cc3fbeb4415a0bf0 313",
+          "02b48957ae3bd98d cc3fbeb4415a0bf0 16"}},
         {ModelKind::MiLstm,
-         {"f661e975fe72bf42 5ff572c8a5de9b0a 265",
-          "a71ccb61bae432fd 5ff572c8a5de9b0a 12"}},
+         {"1a612d16be45d292 0053c7503898db10 234",
+          "7921f81fbe8b7c24 0053c7503898db10 12"}},
         {ModelKind::Scrnn,
-         {"6813458e55f684d5 fdbea542cc2edb04 194",
-          "7887fb6f5f0567af fdbea542cc2edb04 12"}},
+         {"fe397621c93c5f6d d03bbc7ad893215c 186",
+          "9622f3b15da808d8 d03bbc7ad893215c 12"}},
         {ModelKind::SubLstm,
-         {"22a39581aa264f51 d25b1bc0e3853127 204",
-          "4abbeae50c9753a3 d25b1bc0e3853127 12"}},
+         {"1b16094d6c617106 2b2b8f427273b352 201",
+          "beccc3b6076a03c8 2b2b8f427273b352 12"}},
     };
     for (const auto& [kind, rows] : pinned)
         for (int whatif : {0, 1}) {
@@ -530,10 +598,10 @@ TEST(CustomWirer, ExplorationReportsArePinned)
     // The cold pass (a miss) writes the store; the neighbour at embed
     // 24 transfers its winner at L2 and explores the residual space.
     const std::array<const char*, 2> warm_rows = {
-        "miss 40336cd1c3c34a80 fdbea542cc2edb04 194 | "
-        "l2 2e3d6bc58635f419 70a620f5e9b02bdb 6",
-        "miss e3d96a389c698d7c fdbea542cc2edb04 12 | "
-        "l2 ad503f3a3ed71042 0de60100a698721d 5"};
+        "miss 9feeb1694ebd34a6 d03bbc7ad893215c 186 | "
+        "l2 41c6ddc1248a2a84 844933fe3730cb1f 64",
+        "miss f1d1f8f915f64379 d03bbc7ad893215c 12 | "
+        "l2 6fd675e962d67ecb c2e5e7fa0785c469 5"};
     for (int whatif : {0, 1}) {
         o.whatif.enabled = whatif != 0;
         const std::filesystem::path dir =

@@ -184,6 +184,94 @@ wirer_key(WirerVariable kind, int index)
     return ProfileKey(0, wirer_variable_id(kind, index), 0);
 }
 
+/**
+ * The attribution oracle: how many GEMM units of `units` (build_units
+ * of `cfg`) disagree with the variable that decides them, and the
+ * first few, or empty. A MatMul's owner is the config strategy's
+ * enabled group listing it, else the first group listing it, else the
+ * MatMul itself. A unit takes its owner's library and key: group_lib /
+ * group_keys for a group, single_lib / single_keys for a standalone
+ * GEMM, and no profile without a key. A fused unit's members share
+ * one owner, and a ladder Add run on its own carries its ladder's key.
+ * Derived from the space here, apart from the scheduler's own
+ * gemm_owners().
+ */
+inline std::string
+attribution_errors(const Graph& graph, const SearchSpace& space,
+                   const ScheduleConfig& cfg,
+                   const std::vector<PlanStep>& units)
+{
+    const std::vector<bool>& enabled =
+        space.strategies[static_cast<size_t>(cfg.strategy)].group_enabled;
+    std::map<NodeId, int> owner, ladder_of;
+    for (const FusionGroup& g : space.groups)
+        for (NodeId m : g.mms)
+            if (enabled[static_cast<size_t>(g.id)])
+                owner[m] = g.id;
+    for (const FusionGroup& g : space.groups) {
+        for (NodeId m : g.mms)
+            owner.emplace(m, g.id);
+        for (NodeId a : g.adds)
+            ladder_of.emplace(a, g.id);
+    }
+    const auto owner_of = [&](NodeId id) {
+        const auto it = owner.find(id);
+        return it == owner.end() ? -1 : it->second;
+    };
+    const auto key_of = [](const auto& keys, const auto& who) {
+        const auto it = keys.find(who);
+        return it == keys.end() ? ProfileKey() : it->second;
+    };
+    std::vector<std::string> bad;
+    const auto name = [](int who) {
+        return who >= 0 ? "g" + std::to_string(who) : std::string("itself");
+    };
+    const auto key_name = [](ProfileKey key) {
+        return key.valid() ? to_string(key) : std::string("unkeyed");
+    };
+    for (const PlanStep& u : units) {
+        const ProfileKey got = u.profile ? u.profile_key : ProfileKey();
+        const NodeId first = u.nodes[0];
+        if (!graph.node(first).is_matmul()) {
+            const auto ladder = ladder_of.find(first);
+            if (u.kind == StepKind::Single && ladder != ladder_of.end() &&
+                got != key_of(cfg.group_keys, ladder->second))
+                bad.push_back("add %" + std::to_string(first) +
+                              " not keyed by its ladder " +
+                              name(ladder->second));
+            continue;
+        }
+        const int who = owner_of(first);
+        for (NodeId id : u.nodes)
+            if (graph.node(id).is_matmul() && owner_of(id) != who)
+                bad.push_back("unit at %" + std::to_string(first) +
+                              " fuses %" + std::to_string(id) +
+                              " of another owner");
+        GemmLib lib = GemmLib::Cublas;
+        ProfileKey key;
+        if (who >= 0) {
+            if (static_cast<size_t>(who) < cfg.group_lib.size())
+                lib = cfg.group_lib[static_cast<size_t>(who)];
+            key = key_of(cfg.group_keys, who);
+        } else {
+            const auto it = cfg.single_lib.find(first);
+            if (it != cfg.single_lib.end())
+                lib = it->second;
+            key = key_of(cfg.single_keys, first);
+        }
+        if (u.lib != lib || got != key)
+            bad.push_back("unit at %" + std::to_string(first) + " runs " +
+                          gemm_lib_name(u.lib) + " " + key_name(got) +
+                          ", its owner " + name(who) + " says " +
+                          gemm_lib_name(lib) + " " + key_name(key));
+    }
+    std::string out;
+    for (size_t i = 0; i < std::min<size_t>(bad.size(), 4); ++i)
+        out += "; " + bad[i];
+    return bad.empty() ? out
+                       : std::to_string(bad.size()) + " misattributed" + out;
+}
+
 /** numpunct facet of a de_DE-style locale: ',' decimal, '.' grouping. */
 class CommaDecimal : public std::numpunct<char>
 {
