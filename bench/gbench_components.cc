@@ -198,6 +198,32 @@ BM_BindPlan(benchmark::State& state)
 }
 BENCHMARK(BM_BindPlan)->Unit(benchmark::kMicrosecond);
 
+/**
+ * A stage-C trial of the same binding, bound by reference
+ * (Scheduler::bind): each iteration changes every epoch's split and
+ * compiles only the command stream over the kept skeleton, launching
+ * the descriptors the first iteration built.
+ */
+void
+BM_BindTrial(benchmark::State& state)
+{
+    const GnmtStreamedRig& rig = gnmt_streamed();
+    const Scheduler scheduler(rig.m.graph(), rig.space);
+    ScheduleConfig cfg = max_chunk_config(rig.space);
+    cfg.use_streams = true;
+    const StreamSpace ss = scheduler.stream_space(cfg);
+    int choice = 0;
+    for (auto _ : state) {
+        for (const EpochInfo& e : ss.epochs)
+            cfg.epoch_choice[{e.super_epoch, e.level}] =
+                choice % static_cast<int>(e.options.size());
+        ++choice;
+        benchmark::DoNotOptimize(
+            scheduler.bind(cfg, rig.tmap, rig.gpu).kernels.size());
+    }
+}
+BENCHMARK(BM_BindTrial)->Unit(benchmark::kMicrosecond);
+
 /** One replay of the lowered GNMT plan: the walk plus the simulation. */
 void
 BM_ReplayWired(benchmark::State& state)

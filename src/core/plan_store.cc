@@ -51,9 +51,12 @@ hash_hex(uint64_t h)
 namespace {
 
 /**
- * Incremental FNV-1a mixer: each fact of the graph walk feeds in as a
+ * Incremental word mixer: each fact of the graph walk feeds in as a
  * fixed-width integer, so the signature depends only on the facts, not
- * on any textual rendering of them.
+ * on any textual rendering of them. A fact costs one multiply and one
+ * shift (a string, one per 8 bytes after its length), where FNV-1a's
+ * byte loop paid eight dependent multiplies. Each step is a bijection
+ * of the state, so two walks that differ in one fact never collide.
  */
 class Hasher
 {
@@ -61,14 +64,20 @@ class Hasher
     void
     mix(uint64_t v)
     {
-        h_ = fnv1a64(&v, sizeof(v), h_);
+        h_ = (h_ ^ v) * 0x9e3779b97f4a7c15ull;
+        h_ ^= h_ >> 32;
     }
 
     void
     mix(const std::string& s)
     {
         mix(static_cast<uint64_t>(s.size()));
-        h_ = fnv1a64(s.data(), s.size(), h_);
+        for (size_t i = 0; i < s.size(); i += 8) {
+            uint64_t word = 0;
+            __builtin_memcpy(&word, s.data() + i,
+                             std::min<size_t>(8, s.size() - i));
+            mix(word);
+        }
     }
 
     void

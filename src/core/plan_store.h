@@ -9,7 +9,8 @@
  * mini-batches the next time the same workload — or a near neighbor —
  * shows up on the same device class.
  *
- * Entries are keyed by four canonical FNV-1a hashes:
+ * Entries are keyed by four canonical 64-bit hashes (a word mixer over
+ * the facts, not FNV-1a):
  *
  *   graph_sig    every structural fact of the DFG a plan depends on
  *                (op kinds, edges, full shapes, dtypes, attributes,
@@ -75,7 +76,7 @@ namespace astra {
 /** FNV-1a 64-bit offset basis: the hash of no bytes. */
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
-/** FNV-1a 64-bit over a byte string (store keys and checksums). */
+/** FNV-1a 64-bit over a byte string (entry checksums and file names). */
 uint64_t fnv1a64(std::string_view bytes);
 uint64_t fnv1a64(const void* data, size_t len, uint64_t seed);
 

@@ -13,14 +13,69 @@
 
 namespace astra {
 
+namespace {
+
+/**
+ * Where a unit's library and profile key come from (DESIGN.md §5.3):
+ * a GEMM unit's owning group, or the standalone GEMM itself; an
+ * unfused ladder Add's ladder, for its key only; or nothing.
+ */
+struct UnitStamp
+{
+    enum class From : uint8_t
+    {
+        None,
+        Group,
+        Single,
+        LadderAdd,
+    };
+    From from = From::None;
+    int32_t id = -1;  ///< the group id, or the standalone MatMul's node
+};
+
+}  // namespace
+
+/**
+ * A binding's units and what only they decide. The units, their stamps
+ * and their producers are fixed at construction; the stream space and
+ * the descriptors also depend on the trial, so each is kept for the
+ * last binding that asked and guarded by `mu`.
+ */
+struct Scheduler::PlanSkeleton
+{
+    /** Cycle-repaired units in dispatch order: stream 0, unstamped. */
+    std::vector<PlanStep> units;
+
+    /** Per unit, what its library and key are stamped from. */
+    std::vector<UnitStamp> stamps;
+
+    /** Per unit, its producer units (a kept skeleton's only). */
+    UnitProducers producers;
+
+    mutable std::mutex mu;
+
+    /** The stream space, for the binding `space_binding`. */
+    mutable ScheduleConfig space_binding;
+    mutable std::shared_ptr<const StreamSpace> space;
+
+    /** The units' descriptors, for the device context last bound. */
+    mutable std::shared_ptr<const UnitKernels> kernels;
+};
+
 Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
                      SchedulerOptions opts)
     : graph_(graph), space_(space), opts_(opts),
       elementwise_(static_cast<size_t>(graph.size())),
+      ladder_add_group_(static_cast<size_t>(graph.size()), -1),
       skeletons_(space.strategies.size())
 {
     for (const Node& n : graph_.nodes())
         elementwise_[static_cast<size_t>(n.id)] = op_is_elementwise(n.kind);
+    // A chain's Adds belong to it alone; an unfused one is timed under
+    // its ladder's key.
+    for (const FusionGroup& g : space_.groups)
+        for (NodeId a : g.adds)
+            ladder_add_group_[static_cast<size_t>(a)] = g.id;
 }
 
 size_t
@@ -33,24 +88,82 @@ Scheduler::strategy_slot(int strategy) const
 
 namespace {
 
-/** Equivalence-class signature of a unit (§4.5.5). */
+/** Equivalence-class signature of a unit run under `lib` (§4.5.5). */
 std::string
-unit_signature(const Graph& graph, const PlanStep& unit)
+unit_signature(const Graph& graph, const PlanStep& unit, GemmLib lib)
 {
     std::string sig = std::to_string(static_cast<int>(unit.kind));
     sig += "|" + std::to_string(unit.nodes.size());
     const Node& first = graph.node(unit.nodes[0]);
     sig += "|" + op_name(first.kind) + "|" + first.desc.shape.key();
     if (first.is_matmul())
-        sig += "|" + gemm_lib_name(unit.lib);
+        sig += "|" + gemm_lib_name(lib);
     return sig;
+}
+
+/** What each unit's library and key are stamped from, by its owner. */
+std::vector<UnitStamp>
+unit_stamps(const Graph& graph, const std::vector<PlanStep>& units,
+            const std::vector<int>& owner,
+            const std::vector<int>& ladder_add_group)
+{
+    std::vector<UnitStamp> stamps(units.size());
+    for (size_t i = 0; i < units.size(); ++i) {
+        const PlanStep& unit = units[i];
+        const NodeId first = unit.nodes[0];
+        const int g = owner[static_cast<size_t>(first)];
+        if (unit.kind == StepKind::FusedGemm ||
+            unit.kind == StepKind::LadderGemm ||
+            (unit.kind == StepKind::Single && graph.node(first).is_matmul()))
+            // Enabled groups are disjoint, so a fused chunk's group is
+            // the owner of its every GEMM.
+            stamps[i] = g >= 0 ? UnitStamp{UnitStamp::From::Group, g}
+                               : UnitStamp{UnitStamp::From::Single, first};
+        else if (unit.kind == StepKind::Single &&
+                 graph.node(first).kind == OpKind::Add &&
+                 ladder_add_group[static_cast<size_t>(first)] >= 0)
+            stamps[i] = {UnitStamp::From::LadderAdd,
+                         ladder_add_group[static_cast<size_t>(first)]};
+    }
+    return stamps;
+}
+
+/** Stamp a unit's library and key (none: profile stays off). */
+void
+stamp(const UnitStamp& s, const ScheduleConfig& config, UnitStep& step)
+{
+    const auto take_key = [&step](const auto& keys, auto id) {
+        const auto it = keys.find(id);
+        if (it != keys.end()) {
+            step.profile = true;
+            step.key = it->second;
+        }
+    };
+    switch (s.from) {
+      case UnitStamp::From::None:
+        break;
+      case UnitStamp::From::Group:
+        if (static_cast<size_t>(s.id) < config.group_lib.size())
+            step.lib = config.group_lib[static_cast<size_t>(s.id)];
+        take_key(config.group_keys, s.id);
+        break;
+      case UnitStamp::From::Single: {
+        const auto lib = config.single_lib.find(s.id);
+        if (lib != config.single_lib.end())
+            step.lib = lib->second;
+        take_key(config.single_keys, s.id);
+        break;
+      }
+      case UnitStamp::From::LadderAdd:
+        take_key(config.group_keys, s.id);
+        break;
+    }
 }
 
 }  // namespace
 
 std::vector<PlanStep>
 Scheduler::assemble_units(const ScheduleConfig& config,
-                          const std::vector<int>& owner,
                           const std::map<int, int>& forced_chunk) const
 {
     const AllocStrategy& strat =
@@ -65,14 +178,6 @@ Scheduler::assemble_units(const ScheduleConfig& config,
             covered[static_cast<size_t>(id)] = step_idx;
         }
     };
-
-    // The ladder of every ladder Add (a chain's Adds belong to it
-    // alone), for its profile key when it executes unfused.
-    std::vector<int> ladder_add_group(static_cast<size_t>(graph_.size()),
-                                      -1);
-    for (const FusionGroup& g : space_.groups)
-        for (NodeId a : g.adds)
-            ladder_add_group[static_cast<size_t>(a)] = g.id;
 
     // ---- fused GEMM chunks ------------------------------------------------
     for (const FusionGroup& g : space_.groups) {
@@ -104,14 +209,6 @@ Scheduler::assemble_units(const ScheduleConfig& config,
         for (int lo = 0; lo < n; lo += chunk) {
             const int hi = std::min(lo + chunk, n);
             PlanStep step;
-            step.lib = g.id < static_cast<int>(config.group_lib.size())
-                           ? config.group_lib[static_cast<size_t>(g.id)]
-                           : GemmLib::Cublas;
-            const auto key_it = config.group_keys.find(g.id);
-            if (key_it != config.group_keys.end()) {
-                step.profile = true;
-                step.profile_key = key_it->second;
-            }
             if (hi - lo == 1 && g.kind == GroupKind::Batch) {
                 step.kind = StepKind::Single;
                 step.nodes = {g.mms[static_cast<size_t>(lo)]};
@@ -195,40 +292,6 @@ Scheduler::assemble_units(const ScheduleConfig& config,
         PlanStep step;
         step.kind = StepKind::Single;
         step.nodes = {n.id};
-        if (n.is_matmul()) {
-            // An unfused GEMM is timed and tuned by its owner.
-            const int g = owner[static_cast<size_t>(n.id)];
-            if (g >= 0) {
-                step.lib =
-                    g < static_cast<int>(config.group_lib.size())
-                        ? config.group_lib[static_cast<size_t>(g)]
-                        : GemmLib::Cublas;
-                const auto key_it = config.group_keys.find(g);
-                if (key_it != config.group_keys.end()) {
-                    step.profile = true;
-                    step.profile_key = key_it->second;
-                }
-            } else {
-                const auto lib_it = config.single_lib.find(n.id);
-                if (lib_it != config.single_lib.end())
-                    step.lib = lib_it->second;
-                const auto key_it = config.single_keys.find(n.id);
-                if (key_it != config.single_keys.end()) {
-                    step.profile = true;
-                    step.profile_key = key_it->second;
-                }
-            }
-        } else if (n.kind == OpKind::Add &&
-                   ladder_add_group[static_cast<size_t>(n.id)] >= 0) {
-            // Unfused ladder Adds count toward their group's metric so
-            // chunk=1 is charged the accumulation cost fusion removes.
-            const auto key_it = config.group_keys.find(
-                ladder_add_group[static_cast<size_t>(n.id)]);
-            if (key_it != config.group_keys.end()) {
-                step.profile = true;
-                step.profile_key = key_it->second;
-            }
-        }
         const int idx = static_cast<int>(steps.size());
         cover(step.nodes, idx);
         steps.push_back(std::move(step));
@@ -238,7 +301,7 @@ Scheduler::assemble_units(const ScheduleConfig& config,
 }
 
 std::vector<PlanStep>
-Scheduler::build_units(const ScheduleConfig& config) const
+Scheduler::repaired_units(const ScheduleConfig& config) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "scheduler.build_units");
     // Contracting independently-minable fusion groups can still create
@@ -246,14 +309,11 @@ Scheduler::build_units(const ScheduleConfig& config) const
     // while member B2 feeds member A2). The repair loop halves the
     // fusion chunk of every group caught in a cycle and re-assembles —
     // the standard fusion-clustering cycle-breaking strategy.
-    const std::vector<int> owner = gemm_owners(
-        space_, space_.strategies[strategy_slot(config.strategy)],
-        graph_.size());
     std::map<int, int> forced_chunk;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::vector<PlanStep> unplaced;
         std::vector<PlanStep> ordered = topo_sort_steps(
-            assemble_units(config, owner, forced_chunk), graph_, &unplaced);
+            assemble_units(config, forced_chunk), graph_, &unplaced);
         if (unplaced.empty())
             return ordered;
 
@@ -308,6 +368,7 @@ Scheduler::estimate_unit_ns(const PlanStep& unit) const
 
 StreamSpace
 Scheduler::stream_space(const std::vector<PlanStep>& units,
+                        const std::vector<GemmLib>& libs,
                         int num_streams) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "scheduler.stream_space");
@@ -367,8 +428,8 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
         std::map<std::string, std::vector<size_t>> classes;
         std::vector<std::string> class_order;
         for (size_t local = 0; local < e.units.size(); ++local) {
-            const std::string sig =
-                unit_signature(graph_, units[e.units[local]]);
+            const size_t u = e.units[local];
+            const std::string sig = unit_signature(graph_, units[u], libs[u]);
             if (!classes.count(sig))
                 class_order.push_back(sig);
             classes[sig].push_back(local);
@@ -468,8 +529,8 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
 namespace {
 
 /**
- * True when two configs agree on every field build_units() or
- * stream_space() reads: the key of a plan skeleton.
+ * True when two configs agree on every field the skeleton's units or
+ * its stream space read: the key of a kept stream space.
  */
 bool
 same_binding(const ScheduleConfig& a, const ScheduleConfig& b)
@@ -485,21 +546,55 @@ same_binding(const ScheduleConfig& a, const ScheduleConfig& b)
 }  // namespace
 
 std::shared_ptr<const Scheduler::PlanSkeleton>
-Scheduler::skeleton(const ScheduleConfig& config) const
+Scheduler::kept_skeleton(const ScheduleConfig& config) const
 {
-    SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
-    {
-        std::lock_guard<std::mutex> lock(cache_mu_);
-        if (slot.value != nullptr && same_binding(slot.binding, config))
-            return slot.value;
-    }
-    auto built = std::make_shared<PlanSkeleton>();
-    built->units = build_units(config);
-    built->space = stream_space(built->units, config.num_streams);
-    std::shared_ptr<const PlanSkeleton> skel = std::move(built);
+    const SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
     std::lock_guard<std::mutex> lock(cache_mu_);
+    if (slot.value != nullptr &&
+        slot.elementwise_fusion == config.elementwise_fusion &&
+        slot.group_chunk == config.group_chunk)
+        return slot.value;
+    return nullptr;
+}
+
+std::unique_ptr<Scheduler::PlanSkeleton>
+Scheduler::make_skeleton(const ScheduleConfig& config,
+                         std::shared_ptr<const std::vector<int>>* owner) const
+{
+    if (*owner == nullptr) {
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        *owner = skeletons_[strategy_slot(config.strategy)].owner;
+    }
+    if (*owner == nullptr)
+        *owner = std::make_shared<const std::vector<int>>(gemm_owners(
+            space_, space_.strategies[strategy_slot(config.strategy)],
+            graph_.size()));
+    auto skel = std::make_unique<PlanSkeleton>();
+    skel->units = repaired_units(config);
+    skel->stamps =
+        unit_stamps(graph_, skel->units, **owner, ladder_add_group_);
+    return skel;
+}
+
+std::shared_ptr<const Scheduler::PlanSkeleton>
+Scheduler::skeleton(const ScheduleConfig& config, bool* kept) const
+{
+    std::shared_ptr<const PlanSkeleton> hit = kept_skeleton(config);
+    if (kept != nullptr)
+        *kept = hit != nullptr;
+    if (hit != nullptr)
+        return hit;
+    std::shared_ptr<const std::vector<int>> owner;
+    std::unique_ptr<PlanSkeleton> built = make_skeleton(config, &owner);
+    // A kept skeleton serves trials, which compile over its producers.
+    built->producers = unit_producers(built->units, graph_);
+    std::shared_ptr<const PlanSkeleton> skel = std::move(built);
+    SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    slot.owner = std::move(owner);
+    slot.group_chunk = config.group_chunk;
+    slot.elementwise_fusion = config.elementwise_fusion;
     slot.value = skel;
-    slot.binding = config;
     return skel;
 }
 
@@ -511,37 +606,63 @@ Scheduler::release_skeleton(int strategy) const
     std::swap(released, skeletons_[strategy_slot(strategy)]);
 }
 
+std::shared_ptr<const StreamSpace>
+Scheduler::stream_space_of(const PlanSkeleton& skel,
+                           const ScheduleConfig& config) const
+{
+    {
+        std::lock_guard<std::mutex> lock(skel.mu);
+        if (skel.space != nullptr && same_binding(skel.space_binding, config))
+            return skel.space;
+    }
+    std::vector<GemmLib> libs(skel.units.size());
+    for (size_t i = 0; i < libs.size(); ++i) {
+        UnitStep step;
+        stamp(skel.stamps[i], config, step);
+        libs[i] = step.lib;
+    }
+    auto space = std::make_shared<const StreamSpace>(
+        stream_space(skel.units, libs, config.num_streams));
+    std::lock_guard<std::mutex> lock(skel.mu);
+    skel.space_binding = config;
+    skel.space = space;
+    return space;
+}
+
 StreamSpace
 Scheduler::stream_space(const ScheduleConfig& config) const
 {
-    return skeleton(config)->space;
+    return *stream_space_of(*skeleton(config), config);
 }
 
-ExecutionPlan
-Scheduler::build(const ScheduleConfig& config) const
+std::vector<UnitStep>
+Scheduler::unit_steps(const PlanSkeleton& skel, const ScheduleConfig& config,
+                      const StreamSpace* ss) const
 {
-    obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
-    ExecutionPlan plan;
-    if (!config.use_streams) {
-        plan.num_streams = 1;
-        plan.steps = build_units(config);
-        return plan;
+    const auto stamped = [&](size_t unit, int stream) {
+        UnitStep step;
+        step.unit = static_cast<int32_t>(unit);
+        step.stream = stream;
+        stamp(skel.stamps[unit], config, step);
+        return step;
+    };
+    std::vector<UnitStep> steps;
+    if (ss == nullptr) {
+        steps.reserve(skel.units.size());
+        for (size_t i = 0; i < skel.units.size(); ++i)
+            steps.push_back(stamped(i, 0));
+        return steps;
     }
 
-    const std::shared_ptr<const PlanSkeleton> skel = skeleton(config);
-    const std::vector<PlanStep>& units = skel->units;
-    const StreamSpace& ss = skel->space;
-    plan.num_streams = config.num_streams;
-    plan.steps.reserve(units.size() +
-                       static_cast<size_t>(ss.num_super_epochs));
-
+    steps.reserve(skel.units.size() +
+                  static_cast<size_t>(ss->num_super_epochs));
+    std::vector<std::vector<size_t>> per_stream(
+        static_cast<size_t>(config.num_streams));
     int prev_se = 0;
-    for (const EpochInfo& e : ss.epochs) {
+    for (const EpochInfo& e : ss->epochs) {
         if (e.super_epoch != prev_se) {
             // Super-epoch boundary: reset stream history (§4.5.3).
-            PlanStep barrier;
-            barrier.kind = StepKind::Barrier;
-            plan.steps.push_back(std::move(barrier));
+            steps.push_back(UnitStep{});
             prev_se = e.super_epoch;
         }
         const auto choice_it =
@@ -560,32 +681,130 @@ Scheduler::build(const ScheduleConfig& config) const
         // Emit this epoch's units interleaved across streams so the
         // host enqueue pipeline feeds every stream promptly (issuing
         // one stream's whole epoch first would starve the others).
-        std::vector<std::vector<size_t>> per_stream(
-            static_cast<size_t>(plan.num_streams));
+        for (auto& list : per_stream)
+            list.clear();
         for (size_t j = 0; j < e.units.size(); ++j)
             per_stream[static_cast<size_t>(streams[j])].push_back(
                 e.units[j]);
         for (size_t rank = 0;; ++rank) {
             bool emitted = false;
-            for (int s = 0; s < plan.num_streams; ++s) {
+            for (int s = 0; s < config.num_streams; ++s) {
                 const auto& list = per_stream[static_cast<size_t>(s)];
                 if (rank >= list.size())
                     continue;
-                PlanStep step = units[list[rank]];
-                step.stream = s;
+                UnitStep step = stamped(list[rank], s);
                 if (key_it != config.epoch_keys.end()) {
                     step.profile = true;
                     step.epoch_metric = true;
-                    step.profile_key = key_it->second;
+                    step.key = key_it->second;
                 }
-                plan.steps.push_back(std::move(step));
+                steps.push_back(step);
                 emitted = true;
             }
             if (!emitted)
                 break;
         }
     }
+    return steps;
+}
+
+namespace {
+
+/** The plan steps `steps` name: each its unit, moved out of `units`. */
+std::vector<PlanStep>
+plan_steps(std::vector<PlanStep> units, const std::vector<UnitStep>& steps)
+{
+    std::vector<PlanStep> out;
+    out.reserve(steps.size());
+    for (const UnitStep& s : steps) {
+        if (s.unit < 0) {
+            PlanStep barrier;
+            barrier.kind = StepKind::Barrier;
+            out.push_back(std::move(barrier));
+            continue;
+        }
+        // Every unit is named once.
+        PlanStep step = std::move(units[static_cast<size_t>(s.unit)]);
+        step.stream = s.stream;
+        step.lib = s.lib;
+        step.profile = s.profile;
+        step.epoch_metric = s.epoch_metric;
+        step.profile_key = s.key;
+        out.push_back(std::move(step));
+    }
+    return out;
+}
+
+}  // namespace
+
+ExecutionPlan
+Scheduler::build(const ScheduleConfig& config) const
+{
+    obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
+    // A kept skeleton's units are copied; one made here, moved.
+    const std::shared_ptr<const PlanSkeleton> kept = kept_skeleton(config);
+    std::shared_ptr<const std::vector<int>> owner;
+    std::unique_ptr<PlanSkeleton> made =
+        kept != nullptr ? nullptr : make_skeleton(config, &owner);
+    const PlanSkeleton& skel = kept != nullptr ? *kept : *made;
+    ExecutionPlan plan;
+    plan.num_streams = config.use_streams ? config.num_streams : 1;
+    const std::vector<UnitStep> steps = unit_steps(
+        skel, config,
+        config.use_streams ? stream_space_of(skel, config).get() : nullptr);
+    if (made != nullptr)
+        plan.steps = plan_steps(std::move(made->units), steps);
+    else
+        plan.steps = plan_steps(kept->units, steps);
     return plan;
+}
+
+std::vector<PlanStep>
+Scheduler::build_units(const ScheduleConfig& config) const
+{
+    ScheduleConfig unstreamed = config;
+    unstreamed.use_streams = false;
+    return build(unstreamed).steps;
+}
+
+BoundPlan
+Scheduler::bind(const ScheduleConfig& config, const TensorMap& tmap,
+                const GpuConfig& gpu) const
+{
+    std::shared_ptr<const PlanSkeleton> skel;
+    std::vector<UnitStep> steps;
+    {
+        obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
+        bool kept = false;
+        skel = skeleton(config, &kept);
+        if (obs::enabled()) {
+            static obs::Counter& hits =
+                obs::counter("scheduler.plan_cache.hits");
+            static obs::Counter& misses =
+                obs::counter("scheduler.plan_cache.misses");
+            (kept ? hits : misses).add();
+        }
+        steps = unit_steps(
+            *skel, config,
+            config.use_streams ? stream_space_of(*skel, config).get()
+                               : nullptr);
+    }
+
+    std::shared_ptr<const UnitKernels> kernels;
+    {
+        std::lock_guard<std::mutex> lock(skel->mu);
+        if (skel->kernels == nullptr || !skel->kernels->serves(tmap, gpu))
+            skel->kernels = std::make_shared<const UnitKernels>(
+                tmap, gpu, skel->units.size());
+        kernels = skel->kernels;
+    }
+    BoundPlan bound;
+    bound.kernels = kernels->resolve(skel->units, steps, graph_, tmap, gpu);
+    bound.program = compile_steps(
+        steps, skel->producers, config.use_streams ? config.num_streams : 1,
+        /*profiling=*/true);
+    bound.table = std::move(kernels);
+    return bound;
 }
 
 std::shared_ptr<const WiredBinary>

@@ -24,7 +24,9 @@
 
 namespace astra {
 
+struct BoundPlan;     // runtime/wired.h
 struct GpuConfig;     // sim/gpu.h
+struct UnitStep;      // runtime/wired.h
 struct WiredBinary;   // runtime/wired.h
 class TensorMap;      // runtime/tensor_map.h
 
@@ -101,15 +103,25 @@ struct SchedulerOptions
 /**
  * Builds plans for one (graph, search space) pair.
  *
- * A streamed plan is emitted from its binding's *plan skeleton*: the
- * cycle-repaired units plus the StreamSpace. Both depend on every
- * plan-affecting ScheduleConfig field except epoch_choice and
- * epoch_keys, so stream exploration, which varies only those two,
- * builds the skeleton once and then only walks its epochs. Each
- * allocation strategy keeps its last skeleton until release_skeleton():
- * the wirer releases it when the strategy's pipeline ends, and the
- * next streamed build of that strategy (a converged winner's) builds
- * it again once and keeps it.
+ * Every plan is emitted from its binding's *plan skeleton*: the
+ * cycle-repaired units in dispatch order, what each unit's library and
+ * profile key come from, and each unit's producer units. The units
+ * depend only on the allocation strategy, group_chunk and
+ * elementwise_fusion, so one skeleton serves every trial that varies
+ * anything else: stage B's libraries, stage C's stream splits, the
+ * keys of each stage. A trial stamps each unit's library and key from
+ * its owner (DESIGN.md §5.3) and, when streamed, walks the epochs of
+ * the skeleton's stream space, which is kept for the last binding of
+ * libraries, keys and stream count it was asked for. bind() also keeps
+ * each unit's kernel descriptors in the skeleton (runtime/wired.h
+ * UnitKernels), so a trial compiles only its command stream.
+ *
+ * Each allocation strategy keeps the last skeleton a trial (bind) or
+ * stream_space() asked for until release_skeleton(): the wirer
+ * releases it when the strategy's pipeline ends. build() and
+ * build_units() use a kept skeleton when it matches and otherwise
+ * build one they do not keep, so a lowered winner keeps only its
+ * binary.
  */
 class Scheduler
 {
@@ -119,8 +131,8 @@ class Scheduler
 
     /**
      * Units (pre-stream plan steps, all on stream 0) for the given
-     * fusion/kernel binding, in a valid topological order. Profile
-     * keys from the config are attached.
+     * fusion/kernel binding, in a valid topological order. Libraries
+     * and profile keys from the config are attached.
      */
     std::vector<PlanStep> build_units(const ScheduleConfig& config) const;
 
@@ -133,6 +145,20 @@ class Scheduler
 
     /** Full plan for the configuration. */
     ExecutionPlan build(const ScheduleConfig& config) const;
+
+    /**
+     * The configuration bound for dispatch on `tmap` under `gpu`, with
+     * profiling instrumentation: the plan build() emits, compiled into
+     * its command stream over the skeleton's units, launching the
+     * descriptors the skeleton keeps for them by reference (built on
+     * first use). Equal, command for command and descriptor field for
+     * field, to bind_plan(build(config), ...). The skeleton keeps
+     * descriptors for the last device context bound (the cost
+     * constants and, when kernels execute, the TensorMap's buffers);
+     * another context builds them afresh. Thread-safe.
+     */
+    BoundPlan bind(const ScheduleConfig& config, const TensorMap& tmap,
+                   const GpuConfig& gpu) const;
 
     /** Drop the strategy's kept skeleton (its exploration has ended). */
     void release_skeleton(int strategy) const;
@@ -154,39 +180,70 @@ class Scheduler
     const SchedulerOptions& options() const { return opts_; }
 
   private:
-    /** A binding's units and the stream space over them. */
-    struct PlanSkeleton
-    {
-        std::vector<PlanStep> units;
-        StreamSpace space;
-    };
+    struct PlanSkeleton;  // scheduler.cc
 
-    /** A config and the skeleton last built for its binding. */
+    /** A strategy's owner rule and the skeleton last kept for it. */
     struct SkeletonSlot
     {
-        ScheduleConfig binding;
+        /** gemm_owners() under the strategy, made on first use. */
+        std::shared_ptr<const std::vector<int>> owner;
+
+        /** The shape `value` was built for (the strategy is the slot). */
+        std::vector<int> group_chunk;
+        bool elementwise_fusion = true;
         std::shared_ptr<const PlanSkeleton> value;
     };
 
     /**
-     * One assembly pass (no cycle repair); forced_chunk caps groups.
-     * `owner` is gemm_owners() under the config's strategy.
+     * One assembly pass (no cycle repair), unstamped; forced_chunk caps
+     * groups.
      */
     std::vector<PlanStep>
     assemble_units(const ScheduleConfig& config,
-                   const std::vector<int>& owner,
                    const std::map<int, int>& forced_chunk) const;
+
+    /** Cycle-repaired units of the config's shape, in dispatch order. */
+    std::vector<PlanStep> repaired_units(const ScheduleConfig& config) const;
 
     /** Static per-unit cost estimate (flops + bytes + launch). */
     double estimate_unit_ns(const PlanStep& unit) const;
 
-    /** The config's plan skeleton, from its strategy's slot. */
+    /** The strategy's kept skeleton if the config's shape matches. */
     std::shared_ptr<const PlanSkeleton>
-    skeleton(const ScheduleConfig& config) const;
+    kept_skeleton(const ScheduleConfig& config) const;
+
+    /**
+     * A new skeleton of the config's shape, without producers, under
+     * the strategy's owner rule (`*owner`, made if null).
+     */
+    std::unique_ptr<PlanSkeleton>
+    make_skeleton(const ScheduleConfig& config,
+                  std::shared_ptr<const std::vector<int>>* owner) const;
+
+    /**
+     * The config's kept skeleton (`*kept` set), or a new one, with
+     * producers, kept in its strategy's slot.
+     */
+    std::shared_ptr<const PlanSkeleton>
+    skeleton(const ScheduleConfig& config, bool* kept = nullptr) const;
+
+    /** The stream space of the config's binding over the skeleton. */
+    std::shared_ptr<const StreamSpace>
+    stream_space_of(const PlanSkeleton& skel,
+                    const ScheduleConfig& config) const;
 
     /** Super-epochs, levels and split options over the units. */
     StreamSpace stream_space(const std::vector<PlanStep>& units,
+                             const std::vector<GemmLib>& libs,
                              int num_streams) const;
+
+    /**
+     * The config's steps by unit, libraries and keys stamped: each unit
+     * in order on stream 0, or with streams the epoch walk of `ss`.
+     */
+    std::vector<UnitStep> unit_steps(const PlanSkeleton& skel,
+                                     const ScheduleConfig& config,
+                                     const StreamSpace* ss) const;
 
     /** Slot index of an allocation strategy (asserts it is in range). */
     size_t strategy_slot(int strategy) const;
@@ -197,6 +254,9 @@ class Scheduler
 
     /** Per node, 1 when its op is elementwise (the chain scan's test). */
     std::vector<char> elementwise_;
+
+    /** Per node, the ladder whose Add it is, or -1. */
+    std::vector<int> ladder_add_group_;
 
     /** Guards the per-strategy skeletons and the wired-binary cache. */
     mutable std::mutex cache_mu_;

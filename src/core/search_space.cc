@@ -683,7 +683,9 @@ analyze_conflicts(const Graph& graph, std::vector<FusionGroup>& groups)
  * which rejects the whole group. first_run[node] holds the lowest
  * index of an accumulated run containing the node, so that run is
  * found without scanning the layout; a group that clashes part-way is
- * rolled back from an undo log.
+ * rolled back from an undo log. Enabling a group blocks its conflict
+ * neighbours; the lists are symmetric, so a group is blocked exactly
+ * when an enabled group conflicts with it.
  */
 AllocStrategy
 build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
@@ -693,6 +695,7 @@ build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
     constexpr size_t kNoRun = static_cast<size_t>(-1);
     AllocStrategy strat;
     strat.group_enabled.assign(groups.size(), false);
+    std::vector<char> blocked(groups.size(), 0);
     std::vector<AdjacencyRun>& runs = strat.runs;
     std::vector<size_t> first_run(static_cast<size_t>(graph.size()), kNoRun);
     std::vector<std::pair<NodeId, size_t>> first_run_undo;
@@ -705,8 +708,7 @@ build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
         }
     };
     for (size_t gi : order) {
-        if (std::any_of(conflicts[gi].begin(), conflicts[gi].end(),
-                        [&](size_t e) { return strat.group_enabled[e]; }))
+        if (blocked[gi])
             continue;
         const size_t runs_before = runs.size();
         first_run_undo.clear();
@@ -744,6 +746,8 @@ build_strategy(const Graph& graph, const std::vector<FusionGroup>& groups,
             continue;
         }
         strat.group_enabled[gi] = true;
+        for (size_t e : conflicts[gi])
+            blocked[e] = 1;
     }
     return strat;
 }

@@ -31,10 +31,10 @@ sanitize_device(const GpuConfig& gpu)
 
 }  // namespace
 
-WhatIfEngine::WhatIfEngine(const Graph& graph, const TensorMap& tmap,
+WhatIfEngine::WhatIfEngine(const Graph& /*graph*/, const TensorMap& tmap,
                            const Scheduler& scheduler,
                            const GpuConfig& gpu)
-    : graph_(graph), tmap_(tmap), scheduler_(scheduler),
+    : tmap_(tmap), scheduler_(scheduler),
       gpu_(sanitize_device(gpu))
 {
 }
@@ -43,10 +43,9 @@ DispatchResult
 WhatIfEngine::evaluate(const ScheduleConfig& config) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "whatif.evaluate");
-    // For a stage-C trial the build is just the epoch walk over the
-    // binding's cached plan skeleton.
-    const WiredBinary bound = bind_plan(scheduler_.build(config), graph_,
-                                        tmap_, gpu_, /*profiling=*/true);
+    // The trial binds over its strategy's kept skeleton, as a measured
+    // dispatch does: only the command stream is compiled.
+    const BoundPlan bound = scheduler_.bind(config, tmap_, gpu_);
     SimGpu gpu(gpu_);
     for (int s = 1; s < bound.program.num_streams; ++s)
         gpu.create_stream();

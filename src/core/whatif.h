@@ -5,10 +5,10 @@
  * The paper's premise is that mini-batches are predictable, so
  * measurements are reusable. This module takes the next step (after
  * Daydream, arXiv 2006.03318): the *schedule simulation itself* is
- * reusable. Given a candidate ScheduleConfig, evaluate() builds its
- * plan, binds it with timing-only kernels (runtime/wired.h bind_plan)
- * and walks it with enqueue_wired — the bind and the walk every real
- * dispatch runs — on a host-side device model, ranking a candidate
+ * reusable. Given a candidate ScheduleConfig, evaluate() binds it with
+ * timing-only kernels (Scheduler::bind) and walks it with
+ * enqueue_wired — the bind and the walk every wiring dispatch runs —
+ * on a host-side device model, ranking a candidate
  * without spending a measured mini-batch on it. At base clock with
  * faults disarmed this replay is bit-exact against a real dispatch,
  * which is what lets the wirer replay its exploration trials without
@@ -36,12 +36,13 @@ struct WhatIfOptions
 /**
  * The evaluator: builds and simulates hypothetical configs on the
  * host. One engine per StrategyRun shard — it holds references to that
- * strategy's graph/tensor-map/scheduler and a sanitized device model
+ * strategy's tensor map and scheduler and a sanitized device model
  * (faults disarmed, base clock, timing-only kernels).
  */
 class WhatIfEngine
 {
   public:
+    /** `graph` is the one `scheduler` builds plans for. */
     WhatIfEngine(const Graph& graph, const TensorMap& tmap,
                  const Scheduler& scheduler, const GpuConfig& gpu);
 
@@ -53,7 +54,6 @@ class WhatIfEngine
     DispatchResult evaluate(const ScheduleConfig& config) const;
 
   private:
-    const Graph& graph_;
     const TensorMap& tmap_;
     const Scheduler& scheduler_;
     GpuConfig gpu_;

@@ -10,6 +10,7 @@
 #include "core/adaptive.h"
 #include "core/astra.h"
 #include "obs/obs.h"
+#include "runtime/wired.h"
 #include "support/logging.h"
 #include "support/parallel_for.h"
 
@@ -221,8 +222,11 @@ dispatch(const AstraSession& session, StrategyRun& run,
 
     if (bind)
         bind(tmap, run.minibatches);
-    DispatchResult result = dispatch_plan(session.scheduler().build(config),
-                                          session.graph(), tmap, gpu);
+    // The trial binds over its strategy's kept skeleton: only its
+    // command stream is compiled, and the descriptors the skeleton
+    // keeps are launched by reference.
+    DispatchResult result = dispatch_plan(
+        [&] { return session.scheduler().bind(config, tmap, gpu); }, gpu);
 
     if (opts.normalize_clock) {
         // DVFS compensation: the device reports the clock it ran this
@@ -643,8 +647,9 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     std::set<const AdaptiveVariable*> frozen;
     if (opts.features.streams)
         walk("wirer.stage.streams", "streams", [&]() -> Stage {
-            // The binding every stage-C trial shares: its skeleton is
-            // built here once and serves each trial's plan.
+            // The binding every stage-C trial shares: its stream space
+            // is built here once over the strategy's skeleton and
+            // serves each trial's plan.
             const StreamSpace ss =
                 session.scheduler().stream_space(current_config(true));
 
@@ -781,7 +786,8 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     record_epoch("final", "hierarchical", final_before, final_trials);
 
     // What only this pipeline read dies with it: the strategy's plan
-    // skeleton and the shard's hash table.
+    // skeleton (its units, stream space and descriptors) and the
+    // shard's hash table.
     session.scheduler().release_skeleton(sid);
     run.profile = std::move(run.index).summarize();
 }

@@ -1,11 +1,15 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/obs.h"
 #include "support/logging.h"
 #include "tensor/math.h"
 
@@ -399,8 +403,42 @@ fused_elementwise_passes(const PlanStep& step, const Graph& graph)
 
 namespace {
 
+/**
+ * A descriptor's name, "<head>[.x<width>].%<id>[.<lib>]" (width 0 and
+ * an empty lib are left out), in one allocation at most: the fault
+ * plan's name= filter and the kernel trace read it.
+ */
+std::string
+kernel_name(std::string_view head, size_t width, NodeId id,
+            std::string_view lib)
+{
+    char width_buf[24];
+    char id_buf[24];
+    char* const width_end =
+        width > 0 ? std::to_chars(width_buf, std::end(width_buf), width).ptr
+                  : width_buf;
+    char* const id_end = std::to_chars(id_buf, std::end(id_buf), id).ptr;
+    std::string name;
+    name.reserve(head.size() + (width > 0 ? 2 : 0) +
+                 static_cast<size_t>(width_end - width_buf) + 2 +
+                 static_cast<size_t>(id_end - id_buf) +
+                 (lib.empty() ? 0 : lib.size() + 1));
+    name += head;
+    if (width > 0) {
+        name += ".x";
+        name.append(width_buf, width_end);
+    }
+    name += ".%";
+    name.append(id_buf, id_end);
+    if (!lib.empty()) {
+        name += '.';
+        name += lib;
+    }
+    return name;
+}
+
 KernelDesc
-build_step_kernel_impl(const PlanStep& step, const Graph& graph,
+build_step_kernel_impl(const PlanStep& step, GemmLib lib, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg)
 {
     ASTRA_ASSERT(!step.nodes.empty() || step.kind == StepKind::Barrier);
@@ -408,15 +446,14 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
     switch (step.kind) {
       case StepKind::Single: {
         const Node& n = graph.node(step.nodes[0]);
-        k.name = op_name(n.kind) + ".%" + std::to_string(n.id);
+        k.name = kernel_name(op_name(n.kind), 0, n.id,
+                             n.is_matmul() ? gemm_lib_name(lib) : "");
         if (n.is_matmul()) {
-            const KernelCost cost =
-                gemm_cost(step.lib, matmul_shape(graph, n), cfg);
+            const KernelCost cost = gemm_cost(lib, matmul_shape(graph, n), cfg);
             k.blocks = cost.blocks;
             k.block_ns = cost.block_ns;
             k.setup_ns = cost.setup_ns;
             k.max_sms = cost.max_sms;
-            k.name += "." + gemm_lib_name(step.lib);
         } else {
             const KernelCost cost = node_cost(graph, n, cfg);
             k.blocks = cost.blocks;
@@ -432,14 +469,14 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         const Node& first = graph.node(step.nodes[0]);
         const GemmShape shape = matmul_shape(graph, first);
         const KernelCost cost = fused_gemm_cost(
-            step.lib, shape, static_cast<int64_t>(step.nodes.size()), cfg,
+            lib, shape, static_cast<int64_t>(step.nodes.size()), cfg,
             step.fused_axis);
         k.blocks = cost.blocks;
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        k.name = "fmm.x" + std::to_string(step.nodes.size()) + ".%" +
-                 std::to_string(first.id) + "." + gemm_lib_name(step.lib);
+        k.name = kernel_name("fmm", step.nodes.size(), first.id,
+                             gemm_lib_name(lib));
         for (NodeId id : step.nodes)
             ASTRA_ASSERT(graph.node(id).is_matmul());
         if (cfg.execute_kernels) {
@@ -466,14 +503,13 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         const Node& first = graph.node(mms[0]);
         const GemmShape shape = matmul_shape(graph, first);
         const KernelCost cost = fused_gemm_cost(
-            step.lib, shape, static_cast<int64_t>(mms.size()), cfg,
+            lib, shape, static_cast<int64_t>(mms.size()), cfg,
             step.fused_axis);
         k.blocks = cost.blocks;
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        k.name = "lmm.x" + std::to_string(mms.size()) + ".%" +
-                 std::to_string(first.id) + "." + gemm_lib_name(step.lib);
+        k.name = kernel_name("lmm", mms.size(), first.id, gemm_lib_name(lib));
         if (!cfg.execute_kernels)
             return k;
 
@@ -534,8 +570,7 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
         k.block_ns = cost.block_ns;
         k.setup_ns = cost.setup_ns;
         k.max_sms = cost.max_sms;
-        k.name = "few.x" + std::to_string(step.nodes.size()) + ".%" +
-                 std::to_string(step.nodes[0]);
+        k.name = kernel_name("few", step.nodes.size(), step.nodes[0], "");
         if (cfg.execute_kernels) {
             std::vector<std::function<void()>> subs;
             for (NodeId id : step.nodes)
@@ -576,14 +611,18 @@ build_step_kernel_impl(const PlanStep& step, const Graph& graph,
 }  // namespace
 
 KernelDesc
-build_step_kernel(const PlanStep& step, const Graph& graph,
+build_step_kernel(const PlanStep& step, GemmLib lib, const Graph& graph,
                   const TensorMap& tmap, const GpuConfig& cfg)
 {
-    KernelDesc k = build_step_kernel_impl(step, graph, tmap, cfg);
+    KernelDesc k = build_step_kernel_impl(step, lib, graph, tmap, cfg);
     k.setup_ns += step.extra_setup_ns;
-    k.key = step.profile_key;
     if (!cfg.execute_kernels)
         k.compute = nullptr;  // timing-only sweeps skip closure work
+    if (obs::enabled()) {
+        static obs::Counter& built =
+            obs::counter("dispatch.descriptors_built");
+        built.add();
+    }
     return k;
 }
 

@@ -26,15 +26,19 @@ std::function<void()> make_node_compute(const Graph& graph, NodeId id,
 GemmShape matmul_shape(const Graph& graph, const Node& node);
 
 /**
- * Build the device kernel for one plan step.
+ * Build the device kernel for one plan step, with a GEMM step run
+ * under `lib` (other kinds ignore it): a plan step passes its own
+ * `lib`, and a plan skeleton's unit the library its trial stamps.
  *
  * For FusedGemm steps the covered MatMuls must share one operand and
  * agree in shape; for LadderGemm the MatMul results are accumulated in
  * node order into the ladder's final output buffer. Barrier steps have
- * no kernel and must not be passed here.
+ * no kernel and must not be passed here. Each call counts in the obs
+ * counter `dispatch.descriptors_built`.
  */
-KernelDesc build_step_kernel(const PlanStep& step, const Graph& graph,
-                             const TensorMap& tmap, const GpuConfig& cfg);
+KernelDesc build_step_kernel(const PlanStep& step, GemmLib lib,
+                             const Graph& graph, const TensorMap& tmap,
+                             const GpuConfig& cfg);
 
 /**
  * Number of HBM passes a fused elementwise group pays: distinct

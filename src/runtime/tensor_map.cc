@@ -1,6 +1,7 @@
 #include "runtime/tensor_map.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 
 #include "obs/obs.h"
@@ -9,6 +10,14 @@
 namespace astra {
 
 namespace {
+
+/** A TensorMap identity no other map constructed in this process has. */
+uint64_t
+next_id()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 /** run_of[node] = index of the adjacency run containing it, or -1. */
 std::vector<int>
@@ -33,7 +42,7 @@ TensorMap::TensorMap(const Graph& graph, SimMemory& mem,
                      const std::vector<AdjacencyRun>& runs,
                      MemoryPlanMode mode)
     : graph_(&graph), mem_(&mem),
-      ptrs_(static_cast<size_t>(graph.size()), kNullDev)
+      ptrs_(static_cast<size_t>(graph.size()), kNullDev), id_(next_id())
 {
     obs::ScopedSpan span(obs::Category::Alloc, "tensor_map.plan");
     if (mode == MemoryPlanMode::Bump)

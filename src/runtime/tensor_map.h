@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -75,6 +76,13 @@ class TensorMap
     SimMemory& memory() const { return *mem_; }
     const Graph& graph() const { return *graph_; }
 
+    /**
+     * Identity of the buffers this map views: unique per constructed
+     * map and kept by its copies, which view the same buffers. What a
+     * kept kernel descriptor's compute closure was bound against.
+     */
+    uint64_t id() const { return id_; }
+
   private:
     void plan_bump(const std::vector<AdjacencyRun>& runs);
     void plan_reuse(const std::vector<AdjacencyRun>& runs);
@@ -83,6 +91,7 @@ class TensorMap
     SimMemory* mem_;
     std::vector<DevPtr> ptrs_;
     int64_t peak_bytes_ = 0;
+    uint64_t id_;
 };
 
 }  // namespace astra

@@ -14,40 +14,87 @@
 
 namespace astra {
 
-WiredProgram
-compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
+UnitProducers
+unit_producers(const std::vector<PlanStep>& units, const Graph& graph)
 {
-    const int num_steps = static_cast<int>(plan.steps.size());
+    const int num_units = static_cast<int>(units.size());
+    // Producer unit of every covered node.
+    std::vector<int32_t> producer(static_cast<size_t>(graph.size()), -1);
+    for (int32_t u = 0; u < num_units; ++u)
+        for (NodeId id : units[static_cast<size_t>(u)].nodes)
+            producer[static_cast<size_t>(id)] = u;
+
+    UnitProducers out;
+    out.begin.resize(static_cast<size_t>(num_units) + 1);
+    out.units.reserve(static_cast<size_t>(num_units) * 2);
+    // The last unit each producer was listed for, to list it once.
+    std::vector<int32_t> listed_for(static_cast<size_t>(num_units), -1);
+    for (int32_t u = 0; u < num_units; ++u) {
+        out.begin[static_cast<size_t>(u)] =
+            static_cast<int32_t>(out.units.size());
+        for (NodeId id : units[static_cast<size_t>(u)].nodes)
+            for (NodeId in : graph.node(id).inputs) {
+                const int32_t p = producer[static_cast<size_t>(in)];
+                // Skip graph sources and internal edges of a fused unit.
+                if (p >= 0 && p != u &&
+                    listed_for[static_cast<size_t>(p)] != u) {
+                    listed_for[static_cast<size_t>(p)] = u;
+                    out.units.push_back(p);
+                }
+            }
+    }
+    out.begin[static_cast<size_t>(num_units)] =
+        static_cast<int32_t>(out.units.size());
+    return out;
+}
+
+namespace {
+
+/**
+ * compile_steps over `num_steps` steps, step i read as `step_at(i)`
+ * (a UnitStep, by value): a trial's steps, or a plan's read in place.
+ */
+template <typename StepAt>
+WiredProgram
+compile_program(int num_steps, StepAt&& step_at,
+                const UnitProducers& producers, int num_streams,
+                bool profiling)
+{
     WiredProgram prog;
-    prog.num_streams = plan.num_streams;
+    prog.num_streams = num_streams;
+    prog.cmds.reserve(static_cast<size_t>(num_steps) * 2);
     prog.step_begin.assign(static_cast<size_t>(num_steps) + 1, 0);
     prog.is_barrier.assign(static_cast<size_t>(num_steps), 0);
+    prog.keys.resize(static_cast<size_t>(num_steps));
 
-    // Producer step of every covered node.
-    std::vector<int> producer(static_cast<size_t>(graph.size()), -1);
-    for (int i = 0; i < num_steps; ++i)
-        for (NodeId id : plan.steps[static_cast<size_t>(i)].nodes)
-            producer[static_cast<size_t>(id)] = i;
+    // The step launching each unit.
+    const size_t num_units = producers.begin.size() - 1;
+    std::vector<int32_t> step_of(num_units, -1);
+    for (int i = 0; i < num_steps; ++i) {
+        const int32_t unit = step_at(i).unit;
+        if (unit >= 0)
+            step_of[static_cast<size_t>(unit)] = i;
+    }
+    const auto producers_of = [&](const UnitStep& step) {
+        const auto u = static_cast<size_t>(step.unit);
+        return std::pair{producers.units.begin() + producers.begin[u],
+                         producers.units.begin() + producers.begin[u + 1]};
+    };
 
     // Which steps need a completion event (cross-stream consumers).
     std::vector<bool> needs_event(static_cast<size_t>(num_steps), false);
     for (int i = 0; i < num_steps; ++i) {
-        const PlanStep& step = plan.steps[static_cast<size_t>(i)];
-        if (step.kind == StepKind::Barrier)
+        const UnitStep step = step_at(i);
+        if (step.unit < 0)
             continue;
-        for (NodeId id : step.nodes) {
-            for (NodeId in : graph.node(id).inputs) {
-                const int p = producer[static_cast<size_t>(in)];
-                if (p == i)
-                    continue;  // internal edge of a fused step
-                if (p < 0)
-                    continue;  // graph source
-                ASTRA_ASSERT(p < i, "plan order violates dependencies: "
-                             "step ", i, " reads node %", in,
-                             " produced by later step ", p);
-                if (plan.steps[static_cast<size_t>(p)].stream != step.stream)
-                    needs_event[static_cast<size_t>(p)] = true;
-            }
+        const auto [first, last] = producers_of(step);
+        for (auto it = first; it != last; ++it) {
+            const int32_t p = step_of[static_cast<size_t>(*it)];
+            ASTRA_ASSERT(p >= 0 && p < i, "plan order violates dependencies: "
+                         "step ", i, " reads unit ", *it,
+                         " launched by step ", p);
+            if (step_at(p).stream != step.stream)
+                needs_event[static_cast<size_t>(p)] = true;
         }
     }
 
@@ -58,57 +105,47 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
     std::vector<std::pair<int32_t, int32_t>> barrier_range(
         static_cast<size_t>(num_steps), {0, 0});
     int current_barrier = -1;
-    std::vector<int> waited;
     for (int i = 0; i < num_steps; ++i) {
-        const PlanStep& step = plan.steps[static_cast<size_t>(i)];
+        const UnitStep step = step_at(i);
         prog.step_begin[static_cast<size_t>(i)] =
             static_cast<int32_t>(prog.cmds.size());
 
-        if (step.kind == StepKind::Barrier) {
+        if (step.unit < 0) {
             // Every stream records its arrival, then waits on everyone
             // else's arrival: a full cross-stream rendezvous.
             prog.is_barrier[static_cast<size_t>(i)] = 1;
             const int32_t b0 =
                 static_cast<int32_t>(prog.barrier_slots.size());
-            for (int s = 0; s < plan.num_streams; ++s) {
+            for (int s = 0; s < num_streams; ++s) {
                 const int32_t slot = prog.num_events++;
                 prog.barrier_slots.push_back(slot);
                 prog.cmds.push_back({WiredOp::Record, s, slot});
             }
-            for (int s = 0; s < plan.num_streams; ++s)
-                for (int t = 0; t < plan.num_streams; ++t)
+            for (int s = 0; s < num_streams; ++s)
+                for (int t = 0; t < num_streams; ++t)
                     if (t != s)
                         prog.cmds.push_back(
                             {WiredOp::Wait, s,
                              prog.barrier_slots[static_cast<size_t>(b0 + t)]});
-            barrier_range[static_cast<size_t>(i)] = {
-                b0, b0 + plan.num_streams};
+            barrier_range[static_cast<size_t>(i)] = {b0, b0 + num_streams};
             current_barrier = i;
             continue;
         }
 
-        ASTRA_ASSERT(step.stream >= 0 && step.stream < plan.num_streams,
+        ASTRA_ASSERT(step.stream >= 0 && step.stream < num_streams,
                      "step ", i, " uses stream ", step.stream,
-                     " but plan has ", plan.num_streams);
+                     " but plan has ", num_streams);
+        prog.keys[static_cast<size_t>(i)] = step.key;
 
         // Cross-stream waits for this step's external inputs, one per
-        // producer step in first-read order.
-        waited.clear();
-        for (NodeId id : step.nodes) {
-            for (NodeId in : graph.node(id).inputs) {
-                const int p = producer[static_cast<size_t>(in)];
-                if (p < 0 || p == i)
-                    continue;
-                const PlanStep& prod = plan.steps[static_cast<size_t>(p)];
-                if (prod.stream != step.stream &&
-                    std::find(waited.begin(), waited.end(), p) ==
-                        waited.end()) {
-                    ASTRA_ASSERT(done_slot[static_cast<size_t>(p)] >= 0);
-                    prog.cmds.push_back(
-                        {WiredOp::Wait, step.stream,
-                         done_slot[static_cast<size_t>(p)]});
-                    waited.push_back(p);
-                }
+        // producer in first-read order.
+        const auto [first, last] = producers_of(step);
+        for (auto it = first; it != last; ++it) {
+            const int32_t p = step_of[static_cast<size_t>(*it)];
+            if (step_at(p).stream != step.stream) {
+                ASTRA_ASSERT(done_slot[static_cast<size_t>(p)] >= 0);
+                prog.cmds.push_back({WiredOp::Wait, step.stream,
+                                     done_slot[static_cast<size_t>(p)]});
             }
         }
 
@@ -130,7 +167,7 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
             prog.cmds.push_back({WiredOp::Record, step.stream, end});
 
             WiredProfile wp;
-            wp.key = step.profile_key;
+            wp.key = step.key;
             wp.epoch_metric = step.epoch_metric;
             wp.start_slot = start;
             wp.end_slot = end;
@@ -148,6 +185,34 @@ compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
     prog.step_begin[static_cast<size_t>(num_steps)] =
         static_cast<int32_t>(prog.cmds.size());
     return prog;
+}
+
+}  // namespace
+
+WiredProgram
+compile_steps(const std::vector<UnitStep>& steps,
+              const UnitProducers& producers, int num_streams,
+              bool profiling)
+{
+    return compile_program(
+        static_cast<int>(steps.size()),
+        [&](int i) { return steps[static_cast<size_t>(i)]; }, producers,
+        num_streams, profiling);
+}
+
+WiredProgram
+compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
+{
+    // Each step is its own unit; a barrier launches none.
+    return compile_program(
+        static_cast<int>(plan.steps.size()),
+        [&](int i) {
+            const PlanStep& step = plan.steps[static_cast<size_t>(i)];
+            return UnitStep{step.kind == StepKind::Barrier ? -1 : i,
+                            step.stream, step.lib, step.profile,
+                            step.epoch_metric, step.profile_key};
+        },
+        unit_producers(plan.steps, graph), plan.num_streams, profiling);
 }
 
 void
@@ -495,25 +560,93 @@ bind_plan(const ExecutionPlan& plan, const Graph& graph,
     // arena offsets through the TensorMap) are frozen here, off the
     // walk.
     bin.kernels.resize(plan.steps.size());
-    for (size_t i = 0; i < plan.steps.size(); ++i)
-        if (plan.steps[i].kind != StepKind::Barrier)
-            bin.kernels[i] = build_step_kernel(plan.steps[i], graph, tmap,
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+        const PlanStep& step = plan.steps[i];
+        if (step.kind != StepKind::Barrier)
+            bin.kernels[i] = build_step_kernel(step, step.lib, graph, tmap,
                                                cfg);
+    }
     return bin;
 }
 
-void
-enqueue_wired(const WiredProgram& program,
-              const std::vector<KernelDesc>& kernels, SimGpu& gpu,
-              std::vector<EventId>& events,
-              const std::function<void(int)>& after_step)
+UnitKernels::UnitKernels(const TensorMap& tmap, const GpuConfig& cfg,
+                         size_t num_units)
+    : tmap_id_(cfg.execute_kernels ? tmap.id() : 0),
+      execute_kernels_(cfg.execute_kernels), num_sms_(cfg.num_sms),
+      flops_per_sm_ns_(cfg.flops_per_sm_ns), hbm_gbps_(cfg.hbm_gbps),
+      slot_(num_units * kNumGemmLibs, -1)
 {
+}
+
+bool
+UnitKernels::serves(const TensorMap& tmap, const GpuConfig& cfg) const
+{
+    return cfg.execute_kernels == execute_kernels_ &&
+           (!execute_kernels_ || tmap.id() == tmap_id_) &&
+           cfg.num_sms == num_sms_ &&
+           cfg.flops_per_sm_ns == flops_per_sm_ns_ &&
+           cfg.hbm_gbps == hbm_gbps_;
+}
+
+std::vector<const KernelDesc*>
+UnitKernels::resolve(const std::vector<PlanStep>& units,
+                     const std::vector<UnitStep>& steps, const Graph& graph,
+                     const TensorMap& tmap, const GpuConfig& cfg) const
+{
+    ASTRA_ASSERT(serves(tmap, cfg));
+    ASTRA_ASSERT(slot_.size() == units.size() * kNumGemmLibs);
+    std::vector<const KernelDesc*> out(steps.size(), nullptr);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < steps.size(); ++i) {
+        const UnitStep& step = steps[i];
+        if (step.unit < 0)
+            continue;
+        const PlanStep& unit = units[static_cast<size_t>(step.unit)];
+        // Only a GEMM's kernel reads its library.
+        const bool gemm = unit.kind == StepKind::FusedGemm ||
+                          unit.kind == StepKind::LadderGemm ||
+                          (unit.kind == StepKind::Single &&
+                           graph.node(unit.nodes[0]).is_matmul());
+        const GemmLib lib = gemm ? step.lib : GemmLib::Cublas;
+        int32_t& slot = slot_[static_cast<size_t>(step.unit) * kNumGemmLibs +
+                              static_cast<size_t>(lib)];
+        if (slot < 0) {
+            slot = static_cast<int32_t>(descs_.size());
+            descs_.push_back(build_step_kernel(unit, lib, graph, tmap, cfg));
+        }
+        out[i] = &descs_[static_cast<size_t>(slot)];
+    }
+    return out;
+}
+
+namespace {
+
+/** Step i's descriptor: owned by a binary, or held by reference. */
+const KernelDesc&
+kernel_at(const std::vector<KernelDesc>& kernels, int32_t i)
+{
+    return kernels[static_cast<size_t>(i)];
+}
+
+const KernelDesc&
+kernel_at(const std::vector<const KernelDesc*>& kernels, int32_t i)
+{
+    return *kernels[static_cast<size_t>(i)];
+}
+
+template <typename Kernels>
+void
+walk_program(const WiredProgram& program, const Kernels& kernels,
+             SimGpu& gpu, std::vector<EventId>& events,
+             const std::function<void(int)>& after_step)
+{
+    const int num_steps = static_cast<int>(program.is_barrier.size());
+    ASTRA_ASSERT(program.keys.size() == static_cast<size_t>(num_steps));
     // Event creation carries no device time, so every slot is created
     // up front.
     events.resize(static_cast<size_t>(program.num_events));
     for (int32_t e = 0; e < program.num_events; ++e)
         events[static_cast<size_t>(e)] = gpu.create_event();
-    const int num_steps = static_cast<int>(program.is_barrier.size());
     for (int i = 0; i < num_steps; ++i) {
         const int32_t end = program.step_begin[static_cast<size_t>(i) + 1];
         for (int32_t c = program.step_begin[static_cast<size_t>(i)];
@@ -521,8 +654,8 @@ enqueue_wired(const WiredProgram& program,
             const WiredCmd& cmd = program.cmds[static_cast<size_t>(c)];
             switch (cmd.op) {
             case WiredOp::Launch:
-                gpu.launch_ref(cmd.stream,
-                               kernels[static_cast<size_t>(cmd.arg)]);
+                gpu.launch_ref(cmd.stream, kernel_at(kernels, cmd.arg),
+                               program.keys[static_cast<size_t>(cmd.arg)]);
                 break;
             case WiredOp::Record:
                 gpu.record_event(cmd.stream,
@@ -537,6 +670,25 @@ enqueue_wired(const WiredProgram& program,
         if (after_step && !program.is_barrier[static_cast<size_t>(i)])
             after_step(i);
     }
+}
+
+}  // namespace
+
+void
+enqueue_wired(const WiredProgram& program,
+              const std::vector<KernelDesc>& kernels, SimGpu& gpu,
+              std::vector<EventId>& events,
+              const std::function<void(int)>& after_step)
+{
+    walk_program(program, kernels, gpu, events, after_step);
+}
+
+void
+enqueue_wired(const WiredProgram& program,
+              const std::vector<const KernelDesc*>& kernels, SimGpu& gpu,
+              std::vector<EventId>& events)
+{
+    walk_program(program, kernels, gpu, events, {});
 }
 
 ArenaTable
@@ -652,9 +804,9 @@ elapsed_ns(std::chrono::steady_clock::time_point start)
  * synchronized final-attempt device and its event slots are returned
  * for profile collection and tracing.
  */
+template <typename Kernels>
 DispatchResult
-run_dispatch_transaction(const WiredProgram& program,
-                         const std::vector<KernelDesc>& kernels,
+run_dispatch_transaction(const WiredProgram& program, const Kernels& kernels,
                          const GpuConfig& cfg,
                          std::unique_ptr<SimGpu>* gpu_out,
                          std::vector<EventId>* events)
@@ -699,7 +851,7 @@ run_dispatch_transaction(const WiredProgram& program,
         for (int s = 1; s < program.num_streams; ++s)
             gpu->create_stream();
         const auto host_start = std::chrono::steady_clock::now();
-        enqueue_wired(program, kernels, *gpu, *events);
+        walk_program(program, kernels, *gpu, *events, {});
         result.host_enqueue_ns += elapsed_ns(host_start);
         gpu->synchronize();
         result.faults_seen += gpu->stats().faults_injected;
@@ -730,9 +882,9 @@ run_dispatch_transaction(const WiredProgram& program,
  * kernel spans and counters, and the profile metrics. `obs_anchor` is
  * the caller's host time the device timeline is placed at.
  */
+template <typename Kernels>
 DispatchResult
-dispatch_bound(const WiredProgram& program,
-               const std::vector<KernelDesc>& kernels,
+dispatch_bound(const WiredProgram& program, const Kernels& kernels,
                const GpuConfig& cfg, double obs_anchor)
 {
     // When observability is on, collect the device timeline regardless
@@ -770,20 +922,20 @@ dispatch_bound(const WiredProgram& program,
     return result;
 }
 
-}  // namespace
-
+/**
+ * One dispatch of a plan bound by `bind` (a WiredBinary or a
+ * BoundPlan): the bind is the host work a replay of a lowered binary
+ * skips, so it counts as enqueue time.
+ */
+template <typename Bind>
 DispatchResult
-dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
-              const TensorMap& tmap, const GpuConfig& cfg)
+bind_and_dispatch(const Bind& bind, const GpuConfig& cfg)
 {
     obs::ScopedSpan dispatch_span(obs::Category::Dispatch,
                                   "dispatch_plan");
     const double obs_anchor = obs::enabled() ? obs::now_ns() : 0.0;
-    // The bind is the host work a replay of a lowered binary skips, so
-    // it counts as enqueue time.
     const auto bind_start = std::chrono::steady_clock::now();
-    const WiredBinary bound =
-        bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
+    const auto bound = bind();
     const double bind_ns = elapsed_ns(bind_start);
 
     DispatchResult result =
@@ -794,6 +946,23 @@ dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
         dispatches.add();
     }
     return result;
+}
+
+}  // namespace
+
+DispatchResult
+dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
+              const TensorMap& tmap, const GpuConfig& cfg)
+{
+    return bind_and_dispatch(
+        [&] { return bind_plan(plan, graph, tmap, cfg, /*profiling=*/true); },
+        cfg);
+}
+
+DispatchResult
+dispatch_plan(const std::function<BoundPlan()>& bind, const GpuConfig& cfg)
+{
+    return bind_and_dispatch(bind, cfg);
 }
 
 DispatchResult

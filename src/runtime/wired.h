@@ -14,11 +14,18 @@
  *    kernel launch, event record and event wait of the mini-batch,
  *    with streams and event slots preresolved. Walking it
  *    (enqueue_wired) is a branch-light loop.
- *  - bind_plan: compile_plan plus one prebuilt kernel descriptor per
- *    step (fn pointers bound to arena byte offsets through the
- *    TensorMap). dispatch_plan binds on every call and then walks;
- *    the data-parallel dispatcher and the what-if engine walk the
- *    same bound form.
+ *  - A bind has two halves. The per-binding half belongs to a fixed
+ *    unit list: each unit's producer units (UnitProducers) and its
+ *    kernel descriptors (fn pointers bound to arena byte offsets
+ *    through the TensorMap; UnitKernels keeps them). The per-trial
+ *    half is only the command stream over those units (compile_steps):
+ *    streams, events, waits and profile records. A plan skeleton
+ *    (core/scheduler.h) keeps the first half for every trial of its
+ *    binding, so Scheduler::bind compiles only the second and
+ *    launches the kept descriptors by reference (BoundPlan).
+ *    bind_plan runs both halves back to back over any other plan;
+ *    dispatch_plan binds on every call and then walks, and the
+ *    data-parallel dispatcher walks the same bound form.
  *  - WiredBinary: a bound plan, the program plus its kernels.
  *    lower_plan binds one, tabulates the plan's arena intervals
  *    (ArenaTable: offset/size/lifetime per tensor in the TensorMap's
@@ -37,7 +44,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -105,16 +115,62 @@ struct WiredProgram
 
     /** Readout recipes, in plan-step order. */
     std::vector<WiredProfile> profiles;
+
+    /**
+     * Per step, the profile key its launch carries into the kernel
+     * trace (none for an unkeyed step or a barrier). A descriptor may
+     * serve trials under different keys, so the key lives here.
+     */
+    std::vector<ProfileKey> keys;
 };
 
 /**
- * Compile a plan's dispatch into a WiredProgram: producer steps,
- * cross-stream waits, barrier rendezvous and profiling events, in
- * plan-step order.
+ * Each unit's producer units over a fixed unit list: the other units
+ * writing a node it reads, without repeats, in first-read order. Unit
+ * u's are units[begin[u], begin[u+1]).
+ */
+struct UnitProducers
+{
+    std::vector<int32_t> begin;
+    std::vector<int32_t> units;
+};
+
+/** The producer units of every unit (a barrier's list is empty). */
+UnitProducers unit_producers(const std::vector<PlanStep>& units,
+                             const Graph& graph);
+
+/**
+ * One step of a plan by reference to a unit list: the unit it launches
+ * (-1 for a barrier), its stream, the library a GEMM unit runs under,
+ * and its profiling readout (PlanStep's fields of the same names).
+ */
+struct UnitStep
+{
+    int32_t unit = -1;
+    int32_t stream = 0;
+    GemmLib lib = GemmLib::Cublas;
+    bool profile = false;
+    bool epoch_metric = false;
+    ProfileKey key;
+};
+
+/**
+ * The per-trial half of a bind: compile the steps' dispatch into a
+ * WiredProgram (cross-stream waits on each unit's producers, barrier
+ * rendezvous and profiling events, in step order). Every unit a step
+ * reads from must be launched by an earlier step.
  *
  * @param profiling honor the steps' profile/epoch_metric flags (false
  *        skips instrumentation events — the dp path measures whole
  *        devices, not steps).
+ */
+WiredProgram compile_steps(const std::vector<UnitStep>& steps,
+                           const UnitProducers& producers, int num_streams,
+                           bool profiling);
+
+/**
+ * compile_steps over a plan whose steps are their own units: both
+ * halves' command work, back to back.
  */
 WiredProgram compile_plan(const ExecutionPlan& plan, const Graph& graph,
                           bool profiling);
@@ -177,16 +233,76 @@ struct WiredBinary
 };
 
 /**
- * Bind a plan for dispatch: compile_plan, then build one kernel
- * descriptor per non-barrier step against the TensorMap (names, fused
- * shapes, compute closures and costs under `cfg`).
+ * Bind a plan for dispatch, both halves back to back: compile_plan,
+ * then build one kernel descriptor per non-barrier step against the
+ * TensorMap (names, fused shapes, compute closures and costs under
+ * `cfg`), owned by the binary.
  *
  * @param profiling compile the steps' profile/epoch_metric
- *        instrumentation (see compile_plan).
+ *        instrumentation (see compile_steps).
  */
 WiredBinary bind_plan(const ExecutionPlan& plan, const Graph& graph,
                       const TensorMap& tmap, const GpuConfig& cfg,
                       bool profiling);
+
+/**
+ * The descriptor side of the per-binding half: kernel descriptors for
+ * one fixed unit list (a plan skeleton's), each built on first use and
+ * kept for every later trial over the same units. A GEMM unit keeps
+ * one descriptor per library it has run with, so at most kNumGemmLibs;
+ * any other unit keeps one. A descriptor depends on neither the stream
+ * nor the clock draw: only on its unit and library, on the device's
+ * cost constants (num_sms, flops_per_sm_ns, hbm_gbps), and, when
+ * kernels execute, on the buffers its compute closure reads
+ * (TensorMap::id). A table serves the one such context it was made for
+ * (serves()). Thread-safe: a built descriptor never changes or moves,
+ * so trials launch it by reference while others fill in more.
+ */
+class UnitKernels
+{
+  public:
+    UnitKernels(const TensorMap& tmap, const GpuConfig& cfg,
+                size_t num_units);
+
+    /** True when descriptors built for (tmap, cfg) equal this table's. */
+    bool serves(const TensorMap& tmap, const GpuConfig& cfg) const;
+
+    /**
+     * Per step, its unit's descriptor under the step's library (null
+     * for a barrier), building each missing one. `units` is the unit
+     * list the table was made for, and serves(tmap, cfg) must hold.
+     */
+    std::vector<const KernelDesc*>
+    resolve(const std::vector<PlanStep>& units,
+            const std::vector<UnitStep>& steps, const Graph& graph,
+            const TensorMap& tmap, const GpuConfig& cfg) const;
+
+  private:
+    uint64_t tmap_id_;  ///< 0 when kernels do not execute
+    bool execute_kernels_;
+    int num_sms_;
+    double flops_per_sm_ns_;
+    double hbm_gbps_;
+
+    mutable std::mutex mu_;
+    /** Built descriptors; a deque keeps their addresses as it grows. */
+    mutable std::deque<KernelDesc> descs_;
+    /** Per (unit, library): index into descs_, -1 until built. */
+    mutable std::vector<int32_t> slot_;
+};
+
+/**
+ * A plan bound by reference (Scheduler::bind): the per-trial command
+ * stream and, per step, the descriptor it launches (null for a
+ * barrier), kept in the per-binding `table`, which the plan keeps
+ * alive while it is walked.
+ */
+struct BoundPlan
+{
+    WiredProgram program;
+    std::vector<const KernelDesc*> kernels;
+    std::shared_ptr<const UnitKernels> table;
+};
 
 /**
  * Walk a bound program onto a device whose streams already exist:
@@ -202,6 +318,11 @@ void enqueue_wired(const WiredProgram& program,
                    const std::vector<KernelDesc>& kernels, SimGpu& gpu,
                    std::vector<EventId>& events,
                    const std::function<void(int)>& after_step = {});
+
+/** The same walk over descriptors held by reference (a BoundPlan's). */
+void enqueue_wired(const WiredProgram& program,
+                   const std::vector<const KernelDesc*>& kernels,
+                   SimGpu& gpu, std::vector<EventId>& events);
 
 /**
  * Lower a converged plan into a wired binary: bind it (with profiling
@@ -224,6 +345,15 @@ WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
  * cost of the walk, comparable against dispatch_plan's bind + walk.
  */
 DispatchResult replay_wired(const WiredBinary& bin, const GpuConfig& cfg);
+
+/**
+ * dispatch_plan of a plan bound by reference: `bind` returns it (a
+ * trial's Scheduler::bind), timed as host enqueue; then the same
+ * transaction and readout as every other dispatch, under the same
+ * "dispatch_plan" span.
+ */
+DispatchResult dispatch_plan(const std::function<BoundPlan()>& bind,
+                             const GpuConfig& cfg);
 
 /** Outcome of verify_wired. */
 struct WiredVerdict

@@ -58,14 +58,14 @@ SimGpu::create_event()
 }
 
 void
-SimGpu::launch(StreamId stream, KernelDesc kernel)
+SimGpu::launch(StreamId stream, KernelDesc kernel, ProfileKey key)
 {
     owned_.push_back(std::move(kernel));
-    launch_ref(stream, owned_.back());
+    launch_ref(stream, owned_.back(), key);
 }
 
 void
-SimGpu::launch_ref(StreamId stream, const KernelDesc& kernel)
+SimGpu::launch_ref(StreamId stream, const KernelDesc& kernel, ProfileKey key)
 {
     ASTRA_ASSERT(stream >= 0 && stream < num_streams(), "bad stream");
     ASTRA_ASSERT(kernel.blocks >= 0 && kernel.block_ns >= 0.0,
@@ -73,6 +73,7 @@ SimGpu::launch_ref(StreamId stream, const KernelDesc& kernel)
     Command cmd;
     cmd.type = CmdType::Launch;
     cmd.kernel = &kernel;
+    cmd.key = key;
     if (injector_.armed()) {
         const KernelFault fault = injector_.on_kernel(kernel.name);
         if (fault.fail) {
@@ -239,6 +240,7 @@ SimGpu::activate_ready()
                 k.compute();
             r.started_at = now_;
             r.kernel = &k;
+            r.key = head.key;
             ++stats_.kernels_launched;
             stream.active = static_cast<int>(running_.size());
             running_.push_back(r);
@@ -419,7 +421,7 @@ SimGpu::run_until(double t_stop)
                 ++stats_.events_recorded;
             } else if (config_.collect_trace) {
                 trace_.push_back({r.kernel->name, r.stream, r.started_at,
-                                  now_, r.kernel->key});
+                                  now_, r.key});
             }
         }
         running_.resize(kept);

@@ -32,6 +32,7 @@
 #include "obs/export.h"
 #include "sim/faults.h"
 #include "sim/kernel.h"
+#include "support/profile_key.h"
 #include "support/rng.h"
 
 namespace astra {
@@ -227,17 +228,21 @@ class SimGpu
 
     /**
      * Enqueue a kernel launch on a stream (asynchronous). The device
-     * keeps the descriptor until it next drains.
+     * keeps the descriptor until it next drains. `key` is the
+     * profile-index key of the plan step launching it (none when the
+     * launch is not plan-keyed); the kernel's trace span carries it.
      */
-    void launch(StreamId stream, KernelDesc kernel);
+    void launch(StreamId stream, KernelDesc kernel, ProfileKey key = {});
 
     /**
      * Enqueue a launch of a descriptor the caller owns, without
      * copying it: `kernel` must stay alive and unchanged until the
      * device has drained (synchronize, or run_until returning
-     * Drained). The wired walk launches bound plans this way.
+     * Drained). The wired walk launches bound plans this way, and one
+     * descriptor may serve launches under different keys.
      */
-    void launch_ref(StreamId stream, const KernelDesc& kernel);
+    void launch_ref(StreamId stream, const KernelDesc& kernel,
+                    ProfileKey key = {});
 
     /** Enqueue an event record on a stream. */
     void record_event(StreamId stream, EventId event);
@@ -311,6 +316,7 @@ class SimGpu
     {
         CmdType type;
         const KernelDesc* kernel = nullptr;  // Launch
+        ProfileKey key;  ///< Launch: the trace span's key
         EventId event = -1;  // Record / Wait
         double ready_at = 0.0;  ///< host enqueue completion time
         double slowdown = 1.0;  ///< injected straggler stretch (1 = none)
@@ -347,6 +353,7 @@ class SimGpu
         EventId event = -1;
         double started_at = 0.0;    ///< activation time (for tracing)
         const KernelDesc* kernel = nullptr;  ///< null for events
+        ProfileKey key;  ///< the launch's key (for tracing)
     };
 
     /** Start every startable command; returns true if anything started. */

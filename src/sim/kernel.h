@@ -15,7 +15,6 @@
 #include <functional>
 #include <string>
 
-#include "support/profile_key.h"
 
 namespace astra {
 
@@ -46,13 +45,6 @@ struct KernelDesc
 
     /** Host-side computation of the kernel's actual result. */
     std::function<void()> compute;
-
-    /**
-     * Profile-index key of the plan step that launched this kernel (no
-     * key when the launch is not plan-keyed). Carried into collected
-     * trace spans, whose Chrome export renders it (obs/export.h).
-     */
-    ProfileKey key;
 };
 
 }  // namespace astra

@@ -5,10 +5,10 @@
  * enumerate, schedule under random configurations (epoch stream
  * choices included), dispatch with values — and check the global
  * invariants: every plan covers every node exactly once in topological
- * order, a scheduler warmed on a sibling configuration emits the same
- * plan as a fresh one, every configuration is bit-identical to the
- * native dispatch, and its lowered binary verifies and replays to the
- * same values and timings as dispatching the plan. This is where
+ * order, a scheduler warmed on a sibling configuration emits and binds
+ * the same plan as a fresh one, every configuration is bit-identical to
+ * the native dispatch, and its lowered binary verifies and replays to
+ * the same values and timings as dispatching the plan. This is where
  * grouping edge cases the hand-written models never produce get
  * caught. OracleFuzz checks the enumerator's MatMul reachability
  * oracle against a graph search on those graphs and the model zoo.
@@ -129,8 +129,10 @@ random_graph(uint64_t seed, bool long_ladders = false)
  * pipeline. Each must cover every node exactly once in topological
  * order, be emitted the same by a warm and a fresh scheduler, attribute
  * every GEMM unit to its owner (testutil::attribution_errors), match
- * the native dispatch's loss bit for bit, and lower to a binary that
- * replays to the same loss and timings.
+ * the native dispatch's loss bit for bit, lower to a binary that
+ * replays to the same loss and timings, and bind on a scheduler warmed
+ * by a sibling of other libraries and keys exactly as a fresh plan
+ * binds.
  */
 void
 check_random_configs(const Graph& g, const SearchSpace& space,
@@ -251,6 +253,50 @@ check_random_configs(const Graph& g, const SearchSpace& space,
             << "seed " << seed << " trial " << trial;
         EXPECT_EQ(replayed.profile_ns, dispatched.profile_ns)
             << "seed " << seed << " trial " << trial;
+
+        // Reuse: the shared scheduler, warmed on a sibling of stage-B
+        // shape (the same units, other libraries and keys), binds the
+        // trial exactly as a fresh scheduler's plan binds, command for
+        // command and descriptor field for field, and the trial
+        // dispatches to the same result and values.
+        ScheduleConfig sibling = cfg;
+        const auto next_lib = [](GemmLib lib) {
+            return static_cast<GemmLib>((static_cast<int>(lib) + 1) %
+                                        kNumGemmLibs);
+        };
+        for (GemmLib& lib : sibling.group_lib)
+            lib = next_lib(lib);
+        for (auto& [id, lib] : sibling.single_lib)
+            lib = next_lib(lib);
+        for (auto& [gid, key] : sibling.group_keys)
+            key = testutil::wirer_key(WirerVariable::GroupLib, gid);
+        sibling.single_keys.clear();
+        (void)sched.bind(sibling, cand.tmap(), cand.config());
+        const BoundPlan bound = sched.bind(cfg, cand.tmap(), cand.config());
+        const WiredBinary fresh =
+            bind_plan(Scheduler(g, space, sopts).build(cfg), g, cand.tmap(),
+                      cand.config(), /*profiling=*/true);
+        EXPECT_EQ(testutil::bound_dump(bound), testutil::bound_dump(fresh))
+            << "seed " << seed << " trial " << trial;
+        EXPECT_EQ(testutil::program_layout_dump(bound.program),
+                  testutil::program_layout_dump(fresh.program))
+            << "seed " << seed << " trial " << trial;
+        cand.tmap().f32(loss)[0] = std::nanf("");
+        const DispatchResult rebound = dispatch_plan(
+            [&] { return sched.bind(cfg, cand.tmap(), cand.config()); },
+            cand.config());
+        EXPECT_EQ(cand.scalar(loss), expect)
+            << "seed " << seed << " trial " << trial;
+        EXPECT_EQ(rebound.total_ns, dispatched.total_ns)
+            << "seed " << seed << " trial " << trial;
+        EXPECT_EQ(rebound.profile_ns, dispatched.profile_ns)
+            << "seed " << seed << " trial " << trial;
+        EXPECT_EQ(rebound.stats.kernels_launched,
+                  dispatched.stats.kernels_launched);
+        EXPECT_EQ(rebound.stats.events_recorded,
+                  dispatched.stats.events_recorded);
+        EXPECT_EQ(rebound.stats.busy_sm_ns, dispatched.stats.busy_sm_ns);
+        EXPECT_EQ(rebound.clock_multiplier, dispatched.clock_multiplier);
     }
 }
 

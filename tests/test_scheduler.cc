@@ -16,6 +16,7 @@
 #include "models/data.h"
 #include "models/models.h"
 #include "obs/obs.h"
+#include "runtime/wired.h"
 #include "support/parallel_for.h"
 #include "tests/util.h"
 
@@ -158,10 +159,11 @@ TEST(Scheduler, StreamedSiblingsShareOneSkeleton)
 
 TEST(Scheduler, ExplorationReleasesEachStrategySkeleton)
 {
-    // A strategy's skeleton lives only while its pipeline explores.
-    // Its last binding is the strategy's winner, so after optimize()
-    // the first streamed build of the winner builds the skeleton again,
-    // once, and keeps it for the next build.
+    // A strategy's skeleton lives only while its pipeline explores, and
+    // build() keeps no skeleton it had to make: after optimize() every
+    // build of the winner builds its units and stream space again, so a
+    // lowered winner keeps only its binary. A trial (bind) keeps the
+    // skeleton it built, with its stream space, for the next trial.
     const BuiltModel m = small_model();
     AstraOptions opts;
     opts.gpu.execute_kernels = false;
@@ -173,26 +175,75 @@ TEST(Scheduler, ExplorationReleasesEachStrategySkeleton)
     ScheduleConfig winner = r.best_config;
     winner.use_streams = true;
 
-    for (int build = 0; build < 2; ++build) {
+    const auto spans_of = [&](const auto& call) {
         obs::reset();
         obs::set_enabled(true);
-        (void)session.scheduler().build(winner);
+        call();
         obs::set_enabled(false);
         const std::vector<obs::Span> spans = obs::host_spans();
         obs::reset();
-        EXPECT_EQ(span_count(spans, "scheduler.build_units"), 1 - build)
+        return std::pair{span_count(spans, "scheduler.build_units"),
+                         span_count(spans, "scheduler.stream_space")};
+    };
+    const TensorMap& tmap = session.tensor_map(winner.strategy);
+    for (int build = 0; build < 2; ++build)
+        EXPECT_EQ(spans_of([&] { (void)session.scheduler().build(winner); }),
+                  std::pair(int64_t{1}, int64_t{1}))
             << "build " << build;
-        EXPECT_EQ(span_count(spans, "scheduler.stream_space"), 1 - build)
-            << "build " << build;
+    for (int trial = 0; trial < 2; ++trial)
+        EXPECT_EQ(spans_of([&] {
+                      (void)session.scheduler().bind(winner, tmap, opts.gpu);
+                  }),
+                  std::pair(int64_t{1 - trial}, int64_t{1 - trial}))
+            << "trial " << trial;
+}
+
+TEST(Scheduler, TrialReuseCountsArePinned)
+{
+    // One optimize() of small_model(): trials bound from a strategy's
+    // kept skeleton (hits) or from a fresh one (misses), and every
+    // kernel descriptor built, lowering's included. These counts are
+    // exact for a tree; a change to one changes how much a wiring
+    // rebuilds.
+    struct Pin
+    {
+        const char* name;
+        AstraFeatures features;
+        int64_t hits, misses, descriptors;
+    };
+    const BuiltModel m = small_model();
+    for (const Pin& pin : {Pin{"fk", features_fk(), 4, 3, 635},
+                           Pin{"all", features_all(), 579, 12, 2608}}) {
+        AstraOptions opts;
+        opts.gpu.execute_kernels = false;
+        opts.gpu.autoboost = false;
+        opts.features = pin.features;
+        AstraSession session(m.graph(), opts);
+        obs::reset();
+        obs::set_enabled(true);
+        (void)session.optimize();
+        obs::set_enabled(false);
+        const auto counters = obs::counter_values();
+        obs::reset();
+        const auto value = [&](const char* name) {
+            const auto it = counters.find(name);
+            return it == counters.end() ? int64_t{0} : it->second;
+        };
+        EXPECT_EQ(value("scheduler.plan_cache.hits"), pin.hits) << pin.name;
+        EXPECT_EQ(value("scheduler.plan_cache.misses"), pin.misses)
+            << pin.name;
+        EXPECT_EQ(value("dispatch.descriptors_built"), pin.descriptors)
+            << pin.name;
     }
 }
 
 TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
 {
-    // One scheduler walks streamed configs that each change one more
-    // binding field. Every plan must equal a fresh scheduler's, so no
-    // field that shapes units or the stream space may be missing from
-    // the skeleton's key.
+    // One scheduler binds streamed configs that each change one more
+    // binding field, so each finds the previous one's skeleton, stream
+    // space and descriptors kept. Every plan and bound plan must equal
+    // a fresh scheduler's, so no field that shapes units, the stream
+    // space or a descriptor may be missing from what keys them.
     const BuiltModel m = small_model();
     const SearchSpace space = enumerate_search_space(m.graph());
     ASSERT_FALSE(space.single_mms.empty());
@@ -205,8 +256,20 @@ TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
     std::vector<ScheduleConfig> walk{cfg};
     cfg.group_chunk = default_config(space, 1).group_chunk;
     walk.push_back(cfg);
-    cfg.group_lib.assign(space.groups.size(), GemmLib::Oai1);
+    // Libraries that differ between groups split equivalence classes,
+    // so the stream space changes with them.
+    for (const FusionGroup& g : space.groups)
+        cfg.group_lib[static_cast<size_t>(g.id)] =
+            static_cast<GemmLib>(g.id % kNumGemmLibs);
     walk.push_back(cfg);
+    const auto options = [&](const ScheduleConfig& c) {
+        std::vector<size_t> n;
+        for (const EpochInfo& e :
+             Scheduler(m.graph(), space, opts).stream_space(c).epochs)
+            n.push_back(e.options.size());
+        return n;
+    };
+    EXPECT_NE(options(walk[walk.size() - 2]), options(walk.back()));
     cfg.single_lib[space.single_mms[0]] = GemmLib::Oai2;
     walk.push_back(cfg);
     cfg.elementwise_fusion = false;
@@ -220,11 +283,21 @@ TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
     cfg.single_keys[space.single_mms[0]] =
         testutil::wirer_key(WirerVariable::SingleLib, 0);
     walk.push_back(cfg);
-    for (size_t i = 0; i < walk.size(); ++i)
+    const Runner runner(m.graph(), space.strategies[0].runs);
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    for (size_t i = 0; i < walk.size(); ++i) {
+        const ExecutionPlan fresh =
+            Scheduler(m.graph(), space, opts).build(walk[i]);
         EXPECT_EQ(testutil::plan_dump(sched.build(walk[i])),
-                  testutil::plan_dump(
-                      Scheduler(m.graph(), space, opts).build(walk[i])))
+                  testutil::plan_dump(fresh))
             << "step " << i;
+        EXPECT_EQ(testutil::bound_dump(sched.bind(walk[i], runner.tmap(), gpu)),
+                  testutil::bound_dump(bind_plan(fresh, m.graph(),
+                                                 runner.tmap(), gpu,
+                                                 /*profiling=*/true)))
+            << "step " << i;
+    }
 }
 
 TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
@@ -263,6 +336,33 @@ TEST(Scheduler, ConcurrentStrategiesMatchSerialBuilds)
     });
     for (size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expect[i / 2]) << "config " << i / 2;
+
+    // The same configs bound at once (one tensor map per strategy):
+    // trials keep skeletons in the shared slots and fill in their
+    // descriptors while others bind from them, and every bound plan
+    // must equal a serial bind_plan of its serial build.
+    std::vector<std::unique_ptr<Runner>> runners;
+    for (const AllocStrategy& s : space.strategies)
+        runners.push_back(std::make_unique<Runner>(m.graph(), s.runs));
+    const auto tmap = [&](const ScheduleConfig& cfg) -> const TensorMap& {
+        return runners[static_cast<size_t>(cfg.strategy)]->tmap();
+    };
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    std::vector<std::string> expect_bound;
+    for (const ScheduleConfig& cfg : cfgs)
+        expect_bound.push_back(testutil::bound_dump(
+            bind_plan(serial.build(cfg), m.graph(), tmap(cfg), gpu,
+                      /*profiling=*/true)));
+    const Scheduler binding(m.graph(), space, opts);
+    std::vector<std::string> got_bound(cfgs.size() * 2);
+    parallel_for(4, static_cast<int64_t>(got_bound.size()), [&](int64_t i) {
+        const ScheduleConfig& cfg = cfgs[static_cast<size_t>(i) / 2];
+        got_bound[static_cast<size_t>(i)] =
+            testutil::bound_dump(binding.bind(cfg, tmap(cfg), gpu));
+    });
+    for (size_t i = 0; i < got_bound.size(); ++i)
+        EXPECT_EQ(got_bound[i], expect_bound[i / 2]) << "config " << i / 2;
 }
 
 TEST(Scheduler, PaperModelPlansArePinned)

@@ -1005,6 +1005,7 @@ TEST(SimGpu, LaunchByReferenceMatchesByValue)
         cfg.fault_salt = seed;
         std::vector<int> value_log, ref_log;
         std::vector<KernelDesc> value_kernels, ref_kernels;
+        std::vector<ProfileKey> keys;
         for (int k = 0; k < 8; ++k) {
             KernelDesc d = kernel(
                 "k" + std::to_string(k),
@@ -1012,7 +1013,7 @@ TEST(SimGpu, LaunchByReferenceMatchesByValue)
                 100.0 + 5000.0 * rng.next_double(),
                 2000.0 * rng.next_double(),
                 static_cast<int>(rng.next_below(40)));
-            d.key = k % 2 ? ProfileKey(0, k, 0) : ProfileKey();
+            keys.push_back(k % 2 ? ProfileKey(0, k, 0) : ProfileKey());
             value_kernels.push_back(d);
             value_kernels.back().compute = [&value_log, k] {
                 value_log.push_back(k);
@@ -1042,8 +1043,9 @@ TEST(SimGpu, LaunchByReferenceMatchesByValue)
                   case SimOp::Launch:
                     // A temporary copy that dies at the end of this
                     // statement, long before the device runs it.
-                    by_value.launch(op.stream, KernelDesc(value_kernels[i]));
-                    by_ref.launch_ref(op.stream, ref_kernels[i]);
+                    by_value.launch(op.stream, KernelDesc(value_kernels[i]),
+                                    keys[i]);
+                    by_ref.launch_ref(op.stream, ref_kernels[i], keys[i]);
                     break;
                   case SimOp::Record:
                     by_value.record_event(op.stream, value_events[i]);

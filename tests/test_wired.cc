@@ -609,36 +609,7 @@ TEST(CompiledDispatch, MatchesGenericSessionPath)
 
 // ---- bound kernel descriptors ---------------------------------------------
 
-/**
- * Canonical text of a bound plan: per step the descriptor's name
- * (length-prefixed), key (the ordinal of its first appearance),
- * blocks, max_sms, block_ns and setup_ns (hexfloat), "-" for a
- * barrier; then the command array.
- */
-std::string
-bound_dump(const WiredBinary& bin)
-{
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os << std::hexfloat;
-    std::map<ProfileKey, size_t> key_ordinal;
-    for (size_t i = 0; i < bin.kernels.size(); ++i) {
-        if (bin.program.is_barrier[i]) {
-            os << "-\n";
-            continue;
-        }
-        const KernelDesc& k = bin.kernels[i];
-        os << k.name.size() << ":" << k.name << " "
-           << key_ordinal.emplace(k.key, key_ordinal.size()).first->second
-           << " " << k.blocks << " " << k.max_sms << " "
-           << k.block_ns << " " << k.setup_ns << "\n";
-    }
-    for (const WiredCmd& c : bin.program.cmds)
-        os << static_cast<int>(c.op) << "," << c.stream << "," << c.arg
-           << ";";
-    os << "\n";
-    return os.str();
-}
+using testutil::bound_dump;
 
 TEST(Wired, BoundKernelsArePinned)
 {

@@ -19,6 +19,7 @@
 #include "models/models.h"
 #include "runtime/dispatcher.h"
 #include "runtime/native.h"
+#include "runtime/wired.h"
 #include "support/rng.h"
 
 namespace astra::testutil {
@@ -174,6 +175,79 @@ plan_dump(const ExecutionPlan& plan)
         str(s.compound_name);
         os << " setup " << s.extra_setup_ns << "\n";
     }
+    return os.str();
+}
+
+/**
+ * Canonical text of a bound plan: per step its descriptor's name
+ * (length-prefixed), launch key (the ordinal of its first appearance),
+ * blocks, max_sms, block_ns and setup_ns (hexfloat), "-" for a
+ * barrier; then the command array. `kernel(i)` is step i's
+ * descriptor.
+ */
+template <typename KernelAt>
+std::string
+bound_dump(const WiredProgram& program, const KernelAt& kernel)
+{
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << std::hexfloat;
+    std::map<ProfileKey, size_t> key_ordinal;
+    for (size_t i = 0; i < program.is_barrier.size(); ++i) {
+        if (program.is_barrier[i]) {
+            os << "-\n";
+            continue;
+        }
+        const KernelDesc& k = kernel(i);
+        os << k.name.size() << ":" << k.name << " "
+           << key_ordinal.emplace(program.keys[i], key_ordinal.size())
+                  .first->second
+           << " " << k.blocks << " " << k.max_sms << " " << k.block_ns
+           << " " << k.setup_ns << "\n";
+    }
+    for (const WiredCmd& c : program.cmds)
+        os << static_cast<int>(c.op) << "," << c.stream << "," << c.arg
+           << ";";
+    os << "\n";
+    return os.str();
+}
+
+/** bound_dump of a binary that owns its descriptors. */
+inline std::string
+bound_dump(const WiredBinary& bin)
+{
+    return bound_dump(bin.program, [&](size_t i) -> const KernelDesc& {
+        return bin.kernels[i];
+    });
+}
+
+/** bound_dump of a plan bound by reference (Scheduler::bind). */
+inline std::string
+bound_dump(const BoundPlan& bound)
+{
+    return bound_dump(bound.program, [&](size_t i) -> const KernelDesc& {
+        return *bound.kernels[i];
+    });
+}
+
+/**
+ * The rest of a program's layout: step spans, barrier slots, event
+ * and stream counts, and every profile readout recipe.
+ */
+inline std::string
+program_layout_dump(const WiredProgram& program)
+{
+    std::ostringstream os;
+    for (int32_t b : program.step_begin)
+        os << b << ",";
+    os << "|";
+    for (int32_t b : program.barrier_slots)
+        os << b << ",";
+    os << "|" << program.num_events << "|" << program.num_streams << "|";
+    for (const WiredProfile& p : program.profiles)
+        os << p.key.bits() << "/" << p.epoch_metric << "/" << p.start_slot
+           << "/" << p.end_slot << "/" << p.barrier_begin << "/"
+           << p.barrier_end << ";";
     return os.str();
 }
 
