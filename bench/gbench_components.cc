@@ -87,17 +87,27 @@ BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, gnmt, &gnmt_model)
 BENCHMARK_CAPTURE(BM_EnumerateSearchSpace, bucket32, &bucket32_model)
     ->Unit(benchmark::kMillisecond);
 
-/** Every group at its largest chunk, cuBLAS everywhere, one stream. */
+/**
+ * Every group at its `option`-th chunk choice (clamped to its largest),
+ * cuBLAS everywhere, one stream.
+ */
 ScheduleConfig
-max_chunk_config(const SearchSpace& space)
+chunk_config(const SearchSpace& space, size_t option)
 {
     ScheduleConfig cfg;
     cfg.group_chunk.assign(space.groups.size(), 1);
     cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
     for (const FusionGroup& g : space.groups)
         cfg.group_chunk[static_cast<size_t>(g.id)] =
-            g.chunk_options.back();
+            g.chunk_options[std::min(option, g.chunk_options.size() - 1)];
     return cfg;
+}
+
+/** Every group at its largest chunk, cuBLAS everywhere, one stream. */
+ScheduleConfig
+max_chunk_config(const SearchSpace& space)
+{
+    return chunk_config(space, static_cast<size_t>(kMaxChunkOptions) - 1);
 }
 
 /**
@@ -223,6 +233,34 @@ BM_BindTrial(benchmark::State& state)
     }
 }
 BENCHMARK(BM_BindTrial)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Stage A of the largest serving bucket (bucket32_model) on one
+ * scheduler: each iteration binds its four chunk shapes (every group at
+ * its option 0, 1, 2, 3), so each skeleton replaces one of another
+ * shape and inherits its equal units' descriptors and, when they cover
+ * the same ladder Adds, its chains.
+ */
+void
+BM_StageATrials(benchmark::State& state)
+{
+    const BuiltModel& m = bucket32_model();
+    static const SearchSpace space = enumerate_search_space(m.graph());
+    SimMemory mem(graph_tensor_bytes(m.graph()) + (1 << 20), false);
+    const TensorMap tmap(m.graph(), mem, space.strategies[0].runs);
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    const Scheduler scheduler(m.graph(), space);
+    std::vector<ScheduleConfig> shapes;
+    for (size_t option = 0; option < static_cast<size_t>(kMaxChunkOptions);
+         ++option)
+        shapes.push_back(chunk_config(space, option));
+    for (auto _ : state)
+        for (const ScheduleConfig& cfg : shapes)
+            benchmark::DoNotOptimize(
+                scheduler.bind(cfg, tmap, gpu).kernels.size());
+}
+BENCHMARK(BM_StageATrials)->Unit(benchmark::kMicrosecond);
 
 /** One replay of the lowered GNMT plan: the walk plus the simulation. */
 void

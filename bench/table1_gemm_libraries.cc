@@ -4,8 +4,11 @@
  * problem shape. Times two LSTM-run GEMM shapes under each simulated
  * library and checks the winner inversion (OAI_1 wins the wide-N
  * forward fused GEMM; cuBLAS wins the deep-K backward GEMM; OAI_2
- * collapses on wide N).
+ * collapses on wide N). Exits 1, naming the row, when a shape's winner
+ * is not the one the paper reports.
  */
+#include <cstdio>
+
 #include "bench/common.h"
 #include "runtime/dispatcher.h"
 
@@ -46,8 +49,11 @@ main()
     struct Row
     {
         int64_t m, k, n;
+        const char* expect;  ///< the paper's winner
     };
-    for (const Row r : {Row{64, 1024, 4096}, Row{64, 4096, 1024}}) {
+    std::vector<std::string> failed;
+    for (const Row r :
+         {Row{64, 1024, 4096, "oai_1"}, Row{64, 4096, 1024, "cublas"}}) {
         const double c = time_gemm(GemmLib::Cublas, r.m, r.n, r.k);
         const double o1 = time_gemm(GemmLib::Oai1, r.m, r.n, r.k);
         const double o2 = time_gemm(GemmLib::Oai2, r.m, r.n, r.k);
@@ -56,11 +62,17 @@ main()
             winner = "oai_1";
         else if (o2 < c && o2 < o1)
             winner = "oai_2";
-        table.add_row({std::to_string(r.m) + "x" + std::to_string(r.k) +
-                           "x" + std::to_string(r.n),
-                       TextTable::fmt(c, 3), TextTable::fmt(o1, 3),
+        const std::string size = std::to_string(r.m) + "x" +
+                                 std::to_string(r.k) + "x" +
+                                 std::to_string(r.n);
+        if (winner != r.expect)
+            failed.push_back(std::string(r.expect) + " must win " + size +
+                             ", " + winner + " does");
+        table.add_row({size, TextTable::fmt(c, 3), TextTable::fmt(o1, 3),
                        TextTable::fmt(o2, 3), winner});
     }
     table.print();
-    return 0;
+    for (const std::string& f : failed)
+        std::fprintf(stderr, "table1: FAILED: %s\n", f.c_str());
+    return failed.empty() ? 0 : 1;
 }

@@ -27,13 +27,16 @@ BucketedAstra::BucketedAstra(std::vector<int> bucket_lengths,
 }
 
 int64_t
-BucketedAstra::optimize()
+BucketedAstra::optimize(const std::function<void(int)>& after_bucket)
 {
     int64_t total = 0;
-    for (Bucket& b : buckets_) {
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+        Bucket& b = buckets_[i];
         b.result = b.session->optimize();
         b.optimized = true;
         total += b.result.minibatches;
+        if (after_bucket)
+            after_bucket(static_cast<int>(i));
     }
     return total;
 }

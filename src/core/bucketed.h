@@ -40,8 +40,12 @@ class BucketedAstra
     BucketedAstra(std::vector<int> bucket_lengths, LengthGraphFn build,
                   AstraOptions opts);
 
-    /** Explore every bucket; returns total exploration mini-batches. */
-    int64_t optimize();
+    /**
+     * Explore every bucket in turn; `after_bucket(i)` runs once bucket
+     * i has explored, before the next bucket starts. Returns total
+     * exploration mini-batches.
+     */
+    int64_t optimize(const std::function<void(int)>& after_bucket = {});
 
     /**
      * Index of the bucket serving a true input length.

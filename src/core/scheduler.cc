@@ -128,6 +128,58 @@ unit_stamps(const Graph& graph, const std::vector<PlanStep>& units,
     return stamps;
 }
 
+/**
+ * Fused elementwise chains (§5.3) of a graph whose GEMM chunks cover
+ * the elementwise nodes `covered`, appended in scan order: chain c is
+ * nodes[begin[c], begin[c + 1]).
+ */
+void
+scan_chains(const Graph& graph, const std::vector<char>& elementwise,
+            const std::vector<NodeId>& covered, std::vector<NodeId>& nodes,
+            std::vector<int32_t>& begin)
+{
+    // Max chain length, and how far past the last member the scan may
+    // look.
+    constexpr int kMaxChain = 10;
+    constexpr int kChainWindow = 48;
+    // Per node, 1 while a chain may still take it.
+    std::vector<char> open = elementwise;
+    for (NodeId id : covered)
+        open[static_cast<size_t>(id)] = 0;
+    std::vector<NodeId> chain;  // ascending, so binary-searchable
+    for (NodeId i = 0; i < graph.size(); ++i) {
+        if (!open[static_cast<size_t>(i)])
+            continue;
+        chain.assign(1, i);
+        // Scan ahead, skipping interleaved non-elementwise nodes, within
+        // a bounded window past the last member. Joining is safe exactly
+        // when every input predates the chain or is a member: no skipped
+        // node can then sit on a path back into the chain, so
+        // contracting it cannot create a cycle.
+        for (NodeId j = i + 1;
+             j < graph.size() &&
+             static_cast<int>(chain.size()) < kMaxChain &&
+             j - chain.back() <= kChainWindow;
+             ++j) {
+            if (!open[static_cast<size_t>(j)])
+                continue;
+            bool ok = true;
+            for (NodeId in : graph.node(j).inputs)
+                ok &= in < i ||
+                      std::binary_search(chain.begin(), chain.end(), in);
+            if (!ok)
+                continue;
+            chain.push_back(j);
+        }
+        if (chain.size() < 2)
+            continue;
+        for (NodeId id : chain)
+            open[static_cast<size_t>(id)] = 0;
+        nodes.insert(nodes.end(), chain.begin(), chain.end());
+        begin.push_back(static_cast<int32_t>(nodes.size()));
+    }
+}
+
 /** Stamp a unit's library and key (none: profile stays off). */
 void
 stamp(const UnitStamp& s, const ScheduleConfig& config, UnitStep& step)
@@ -164,7 +216,8 @@ stamp(const UnitStamp& s, const ScheduleConfig& config, UnitStep& step)
 
 std::vector<PlanStep>
 Scheduler::assemble_units(const ScheduleConfig& config,
-                          const std::map<int, int>& forced_chunk) const
+                          const std::map<int, int>& forced_chunk,
+                          std::optional<ChainList>* chains) const
 {
     const AllocStrategy& strat =
         space_.strategies[strategy_slot(config.strategy)];
@@ -241,43 +294,27 @@ Scheduler::assemble_units(const ScheduleConfig& config,
     }
 
     // ---- fused elementwise chains (§5.3) -----------------------------------
+    // Chains scanned under the same covered ladder Adds are reused.
     if (config.elementwise_fusion) {
-        // Max chain length, and how far past the last member the scan
-        // may look.
-        constexpr int kMaxChain = 10;
-        constexpr int kChainWindow = 48;
-        std::vector<NodeId> chain;  // ascending, so binary-searchable
-        for (NodeId i = 0; i < graph_.size(); ++i) {
-            if (covered[static_cast<size_t>(i)] >= 0 ||
-                !elementwise_[static_cast<size_t>(i)])
-                continue;
-            chain.assign(1, i);
-            // Scan ahead, skipping interleaved non-elementwise nodes,
-            // within a bounded window past the last member. Joining is
-            // safe exactly when every input predates the chain or is a
-            // member: no skipped node can then sit on a path back into
-            // the chain, so contracting it cannot create a cycle.
-            for (NodeId j = i + 1;
-                 j < graph_.size() &&
-                 static_cast<int>(chain.size()) < kMaxChain &&
-                 j - chain.back() <= kChainWindow;
-                 ++j) {
-                if (covered[static_cast<size_t>(j)] >= 0 ||
-                    !elementwise_[static_cast<size_t>(j)])
-                    continue;
-                bool ok = true;
-                for (NodeId in : graph_.node(j).inputs)
-                    ok &= in < i || std::binary_search(chain.begin(),
-                                                       chain.end(), in);
-                if (!ok)
-                    continue;
-                chain.push_back(j);
-            }
-            if (chain.size() < 2)
-                continue;
+        std::vector<NodeId> adds;
+        for (const PlanStep& step : steps)
+            for (NodeId id : step.nodes)
+                if (elementwise_[static_cast<size_t>(id)])
+                    adds.push_back(id);
+        std::sort(adds.begin(), adds.end());
+        if (!chains->has_value() || (*chains)->covered != adds) {
+            ChainList scanned;
+            scan_chains(graph_, elementwise_, adds, scanned.nodes,
+                        scanned.begin);
+            scanned.covered = std::move(adds);
+            *chains = std::move(scanned);
+        }
+        const ChainList& list = **chains;
+        for (size_t c = 0; c + 1 < list.begin.size(); ++c) {
             PlanStep step;
             step.kind = StepKind::FusedElementwise;
-            step.nodes = chain;
+            step.nodes.assign(list.nodes.begin() + list.begin[c],
+                              list.nodes.begin() + list.begin[c + 1]);
             const int idx = static_cast<int>(steps.size());
             cover(step.nodes, idx);
             steps.push_back(std::move(step));
@@ -301,7 +338,8 @@ Scheduler::assemble_units(const ScheduleConfig& config,
 }
 
 std::vector<PlanStep>
-Scheduler::repaired_units(const ScheduleConfig& config) const
+Scheduler::repaired_units(const ScheduleConfig& config,
+                          std::optional<ChainList>* chains) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "scheduler.build_units");
     // Contracting independently-minable fusion groups can still create
@@ -310,14 +348,24 @@ Scheduler::repaired_units(const ScheduleConfig& config) const
     // fusion chunk of every group caught in a cycle and re-assembles —
     // the standard fusion-clustering cycle-breaking strategy.
     std::map<int, int> forced_chunk;
+    // Per GEMM, the first group listing it, made at the first cycle.
+    std::vector<int> first_group;
     for (int attempt = 0; attempt < 64; ++attempt) {
         std::vector<PlanStep> unplaced;
         std::vector<PlanStep> ordered = topo_sort_steps(
-            assemble_units(config, forced_chunk), graph_, &unplaced);
+            assemble_units(config, forced_chunk, chains), graph_,
+            &unplaced);
         if (unplaced.empty())
             return ordered;
 
         // Cycle: shrink every fused group participating in it.
+        if (first_group.empty()) {
+            first_group.assign(static_cast<size_t>(graph_.size()), -1);
+            for (const FusionGroup& g : space_.groups)
+                for (NodeId mm : g.mms)
+                    if (first_group[static_cast<size_t>(mm)] < 0)
+                        first_group[static_cast<size_t>(mm)] = g.id;
+        }
         bool shrunk = false;
         for (const PlanStep& step : unplaced) {
             if (step.kind != StepKind::FusedGemm &&
@@ -328,19 +376,15 @@ Scheduler::repaired_units(const ScheduleConfig& config) const
             // which cannot fuse, and then the step's own group keeps its
             // chunk this attempt; reading the owner instead lowers
             // GNMT's tuned speed (DESIGN.md §5.3).
-            for (const FusionGroup& g : space_.groups) {
-                if (std::find(g.mms.begin(), g.mms.end(),
-                              step.nodes[0]) == g.mms.end())
-                    continue;
-                const auto it = forced_chunk.find(g.id);
-                int current = it != forced_chunk.end()
-                                  ? it->second
-                                  : static_cast<int>(g.mms.size());
-                if (current > 1) {
-                    forced_chunk[g.id] = current / 2;
-                    shrunk = true;
-                }
-                break;
+            const int gid = first_group[static_cast<size_t>(step.nodes[0])];
+            const FusionGroup& g = space_.groups[static_cast<size_t>(gid)];
+            const auto it = forced_chunk.find(g.id);
+            const int current = it != forced_chunk.end()
+                                    ? it->second
+                                    : static_cast<int>(g.mms.size());
+            if (current > 1) {
+                forced_chunk[g.id] = current / 2;
+                shrunk = true;
             }
         }
         ASTRA_ASSERT(shrunk,
@@ -557,6 +601,45 @@ Scheduler::kept_skeleton(const ScheduleConfig& config) const
     return nullptr;
 }
 
+std::optional<Scheduler::ChainList>
+Scheduler::kept_chains(int strategy) const
+{
+    std::shared_ptr<const PlanSkeleton> kept;
+    {
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        const SkeletonSlot& slot = skeletons_[strategy_slot(strategy)];
+        if (slot.elementwise_fusion)
+            kept = slot.value;
+    }
+    if (kept == nullptr)
+        return std::nullopt;
+    // Only the chain scan makes fused elementwise units, and of the
+    // GEMM chunks only a fused one can cover an elementwise node.
+    ChainList list;
+    std::vector<const PlanStep*> chains;
+    for (const PlanStep& unit : kept->units) {
+        if (unit.kind == StepKind::FusedElementwise)
+            chains.push_back(&unit);
+        else if (unit.kind == StepKind::FusedGemm ||
+                 unit.kind == StepKind::LadderGemm)
+            for (NodeId id : unit.nodes)
+                if (elementwise_[static_cast<size_t>(id)])
+                    list.covered.push_back(id);
+    }
+    std::sort(list.covered.begin(), list.covered.end());
+    // The scan starts each chain at its first node, in node order.
+    std::sort(chains.begin(), chains.end(),
+              [](const PlanStep* a, const PlanStep* b) {
+                  return a->nodes.front() < b->nodes.front();
+              });
+    for (const PlanStep* chain : chains) {
+        list.nodes.insert(list.nodes.end(), chain->nodes.begin(),
+                          chain->nodes.end());
+        list.begin.push_back(static_cast<int32_t>(list.nodes.size()));
+    }
+    return list;
+}
+
 std::unique_ptr<Scheduler::PlanSkeleton>
 Scheduler::make_skeleton(const ScheduleConfig& config,
                          std::shared_ptr<const std::vector<int>>* owner) const
@@ -569,15 +652,17 @@ Scheduler::make_skeleton(const ScheduleConfig& config,
         *owner = std::make_shared<const std::vector<int>>(gemm_owners(
             space_, space_.strategies[strategy_slot(config.strategy)],
             graph_.size()));
+    std::optional<ChainList> chains = kept_chains(config.strategy);
     auto skel = std::make_unique<PlanSkeleton>();
-    skel->units = repaired_units(config);
+    skel->units = repaired_units(config, &chains);
     skel->stamps =
         unit_stamps(graph_, skel->units, **owner, ladder_add_group_);
     return skel;
 }
 
 std::shared_ptr<const Scheduler::PlanSkeleton>
-Scheduler::skeleton(const ScheduleConfig& config, bool* kept) const
+Scheduler::skeleton(const ScheduleConfig& config, bool* kept,
+                    std::shared_ptr<const PlanSkeleton>* replaced) const
 {
     std::shared_ptr<const PlanSkeleton> hit = kept_skeleton(config);
     if (kept != nullptr)
@@ -589,12 +674,17 @@ Scheduler::skeleton(const ScheduleConfig& config, bool* kept) const
     // A kept skeleton serves trials, which compile over its producers.
     built->producers = unit_producers(built->units, graph_);
     std::shared_ptr<const PlanSkeleton> skel = std::move(built);
-    SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    slot.owner = std::move(owner);
-    slot.group_chunk = config.group_chunk;
-    slot.elementwise_fusion = config.elementwise_fusion;
-    slot.value = skel;
+    std::shared_ptr<const PlanSkeleton> old;  // freed after the lock
+    {
+        SkeletonSlot& slot = skeletons_[strategy_slot(config.strategy)];
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        slot.owner = std::move(owner);
+        slot.group_chunk = config.group_chunk;
+        slot.elementwise_fusion = config.elementwise_fusion;
+        old = std::exchange(slot.value, skel);
+    }
+    if (replaced != nullptr)
+        *replaced = std::move(old);
     return skel;
 }
 
@@ -771,12 +861,12 @@ BoundPlan
 Scheduler::bind(const ScheduleConfig& config, const TensorMap& tmap,
                 const GpuConfig& gpu) const
 {
-    std::shared_ptr<const PlanSkeleton> skel;
+    std::shared_ptr<const PlanSkeleton> skel, replaced;
     std::vector<UnitStep> steps;
     {
         obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
         bool kept = false;
-        skel = skeleton(config, &kept);
+        skel = skeleton(config, &kept, &replaced);
         if (obs::enabled()) {
             static obs::Counter& hits =
                 obs::counter("scheduler.plan_cache.hits");
@@ -790,12 +880,27 @@ Scheduler::bind(const ScheduleConfig& config, const TensorMap& tmap,
                                : nullptr);
     }
 
+    // A new skeleton starts with the descriptors of the one it replaced
+    // wherever their units are equal, if they were built for this
+    // device context.
+    std::shared_ptr<const UnitKernels> inherited;
+    if (replaced != nullptr) {
+        std::lock_guard<std::mutex> lock(replaced->mu);
+        if (replaced->kernels != nullptr &&
+            replaced->kernels->serves(tmap, gpu))
+            inherited = replaced->kernels;
+    }
     std::shared_ptr<const UnitKernels> kernels;
     {
         std::lock_guard<std::mutex> lock(skel->mu);
         if (skel->kernels == nullptr || !skel->kernels->serves(tmap, gpu))
-            skel->kernels = std::make_shared<const UnitKernels>(
-                tmap, gpu, skel->units.size());
+            skel->kernels =
+                inherited != nullptr
+                    ? std::make_shared<const UnitKernels>(
+                          *inherited, replaced->units, skel->units,
+                          static_cast<size_t>(graph_.size()))
+                    : std::make_shared<const UnitKernels>(
+                          tmap, gpu, skel->units.size());
         kernels = skel->kernels;
     }
     BoundPlan bound;
@@ -824,15 +929,29 @@ Scheduler::wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
             return hit;
     }
     // Lower outside the lock. Lowering ends in the legality verifier,
-    // so a blob that would replay incorrectly never enters the cache.
+    // so a blob that would replay incorrectly never enters the cache. A
+    // winner whose exploration ran one pipeline finds that pipeline's
+    // skeleton kept, and binds from its units and the descriptors its
+    // trials built.
     auto bin = std::make_shared<WiredBinary>(
-        lower_plan(build(config), graph_, tmap, gpu));
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    // A concurrent call may have lowered an equal config meanwhile.
-    if (std::shared_ptr<const WiredBinary> raced = cached())
-        return raced;
-    wired_cache_.emplace_back(config, std::move(bin));
-    return wired_cache_.back().second;
+        kept_skeleton(config) != nullptr
+            ? lower_plan(build(config),
+                         [&] { return bind(config, tmap, gpu); }, graph_,
+                         tmap)
+            : lower_plan(build(config), graph_, tmap, gpu));
+    std::shared_ptr<const WiredBinary> out;
+    {
+        std::lock_guard<std::mutex> lock(cache_mu_);
+        // A concurrent call may have lowered an equal config meanwhile.
+        out = cached();
+        if (out == nullptr) {
+            wired_cache_.emplace_back(config, std::move(bin));
+            out = wired_cache_.back().second;
+        }
+    }
+    // A lowered winner keeps only its binary.
+    release_skeleton(config.strategy);
+    return out;
 }
 
 }  // namespace astra

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -117,8 +118,14 @@ struct SchedulerOptions
  * UnitKernels), so a trial compiles only its command stream.
  *
  * Each allocation strategy keeps the last skeleton a trial (bind) or
- * stream_space() asked for until release_skeleton(): the wirer
- * releases it when the strategy's pipeline ends. build() and
+ * stream_space() asked for until release_skeleton(). A skeleton of a
+ * new shape inherits what it shares with the kept one: the descriptors
+ * of every unit equal in content, and the elementwise chains when the
+ * GEMM chunks cover the same ladder Adds (each cycle-repair attempt
+ * reuses the chains of the one before too). The wirer releases a
+ * strategy's skeleton when its pipeline ends, unless the pipeline is
+ * the exploration's only one: then the skeleton is the winner's, and
+ * wire_cached() lowers the winner from it and releases it. build() and
  * build_units() use a kept skeleton when it matches and otherwise
  * build one they do not keep, so a lowered winner keeps only its
  * binary.
@@ -167,10 +174,12 @@ class Scheduler
      * Lowered wired binary (runtime/wired.h) for the configuration,
      * cached under an equal config: the steady-state dispatch path
      * compiles a converged config once and replays the blob for every
-     * later mini-batch. The binary captures buffer addresses from
-     * `tmap`, so the cache assumes one TensorMap per allocation
-     * strategy and one GpuConfig per Scheduler lifetime — the
-     * AstraSession contract. Thread-safe; the returned binary is
+     * later mini-batch. A configuration whose strategy keeps a skeleton
+     * of its shape is lowered from it, through bind(), and a lowering
+     * releases its strategy's skeleton. The binary captures buffer
+     * addresses from `tmap`, so the cache assumes one TensorMap per
+     * allocation strategy and one GpuConfig per Scheduler lifetime —
+     * the AstraSession contract. Thread-safe; the returned binary is
      * immutable and shared.
      */
     std::shared_ptr<const WiredBinary>
@@ -195,15 +204,43 @@ class Scheduler
     };
 
     /**
+     * The fused elementwise chains of an assembly, in scan order, and
+     * what they were scanned under: the elementwise nodes its GEMM
+     * chunks cover (the Adds of ladder chunks), ascending. The scan
+     * reads nothing else a binding changes, so chunks covering the same
+     * Adds have these chains.
+     */
+    struct ChainList
+    {
+        std::vector<NodeId> covered;
+        /** Chain c is nodes[begin[c], begin[c + 1]). */
+        std::vector<NodeId> nodes;
+        std::vector<int32_t> begin{0};
+    };
+
+    /**
      * One assembly pass (no cycle repair), unstamped; forced_chunk caps
-     * groups.
+     * groups. With elementwise fusion, `*chains` is reused when the
+     * GEMM chunks cover its ladder Adds and otherwise replaced.
      */
     std::vector<PlanStep>
     assemble_units(const ScheduleConfig& config,
-                   const std::map<int, int>& forced_chunk) const;
+                   const std::map<int, int>& forced_chunk,
+                   std::optional<ChainList>* chains) const;
 
-    /** Cycle-repaired units of the config's shape, in dispatch order. */
-    std::vector<PlanStep> repaired_units(const ScheduleConfig& config) const;
+    /**
+     * Cycle-repaired units of the config's shape, in dispatch order;
+     * `*chains` as in assemble_units, across the attempts.
+     */
+    std::vector<PlanStep>
+    repaired_units(const ScheduleConfig& config,
+                   std::optional<ChainList>* chains) const;
+
+    /**
+     * The chains the strategy's kept skeleton was assembled with, if it
+     * has one with elementwise fusion.
+     */
+    std::optional<ChainList> kept_chains(int strategy) const;
 
     /** Static per-unit cost estimate (flops + bytes + launch). */
     double estimate_unit_ns(const PlanStep& unit) const;
@@ -214,7 +251,8 @@ class Scheduler
 
     /**
      * A new skeleton of the config's shape, without producers, under
-     * the strategy's owner rule (`*owner`, made if null).
+     * the strategy's owner rule (`*owner`, made if null), with the
+     * chains of the kept skeleton where they apply.
      */
     std::unique_ptr<PlanSkeleton>
     make_skeleton(const ScheduleConfig& config,
@@ -222,10 +260,11 @@ class Scheduler
 
     /**
      * The config's kept skeleton (`*kept` set), or a new one, with
-     * producers, kept in its strategy's slot.
+     * producers, kept in its strategy's slot in place of `*replaced`.
      */
     std::shared_ptr<const PlanSkeleton>
-    skeleton(const ScheduleConfig& config, bool* kept = nullptr) const;
+    skeleton(const ScheduleConfig& config, bool* kept = nullptr,
+             std::shared_ptr<const PlanSkeleton>* replaced = nullptr) const;
 
     /** The stream space of the config's binding over the skeleton. */
     std::shared_ptr<const StreamSpace>

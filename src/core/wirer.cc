@@ -345,10 +345,13 @@ replay_trial(StrategyRun& run, const ScheduleConfig& config)
         run.index.record(key, ns);
 }
 
-/** One strategy's full pipeline: stages A-C + best-of-strategy. */
+/**
+ * One strategy's full pipeline: stages A-C + best-of-strategy. `sole`:
+ * the exploration runs no other pipeline.
+ */
 void
 run_strategy(const AstraSession& session, const WirerWarmStart& warm,
-             StrategyRun& run, const BindFn& bind)
+             StrategyRun& run, const BindFn& bind, bool sole)
 {
     const AstraOptions& opts = session.options();
     const SearchSpace& space = session.space();
@@ -785,10 +788,13 @@ run_strategy(const AstraSession& session, const WirerWarmStart& warm,
     const int64_t final_trials = run.minibatches - final_before.trials;
     record_epoch("final", "hierarchical", final_before, final_trials);
 
-    // What only this pipeline read dies with it: the strategy's plan
-    // skeleton (its units, stream space and descriptors) and the
-    // shard's hash table.
-    session.scheduler().release_skeleton(sid);
+    // What only this pipeline read dies with it: the shard's hash table
+    // and the strategy's plan skeleton (its units, stream space and
+    // descriptors). The only pipeline's skeleton is the winner's: it
+    // stays for the winner's lowering (Scheduler::wire_cached), which
+    // releases it.
+    if (!sole)
+        session.scheduler().release_skeleton(sid);
     run.profile = std::move(run.index).summarize();
 }
 
@@ -835,7 +841,8 @@ AstraSession::explore(const WirerWarmStart& warm, const BindFn& bind) const
     // pipeline before rethrowing one's exception, so no other
     // strategy's work leaks past the unwind.
     parallel_for(opts_.wirer_threads, num_runs, [&](int64_t i) {
-        run_strategy(*this, warm, runs[static_cast<size_t>(i)], bind);
+        run_strategy(*this, warm, runs[static_cast<size_t>(i)], bind,
+                     num_runs == 1);
     });
 
     // ---- deterministic merge (strategy order) -----------------------------

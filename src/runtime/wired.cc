@@ -578,6 +578,52 @@ UnitKernels::UnitKernels(const TensorMap& tmap, const GpuConfig& cfg,
 {
 }
 
+namespace {
+
+/** A unit's largest node id: unique within one unit list. */
+NodeId
+anchor(const PlanStep& unit)
+{
+    return *std::max_element(unit.nodes.begin(), unit.nodes.end());
+}
+
+}  // namespace
+
+UnitKernels::UnitKernels(const UnitKernels& from,
+                         const std::vector<PlanStep>& from_units,
+                         const std::vector<PlanStep>& units,
+                         size_t graph_size)
+    : tmap_id_(from.tmap_id_), execute_kernels_(from.execute_kernels_),
+      num_sms_(from.num_sms_), flops_per_sm_ns_(from.flops_per_sm_ns_),
+      hbm_gbps_(from.hbm_gbps_), slot_(units.size() * kNumGemmLibs, -1)
+{
+    ASTRA_ASSERT(from.slot_.size() == from_units.size() * kNumGemmLibs);
+    std::vector<int32_t> from_unit_of(graph_size, -1);
+    for (size_t u = 0; u < from_units.size(); ++u)
+        from_unit_of[static_cast<size_t>(anchor(from_units[u]))] =
+            static_cast<int32_t>(u);
+    std::lock_guard<std::mutex> lock(from.mu_);
+    for (size_t u = 0; u < units.size(); ++u) {
+        const int32_t f = from_unit_of[static_cast<size_t>(anchor(units[u]))];
+        if (f < 0)
+            continue;
+        const PlanStep& a = units[u];
+        const PlanStep& b = from_units[static_cast<size_t>(f)];
+        if (a.kind != b.kind || a.fused_axis != b.fused_axis ||
+            a.nodes != b.nodes)
+            continue;
+        for (size_t lib = 0; lib < kNumGemmLibs; ++lib) {
+            const int32_t s =
+                from.slot_[static_cast<size_t>(f) * kNumGemmLibs + lib];
+            if (s < 0)
+                continue;
+            slot_[u * kNumGemmLibs + lib] =
+                static_cast<int32_t>(descs_.size());
+            descs_.push_back(from.descs_[static_cast<size_t>(s)]);
+        }
+    }
+}
+
 bool
 UnitKernels::serves(const TensorMap& tmap, const GpuConfig& cfg) const
 {
@@ -765,12 +811,13 @@ arena_table(const ExecutionPlan& plan, const Graph& graph,
     return table;
 }
 
+namespace {
+
+/** `bin`, bound from `plan`, once verify_wired proves it. */
 WiredBinary
-lower_plan(const ExecutionPlan& plan, const Graph& graph,
-           const TensorMap& tmap, const GpuConfig& cfg)
+verified(WiredBinary bin, const ExecutionPlan& plan, const Graph& graph,
+         const TensorMap& tmap)
 {
-    obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
-    WiredBinary bin = bind_plan(plan, graph, tmap, cfg, /*profiling=*/true);
     const WiredVerdict verdict =
         verify_wired(bin, arena_table(plan, graph, tmap));
     ASTRA_ASSERT(verdict.ok, "wired lowering failed verification: ",
@@ -780,6 +827,32 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
         lowered.add();
     }
     return bin;
+}
+
+}  // namespace
+
+WiredBinary
+lower_plan(const ExecutionPlan& plan, const Graph& graph,
+           const TensorMap& tmap, const GpuConfig& cfg)
+{
+    obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
+    return verified(bind_plan(plan, graph, tmap, cfg, /*profiling=*/true),
+                    plan, graph, tmap);
+}
+
+WiredBinary
+lower_plan(const ExecutionPlan& plan, const std::function<BoundPlan()>& bind,
+           const Graph& graph, const TensorMap& tmap)
+{
+    obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
+    BoundPlan bound = bind();
+    WiredBinary bin;
+    bin.program = std::move(bound.program);
+    bin.kernels.resize(bound.kernels.size());
+    for (size_t i = 0; i < bound.kernels.size(); ++i)
+        if (bound.kernels[i] != nullptr)
+            bin.kernels[i] = *bound.kernels[i];
+    return verified(std::move(bin), plan, graph, tmap);
 }
 
 namespace {

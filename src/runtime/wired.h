@@ -264,6 +264,18 @@ class UnitKernels
     UnitKernels(const TensorMap& tmap, const GpuConfig& cfg,
                 size_t num_units);
 
+    /**
+     * A table for `units` in `from`'s device context that starts with a
+     * copy of each descriptor `from` built, under every library, for a
+     * unit equal in content (kind, fused axis and nodes) to one of
+     * `units`; `from_units` is the unit list `from` was made for. Units
+     * are matched by their anchor, their largest node id, which no two
+     * units of one list share (`graph_size` bounds the ids).
+     */
+    UnitKernels(const UnitKernels& from,
+                const std::vector<PlanStep>& from_units,
+                const std::vector<PlanStep>& units, size_t graph_size);
+
     /** True when descriptors built for (tmap, cfg) equal this table's. */
     bool serves(const TensorMap& tmap, const GpuConfig& cfg) const;
 
@@ -334,6 +346,16 @@ void enqueue_wired(const WiredProgram& program,
  */
 WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg);
+
+/**
+ * The same lowering of a plan bound by reference: `bind` returns it (a
+ * Scheduler::bind of the configuration `plan` was built from, over a
+ * kept skeleton), and the binary copies its program and the
+ * descriptors it launches instead of building them again.
+ */
+WiredBinary lower_plan(const ExecutionPlan& plan,
+                       const std::function<BoundPlan()>& bind,
+                       const Graph& graph, const TensorMap& tmap);
 
 /**
  * Replay a lowered binary on a fresh simulated device: the engine

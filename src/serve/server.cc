@@ -54,14 +54,16 @@ int64_t
 BucketedServer::optimize(std::vector<BucketPlan>* plans)
 {
     obs::ScopedSpan span(obs::Category::Serve, "serve.optimize");
-    const int64_t total = router_->optimize();
     plans->clear();
-    // The router owns the sessions; no extra retention needed.
-    for (int i = 0; i < router_->num_buckets(); ++i)
+    // The router owns the sessions; no extra retention needed. Each
+    // bucket is lowered as soon as it has explored: a one-strategy
+    // exploration keeps its winner's plan skeleton until the lowering
+    // (Scheduler::wire_cached), so one bucket's is alive at a time.
+    return router_->optimize([&](int i) {
         plans->push_back(lowered_plan(router_->session(i),
                                       router_->bucket_result(i),
                                       opts_.astra.gpu));
-    return total;
+    });
 }
 
 BucketedServer::BucketPlan

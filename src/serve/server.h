@@ -4,8 +4,9 @@
  *
  * The offline story (core/bucketed.h) ends with one converged, wired
  * plan per length bucket. BucketedServer owns that story for serving:
- * it explores every bucket once (BucketedAstra::optimize), lowers each
- * winner into a wired binary (runtime/wired.h), and re-wires one bucket
+ * it explores every bucket once (BucketedAstra::optimize), lowering
+ * each winner into a wired binary (runtime/wired.h) as soon as its
+ * bucket has explored, and re-wires one bucket
  * against an explicit device configuration when the serving loop's
  * drift watcher asks for it. It does not serve: the one serving loop
  * is ReplicaFleet::serve (serve/router.h), which installs these plans
@@ -135,9 +136,9 @@ class BucketedServer
 
     /**
      * Offline phase: explore every bucket (BucketedAstra::optimize) and
-     * lower each winner into a wired binary. Fills *plans with one
-     * epoch-0 plan per bucket and returns total exploration
-     * mini-batches.
+     * lower each winner into a wired binary once its bucket has
+     * explored. Fills *plans with one epoch-0 plan per bucket and
+     * returns total exploration mini-batches.
      */
     int64_t optimize(std::vector<BucketPlan>* plans);
 

@@ -131,8 +131,8 @@ random_graph(uint64_t seed, bool long_ladders = false)
  * every GEMM unit to its owner (testutil::attribution_errors), match
  * the native dispatch's loss bit for bit, lower to a binary that
  * replays to the same loss and timings, and bind on a scheduler warmed
- * by a sibling of other libraries and keys exactly as a fresh plan
- * binds.
+ * by a sibling of other chunks and then one of other libraries and
+ * keys exactly as a fresh plan binds.
  */
 void
 check_random_configs(const Graph& g, const SearchSpace& space,
@@ -254,11 +254,22 @@ check_random_configs(const Graph& g, const SearchSpace& space,
         EXPECT_EQ(replayed.profile_ns, dispatched.profile_ns)
             << "seed " << seed << " trial " << trial;
 
-        // Reuse: the shared scheduler, warmed on a sibling of stage-B
-        // shape (the same units, other libraries and keys), binds the
-        // trial exactly as a fresh scheduler's plan binds, command for
-        // command and descriptor field for field, and the trial
-        // dispatches to the same result and values.
+        // Reuse: the shared scheduler, warmed on a sibling of stage-A
+        // shape (other chunks, so the trial's skeleton replaces its
+        // skeleton and inherits what they share) and then on one of
+        // stage-B shape (the same units, other libraries and keys),
+        // binds the trial exactly as a fresh scheduler's plan binds,
+        // command for command and descriptor field for field, and the
+        // trial dispatches to the same result and values.
+        ScheduleConfig chunks = cfg;
+        for (const FusionGroup& grp : space.groups) {
+            const std::vector<int>& options = grp.chunk_options;
+            int& chunk = chunks.group_chunk[static_cast<size_t>(grp.id)];
+            const auto at = std::find(options.begin(), options.end(), chunk);
+            chunk = options[static_cast<size_t>(at - options.begin() + 1) %
+                            options.size()];
+        }
+        (void)sched.bind(chunks, cand.tmap(), cand.config());
         ScheduleConfig sibling = cfg;
         const auto next_lib = [](GemmLib lib) {
             return static_cast<GemmLib>((static_cast<int>(lib) + 1) %

@@ -198,25 +198,84 @@ TEST(Scheduler, ExplorationReleasesEachStrategySkeleton)
             << "trial " << trial;
 }
 
+TEST(Scheduler, SoleStrategyWinnerLowersFromItsKeptSkeleton)
+{
+    // An exploration that runs one strategy pipeline keeps its skeleton,
+    // which is the winner's. The winner's first wire_cached then
+    // assembles no units and builds no descriptor, lowers the binary a
+    // cold lowering does, and releases the skeleton, so a build() after
+    // it assembles the units again.
+    const BuiltModel m = small_model();
+    AstraOptions opts;
+    opts.gpu.execute_kernels = false;
+    opts.gpu.autoboost = false;
+    opts.features = features_fk();
+    AstraSession session(m.graph(), opts);
+    const WirerResult r = session.optimize();
+    const ScheduleConfig& winner = r.best_config;
+    const TensorMap& tmap = session.tensor_map(winner.strategy);
+
+    // (scheduler.build_units spans, descriptors built) during `call`.
+    const auto counts = [](const auto& call) {
+        obs::reset();
+        obs::set_enabled(true);
+        call();
+        obs::set_enabled(false);
+        const std::vector<obs::Span> spans = obs::host_spans();
+        const auto counters = obs::counter_values();
+        obs::reset();
+        const auto built = counters.find("dispatch.descriptors_built");
+        return std::pair{span_count(spans, "scheduler.build_units"),
+                         built == counters.end() ? int64_t{0}
+                                                 : built->second};
+    };
+    std::shared_ptr<const WiredBinary> bin;
+    EXPECT_EQ(counts([&] {
+                  bin = session.scheduler().wire_cached(winner, tmap, opts.gpu);
+              }),
+              std::pair(int64_t{0}, int64_t{0}));
+    const Scheduler fresh(m.graph(), session.space());
+    EXPECT_EQ(testutil::bound_dump(*bin),
+              testutil::bound_dump(
+                  lower_plan(fresh.build(winner), m.graph(), tmap, opts.gpu)));
+    EXPECT_EQ(counts([&] { (void)session.scheduler().build(winner); }).first,
+              1);
+}
+
+/** The serving fleet's largest bucket (perfbench serve_fleet). */
+BuiltModel
+bucket_model(int seq_len)
+{
+    return build_model(ModelKind::SubLstm,
+                       {.batch = 8, .seq_len = seq_len, .hidden = 64,
+                        .embed_dim = 64, .vocab = 1000});
+}
+
 TEST(Scheduler, TrialReuseCountsArePinned)
 {
-    // One optimize() of small_model(): trials bound from a strategy's
-    // kept skeleton (hits) or from a fresh one (misses), and every
-    // kernel descriptor built, lowering's included. These counts are
-    // exact for a tree; a change to one changes how much a wiring
-    // rebuilds.
+    // One optimize() of small_model() and of the fleet's bucket 32:
+    // trials bound from a strategy's kept skeleton (hits) or from a
+    // fresh one (misses), and every kernel descriptor built (one a new
+    // skeleton inherits is not built). These counts are exact for a
+    // tree; a change to one changes how much a wiring rebuilds.
     struct Pin
     {
         const char* name;
+        BuiltModel (*model)();
         AstraFeatures features;
         int64_t hits, misses, descriptors;
     };
-    const BuiltModel m = small_model();
-    for (const Pin& pin : {Pin{"fk", features_fk(), 4, 3, 635},
-                           Pin{"all", features_all(), 579, 12, 2608}}) {
+    const auto bucket32 = [] { return bucket_model(32); };
+    for (const Pin& pin :
+         {Pin{"fk", small_model, features_fk(), 4, 3, 369},
+          Pin{"all", small_model, features_all(), 579, 12, 1472},
+          Pin{"bucket 32 fk", bucket32, features_fk(), 4, 4, 2803}}) {
+        const BuiltModel m = pin.model();
         AstraOptions opts;
         opts.gpu.execute_kernels = false;
         opts.gpu.autoboost = false;
+        // A faulted dispatch is retried, binding again.
+        opts.gpu.faults = FaultPlan();
         opts.features = pin.features;
         AstraSession session(m.graph(), opts);
         obs::reset();
@@ -297,6 +356,59 @@ TEST(Scheduler, SkeletonIsKeyedByEveryBindingField)
                                                  runner.tmap(), gpu,
                                                  /*profiling=*/true)))
             << "step " << i;
+    }
+}
+
+TEST(Scheduler, NewShapesInheritOnlyWhatTheyShare)
+{
+    // Stage A's walk on one scheduler: every strategy of the zoo and of
+    // the fleet's four buckets through chunk options 0, 1, 2, 3 (each
+    // group's largest; GNMT's needs cycle repair) and 0 again, so each
+    // skeleton replaces one of another shape and inherits its
+    // descriptors and, when they cover the same ladder Adds, its
+    // chains. At each shape, under two library bindings, the units and
+    // every descriptor must equal a fresh scheduler's.
+    std::vector<std::pair<std::string, BuiltModel>> models;
+    for (ModelKind kind : {ModelKind::Gnmt, ModelKind::StackedLstm,
+                           ModelKind::MiLstm, ModelKind::Scrnn,
+                           ModelKind::SubLstm})
+        models.emplace_back(model_name(kind),
+                            build_model(kind, testutil::zoo_shape()));
+    for (int seq : {8, 16, 24, 32})
+        models.emplace_back("bucket " + std::to_string(seq),
+                            bucket_model(seq));
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    for (const auto& [name, m] : models) {
+        const SearchSpace space = enumerate_search_space(m.graph());
+        const Scheduler sched(m.graph(), space);
+        for (const AllocStrategy& s : space.strategies) {
+            const Runner runner(m.graph(), s.runs);
+            for (int option : {0, 1, 2, 3, 0}) {
+                ScheduleConfig cfg = default_config(space, option);
+                cfg.strategy = s.id;
+                for (int shift : {0, 1}) {
+                    for (const FusionGroup& g : space.groups)
+                        cfg.group_lib[static_cast<size_t>(g.id)] =
+                            static_cast<GemmLib>((g.id + shift) %
+                                                 kNumGemmLibs);
+                    const ExecutionPlan fresh =
+                        Scheduler(m.graph(), space).build(cfg);
+                    const BoundPlan bound =
+                        sched.bind(cfg, runner.tmap(), gpu);
+                    EXPECT_EQ(testutil::plan_dump(sched.build(cfg)),
+                              testutil::plan_dump(fresh))
+                        << name << " " << s.key << ", chunk option "
+                        << option << ", shift " << shift;
+                    EXPECT_EQ(testutil::bound_dump(bound),
+                              testutil::bound_dump(bind_plan(
+                                  fresh, m.graph(), runner.tmap(), gpu,
+                                  /*profiling=*/true)))
+                        << name << " " << s.key << ", chunk option "
+                        << option << ", shift " << shift;
+                }
+            }
+        }
     }
 }
 
