@@ -8,8 +8,12 @@
  * padded compute but keeping all its optimizations. Native executes
  * the exact-length graph per mini-batch with no adaptation.
  *
- * Paper shape: 1.4-2.5x despite the padding.
+ * Paper shape: 1.4-2.5x despite the padding. Exits 1, naming the row,
+ * unless every row beats the dynamic graph and subLSTM beats SC-RNN at
+ * each batch.
  */
+#include <cstdio>
+
 #include "bench/common.h"
 
 #include "core/bucketed.h"
@@ -101,6 +105,8 @@ main()
         {ModelKind::StackedLstm, 16, 2.44},
         {ModelKind::StackedLstm, 32, 2.22},
     };
+    std::vector<std::string> failed;
+    std::map<std::pair<ModelKind, int64_t>, double> speedup;
     for (const Row& r : rows) {
         Env row_env = env;
         const double native =
@@ -108,11 +114,21 @@ main()
         const double astra =
             bucketed_astra_ns(r.kind, r.batch, lengths, buckets,
                               row_env);
-        table.add_row(model_name(r.kind) + "-" + std::to_string(r.batch),
-                      {1.0, native / astra, r.paper});
-        std::cerr << "  [" << model_name(r.kind) << "-" << r.batch
-                  << " done]\n";
+        const std::string row =
+            model_name(r.kind) + "-" + std::to_string(r.batch);
+        table.add_row(row, {1.0, native / astra, r.paper});
+        if (!(native / astra > 1.0))
+            failed.push_back(row + " must beat the dynamic graph");
+        speedup[{r.kind, r.batch}] = native / astra;
+        std::cerr << "  [" << row << " done]\n";
     }
     table.print();
-    return 0;
+    for (int64_t batch : {16, 32})
+        if (!(speedup.at({ModelKind::SubLstm, batch}) >
+              speedup.at({ModelKind::Scrnn, batch})))
+            failed.push_back("subLSTM must beat SC-RNN at batch " +
+                             std::to_string(batch));
+    for (const std::string& f : failed)
+        std::fprintf(stderr, "table8: FAILED: %s\n", f.c_str());
+    return failed.empty() ? 0 : 1;
 }

@@ -5,8 +5,12 @@
  * (Astra_FK, §5.4), and the models run with embeddings removed because
  * XLA's embedding handling is pathological (§6.6 — also demonstrated
  * here). Paper shape: XLA helps embedding-free models ~1.1-1.45x;
- * Astra_FK beats XLA by ~25-70%; cuDNN where applicable.
+ * Astra_FK beats XLA by ~25-70%; cuDNN where applicable. Exits 1,
+ * naming the row, unless XLA is below native with embeddings and
+ * Astra_FK is above XLA in every row.
  */
+#include <cstdio>
+
 #include "bench/common.h"
 
 using namespace astra;
@@ -16,6 +20,7 @@ int
 main()
 {
     Env env;
+    std::vector<std::string> failed;
 
     // First, the robustness pathology: with embeddings present XLA is
     // *worse* than native (paper: 3x worse for SCRNN).
@@ -31,6 +36,9 @@ main()
         table.add_row({"native TF", "1.00"});
         table.add_row({"TF + XLA", TextTable::fmt(native / xla, 2)});
         table.print();
+        if (!(xla > native))
+            failed.push_back("XLA must be below native TF on SCRNN-16 "
+                             "with embeddings");
     }
 
     TextTable table(
@@ -58,9 +66,12 @@ main()
         const double native = native_ns(model, env);
         const double xla = xla_ns(model, env);
         const double fk = astra_ns(model, features_fk(), env).ns;
+        const std::string row =
+            model_name(r.kind) + " (" + std::to_string(r.batch) + ")";
+        if (!(fk < xla))
+            failed.push_back("Astra_FK must beat TF + XLA on " + row);
         std::vector<std::string> cells = {
-            model_name(r.kind) + " (" + std::to_string(r.batch) + ")",
-            "1.00", TextTable::fmt(native / xla, 2),
+            row, "1.00", TextTable::fmt(native / xla, 2),
             TextTable::fmt(native / fk, 2)};
         if (!model.cudnn_layers.empty())
             cells.push_back(
@@ -72,5 +83,7 @@ main()
         std::cerr << "  [" << model.name << "-" << r.batch << " done]\n";
     }
     table.print();
-    return 0;
+    for (const std::string& f : failed)
+        std::fprintf(stderr, "table9: FAILED: %s\n", f.c_str());
+    return failed.empty() ? 0 : 1;
 }

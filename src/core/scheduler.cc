@@ -52,6 +52,12 @@ struct Scheduler::PlanSkeleton
     /** Per unit, its producer units (a kept skeleton's only). */
     UnitProducers producers;
 
+    /**
+     * The chain list the units were assembled with (the final repair
+     * attempt's), with elementwise fusion; a new shape inherits it.
+     */
+    std::optional<ChainList> chains;
+
     mutable std::mutex mu;
 
     /** The stream space, for the binding `space_binding`. */
@@ -604,40 +610,11 @@ Scheduler::kept_skeleton(const ScheduleConfig& config) const
 std::optional<Scheduler::ChainList>
 Scheduler::kept_chains(int strategy) const
 {
-    std::shared_ptr<const PlanSkeleton> kept;
-    {
-        std::lock_guard<std::mutex> lock(cache_mu_);
-        const SkeletonSlot& slot = skeletons_[strategy_slot(strategy)];
-        if (slot.elementwise_fusion)
-            kept = slot.value;
-    }
-    if (kept == nullptr)
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    const SkeletonSlot& slot = skeletons_[strategy_slot(strategy)];
+    if (slot.value == nullptr)
         return std::nullopt;
-    // Only the chain scan makes fused elementwise units, and of the
-    // GEMM chunks only a fused one can cover an elementwise node.
-    ChainList list;
-    std::vector<const PlanStep*> chains;
-    for (const PlanStep& unit : kept->units) {
-        if (unit.kind == StepKind::FusedElementwise)
-            chains.push_back(&unit);
-        else if (unit.kind == StepKind::FusedGemm ||
-                 unit.kind == StepKind::LadderGemm)
-            for (NodeId id : unit.nodes)
-                if (elementwise_[static_cast<size_t>(id)])
-                    list.covered.push_back(id);
-    }
-    std::sort(list.covered.begin(), list.covered.end());
-    // The scan starts each chain at its first node, in node order.
-    std::sort(chains.begin(), chains.end(),
-              [](const PlanStep* a, const PlanStep* b) {
-                  return a->nodes.front() < b->nodes.front();
-              });
-    for (const PlanStep* chain : chains) {
-        list.nodes.insert(list.nodes.end(), chain->nodes.begin(),
-                          chain->nodes.end());
-        list.begin.push_back(static_cast<int32_t>(list.nodes.size()));
-    }
-    return list;
+    return slot.value->chains;
 }
 
 std::unique_ptr<Scheduler::PlanSkeleton>
@@ -657,6 +634,8 @@ Scheduler::make_skeleton(const ScheduleConfig& config,
     skel->units = repaired_units(config, &chains);
     skel->stamps =
         unit_stamps(graph_, skel->units, **owner, ladder_add_group_);
+    if (config.elementwise_fusion)
+        skel->chains = std::move(chains);
     return skel;
 }
 
@@ -857,7 +836,7 @@ Scheduler::build_units(const ScheduleConfig& config) const
     return build(unstreamed).steps;
 }
 
-BoundPlan
+WiredBinary
 Scheduler::bind(const ScheduleConfig& config, const TensorMap& tmap,
                 const GpuConfig& gpu) const
 {
@@ -903,12 +882,12 @@ Scheduler::bind(const ScheduleConfig& config, const TensorMap& tmap,
                           tmap, gpu, skel->units.size());
         kernels = skel->kernels;
     }
-    BoundPlan bound;
+    WiredBinary bound;
     bound.kernels = kernels->resolve(skel->units, steps, graph_, tmap, gpu);
     bound.program = compile_steps(
         steps, skel->producers, config.use_streams ? config.num_streams : 1,
         /*profiling=*/true);
-    bound.table = std::move(kernels);
+    bound.owner = std::move(kernels);
     return bound;
 }
 

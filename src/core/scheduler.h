@@ -25,7 +25,6 @@
 
 namespace astra {
 
-struct BoundPlan;     // runtime/wired.h
 struct GpuConfig;     // sim/gpu.h
 struct UnitStep;      // runtime/wired.h
 struct WiredBinary;   // runtime/wired.h
@@ -157,15 +156,17 @@ class Scheduler
      * The configuration bound for dispatch on `tmap` under `gpu`, with
      * profiling instrumentation: the plan build() emits, compiled into
      * its command stream over the skeleton's units, launching the
-     * descriptors the skeleton keeps for them by reference (built on
-     * first use). Equal, command for command and descriptor field for
-     * field, to bind_plan(build(config), ...). The skeleton keeps
-     * descriptors for the last device context bound (the cost
-     * constants and, when kernels execute, the TensorMap's buffers);
-     * another context builds them afresh. Thread-safe.
+     * descriptors the skeleton keeps for them (built on first use).
+     * The binary's owner is the skeleton's descriptor table, so it
+     * stays valid after the skeleton is released or replaced. Equal,
+     * command for command and descriptor field for field, to
+     * bind_plan(build(config), ...). The skeleton keeps descriptors
+     * for the last device context bound (the cost constants and, when
+     * kernels execute, the TensorMap's buffers); another context
+     * builds them afresh. Thread-safe.
      */
-    BoundPlan bind(const ScheduleConfig& config, const TensorMap& tmap,
-                   const GpuConfig& gpu) const;
+    WiredBinary bind(const ScheduleConfig& config, const TensorMap& tmap,
+                     const GpuConfig& gpu) const;
 
     /** Drop the strategy's kept skeleton (its exploration has ended). */
     void release_skeleton(int strategy) const;
@@ -185,8 +186,6 @@ class Scheduler
     std::shared_ptr<const WiredBinary>
     wire_cached(const ScheduleConfig& config, const TensorMap& tmap,
                 const GpuConfig& gpu) const;
-
-    const SchedulerOptions& options() const { return opts_; }
 
   private:
     struct PlanSkeleton;  // scheduler.cc
@@ -237,8 +236,9 @@ class Scheduler
                    std::optional<ChainList>* chains) const;
 
     /**
-     * The chains the strategy's kept skeleton was assembled with, if it
-     * has one with elementwise fusion.
+     * The chain list the strategy's kept skeleton was assembled with
+     * (its final repair attempt's), if it has one with elementwise
+     * fusion: a copy of what the skeleton keeps, not a re-derivation.
      */
     std::optional<ChainList> kept_chains(int strategy) const;
 

@@ -45,7 +45,7 @@ WhatIfEngine::evaluate(const ScheduleConfig& config) const
     obs::ScopedSpan span(obs::Category::Wire, "whatif.evaluate");
     // The trial binds over its strategy's kept skeleton, as a measured
     // dispatch does: only the command stream is compiled.
-    const BoundPlan bound = scheduler_.bind(config, tmap_, gpu_);
+    const WiredBinary bound = scheduler_.bind(config, tmap_, gpu_);
     SimGpu gpu(gpu_);
     for (int s = 1; s < bound.program.num_streams; ++s)
         gpu.create_stream();

@@ -48,18 +48,12 @@ unit_producers(const std::vector<PlanStep>& units, const Graph& graph)
     return out;
 }
 
-namespace {
-
-/**
- * compile_steps over `num_steps` steps, step i read as `step_at(i)`
- * (a UnitStep, by value): a trial's steps, or a plan's read in place.
- */
-template <typename StepAt>
 WiredProgram
-compile_program(int num_steps, StepAt&& step_at,
-                const UnitProducers& producers, int num_streams,
-                bool profiling)
+compile_steps(const std::vector<UnitStep>& steps,
+              const UnitProducers& producers, int num_streams,
+              bool profiling)
 {
+    const int num_steps = static_cast<int>(steps.size());
     WiredProgram prog;
     prog.num_streams = num_streams;
     prog.cmds.reserve(static_cast<size_t>(num_steps) * 2);
@@ -71,7 +65,7 @@ compile_program(int num_steps, StepAt&& step_at,
     const size_t num_units = producers.begin.size() - 1;
     std::vector<int32_t> step_of(num_units, -1);
     for (int i = 0; i < num_steps; ++i) {
-        const int32_t unit = step_at(i).unit;
+        const int32_t unit = steps[static_cast<size_t>(i)].unit;
         if (unit >= 0)
             step_of[static_cast<size_t>(unit)] = i;
     }
@@ -84,7 +78,7 @@ compile_program(int num_steps, StepAt&& step_at,
     // Which steps need a completion event (cross-stream consumers).
     std::vector<bool> needs_event(static_cast<size_t>(num_steps), false);
     for (int i = 0; i < num_steps; ++i) {
-        const UnitStep step = step_at(i);
+        const UnitStep& step = steps[static_cast<size_t>(i)];
         if (step.unit < 0)
             continue;
         const auto [first, last] = producers_of(step);
@@ -93,7 +87,7 @@ compile_program(int num_steps, StepAt&& step_at,
             ASTRA_ASSERT(p >= 0 && p < i, "plan order violates dependencies: "
                          "step ", i, " reads unit ", *it,
                          " launched by step ", p);
-            if (step_at(p).stream != step.stream)
+            if (steps[static_cast<size_t>(p)].stream != step.stream)
                 needs_event[static_cast<size_t>(p)] = true;
         }
     }
@@ -106,7 +100,7 @@ compile_program(int num_steps, StepAt&& step_at,
         static_cast<size_t>(num_steps), {0, 0});
     int current_barrier = -1;
     for (int i = 0; i < num_steps; ++i) {
-        const UnitStep step = step_at(i);
+        const UnitStep& step = steps[static_cast<size_t>(i)];
         prog.step_begin[static_cast<size_t>(i)] =
             static_cast<int32_t>(prog.cmds.size());
 
@@ -142,7 +136,7 @@ compile_program(int num_steps, StepAt&& step_at,
         const auto [first, last] = producers_of(step);
         for (auto it = first; it != last; ++it) {
             const int32_t p = step_of[static_cast<size_t>(*it)];
-            if (step_at(p).stream != step.stream) {
+            if (steps[static_cast<size_t>(p)].stream != step.stream) {
                 ASTRA_ASSERT(done_slot[static_cast<size_t>(p)] >= 0);
                 prog.cmds.push_back({WiredOp::Wait, step.stream,
                                      done_slot[static_cast<size_t>(p)]});
@@ -187,32 +181,22 @@ compile_program(int num_steps, StepAt&& step_at,
     return prog;
 }
 
-}  // namespace
-
-WiredProgram
-compile_steps(const std::vector<UnitStep>& steps,
-              const UnitProducers& producers, int num_streams,
-              bool profiling)
-{
-    return compile_program(
-        static_cast<int>(steps.size()),
-        [&](int i) { return steps[static_cast<size_t>(i)]; }, producers,
-        num_streams, profiling);
-}
-
 WiredProgram
 compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
 {
     // Each step is its own unit; a barrier launches none.
-    return compile_program(
-        static_cast<int>(plan.steps.size()),
-        [&](int i) {
-            const PlanStep& step = plan.steps[static_cast<size_t>(i)];
-            return UnitStep{step.kind == StepKind::Barrier ? -1 : i,
-                            step.stream, step.lib, step.profile,
-                            step.epoch_metric, step.profile_key};
-        },
-        unit_producers(plan.steps, graph), plan.num_streams, profiling);
+    std::vector<UnitStep> steps;
+    steps.reserve(plan.steps.size());
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+        const PlanStep& step = plan.steps[i];
+        steps.push_back({step.kind == StepKind::Barrier
+                             ? -1
+                             : static_cast<int32_t>(i),
+                         step.stream, step.lib, step.profile,
+                         step.epoch_metric, step.profile_key});
+    }
+    return compile_steps(steps, unit_producers(plan.steps, graph),
+                         plan.num_streams, profiling);
 }
 
 void
@@ -558,14 +542,23 @@ bind_plan(const ExecutionPlan& plan, const Graph& graph,
     bin.program = compile_plan(plan, graph, profiling);
     // Descriptor names, fused shapes and compute closures (bound to
     // arena offsets through the TensorMap) are frozen here, off the
-    // walk.
-    bin.kernels.resize(plan.steps.size());
+    // walk. Reserved up front: no descriptor moves once pointed at.
+    auto descs = std::make_shared<std::vector<KernelDesc>>();
+    descs->reserve(static_cast<size_t>(
+        std::count_if(plan.steps.begin(), plan.steps.end(),
+                      [](const PlanStep& step) {
+                          return step.kind != StepKind::Barrier;
+                      })));
+    bin.kernels.assign(plan.steps.size(), nullptr);
     for (size_t i = 0; i < plan.steps.size(); ++i) {
         const PlanStep& step = plan.steps[i];
-        if (step.kind != StepKind::Barrier)
-            bin.kernels[i] = build_step_kernel(step, step.lib, graph, tmap,
-                                               cfg);
+        if (step.kind != StepKind::Barrier) {
+            descs->push_back(
+                build_step_kernel(step, step.lib, graph, tmap, cfg));
+            bin.kernels[i] = &descs->back();
+        }
     }
+    bin.owner = std::move(descs);
     return bin;
 }
 
@@ -665,26 +658,11 @@ UnitKernels::resolve(const std::vector<PlanStep>& units,
     return out;
 }
 
-namespace {
-
-/** Step i's descriptor: owned by a binary, or held by reference. */
-const KernelDesc&
-kernel_at(const std::vector<KernelDesc>& kernels, int32_t i)
-{
-    return kernels[static_cast<size_t>(i)];
-}
-
-const KernelDesc&
-kernel_at(const std::vector<const KernelDesc*>& kernels, int32_t i)
-{
-    return *kernels[static_cast<size_t>(i)];
-}
-
-template <typename Kernels>
 void
-walk_program(const WiredProgram& program, const Kernels& kernels,
-             SimGpu& gpu, std::vector<EventId>& events,
-             const std::function<void(int)>& after_step)
+enqueue_wired(const WiredProgram& program,
+              const std::vector<const KernelDesc*>& kernels, SimGpu& gpu,
+              std::vector<EventId>& events,
+              const std::function<void(int)>& after_step)
 {
     const int num_steps = static_cast<int>(program.is_barrier.size());
     ASTRA_ASSERT(program.keys.size() == static_cast<size_t>(num_steps));
@@ -700,7 +678,8 @@ walk_program(const WiredProgram& program, const Kernels& kernels,
             const WiredCmd& cmd = program.cmds[static_cast<size_t>(c)];
             switch (cmd.op) {
             case WiredOp::Launch:
-                gpu.launch_ref(cmd.stream, kernel_at(kernels, cmd.arg),
+                gpu.launch_ref(cmd.stream,
+                               *kernels[static_cast<size_t>(cmd.arg)],
                                program.keys[static_cast<size_t>(cmd.arg)]);
                 break;
             case WiredOp::Record:
@@ -716,25 +695,6 @@ walk_program(const WiredProgram& program, const Kernels& kernels,
         if (after_step && !program.is_barrier[static_cast<size_t>(i)])
             after_step(i);
     }
-}
-
-}  // namespace
-
-void
-enqueue_wired(const WiredProgram& program,
-              const std::vector<KernelDesc>& kernels, SimGpu& gpu,
-              std::vector<EventId>& events,
-              const std::function<void(int)>& after_step)
-{
-    walk_program(program, kernels, gpu, events, after_step);
-}
-
-void
-enqueue_wired(const WiredProgram& program,
-              const std::vector<const KernelDesc*>& kernels, SimGpu& gpu,
-              std::vector<EventId>& events)
-{
-    walk_program(program, kernels, gpu, events, {});
 }
 
 ArenaTable
@@ -841,17 +801,24 @@ lower_plan(const ExecutionPlan& plan, const Graph& graph,
 }
 
 WiredBinary
-lower_plan(const ExecutionPlan& plan, const std::function<BoundPlan()>& bind,
-           const Graph& graph, const TensorMap& tmap)
+lower_plan(const ExecutionPlan& plan,
+           const std::function<WiredBinary()>& bind, const Graph& graph,
+           const TensorMap& tmap)
 {
     obs::ScopedSpan span(obs::Category::Wire, "wired.lower");
-    BoundPlan bound = bind();
-    WiredBinary bin;
-    bin.program = std::move(bound.program);
-    bin.kernels.resize(bound.kernels.size());
-    for (size_t i = 0; i < bound.kernels.size(); ++i)
-        if (bound.kernels[i] != nullptr)
-            bin.kernels[i] = *bound.kernels[i];
+    WiredBinary bin = bind();
+    // Copy what the binary launches out of the skeleton's table, which
+    // holds every descriptor its trials built, then let the table go.
+    auto descs = std::make_shared<std::vector<KernelDesc>>();
+    descs->reserve(static_cast<size_t>(
+        std::count_if(bin.kernels.begin(), bin.kernels.end(),
+                      [](const KernelDesc* k) { return k != nullptr; })));
+    for (const KernelDesc*& k : bin.kernels)
+        if (k != nullptr) {
+            descs->push_back(*k);
+            k = &descs->back();
+        }
+    bin.owner = std::move(descs);
     return verified(std::move(bin), plan, graph, tmap);
 }
 
@@ -877,10 +844,8 @@ elapsed_ns(std::chrono::steady_clock::time_point start)
  * synchronized final-attempt device and its event slots are returned
  * for profile collection and tracing.
  */
-template <typename Kernels>
 DispatchResult
-run_dispatch_transaction(const WiredProgram& program, const Kernels& kernels,
-                         const GpuConfig& cfg,
+run_dispatch_transaction(const WiredBinary& bin, const GpuConfig& cfg,
                          std::unique_ptr<SimGpu>* gpu_out,
                          std::vector<EventId>* events)
 {
@@ -921,10 +886,10 @@ run_dispatch_transaction(const WiredProgram& program, const Kernels& kernels,
                 ? base_salt
                 : fault_mix(base_salt, static_cast<uint64_t>(attempt));
         gpu = std::make_unique<SimGpu>(gpu_cfg);
-        for (int s = 1; s < program.num_streams; ++s)
+        for (int s = 1; s < bin.program.num_streams; ++s)
             gpu->create_stream();
         const auto host_start = std::chrono::steady_clock::now();
-        walk_program(program, kernels, *gpu, *events, {});
+        enqueue_wired(bin.program, bin.kernels, *gpu, *events);
         result.host_enqueue_ns += elapsed_ns(host_start);
         gpu->synchronize();
         result.faults_seen += gpu->stats().faults_injected;
@@ -955,10 +920,9 @@ run_dispatch_transaction(const WiredProgram& program, const Kernels& kernels,
  * kernel spans and counters, and the profile metrics. `obs_anchor` is
  * the caller's host time the device timeline is placed at.
  */
-template <typename Kernels>
 DispatchResult
-dispatch_bound(const WiredProgram& program, const Kernels& kernels,
-               const GpuConfig& cfg, double obs_anchor)
+dispatch_bound(const WiredBinary& bin, const GpuConfig& cfg,
+               double obs_anchor)
 {
     // When observability is on, collect the device timeline regardless
     // of the caller's setting so kernel spans land on the merged trace.
@@ -968,8 +932,8 @@ dispatch_bound(const WiredProgram& program, const Kernels& kernels,
 
     std::unique_ptr<SimGpu> gpu;
     std::vector<EventId> events;
-    DispatchResult result = run_dispatch_transaction(
-        program, kernels, gpu_cfg, &gpu, &events);
+    DispatchResult result =
+        run_dispatch_transaction(bin, gpu_cfg, &gpu, &events);
 
     if (cfg.collect_trace)
         result.trace = gpu->trace();
@@ -991,28 +955,25 @@ dispatch_bound(const WiredProgram& program, const Kernels& kernels,
         }
     }
 
-    collect_wired_profiles(program, events, *gpu, result);
+    collect_wired_profiles(bin.program, events, *gpu, result);
     return result;
 }
 
-/**
- * One dispatch of a plan bound by `bind` (a WiredBinary or a
- * BoundPlan): the bind is the host work a replay of a lowered binary
- * skips, so it counts as enqueue time.
- */
-template <typename Bind>
+}  // namespace
+
 DispatchResult
-bind_and_dispatch(const Bind& bind, const GpuConfig& cfg)
+dispatch_plan(const std::function<WiredBinary()>& bind, const GpuConfig& cfg)
 {
     obs::ScopedSpan dispatch_span(obs::Category::Dispatch,
                                   "dispatch_plan");
     const double obs_anchor = obs::enabled() ? obs::now_ns() : 0.0;
+    // The bind is the host work a replay of a lowered binary skips, so
+    // it counts as enqueue time.
     const auto bind_start = std::chrono::steady_clock::now();
-    const auto bound = bind();
+    const WiredBinary bound = bind();
     const double bind_ns = elapsed_ns(bind_start);
 
-    DispatchResult result =
-        dispatch_bound(bound.program, bound.kernels, cfg, obs_anchor);
+    DispatchResult result = dispatch_bound(bound, cfg, obs_anchor);
     result.host_enqueue_ns += bind_ns;
     if (obs::enabled()) {
         static obs::Counter& dispatches = obs::counter("dispatch.plans");
@@ -1021,21 +982,13 @@ bind_and_dispatch(const Bind& bind, const GpuConfig& cfg)
     return result;
 }
 
-}  // namespace
-
 DispatchResult
 dispatch_plan(const ExecutionPlan& plan, const Graph& graph,
               const TensorMap& tmap, const GpuConfig& cfg)
 {
-    return bind_and_dispatch(
+    return dispatch_plan(
         [&] { return bind_plan(plan, graph, tmap, cfg, /*profiling=*/true); },
         cfg);
-}
-
-DispatchResult
-dispatch_plan(const std::function<BoundPlan()>& bind, const GpuConfig& cfg)
-{
-    return bind_and_dispatch(bind, cfg);
 }
 
 DispatchResult
@@ -1043,8 +996,7 @@ replay_wired(const WiredBinary& bin, const GpuConfig& cfg)
 {
     obs::ScopedSpan replay_span(obs::Category::Dispatch, "wired.replay");
     const double obs_anchor = obs::enabled() ? obs::now_ns() : 0.0;
-    DispatchResult result =
-        dispatch_bound(bin.program, bin.kernels, cfg, obs_anchor);
+    DispatchResult result = dispatch_bound(bin, cfg, obs_anchor);
     if (obs::enabled()) {
         static obs::Counter& replays = obs::counter("wired.replays");
         replays.add();

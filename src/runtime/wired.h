@@ -21,12 +21,14 @@
  *    half is only the command stream over those units (compile_steps):
  *    streams, events, waits and profile records. A plan skeleton
  *    (core/scheduler.h) keeps the first half for every trial of its
- *    binding, so Scheduler::bind compiles only the second and
- *    launches the kept descriptors by reference (BoundPlan).
+ *    binding, so Scheduler::bind compiles only the second.
  *    bind_plan runs both halves back to back over any other plan;
  *    dispatch_plan binds on every call and then walks, and the
  *    data-parallel dispatcher walks the same bound form.
- *  - WiredBinary: a bound plan, the program plus its kernels.
+ *  - WiredBinary: the one bound form every bind returns and every walk
+ *    takes: the program, one descriptor pointer per step, and an owner
+ *    keeping those descriptors alive (the binary's own copies, or the
+ *    skeleton's UnitKernels table for Scheduler::bind).
  *    lower_plan binds one, tabulates the plan's arena intervals
  *    (ArenaTable: offset/size/lifetime per tensor in the TensorMap's
  *    arena) and proves the binary against them with verify_wired,
@@ -217,17 +219,26 @@ ArenaTable arena_table(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap);
 
 /**
- * A bound mini-batch: program + prebuilt kernels. Valid as long as the
- * TensorMap (and its SimMemory) it was bound against outlive it —
- * kernel compute closures capture raw buffer pointers, exactly like
+ * A bound mini-batch, the one form every bind returns and every walk
+ * takes: the command stream and, per plan step, the prebuilt kernel it
+ * launches. `owner` keeps those descriptors alive, so a binary (and a
+ * copy of it) stays valid after what bound it is gone. Valid as long
+ * as the TensorMap (and its SimMemory) it was bound against outlive it
+ * — kernel compute closures capture raw buffer pointers, exactly like
  * recorded CUDA graphs capture device pointers.
  */
 struct WiredBinary
 {
     WiredProgram program;
 
-    /** Per plan step; barrier steps hold an empty descriptor. */
-    std::vector<KernelDesc> kernels;
+    /** Per plan step; null for a barrier. */
+    std::vector<const KernelDesc*> kernels;
+
+    /**
+     * What `kernels` point into: the binary's own descriptors, or the
+     * UnitKernels table of the plan skeleton it was bound over.
+     */
+    std::shared_ptr<const void> owner;
 
     int steps() const { return static_cast<int>(kernels.size()); }
 };
@@ -304,19 +315,6 @@ class UnitKernels
 };
 
 /**
- * A plan bound by reference (Scheduler::bind): the per-trial command
- * stream and, per step, the descriptor it launches (null for a
- * barrier), kept in the per-binding `table`, which the plan keeps
- * alive while it is walked.
- */
-struct BoundPlan
-{
-    WiredProgram program;
-    std::vector<const KernelDesc*> kernels;
-    std::shared_ptr<const UnitKernels> table;
-};
-
-/**
  * Walk a bound program onto a device whose streams already exist:
  * create the program's event slots in `events`, then issue every
  * command in order. `after_step(i)` runs right after non-barrier step
@@ -324,17 +322,13 @@ struct BoundPlan
  * flushes. Commands the hook enqueues share the host enqueue pipeline,
  * so comm launch overhead delays later compute launches exactly as a
  * DDP hook does on real hardware. Kernels are launched by reference
- * (SimGpu::launch_ref): `kernels` must outlive the device's drain.
+ * (SimGpu::launch_ref): the descriptors `kernels` (a WiredBinary's)
+ * point at must outlive the device's drain.
  */
 void enqueue_wired(const WiredProgram& program,
-                   const std::vector<KernelDesc>& kernels, SimGpu& gpu,
-                   std::vector<EventId>& events,
-                   const std::function<void(int)>& after_step = {});
-
-/** The same walk over descriptors held by reference (a BoundPlan's). */
-void enqueue_wired(const WiredProgram& program,
                    const std::vector<const KernelDesc*>& kernels,
-                   SimGpu& gpu, std::vector<EventId>& events);
+                   SimGpu& gpu, std::vector<EventId>& events,
+                   const std::function<void(int)>& after_step = {});
 
 /**
  * Lower a converged plan into a wired binary: bind it (with profiling
@@ -348,13 +342,14 @@ WiredBinary lower_plan(const ExecutionPlan& plan, const Graph& graph,
                        const TensorMap& tmap, const GpuConfig& cfg);
 
 /**
- * The same lowering of a plan bound by reference: `bind` returns it (a
- * Scheduler::bind of the configuration `plan` was built from, over a
- * kept skeleton), and the binary copies its program and the
- * descriptors it launches instead of building them again.
+ * The same lowering of a plan bound over a kept skeleton: `bind`
+ * returns it (a Scheduler::bind of the configuration `plan` was built
+ * from), and the binary copies the descriptors it launches out of the
+ * skeleton's table instead of building them again. It owns exactly
+ * those copies and holds nothing of the table.
  */
 WiredBinary lower_plan(const ExecutionPlan& plan,
-                       const std::function<BoundPlan()>& bind,
+                       const std::function<WiredBinary()>& bind,
                        const Graph& graph, const TensorMap& tmap);
 
 /**
@@ -369,12 +364,12 @@ WiredBinary lower_plan(const ExecutionPlan& plan,
 DispatchResult replay_wired(const WiredBinary& bin, const GpuConfig& cfg);
 
 /**
- * dispatch_plan of a plan bound by reference: `bind` returns it (a
- * trial's Scheduler::bind), timed as host enqueue; then the same
- * transaction and readout as every other dispatch, under the same
+ * dispatch_plan of the binary `bind` returns (a trial's
+ * Scheduler::bind, or a plan's bind_plan), timed as host enqueue; then
+ * the transaction and readout replay_wired runs, under the
  * "dispatch_plan" span.
  */
-DispatchResult dispatch_plan(const std::function<BoundPlan()>& bind,
+DispatchResult dispatch_plan(const std::function<WiredBinary()>& bind,
                              const GpuConfig& cfg);
 
 /** Outcome of verify_wired. */

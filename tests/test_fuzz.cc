@@ -283,7 +283,7 @@ check_random_configs(const Graph& g, const SearchSpace& space,
             key = testutil::wirer_key(WirerVariable::GroupLib, gid);
         sibling.single_keys.clear();
         (void)sched.bind(sibling, cand.tmap(), cand.config());
-        const BoundPlan bound = sched.bind(cfg, cand.tmap(), cand.config());
+        const WiredBinary bound = sched.bind(cfg, cand.tmap(), cand.config());
         const WiredBinary fresh =
             bind_plan(Scheduler(g, space, sopts).build(cfg), g, cand.tmap(),
                       cand.config(), /*profiling=*/true);

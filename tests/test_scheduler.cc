@@ -240,6 +240,52 @@ TEST(Scheduler, SoleStrategyWinnerLowersFromItsKeptSkeleton)
                   lower_plan(fresh.build(winner), m.graph(), tmap, opts.gpu)));
     EXPECT_EQ(counts([&] { (void)session.scheduler().build(winner); }).first,
               1);
+
+    // The binary owns copies of what it launches: a skeleton of another
+    // shape bound after the release leaves its replay unchanged.
+    GpuConfig replay_gpu = opts.gpu;
+    replay_gpu.faults = FaultPlan();
+    const DispatchResult first = replay_wired(*bin, replay_gpu);
+    ScheduleConfig other = winner;
+    for (int& chunk : other.group_chunk)
+        chunk = 1;
+    ASSERT_NE(other.group_chunk, winner.group_chunk);
+    (void)session.scheduler().bind(other, tmap, opts.gpu);
+    const DispatchResult again = replay_wired(*bin, replay_gpu);
+    EXPECT_EQ(again.total_ns, first.total_ns);
+    EXPECT_EQ(again.profile_ns, first.profile_ns);
+}
+
+TEST(Scheduler, BoundTrialOutlivesItsSkeleton)
+{
+    // A trial's binary launches its skeleton's descriptors, and its
+    // owner keeps their table alive: held across the skeleton's release
+    // and a bind of another shape in its slot, it still dispatches as
+    // the configuration's plan does.
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    const Scheduler sched(m.graph(), space);
+    const Runner runner(m.graph(), space.strategies[0].runs);
+    GpuConfig gpu;
+    gpu.execute_kernels = false;
+    gpu.autoboost = false;
+    gpu.faults = FaultPlan();
+    ScheduleConfig cfg = default_config(space, 3);
+    cfg.use_streams = true;
+    for (const FusionGroup& g : space.groups)
+        cfg.group_keys[g.id] =
+            testutil::wirer_key(WirerVariable::GroupChunk, g.id);
+    const WiredBinary bound = sched.bind(cfg, runner.tmap(), gpu);
+    sched.release_skeleton(cfg.strategy);
+    const ScheduleConfig other = default_config(space, 1);
+    ASSERT_NE(other.group_chunk, cfg.group_chunk);
+    (void)sched.bind(other, runner.tmap(), gpu);
+    const DispatchResult held = replay_wired(bound, gpu);
+    const DispatchResult fresh =
+        dispatch_plan(sched.build(cfg), m.graph(), runner.tmap(), gpu);
+    EXPECT_EQ(held.total_ns, fresh.total_ns);
+    EXPECT_EQ(held.profile_ns, fresh.profile_ns);
+    EXPECT_FALSE(held.profile_ns.empty());
 }
 
 /** The serving fleet's largest bucket (perfbench serve_fleet). */
@@ -394,7 +440,7 @@ TEST(Scheduler, NewShapesInheritOnlyWhatTheyShare)
                                                  kNumGemmLibs);
                     const ExecutionPlan fresh =
                         Scheduler(m.graph(), space).build(cfg);
-                    const BoundPlan bound =
+                    const WiredBinary bound =
                         sched.bind(cfg, runner.tmap(), gpu);
                     EXPECT_EQ(testutil::plan_dump(sched.build(cfg)),
                               testutil::plan_dump(fresh))

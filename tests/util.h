@@ -182,13 +182,12 @@ plan_dump(const ExecutionPlan& plan)
  * Canonical text of a bound plan: per step its descriptor's name
  * (length-prefixed), launch key (the ordinal of its first appearance),
  * blocks, max_sms, block_ns and setup_ns (hexfloat), "-" for a
- * barrier; then the command array. `kernel(i)` is step i's
- * descriptor.
+ * barrier; then the command array.
  */
-template <typename KernelAt>
-std::string
-bound_dump(const WiredProgram& program, const KernelAt& kernel)
+inline std::string
+bound_dump(const WiredBinary& bin)
 {
+    const WiredProgram& program = bin.program;
     std::ostringstream os;
     os.imbue(std::locale::classic());
     os << std::hexfloat;
@@ -198,7 +197,7 @@ bound_dump(const WiredProgram& program, const KernelAt& kernel)
             os << "-\n";
             continue;
         }
-        const KernelDesc& k = kernel(i);
+        const KernelDesc& k = *bin.kernels[i];
         os << k.name.size() << ":" << k.name << " "
            << key_ordinal.emplace(program.keys[i], key_ordinal.size())
                   .first->second
@@ -210,24 +209,6 @@ bound_dump(const WiredProgram& program, const KernelAt& kernel)
            << ";";
     os << "\n";
     return os.str();
-}
-
-/** bound_dump of a binary that owns its descriptors. */
-inline std::string
-bound_dump(const WiredBinary& bin)
-{
-    return bound_dump(bin.program, [&](size_t i) -> const KernelDesc& {
-        return bin.kernels[i];
-    });
-}
-
-/** bound_dump of a plan bound by reference (Scheduler::bind). */
-inline std::string
-bound_dump(const BoundPlan& bound)
-{
-    return bound_dump(bound.program, [&](size_t i) -> const KernelDesc& {
-        return *bound.kernels[i];
-    });
 }
 
 /**
